@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "GATEFORGE_API_KEY"
+# Longest wait honoured from a rate-limit reply's Retry-After header.
+RETRY_AFTER_CAP_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,10 @@ class ScriptedBackend(ModelBackend):
 class HttpChatBackend(ModelBackend):
     """Chat-completion JSON over HTTP(S) with bounded exponential backoff.
 
+    Server errors, transport failures and HTTP 429 are retried; a 429's
+    Retry-After in seconds replaces the backoff delay. Other 4xx replies
+    fail at once.
+
     The request body carries the model identifier, the role-tagged message
     list, temperature and max output tokens. Credentials come from the
     GATEFORGE_API_KEY environment variable and never reach the logs.
@@ -168,12 +174,15 @@ class HttpChatBackend(ModelBackend):
                   "redacted" if api_key else "none")
 
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                delay = self.backoff_base * (2 ** (attempt - 1))
+                delay = (retry_after if retry_after is not None
+                         else self.backoff_base * (2 ** (attempt - 1)))
                 log.warning("backend retry %d/%d after %.2fs: %s",
                             attempt, self.max_retries, delay, last_error)
                 time.sleep(delay)
+            retry_after = None
             try:
                 req = urllib.request.Request(self.url, data=body,
                                              headers=headers, method="POST")
@@ -183,7 +192,9 @@ class HttpChatBackend(ModelBackend):
                 log.debug("response chars=%d", len(text))
                 return text
             except urllib.error.HTTPError as exc:
-                if 400 <= exc.code < 500:
+                if exc.code == 429:
+                    retry_after = _retry_after_seconds(exc)
+                elif 400 <= exc.code < 500:
                     raise BackendError(
                         f"backend rejected the request: HTTP {exc.code}") from exc
                 last_error = exc
@@ -200,6 +211,15 @@ class HttpChatBackend(ModelBackend):
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError("malformed backend response: "
                                "missing choices[0].message.content") from exc
+
+
+def _retry_after_seconds(exc: urllib.error.HTTPError) -> float | None:
+    """The delta-seconds form of Retry-After, capped; None for the
+    HTTP-date form or no header, so the caller backs off as usual."""
+    value = (exc.headers.get("Retry-After") or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_CAP_S)
 
 
 def create_backend(selector: str, model: str | None = None) -> ModelBackend:

@@ -2,10 +2,11 @@
 
 Layout on disk: a directory holding one canonical netlist text file per
 circuit pattern under patterns/, plus index.jsonl with one JSON record per
-entry carrying all metadata. Pattern files are written before the index is
-rewritten, so a crash can leave an orphan file but never an index record
-pointing at missing content. The exact schema is documented in
-docs/knowledge_store.md.
+entry carrying all metadata. The index is an append-only log (the last
+record per id wins) that only compact() rewrites. Pattern files are written
+before their index record is appended, so a crash can leave an orphan file
+but never an index record pointing at missing content. The exact schema is
+documented in docs/knowledge_store.md.
 
 Retrieval is symbolic and deterministic: exact functional-signature match,
 interface shape, tag overlap and error-class/symptom token overlap. Entries
@@ -15,19 +16,19 @@ efficiency: the higher index stays primary, the loser is archived.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
 from .metrics import DEFAULT_WEIGHTS, MetricWeights, sei_task
 from .netlist import GateKind, Netlist, NetlistBuilder, structural_report
 from .simulator import functional_signature, sequential_trace
-
-import hashlib
-import random
 
 KIND_PATTERN = "circuit-pattern"
 KIND_ERROR_FIX = "error-fix"
@@ -364,11 +365,7 @@ class _RetrievalBase:
                                    name=f"{task_id or netlist.name}-design")
         consider(whole)
 
-        subs = sorted(_enumerate_subnetlists(netlist),
-                      key=lambda s: len(s.gates))
-        for sub in subs:
-            if len(out) > SUBPATTERN_EMIT_CAP:
-                break
+        for sub in _enumerate_subnetlists(netlist):
             entry = make_pattern_entry(
                 sub, tags=tuple(tags) + ("subcircuit",),
                 provenance=provenance)
@@ -378,6 +375,8 @@ class _RetrievalBase:
             except AdmissionError:
                 continue
             consider(entry)
+            if len(out) > SUBPATTERN_EMIT_CAP:
+                break
         return out
 
 
@@ -388,6 +387,11 @@ class KnowledgeStore(_RetrievalBase):
         self.root = os.fspath(root)
         self._lock = threading.Lock()
         self._entries: list[KnowledgeEntry] = []
+        self._next_id = 1
+        # (size, prefix) when the index does not end on a complete line:
+        # the next append first truncates the log to `size` bytes, then
+        # writes `prefix` and its records.
+        self._append_at: tuple[int, bytes] | None = None
         os.makedirs(self.patterns_dir, exist_ok=True)
         self._load(verify=verify)
 
@@ -409,38 +413,80 @@ class KnowledgeStore(_RetrievalBase):
     def _load(self, verify: bool) -> None:
         if not os.path.exists(self.index_path):
             return
-        with open(self.index_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                text = None
-                if rec["kind"] == KIND_PATTERN:
-                    path = self._pattern_path(rec["id"])
-                    if not os.path.exists(path):
-                        raise StoreError(
-                            f"index references missing pattern file {path}")
-                    with open(path, encoding="utf-8") as pf:
-                        text = pf.read()
-                entry = KnowledgeEntry.from_record(rec, text)
-                if verify and entry.status == "primary":
-                    verify_pattern_entry(entry)
-                self._entries.append(entry)
+        with open(self.index_path, "rb") as fh:
+            data = fh.read()
+        lines = data.split(b"\n")
+        # The last piece is empty when the log ends on a newline; otherwise
+        # an append was cut short.
+        tail = lines.pop()
+        records: dict[int, dict] = {}
+        for lineno, line in enumerate(lines, 1):
+            if line.strip():
+                rec = self._parse_record(line, lineno)
+                records[rec["id"]] = rec
+        if tail.strip():
+            try:
+                rec = self._parse_record(tail, len(lines) + 1)
+            except StoreError:
+                # Torn tail: drop it; the next append overwrites it.
+                self._append_at = (len(data) - len(tail), b"")
+            else:
+                records[rec["id"]] = rec
+                self._append_at = (len(data), b"\n")
+        for entry_id in sorted(records):
+            rec = records[entry_id]
+            text = None
+            if rec["kind"] == KIND_PATTERN:
+                path = self._pattern_path(entry_id)
+                if not os.path.exists(path):
+                    raise StoreError(
+                        f"index references missing pattern file {path}")
+                with open(path, encoding="utf-8") as pf:
+                    text = pf.read()
+            entry = KnowledgeEntry.from_record(rec, text)
+            if verify and entry.status == "primary":
+                verify_pattern_entry(entry)
+            self._entries.append(entry)
+        self._next_id = max(records, default=0) + 1
 
-    def _persist(self, new_texts: dict[int, str]) -> None:
-        # Pattern files land first; the index rewrite is atomic.
-        for entry_id, text in new_texts.items():
-            path = self._pattern_path(entry_id)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+    def _parse_record(self, line: bytes, lineno: int) -> dict:
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise StoreError(f"{self.index_path}:{lineno}: unparsable "
+                             f"index record: {exc}") from None
+        if not (isinstance(rec, dict) and isinstance(rec.get("id"), int)
+                and "kind" in rec and "name" in rec):
+            raise StoreError(f"{self.index_path}:{lineno}: index record "
+                             "lacks an integer id, a kind or a name")
+        return rec
+
+    def _append(self, entries: list[KnowledgeEntry]) -> None:
+        text = "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
+                       for e in entries).encode()
+        if self._append_at is not None:
+            size, prefix = self._append_at
+            os.truncate(self.index_path, size)
+            text = prefix + text
+            self._append_at = None
+        # One write per admission, so a crash tears at most the last line.
+        with open(self.index_path, "ab") as fh:
+            fh.write(text)
+
+    def _rewrite_index(self) -> None:
         tmp = self.index_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for e in self._entries:
                 fh.write(json.dumps(e.to_record(), sort_keys=True) + "\n")
         os.replace(tmp, self.index_path)
+        self._append_at = None
+
+    def _write_pattern(self, entry_id: int, text: str) -> None:
+        path = self._pattern_path(entry_id)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
 
     # -- write path ---------------------------------------------------------
 
@@ -450,22 +496,22 @@ class KnowledgeStore(_RetrievalBase):
         Circuit patterns are re-verified before admission. When an entry
         with the same signature and interface already exists, the one with
         the higher efficiency index stays primary and the other is archived
-        (the incumbent wins ties).
+        (the incumbent wins ties). The pattern file lands first; then the
+        new record, preceded by the archived incumbent's updated record if
+        there is one, is appended to the index in one write.
         """
         verify_pattern_entry(entry)
         with self._lock:
-            entry_id = (max((e.id for e in self._entries
-                             if e.id is not None), default=0) + 1)
+            entry_id = self._next_id
             entry = replace(entry, id=entry_id, status="primary")
             if not entry.provenance.created_at:
                 entry = replace(entry, provenance=replace(
                     entry.provenance,
                     created_at=time.strftime("%Y-%m-%dT%H:%M:%S",
                                              time.gmtime())))
-            new_texts = {}
+            displaced: tuple[int, KnowledgeEntry] | None = None
             if entry.kind == KIND_PATTERN:
-                new_texts[entry_id] = entry.netlist_text or ""
-            if entry.kind == KIND_PATTERN:
+                self._write_pattern(entry_id, entry.netlist_text or "")
                 key = (entry.signature_digest, entry.inputs, entry.outputs)
                 for i, other in enumerate(self._entries):
                     if other.kind != KIND_PATTERN or other.status != "primary":
@@ -474,12 +520,17 @@ class KnowledgeStore(_RetrievalBase):
                             other.outputs) != key:
                         continue
                     if (entry.sei or 0.0) > (other.sei or 0.0) + 1e-12:
-                        self._entries[i] = replace(other, status="archived")
+                        displaced = (i, replace(other, status="archived"))
                     else:
                         entry = replace(entry, status="archived")
                     break
+            if displaced is None:
+                self._append([entry])
+            else:
+                self._append([displaced[1], entry])
+                self._entries[displaced[0]] = displaced[1]
             self._entries.append(entry)
-            self._persist(new_texts)
+            self._next_id += 1
             return entry_id
 
     def seed_baseline(self) -> int:
@@ -516,7 +567,8 @@ class KnowledgeStore(_RetrievalBase):
             keep = [e for e in self._entries if e.status == "primary"]
             dropped = [e for e in self._entries if e.status != "primary"]
             self._entries = keep
-            self._persist({})
+            self._rewrite_index()
+            self._next_id = max((e.id for e in keep), default=0) + 1
             for e in dropped:
                 if e.kind == KIND_PATTERN and e.id is not None:
                     path = self._pattern_path(e.id)
@@ -530,13 +582,27 @@ class KnowledgeView(_RetrievalBase):
 
     def __init__(self, entries: tuple[KnowledgeEntry, ...]):
         self._frozen = entries
+        self._extracted: dict[tuple, tuple[KnowledgeEntry, ...]] = {}
 
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         return list(self._frozen)
 
+    def extract_patterns(self, netlist: Netlist, task_id: str = "",
+                         run_id: str = "", tags: tuple[str, ...] = (),
+                         ) -> list[KnowledgeEntry]:
+        # Over frozen entries, extraction depends only on the canonical text
+        # and these arguments; samples of one task share a view, so each
+        # distinct verified design is extracted once.
+        key = (nl_parser.render(netlist), task_id, run_id, tuple(tags))
+        if key not in self._extracted:
+            self._extracted[key] = tuple(super().extract_patterns(
+                netlist, task_id, run_id, tags))
+        return list(self._extracted[key])
 
-def _enumerate_subnetlists(netlist: Netlist) -> list[Netlist]:
-    """Connected combinational sub-DAGs within the extraction bounds.
+
+def _enumerate_subnetlists(netlist: Netlist) -> Iterator[Netlist]:
+    """Connected combinational sub-DAGs within the extraction bounds,
+    smallest first.
 
     Enumeration follows the classic grow-only-with-larger-indices scheme so
     each connected gate subset appears exactly once, in deterministic order.
@@ -544,7 +610,7 @@ def _enumerate_subnetlists(netlist: Netlist) -> list[Netlist]:
     comb = [(i, g) for i, g in enumerate(netlist.gates)
             if g.kind is not GateKind.DFF]
     if len(comb) < SUBPATTERN_MIN_GATES:
-        return []
+        return
     gates = [g for _, g in comb]
     n = len(gates)
     # Gates are adjacent when they touch a common net, including shared
@@ -561,7 +627,7 @@ def _enumerate_subnetlists(netlist: Netlist) -> list[Netlist]:
                 if a != b:
                     neighbors[a].add(b)
 
-    subsets: list[frozenset[int]] = []
+    subsets: list[list[int]] = []
     budget = [SUBPATTERN_ENUM_CAP]
 
     def extend(start: int, subset: list[int], ext: list[int]) -> None:
@@ -571,7 +637,7 @@ def _enumerate_subnetlists(netlist: Netlist) -> list[Netlist]:
             return
         if SUBPATTERN_MIN_GATES <= len(subset):
             budget[0] -= 1
-            subsets.append(frozenset(subset))
+            subsets.append(sorted(subset))
         if len(subset) >= SUBPATTERN_MAX_GATES:
             return
         closed = set(subset)
@@ -585,12 +651,13 @@ def _enumerate_subnetlists(netlist: Netlist) -> list[Netlist]:
     for v in range(n):
         extend(v, [v], sorted(u for u in neighbors[v] if u > v))
 
-    out = []
+    # Smallest first (stable, so enumeration order breaks ties); carving is
+    # lazy because the caller stops at SUBPATTERN_EMIT_CAP.
+    subsets.sort(key=len)
     for subset in subsets:
-        sub = _carve_subnetlist(netlist, [comb[pos][0] for pos in sorted(subset)])
+        sub = _carve_subnetlist(netlist, [comb[pos][0] for pos in subset])
         if sub is not None:
-            out.append(sub)
-    return out
+            yield sub
 
 
 def _carve_subnetlist(netlist: Netlist, gate_indices: list[int]) -> Netlist | None:

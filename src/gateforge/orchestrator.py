@@ -602,6 +602,28 @@ def _run_one_task_samples(task: TaskPack, cfg: RunConfig,
     return runs
 
 
+def _merge_extracted(runs: list[TaskRun]) -> list[KnowledgeEntry]:
+    """One entry per (signature, interface) key from a task's samples.
+
+    Runs are walked in sample order. An entry replaces the one held for its
+    key only when its efficiency index is strictly higher, and then moves to
+    the end, which is where storing every entry one by one would leave the
+    surviving primary; the store therefore ends with the same primaries in
+    the same relative id order, without the archived duplicates.
+    """
+    merged: dict[tuple, KnowledgeEntry] = {}
+    for r in runs:
+        for entry in r.extracted:
+            key = (entry.signature_digest, entry.inputs, entry.outputs)
+            held = merged.get(key)
+            if held is not None:
+                if (entry.sei or 0.0) <= (held.sei or 0.0) + 1e-12:
+                    continue
+                del merged[key]
+            merged[key] = entry
+    return list(merged.values())
+
+
 def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
                   backend: ModelBackend,
                   store: KnowledgeStore | None = None,
@@ -609,9 +631,10 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
     """Benchmark sweep: n independent samples per task, aggregated scores.
 
     Samples of one task retrieve from a store snapshot taken when the task
-    starts; pattern writes land only after all of the task's samples finish.
-    Later samples of the same task therefore cannot retrieve an earlier
-    sample's answer, while later tasks do see earlier tasks' knowledge.
+    starts; pattern writes land only after all of the task's samples finish,
+    as one merged set of entries in sample order. Later samples of the same
+    task therefore cannot retrieve an earlier sample's answer, while later
+    tasks do see earlier tasks' knowledge.
     """
     if not tasks:
         raise ValueError("run_benchmark needs at least one task")
@@ -622,9 +645,8 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
         snapshot = store.snapshot() if store is not None else None
         runs = _run_one_task_samples(task, cfg, backend, snapshot, run_id)
         if store is not None:
-            for r in runs:
-                for entry in r.extracted:
-                    store.store(entry)
+            for entry in _merge_extracted(runs):
+                store.store(entry)
         return runs
 
     all_runs: dict[str, list[TaskRun]] = {}

@@ -145,3 +145,75 @@ def test_create_backend_selectors(tmp_path):
         create_backend("carrier-pigeon:coop")
     backend = create_backend("http://example.invalid/v1", model="m")
     assert backend.identity == "http:m"
+
+
+class _FakeReply:
+    def __init__(self, payload):
+        self._data = json.dumps(payload).encode()
+
+    def read(self):
+        return self._data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.fixture
+def fake_http(monkeypatch):
+    """urlopen replays the queued replies: an int is an HTTP error with
+    that status (a (status, headers) pair sets headers), anything else a
+    200 with that text. Sleeps are recorded, not taken."""
+    import time
+    import urllib.error
+    import urllib.request
+    from email.message import Message
+
+    queue, sleeps = [], []
+
+    def urlopen(req, timeout):
+        reply = queue.pop(0)
+        if isinstance(reply, (int, tuple)):
+            status, headers = reply if isinstance(reply, tuple) else (reply, {})
+            hdrs = Message()
+            for k, v in headers.items():
+                hdrs[k] = v
+            raise urllib.error.HTTPError(req.full_url, status, "status", hdrs,
+                                         None)
+        return _FakeReply({"choices": [{"message": {"content": reply}}]})
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return queue, sleeps
+
+
+def test_http_429_is_retried(fake_http):
+    queue, sleeps = fake_http
+    queue.extend([429, "ok"])
+    backend = HttpChatBackend("http://stub.invalid/v1", model="m",
+                              backoff_base=0.5)
+    assert backend.complete(msg("x"), PARAMS) == "ok"
+    assert sleeps == [0.5]
+    assert queue == []
+
+
+def test_http_429_retry_after_sets_the_delay(fake_http):
+    queue, sleeps = fake_http
+    queue.extend([(429, {"Retry-After": "2"}), (429, {"Retry-After": "600"}),
+                  "ok"])
+    backend = HttpChatBackend("http://stub.invalid/v1", model="m",
+                              backoff_base=0.5)
+    assert backend.complete(msg("x"), PARAMS) == "ok"
+    assert sleeps == [2.0, 60.0]
+
+
+def test_http_400_still_fails_at_once(fake_http):
+    queue, sleeps = fake_http
+    queue.extend([400, "ok"])
+    backend = HttpChatBackend("http://stub.invalid/v1", model="m")
+    with pytest.raises(BackendError, match="HTTP 400"):
+        backend.complete(msg("x"), PARAMS)
+    assert sleeps == []
+    assert queue == ["ok"]

@@ -262,3 +262,88 @@ def test_sequential_pattern_fingerprint_roundtrip(store):
     assert entry.signature_digest == fp1
     store.store(entry)
     assert store.verify_all() == []
+
+
+# -- append-only index ----------------------------------------------------------
+
+def index_lines(store):
+    with open(store.index_path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_archiving_appends_instead_of_rewriting(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_worse_half_adder()))
+    better_id = store.store(make_pattern_entry(build_half_adder()))
+    assert [(r["id"], r["status"]) for r in index_lines(store)] == [
+        (1, "primary"), (1, "archived"), (better_id, "primary")]
+    reopened = KnowledgeStore(tmp_path / "store")
+    assert [(e.id, e.status) for e in reopened.entries(include_archived=True)
+            ] == [(1, "archived"), (better_id, "primary")]
+    assert reopened.store(make_error_fix_entry("syntax", "x", "y")) == 3
+    assert reopened.compact() == 1
+    assert [r["id"] for r in index_lines(reopened)] == [better_id, 3]
+
+
+def tear_last_line(store):
+    with open(store.index_path, "rb") as fh:
+        data = fh.read()
+    with open(store.index_path, "wb") as fh:
+        fh.write(data[:-20])
+
+
+def test_torn_last_line_is_dropped_at_load(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_half_adder()))
+    store.store(make_pattern_entry(build_full_adder()))
+    tear_last_line(store)
+    reopened = KnowledgeStore(tmp_path / "store")
+    assert [e.name for e in reopened.entries()] == ["half_adder"]
+
+
+def test_store_after_a_torn_tail_starts_a_fresh_line(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_half_adder()))
+    store.store(make_pattern_entry(build_full_adder()))
+    tear_last_line(store)
+    reopened = KnowledgeStore(tmp_path / "store")
+    # The torn record's id is free again and its orphan file is replaced.
+    assert reopened.store(make_pattern_entry(build_full_adder())) == 2
+    assert [r["id"] for r in index_lines(reopened)] == [1, 2]
+    again = KnowledgeStore(tmp_path / "store")
+    assert [(e.id, e.name) for e in again.entries()] == [
+        (1, "half_adder"), (2, "full_adder")]
+
+
+def test_unterminated_complete_last_line_is_kept(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_half_adder()))
+    with open(store.index_path, "rb") as fh:
+        data = fh.read()
+    with open(store.index_path, "wb") as fh:
+        fh.write(data.rstrip(b"\n"))
+    reopened = KnowledgeStore(tmp_path / "store")
+    assert reopened.store(make_pattern_entry(build_full_adder())) == 2
+    assert [r["id"] for r in index_lines(reopened)] == [1, 2]
+
+
+def test_corrupt_middle_line_raises_store_error(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_half_adder()))
+    store.store(make_pattern_entry(build_full_adder()))
+    with open(store.index_path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[0] = lines[0][:30] + "\n"
+    with open(store.index_path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    with pytest.raises(StoreError, match=r"index\.jsonl:1:"):
+        KnowledgeStore(tmp_path / "store")
+
+
+def test_record_without_an_id_raises_store_error(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_half_adder()))
+    with open(store.index_path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "error-fix", "name": "x"}\n')
+    with pytest.raises(StoreError, match=r"index\.jsonl:2:"):
+        KnowledgeStore(tmp_path / "store")
