@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .netlist import (
     COMBINATIONAL_KINDS,
+    GATE_EVAL,
     Gate,
     GateKind,
     Net,
@@ -22,9 +23,10 @@ from .netlist import (
     Netlist,
     NetlistBuilder,
     StructuralReport,
-    require_valid,
+    compile_netlist,
     structural_report,
 )
+from .simulator import pack_columns
 
 QM_MAX_INPUTS = 12
 SEARCH_MAX_INPUTS = 4
@@ -272,33 +274,6 @@ def quine_mccluskey(f: BoolFunction) -> MinimalCover:
 # ---------------------------------------------------------------------------
 
 
-def _input_patterns(n: int) -> list[int]:
-    rows = 1 << n
-    patterns = []
-    for i in range(n):
-        p = 0
-        for r in range(rows):
-            if (r >> i) & 1:
-                p |= 1 << r
-        patterns.append(p)
-    return patterns
-
-
-def _gate_table(kind: GateKind, a: int, b: int | None, mask: int) -> int:
-    if kind is GateKind.NOT:
-        return ~a & mask
-    assert b is not None
-    if kind is GateKind.AND:
-        return a & b
-    if kind is GateKind.OR:
-        return a | b
-    if kind is GateKind.XOR:
-        return a ^ b
-    if kind is GateKind.NAND:
-        return ~(a & b) & mask
-    raise ValueError(f"{kind} is not a combinational primitive")
-
-
 @dataclass
 class _SearchNode:
     table: int
@@ -330,7 +305,7 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     rows = 1 << f.n
     mask = (1 << rows) - 1
     sources: list[_SearchNode] = []
-    for i, p in enumerate(_input_patterns(f.n)):
+    for i, p in enumerate(pack_columns(range(rows), f.n)):
         sources.append(_SearchNode(p, 0, source_name=f"x{i}"))
     sources.append(_SearchNode(0, 0, source_name="const0"))
     sources.append(_SearchNode(mask, 0, source_name="const1"))
@@ -360,15 +335,15 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
             nonlocal best
             last = remaining == 1
             for kind in kinds:
+                evaluate = GATE_EVAL[kind]
                 if kind is GateKind.NOT:
                     operand_sets = [(i,) for i in range(len(nodes))]
                 else:
                     operand_sets = [(i, j) for i in range(len(nodes))
                                     for j in range(i + 1, len(nodes))]
                 for ops in operand_sets:
-                    a = nodes[ops[0]].table
-                    b = nodes[ops[1]].table if len(ops) == 2 else None
-                    t = _gate_table(kind, a, b, mask)
+                    t = evaluate(nodes[ops[0]].table, nodes[ops[-1]].table,
+                                 mask)
                     if t in seen_tables:
                         continue
                     if last and not f.agrees_with(t):
@@ -452,20 +427,16 @@ def _readers(netlist: Netlist) -> dict[int, list[int]]:
     return readers
 
 
-def _output_bound_nets(netlist: Netlist) -> set[int]:
-    return {n for p in netlist.output_ports() for n in netlist.port_nets[p.name]}
-
-
 def suggest_optimizations(netlist: Netlist) -> list[OptimizationHint]:
     """Detect local inefficiencies worth feeding back to the generator.
 
     Purely advisory: nothing is rewritten here. Each hint names the gate
     instances involved so feedback text can point at real locations.
     """
-    require_valid(netlist)
+    compiled = compile_netlist(netlist)
     hints: list[OptimizationHint] = []
     readers = _readers(netlist)
-    bound = _output_bound_nets(netlist)
+    bound = {nid for _, nid in compiled.output_bits}
     by_output = {g.output: g for g in netlist.gates}
 
     for g in netlist.gates:
@@ -525,7 +496,7 @@ def _net_name(netlist: Netlist, net_id: int) -> str:
 
 def apply_hint(netlist: Netlist, hint: OptimizationHint) -> Netlist:
     """Perform one hinted rewrite; behavior-preserving by construction."""
-    require_valid(netlist)
+    compile_netlist(netlist)
     gates = {g.name: g for g in netlist.gates}
 
     def rewire(mapping: dict[int, int], drop: set[str],

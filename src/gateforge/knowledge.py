@@ -350,31 +350,36 @@ class _RetrievalBase:
         out: list[KnowledgeEntry] = []
         emitted: dict[tuple, float] = {}
 
-        def consider(entry: KnowledgeEntry) -> None:
+        def kept(entry: KnowledgeEntry) -> bool:
+            """Whether no held or emitted entry is at least as efficient."""
             key = (entry.signature_digest, entry.inputs, entry.outputs)
-            incumbent = existing.get(key)
-            if incumbent is not None and incumbent >= (entry.sei or 0.0) - 1e-12:
-                return
-            prior = emitted.get(key)
-            if prior is not None and prior >= (entry.sei or 0.0) - 1e-12:
-                return
-            emitted[key] = entry.sei or 0.0
+            bar = (entry.sei or 0.0) - 1e-12
+            return all(best is None or best < bar
+                       for best in (existing.get(key), emitted.get(key)))
+
+        def emit(entry: KnowledgeEntry) -> None:
+            emitted[(entry.signature_digest, entry.inputs, entry.outputs)] = \
+                entry.sei or 0.0
             out.append(entry)
 
         whole = make_pattern_entry(netlist, tags=tags, provenance=provenance,
                                    name=f"{task_id or netlist.name}-design")
-        consider(whole)
+        if kept(whole):
+            emit(whole)
 
         for sub in _enumerate_subnetlists(netlist):
             entry = make_pattern_entry(
                 sub, tags=tuple(tags) + ("subcircuit",),
                 provenance=provenance)
             entry = replace(entry, name=f"pat-{entry.signature_digest[:10]}")
+            # Only entries that would be kept are worth re-verifying.
+            if not kept(entry):
+                continue
             try:
                 verify_pattern_entry(entry)
             except AdmissionError:
                 continue
-            consider(entry)
+            emit(entry)
             if len(out) > SUBPATTERN_EMIT_CAP:
                 break
         return out
@@ -433,6 +438,7 @@ class KnowledgeStore(_RetrievalBase):
             else:
                 records[rec["id"]] = rec
                 self._append_at = (len(data), b"\n")
+        _archive_duplicate_primaries(records)
         for entry_id in sorted(records):
             rec = records[entry_id]
             text = None
@@ -497,7 +503,7 @@ class KnowledgeStore(_RetrievalBase):
         with the same signature and interface already exists, the one with
         the higher efficiency index stays primary and the other is archived
         (the incumbent wins ties). The pattern file lands first; then the
-        new record, preceded by the archived incumbent's updated record if
+        new record, followed by the archived incumbent's updated record if
         there is one, is appended to the index in one write.
         """
         verify_pattern_entry(entry)
@@ -527,7 +533,9 @@ class KnowledgeStore(_RetrievalBase):
             if displaced is None:
                 self._append([entry])
             else:
-                self._append([displaced[1], entry])
+                # New record first: a tear in the archive record leaves two
+                # primaries, which _load resolves, never none.
+                self._append([entry, displaced[1]])
                 self._entries[displaced[0]] = displaced[1]
             self._entries.append(entry)
             self._next_id += 1
@@ -575,6 +583,31 @@ class KnowledgeStore(_RetrievalBase):
                     if os.path.exists(path):
                         os.remove(path)
             return len(dropped)
+
+
+def _archive_duplicate_primaries(records: dict[int, dict]) -> None:
+    """Leave one primary per (signature, interface) key, in place.
+
+    Two primaries share a key only when a crash tore the archive record of
+    a displacement. The higher efficiency index stays primary and the lower
+    id wins ties, as in KnowledgeStore.store.
+    """
+    held: dict[tuple, dict] = {}
+    for entry_id in sorted(records):
+        rec = records[entry_id]
+        if rec["kind"] != KIND_PATTERN or rec.get("status", "primary") != "primary":
+            continue
+        key = (rec.get("signature_digest"), rec.get("inputs", 0),
+               rec.get("outputs", 0))
+        other = held.get(key)
+        if other is None:
+            held[key] = rec
+            continue
+        loser = rec
+        if (rec.get("sei") or 0.0) > (other.get("sei") or 0.0) + 1e-12:
+            held[key], loser = rec, other
+        records[loser["id"]] = {**loser, "status": "archived"}
+
 
 class KnowledgeView(_RetrievalBase):
     """Frozen read-only view with the same retrieval and extraction

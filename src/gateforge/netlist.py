@@ -6,12 +6,17 @@ values; multi-bit ports are bit-blasted so the graph itself is scalar. Gates
 are the vertices of the graph, net connections the edges.
 
 Netlist values are immutable after construction and every analysis here is a
-pure function, so they are safe to share across any number of workers.
+pure function, so they are safe to share across any number of workers. The
+analyses read one `CompiledNetlist`, built by `compile_netlist` the first
+time a netlist is analysed and cached on it, so each netlist object is
+validated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -39,6 +44,35 @@ GATE_ARITY: dict[GateKind, int] = {
 }
 
 COMBINATIONAL_KINDS = frozenset(k for k in GateKind if k is not GateKind.DFF)
+
+
+# Gate semantics over packed values: bit r of each operand is its value in row
+# r, and `mask` has one bit per row. NOT ignores its second operand. Named
+# functions, not lambdas, so that a compiled netlist can be pickled.
+def _and(a: int, b: int, mask: int) -> int:
+    return a & b
+
+
+def _or(a: int, b: int, mask: int) -> int:
+    return a | b
+
+
+def _not(a: int, b: int, mask: int) -> int:
+    return ~a & mask
+
+
+def _xor(a: int, b: int, mask: int) -> int:
+    return a ^ b
+
+
+def _nand(a: int, b: int, mask: int) -> int:
+    return ~(a & b) & mask
+
+
+GATE_EVAL: dict[GateKind, Callable[[int, int, int], int]] = {
+    GateKind.AND: _and, GateKind.OR: _or, GateKind.NOT: _not,
+    GateKind.XOR: _xor, GateKind.NAND: _nand,
+}
 
 
 class NetKind(Enum):
@@ -114,13 +148,21 @@ class Port:
 
 @dataclass(frozen=True)
 class Netlist:
-    """Immutable gate graph with a flat, bit-blasted net table."""
+    """Immutable gate graph with a flat, bit-blasted net table.
+
+    Its net and port dicts must not be mutated after construction: the
+    compiled form cached on the first analysis would no longer describe it.
+    """
 
     name: str
     ports: tuple[Port, ...]
     nets: dict[int, Net]
     gates: tuple[Gate, ...]
     port_nets: dict[str, tuple[int, ...]]
+    # Set by compile_netlist; not an init argument, so dataclasses.replace
+    # yields a netlist that is validated afresh.
+    _compiled: "CompiledNetlist | None" = field(
+        default=None, init=False, compare=False, repr=False)
 
     def port(self, name: str) -> Port:
         for p in self.ports:
@@ -210,7 +252,8 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
         violations.append(StructuralViolation(kind, "warning", where, message))
 
     # Net table integrity: ports and gates must reference known nets.
-    known = set(netlist.nets)
+    known = netlist.nets
+    gates = netlist.gates
     for p in netlist.ports:
         nets = netlist.port_nets.get(p.name)
         if nets is None or len(nets) != p.width:
@@ -221,14 +264,14 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             if n not in known:
                 err("dangling-net", f"port {p.name}", f"unknown net id {n}")
                 return violations
-    for i, g in enumerate(netlist.gates):
+    for i, g in enumerate(gates):
         for n in (g.output, *g.inputs):
             if n not in known:
                 err("dangling-net", _gate_label(g, i), f"unknown net id {n}")
                 return violations
 
     # Arity.
-    for i, g in enumerate(netlist.gates):
+    for i, g in enumerate(gates):
         want = g.kind.arity
         if len(g.inputs) != want:
             err("arity", _gate_label(g, i),
@@ -236,33 +279,26 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
 
     # Drivers: constants drive themselves, input port bits drive their nets,
     # gate outputs drive their nets. Exactly one driver per net that is read.
-    drivers: dict[int, list[str]] = {n: [] for n in netlist.nets}
-    for net in netlist.nets.values():
-        if net.is_const:
-            drivers[net.id].append(f"constant {net.const_value}")
-    for p in netlist.input_ports():
-        for i, n in enumerate(netlist.port_nets[p.name]):
-            drivers[n].append(f"input {p.bit_name(i)}")
-    for i, g in enumerate(netlist.gates):
-        drivers[g.output].append(_gate_label(g, i))
-
-    for net_id, who in drivers.items():
-        if len(who) > 1:
-            err("multi-driver", f"net {_net_label(netlist, net_id)}",
-                "driven by " + " and ".join(who))
+    # Labels for messages are looked up only when something is wrong.
+    sources = [net.id for net in known.values() if net.is_const]
+    sources += [n for p in netlist.input_ports() for n in netlist.port_nets[p.name]]
+    sources += [g.output for g in gates]
+    driven = set(sources)
+    if len(driven) < len(sources):
+        counts = Counter(sources)
+        for net_id in known:
+            if counts[net_id] > 1:
+                err("multi-driver", f"net {_net_label(netlist, net_id)}",
+                    "driven by " + " and ".join(_drivers_of(netlist, net_id)))
 
     # Read nets must be driven.
-    read: dict[int, str] = {}
-    for i, g in enumerate(netlist.gates):
-        for n in g.inputs:
-            read.setdefault(n, f"input of {_gate_label(g, i)}")
-    for p in netlist.output_ports():
-        for i, n in enumerate(netlist.port_nets[p.name]):
-            read.setdefault(n, f"output {p.bit_name(i)}")
-    for net_id, where in read.items():
-        if not drivers.get(net_id):
+    read = dict.fromkeys(n for g in gates for n in g.inputs)
+    bound = dict.fromkeys(n for p in netlist.output_ports()
+                          for n in netlist.port_nets[p.name])
+    for net_id in {**read, **bound}:
+        if net_id not in driven:
             err("dangling-net", f"net {_net_label(netlist, net_id)}",
-                f"undriven net read as {where}")
+                f"undriven net read as {_first_reader(netlist, net_id)}")
 
     # Combinational loop detection (registers break the cycle).
     cycle = _find_comb_cycle(netlist)
@@ -271,15 +307,30 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             "cycle through " + " -> ".join(cycle))
 
     # Floating gate outputs: counted, but flagged.
-    bound = {n for nets in
-             (netlist.port_nets[p.name] for p in netlist.output_ports())
-             for n in nets}
-    for i, g in enumerate(netlist.gates):
+    for i, g in enumerate(gates):
         if g.output not in read and g.output not in bound:
             warn("floating-output", _gate_label(g, i),
                  "gate output is never read")
 
     return violations
+
+
+def _drivers_of(netlist: Netlist, net_id: int) -> list[str]:
+    net = netlist.nets[net_id]
+    who = [f"constant {net.const_value}"] if net.is_const else []
+    for p in netlist.input_ports():
+        who += [f"input {p.bit_name(i)}"
+                for i, n in enumerate(netlist.port_nets[p.name]) if n == net_id]
+    return who + [_gate_label(g, i) for i, g in enumerate(netlist.gates)
+                  if g.output == net_id]
+
+
+def _first_reader(netlist: Netlist, net_id: int) -> str:
+    for i, g in enumerate(netlist.gates):
+        if net_id in g.inputs:
+            return f"input of {_gate_label(g, i)}"
+    return next(f"output {p.bit_name(i)}" for p in netlist.output_ports()
+                for i, n in enumerate(netlist.port_nets[p.name]) if n == net_id)
 
 
 def _net_label(netlist: Netlist, net_id: int) -> str:
@@ -297,14 +348,74 @@ def is_valid(netlist: Netlist) -> bool:
     return not errors_of(validate(netlist))
 
 
-def require_valid(netlist: Netlist) -> None:
-    bad = errors_of(validate(netlist))
+@dataclass(frozen=True)
+class CompiledNetlist:
+    """What every analysis reads, derived once from a valid netlist.
+
+    Only compile_netlist builds one. `schedule` is the levelized
+    combinational order; `ops` gives, per scheduled gate, its evaluator from
+    GATE_EVAL, its output net and two operand nets (a NOT repeats its one
+    operand). Bit maps are (bit name, net id) in declaration order;
+    `const_nets` are (net id, value); `depth` is gates traversed from a
+    source, per combinational gate output.
+    """
+
+    schedule: tuple[Gate, ...]
+    ops: tuple[tuple[Callable[[int, int, int], int], int, int, int], ...]
+    registers: tuple[Gate, ...]
+    input_bits: tuple[tuple[str, int], ...]
+    output_bits: tuple[tuple[str, int], ...]
+    const_nets: tuple[tuple[int, int], ...]
+    depth: dict[int, int]
+    report: StructuralReport
+    warnings: tuple[StructuralViolation, ...]
+
+
+def compile_netlist(netlist: Netlist) -> CompiledNetlist:
+    """The netlist's compiled form, validated and built on first use.
+
+    The result is cached on the netlist, so each netlist object is validated
+    once. Raises InvalidNetlistError when validate reports an error, or its
+    subclass CombinationalLoopError, carrying the cycle, when one of the
+    errors is a combinational loop.
+    """
+    if netlist._compiled is not None:
+        return netlist._compiled
+    violations = validate(netlist)
+    bad = errors_of(violations)
     if bad:
         loops = [v for v in bad if v.kind == "combinational-loop"]
         if loops:
             witness = loops[0].message.removeprefix("cycle through ").split(" -> ")
             raise CombinationalLoopError(bad, witness)
         raise InvalidNetlistError(bad)
+
+    schedule = _schedule(netlist)
+    depth: dict[int, int] = {}
+    for g in schedule:
+        depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
+    registers = netlist.dff_gates()
+    output_bits = tuple(netlist.output_bits())
+    # Delay sinks: primary outputs and register input pins.
+    sinks = [nid for _, nid in output_bits] + [n for g in registers for n in g.inputs]
+    compiled = CompiledNetlist(
+        schedule=schedule,
+        ops=tuple((GATE_EVAL[g.kind], g.output, g.inputs[0], g.inputs[-1])
+                  for g in schedule),
+        registers=registers,
+        input_bits=tuple(netlist.input_bits()),
+        output_bits=output_bits,
+        const_nets=tuple((net.id, net.const_value)
+                         for net in netlist.nets.values() if net.is_const),
+        depth=depth,
+        report=StructuralReport(
+            gate_count=len(netlist.gates),
+            delay=max((depth.get(n, 0) for n in sinks), default=0),
+            register_count=len(registers)),
+        warnings=tuple(v for v in violations if v.severity == "warning"),
+    )
+    object.__setattr__(netlist, "_compiled", compiled)
+    return compiled
 
 
 def _find_comb_cycle(netlist: Netlist) -> list[str] | None:
@@ -319,6 +430,9 @@ def _find_comb_cycle(netlist: Netlist) -> list[str] | None:
     for i, g in comb:
         # Multi-driver nets are reported separately; first driver wins here.
         by_output.setdefault(g.output, i)
+    # Gates listed drivers-first, as in rendered text, cannot form a cycle.
+    if all(by_output.get(n, -1) < i for i, g in comb for n in g.inputs):
+        return None
 
     # Iterative DFS (netlists can be arbitrarily deep chains).
     color: dict[int, int] = {}  # 0 unseen implicit, 1 on stack, 2 done
@@ -353,49 +467,43 @@ def _find_comb_cycle(netlist: Netlist) -> list[str] | None:
     return None
 
 
-def levelize(netlist: Netlist) -> tuple[Gate, ...]:
-    """Order combinational gates so each appears after all its drivers.
-
-    Register updates are excluded: register outputs act as sources. The order
-    is deterministic (ties resolved by gate position).
-    """
+def _schedule(netlist: Netlist) -> tuple[Gate, ...]:
+    """Kahn order of the combinational gates of an acyclic netlist, ties
+    resolved by gate position."""
     comb = [(i, g) for i, g in enumerate(netlist.gates)
             if g.kind is not GateKind.DFF]
     producer: dict[int, int] = {g.output: i for i, g in comb}
     pending: dict[int, int] = {}
     consumers: dict[int, list[int]] = {}
     for i, g in comb:
-        deps = [n for n in g.inputs if n in producer and producer[n] != i]
-        # Self-loops keep their own dependency so they are reported as cycles.
-        deps += [n for n in g.inputs if producer.get(n) == i]
-        pending[i] = len(deps)
+        pending[i] = 0
         for n in g.inputs:
             if n in producer:
+                pending[i] += 1
                 consumers.setdefault(producer[n], []).append(i)
 
     ready = [i for i, _ in comb if pending[i] == 0]
-    order: list[int] = []
-    cursor = 0
-    while cursor < len(ready):
-        i = ready[cursor]
-        cursor += 1
-        order.append(i)
+    for i in ready:  # grows while it is walked
         for j in consumers.get(i, ()):
             pending[j] -= 1
             if pending[j] == 0:
                 ready.append(j)
-    if len(order) != len(comb):
-        cycle = _find_comb_cycle(netlist)
-        v = StructuralViolation("combinational-loop", "error", "netlist",
-                                "cycle through " + " -> ".join(cycle or []))
-        raise CombinationalLoopError([v], cycle or [])
-    return tuple(netlist.gates[i] for i in order)
+    return tuple(netlist.gates[i] for i in ready)
+
+
+def levelize(netlist: Netlist) -> tuple[Gate, ...]:
+    """Order combinational gates so each appears after all its drivers.
+
+    Register updates are excluded: register outputs act as sources. The order
+    is deterministic (ties resolved by gate position). Raises like
+    compile_netlist when the netlist is invalid.
+    """
+    return compile_netlist(netlist).schedule
 
 
 def gate_count(netlist: Netlist) -> int:
     """Total number of gate instances. Registers count like any gate."""
-    require_valid(netlist)
-    return len(netlist.gates)
+    return compile_netlist(netlist).report.gate_count
 
 
 def critical_path_delay(netlist: Netlist) -> int:
@@ -405,18 +513,7 @@ def critical_path_delay(netlist: Netlist) -> int:
     primary outputs and register input pins. Every gate kind contributes one
     unit of delay; registers contribute none.
     """
-    require_valid(netlist)
-    schedule = levelize(netlist)
-    depth: dict[int, int] = {}
-    for g in schedule:
-        depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
-
-    sinks: list[int] = []
-    for p in netlist.output_ports():
-        sinks.extend(netlist.port_nets[p.name])
-    for g in netlist.dff_gates():
-        sinks.extend(g.inputs)
-    return max((depth.get(n, 0) for n in sinks), default=0)
+    return compile_netlist(netlist).report.delay
 
 
 def register_count(netlist: Netlist) -> int:
@@ -424,11 +521,7 @@ def register_count(netlist: Netlist) -> int:
 
 
 def structural_report(netlist: Netlist) -> StructuralReport:
-    return StructuralReport(
-        gate_count=gate_count(netlist),
-        delay=critical_path_delay(netlist),
-        register_count=register_count(netlist),
-    )
+    return compile_netlist(netlist).report
 
 
 class NetlistBuilder:
@@ -508,5 +601,5 @@ class NetlistBuilder:
             port_nets=dict(self._port_nets),
         )
         if check:
-            require_valid(n)
+            compile_netlist(n)
         return n

@@ -20,15 +20,14 @@ from dataclasses import dataclass, field
 from .netlist import (
     Gate,
     GateKind,
+    InvalidNetlistError,
     Net,
     NetKind,
     Netlist,
     Port,
     PortDir,
     StructuralViolation,
-    errors_of,
-    levelize,
-    validate,
+    compile_netlist,
 )
 
 GATE_KEYWORDS = {k.value: k for k in GateKind}
@@ -707,16 +706,16 @@ class _Parser:
 
         netlist = Netlist(self.module_name, tuple(ports), nets,
                           tuple(gates), port_nets)
-        violations = validate(netlist)
-        for v in errors_of(violations):
-            tok = self._violation_token(v)
-            self.errors.append(ParseError(
-                "syntax", tok.line, tok.column,
-                f"{v.kind}: {v.message}", tok.text))
-        if self.errors:
+        try:
+            compiled = compile_netlist(netlist)
+        except InvalidNetlistError as exc:
+            for v in exc.violations:
+                tok = self._violation_token(v)
+                self.errors.append(ParseError(
+                    "syntax", tok.line, tok.column,
+                    f"{v.kind}: {v.message}", tok.text))
             return ParseResult(None, self.errors)
-        warnings = [v for v in violations if v.severity == "warning"]
-        return ParseResult(netlist, [], warnings)
+        return ParseResult(netlist, [], list(compiled.warnings))
 
     def _violation_token(self, v: StructuralViolation) -> _Token:
         name = v.where.split()[-1].split("[")[0]
@@ -768,15 +767,13 @@ def render(netlist: Netlist) -> str:
     result re-parses to a graph-isomorphic netlist and rendering is a
     fixpoint: render(parse(render(n))) == render(n).
     """
-    comb = levelize(netlist)
-    dffs = list(netlist.dff_gates())
+    compiled = compile_netlist(netlist)
 
     names: dict[int, str] = {}
     assigns: list[tuple[str, int]] = []
 
-    for net in netlist.nets.values():
-        if net.is_const:
-            names[net.id] = f"1'b{net.const_value}"
+    for nid, value in compiled.const_nets:
+        names[nid] = f"1'b{value}"
     for p in netlist.input_ports():
         for i, nid in enumerate(netlist.port_nets[p.name]):
             bit = p.bit_name(i)
@@ -801,22 +798,13 @@ def render(netlist: Netlist) -> str:
             names[nid] = w
         return names[nid]
 
-    order: list[tuple[str, Gate]] = []
-    seq = 1
-    for g in comb:
+    for g in compiled.schedule:
         for n in g.inputs:
             claim(n)
         claim(g.output)
-        order.append((f"g{seq}", g))
-        seq += 1
-    dff_ranked = []
-    for g in dffs:
+    for g in compiled.registers:
         for n in (g.output, *g.inputs):
             claim(n)
-        dff_ranked.append(g)
-    for g in dff_ranked:
-        order.append((f"g{seq}", g))
-        seq += 1
 
     ports_text = ", ".join(
         f"{'input' if p.direction is PortDir.IN else 'output'}"
@@ -829,8 +817,8 @@ def render(netlist: Netlist) -> str:
         lines.append("  wire " + ", ".join(wire_names[i:i + 8]) + ";")
     for bit, nid in assigns:
         lines.append(f"  assign {bit} = {names[nid]};")
-    for iname, g in order:
+    for seq, g in enumerate(compiled.schedule + compiled.registers, 1):
         conns = ", ".join([names[g.output]] + [names[n] for n in g.inputs])
-        lines.append(f"  {g.kind.value} {iname}({conns});")
+        lines.append(f"  {g.kind.value} g{seq}({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .netlist import (
-    Gate,
-    GateKind,
-    Netlist,
-    levelize,
-    require_valid,
-)
+from .netlist import CompiledNetlist, Netlist, compile_netlist
 
 # Exhaustive signatures stop at 12 inputs (4096 rows); wider interfaces get
 # sampled signatures from a fixed seed and are flagged approximate.
@@ -96,39 +91,83 @@ class FunctionalSignature:
         return [(self.columns[j] >> r) & 1 for r in range(rows)]
 
 
-def _eval_comb(schedule: tuple[Gate, ...], values: dict[int, int],
-               mask: int) -> None:
-    """Evaluate combinational gates in place over packed values."""
-    for g in schedule:
-        a = values[g.inputs[0]]
-        if g.kind is GateKind.NOT:
-            values[g.output] = ~a & mask
-            continue
-        b = values[g.inputs[1]]
-        if g.kind is GateKind.AND:
-            values[g.output] = a & b
-        elif g.kind is GateKind.OR:
-            values[g.output] = a | b
-        elif g.kind is GateKind.XOR:
-            values[g.output] = a ^ b
-        elif g.kind is GateKind.NAND:
-            values[g.output] = ~(a & b) & mask
-        else:  # pragma: no cover - schedule never contains registers
-            raise AssertionError(f"unexpected gate kind {g.kind}")
+def pack_columns(rows: Iterable[int], width: int) -> list[int]:
+    """Transpose rows into `width` bit columns: bit r of column i is bit i of
+    the r-th row."""
+    columns = [0] * width
+    for r, row in enumerate(rows):
+        i = 0
+        while row:
+            if row & 1:
+                columns[i] |= 1 << r
+            row >>= 1
+            i += 1
+    return columns
 
 
-def _seed_values(netlist: Netlist, mask: int) -> dict[int, int]:
-    values = dict.fromkeys(netlist.nets, 0)
-    for net in netlist.nets.values():
-        if net.is_const:
-            values[net.id] = mask if net.const_value else 0
-    return values
+@dataclass(frozen=True)
+class PackedVectors:
+    """A combinational vector list packed once for bit-parallel scoring.
+
+    Bit v of every column stands for vector v. `checks` holds, per output bit
+    some vector checks, (bit name, expected column, care column) sorted by
+    name; `checked` marks the vectors with at least one check. The key sets
+    let a netlist's interface be checked without visiting every vector.
+    """
+
+    vectors: Sequence[TestVector]
+    inputs: dict[str, int]
+    checks: tuple[tuple[str, int, int], ...]
+    checked: int
+    input_key_sets: frozenset[frozenset[str]]
+    expected_keys: frozenset[str]
 
 
-def _bit_maps(netlist: Netlist) -> tuple[dict[str, int], dict[str, int]]:
-    inputs = dict(netlist.input_bits())
-    outputs = dict(netlist.output_bits())
-    return inputs, outputs
+def pack_vectors(vectors: Sequence[TestVector]) -> PackedVectors:
+    """Pack combinational vectors for simulate_combinational; the vectors
+    are kept, not copied, for error messages."""
+    in_names = list(dict.fromkeys(k for v in vectors for k in v.inputs))
+    out_names = sorted({k for v in vectors for k in v.expected})
+    in_pos = {name: i for i, name in enumerate(in_names)}
+    out_pos = {name: i for i, name in enumerate(out_names)}
+    in_rows, exp_rows, care_rows = [], [], []
+    for v in vectors:
+        row = 0
+        for k, val in v.inputs.items():
+            row |= (val & 1) << in_pos[k]
+        in_rows.append(row)
+        exp = care = 0
+        for k, e in v.expected.items():
+            if e is not None:
+                exp |= (e & 1) << out_pos[k]
+                care |= 1 << out_pos[k]
+        exp_rows.append(exp)
+        care_rows.append(care)
+    exp_cols = pack_columns(exp_rows, len(out_names))
+    care_cols = pack_columns(care_rows, len(out_names))
+    checked = 0
+    for care in care_cols:
+        checked |= care
+    return PackedVectors(
+        vectors=vectors,
+        inputs=dict(zip(in_names, pack_columns(in_rows, len(in_names)))),
+        checks=tuple((name, e, c) for name, e, c
+                     in zip(out_names, exp_cols, care_cols) if c),
+        checked=checked,
+        input_key_sets=frozenset(frozenset(v.inputs) for v in vectors),
+        expected_keys=frozenset(out_names),
+    )
+
+
+def _settle(compiled: CompiledNetlist, values: dict[int, int],
+            mask: int) -> None:
+    """Evaluate the combinational gates in place over packed values."""
+    for evaluate, out, a, b in compiled.ops:
+        values[out] = evaluate(values[a], values[b], mask)
+
+
+def _source_values(compiled: CompiledNetlist, mask: int) -> dict[int, int]:
+    return {nid: mask if value else 0 for nid, value in compiled.const_nets}
 
 
 def _check_vector_keys(vector: TestVector, index: int,
@@ -149,55 +188,58 @@ def _check_vector_keys(vector: TestVector, index: int,
 
 
 def simulate_combinational(netlist: Netlist,
-                           vectors: list[TestVector]) -> SimOutcome:
+                           vectors: Sequence[TestVector] | PackedVectors,
+                           ) -> SimOutcome:
     """Run every vector through one levelized sweep and score the checks.
 
     Each vector with at least one expected output is one pass/fail unit;
     expected bits set to None are don't-cares and never fail. Every input
-    bit must be assigned in every vector.
+    bit must be assigned in every vector. `vectors` may come packed by
+    pack_vectors, which lets one testbench be packed once for many netlists.
     """
-    require_valid(netlist)
-    if netlist.dff_gates():
+    compiled = compile_netlist(netlist)
+    if compiled.registers:
         raise SimulationError("netlist contains registers; "
                               "use simulate_sequential")
-    in_bits, out_bits = _bit_maps(netlist)
-    for i, v in enumerate(vectors):
-        _check_vector_keys(v, i, in_bits, out_bits, clock=None)
-        missing = sorted(set(in_bits) - set(v.inputs))
-        if missing:
-            raise SimulationError(
-                f"vector {i}: unassigned input bit(s): {', '.join(missing)}")
+    packed = vectors if isinstance(vectors, PackedVectors) \
+        else pack_vectors(vectors)
+    in_bits = dict(compiled.input_bits)
+    out_bits = dict(compiled.output_bits)
+    if not (packed.input_key_sets <= {frozenset(in_bits)}
+            and packed.expected_keys <= out_bits.keys()):
+        # Find the first offending vector for the message.
+        for i, v in enumerate(packed.vectors):
+            _check_vector_keys(v, i, in_bits, out_bits, clock=None)
+            missing = sorted(set(in_bits) - set(v.inputs))
+            if missing:
+                raise SimulationError(
+                    f"vector {i}: unassigned input bit(s): {', '.join(missing)}")
 
-    width = max(1, len(vectors))
-    mask = (1 << width) - 1
-    values = _seed_values(netlist, mask)
+    if not packed.vectors:
+        return SimOutcome(0, 0)
+    mask = (1 << len(packed.vectors)) - 1
+    values = _source_values(compiled, mask)
     for name, nid in in_bits.items():
-        packed = 0
-        for i, v in enumerate(vectors):
-            if v.inputs[name] & 1:
-                packed |= 1 << i
-        values[nid] = packed
-    _eval_comb(levelize(netlist), values, mask)
+        values[nid] = packed.inputs[name]
+    _settle(compiled, values, mask)
 
-    passed = failed = 0
+    failing = 0
+    mismatches = []
+    for name, expected, care in packed.checks:
+        actual = values[out_bits[name]]
+        wrong = (actual ^ expected) & care
+        failing |= wrong
+        mismatches.append((name, expected, actual, wrong))
+    failed = failing.bit_count()
     first: FailureDetail | None = None
-    for i, v in enumerate(vectors):
-        checks = [(k, e) for k, e in v.expected.items() if e is not None]
-        if not checks:
-            continue
-        ok = True
-        for key, exp in sorted(checks):
-            actual = (values[out_bits[key]] >> i) & 1
-            if actual != (exp & 1):
-                ok = False
-                if first is None:
-                    first = FailureDetail(i, key, exp & 1, actual)
+    if failing:
+        i = (failing & -failing).bit_length() - 1
+        for name, expected, actual, wrong in mismatches:
+            if (wrong >> i) & 1:
+                first = FailureDetail(i, name, (expected >> i) & 1,
+                                      (actual >> i) & 1)
                 break
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-    return SimOutcome(passed, failed, first)
+    return SimOutcome(packed.checked.bit_count() - failed, failed, first)
 
 
 def _resolve_clock(netlist: Netlist, clock: str | None) -> str:
@@ -231,7 +273,7 @@ def _resolve_clock(netlist: Netlist, clock: str | None) -> str:
     return clock
 
 
-def simulate_sequential(netlist: Netlist, vectors: list[TestVector],
+def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
                         cycles: int, clock: str | None = None) -> SimOutcome:
     """Cycle-accurate run: settle, check, then clock all registers at once.
 
@@ -239,11 +281,12 @@ def simulate_sequential(netlist: Netlist, vectors: list[TestVector],
     assign every non-clock input bit. Registers start at 0. When `clock` is
     None it is inferred from the register clock pins.
     """
-    require_valid(netlist)
+    compiled = compile_netlist(netlist)
     clock = _resolve_clock(netlist, clock)
-    in_bits, out_bits = _bit_maps(netlist)
-    drive_bits = {k: v for k, v in in_bits.items()
-                  if v != netlist.port_nets[clock][0]}
+    clock_net = netlist.port_nets[clock][0]
+    in_bits = dict(compiled.input_bits)
+    out_bits = dict(compiled.output_bits)
+    drive_bits = {k: v for k, v in in_bits.items() if v != clock_net}
 
     by_cycle: dict[int, tuple[int, TestVector]] = {}
     for i, v in enumerate(vectors):
@@ -262,10 +305,10 @@ def simulate_sequential(netlist: Netlist, vectors: list[TestVector],
         raise SimulationError(
             "cycle 0 must assign every input bit; missing: " + ", ".join(missing))
 
-    schedule = levelize(netlist)
-    dffs = netlist.dff_gates()
-    state = {g.output: 0 for g in dffs}
-    held: dict[str, int] = {}
+    sources = _source_values(compiled, 1)
+    sources[clock_net] = 0
+    state = {g.output: 0 for g in compiled.registers}
+    held: dict[int, int] = {}
 
     passed = failed = 0
     first: FailureDetail | None = None
@@ -273,13 +316,9 @@ def simulate_sequential(netlist: Netlist, vectors: list[TestVector],
         entry = by_cycle.get(t)
         if entry is not None:
             for key, val in entry[1].inputs.items():
-                held[key] = val & 1
-        values = _seed_values(netlist, 1)
-        for key, val in held.items():
-            values[in_bits[key]] = val
-        for nid, q in state.items():
-            values[nid] = q
-        _eval_comb(schedule, values, 1)
+                held[in_bits[key]] = val & 1
+        values = {**sources, **held, **state}
+        _settle(compiled, values, 1)
 
         if entry is not None:
             index, vec = entry
@@ -298,7 +337,7 @@ def simulate_sequential(netlist: Netlist, vectors: list[TestVector],
                 else:
                     failed += 1
 
-        state = {g.output: values[g.data_input] for g in dffs}
+        state = {g.output: values[g.data_input] for g in compiled.registers}
     return SimOutcome(passed, failed, first)
 
 
@@ -309,85 +348,77 @@ def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
     Same clocking semantics as simulate_sequential, no checking. Each
     stimulus entry must assign every non-clock input bit.
     """
-    require_valid(netlist)
+    compiled = compile_netlist(netlist)
     clock = _resolve_clock(netlist, clock)
-    in_bits, out_bits = _bit_maps(netlist)
     clock_net = netlist.port_nets[clock][0]
-    drive = {k: v for k, v in in_bits.items() if v != clock_net}
+    drive = {k: v for k, v in compiled.input_bits if v != clock_net}
 
-    schedule = levelize(netlist)
-    dffs = netlist.dff_gates()
-    state = {g.output: 0 for g in dffs}
-    streams: dict[str, list[int]] = {name: [] for name in out_bits}
+    sources = _source_values(compiled, 1)
+    sources[clock_net] = 0
+    state = {g.output: 0 for g in compiled.registers}
+    streams: dict[str, list[int]] = {name: [] for name, _ in compiled.output_bits}
     for t, assignment in enumerate(stimulus):
         missing = sorted(set(drive) - set(assignment))
         if missing:
             raise SimulationError(
                 f"cycle {t}: unassigned input bit(s): {', '.join(missing)}")
-        values = _seed_values(netlist, 1)
+        values = dict(sources)
         for key, val in assignment.items():
             if key not in drive:
                 raise SimulationError(f"cycle {t}: '{key}' is not a drivable "
                                       "input bit")
             values[drive[key]] = val & 1
-        for nid, q in state.items():
-            values[nid] = q
-        _eval_comb(schedule, values, 1)
-        for name, nid in out_bits.items():
+        values.update(state)
+        _settle(compiled, values, 1)
+        for name, nid in compiled.output_bits:
             streams[name].append(values[nid])
-        state = {g.output: values[g.data_input] for g in dffs}
+        state = {g.output: values[g.data_input] for g in compiled.registers}
     return streams
+
+
+def _table_form(netlist: Netlist) -> CompiledNetlist:
+    compiled = compile_netlist(netlist)
+    if compiled.registers:
+        raise SimulationError("sequential netlist has no truth table")
+    return compiled
+
+
+def _signature(compiled: CompiledNetlist, rows: Sequence[int],
+               exact: bool) -> FunctionalSignature:
+    """Output columns over the given input rows; bit i of a row is the i-th
+    declared input bit."""
+    n = len(compiled.input_bits)
+    mask = (1 << len(rows)) - 1
+    values = _source_values(compiled, mask)
+    for (_, nid), column in zip(compiled.input_bits, pack_columns(rows, n)):
+        values[nid] = column
+    _settle(compiled, values, mask)
+    columns = tuple(values[nid] for _, nid in compiled.output_bits)
+    return FunctionalSignature(n, len(columns), columns, exact=exact)
 
 
 def truth_table(netlist: Netlist) -> FunctionalSignature:
     """Exhaustive signature over all input rows (combinational, n <= 12)."""
-    require_valid(netlist)
-    if netlist.dff_gates():
-        raise SimulationError("sequential netlist has no truth table")
-    in_bits, _ = _bit_maps(netlist)
-    n = len(in_bits)
+    compiled = _table_form(netlist)
+    n = len(compiled.input_bits)
     if n > MAX_EXACT_INPUTS:
         raise SimulationError(
             f"too many inputs for an exhaustive table ({n} > {MAX_EXACT_INPUTS})")
-    rows = 1 << n
-    mask = (1 << rows) - 1
-    values = _seed_values(netlist, mask)
-    for i, (_, nid) in enumerate(netlist.input_bits()):
-        pattern = 0
-        for r in range(rows):
-            if (r >> i) & 1:
-                pattern |= 1 << r
-        values[nid] = pattern
-    _eval_comb(levelize(netlist), values, mask)
-    columns = tuple(values[nid] for _, nid in netlist.output_bits())
-    return FunctionalSignature(n, len(columns), columns, exact=True)
+    return _signature(compiled, range(1 << n), exact=True)
 
 
 def sampled_signature(netlist: Netlist,
                       vector_count: int = SAMPLED_VECTOR_COUNT) -> FunctionalSignature:
     """Fixed-seed random-vector signature for wide combinational interfaces."""
-    require_valid(netlist)
-    if netlist.dff_gates():
-        raise SimulationError("sequential netlist has no truth table")
-    in_bits = netlist.input_bits()
-    n = len(in_bits)
+    compiled = _table_form(netlist)
     rng = random.Random(_SAMPLED_SEED)
-    rows = [rng.getrandbits(n) for _ in range(vector_count)]
-    mask = (1 << vector_count) - 1
-    values = _seed_values(netlist, mask)
-    for i, (_, nid) in enumerate(in_bits):
-        pattern = 0
-        for r, row in enumerate(rows):
-            if (row >> i) & 1:
-                pattern |= 1 << r
-        values[nid] = pattern
-    _eval_comb(levelize(netlist), values, mask)
-    columns = tuple(values[nid] for _, nid in netlist.output_bits())
-    return FunctionalSignature(n, len(columns), columns, exact=False)
+    rows = [rng.getrandbits(len(compiled.input_bits))
+            for _ in range(vector_count)]
+    return _signature(compiled, rows, exact=False)
 
 
 def functional_signature(netlist: Netlist) -> FunctionalSignature:
     """Exact signature when the interface allows it, sampled otherwise."""
-    if len(netlist.input_bits()) <= MAX_EXACT_INPUTS:
+    if len(compile_netlist(netlist).input_bits) <= MAX_EXACT_INPUTS:
         return truth_table(netlist)
     return sampled_signature(netlist)

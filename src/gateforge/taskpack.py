@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .metrics import (
     DEFAULT_WEIGHTS,
@@ -28,8 +29,10 @@ from .metrics import (
 from .netlist import Port, PortDir, structural_report
 from .parser import parse
 from .simulator import (
+    PackedVectors,
     SimOutcome,
     TestVector,
+    pack_vectors,
     simulate_combinational,
     simulate_sequential,
 )
@@ -70,6 +73,11 @@ class HumanReference:
 class Testbench:
     cycles: int
     vectors: tuple[TestVector, ...]
+
+    @cached_property
+    def packed(self) -> PackedVectors:
+        """The vectors packed for combinational scoring, once per testbench."""
+        return pack_vectors(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -305,11 +313,11 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
 
 def simulate_task(task: TaskPack, netlist) -> SimOutcome:
     """Run the task's testbench against a candidate netlist."""
-    vectors = list(task.testbench.vectors)
+    bench = task.testbench
     if task.circuit_class == "sequential":
-        return simulate_sequential(netlist, vectors, task.testbench.cycles,
+        return simulate_sequential(netlist, bench.vectors, bench.cycles,
                                    clock=task.clock)
-    return simulate_combinational(netlist, vectors)
+    return simulate_combinational(netlist, bench.packed)
 
 
 def verify_reference(task: TaskPack,

@@ -276,7 +276,7 @@ def test_archiving_appends_instead_of_rewriting(tmp_path):
     store.store(make_pattern_entry(build_worse_half_adder()))
     better_id = store.store(make_pattern_entry(build_half_adder()))
     assert [(r["id"], r["status"]) for r in index_lines(store)] == [
-        (1, "primary"), (1, "archived"), (better_id, "primary")]
+        (1, "primary"), (better_id, "primary"), (1, "archived")]
     reopened = KnowledgeStore(tmp_path / "store")
     assert [(e.id, e.status) for e in reopened.entries(include_archived=True)
             ] == [(1, "archived"), (better_id, "primary")]
@@ -290,6 +290,40 @@ def tear_last_line(store):
         data = fh.read()
     with open(store.index_path, "wb") as fh:
         fh.write(data[:-20])
+
+
+def test_torn_archive_record_leaves_the_better_entry_primary(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_worse_half_adder()))
+    with open(store.index_path, "rb") as fh:
+        before = len(fh.read())
+    better_id = store.store(make_pattern_entry(build_half_adder()))
+    with open(store.index_path, "rb") as fh:
+        data = fh.read()
+    # Cut inside the second record the displacing admission appended.
+    second = data.index(b"\n", before) + 1
+    with open(store.index_path, "wb") as fh:
+        fh.write(data[:second + 20])
+    reopened = KnowledgeStore(tmp_path / "store")
+    key = make_pattern_entry(build_half_adder()).signature_digest
+    primaries = [e for e in reopened.entries() if e.signature_digest == key]
+    assert [(e.id, e.name) for e in primaries] == [(better_id, "half_adder")]
+    assert [(e.id, e.status) for e in reopened.entries(include_archived=True)
+            ] == [(1, "archived"), (better_id, "primary")]
+
+
+def test_equal_primaries_at_load_keep_the_lower_id(tmp_path):
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_pattern_entry(build_half_adder()))
+    with open(store.index_path, encoding="utf-8") as fh:
+        record = json.loads(fh.readline())
+    with open(store.index_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**record, "id": 2}) + "\n")
+    os.link(os.path.join(store.patterns_dir, "1.nl"),
+            os.path.join(store.patterns_dir, "2.nl"))
+    reopened = KnowledgeStore(tmp_path / "store")
+    assert [(e.id, e.status) for e in reopened.entries(include_archived=True)
+            ] == [(1, "primary"), (2, "archived")]
 
 
 def test_torn_last_line_is_dropped_at_load(tmp_path):
