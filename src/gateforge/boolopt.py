@@ -62,19 +62,6 @@ class BoolFunction:
         return self.mask & ~self.dont_care
 
     @classmethod
-    def from_rows(cls, rows: list[int | None]) -> "BoolFunction":
-        n = (len(rows) - 1).bit_length()
-        if len(rows) != 1 << n:
-            raise ValueError("row count must be a power of two")
-        table = dc = 0
-        for m, r in enumerate(rows):
-            if r is None:
-                dc |= 1 << m
-            elif r & 1:
-                table |= 1 << m
-        return cls(n, table, dc)
-
-    @classmethod
     def from_minterms(cls, n: int, ones: list[int],
                       dont_cares: list[int] | None = None) -> "BoolFunction":
         table = 0
@@ -152,9 +139,6 @@ class MinimalCover:
     @property
     def literal_count(self) -> int:
         return sum(c.literal_count for c in self.cubes)
-
-    def evaluate(self, minterm: int) -> int:
-        return int(any(c.covers(minterm) for c in self.cubes))
 
     def table(self, n: int) -> int:
         bits = 0

@@ -130,6 +130,18 @@ class KnowledgeEntry:
         )
 
 
+def pattern_key(entry: KnowledgeEntry) -> tuple[str | None, int, int]:
+    """The key circuit patterns compete under: one primary per function
+    and interface shape."""
+    return (entry.signature_digest, entry.inputs, entry.outputs)
+
+
+def displaces(new_sei: float | None, held_sei: float | None) -> bool:
+    """Whether a pattern displaces the one held under its key: it must be
+    more efficient by more than 1e-12, so the incumbent wins ties."""
+    return (new_sei or 0.0) > (held_sei or 0.0) + 1e-12
+
+
 @dataclass(frozen=True)
 class RetrievalQuery:
     mode: str                       # by-function | by-interface | by-tags | by-error
@@ -333,7 +345,7 @@ class _RetrievalBase:
         for e in self.entries():
             if e.kind != KIND_PATTERN:
                 continue
-            key = (e.signature_digest, e.inputs, e.outputs)
+            key = pattern_key(e)
             if e.sei is not None and e.sei > best.get(key, -1.0):
                 best[key] = e.sei
         return best
@@ -352,14 +364,12 @@ class _RetrievalBase:
 
         def kept(entry: KnowledgeEntry) -> bool:
             """Whether no held or emitted entry is at least as efficient."""
-            key = (entry.signature_digest, entry.inputs, entry.outputs)
-            bar = (entry.sei or 0.0) - 1e-12
-            return all(best is None or best < bar
+            key = pattern_key(entry)
+            return all(best is None or displaces(entry.sei, best)
                        for best in (existing.get(key), emitted.get(key)))
 
         def emit(entry: KnowledgeEntry) -> None:
-            emitted[(entry.signature_digest, entry.inputs, entry.outputs)] = \
-                entry.sei or 0.0
+            emitted[pattern_key(entry)] = entry.sei or 0.0
             out.append(entry)
 
         whole = make_pattern_entry(netlist, tags=tags, provenance=provenance,
@@ -438,7 +448,6 @@ class KnowledgeStore(_RetrievalBase):
             else:
                 records[rec["id"]] = rec
                 self._append_at = (len(data), b"\n")
-        _archive_duplicate_primaries(records)
         for entry_id in sorted(records):
             rec = records[entry_id]
             text = None
@@ -449,10 +458,12 @@ class KnowledgeStore(_RetrievalBase):
                         f"index references missing pattern file {path}")
                 with open(path, encoding="utf-8") as pf:
                     text = pf.read()
-            entry = KnowledgeEntry.from_record(rec, text)
-            if verify and entry.status == "primary":
-                verify_pattern_entry(entry)
-            self._entries.append(entry)
+            self._entries.append(KnowledgeEntry.from_record(rec, text))
+        _archive_duplicate_primaries(self._entries)
+        if verify:
+            for entry in self._entries:
+                if entry.status == "primary":
+                    verify_pattern_entry(entry)
         self._next_id = max(records, default=0) + 1
 
     def _parse_record(self, line: bytes, lineno: int) -> dict:
@@ -518,14 +529,13 @@ class KnowledgeStore(_RetrievalBase):
             displaced: tuple[int, KnowledgeEntry] | None = None
             if entry.kind == KIND_PATTERN:
                 self._write_pattern(entry_id, entry.netlist_text or "")
-                key = (entry.signature_digest, entry.inputs, entry.outputs)
+                key = pattern_key(entry)
                 for i, other in enumerate(self._entries):
                     if other.kind != KIND_PATTERN or other.status != "primary":
                         continue
-                    if (other.signature_digest, other.inputs,
-                            other.outputs) != key:
+                    if pattern_key(other) != key:
                         continue
-                    if (entry.sei or 0.0) > (other.sei or 0.0) + 1e-12:
+                    if displaces(entry.sei, other.sei):
                         displaced = (i, replace(other, status="archived"))
                     else:
                         entry = replace(entry, status="archived")
@@ -585,28 +595,26 @@ class KnowledgeStore(_RetrievalBase):
             return len(dropped)
 
 
-def _archive_duplicate_primaries(records: dict[int, dict]) -> None:
-    """Leave one primary per (signature, interface) key, in place.
+def _archive_duplicate_primaries(entries: list[KnowledgeEntry]) -> None:
+    """Leave one primary per pattern key in id-ordered entries, in place.
 
     Two primaries share a key only when a crash tore the archive record of
-    a displacement. The higher efficiency index stays primary and the lower
-    id wins ties, as in KnowledgeStore.store.
+    a displacement. The winner is chosen as in KnowledgeStore.store, with
+    the lower id as the incumbent.
     """
-    held: dict[tuple, dict] = {}
-    for entry_id in sorted(records):
-        rec = records[entry_id]
-        if rec["kind"] != KIND_PATTERN or rec.get("status", "primary") != "primary":
+    held: dict[tuple, int] = {}
+    for i, entry in enumerate(entries):
+        if entry.kind != KIND_PATTERN or entry.status != "primary":
             continue
-        key = (rec.get("signature_digest"), rec.get("inputs", 0),
-               rec.get("outputs", 0))
-        other = held.get(key)
-        if other is None:
-            held[key] = rec
+        key = pattern_key(entry)
+        j = held.get(key)
+        if j is None:
+            held[key] = i
             continue
-        loser = rec
-        if (rec.get("sei") or 0.0) > (other.get("sei") or 0.0) + 1e-12:
-            held[key], loser = rec, other
-        records[loser["id"]] = {**loser, "status": "archived"}
+        loser = i
+        if displaces(entry.sei, entries[j].sei):
+            held[key], loser = i, j
+        entries[loser] = replace(entries[loser], status="archived")
 
 
 class KnowledgeView(_RetrievalBase):

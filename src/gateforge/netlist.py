@@ -191,9 +191,6 @@ class Netlist:
                 out.append((p.bit_name(i), net))
         return out
 
-    def comb_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.kind is not GateKind.DFF)
-
     def dff_gates(self) -> tuple[Gate, ...]:
         return tuple(g for g in self.gates if g.kind is GateKind.DFF)
 

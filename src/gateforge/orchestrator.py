@@ -26,6 +26,8 @@ from .knowledge import (
     KnowledgeStore,
     KnowledgeView,
     RetrievalQuery,
+    displaces,
+    pattern_key,
 )
 from .metrics import (
     DEFAULT_WEIGHTS,
@@ -614,10 +616,10 @@ def _merge_extracted(runs: list[TaskRun]) -> list[KnowledgeEntry]:
     merged: dict[tuple, KnowledgeEntry] = {}
     for r in runs:
         for entry in r.extracted:
-            key = (entry.signature_digest, entry.inputs, entry.outputs)
+            key = pattern_key(entry)
             held = merged.get(key)
             if held is not None:
-                if (entry.sei or 0.0) <= (held.sei or 0.0) + 1e-12:
+                if not displaces(entry.sei, held.sei):
                     continue
                 del merged[key]
             merged[key] = entry

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netlist import (
     Gate,
@@ -44,15 +45,27 @@ BEHAVIORAL_KEYWORDS = {
     "release", "deassign", "disable", "specify", "endspecify", "signed",
 }
 
-_OPERATORS = (
-    "===", "!==", "<<<", ">>>", "==", "!=", "<=", ">=", "&&", "||", "<<",
-    ">>", "**", "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "?", "@",
-    "#", "<", ">",
-)
+# One alternative per token class, tried in this order at each position.
+# Every reported error position depends on how `_lex` advances line and
+# column: a `//` comment does not advance the column (this shows only at end
+# of input), and a sized literal's inner whitespace advances only the
+# column, even across a newline.
+_TOKEN_RE = re.compile(r"""
+      (?P<newline>\n)
+    | (?P<space>[ \t\r\f\v]+)
+    | (?P<comment>//[^\n]*)
+    | (?P<block>/\*.*?\*/)
+    | (?P<open>/\*)
+    | (?P<sized>[0-9]+\s*'\s*[bBdDhHoO][0-9a-fA-FxXzZ_]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<number>[0-9]+)
+    | (?P<punct>[()\[\]:;,.{}])
+    | (?P<eq>=)
+    | (?P<op>!==|<<<|>>>|!=|<=|>=|&&|\|\||<<|>>|\*\*|[-+*/%&|^~!?@\#<>])
+    | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_NUMBER_RE = re.compile(r"[0-9]+")
-_SIZED_RE = re.compile(r"[0-9]+\s*'\s*[bBdDhHoO][0-9a-fA-FxXzZ_]*")
+_UNEMITTED = {"newline", "space", "comment", "block"}
 
 
 @dataclass(frozen=True)
@@ -86,8 +99,7 @@ class ParseResult:
         return self.netlist is not None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | sized | punct | op | eq | bad | eof
     text: str
     line: int
@@ -95,98 +107,36 @@ class _Token:
 
 
 def _lex(text: str) -> list[_Token]:
-    """Tokenize arbitrary bytes; malformed input yields 'bad' tokens."""
+    """Tokenize arbitrary text; malformed input yields 'bad' tokens.
+
+    An unterminated `/*` is one 'bad' token and ends the token stream.
+    """
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def emit(kind: str, s: str) -> None:
-        toks.append(_Token(kind, s, line, col))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                emit("bad", "/*")
-                i = n
-                continue
-            skipped = text[i:j + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = j + 2
-            continue
-        m = _SIZED_RE.match(text, i)
-        if m:
-            emit("sized", m.group())
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            emit("ident", m.group())
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            emit("number", m.group())
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c in "()[]:;,.{}":
-            emit("punct", c)
-            i += 1
-            col += 1
-            continue
-        if c == "=":
-            emit("eq", c)
-            i += 1
-            col += 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                emit("op", op)
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            emit("bad", c)
-            i += 1
-            col += 1
+    line, col = 1, 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, s = m.lastgroup, m.group()
+        if kind == "open":
+            toks.append(_Token("bad", s, line, col))
+            break
+        if kind not in _UNEMITTED:
+            toks.append(_Token(kind, s, line, col))
+        if kind in ("newline", "block") and "\n" in s:
+            line += s.count("\n")
+            col = len(s) - s.rfind("\n")
+        elif kind != "comment":
+            col += len(s)
     toks.append(_Token("eof", "", line, col))
     return toks
-
-
-@dataclass
-class _NetRef:
-    """A scalar net slot prior to alias resolution."""
-    index: int
 
 
 class _ModuleScope:
     """Declared names, bit slots and the alias union-find."""
 
     def __init__(self) -> None:
-        self.ports: list[tuple[str, PortDir, int, int]] = []  # name, dir, width, lsb
-        self.wires: dict[str, tuple[int, int]] = {}           # name -> (width, lsb)
-        self.declared: dict[str, _Token] = {}
+        # Ports and wires share one table, in declaration order; `ports`
+        # holds each port's direction, also in declaration order.
+        self.decls: dict[str, tuple[_Token, int, int]] = {}  # name -> (tok, width, lsb)
+        self.ports: dict[str, PortDir] = {}
         self.slots: dict[tuple[str, int], int] = {}           # (name, bit idx) -> slot
         self.parent: list[int] = []
         self.const_slot: dict[int, int] = {}
@@ -207,10 +157,6 @@ class _ModuleScope:
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
 
-    def declare(self, name: str, width: int, lsb: int) -> None:
-        for i in range(width):
-            self.slots[(name, lsb + i)] = self.new_slot()
-
     def const(self, value: int) -> int:
         if value not in self.const_slot:
             self.const_slot[value] = self.new_slot()
@@ -219,7 +165,6 @@ class _ModuleScope:
 
 class _Parser:
     def __init__(self, source: SourceText):
-        self.src = source
         self.toks = _lex(source.text)
         self.pos = 0
         self.errors: list[ParseError] = []
@@ -227,7 +172,6 @@ class _Parser:
         self.module_name = ""
         self.instances: list[tuple[GateKind, str, list[int], _Token]] = []
         self.instance_names: dict[str, _Token] = {}
-        self.decl_pos: dict[str, _Token] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -242,6 +186,12 @@ class _Parser:
 
     def error(self, kind: str, tok: _Token, message: str) -> None:
         self.errors.append(ParseError(kind, tok.line, tok.column, message, tok.text))
+
+    def skip_statement(self, kind: str, message: str) -> None:
+        """Report the current token, step past it and resync."""
+        self.error(kind, self.peek(), message)
+        self.advance()
+        self.resync()
 
     def resync(self) -> None:
         """Skip to just past the next ';' so later statements still parse."""
@@ -352,14 +302,8 @@ class _Parser:
                     self.error("syntax", name_tok, "expected port name")
                     return
                 self.advance()
-                if name_tok.text in self.scope.declared:
-                    self.error("duplicate-name", name_tok,
-                               f"'{name_tok.text}' already declared")
-                else:
-                    self.scope.declared[name_tok.text] = name_tok
-                    self.scope.ports.append((name_tok.text, direction, width, lsb))
-                    self.scope.declare(name_tok.text, width, lsb)
-                    self.decl_pos[name_tok.text] = name_tok
+                if self._declare(name_tok, width, lsb):
+                    self.scope.ports[name_tok.text] = direction
             elif t.kind == "ident" and t.text == "inout":
                 self.error("syntax", t, "inout ports are not supported")
                 self.advance()
@@ -372,6 +316,17 @@ class _Parser:
                 self.advance()
                 continue
             return
+
+    def _declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
+        """Enter a port or wire name and its bit slots; False on a duplicate."""
+        name = name_tok.text
+        if name in self.scope.decls:
+            self.error("duplicate-name", name_tok, f"'{name}' already declared")
+            return False
+        self.scope.decls[name] = (name_tok, width, lsb)
+        for i in range(width):
+            self.scope.slots[(name, lsb + i)] = self.scope.new_slot()
+        return True
 
     def _usable_name(self, tok: _Token) -> bool:
         if tok.text in BEHAVIORAL_KEYWORDS:
@@ -389,10 +344,8 @@ class _Parser:
         t = self.peek()
         if t.kind == "ident":
             if t.text in BEHAVIORAL_KEYWORDS:
-                self.error("behavioral-construct", t,
-                           f"'{t.text}' is a banned behavioral construct")
-                self.advance()
-                self.resync()
+                self.skip_statement("behavioral-construct",
+                                    f"'{t.text}' is a banned behavioral construct")
                 return
             if t.text == "wire":
                 self._wire_decl()
@@ -411,30 +364,18 @@ class _Parser:
             if self.toks[self.pos + 1].kind == "ident" or (
                     self.toks[self.pos + 1].kind == "punct"
                     and self.toks[self.pos + 1].text == "("):
-                self.error("unknown-primitive", t,
-                           f"'{t.text}' is not a locked gate primitive "
-                           "(allowed: and, or, not, xor, nand, dff)")
-                self.advance()
-                self.resync()
-                return
-            self.error("syntax", t, "unexpected identifier")
-            self.advance()
-            self.resync()
-            return
-        if t.kind == "op":
-            self.error("behavioral-construct", t,
-                       f"operator '{t.text}' is not part of the structural language")
-            self.advance()
-            self.resync()
-            return
-        if t.kind == "bad":
-            self.error("lex", t, "unrecognized character")
-            self.advance()
-            self.resync()
-            return
-        self.error("syntax", t, "expected a statement")
-        self.advance()
-        self.resync()
+                self.skip_statement("unknown-primitive",
+                                    f"'{t.text}' is not a locked gate primitive "
+                                    "(allowed: and, or, not, xor, nand, dff)")
+            else:
+                self.skip_statement("syntax", "unexpected identifier")
+        elif t.kind == "op":
+            self.skip_statement("behavioral-construct",
+                                f"operator '{t.text}' is not part of the structural language")
+        elif t.kind == "bad":
+            self.skip_statement("lex", "unrecognized character")
+        else:
+            self.skip_statement("syntax", "expected a statement")
 
     def _wire_decl(self) -> None:
         self.advance()  # 'wire'
@@ -450,14 +391,7 @@ class _Parser:
                 self.resync()
                 return
             self.advance()
-            if name_tok.text in self.scope.declared:
-                self.error("duplicate-name", name_tok,
-                           f"'{name_tok.text}' already declared")
-            else:
-                self.scope.declared[name_tok.text] = name_tok
-                self.scope.wires[name_tok.text] = (width, lsb)
-                self.scope.declare(name_tok.text, width, lsb)
-                self.decl_pos[name_tok.text] = name_tok
+            self._declare(name_tok, width, lsb)
             t = self.peek()
             if t.kind == "punct" and t.text == ",":
                 self.advance()
@@ -492,11 +426,7 @@ class _Parser:
                        f"operator '{t.text}' is not part of the structural language")
             return None
         if t.kind != "ident" or t.text in STRUCTURAL_KEYWORDS or t.text in GATE_KEYWORDS:
-            if t.kind == "ident" and t.text in BEHAVIORAL_KEYWORDS:
-                self.error("behavioral-construct", t,
-                           f"'{t.text}' is a banned behavioral construct")
-            else:
-                self.error("syntax", t, "expected a net name")
+            self.error("syntax", t, "expected a net name")
             return None
         if t.text in BEHAVIORAL_KEYWORDS:
             self.error("behavioral-construct", t,
@@ -504,10 +434,10 @@ class _Parser:
             return None
         self.advance()
         name = t.text
-        if name not in self.scope.declared:
+        if name not in self.scope.decls:
             self.error("syntax", t, f"'{name}' is not declared")
             return None
-        width, lsb = self._shape_of(name)
+        _tok, width, lsb = self.scope.decls[name]
         nxt = self.peek()
         if nxt.kind == "punct" and nxt.text == "[":
             self.advance()
@@ -542,12 +472,6 @@ class _Parser:
         self.error("width", tok, "only 1'b0 and 1'b1 constants are allowed")
         return None
 
-    def _shape_of(self, name: str) -> tuple[int, int]:
-        for pname, _d, width, lsb in self.scope.ports:
-            if pname == name:
-                return (width, lsb)
-        return self.scope.wires[name]
-
     def _after_term_check(self) -> bool:
         """Reject a trailing operator, turning expressions into the banned class."""
         t = self.peek()
@@ -559,7 +483,7 @@ class _Parser:
         return True
 
     def _assign(self) -> None:
-        kw = self.advance()  # 'assign'
+        self.advance()  # 'assign'
         lhs = self._connection(allow_const=False)
         if lhs is None:
             self.resync()
@@ -580,7 +504,6 @@ class _Parser:
         if self.expect_punct(";") is None:
             self.resync()
             return
-        del kw
         self.scope.union(lhs, rhs)
 
     def _instantiation(self, kind: GateKind) -> None:
@@ -665,10 +588,11 @@ class _Parser:
                     class_net[root] = make_net(kind, name)
             return class_net[root]
 
-        # Inputs claim their class first, then outputs, then wires; the port
-        # list itself keeps declaration order.
-        ports = [Port(pname, d, width, lsb)
-                 for pname, d, width, lsb in scope.ports]
+        # Inputs claim their class first, then outputs, then wires (the port
+        # bits met again there are already claimed); the port list itself
+        # keeps declaration order.
+        ports = [Port(pname, d, *scope.decls[pname][1:])
+                 for pname, d in scope.ports.items()]
         port_nets: dict[str, tuple[int, ...]] = {}
         for p in ports:
             if p.direction is PortDir.IN:
@@ -682,7 +606,7 @@ class _Parser:
                     materialize(scope.slots[(p.name, p.lsb + i)],
                                 NetKind.PRIMARY_OUTPUT, p.bit_name(i))
                     for i in range(p.width))
-        for wname, (width, lsb) in scope.wires.items():
+        for wname, (_tok, width, lsb) in scope.decls.items():
             for i in range(width):
                 materialize(scope.slots[(wname, lsb + i)], NetKind.INTERNAL,
                             wname if width == 1 else f"{wname}[{lsb + i}]")
@@ -719,10 +643,11 @@ class _Parser:
 
     def _violation_token(self, v: StructuralViolation) -> _Token:
         name = v.where.split()[-1].split("[")[0]
-        tok = self.instance_names.get(name) or self.decl_pos.get(name)
-        if tok is None:
-            return self.toks[0]
-        return tok
+        if name in self.instance_names:
+            return self.instance_names[name]
+        if name in self.scope.decls:
+            return self.scope.decls[name][0]
+        return self.toks[0]
 
 
 def parse(source: SourceText | str) -> ParseResult:

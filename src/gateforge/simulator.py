@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .netlist import CompiledNetlist, Netlist, compile_netlist
@@ -242,7 +242,8 @@ def simulate_combinational(netlist: Netlist,
     return SimOutcome(packed.checked.bit_count() - failed, failed, first)
 
 
-def _resolve_clock(netlist: Netlist, clock: str | None) -> str:
+def _resolve_clock(netlist: Netlist, clock: str | None) -> tuple[str, int]:
+    """The clock port's name and net; every register must be clocked by it."""
     in_ports = {p.name: p for p in netlist.input_ports()}
     clock_nets = netlist.clock_nets()
     if clock is None:
@@ -270,7 +271,25 @@ def _resolve_clock(netlist: Netlist, clock: str | None) -> str:
         if g.clock_input != clock_net:
             raise SimulationError(
                 f"register {g.name or '?'} is not clocked by '{clock}'")
-    return clock
+    return clock, clock_net
+
+
+def _clocked_cycles(compiled: CompiledNetlist, clock_net: int,
+                    updates: Iterable[dict[int, int]]) -> Iterator[dict[int, int]]:
+    """Run one cycle per input update and yield its settled net values.
+
+    Inputs hold their values until updated; the clock net reads 0.
+    Registers start at 0 and all take their data input after each cycle.
+    """
+    held = _source_values(compiled, 1)
+    held[clock_net] = 0
+    state = {g.output: 0 for g in compiled.registers}
+    for update in updates:
+        held.update(update)
+        values = {**held, **state}
+        _settle(compiled, values, 1)
+        yield values
+        state = {g.output: values[g.data_input] for g in compiled.registers}
 
 
 def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
@@ -282,8 +301,7 @@ def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
     None it is inferred from the register clock pins.
     """
     compiled = compile_netlist(netlist)
-    clock = _resolve_clock(netlist, clock)
-    clock_net = netlist.port_nets[clock][0]
+    clock, clock_net = _resolve_clock(netlist, clock)
     in_bits = dict(compiled.input_bits)
     out_bits = dict(compiled.output_bits)
     drive_bits = {k: v for k, v in in_bits.items() if v != clock_net}
@@ -305,39 +323,28 @@ def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
         raise SimulationError(
             "cycle 0 must assign every input bit; missing: " + ", ".join(missing))
 
-    sources = _source_values(compiled, 1)
-    sources[clock_net] = 0
-    state = {g.output: 0 for g in compiled.registers}
-    held: dict[int, int] = {}
-
+    updates = ({in_bits[key]: val & 1 for key, val in by_cycle[t][1].inputs.items()}
+               if t in by_cycle else {} for t in range(cycles))
     passed = failed = 0
     first: FailureDetail | None = None
-    for t in range(cycles):
-        entry = by_cycle.get(t)
-        if entry is not None:
-            for key, val in entry[1].inputs.items():
-                held[in_bits[key]] = val & 1
-        values = {**sources, **held, **state}
-        _settle(compiled, values, 1)
-
-        if entry is not None:
-            index, vec = entry
-            checks = [(k, e) for k, e in vec.expected.items() if e is not None]
-            if checks:
-                ok = True
-                for key, exp in sorted(checks):
-                    actual = values[out_bits[key]]
-                    if actual != (exp & 1):
-                        ok = False
-                        if first is None:
-                            first = FailureDetail(index, key, exp & 1, actual)
-                        break
-                if ok:
-                    passed += 1
-                else:
-                    failed += 1
-
-        state = {g.output: values[g.data_input] for g in compiled.registers}
+    for t, values in enumerate(_clocked_cycles(compiled, clock_net, updates)):
+        if t not in by_cycle:
+            continue
+        index, vec = by_cycle[t]
+        checks = [(k, e) for k, e in vec.expected.items() if e is not None]
+        if checks:
+            ok = True
+            for key, exp in sorted(checks):
+                actual = values[out_bits[key]]
+                if actual != (exp & 1):
+                    ok = False
+                    if first is None:
+                        first = FailureDetail(index, key, exp & 1, actual)
+                    break
+            if ok:
+                passed += 1
+            else:
+                failed += 1
     return SimOutcome(passed, failed, first)
 
 
@@ -349,30 +356,26 @@ def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
     stimulus entry must assign every non-clock input bit.
     """
     compiled = compile_netlist(netlist)
-    clock = _resolve_clock(netlist, clock)
-    clock_net = netlist.port_nets[clock][0]
+    _clock, clock_net = _resolve_clock(netlist, clock)
     drive = {k: v for k, v in compiled.input_bits if v != clock_net}
 
-    sources = _source_values(compiled, 1)
-    sources[clock_net] = 0
-    state = {g.output: 0 for g in compiled.registers}
-    streams: dict[str, list[int]] = {name: [] for name, _ in compiled.output_bits}
+    updates: list[dict[int, int]] = []
     for t, assignment in enumerate(stimulus):
         missing = sorted(set(drive) - set(assignment))
         if missing:
             raise SimulationError(
                 f"cycle {t}: unassigned input bit(s): {', '.join(missing)}")
-        values = dict(sources)
+        update = {}
         for key, val in assignment.items():
             if key not in drive:
                 raise SimulationError(f"cycle {t}: '{key}' is not a drivable "
                                       "input bit")
-            values[drive[key]] = val & 1
-        values.update(state)
-        _settle(compiled, values, 1)
+            update[drive[key]] = val & 1
+        updates.append(update)
+    streams: dict[str, list[int]] = {name: [] for name, _ in compiled.output_bits}
+    for values in _clocked_cycles(compiled, clock_net, updates):
         for name, nid in compiled.output_bits:
             streams[name].append(values[nid])
-        state = {g.output: values[g.data_input] for g in compiled.registers}
     return streams
 
 

@@ -23,6 +23,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from gateforge.parser import parse, render
 
 TASKS = Path(__file__).resolve().parent.parent / "src" / "gateforge" / "tasks"
@@ -153,16 +155,23 @@ def outcome(text: str) -> list:
             [str(w) for w in r.warnings]]
 
 
-def batch_digests(cases: list[str]) -> list[str]:
-    return [hashlib.sha256(json.dumps([outcome(t) for t in cases[i:i + BATCH]])
-                           .encode()).hexdigest()
-            for i in range(0, len(cases), BATCH)]
+def batch_digests(outs: list[list]) -> list[str]:
+    return [hashlib.sha256(json.dumps(outs[i:i + BATCH]).encode()).hexdigest()
+            for i in range(0, len(outs), BATCH)]
 
 
-def test_corpus_covers_every_outcome():
-    cases = corpus()
+@pytest.fixture(scope="module")
+def cases() -> list[str]:
+    return corpus()
+
+
+@pytest.fixture(scope="module")
+def outs(cases) -> list[list]:
+    return [outcome(t) for t in cases]
+
+
+def test_corpus_covers_every_outcome(cases, outs):
     assert len(cases) >= 2000
-    outs = [outcome(t) for t in cases]
     kinds = {e.split("[", 1)[1].split("]", 1)[0] for o in outs for e in o[0]}
     assert kinds >= {"lex", "syntax", "behavioral-construct",
                      "unknown-primitive", "arity", "width", "duplicate-name"}
@@ -174,10 +183,9 @@ def test_corpus_covers_every_outcome():
         assert violation in messages
 
 
-def test_parse_outputs_match_recorded_digests():
-    cases = corpus()
+def test_parse_outputs_match_recorded_digests(cases, outs):
     want = DIGESTS.read_text().split()
-    got = batch_digests(cases)
+    got = batch_digests(outs)
     assert len(got) == len(want)
     bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert not bad, (
@@ -188,4 +196,5 @@ def test_parse_outputs_match_recorded_digests():
 
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text("\n".join(batch_digests(corpus())) + "\n")
+    DIGESTS.write_text("\n".join(batch_digests([outcome(t) for t in corpus()]))
+                       + "\n")
