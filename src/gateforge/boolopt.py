@@ -529,18 +529,13 @@ def apply_hint(netlist: Netlist, hint: OptimizationHint) -> Netlist:
         cn, cv = sorted(consts.items())[0]
         others = [n for n in g.inputs if n != cn]
         other = others[0] if others else cn
-        table = {
-            (GateKind.AND, 0): ("const", 0), (GateKind.AND, 1): ("wire", None),
-            (GateKind.OR, 0): ("wire", None), (GateKind.OR, 1): ("const", 1),
-            (GateKind.XOR, 0): ("wire", None), (GateKind.XOR, 1): ("not", None),
-            (GateKind.NAND, 0): ("const", 1), (GateKind.NAND, 1): ("not", None),
-            (GateKind.NOT, 0): ("const", 1), (GateKind.NOT, 1): ("const", 0),
-        }
-        action, val = table[(g.kind, cv)]
-        if action == "wire":
+        # The gate over two rows, the other input 0 then 1: its output
+        # column is the other input (0b10), its inverse (0b01) or a constant.
+        column = GATE_EVAL[g.kind](0b11 * cv, 0b10, 0b11)
+        if column == 0b10:
             return rewire({g.output: other}, {g.name})
-        if action == "const":
-            const_net = _ensure_const(netlist, val)
+        if column in (0b00, 0b11):
+            const_net = _ensure_const(netlist, column & 1)
             rewired = rewire({g.output: const_net.id}, {g.name})
             if const_net.id not in rewired.nets:
                 nets = dict(rewired.nets)

@@ -197,7 +197,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="pass@k values (repeatable)")
     p.add_argument("--profile", choices=("V0", "V1", "V2"),
                    help="retrieval ablation profile")
-    p.add_argument("--workers", type=int, help="parallel task workers")
+    p.add_argument("--workers", type=int,
+                   help="parallel task workers; results files are identical "
+                        "for any count, store contents only at 1")
     p.add_argument("--out", help="write machine-readable results here")
     p.add_argument("--table", action="store_true",
                    help="also print the summary table")

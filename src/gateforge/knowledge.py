@@ -220,10 +220,6 @@ def _rank(entries: list[KnowledgeEntry], q: RetrievalQuery) -> list[KnowledgeEnt
     raise ValueError(f"unknown retrieval mode {q.mode}")
 
 
-def _interface_shape(netlist: Netlist) -> tuple[int, int]:
-    return (len(netlist.input_bits()), len(netlist.output_bits()))
-
-
 def sequential_fingerprint(netlist: Netlist) -> str:
     """Deterministic behavior digest for register-bearing patterns.
 
@@ -245,33 +241,54 @@ def sequential_fingerprint(netlist: Netlist) -> str:
     return h.hexdigest()
 
 
+@dataclass(frozen=True)
+class _Measure:
+    """What a circuit-pattern entry records about its netlist."""
+
+    digest: str
+    signature_kind: str       # exact | sampled | sequential
+    gate_count: int
+    delay: int
+    shape: tuple[int, int]    # (input bits, output bits)
+    weights: MetricWeights
+
+    @property
+    def sei(self) -> float:
+        # On use only: a netlist with no gates and no delay has no index.
+        return sei_task(self.gate_count, self.delay, self.weights)
+
+
+def _measure(netlist: Netlist, weights: MetricWeights) -> _Measure:
+    """The one measurement behind building and verifying a pattern entry."""
+    report = structural_report(netlist)
+    if netlist.dff_gates():
+        digest, kind = sequential_fingerprint(netlist), "sequential"
+    else:
+        sig = functional_signature(netlist)
+        digest, kind = sig.digest, "exact" if sig.exact else "sampled"
+    shape = (len(netlist.input_bits()), len(netlist.output_bits()))
+    return _Measure(digest, kind, report.gate_count, report.delay, shape,
+                    weights)
+
+
 def make_pattern_entry(netlist: Netlist, tags: tuple[str, ...] = (),
                        provenance: Provenance | None = None,
                        name: str | None = None,
                        weights: MetricWeights = DEFAULT_WEIGHTS) -> KnowledgeEntry:
     """Build a circuit-pattern entry from a verified netlist."""
-    report = structural_report(netlist)
-    if netlist.dff_gates():
-        digest = sequential_fingerprint(netlist)
-        sig_kind = "sequential"
-    else:
-        sig = functional_signature(netlist)
-        digest = sig.digest
-        sig_kind = "exact" if sig.exact else "sampled"
-    shape = _interface_shape(netlist)
-    sei = sei_task(report.gate_count, report.delay, weights)
+    m = _measure(netlist, weights)
     return KnowledgeEntry(
         kind=KIND_PATTERN,
         name=name or netlist.name,
         tags=tuple(tags),
         netlist_text=nl_parser.render(netlist),
-        signature_digest=digest,
-        signature_kind=sig_kind,
-        inputs=shape[0],
-        outputs=shape[1],
-        gate_count=report.gate_count,
-        delay=report.delay,
-        sei=sei,
+        signature_digest=m.digest,
+        signature_kind=m.signature_kind,
+        inputs=m.shape[0],
+        outputs=m.shape[1],
+        gate_count=m.gate_count,
+        delay=m.delay,
+        sei=m.sei,
         provenance=provenance or Provenance(),
     )
 
@@ -303,25 +320,19 @@ def verify_pattern_entry(entry: KnowledgeEntry,
         raise AdmissionError(
             f"{entry.name}: stored netlist no longer parses: "
             + "; ".join(str(e) for e in result.errors))
-    netlist = result.netlist
-    report = structural_report(netlist)
-    if netlist.dff_gates():
-        digest = sequential_fingerprint(netlist)
-    else:
-        digest = functional_signature(netlist).digest
-    if digest != entry.signature_digest:
+    m = _measure(result.netlist, weights)
+    if m.digest != entry.signature_digest:
         raise AdmissionError(f"{entry.name}: netlist does not match its "
                              "stored functional signature")
-    if (report.gate_count, report.delay) != (entry.gate_count, entry.delay):
+    if (m.gate_count, m.delay) != (entry.gate_count, entry.delay):
         raise AdmissionError(f"{entry.name}: stored gate count/delay "
                              f"({entry.gate_count}, {entry.delay}) do not match "
-                             f"measured ({report.gate_count}, {report.delay})")
-    want_sei = sei_task(report.gate_count, report.delay, weights)
+                             f"measured ({m.gate_count}, {m.delay})")
+    want_sei = m.sei
     if entry.sei is None or abs(entry.sei - want_sei) > 1e-9:
         raise AdmissionError(f"{entry.name}: stored efficiency index "
                              f"{entry.sei} does not match {want_sei}")
-    shape = _interface_shape(netlist)
-    if shape != (entry.inputs, entry.outputs):
+    if m.shape != (entry.inputs, entry.outputs):
         raise AdmissionError(f"{entry.name}: interface shape mismatch")
 
 

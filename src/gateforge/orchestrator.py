@@ -10,7 +10,13 @@ unparsed or structurally invalid ever reaches the simulator.
 
 Revision policy: a fixed budget shared by functional fixes and the single
 optimization round. With the default budget of 2, a task sees at most three
-generation attempts.
+generation attempts. Each candidate (rejected by static review, refused by
+the simulator, functionally wrong, correct but inefficient, or accepted)
+meets two exit rules: (1) the run is verified on accept, or on any candidate
+after the optimization round, keeping the best correct design; (2) otherwise,
+once the budget is spent, it is verified if a correct design is held, else
+it fails with the candidate's error. Any other candidate gets one feedback
+message and costs one revision.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ from .metrics import (
     sei_benchmark,
     sei_task,
 )
-from .netlist import Netlist, structural_report
+from .netlist import Netlist, StructuralReport, structural_report
 from .parser import extract_netlist_block, parse, render
-from .simulator import SimOutcome, SimulationError
+from .simulator import SimulationError
 from .taskpack import (
     BenchmarkReport,
     TaskPack,
@@ -70,6 +76,9 @@ MSG_ACCEPT = "accept"
 MSG_ABORT = "abort"
 
 FUNCTIONAL_MISMATCH = "functional-mismatch"
+# Candidate verdicts besides those of `dual_reward`.
+VERDICT_REJECTED = "static-rejection"
+VERDICT_REFUSED = "simulation-refused"
 
 GRAMMAR_SUMMARY = """\
 Write exactly one module in the locked structural netlist language:
@@ -218,25 +227,25 @@ def _format_task_brief(task: TaskPack) -> str:
             f"Specification:\n{task.spec_text.strip()}\n")
 
 
+def _first_hits(store, queries, limit: int) -> list[KnowledgeEntry]:
+    """The queries' hits in order, each entry once, at most `limit`."""
+    hits: dict[int, KnowledgeEntry] = {}
+    for query in queries:
+        for e in store.retrieve(query):
+            hits.setdefault(e.id, e)
+    return list(hits.values())[:limit]
+
+
 def _design_retrievals(task: TaskPack, store, cfg: RunConfig,
                        ) -> list[KnowledgeEntry]:
-    if store is None:
+    if store is None or not cfg.design_rag:
         return []
-    n_in = len(task.input_bit_names())
-    n_out = len(task.output_bit_names())
+    shape = (len(task.input_bit_names()), len(task.output_bit_names()))
     tags = tuple(task.tags) + (task.circuit_class,)
-    ranked: list[KnowledgeEntry] = []
-    seen: set[int] = set()
-    for hit in store.retrieve(RetrievalQuery.by_tags(tags, limit=cfg.retrieval_limit)):
-        if hit.id not in seen:
-            ranked.append(hit)
-            seen.add(hit.id)
-    for hit in store.retrieve(RetrievalQuery.by_interface((n_in, n_out),
-                                                          limit=cfg.retrieval_limit)):
-        if hit.id not in seen:
-            ranked.append(hit)
-            seen.add(hit.id)
-    return ranked[:cfg.retrieval_limit]
+    return _first_hits(store, (
+        RetrievalQuery.by_tags(tags, limit=cfg.retrieval_limit),
+        RetrievalQuery.by_interface(shape, limit=cfg.retrieval_limit),
+    ), cfg.retrieval_limit)
 
 
 def _format_retrieved(entries: list[KnowledgeEntry]) -> list[str]:
@@ -293,50 +302,36 @@ def _interface_mismatch(task: TaskPack, netlist: Netlist) -> list[str]:
 
 
 def _static_review(reply: str, task: TaskPack,
-                   ) -> tuple[Netlist | None, str, list[str]]:
+                   ) -> tuple[Netlist | None, str, list[str], list[str]]:
     """Parse, validate and check interface conformance of a raw reply.
-    Returns (netlist, summary, error lines)."""
+    Returns (netlist, summary, error lines, error kinds in order of first
+    appearance)."""
     src = extract_netlist_block(reply)
     if src is None:
         return None, "no netlist module found in the reply", \
-            ["reply contained no fenced code block with a module"]
+            ["reply contained no fenced code block with a module"], ["syntax"]
     result = parse(src)
     if not result.ok:
-        lines = [str(e) for e in result.errors]
-        classes = sorted({e.kind for e in result.errors})
-        return None, "rejected: " + ", ".join(classes), lines
+        kinds = list(dict.fromkeys(e.kind for e in result.errors))
+        return None, "rejected: " + ", ".join(sorted(kinds)), \
+            [str(e) for e in result.errors], kinds
     mismatches = _interface_mismatch(task, result.netlist)
     if mismatches:
-        return None, "rejected: interface mismatch", mismatches
+        return None, "rejected: interface mismatch", mismatches, ["interface"]
     if task.circuit_class == "combinational" and result.netlist.dff_gates():
         return None, "rejected: registers in a combinational task", \
-            ["[interface] the task is combinational; remove dff instances"]
-    return result.netlist, "clean parse and structural check", []
-
-
-def _error_classes(reply_errors: list[str]) -> list[str]:
-    classes = []
-    for line in reply_errors:
-        if "[" in line and "]" in line:
-            cls = line.split("[", 1)[1].split("]", 1)[0]
-            if cls not in classes:
-                classes.append(cls)
-    return classes
+            ["[interface] the task is combinational; remove dff instances"], \
+            ["interface"]
+    return result.netlist, "clean parse and structural check", [], []
 
 
 def _review_fixes(store, classes: list[str], symptom: str,
                   cfg: RunConfig) -> list[KnowledgeEntry]:
     if store is None or not cfg.review_rag:
         return []
-    hits: list[KnowledgeEntry] = []
-    seen: set[int] = set()
-    for cls in classes:
-        for e in store.retrieve(RetrievalQuery.by_error(cls, symptom,
-                                                        limit=cfg.retrieval_limit)):
-            if e.id not in seen:
-                hits.append(e)
-                seen.add(e.id)
-    return hits[:cfg.retrieval_limit]
+    return _first_hits(store, [
+        RetrievalQuery.by_error(cls, symptom, limit=cfg.retrieval_limit)
+        for cls in classes], cfg.retrieval_limit)
 
 
 def _format_fixes(fixes: list[KnowledgeEntry]) -> str:
@@ -384,11 +379,19 @@ def _phrase_feedback(text: str, backend: ModelBackend,
     return f"{reply.strip()}\n\nVerbatim findings:\n{text}"
 
 
+def _sei(report: StructuralReport, weights: MetricWeights) -> float | None:
+    """Efficiency index of a design; None for one with no gates and no delay."""
+    if report.gate_count + report.delay == 0:
+        return None
+    return sei_task(report.gate_count, report.delay, weights)
+
+
 def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
              store: KnowledgeStore | KnowledgeView | None = None,
-             sample_index: int = 0, run_id: str = "",
-             apply_store_writes: bool = True) -> TaskRun:
-    """Drive one task through the full generate/review/simulate loop."""
+             sample_index: int = 0, run_id: str = "") -> TaskRun:
+    """Drive one task through the full generate/review/simulate loop.
+    A verified design's patterns are stored only into a `KnowledgeStore`;
+    a `KnowledgeView` snapshot just returns them in `TaskRun.extracted`."""
     t0 = time.monotonic()
     mediator = Mediator()
     backend.start_sample(task.id, sample_index)
@@ -406,20 +409,18 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
     mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_SPEC, brief)
     mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_SPEC, brief)
 
-    retrieved = _design_retrievals(task, store, cfg) if cfg.design_rag else []
+    retrieved = _design_retrievals(task, store, cfg)
     reference_sei = task.reference_sei(cfg.weights)
 
     feedback: list[str] = []
-    best: tuple[float, Netlist, SimOutcome] | None = None
-    efficiency_round_done = False
+    best: tuple[float, Netlist] | None = None
 
     def finish(status: str, error: str | None = None) -> TaskRun:
         final_text = None
         result = None
         extracted: list[KnowledgeEntry] = []
-        if status == "verified" and best is not None:
-            netlist = best[1]
-            final_text = render(netlist)
+        if status == "verified":
+            final_text = render(best[1])
             recheck = parse(final_text)
             if not recheck.ok:
                 raise RuntimeError("verified netlist failed the final re-parse")
@@ -427,9 +428,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             if outcome.correctness != 1.0:
                 raise RuntimeError("verified netlist failed re-simulation")
             report = structural_report(recheck.netlist)
-            sei = None
-            if report.gate_count + report.delay > 0:
-                sei = sei_task(report.gate_count, report.delay, cfg.weights)
+            sei = _sei(report, cfg.weights)
             result = EvalResult(1.0, report.gate_count, report.delay, sei,
                                 classify_tier(sei) if sei is not None else None)
             if store is not None:
@@ -438,7 +437,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                     tags=task.tags)
                 mediator.route(ROLE_SUMMARIZER, ROLE_MEDIATOR, MSG_ACCEPT,
                                f"extracted {len(extracted)} pattern(s)")
-                if apply_store_writes and isinstance(store, KnowledgeStore):
+                if isinstance(store, KnowledgeStore):
                     for e in extracted:
                         store.store(e)
             mediator.route(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ACCEPT,
@@ -461,6 +460,8 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         )
 
     while True:
+        # A correct design is held iff the optimization round is spent.
+        optimized = best is not None
         prompt = build_prompt(ROLE_CODER, task, retrieved, feedback, cfg,
                               brief=brief)
         try:
@@ -471,137 +472,97 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         mediator.route(ROLE_CODER, ROLE_MEDIATOR, MSG_CANDIDATE, reply)
         mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_CANDIDATE, reply)
 
-        netlist, summary, error_lines = _static_review(reply, task)
-        mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW, summary,
+        netlist, error, error_lines, error_kinds = _static_review(reply, task)
+        mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW, error,
                        errors=list(error_lines))
+        verdict = VERDICT_REJECTED
+        if netlist is not None:
+            # Only a candidate with a clean static review reaches the Executor.
+            mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
+                           render(netlist))
+            try:
+                outcome = simulate_task(task, netlist)
+            except SimulationError as exc:
+                # Conforming interface but unusable wiring (e.g. registers
+                # not clocked from the clock port): fed back like a static fault.
+                mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
+                               f"simulation refused: {exc}")
+                verdict, error = VERDICT_REFUSED, str(exc)
+            else:
+                report = structural_report(netlist)
+                mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
+                               f"{outcome.passed} passed, {outcome.failed} failed",
+                               outcome=outcome, report=report)
+                reward = dual_reward(outcome, report, reference_sei,
+                                     cfg.weights, cfg.efficiency_accept_threshold)
+                mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_SIM_RESULT,
+                               f"correctness={reward.correctness:.3f}",
+                               reward=reward)
+                verdict = reward.verdict
+                error = (f"correctness {reward.correctness:.3f} "
+                         "after exhausting revisions")
+                if reward.correctness == 1.0:
+                    score = _sei(report, cfg.weights) or float("inf")
+                    if best is None or score > best[0]:
+                        best = (score, netlist)
 
-        if netlist is None:
-            if efficiency_round_done and best is not None:
-                return finish("verified")
-            if mediator.revisions_used >= cfg.max_revisions:
-                return finish("failed", error=summary)
-            classes = _error_classes(error_lines) or ["syntax"]
-            fixes = _review_fixes(store, classes, "; ".join(error_lines), cfg)
-            text = _phrase_feedback(
-                "Static review failed.\n"
-                + "\n".join(f"- {line}" for line in error_lines)
-                + _format_fixes(fixes)
-                + "\nResend one complete module in a fenced code block.",
-                backend, cfg)
-            feedback.append(text)
-            mediator.charge_revision()
-            mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
-                           fixes=[e.name for e in fixes])
-            continue
-
-        # The candidate only reaches the Executor with a clean static review.
-        mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
-                       render(netlist))
-        try:
-            outcome = simulate_task(task, netlist)
-        except SimulationError as exc:
-            # Conforming interface but unusable wiring (e.g. registers not
-            # clocked from the clock port): feed back like any static fault.
-            mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                           f"simulation refused: {exc}")
-            if efficiency_round_done and best is not None:
-                return finish("verified")
-            if mediator.revisions_used >= cfg.max_revisions:
-                return finish("failed", error=str(exc))
-            text = _phrase_feedback(
-                f"The design could not be simulated: {exc}\n"
-                "Correct the wiring and resend the full module.",
-                backend, cfg)
-            feedback.append(text)
-            mediator.charge_revision()
-            mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text)
-            continue
-        report = structural_report(netlist)
-        mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                       f"{outcome.passed} passed, {outcome.failed} failed",
-                       outcome=outcome, report=report)
-        reward = dual_reward(outcome, report, reference_sei, cfg.weights,
-                             cfg.efficiency_accept_threshold)
-        mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_SIM_RESULT,
-                       f"correctness={reward.correctness:.3f}", reward=reward)
-
-        if reward.correctness == 1.0:
-            sei = None
-            if report.gate_count + report.delay > 0:
-                sei = sei_task(report.gate_count, report.delay, cfg.weights)
-            score = sei if sei is not None else float("inf")
-            if best is None or score > best[0]:
-                best = (score, netlist, outcome)
-
-        if reward.verdict == VERDICT_ACCEPT or efficiency_round_done:
+        # Exit decision.
+        if verdict == VERDICT_ACCEPT or optimized:
+            return finish("verified")
+        if mediator.revisions_used >= cfg.max_revisions:
             if best is not None:
                 return finish("verified")
-            # Correctness < 1 after the optimization round with no earlier
-            # verified candidate cannot happen (the round needs one).
-            return finish("failed", error="no verified candidate")
+            return finish("failed", error=error)
 
-        if reward.verdict == VERDICT_FUNCTIONAL:
-            if mediator.revisions_used >= cfg.max_revisions:
-                if best is not None:
-                    return finish("verified")
-                return finish("failed",
-                              error=f"correctness {reward.correctness:.3f} "
-                                    "after exhausting revisions")
+        # Feedback step: the text and its attachments depend on the verdict.
+        attachments: dict = {}
+        if verdict == VERDICT_REJECTED:
+            fixes = _review_fixes(store, error_kinds, "; ".join(error_lines),
+                                  cfg)
+            attachments["fixes"] = [e.name for e in fixes]
+            text = ("Static review failed.\n"
+                    + "\n".join(f"- {line}" for line in error_lines)
+                    + _format_fixes(fixes)
+                    + "\nResend one complete module in a fenced code block.")
+        elif verdict == VERDICT_REFUSED:
+            text = (f"The design could not be simulated: {error}\n"
+                    "Correct the wiring and resend the full module.")
+        elif verdict == VERDICT_FUNCTIONAL:
             detail = ""
             if outcome.first_failure is not None:
                 ff = outcome.first_failure
                 detail = (f" First failure: vector {ff.vector_index}, output "
                           f"{ff.port_bit}, expected {ff.expected}, "
                           f"got {ff.actual}.")
-            symptom = f"simulation mismatch.{detail}"
-            fixes = _review_fixes(store, [FUNCTIONAL_MISMATCH], symptom, cfg)
-            text = _phrase_feedback(
-                f"Simulation failed {outcome.failed} of "
-                f"{outcome.passed + outcome.failed} checks.{detail}"
-                + _format_fixes(fixes)
-                + "\nFix the logic and resend the full module.",
-                backend, cfg)
-            feedback.append(text)
-            mediator.charge_revision()
-            mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
-                           fixes=[e.name for e in fixes])
-            continue
-
-        # Efficiency feedback: one optimization round within the budget.
-        assert reward.verdict == VERDICT_EFFICIENCY
-        if mediator.revisions_used >= cfg.max_revisions:
-            return finish("verified")
-        hints = suggest_optimizations(netlist)
-        hint_lines = [f"- {h.message}" for h in hints]
-        target = ""
-        if reference_sei is not None:
-            target = (f" Reference efficiency index is {reference_sei:.4f}; "
-                      f"this design scores {reward.efficiency:.3f} of it.")
-        text = _phrase_feedback(
-            "Design is functionally correct but not efficient enough."
-            + target
-            + f" Current: gates={report.gate_count}, delay={report.delay}."
-            + ("\nOptimization hints:\n" + "\n".join(hint_lines)
-               if hint_lines else "")
-            + "\nResend an improved full module.",
-            backend, cfg)
+            fixes = _review_fixes(store, [FUNCTIONAL_MISMATCH],
+                                  f"simulation mismatch.{detail}", cfg)
+            attachments["fixes"] = [e.name for e in fixes]
+            text = (f"Simulation failed {outcome.failed} of "
+                    f"{outcome.passed + outcome.failed} checks.{detail}"
+                    + _format_fixes(fixes)
+                    + "\nFix the logic and resend the full module.")
+        else:
+            hints = suggest_optimizations(netlist)
+            attachments["hints"] = [h.message for h in hints]
+            # Only a design measured against a reference index is inefficient.
+            text = ("Design is functionally correct but not efficient enough."
+                    f" Reference efficiency index is {reference_sei:.4f}; "
+                    f"this design scores {reward.efficiency:.3f} of it."
+                    f" Current: gates={report.gate_count}, delay={report.delay}."
+                    + ("\nOptimization hints:\n"
+                       + "\n".join(f"- {h}" for h in attachments["hints"])
+                       if hints else "")
+                    + "\nResend an improved full module.")
+        text = _phrase_feedback(text, backend, cfg)
         feedback.append(text)
-        efficiency_round_done = True
         mediator.charge_revision()
-        mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_EFFICIENCY_REVIEW,
-                       text, hints=[h.message for h in hints])
-        mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_FIX_REQUEST, text)
-
-
-def _run_one_task_samples(task: TaskPack, cfg: RunConfig,
-                          backend: ModelBackend,
-                          snapshot: KnowledgeView | None,
-                          run_id: str) -> list[TaskRun]:
-    runs = []
-    for i in range(cfg.samples_per_task):
-        runs.append(run_task(task, cfg, backend, snapshot, sample_index=i,
-                             run_id=run_id, apply_store_writes=False))
-    return runs
+        if verdict == VERDICT_EFFICIENCY:
+            mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_EFFICIENCY_REVIEW,
+                           text, **attachments)
+            mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_FIX_REQUEST, text)
+        else:
+            mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
+                           **attachments)
 
 
 def _merge_extracted(runs: list[TaskRun]) -> list[KnowledgeEntry]:
@@ -645,7 +606,8 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
 
     def one_task(task: TaskPack) -> list[TaskRun]:
         snapshot = store.snapshot() if store is not None else None
-        runs = _run_one_task_samples(task, cfg, backend, snapshot, run_id)
+        runs = [run_task(task, cfg, backend, snapshot, i, run_id=run_id)
+                for i in range(cfg.samples_per_task)]
         if store is not None:
             for entry in _merge_extracted(runs):
                 store.store(entry)

@@ -48,8 +48,8 @@ BEHAVIORAL_KEYWORDS = {
 # One alternative per token class, tried in this order at each position.
 # Every reported error position depends on how `_lex` advances line and
 # column: a `//` comment does not advance the column (this shows only at end
-# of input), and a sized literal's inner whitespace advances only the
-# column, even across a newline.
+# of input), and a newline inside a block comment or a sized literal starts
+# a new line like any other.
 _TOKEN_RE = re.compile(r"""
       (?P<newline>\n)
     | (?P<space>[ \t\r\f\v]+)
@@ -60,8 +60,8 @@ _TOKEN_RE = re.compile(r"""
     | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
     | (?P<number>[0-9]+)
     | (?P<punct>[()\[\]:;,.{}])
+    | (?P<op>===|==|!==|<<<|>>>|!=|<=|>=|&&|\|\||<<|>>|\*\*|[-+*/%&|^~!?@\#<>])
     | (?P<eq>=)
-    | (?P<op>!==|<<<|>>>|!=|<=|>=|&&|\|\||<<|>>|\*\*|[-+*/%&|^~!?@\#<>])
     | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
@@ -120,7 +120,7 @@ def _lex(text: str) -> list[_Token]:
             break
         if kind not in _UNEMITTED:
             toks.append(_Token(kind, s, line, col))
-        if kind in ("newline", "block") and "\n" in s:
+        if kind in ("newline", "block", "sized") and "\n" in s:
             line += s.count("\n")
             col = len(s) - s.rfind("\n")
         elif kind != "comment":
@@ -464,7 +464,7 @@ class _Parser:
         return self.scope.slots[(name, lsb)]
 
     def _const_value(self, tok: _Token) -> int | None:
-        text = tok.text.replace(" ", "")
+        text = "".join(tok.text.split())
         if text in ("1'b0", "1'B0"):
             return 0
         if text in ("1'b1", "1'B1"):

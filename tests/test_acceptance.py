@@ -322,8 +322,7 @@ def test_criterion_9_ablation(tmp_path):
         store = KnowledgeStore(tmp_path / profile)
         store.seed_baseline()
         cfg = RunConfig.from_profile(profile, samples_per_task=1)
-        run = run_task(fa, cfg, make_backend(), store.snapshot(),
-                       apply_store_writes=False)
+        run = run_task(fa, cfg, make_backend(), store.snapshot())
         outcomes[profile] = run.status
     assert outcomes["V2"] == "verified"
     assert outcomes["V0"] == "failed"

@@ -143,7 +143,7 @@ def test_merged_commit_keeps_the_later_better_sample(tmp_path):
     snapshot = one_by_one.snapshot()
     backend = scripted(designs)
     runs = [run_task(ADDER4, config, backend, snapshot, sample_index=i,
-                     run_id="bench", apply_store_writes=False)
+                     run_id="bench")
             for i in range(3)]
     for run in runs:
         for entry in run.extracted:

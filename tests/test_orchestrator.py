@@ -430,8 +430,7 @@ def test_ablation_v0_vs_v2(tmp_path):
         store = KnowledgeStore(tmp_path / profile)
         store.seed_baseline()
         config = RunConfig.from_profile(profile, samples_per_task=1)
-        run = run_task(FA, config, make_backend(), store.snapshot(),
-                       apply_store_writes=False)
+        run = run_task(FA, config, make_backend(), store.snapshot())
         outcomes[profile] = run.status
     assert outcomes == {"V0": "failed", "V2": "verified"}
 

@@ -59,6 +59,35 @@ def test_assign_constant_alias_accepted():
     assert net.is_const and net.const_value == 1
 
 
+@pytest.mark.parametrize("op", ["==", "==="])
+def test_equality_operators_are_behavioral_constructs(op):
+    # Like every other operator, not a run of '=' tokens.
+    r = parse(f"module t(input a, input b, output y); assign y = a {op} b; "
+              "endmodule")
+    assert [(e.kind, e.token) for e in r.errors] == [
+        ("behavioral-construct", op)]
+
+
+@pytest.mark.parametrize("literal", ["1 'b1", "1\t'b1", "1\n'b1", "1'\tb1",
+                                     "1 \r\n' \fB1"])
+def test_sized_literal_inner_whitespace_is_ignored(literal):
+    r = parse(f"module t(input a, output y); assign y = {literal}; endmodule")
+    assert r.ok, [str(e) for e in r.errors]
+    net = r.netlist.nets[r.netlist.port_nets["y"][0]]
+    assert net.is_const and net.const_value == 1
+
+
+def test_sized_literal_across_a_newline_advances_the_line():
+    r = parse("module t(input a, output y);\nassign y = 1\n'b1;\n"
+              "nor g(y, a);\nendmodule")
+    assert [(e.kind, e.line, e.column) for e in r.errors] == [
+        ("unknown-primitive", 4, 1)]
+    r = parse("module t(input a, output y);\nassign y = 1\n 'b1 &\na;\n"
+              "endmodule")
+    assert [(e.kind, e.line, e.column) for e in r.errors] == [
+        ("behavioral-construct", 3, 6)]
+
+
 def test_arity_error_on_short_nand():
     r = parse("module t(input a, output y); nand g1(y, a); endmodule")
     assert not r.ok
