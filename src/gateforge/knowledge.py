@@ -26,8 +26,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
-from .metrics import DEFAULT_WEIGHTS, MetricWeights, sei_task
-from .netlist import GateKind, Netlist, NetlistBuilder, structural_report
+from .metrics import measure
+from .netlist import GateKind, Netlist, NetlistBuilder, StructuralReport, structural_report
 from .simulator import functional_signature, sequential_trace
 
 KIND_PATTERN = "circuit-pattern"
@@ -247,36 +247,32 @@ class _Measure:
 
     digest: str
     signature_kind: str       # exact | sampled | sequential
-    gate_count: int
-    delay: int
+    report: StructuralReport
     shape: tuple[int, int]    # (input bits, output bits)
-    weights: MetricWeights
 
     @property
-    def sei(self) -> float:
-        # On use only: a netlist with no gates and no delay has no index.
-        return sei_task(self.gate_count, self.delay, self.weights)
+    def sei(self) -> float | None:
+        # Always at default weights, so one store serves runs under any
+        # weights.
+        return measure(self.report)
 
 
-def _measure(netlist: Netlist, weights: MetricWeights) -> _Measure:
+def _measure(netlist: Netlist) -> _Measure:
     """The one measurement behind building and verifying a pattern entry."""
-    report = structural_report(netlist)
     if netlist.dff_gates():
         digest, kind = sequential_fingerprint(netlist), "sequential"
     else:
         sig = functional_signature(netlist)
         digest, kind = sig.digest, "exact" if sig.exact else "sampled"
     shape = (len(netlist.input_bits()), len(netlist.output_bits()))
-    return _Measure(digest, kind, report.gate_count, report.delay, shape,
-                    weights)
+    return _Measure(digest, kind, structural_report(netlist), shape)
 
 
 def make_pattern_entry(netlist: Netlist, tags: tuple[str, ...] = (),
                        provenance: Provenance | None = None,
-                       name: str | None = None,
-                       weights: MetricWeights = DEFAULT_WEIGHTS) -> KnowledgeEntry:
+                       name: str | None = None) -> KnowledgeEntry:
     """Build a circuit-pattern entry from a verified netlist."""
-    m = _measure(netlist, weights)
+    m = _measure(netlist)
     return KnowledgeEntry(
         kind=KIND_PATTERN,
         name=name or netlist.name,
@@ -286,8 +282,8 @@ def make_pattern_entry(netlist: Netlist, tags: tuple[str, ...] = (),
         signature_kind=m.signature_kind,
         inputs=m.shape[0],
         outputs=m.shape[1],
-        gate_count=m.gate_count,
-        delay=m.delay,
+        gate_count=m.report.gate_count,
+        delay=m.report.delay,
         sei=m.sei,
         provenance=provenance or Provenance(),
     )
@@ -308,8 +304,7 @@ def make_error_fix_entry(error_class: str, symptom: str, fix: str,
     )
 
 
-def verify_pattern_entry(entry: KnowledgeEntry,
-                         weights: MetricWeights = DEFAULT_WEIGHTS) -> None:
+def verify_pattern_entry(entry: KnowledgeEntry) -> None:
     """Re-simulate a circuit pattern against its stored metadata."""
     if entry.kind != KIND_PATTERN:
         return
@@ -320,16 +315,17 @@ def verify_pattern_entry(entry: KnowledgeEntry,
         raise AdmissionError(
             f"{entry.name}: stored netlist no longer parses: "
             + "; ".join(str(e) for e in result.errors))
-    m = _measure(result.netlist, weights)
+    m = _measure(result.netlist)
     if m.digest != entry.signature_digest:
         raise AdmissionError(f"{entry.name}: netlist does not match its "
                              "stored functional signature")
-    if (m.gate_count, m.delay) != (entry.gate_count, entry.delay):
+    measured = (m.report.gate_count, m.report.delay)
+    if measured != (entry.gate_count, entry.delay):
         raise AdmissionError(f"{entry.name}: stored gate count/delay "
                              f"({entry.gate_count}, {entry.delay}) do not match "
-                             f"measured ({m.gate_count}, {m.delay})")
+                             f"measured {measured}")
     want_sei = m.sei
-    if entry.sei is None or abs(entry.sei - want_sei) > 1e-9:
+    if want_sei is None or entry.sei is None or abs(entry.sei - want_sei) > 1e-9:
         raise AdmissionError(f"{entry.name}: stored efficiency index "
                              f"{entry.sei} does not match {want_sei}")
     if m.shape != (entry.inputs, entry.outputs):
@@ -380,11 +376,15 @@ class _RetrievalBase:
                        for best in (existing.get(key), emitted.get(key)))
 
         def emit(entry: KnowledgeEntry) -> None:
-            emitted[pattern_key(entry)] = entry.sei or 0.0
+            emitted[pattern_key(entry)] = entry.sei
             out.append(entry)
 
         whole = make_pattern_entry(netlist, tags=tags, provenance=provenance,
                                    name=f"{task_id or netlist.name}-design")
+        if whole.sei is None:
+            # A design with no gates and no delay has no index to rank it by,
+            # and no gates to carve sub-patterns from.
+            return []
         if kept(whole):
             emit(whole)
 

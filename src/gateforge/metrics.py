@@ -1,8 +1,10 @@
 """Scoring: efficiency index, benchmark aggregation, pass@k, tier bands.
 
 The solution efficiency index of a functionally correct design is
-1 / (alpha * G + beta * D) where G is gate count and D is critical path
-delay; higher is better. Benchmark-level aggregation uses the geometric
+1 / (alpha * G + beta * D) where D is critical path delay and G is the
+weighted gate count: a design with g gates, r of them registers, has
+G = g - r + dff_weight * r. Higher is better. `measure` is the one place a
+design's index is computed. Benchmark-level aggregation uses the geometric
 mean with failed tasks floored at epsilon so the logarithm stays defined.
 """
 
@@ -96,12 +98,6 @@ class EvalResult:
     tier: TierVerdict | None = None
 
 
-def effective_gate_count(report: StructuralReport,
-                         weights: MetricWeights = DEFAULT_WEIGHTS) -> float:
-    comb = report.gate_count - report.register_count
-    return comb + weights.dff_weight * report.register_count
-
-
 def sei_task(gate_count: float, delay: float,
              weights: MetricWeights = DEFAULT_WEIGHTS) -> float:
     """Efficiency index of one design: 1 / (alpha*G + beta*D)."""
@@ -110,6 +106,17 @@ def sei_task(gate_count: float, delay: float,
     if gate_count == 0 and delay == 0:
         raise DegenerateCircuitError("degenerate circuit: no gates, no delay")
     return 1.0 / (weights.alpha * gate_count + weights.beta * delay)
+
+
+def measure(report: StructuralReport,
+            weights: MetricWeights = DEFAULT_WEIGHTS) -> float | None:
+    """Efficiency index of a design over its weighted gate count; None when
+    that count and the delay are both zero (a wire-only design)."""
+    registers = report.register_count
+    gates = report.gate_count - registers + weights.dff_weight * registers
+    if gates == 0 and report.delay == 0:
+        return None
+    return sei_task(gates, report.delay, weights)
 
 
 def sei_benchmark(task_seis: list[float | None],
@@ -176,10 +183,8 @@ def dual_reward(outcome: SimOutcome, report: StructuralReport,
     correctness = outcome.correctness
     if correctness < 1.0:
         return DualReward(correctness, None, VERDICT_FUNCTIONAL)
-    try:
-        raw = sei_task(effective_gate_count(report, weights), report.delay,
-                       weights)
-    except DegenerateCircuitError:
+    raw = measure(report, weights)
+    if raw is None:
         # Nothing to optimize on a wire-only design.
         return DualReward(correctness, None, VERDICT_ACCEPT)
     if reference_sei is None:

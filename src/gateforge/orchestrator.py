@@ -45,11 +45,11 @@ from .metrics import (
     VERDICT_FUNCTIONAL,
     classify_tier,
     dual_reward,
+    measure,
     pass_at_k,
     sei_benchmark,
-    sei_task,
 )
-from .netlist import Netlist, StructuralReport, structural_report
+from .netlist import Netlist, structural_report
 from .parser import extract_netlist_block, parse, render
 from .simulator import SimulationError
 from .taskpack import (
@@ -379,13 +379,6 @@ def _phrase_feedback(text: str, backend: ModelBackend,
     return f"{reply.strip()}\n\nVerbatim findings:\n{text}"
 
 
-def _sei(report: StructuralReport, weights: MetricWeights) -> float | None:
-    """Efficiency index of a design; None for one with no gates and no delay."""
-    if report.gate_count + report.delay == 0:
-        return None
-    return sei_task(report.gate_count, report.delay, weights)
-
-
 def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
              store: KnowledgeStore | KnowledgeView | None = None,
              sample_index: int = 0, run_id: str = "") -> TaskRun:
@@ -428,7 +421,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             if outcome.correctness != 1.0:
                 raise RuntimeError("verified netlist failed re-simulation")
             report = structural_report(recheck.netlist)
-            sei = _sei(report, cfg.weights)
+            sei = measure(report, cfg.weights)
             result = EvalResult(1.0, report.gate_count, report.delay, sei,
                                 classify_tier(sei) if sei is not None else None)
             if store is not None:
@@ -502,7 +495,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                 error = (f"correctness {reward.correctness:.3f} "
                          "after exhausting revisions")
                 if reward.correctness == 1.0:
-                    score = _sei(report, cfg.weights) or float("inf")
+                    score = measure(report, cfg.weights) or float("inf")
                     if best is None or score > best[0]:
                         best = (score, netlist)
 

@@ -24,9 +24,9 @@ from .metrics import (
     EvalResult,
     MetricWeights,
     TierVerdict,
-    sei_task,
+    measure,
 )
-from .netlist import Port, PortDir, structural_report
+from .netlist import Port, PortDir, StructuralReport, structural_report
 from .parser import parse
 from .simulator import (
     PackedVectors,
@@ -55,18 +55,15 @@ class ReferenceMismatchError(RuntimeError):
 class HumanReference:
     gate_count: int
     delay: int
+    register_count: int = 0
     # Optional per-tier best-known numbers, where pack authors have them.
     tiers: tuple[tuple[str, int, int], ...] = ()
 
-    def sei(self, weights: MetricWeights = DEFAULT_WEIGHTS) -> float:
-        return sei_task(self.gate_count, self.delay, weights)
-
-    def tier_sei(self, tier: str,
-                 weights: MetricWeights = DEFAULT_WEIGHTS) -> float | None:
-        for name, g, d in self.tiers:
-            if name == tier:
-                return sei_task(g, d, weights)
-        return None
+    @property
+    def report(self) -> StructuralReport:
+        """The declared structure, scored and checked like a measured one."""
+        return StructuralReport(self.gate_count, self.delay,
+                                self.register_count)
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ class TaskPack:
     def reference_sei(self, weights: MetricWeights = DEFAULT_WEIGHTS) -> float | None:
         if self.reference is None:
             return None
-        return self.reference.sei(weights)
+        return measure(self.reference.report, weights)
 
     def input_bit_names(self) -> list[str]:
         return [p.bit_name(i) for p in self.ports if p.direction is PortDir.IN
@@ -278,16 +275,23 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
                     f"task.json.human_reference.tiers.{tier_name}: needs "
                     "integer gate_count and delay") from None
         try:
-            reference = HumanReference(int(ref["gate_count"]),
-                                       int(ref["delay"]), tuple(tiers))
+            reference = HumanReference(
+                int(ref["gate_count"]), int(ref["delay"]),
+                int(ref.get("register_count", 0)), tuple(tiers))
         except (KeyError, TypeError, ValueError):
             raise TaskSchemaError("task.json.human_reference: needs integer "
                                   "gate_count and delay") from None
+        g, d, r = reference.gate_count, reference.delay, reference.register_count
+        if min(g, d, r) < 0 or g + d == 0 or r > g:
+            raise TaskSchemaError(
+                "task.json.human_reference: needs gate_count and delay >= 0, "
+                "not both 0, and 0 <= register_count <= gate_count")
+        sei = measure(reference.report)
         declared = ref.get("sei")
-        if declared is not None and abs(declared - reference.sei()) > 5e-5:
+        if declared is not None and abs(declared - sei) > 5e-5:
             raise TaskSchemaError(
                 f"task.json.human_reference.sei: {declared} does not match "
-                f"1/(G+D) = {reference.sei():.6f}")
+                f"1/(G+D) = {sei:.6f}")
 
     ref_text = None
     ref_path = os.path.join(root, "reference.nl")
@@ -321,13 +325,11 @@ def simulate_task(task: TaskPack, netlist) -> SimOutcome:
 
 
 def verify_reference(task: TaskPack,
-                     reference_text: str | None = None,
                      weights: MetricWeights = DEFAULT_WEIGHTS) -> EvalResult:
     """Check the pack's reference design against its own metadata."""
-    text = reference_text if reference_text is not None else task.reference_netlist
-    if not text:
+    if not task.reference_netlist:
         raise ReferenceMismatchError(f"{task.id}: no reference netlist provided")
-    result = parse(text)
+    result = parse(task.reference_netlist)
     if not result.ok:
         raise ReferenceMismatchError(
             f"{task.id}: reference does not parse: "
@@ -340,16 +342,12 @@ def verify_reference(task: TaskPack,
             f"({outcome.passed}/{outcome.passed + outcome.failed}; "
             f"first failure {outcome.first_failure})")
     report = structural_report(netlist)
-    if task.reference is not None:
-        declared = (task.reference.gate_count, task.reference.delay)
-        measured = (report.gate_count, report.delay)
-        if declared != measured:
-            raise ReferenceMismatchError(
-                f"{task.id}: declared reference G/D {declared} does not "
-                f"match measured {measured}")
-    sei = sei_task(report.gate_count, report.delay, weights)
+    if task.reference is not None and task.reference.report != report:
+        raise ReferenceMismatchError(
+            f"{task.id}: declared reference {task.reference.report} does "
+            f"not match measured {report}")
     return EvalResult(correctness=1.0, gate_count=report.gate_count,
-                      delay=report.delay, sei=sei)
+                      delay=report.delay, sei=measure(report, weights))
 
 
 def discover_task_packs(root: str | os.PathLike) -> list[TaskPack]:

@@ -93,6 +93,20 @@ def test_wrong_signature_is_refused(store):
         store.store(bad)
 
 
+def test_gate_free_pattern_has_no_index_and_is_refused(store):
+    from dataclasses import replace
+
+    b = NetlistBuilder("buf1")
+    b.bind_output("y", b.input("a"))
+    entry = make_pattern_entry(b.build())
+    assert entry.sei is None
+    assert store.extract_patterns(b.build()) == []
+    for bad in (entry, replace(entry, sei=1.0)):
+        with pytest.raises(AdmissionError):
+            store.store(bad)
+    assert store.entries(include_archived=True) == []
+
+
 def test_seed_baseline(store):
     count = store.seed_baseline()
     assert count >= 6

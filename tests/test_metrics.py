@@ -12,6 +12,7 @@ from gateforge.metrics import (
     VERDICT_FUNCTIONAL,
     classify_tier,
     dual_reward,
+    measure,
     pass_at_k,
     sei_benchmark,
     sei_task,
@@ -206,3 +207,34 @@ def test_dual_reward_register_weight_is_configurable():
     r = dual_reward(outcome, _report(4, 1, regs=2), weights=w)
     # effective G = 2 + 0.5*2 = 3, so the index is 1/(3+1)
     assert r.efficiency == pytest.approx(0.25)
+
+
+@given(st.integers(0, 200), st.integers(0, 50), st.data(),
+       st.floats(0.1, 10), st.floats(0.1, 10), st.floats(0, 4),
+       st.floats(1e-3, 1))
+def test_measure_is_the_index_behind_dual_reward(g, d, data, alpha, beta,
+                                                 dff_weight, reference_sei):
+    r = data.draw(st.integers(0, g))
+    w = MetricWeights(alpha=alpha, beta=beta, dff_weight=dff_weight)
+    report = _report(g, d, regs=r)
+    gates = g - r + dff_weight * r
+    index = measure(report, w)
+    # G is the weighted count: with dff_weight > 0 it is zero only when the
+    # design has no gates at all.
+    assert (index is None) == (gates == 0 and d == 0)
+    if dff_weight > 0:
+        assert (index is None) == (g == 0 and d == 0)
+    if index is not None:
+        assert index == sei_task(gates, d, w)
+    outcome = SimOutcome(passed=1, failed=0)
+    reward = dual_reward(outcome, report, reference_sei, w)
+    assert reward.efficiency == (None if index is None
+                                 else index / reference_sei)
+    assert dual_reward(outcome, report, None, w).efficiency == index
+
+
+def test_measure_of_a_wire_only_design_is_none():
+    assert measure(_report(0, 0)) is None
+    # Registers that weigh nothing leave nothing to score either.
+    assert measure(_report(2, 0, regs=2), MetricWeights(dff_weight=0)) is None
+    assert measure(_report(2, 0, regs=2)) == pytest.approx(0.5)

@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
 from gateforge.backends import BackendError, ModelBackend, ScriptRule, ScriptedBackend
 from gateforge.knowledge import KnowledgeStore, make_error_fix_entry
-from gateforge.metrics import SampleStats, pass_at_k
+from gateforge.metrics import MetricWeights, SampleStats, pass_at_k
+from gateforge.netlist import structural_report
 from gateforge.orchestrator import (
     MSG_CANDIDATE,
+    MSG_EFFICIENCY_REVIEW,
     MSG_FIX_REQUEST,
     ROLE_CODER,
     RunConfig,
@@ -13,7 +17,12 @@ from gateforge.orchestrator import (
     run_task,
 )
 from gateforge.parser import parse
-from gateforge.taskpack import builtin_task_packs, emit_report, simulate_task
+from gateforge.taskpack import (
+    builtin_task_packs,
+    emit_report,
+    load_task_pack,
+    simulate_task,
+)
 
 TASKS = {t.id: t for t in builtin_task_packs()}
 FA = TASKS["full_adder"]
@@ -162,6 +171,52 @@ def test_sequential_task_end_to_end():
                    None)
     assert run.status == "verified"
     assert run.result.gate_count == 5
+
+
+@pytest.mark.parametrize("task_id", ["counter2", "seq101"])
+@pytest.mark.parametrize("dff_weight", [0.5, 2.0])
+def test_scores_agree_under_register_weight(task_id, dff_weight):
+    """Acceptance, the reported index and the benchmark's best index all
+    weigh registers by dff_weight, the reference's included."""
+    task = TASKS[task_id]
+    measured = structural_report(parse(task.reference_netlist).netlist)
+    g, d, r = measured.gate_count, measured.delay, measured.register_count
+    assert r == 2
+    config = cfg(weights=MetricWeights(dff_weight=dff_weight))
+    run = run_task(task, config, single_rule_backend(correct_reply(task_id)))
+    assert run.status == "verified"
+    assert run.revisions_used == 0
+    assert all(m.kind != MSG_EFFICIENCY_REVIEW for m in run.transcript)
+    assert run.result.sei == pytest.approx(1 / (g - r + dff_weight * r + d))
+    report = run_benchmark([task], config,
+                           single_rule_backend(correct_reply(task_id)))
+    assert report.rows[0].best_sei == run.result.sei
+
+
+def test_gate_free_design_verifies_without_an_index(tmp_path):
+    """A design that only wires an input to an output has no index: it
+    verifies, and extraction leaves the store untouched."""
+    pack = tmp_path / "buf1"
+    pack.mkdir()
+    (pack / "task.json").write_text(json.dumps({
+        "schema_version": 1, "id": "buf1", "title": "Buffer",
+        "difficulty": "easy", "circuit_class": "combinational",
+        "ports": [{"name": "a", "dir": "in"}, {"name": "y", "dir": "out"}]}))
+    (pack / "spec.txt").write_text("y follows a.\n")
+    (pack / "testbench.json").write_text(json.dumps({"vectors": [
+        {"inputs": {"a": a}, "expected": {"y": a}} for a in (0, 1)]}))
+    store = KnowledgeStore(tmp_path / "store")
+    store.store(make_error_fix_entry("syntax", "stray token", "remove it"))
+    index_before = (tmp_path / "store" / "index.jsonl").read_bytes()
+    reply = fenced("module buf1(input a, output y);\n"
+                   "  assign y = a;\nendmodule\n")
+    run = run_task(load_task_pack(pack), cfg(), single_rule_backend(reply),
+                   store)
+    assert run.status == "verified"
+    assert run.result.sei is None
+    assert run.extracted == []
+    assert (tmp_path / "store" / "index.jsonl").read_bytes() == index_before
+    assert not any((tmp_path / "store" / "patterns").iterdir())
 
 
 def test_backend_error_yields_error_status():

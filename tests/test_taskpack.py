@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from gateforge.metrics import TierVerdict, classify_tier
+from gateforge.metrics import MetricWeights, TierVerdict, classify_tier
 from gateforge.taskpack import (
     BenchmarkReport,
     ReferenceMismatchError,
@@ -130,6 +130,37 @@ def test_wrong_declared_gate_count_is_detected(tmp_path):
         verify_reference(load_task_pack(path))
 
 
+def test_wrong_declared_register_count_is_detected(tmp_path):
+    path = copy_pack("counter2", tmp_path,
+                     mutate_meta=lambda m: m["human_reference"]
+                     .update({"register_count": 1}))
+    with pytest.raises(ReferenceMismatchError, match="does not match measured"):
+        verify_reference(load_task_pack(path))
+
+
+@pytest.mark.parametrize("numbers", [
+    {"gate_count": -1, "delay": 3},
+    {"gate_count": 3, "delay": -1},
+    {"gate_count": 0, "delay": 0},
+    {"gate_count": 2, "delay": 1, "register_count": -1},
+    {"gate_count": 2, "delay": 1, "register_count": 3},
+])
+def test_out_of_range_reference_numbers_are_rejected(tmp_path, numbers):
+    def replace_reference(meta):
+        meta["human_reference"] = numbers
+
+    path = copy_pack("xnor2", tmp_path, mutate_meta=replace_reference)
+    with pytest.raises(TaskSchemaError, match="human_reference"):
+        load_task_pack(path)
+
+
+def test_reference_index_weighs_registers():
+    t = builtin("counter2")
+    assert t.reference.register_count == 2
+    assert t.reference_sei() == pytest.approx(1 / 5)
+    assert t.reference_sei(MetricWeights(dff_weight=2.0)) == pytest.approx(1 / 7)
+
+
 def test_discover_sorts_by_id(tmp_path):
     for tid in ("xnor2", "mux2", "and3"):
         copy_pack(tid, tmp_path)
@@ -155,9 +186,7 @@ def test_optional_per_tier_reference_numbers(tmp_path):
 
     path = copy_pack("xnor2", tmp_path, mutate_meta=add_tiers)
     t = load_task_pack(path)
-    assert t.reference.tier_sei("top") == pytest.approx(0.25)
-    assert t.reference.tier_sei("mid") == pytest.approx(0.2)
-    assert t.reference.tier_sei("low") is None
+    assert t.reference.tiers == (("top", 2, 2), ("mid", 3, 2))
 
 
 def test_whole_port_integers_expand_to_bits():
