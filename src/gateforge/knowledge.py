@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
 from .metrics import measure
-from .netlist import GateKind, Netlist, NetlistBuilder, StructuralReport, structural_report
+from .netlist import (Gate, GateKind, Netlist, NetlistBuilder, StructuralReport,
+                      compile_netlist, structural_report)
 from .simulator import functional_signature, sequential_trace
 
 KIND_PATTERN = "circuit-pattern"
@@ -393,16 +394,10 @@ class _RetrievalBase:
                 sub, tags=tuple(tags) + ("subcircuit",),
                 provenance=provenance)
             entry = replace(entry, name=f"pat-{entry.signature_digest[:10]}")
-            # Only entries that would be kept are worth re-verifying.
-            if not kept(entry):
-                continue
-            try:
-                verify_pattern_entry(entry)
-            except AdmissionError:
-                continue
-            emit(entry)
-            if len(out) > SUBPATTERN_EMIT_CAP:
-                break
+            if kept(entry):
+                emit(entry)
+                if len(out) > SUBPATTERN_EMIT_CAP:
+                    break
         return out
 
 
@@ -656,15 +651,16 @@ def _enumerate_subnetlists(netlist: Netlist) -> Iterator[Netlist]:
     """Connected combinational sub-DAGs within the extraction bounds,
     smallest first.
 
-    Enumeration follows the classic grow-only-with-larger-indices scheme so
-    each connected gate subset appears exactly once, in deterministic order.
+    Gates are taken in compiled (levelized) order, the order `render`
+    emits, so a design and its rendered-and-parsed copy give the same
+    sub-DAGs. Enumeration follows the classic grow-only-with-larger-indices
+    scheme so each connected gate subset appears exactly once, in
+    deterministic order.
     """
-    comb = [(i, g) for i, g in enumerate(netlist.gates)
-            if g.kind is not GateKind.DFF]
-    if len(comb) < SUBPATTERN_MIN_GATES:
-        return
-    gates = [g for _, g in comb]
+    gates = compile_netlist(netlist).schedule
     n = len(gates)
+    if n < SUBPATTERN_MIN_GATES:
+        return
     # Gates are adjacent when they touch a common net, including shared
     # inputs; that is what makes e.g. the XOR/AND pair of an adder one
     # connected pattern.
@@ -707,19 +703,17 @@ def _enumerate_subnetlists(netlist: Netlist) -> Iterator[Netlist]:
     # lazy because the caller stops at SUBPATTERN_EMIT_CAP.
     subsets.sort(key=len)
     for subset in subsets:
-        sub = _carve_subnetlist(netlist, [comb[pos][0] for pos in subset])
+        sub = _carve_subnetlist(netlist, [gates[pos] for pos in subset])
         if sub is not None:
             yield sub
 
 
-def _carve_subnetlist(netlist: Netlist, gate_indices: list[int]) -> Netlist | None:
-    chosen = [netlist.gates[i] for i in gate_indices]
+def _carve_subnetlist(netlist: Netlist, chosen: list[Gate]) -> Netlist | None:
     chosen_outputs = {g.output for g in chosen}
-    outside_readers: set[int] = set()
-    for j, g in enumerate(netlist.gates):
-        if j in gate_indices:
-            continue
-        outside_readers.update(g.inputs)
+    # Each net has one driver, so a gate is outside exactly when its output
+    # is not a chosen one.
+    outside_readers = {n for g in netlist.gates if g.output not in chosen_outputs
+                       for n in g.inputs}
     port_bound = {n for p in netlist.output_ports()
                   for n in netlist.port_nets[p.name]}
 

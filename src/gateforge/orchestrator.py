@@ -49,7 +49,7 @@ from .metrics import (
     pass_at_k,
     sei_benchmark,
 )
-from .netlist import Netlist, structural_report
+from .netlist import Netlist, StructuralReport, structural_report
 from .parser import extract_netlist_block, parse, render
 from .simulator import SimulationError
 from .taskpack import (
@@ -406,28 +406,21 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
     reference_sei = task.reference_sei(cfg.weights)
 
     feedback: list[str] = []
-    best: tuple[float, Netlist] | None = None
+    # The best correct candidate: score, netlist, rendered text, report.
+    best: tuple[float, Netlist, str, StructuralReport] | None = None
 
     def finish(status: str, error: str | None = None) -> TaskRun:
         final_text = None
         result = None
         extracted: list[KnowledgeEntry] = []
         if status == "verified":
-            final_text = render(best[1])
-            recheck = parse(final_text)
-            if not recheck.ok:
-                raise RuntimeError("verified netlist failed the final re-parse")
-            outcome = simulate_task(task, recheck.netlist)
-            if outcome.correctness != 1.0:
-                raise RuntimeError("verified netlist failed re-simulation")
-            report = structural_report(recheck.netlist)
+            _, design, final_text, report = best
             sei = measure(report, cfg.weights)
             result = EvalResult(1.0, report.gate_count, report.delay, sei,
                                 classify_tier(sei) if sei is not None else None)
             if store is not None:
                 extracted = store.extract_patterns(
-                    recheck.netlist, task_id=task.id, run_id=run_id,
-                    tags=task.tags)
+                    design, task_id=task.id, run_id=run_id, tags=task.tags)
                 mediator.route(ROLE_SUMMARIZER, ROLE_MEDIATOR, MSG_ACCEPT,
                                f"extracted {len(extracted)} pattern(s)")
                 if isinstance(store, KnowledgeStore):
@@ -471,8 +464,9 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         verdict = VERDICT_REJECTED
         if netlist is not None:
             # Only a candidate with a clean static review reaches the Executor.
+            candidate_text = render(netlist)
             mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
-                           render(netlist))
+                           candidate_text)
             try:
                 outcome = simulate_task(task, netlist)
             except SimulationError as exc:
@@ -497,7 +491,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                 if reward.correctness == 1.0:
                     score = measure(report, cfg.weights) or float("inf")
                     if best is None or score > best[0]:
-                        best = (score, netlist)
+                        best = (score, netlist, candidate_text, report)
 
         # Exit decision.
         if verdict == VERDICT_ACCEPT or optimized:

@@ -690,7 +690,8 @@ def render(netlist: Netlist) -> str:
     after them; internal nets renamed w1..wk in first-use order; instance
     names renumbered g1..gN; aliased port bits emitted as assigns. The
     result re-parses to a graph-isomorphic netlist and rendering is a
-    fixpoint: render(parse(render(n))) == render(n).
+    fixpoint: render(parse(render(n))) == render(n), as
+    tests/test_round_trip.py checks.
     """
     compiled = compile_netlist(netlist)
 

@@ -324,8 +324,7 @@ def simulate_task(task: TaskPack, netlist) -> SimOutcome:
     return simulate_combinational(netlist, bench.packed)
 
 
-def verify_reference(task: TaskPack,
-                     weights: MetricWeights = DEFAULT_WEIGHTS) -> EvalResult:
+def verify_reference(task: TaskPack) -> EvalResult:
     """Check the pack's reference design against its own metadata."""
     if not task.reference_netlist:
         raise ReferenceMismatchError(f"{task.id}: no reference netlist provided")
@@ -347,7 +346,7 @@ def verify_reference(task: TaskPack,
             f"{task.id}: declared reference {task.reference.report} does "
             f"not match measured {report}")
     return EvalResult(correctness=1.0, gate_count=report.gate_count,
-                      delay=report.delay, sei=measure(report, weights))
+                      delay=report.delay, sei=measure(report))
 
 
 def discover_task_packs(root: str | os.PathLike) -> list[TaskPack]:

@@ -8,6 +8,7 @@ import pytest
 from conftest import build_full_adder, build_half_adder, recursive_eval
 
 from gateforge import netlist as nl
+from gateforge import orchestrator
 from gateforge.backends import ScriptRule, ScriptedBackend
 from gateforge.boolopt import OptimizationHint, apply_hint, suggest_optimizations
 from gateforge.netlist import (
@@ -223,18 +224,26 @@ def test_one_run_task_candidate_validates_each_netlist_once(monkeypatch):
     backend = ScriptedBackend([ScriptRule(replies=[
         f"```\n{wrong}```", f"```\n{task.reference_netlist}```"])])
     seen: list[Netlist] = []
-    real = nl.validate
+    simulated: list[Netlist] = []
+    real_validate, real_simulate = nl.validate, orchestrator.simulate_task
 
     def counting(netlist):
         seen.append(netlist)
-        return real(netlist)
+        return real_validate(netlist)
+
+    def counting_simulate(task, netlist):
+        simulated.append(netlist)
+        return real_simulate(task, netlist)
 
     monkeypatch.setattr(nl, "validate", counting)
+    monkeypatch.setattr(orchestrator, "simulate_task", counting_simulate)
     run = run_task(task, RunConfig(samples_per_task=1), backend, None)
     assert run.status == "verified" and run.revisions_used == 1
-    # The wrong candidate, the right one and the final re-parse.
-    assert len(seen) == 3
+    # The wrong candidate and the right one; the accepted candidate is
+    # reported as it was verified, not parsed and simulated again.
+    assert len(seen) == 2
     assert len({id(n) for n in seen}) == len(seen)
+    assert [id(n) for n in simulated] == [id(n) for n in seen]
 
 
 def test_a_compiled_netlist_pickles_with_its_compiled_form():
