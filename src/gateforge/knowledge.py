@@ -257,6 +257,29 @@ class _Measure:
         # weights.
         return measure(self.report)
 
+    @property
+    def key(self) -> tuple[str, int, int]:
+        """`pattern_key` of the entry built from this measurement."""
+        return (self.digest, *self.shape)
+
+    def entry(self, netlist_text: str, name: str, tags: tuple[str, ...],
+              provenance: Provenance | None) -> KnowledgeEntry:
+        """The circuit-pattern entry for this netlist, given its text."""
+        return KnowledgeEntry(
+            kind=KIND_PATTERN,
+            name=name,
+            tags=tuple(tags),
+            netlist_text=netlist_text,
+            signature_digest=self.digest,
+            signature_kind=self.signature_kind,
+            inputs=self.shape[0],
+            outputs=self.shape[1],
+            gate_count=self.report.gate_count,
+            delay=self.report.delay,
+            sei=self.sei,
+            provenance=provenance or Provenance(),
+        )
+
 
 def _measure(netlist: Netlist) -> _Measure:
     """The one measurement behind building and verifying a pattern entry."""
@@ -273,21 +296,8 @@ def make_pattern_entry(netlist: Netlist, tags: tuple[str, ...] = (),
                        provenance: Provenance | None = None,
                        name: str | None = None) -> KnowledgeEntry:
     """Build a circuit-pattern entry from a verified netlist."""
-    m = _measure(netlist)
-    return KnowledgeEntry(
-        kind=KIND_PATTERN,
-        name=name or netlist.name,
-        tags=tuple(tags),
-        netlist_text=nl_parser.render(netlist),
-        signature_digest=m.digest,
-        signature_kind=m.signature_kind,
-        inputs=m.shape[0],
-        outputs=m.shape[1],
-        gate_count=m.report.gate_count,
-        delay=m.report.delay,
-        sei=m.sei,
-        provenance=provenance or Provenance(),
-    )
+    return _measure(netlist).entry(nl_parser.render(netlist),
+                                   name or netlist.name, tags, provenance)
 
 
 def make_error_fix_entry(error_class: str, symptom: str, fix: str,
@@ -360,42 +370,44 @@ class _RetrievalBase:
 
     def extract_patterns(self, netlist: Netlist, task_id: str = "",
                          run_id: str = "", tags: tuple[str, ...] = (),
-                         ) -> list[KnowledgeEntry]:
+                         text: str | None = None) -> list[KnowledgeEntry]:
         """Candidate entries from a verified design: the whole design plus
         small combinational sub-DAGs whose behavior is not already held at
         equal or better efficiency. Nothing is inserted here; callers pass
-        the results to a writable store."""
+        the results to a writable store. `text` is `render(netlist)`, when
+        the caller already holds it."""
         provenance = Provenance(task_id=task_id, run_id=run_id)
         existing = self._best_sei_by_key()
         out: list[KnowledgeEntry] = []
         emitted: dict[tuple, float] = {}
 
-        def kept(entry: KnowledgeEntry) -> bool:
+        def kept(m: _Measure) -> bool:
             """Whether no held or emitted entry is at least as efficient."""
-            key = pattern_key(entry)
-            return all(best is None or displaces(entry.sei, best)
-                       for best in (existing.get(key), emitted.get(key)))
+            return all(best is None or displaces(m.sei, best)
+                       for best in (existing.get(m.key), emitted.get(m.key)))
 
-        def emit(entry: KnowledgeEntry) -> None:
-            emitted[pattern_key(entry)] = entry.sei
+        def emit(m: _Measure, entry: KnowledgeEntry) -> None:
+            emitted[m.key] = m.sei
             out.append(entry)
 
-        whole = make_pattern_entry(netlist, tags=tags, provenance=provenance,
-                                   name=f"{task_id or netlist.name}-design")
+        whole = _measure(netlist)
         if whole.sei is None:
             # A design with no gates and no delay has no index to rank it by,
             # and no gates to carve sub-patterns from.
             return []
         if kept(whole):
-            emit(whole)
+            emit(whole, whole.entry(
+                nl_parser.render(netlist) if text is None else text,
+                f"{task_id or netlist.name}-design", tags, provenance))
 
+        # A carved sub-netlist is rendered only once its entry is kept;
+        # most are not.
+        sub_tags = tuple(tags) + ("subcircuit",)
         for sub in _enumerate_subnetlists(netlist):
-            entry = make_pattern_entry(
-                sub, tags=tuple(tags) + ("subcircuit",),
-                provenance=provenance)
-            entry = replace(entry, name=f"pat-{entry.signature_digest[:10]}")
-            if kept(entry):
-                emit(entry)
+            m = _measure(sub)
+            if kept(m):
+                emit(m, m.entry(nl_parser.render(sub), f"pat-{m.digest[:10]}",
+                                sub_tags, provenance))
                 if len(out) > SUBPATTERN_EMIT_CAP:
                     break
         return out
@@ -636,14 +648,16 @@ class KnowledgeView(_RetrievalBase):
 
     def extract_patterns(self, netlist: Netlist, task_id: str = "",
                          run_id: str = "", tags: tuple[str, ...] = (),
-                         ) -> list[KnowledgeEntry]:
+                         text: str | None = None) -> list[KnowledgeEntry]:
         # Over frozen entries, extraction depends only on the canonical text
         # and these arguments; samples of one task share a view, so each
         # distinct verified design is extracted once.
-        key = (nl_parser.render(netlist), task_id, run_id, tuple(tags))
+        if text is None:
+            text = nl_parser.render(netlist)
+        key = (text, task_id, run_id, tuple(tags))
         if key not in self._extracted:
             self._extracted[key] = tuple(super().extract_patterns(
-                netlist, task_id, run_id, tags))
+                netlist, task_id, run_id, tags, text))
         return list(self._extracted[key])
 
 

@@ -420,7 +420,8 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                                 classify_tier(sei) if sei is not None else None)
             if store is not None:
                 extracted = store.extract_patterns(
-                    design, task_id=task.id, run_id=run_id, tags=task.tags)
+                    design, task_id=task.id, run_id=run_id, tags=task.tags,
+                    text=final_text)
                 mediator.route(ROLE_SUMMARIZER, ROLE_MEDIATOR, MSG_ACCEPT,
                                f"extracted {len(extracted)} pattern(s)")
                 if isinstance(store, KnowledgeStore):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .netlist import (
     Gate,
@@ -45,27 +44,22 @@ BEHAVIORAL_KEYWORDS = {
     "release", "deassign", "disable", "specify", "endspecify", "signed",
 }
 
-# One alternative per token class, tried in this order at each position.
-# Every reported error position depends on how `_lex` advances line and
-# column: a `//` comment does not advance the column (this shows only at end
-# of input), and a newline inside a block comment or a sized literal starts
-# a new line like any other.
+# One match per token: whitespace and comments are an atomic prefix, which no
+# alternative can take back (`\s` would also skip `\x1c` and `\xa0`, which are
+# 'bad'). No other alternative starts like `ident` or `punct`, so they go
+# first; `sized` precedes `number`, and `open` the `/` operator.
 _TOKEN_RE = re.compile(r"""
-      (?P<newline>\n)
-    | (?P<space>[ \t\r\f\v]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<block>/\*.*?\*/)
-    | (?P<open>/\*)
-    | (?P<sized>[0-9]+\s*'\s*[bBdDhHoO][0-9a-fA-FxXzZ_]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<number>[0-9]+)
-    | (?P<punct>[()\[\]:;,.{}])
-    | (?P<op>===|==|!==|<<<|>>>|!=|<=|>=|&&|\|\||<<|>>|\*\*|[-+*/%&|^~!?@\#<>])
-    | (?P<eq>=)
-    | (?P<bad>.)
+    (?>(?:[ \t\r\f\v\n]+|(?P<comment>//[^\n]*)|/\*.*?\*/)*)
+    (?: (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+      | (?P<punct>[()\[\]:;,.{}])
+      | (?P<sized>[0-9]+\s*'\s*[bBdDhHoO][0-9a-fA-FxXzZ_]*)
+      | (?P<number>[0-9]+)
+      | (?P<open>/\*)
+      | (?P<op>===|==|!==|<<<|>>>|!=|<=|>=|&&|\|\||<<|>>|\*\*|[-+*/%&|^~!?@\#<>])
+      | (?P<eq>=)
+      | (?P<eof>\Z)
+      | (?P<bad>.))
 """, re.VERBOSE | re.DOTALL)
-
-_UNEMITTED = {"newline", "space", "comment", "block"}
 
 
 @dataclass(frozen=True)
@@ -99,33 +93,31 @@ class ParseResult:
         return self.netlist is not None
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | number | sized | punct | op | eq | bad | eof
-    text: str
-    line: int
-    column: int
+# A token is (kind, text, start offset); kind is one of ident | number |
+# sized | punct | op | eq | bad | eof.
+_Token = tuple[str, str, int]
 
 
 def _lex(text: str) -> list[_Token]:
     """Tokenize arbitrary text; malformed input yields 'bad' tokens.
 
-    An unterminated `/*` is one 'bad' token and ends the token stream.
+    An unterminated `/*` is one 'bad' token and ends the token stream. The
+    'eof' token sits at the end of the text, or at the start of an
+    unterminated `/*` or of a final `//` comment with no newline.
     """
     toks: list[_Token] = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
-        kind, s = m.lastgroup, m.group()
-        if kind == "open":
-            toks.append(_Token("bad", s, line, col))
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "eof":
+            if m.end("comment") == len(text):
+                start = m.start("comment")
+            toks.append(("eof", "", start))
             break
-        if kind not in _UNEMITTED:
-            toks.append(_Token(kind, s, line, col))
-        if kind in ("newline", "block", "sized") and "\n" in s:
-            line += s.count("\n")
-            col = len(s) - s.rfind("\n")
-        elif kind != "comment":
-            col += len(s)
-    toks.append(_Token("eof", "", line, col))
+        if kind == "open":
+            toks += [("bad", "/*", start), ("eof", "", start)]
+            break
+        toks.append((kind, m[kind], start))
     return toks
 
 
@@ -133,17 +125,18 @@ class _ModuleScope:
     """Declared names, bit slots and the alias union-find."""
 
     def __init__(self) -> None:
-        # Ports and wires share one table, in declaration order; `ports`
-        # holds each port's direction, also in declaration order.
-        self.decls: dict[str, tuple[_Token, int, int]] = {}  # name -> (tok, width, lsb)
+        # Ports and wires share one table, in declaration order: name ->
+        # (token, width, lsb, base), where bit `lsb + i` owns slot `base + i`.
+        # `ports` holds each port's direction, also in declaration order.
+        self.decls: dict[str, tuple[_Token, int, int, int]] = {}
         self.ports: dict[str, PortDir] = {}
-        self.slots: dict[tuple[str, int], int] = {}           # (name, bit idx) -> slot
         self.parent: list[int] = []
         self.const_slot: dict[int, int] = {}
 
-    def new_slot(self) -> int:
+    def new_slots(self, count: int) -> int:
+        """Allocate `count` consecutive slots; returns the first."""
         s = len(self.parent)
-        self.parent.append(s)
+        self.parent.extend(range(s, s + count))
         return s
 
     def find(self, s: int) -> int:
@@ -159,12 +152,21 @@ class _ModuleScope:
 
     def const(self, value: int) -> int:
         if value not in self.const_slot:
-            self.const_slot[value] = self.new_slot()
+            self.const_slot[value] = self.new_slots(1)
         return self.const_slot[value]
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    Punctuation and keywords are known by their text alone: no token of
+    another kind has the text ';' or 'module'. Where the current token is
+    known not to be 'eof', stepping past it is `self.pos += 1`; `advance`
+    never steps past 'eof'.
+    """
+
     def __init__(self, source: SourceText):
+        self.text = source.text
         self.toks = _lex(source.text)
         self.pos = 0
         self.errors: list[ParseError] = []
@@ -175,65 +177,64 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
-
     def advance(self) -> _Token:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
     def error(self, kind: str, tok: _Token, message: str) -> None:
-        self.errors.append(ParseError(kind, tok.line, tok.column, message, tok.text))
+        """Report an error at `tok`, placed by counting lines up to its start."""
+        _kind, text, start = tok
+        line = self.text.count("\n", 0, start) + 1
+        column = start - self.text.rfind("\n", 0, start)
+        self.errors.append(ParseError(kind, line, column, message, text))
 
     def skip_statement(self, kind: str, message: str) -> None:
         """Report the current token, step past it and resync."""
-        self.error(kind, self.peek(), message)
-        self.advance()
+        self.error(kind, self.advance(), message)
         self.resync()
 
     def resync(self) -> None:
         """Skip to just past the next ';' so later statements still parse."""
         while True:
-            t = self.advance()
-            if t.kind == "eof":
+            kind, text, _ = self.advance()
+            if kind == "eof" or text == ";":
                 return
-            if t.kind == "punct" and t.text == ";":
-                return
-            if t.kind == "ident" and t.text == "endmodule":
+            if text == "endmodule":
                 self.pos -= 1
                 return
 
     def expect_punct(self, text: str) -> _Token | None:
-        t = self.peek()
-        if t.kind == "punct" and t.text == text:
-            return self.advance()
+        t = self.toks[self.pos]
+        if t[1] == text:
+            self.pos += 1
+            return t
         self.error("syntax", t, f"expected '{text}'")
         return None
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> ParseResult:
-        t = self.peek()
-        if not (t.kind == "ident" and t.text == "module"):
-            if t.kind == "ident" and t.text in BEHAVIORAL_KEYWORDS:
+        kind, text, _ = t = self.toks[0]
+        if text != "module":
+            if text in BEHAVIORAL_KEYWORDS:
                 self.error("behavioral-construct", t,
-                           f"'{t.text}' is a behavioral construct; "
+                           f"'{text}' is a behavioral construct; "
                            "only structural modules are accepted")
-            elif t.kind == "bad":
+            elif kind == "bad":
                 self.error("lex", t, "unrecognized character")
             else:
                 self.error("syntax", t, "expected 'module'")
             return ParseResult(None, self.errors)
-        self.advance()
 
-        name_tok = self.peek()
-        if name_tok.kind != "ident" or name_tok.text in BEHAVIORAL_KEYWORDS \
-                or name_tok.text in STRUCTURAL_KEYWORDS or name_tok.text in GATE_KEYWORDS:
+        kind, text, _ = name_tok = self.toks[1]
+        if kind != "ident" or text in BEHAVIORAL_KEYWORDS \
+                or text in STRUCTURAL_KEYWORDS or text in GATE_KEYWORDS:
             self.error("syntax", name_tok, "expected module name")
             return ParseResult(None, self.errors)
-        self.module_name = self.advance().text
+        self.module_name = text
+        self.pos = 2
 
         if self.expect_punct("(") is None:
             return ParseResult(None, self.errors)
@@ -244,14 +245,14 @@ class _Parser:
             self.resync()
 
         while True:
-            t = self.peek()
-            if t.kind == "eof":
+            t = self.toks[self.pos]
+            if t[0] == "eof":
                 self.error("syntax", t, "missing 'endmodule'")
                 break
-            if t.kind == "ident" and t.text == "endmodule":
-                self.advance()
-                trailing = self.peek()
-                if trailing.kind != "eof":
+            if t[1] == "endmodule":
+                self.pos += 1
+                trailing = self.toks[self.pos]
+                if trailing[0] != "eof":
                     self.error("syntax", trailing, "text after 'endmodule'")
                 break
             self._statement()
@@ -260,25 +261,26 @@ class _Parser:
             return ParseResult(None, self.errors)
         return self._finalize()
 
+    def _number(self) -> int | None:
+        """Parse one bit index."""
+        kind, text, _ = t = self.toks[self.pos]
+        if kind != "number":
+            self.error("syntax", t, "expected bit index")
+            return None
+        self.pos += 1
+        return int(text)
+
     def _range(self) -> tuple[int, int] | None:
         """Parse optional [msb:lsb]; returns (width, lsb)."""
-        t = self.peek()
-        if not (t.kind == "punct" and t.text == "["):
+        if self.toks[self.pos][1] != "[":
             return (1, 0)
-        self.advance()
-        msb_tok = self.peek()
-        if msb_tok.kind != "number":
-            self.error("syntax", msb_tok, "expected bit index")
+        self.pos += 1
+        msb_tok = self.toks[self.pos]
+        msb = self._number()
+        if msb is None or self.expect_punct(":") is None:
             return None
-        msb = int(self.advance().text)
-        if self.expect_punct(":") is None:
-            return None
-        lsb_tok = self.peek()
-        if lsb_tok.kind != "number":
-            self.error("syntax", lsb_tok, "expected bit index")
-            return None
-        lsb = int(self.advance().text)
-        if self.expect_punct("]") is None:
+        lsb = self._number()
+        if lsb is None or self.expect_punct("]") is None:
             return None
         if msb < lsb:
             self.error("width", msb_tok, f"descending range [{msb}:{lsb}]")
@@ -286,118 +288,105 @@ class _Parser:
         return (msb - lsb + 1, lsb)
 
     def _port_list(self) -> None:
-        if self.peek().kind == "punct" and self.peek().text == ")":
+        if self.toks[self.pos][1] == ")":
             return
         while True:
-            t = self.peek()
-            if t.kind == "ident" and t.text in ("input", "output"):
-                direction = PortDir.IN if t.text == "input" else PortDir.OUT
-                self.advance()
+            t = self.toks[self.pos]
+            if t[1] in ("input", "output"):
+                direction = PortDir.IN if t[1] == "input" else PortDir.OUT
+                self.pos += 1
                 rng = self._range()
                 if rng is None:
                     return
-                width, lsb = rng
-                name_tok = self.peek()
-                if name_tok.kind != "ident" or not self._usable_name(name_tok):
+                name_tok = self.toks[self.pos]
+                if name_tok[0] != "ident" or not self._usable_name(name_tok):
                     self.error("syntax", name_tok, "expected port name")
                     return
-                self.advance()
-                if self._declare(name_tok, width, lsb):
-                    self.scope.ports[name_tok.text] = direction
-            elif t.kind == "ident" and t.text == "inout":
+                self.pos += 1
+                if self._declare(name_tok, *rng):
+                    self.scope.ports[name_tok[1]] = direction
+            elif t[1] == "inout":
                 self.error("syntax", t, "inout ports are not supported")
-                self.advance()
+                self.pos += 1
                 return
             else:
                 self.error("syntax", t, "expected 'input' or 'output'")
                 return
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == ",":
-                self.advance()
-                continue
-            return
+            if self.toks[self.pos][1] != ",":
+                return
+            self.pos += 1
 
     def _declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
         """Enter a port or wire name and its bit slots; False on a duplicate."""
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.scope.decls:
             self.error("duplicate-name", name_tok, f"'{name}' already declared")
             return False
-        self.scope.decls[name] = (name_tok, width, lsb)
-        for i in range(width):
-            self.scope.slots[(name, lsb + i)] = self.scope.new_slot()
+        self.scope.decls[name] = (name_tok, width, lsb, self.scope.new_slots(width))
         return True
 
     def _usable_name(self, tok: _Token) -> bool:
-        if tok.text in BEHAVIORAL_KEYWORDS:
+        text = tok[1]
+        if text in BEHAVIORAL_KEYWORDS:
             self.error("behavioral-construct", tok,
-                       f"'{tok.text}' is a banned behavioral construct")
+                       f"'{text}' is a banned behavioral construct")
             return False
-        if tok.text in STRUCTURAL_KEYWORDS or tok.text in GATE_KEYWORDS:
+        if text in STRUCTURAL_KEYWORDS or text in GATE_KEYWORDS:
             return False
-        if "$" in tok.text:
+        if "$" in text:
             self.error("syntax", tok, "system identifiers are not allowed")
             return False
         return True
 
     def _statement(self) -> None:
-        t = self.peek()
-        if t.kind == "ident":
-            if t.text in BEHAVIORAL_KEYWORDS:
+        kind, text, _ = self.toks[self.pos]
+        if kind == "ident":
+            if text in BEHAVIORAL_KEYWORDS:
                 self.skip_statement("behavioral-construct",
-                                    f"'{t.text}' is a banned behavioral construct")
-                return
-            if t.text == "wire":
+                                    f"'{text}' is a banned behavioral construct")
+            elif text == "wire":
                 self._wire_decl()
-                return
-            if t.text == "assign":
+            elif text == "assign":
                 self._assign()
-                return
-            if t.text in GATE_KEYWORDS:
-                self._instantiation(GATE_KEYWORDS[t.text])
-                return
-            if t.text.lower() in GATE_KEYWORDS:
-                self._instantiation(GATE_KEYWORDS[t.text.lower()])
-                return
+            elif text.lower() in GATE_KEYWORDS:
+                self._instantiation(GATE_KEYWORDS[text.lower()])
             # Identifier statement: looks like an instantiation of something
             # outside the locked primitive set.
-            if self.toks[self.pos + 1].kind == "ident" or (
-                    self.toks[self.pos + 1].kind == "punct"
-                    and self.toks[self.pos + 1].text == "("):
+            elif self.toks[self.pos + 1][0] == "ident" \
+                    or self.toks[self.pos + 1][1] == "(":
                 self.skip_statement("unknown-primitive",
-                                    f"'{t.text}' is not a locked gate primitive "
+                                    f"'{text}' is not a locked gate primitive "
                                     "(allowed: and, or, not, xor, nand, dff)")
             else:
                 self.skip_statement("syntax", "unexpected identifier")
-        elif t.kind == "op":
+        elif kind == "op":
             self.skip_statement("behavioral-construct",
-                                f"operator '{t.text}' is not part of the structural language")
-        elif t.kind == "bad":
+                                f"operator '{text}' is not part of the structural language")
+        elif kind == "bad":
             self.skip_statement("lex", "unrecognized character")
         else:
             self.skip_statement("syntax", "expected a statement")
 
     def _wire_decl(self) -> None:
-        self.advance()  # 'wire'
+        self.pos += 1  # 'wire'
         rng = self._range()
         if rng is None:
             self.resync()
             return
-        width, lsb = rng
         while True:
-            name_tok = self.peek()
-            if name_tok.kind != "ident" or not self._usable_name(name_tok):
+            name_tok = self.toks[self.pos]
+            if name_tok[0] != "ident" or not self._usable_name(name_tok):
                 self.error("syntax", name_tok, "expected wire name")
                 self.resync()
                 return
-            self.advance()
-            self._declare(name_tok, width, lsb)
-            t = self.peek()
-            if t.kind == "punct" and t.text == ",":
-                self.advance()
+            self.pos += 1
+            self._declare(name_tok, *rng)
+            t = self.toks[self.pos]
+            if t[1] == ",":
+                self.pos += 1
                 continue
-            if t.kind == "punct" and t.text == ";":
-                self.advance()
+            if t[1] == ";":
+                self.pos += 1
                 return
             self.error("syntax", t, "expected ',' or ';'")
             self.resync()
@@ -405,9 +394,15 @@ class _Parser:
 
     def _connection(self, *, allow_const: bool) -> int | None:
         """Parse one scalar connection; returns its slot."""
-        t = self.peek()
-        if t.kind == "sized":
-            self.advance()
+        kind, text, _ = t = self.toks[self.pos]
+        # Common case: a declared scalar without a bit-select. Only
+        # identifiers are declared, and never a keyword (`_usable_name`).
+        decl = self.scope.decls.get(text)
+        if decl and decl[1] == 1 and self.toks[self.pos + 1][1] != "[":
+            self.pos += 1
+            return decl[3]
+        if kind == "sized":
+            self.pos += 1
             value = self._const_value(t)
             if value is None:
                 return None
@@ -415,56 +410,48 @@ class _Parser:
                 self.error("syntax", t, "constant cannot be driven")
                 return None
             return self.scope.const(value)
-        if t.kind == "number":
-            self.advance()
-            if t.text in ("0", "1") and allow_const:
-                return self.scope.const(int(t.text))
+        if kind == "number":
+            self.pos += 1
+            if text in ("0", "1") and allow_const:
+                return self.scope.const(int(text))
             self.error("syntax", t, "bare numbers are not connections; use 1'b0 / 1'b1")
             return None
-        if t.kind == "op":
+        if kind == "op":
             self.error("behavioral-construct", t,
-                       f"operator '{t.text}' is not part of the structural language")
+                       f"operator '{text}' is not part of the structural language")
             return None
-        if t.kind != "ident" or t.text in STRUCTURAL_KEYWORDS or t.text in GATE_KEYWORDS:
+        if kind != "ident" or text in STRUCTURAL_KEYWORDS or text in GATE_KEYWORDS:
             self.error("syntax", t, "expected a net name")
             return None
-        if t.text in BEHAVIORAL_KEYWORDS:
+        if text in BEHAVIORAL_KEYWORDS:
             self.error("behavioral-construct", t,
-                       f"'{t.text}' is a banned behavioral construct")
+                       f"'{text}' is a banned behavioral construct")
             return None
-        self.advance()
-        name = t.text
-        if name not in self.scope.decls:
-            self.error("syntax", t, f"'{name}' is not declared")
+        self.pos += 1
+        if decl is None:
+            self.error("syntax", t, f"'{text}' is not declared")
             return None
-        _tok, width, lsb = self.scope.decls[name]
-        nxt = self.peek()
-        if nxt.kind == "punct" and nxt.text == "[":
-            self.advance()
-            idx_tok = self.peek()
-            if idx_tok.kind != "number":
-                self.error("syntax", idx_tok, "expected bit index")
-                return None
-            self.advance()
-            idx = int(idx_tok.text)
-            if self.expect_punct("]") is None:
-                return None
-            if width == 1:
-                self.error("width", idx_tok, f"'{name}' is scalar; bit-select not allowed")
-                return None
-            if not (lsb <= idx <= lsb + width - 1):
-                self.error("width", idx_tok,
-                           f"bit {idx} out of range for {name}[{lsb + width - 1}:{lsb}]")
-                return None
-            return self.scope.slots[(name, idx)]
-        if width != 1:
+        _tok, width, lsb, base = decl
+        if self.toks[self.pos][1] != "[":
             self.error("width", t,
-                       f"'{name}' is {width} bits wide; a scalar connection needs a bit-select")
+                       f"'{text}' is {width} bits wide; a scalar connection needs a bit-select")
             return None
-        return self.scope.slots[(name, lsb)]
+        self.pos += 1
+        idx_tok = self.toks[self.pos]
+        idx = self._number()
+        if idx is None or self.expect_punct("]") is None:
+            return None
+        if width == 1:
+            self.error("width", idx_tok, f"'{text}' is scalar; bit-select not allowed")
+            return None
+        if not (lsb <= idx <= lsb + width - 1):
+            self.error("width", idx_tok,
+                       f"bit {idx} out of range for {text}[{lsb + width - 1}:{lsb}]")
+            return None
+        return base + idx - lsb
 
     def _const_value(self, tok: _Token) -> int | None:
-        text = "".join(tok.text.split())
+        text = "".join(tok[1].split())
         if text in ("1'b0", "1'B0"):
             return 0
         if text in ("1'b1", "1'B1"):
@@ -474,73 +461,66 @@ class _Parser:
 
     def _after_term_check(self) -> bool:
         """Reject a trailing operator, turning expressions into the banned class."""
-        t = self.peek()
-        if t.kind == "op":
+        t = self.toks[self.pos]
+        if t[0] == "op":
             self.error("behavioral-construct", t,
-                       f"operator '{t.text}' makes this an expression; "
+                       f"operator '{t[1]}' makes this an expression; "
                        "only plain net aliasing is allowed")
             return False
         return True
 
     def _assign(self) -> None:
-        self.advance()  # 'assign'
+        self.pos += 1  # 'assign'
         lhs = self._connection(allow_const=False)
         if lhs is None:
             self.resync()
             return
-        t = self.peek()
-        if t.kind != "eq":
+        t = self.toks[self.pos]
+        if t[0] != "eq":
             self.error("syntax", t, "expected '=' in assign")
             self.resync()
             return
-        self.advance()
+        self.pos += 1
         rhs = self._connection(allow_const=True)
-        if rhs is None:
-            self.resync()
-            return
-        if not self._after_term_check():
-            self.resync()
-            return
-        if self.expect_punct(";") is None:
+        if rhs is None or not self._after_term_check() \
+                or self.expect_punct(";") is None:
             self.resync()
             return
         self.scope.union(lhs, rhs)
 
     def _instantiation(self, kind: GateKind) -> None:
-        kw = self.advance()
-        name_tok = self.peek()
-        if name_tok.kind != "ident" or not self._usable_name(name_tok):
+        kw = self.toks[self.pos]
+        self.pos += 1
+        name_tok = self.toks[self.pos]
+        if name_tok[0] != "ident" or not self._usable_name(name_tok):
             self.error("syntax", name_tok, "expected instance name")
             self.resync()
             return
-        self.advance()
-        if name_tok.text in self.instance_names:
+        self.pos += 1
+        name = name_tok[1]
+        if name in self.instance_names:
             self.error("duplicate-name", name_tok,
-                       f"instance '{name_tok.text}' already defined")
+                       f"instance '{name}' already defined")
             self.resync()
             return
-        self.instance_names[name_tok.text] = name_tok
+        self.instance_names[name] = name_tok
         if self.expect_punct("(") is None:
             self.resync()
             return
         conns: list[int] = []
-        first = True
         while True:
-            conn = self._connection(allow_const=not first)
-            if conn is None:
-                self.resync()
-                return
-            if not self._after_term_check():
+            # Only the first connection, the output, may not be a constant.
+            conn = self._connection(allow_const=bool(conns))
+            if conn is None or not self._after_term_check():
                 self.resync()
                 return
             conns.append(conn)
-            t = self.peek()
-            first = False
-            if t.kind == "punct" and t.text == ",":
-                self.advance()
+            t = self.toks[self.pos]
+            if t[1] == ",":
+                self.pos += 1
                 continue
-            if t.kind == "punct" and t.text == ")":
-                self.advance()
+            if t[1] == ")":
+                self.pos += 1
                 break
             self.error("syntax", t, "expected ',' or ')'")
             self.resync()
@@ -554,7 +534,7 @@ class _Parser:
                        f"{kind.value} takes {kind.arity} input(s) plus an output, "
                        f"got {len(conns)} connection(s)")
             return
-        self.instances.append((kind, name_tok.text, conns, kw))
+        self.instances.append((kind, name, conns, kw))
 
     # -- finalization --------------------------------------------------------
 
@@ -591,24 +571,24 @@ class _Parser:
         # Inputs claim their class first, then outputs, then wires (the port
         # bits met again there are already claimed); the port list itself
         # keeps declaration order.
-        ports = [Port(pname, d, *scope.decls[pname][1:])
+        ports = [Port(pname, d, *scope.decls[pname][1:3])
                  for pname, d in scope.ports.items()]
         port_nets: dict[str, tuple[int, ...]] = {}
         for p in ports:
             if p.direction is PortDir.IN:
+                base = scope.decls[p.name][3]
                 port_nets[p.name] = tuple(
-                    materialize(scope.slots[(p.name, p.lsb + i)],
-                                NetKind.PRIMARY_INPUT, p.bit_name(i))
+                    materialize(base + i, NetKind.PRIMARY_INPUT, p.bit_name(i))
                     for i in range(p.width))
         for p in ports:
             if p.direction is PortDir.OUT:
+                base = scope.decls[p.name][3]
                 port_nets[p.name] = tuple(
-                    materialize(scope.slots[(p.name, p.lsb + i)],
-                                NetKind.PRIMARY_OUTPUT, p.bit_name(i))
+                    materialize(base + i, NetKind.PRIMARY_OUTPUT, p.bit_name(i))
                     for i in range(p.width))
-        for wname, (_tok, width, lsb) in scope.decls.items():
+        for wname, (_tok, width, lsb, base) in scope.decls.items():
             for i in range(width):
-                materialize(scope.slots[(wname, lsb + i)], NetKind.INTERNAL,
+                materialize(base + i, NetKind.INTERNAL,
                             wname if width == 1 else f"{wname}[{lsb + i}]")
 
         input_bit_nets = {n for p in ports if p.direction is PortDir.IN
@@ -634,10 +614,8 @@ class _Parser:
             compiled = compile_netlist(netlist)
         except InvalidNetlistError as exc:
             for v in exc.violations:
-                tok = self._violation_token(v)
-                self.errors.append(ParseError(
-                    "syntax", tok.line, tok.column,
-                    f"{v.kind}: {v.message}", tok.text))
+                self.error("syntax", self._violation_token(v),
+                           f"{v.kind}: {v.message}")
             return ParseResult(None, self.errors)
         return ParseResult(netlist, [], list(compiled.warnings))
 

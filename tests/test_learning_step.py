@@ -9,13 +9,14 @@ from gateforge.knowledge import (
     SUBPATTERN_EMIT_CAP,
     AdmissionError,
     KnowledgeStore,
+    KnowledgeView,
     Provenance,
     RetrievalQuery,
     make_pattern_entry,
     verify_pattern_entry,
 )
 from gateforge.orchestrator import RunConfig, run_benchmark, run_task
-from gateforge.parser import parse
+from gateforge.parser import parse, render
 from gateforge.taskpack import builtin_task_packs
 
 TASKS = {t.id: t for t in builtin_task_packs()}
@@ -76,6 +77,23 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
     assert len(got) == SUBPATTERN_EMIT_CAP + 1
     # The cap was reached long before the last subset.
     assert len(carves) < n_carved / 4
+
+
+def test_extraction_renders_only_what_it_emits(monkeypatch):
+    netlist = parse(ADDER4.reference_netlist).netlist
+    text = render(netlist)
+    renders = []
+    monkeypatch.setattr(knowledge.nl_parser, "render",
+                        lambda n: renders.append(1) or render(n))
+    view = KnowledgeView(())
+    got = view.extract_patterns(netlist, task_id="adder4", text=text)
+    # The whole design's entry takes the caller's text; no carved
+    # sub-netlist is rendered unless its entry is emitted.
+    assert got[0].netlist_text == text
+    assert len(renders) == len(got) - 1
+    renders.clear()
+    assert view.extract_patterns(netlist, task_id="adder4", text=text) == got
+    assert renders == []
 
 
 def scripted(replies_by_sample):

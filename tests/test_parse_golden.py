@@ -21,11 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from gateforge.parser import parse, render
+from gateforge.parser import _lex, parse, render
 
 TASKS = Path(__file__).resolve().parent.parent / "src" / "gateforge" / "tasks"
 DIGESTS = Path(__file__).resolve().parent / "data" / "parse_golden.txt"
@@ -34,6 +35,7 @@ EDITS_PER_REFERENCE = 240
 REWIRES_PER_REFERENCE = 30
 SOUP_CASES = 200
 BATCH = 20
+TRIVIA = re.compile(r"(?:[ \t\r\f\v\n]+|//[^\n]*|/\*.*?\*/)*", re.S)
 
 OPERATORS = [
     "===", "!==", "<<<", ">>>", "==", "!=", "<=", ">=", "&&", "||", "<<",
@@ -192,6 +194,25 @@ def test_parse_outputs_match_recorded_digests(cases, outs):
         f"{len(bad)} of {len(want)} batches differ; first batch {bad[0]} "
         f"holds cases {bad[0] * BATCH}..{bad[0] * BATCH + BATCH - 1}: "
         f"{cases[bad[0] * BATCH:bad[0] * BATCH + BATCH]!r}")
+
+
+def test_lexer_tokens_tile_the_text(cases):
+    """Tokens are slices of the text, in order, with only trivia between."""
+    for text in cases:
+        *toks, eof = _lex(text)
+        assert eof[:2] == ("eof", "")
+        pos = 0
+        for kind, tok, start in toks:
+            assert kind != "eof" and tok and start >= pos
+            assert TRIVIA.fullmatch(text, pos, start), (text, start)
+            assert text[start:start + len(tok)] == tok
+            pos = start + len(tok)
+        end = eof[2]
+        if end < pos:  # an unterminated `/*` ends the stream at its start
+            assert toks[-1] == ("bad", "/*", end) and "*/" not in text[end + 2:]
+        else:
+            assert TRIVIA.fullmatch(text, pos, end)
+            assert re.fullmatch(r"(//[^\n]*)?", text[end:])
 
 
 if __name__ == "__main__":

@@ -88,6 +88,44 @@ def test_sized_literal_across_a_newline_advances_the_line():
         ("behavioral-construct", 3, 6)]
 
 
+HEADER = "module t(input a, output y);"
+
+
+@pytest.mark.parametrize("text, want", [
+    # A `//` comment at the very end leaves EOF at the comment's start.
+    (f"{HEADER} not g1(y, a); // tail",
+     [("syntax", 1, 44, "", "missing 'endmodule'")]),
+    ("// tail", [("syntax", 1, 1, "", "expected 'module'")]),
+    ("  // tail", [("syntax", 1, 3, "", "expected 'module'")]),
+    # After a newline-terminated comment EOF is at the end of the text.
+    (f"{HEADER}\nnot g1(y, a); // tail\n",
+     [("syntax", 3, 1, "", "missing 'endmodule'")]),
+    # An unterminated `/*` is one token, and EOF sits at its start.
+    (f"{HEADER}\n  not g1(y, a); /* open\nmore",
+     [("lex", 2, 17, "/*", "unrecognized character"),
+      ("syntax", 2, 17, "", "missing 'endmodule'")]),
+    # `\r` and a tab are one column each; `\r\n` starts one new line.
+    (f"{HEADER}\r\n\tnot g1(y, a);\r\n\tfoo\r\nendmodule",
+     [("unknown-primitive", 3, 2, "foo", "'foo' is not a locked gate "
+       "primitive (allowed: and, or, not, xor, nand, dff)")]),
+    # A sized literal spanning a newline moves the next token's line.
+    (f"{HEADER}\nassign y = 1\n 'b1 & a;\nendmodule",
+     [("behavioral-construct", 3, 6, "&", "operator '&' makes this an "
+       "expression; only plain net aliasing is allowed")]),
+    # `\x1c` and `\xa0` are whitespace to `\s` but not to the lexer.
+    (f"{HEADER}\n \x1c not g1(y, a);\nendmodule",
+     [("lex", 2, 2, "\x1c", "unrecognized character")]),
+    (f"{HEADER}\n\xa0not g1(y, a);\nendmodule",
+     [("lex", 2, 1, "\xa0", "unrecognized character")]),
+    (f"{HEADER} not g1(y, a); endmodule\n", []),
+    (f"{HEADER} not g1(y, a); endmodule\n x",
+     [("syntax", 2, 2, "x", "text after 'endmodule'")]),
+])
+def test_error_positions_follow_the_text(text, want):
+    assert [(e.kind, e.line, e.column, e.token, e.message)
+            for e in parse(text).errors] == want
+
+
 def test_arity_error_on_short_nand():
     r = parse("module t(input a, output y); nand g1(y, a); endmodule")
     assert not r.ok
