@@ -16,7 +16,8 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
@@ -51,77 +52,69 @@ class ModelBackend:
         raise NotImplementedError
 
     def start_sample(self, task_id: str, sample_index: int) -> None:
-        """Hook called at the start of each independent task sample."""
+        """Hook called as each task sample starts, on the sample's thread."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptRule:
     """Replies served when `contains` occurs in the prompt text.
 
-    Replies are consumed in order within one sample; after exhaustion the
+    Replies are served in order within one sample; after exhaustion the
     last reply repeats. A None `contains` matches everything.
     """
 
-    replies: list[str]
+    replies: Sequence[str]
     contains: str | None = None
     name: str = ""
-    _cursor: int = field(default=0, repr=False)
 
     def matches(self, prompt: str) -> bool:
         return self.contains is None or self.contains in prompt
 
-    def next_reply(self) -> str:
-        if not self.replies:
-            return ""
-        i = min(self._cursor, len(self.replies) - 1)
-        self._cursor += 1
-        return self.replies[i]
 
-    def reset(self) -> None:
-        self._cursor = 0
+class _Cursors(threading.local):
+    """Replies served so far per rule index, on the current thread."""
+
+    def __init__(self) -> None:
+        self.served: dict[int, int] = {}
 
 
 class ScriptedBackend(ModelBackend):
     """Deterministic backend: first matching rule wins, cursors reset per
     sample. Identical scripts and prompts always produce identical replies.
-
-    Cursor updates are atomic, but reply *progression* only makes sense for
-    one task sample at a time; multi-worker benchmarks should key every
-    rule on its task and give it a single (repeating) reply.
+    Cursors are per thread, and a thread runs one sample at a time.
     """
 
     def __init__(self, rules: list[ScriptRule], identity: str = "scripted"):
         self.rules = rules
         self.identity = identity
-        self.calls = 0
-        self._lock = threading.Lock()
+        self._cursors = _Cursors()
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        rules = [ScriptRule(replies=list(r["replies"]),
+        rules = [ScriptRule(replies=tuple(r["replies"]),
                             contains=r.get("contains"),
                             name=r.get("name", ""))
                  for r in doc.get("rules", [])]
         if "default" in doc:
-            rules.append(ScriptRule(replies=list(doc["default"]),
+            rules.append(ScriptRule(replies=tuple(doc["default"]),
                                     contains=None, name="default"))
         return cls(rules, identity=doc.get("identity", "scripted"))
 
     def start_sample(self, task_id: str, sample_index: int) -> None:
-        with self._lock:
-            for r in self.rules:
-                r.reset()
+        self._cursors.served.clear()
 
     def complete(self, messages: list[ChatMessage],
                  params: SamplingParams) -> str:
         prompt = "\n".join(m.content for m in messages)
-        with self._lock:
-            self.calls += 1
-            for rule in self.rules:
-                if rule.matches(prompt):
-                    return rule.next_reply()
+        for i, rule in enumerate(self.rules):
+            if rule.matches(prompt):
+                if not rule.replies:
+                    return ""
+                served = self._cursors.served.get(i, 0)
+                self._cursors.served[i] = served + 1
+                return rule.replies[min(served, len(rule.replies) - 1)]
         return ""
 
 
@@ -147,7 +140,7 @@ class HttpChatBackend(ModelBackend):
         self.backoff_base = backoff_base
         self.api_key_env = api_key_env
         self.identity = f"http:{model}"
-        # Concurrent task workers share one client; cap in-flight requests.
+        # Samples on worker threads share one client; cap in-flight requests.
         self._inflight = threading.BoundedSemaphore(max_inflight)
 
     def complete(self, messages: list[ChatMessage],

@@ -117,7 +117,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    store = KnowledgeStore(args.dir, verify=not args.no_verify)
+    # `verify` lists every bad pattern instead of failing on the first one.
+    store = KnowledgeStore(args.dir, verify=not args.no_verify
+                           and args.action != "verify")
     if args.action == "seed":
         n = store.seed_baseline()
         print(f"seeded {n} baseline entries")
@@ -198,8 +200,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("V0", "V1", "V2"),
                    help="retrieval ablation profile")
     p.add_argument("--workers", type=int,
-                   help="parallel task workers; results files are identical "
-                        "for any count, store contents only at 1")
+                   help="threads shared by the samples of one task; results "
+                        "files and store contents are identical for any count")
     p.add_argument("--out", help="write machine-readable results here")
     p.add_argument("--table", action="store_true",
                    help="also print the summary table")

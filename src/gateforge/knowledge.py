@@ -29,7 +29,7 @@ from . import parser as nl_parser
 from .metrics import measure
 from .netlist import (Gate, GateKind, Netlist, NetlistBuilder, StructuralReport,
                       compile_netlist, structural_report)
-from .simulator import functional_signature, sequential_trace
+from .simulator import SimulationError, functional_signature, sequential_trace
 
 KIND_PATTERN = "circuit-pattern"
 KIND_ERROR_FIX = "error-fix"
@@ -326,7 +326,11 @@ def verify_pattern_entry(entry: KnowledgeEntry) -> None:
         raise AdmissionError(
             f"{entry.name}: stored netlist no longer parses: "
             + "; ".join(str(e) for e in result.errors))
-    m = _measure(result.netlist)
+    try:
+        m = _measure(result.netlist)
+    except SimulationError as exc:
+        raise AdmissionError(
+            f"{entry.name}: stored netlist cannot be simulated: {exc}") from None
     if m.digest != entry.signature_digest:
         raise AdmissionError(f"{entry.name}: netlist does not match its "
                              "stored functional signature")
@@ -765,10 +769,7 @@ def _carve_subnetlist(netlist: Netlist, chosen: list[Gate]) -> Netlist | None:
         b.gate(g.kind, tuple(net_map[n] for n in g.inputs), net_map[g.output])
     for k, net in enumerate(exposed):
         b.bind_output(f"out{k}", net_map[net])
-    try:
-        return b.build()
-    except Exception:
-        return None
+    return b.build()
 
 
 def _baseline_netlists() -> list[tuple[Netlist, tuple[str, ...]]]:

@@ -353,8 +353,7 @@ class CompiledNetlist:
     combinational order; `ops` gives, per scheduled gate, its evaluator from
     GATE_EVAL, its output net and two operand nets (a NOT repeats its one
     operand). Bit maps are (bit name, net id) in declaration order;
-    `const_nets` are (net id, value); `depth` is gates traversed from a
-    source, per combinational gate output.
+    `const_nets` are (net id, value).
     """
 
     schedule: tuple[Gate, ...]
@@ -363,7 +362,6 @@ class CompiledNetlist:
     input_bits: tuple[tuple[str, int], ...]
     output_bits: tuple[tuple[str, int], ...]
     const_nets: tuple[tuple[int, int], ...]
-    depth: dict[int, int]
     report: StructuralReport
     warnings: tuple[StructuralViolation, ...]
 
@@ -404,7 +402,6 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
         output_bits=output_bits,
         const_nets=tuple((net.id, net.const_value)
                          for net in netlist.nets.values() if net.is_const),
-        depth=depth,
         report=StructuralReport(
             gate_count=len(netlist.gates),
             delay=max((depth.get(n, 0) for n in sinks), default=0),

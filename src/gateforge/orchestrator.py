@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 from .backends import BackendError, ChatMessage, ModelBackend, SamplingParams
 from .boolopt import suggest_optimizations
@@ -581,38 +583,34 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
                   profile: str | None = None) -> BenchmarkReport:
     """Benchmark sweep: n independent samples per task, aggregated scores.
 
-    Samples of one task retrieve from a store snapshot taken when the task
-    starts; pattern writes land only after all of the task's samples finish,
-    as one merged set of entries in sample order. Later samples of the same
-    task therefore cannot retrieve an earlier sample's answer, while later
-    tasks do see earlier tasks' knowledge.
+    Tasks run in order; the samples of one task run on up to `cfg.workers`
+    threads and retrieve from a store snapshot taken when the task starts.
+    Pattern writes land after all of the task's samples finish, as one
+    merged set of entries in sample order. Later samples of the same task
+    therefore cannot retrieve an earlier sample's answer, later tasks do see
+    earlier tasks' knowledge, and no result depends on the worker count.
     """
     if not tasks:
         raise ValueError("run_benchmark needs at least one task")
     t0 = time.monotonic()
-    run_id = "bench"
+    samples = range(cfg.samples_per_task)
 
-    def one_task(task: TaskPack) -> list[TaskRun]:
-        snapshot = store.snapshot() if store is not None else None
-        runs = [run_task(task, cfg, backend, snapshot, i, run_id=run_id)
-                for i in range(cfg.samples_per_task)]
-        if store is not None:
-            for entry in _merge_extracted(runs):
-                store.store(entry)
-        return runs
-
-    all_runs: dict[str, list[TaskRun]] = {}
-    if cfg.workers == 1 or len(tasks) == 1:
+    all_runs: list[list[TaskRun]] = []
+    with (ThreadPoolExecutor(cfg.workers) if cfg.workers > 1
+          else nullcontext()) as pool:
         for task in tasks:
-            all_runs[task.id] = one_task(task)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for task, runs in zip(tasks, pool.map(one_task, tasks)):
-                all_runs[task.id] = runs
+            snapshot = store.snapshot() if store is not None else None
+            sample = partial(run_task, task, cfg, backend, snapshot,
+                             run_id="bench")
+            runs = list(pool.map(sample, samples) if pool
+                        else map(sample, samples))
+            if store is not None:
+                for entry in _merge_extracted(runs):
+                    store.store(entry)
+            all_runs.append(runs)
 
     rows: list[TaskReportRow] = []
-    for task in tasks:
-        runs = all_runs[task.id]
+    for task, runs in zip(tasks, all_runs):
         n = len(runs)
         c = sum(1 for r in runs if r.status == "verified")
         errors = sum(1 for r in runs if r.status == "error")

@@ -56,8 +56,6 @@ class HumanReference:
     gate_count: int
     delay: int
     register_count: int = 0
-    # Optional per-tier best-known numbers, where pack authors have them.
-    tiers: tuple[tuple[str, int, int], ...] = ()
 
     @property
     def report(self) -> StructuralReport:
@@ -252,32 +250,42 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
                     for i, v in enumerate(tb.get("vectors", [])))
     if not any(e is not None for v in vectors for e in v.expected.values()):
         raise TaskSchemaError("testbench.json: no vector checks anything")
-    if meta["circuit_class"] == "combinational":
-        bad = [v for v in vectors if v.cycle != 0]
-        if bad:
-            raise TaskSchemaError("testbench.json: combinational vectors "
-                                  "must all have cycle 0")
-    for v in vectors:
-        if clock is not None and clock in v.inputs:
-            raise TaskSchemaError("testbench.json: vectors must not drive "
-                                  "the clock")
+    # Refuse at load what no design could be simulated against.
+    combinational = meta["circuit_class"] == "combinational"
+    drive = {p.bit_name(i) for p in ports
+             if p.direction is PortDir.IN and p.name != clock
+             for i in range(p.width)}
+    cycles_seen: set[int] = set()
+    for i, v in enumerate(vectors):
+        if clock in v.inputs:
+            raise TaskSchemaError(f"testbench.vectors[{i}]: vectors must not "
+                                  "drive the clock")
+        if combinational and v.cycle != 0:
+            raise TaskSchemaError(f"testbench.vectors[{i}].cycle: combinational "
+                                  "vectors must all have cycle 0")
+        if v.cycle >= cycles:
+            raise TaskSchemaError(f"testbench.vectors[{i}].cycle: {v.cycle} is "
+                                  f"not below cycles ({cycles})")
+        if v.cycle in cycles_seen and not combinational:
+            raise TaskSchemaError(f"testbench.vectors[{i}].cycle: duplicate "
+                                  f"cycle {v.cycle}")
+        cycles_seen.add(v.cycle)
+        # Combinational vectors all sit at cycle 0.
+        if v.cycle == 0 and not v.inputs.keys() >= drive:
+            raise TaskSchemaError(
+                f"testbench.vectors[{i}]: unassigned input bit(s): "
+                + ", ".join(sorted(drive - v.inputs.keys())))
+    if drive and 0 not in cycles_seen:
+        raise TaskSchemaError("testbench.json: no vector at cycle 0 assigns "
+                              "the inputs")
 
     reference = None
     if meta.get("human_reference") is not None:
         ref = meta["human_reference"]
-        tiers: list[tuple[str, int, int]] = []
-        for tier_name, td in (ref.get("tiers") or {}).items():
-            try:
-                tiers.append((str(tier_name), int(td["gate_count"]),
-                              int(td["delay"])))
-            except (KeyError, TypeError, ValueError):
-                raise TaskSchemaError(
-                    f"task.json.human_reference.tiers.{tier_name}: needs "
-                    "integer gate_count and delay") from None
         try:
             reference = HumanReference(
                 int(ref["gate_count"]), int(ref["delay"]),
-                int(ref.get("register_count", 0)), tuple(tiers))
+                int(ref.get("register_count", 0)))
         except (KeyError, TypeError, ValueError):
             raise TaskSchemaError("task.json.human_reference: needs integer "
                                   "gate_count and delay") from None

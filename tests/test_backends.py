@@ -43,6 +43,25 @@ def test_scripted_cursors_reset_per_sample():
     assert backend.complete(msg("x"), PARAMS) == "first"
 
 
+def test_scripted_cursors_are_per_thread():
+    # Sample B runs on another thread while sample A is half way through
+    # its replies; neither rewinds nor advances the other.
+    backend = ScriptedBackend([ScriptRule(replies=["one", "two", "three"])])
+    seen = {}
+
+    def sample_b():
+        backend.start_sample("task", 1)
+        seen["b"] = [backend.complete(msg("x"), PARAMS) for _ in range(2)]
+
+    backend.start_sample("task", 0)
+    seen["a"] = [backend.complete(msg("x"), PARAMS)]
+    worker = threading.Thread(target=sample_b)
+    worker.start()
+    worker.join()
+    seen["a"].append(backend.complete(msg("x"), PARAMS))
+    assert seen == {"a": ["one", "two"], "b": ["one", "two"]}
+
+
 def test_scripted_from_file(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(json.dumps({

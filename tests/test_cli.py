@@ -83,6 +83,19 @@ def test_store_subcommands(capsys, tmp_path):
     assert main(["store", "compact", "--dir", store_dir]) == 0
 
 
+def test_store_verify_lists_problems_instead_of_failing_at_load(
+        capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store_dir)]) == 0
+    capsys.readouterr()
+    (store_dir / "patterns" / "1.nl").write_text("module broken;\n")
+    assert main(["store", "verify", "--dir", str(store_dir)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == 1
+    assert "no longer parses" in out
+    assert "1 problem(s)" in out
+
+
 def test_config_file_round_trip(capsys, script_path, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -204,6 +204,26 @@ def test_tampered_pattern_file_detected_on_load(tmp_path):
         KnowledgeStore(root)
 
 
+def test_unsimulatable_pattern_is_a_store_error_on_load(tmp_path):
+    root = tmp_path / "store"
+    store = KnowledgeStore(root)
+    b = NetlistBuilder("dff1")
+    d = b.input("d")
+    clk = b.input("clk")
+    b.gate(GateKind.DFF, (d, clk), b.output("q"))
+    store.store(make_pattern_entry(b.build()))
+    # Two register clocks: the sequential fingerprint cannot be taken.
+    with open(os.path.join(store.patterns_dir, "1.nl"), "w") as fh:
+        fh.write("module dff1(input d, input clk, input c2, output q);\n"
+                 "  wire w;\n  dff g1(w, d, c2);\n  dff g2(q, w, clk);\n"
+                 "endmodule\n")
+    with pytest.raises(StoreError, match="cannot be simulated"):
+        KnowledgeStore(root)
+    assert KnowledgeStore(root, verify=False).verify_all() == [
+        "dff1: stored netlist cannot be simulated: expected exactly one "
+        "clock port, found 2"]
+
+
 def test_compact_drops_archived(tmp_path):
     store = KnowledgeStore(tmp_path / "store")
     store.store(make_pattern_entry(build_half_adder()))

@@ -505,23 +505,52 @@ def test_store_growth_is_monotone_and_sound(tmp_path):
     assert store.verify_all() == []
 
 
-def test_parallel_task_workers_match_sequential_rows(tmp_path):
-    tasks = [TASKS["xnor2"], TASKS["and3"], TASKS["mux2"]]
+def padded_reply(task_id: str, output: str) -> str:
+    """The reference with a double inverter in front of `output`: correct,
+    but two gates and two levels worse."""
+    text = TASKS[task_id].reference_netlist.replace(f"({output},", "(pad0,", 1)
+    return fenced(text.replace("endmodule", (
+        f"  wire pad0, pad1;\n  not pad_a(pad1, pad0);\n"
+        f"  not pad_b({output}, pad1);\nendmodule")))
 
-    def backend():
-        return ScriptedBackend([
-            ScriptRule(replies=[correct_reply(t.id)],
-                       contains=f"Task: {t.id}") for t in tasks])
 
-    def rows(workers, tag):
-        store = KnowledgeStore(tmp_path / tag)
-        config = RunConfig(samples_per_task=1, workers=workers,
-                           design_rag=False)
-        return run_benchmark(tasks, config, backend(), store).rows
+def test_any_worker_count_leaves_identical_results_and_store(tmp_path):
+    # Within a sample each task's replies advance: no code block, then the
+    # padded design, then the reference. adder2 has a design only when its
+    # prompt carries a retrieved pattern, which only full_adder's writes
+    # provide, so results depend on tasks running in order.
+    tasks = [FA, TASKS["adder2"], TASKS["mux2"]]
+    rules = [ScriptRule(replies=["I cannot write this one.",
+                                 padded_reply(t.id, out), correct_reply(t.id)],
+                        contains=f"Task: {t.id}")
+             for t, out in ((FA, "sum"), (TASKS["mux2"], "y"))]
+    rules += [ScriptRule(replies=[padded_reply("adder2", "s[0]"),
+                                  correct_reply("adder2")],
+                         contains="### pattern"),
+              ScriptRule(replies=["No retrieved pattern to start from."])]
 
-    sequential = rows(1, "seq")
-    parallel = rows(3, "par")
-    assert sequential == parallel
+    def sweep(workers, tag):
+        root = tmp_path / tag
+        config = RunConfig.from_profile("V2", samples_per_task=4,
+                                        workers=workers)
+        report = run_benchmark(tasks, config, ScriptedBackend(rules),
+                               KnowledgeStore(root), profile="V2")
+        records = [{k: v for k, v in json.loads(line).items()
+                    if k != "created_at"}
+                   for line in (root / "index.jsonl").read_text().splitlines()]
+        patterns = {p.name: p.read_text()
+                    for p in sorted((root / "patterns").iterdir())}
+        return emit_report(report, "machine"), records, patterns
+
+    sequential = sweep(1, "w1")
+    results, records, patterns = sequential
+    rows = json.loads(results)["tasks"]
+    # The best design is the reference, the last reply of each script.
+    assert [(r["task_id"], r["c"], r["best_gate_count"]) for r in rows] == [
+        ("full_adder", 4, 5), ("adder2", 4, 10), ("mux2", 4, 4)]
+    assert len(records) == len(patterns) > 3
+    assert sweep(4, "w4a") == sequential
+    assert sweep(4, "w4b") == sequential
 
 
 def test_config_profiles():

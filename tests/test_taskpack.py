@@ -177,16 +177,30 @@ def test_interface_echo_mismatch_is_a_schema_violation(tmp_path):
         load_task_pack(path)
 
 
-def test_optional_per_tier_reference_numbers(tmp_path):
+def test_reference_tiers_key_is_ignored(tmp_path):
     def add_tiers(meta):
-        meta["human_reference"]["tiers"] = {
-            "top": {"gate_count": 2, "delay": 2},
-            "mid": {"gate_count": 3, "delay": 2},
-        }
+        meta["human_reference"]["tiers"] = {"top": "not numbers"}
 
     path = copy_pack("xnor2", tmp_path, mutate_meta=add_tiers)
-    t = load_task_pack(path)
-    assert t.reference.tiers == (("top", 2, 2), ("mid", 3, 2))
+    assert load_task_pack(path).reference == builtin("xnor2").reference
+
+
+@pytest.mark.parametrize("task_id, mutate_tb, match", [
+    ("and3", lambda tb: tb["vectors"][3]["inputs"].pop("b"),
+     r"vectors\[3\]: unassigned input bit\(s\): b"),
+    ("seq101", lambda tb: tb["vectors"][0]["inputs"].pop("x"),
+     r"vectors\[0\]: unassigned input bit\(s\): x"),
+    ("seq101", lambda tb: tb["vectors"][2].update(cycle=1),
+     r"vectors\[2\]\.cycle: duplicate cycle 1"),
+    ("seq101", lambda tb: tb["vectors"][-1].update(cycle=tb["cycles"]),
+     r"vectors\[\d+\]\.cycle: 32 is not below cycles \(32\)"),
+], ids=["combinational-unassigned-bit", "sequential-cycle-0-unassigned-bit",
+        "sequential-duplicate-cycle", "sequential-cycle-past-the-end"])
+def test_unsimulatable_testbench_is_refused_at_load(tmp_path, task_id,
+                                                   mutate_tb, match):
+    path = copy_pack(task_id, tmp_path, mutate_tb=mutate_tb)
+    with pytest.raises(TaskSchemaError, match=match):
+        load_task_pack(path)
 
 
 def test_whole_port_integers_expand_to_bits():
