@@ -298,7 +298,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
                 f"undriven net read as {_first_reader(netlist, net_id)}")
 
     # Combinational loop detection (registers break the cycle).
-    cycle = _find_comb_cycle(netlist)
+    _, cycle = _levelization(netlist, loops_only=True)
     if cycle is not None:
         err("combinational-loop", "netlist",
             "cycle through " + " -> ".join(cycle))
@@ -379,13 +379,11 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     violations = validate(netlist)
     bad = errors_of(violations)
     if bad:
-        loops = [v for v in bad if v.kind == "combinational-loop"]
-        if loops:
-            witness = loops[0].message.removeprefix("cycle through ").split(" -> ")
-            raise CombinationalLoopError(bad, witness)
+        if any(v.kind == "combinational-loop" for v in bad):
+            raise CombinationalLoopError(bad, _levelization(netlist)[1])
         raise InvalidNetlistError(bad)
 
-    schedule = _schedule(netlist)
+    schedule, _ = _levelization(netlist)
     depth: dict[int, int] = {}
     for g in schedule:
         depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
@@ -412,77 +410,56 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     return compiled
 
 
-def _find_comb_cycle(netlist: Netlist) -> list[str] | None:
-    """Return gate labels forming a combinational cycle, or None.
+def _levelization(netlist: Netlist, loops_only: bool = False,
+                  ) -> tuple[tuple[Gate, ...], list[str] | None]:
+    """Kahn order of the combinational gates, ties resolved by gate
+    position, and the gate labels of a combinational cycle (None if the
+    gates are acyclic).
 
     Register outputs are treated as sources and register inputs as sinks, so
-    only paths through combinational gates can form a cycle.
+    only paths through combinational gates can form a cycle. With
+    `loops_only`, gates listed drivers-first skip the ordering and return
+    an empty one.
     """
-    comb = [(i, g) for i, g in enumerate(netlist.gates)
-            if g.kind is not GateKind.DFF]
-    by_output: dict[int, int] = {}
-    for i, g in comb:
+    gates = netlist.gates
+    comb = [i for i, g in enumerate(gates) if g.kind is not GateKind.DFF]
+    producer: dict[int, int] = {}
+    for i in comb:
         # Multi-driver nets are reported separately; first driver wins here.
-        by_output.setdefault(g.output, i)
+        producer.setdefault(gates[i].output, i)
     # Gates listed drivers-first, as in rendered text, cannot form a cycle.
-    if all(by_output.get(n, -1) < i for i, g in comb for n in g.inputs):
-        return None
+    if loops_only and all(producer.get(n, -1) < i
+                          for i in comb for n in gates[i].inputs):
+        return (), None
 
-    # Iterative DFS (netlists can be arbitrarily deep chains).
-    color: dict[int, int] = {}  # 0 unseen implicit, 1 on stack, 2 done
-    for start, _ in comb:
-        if color.get(start, 0) != 0:
-            continue
-        path: list[int] = []
-        work: list[tuple[int, int]] = [(start, 0)]
-        while work:
-            idx, edge = work.pop()
-            if edge == 0:
-                color[idx] = 1
-                path.append(idx)
-            deps = [by_output[n] for n in netlist.gates[idx].inputs
-                    if n in by_output]
-            advanced = False
-            while edge < len(deps):
-                nxt = deps[edge]
-                edge += 1
-                c = color.get(nxt, 0)
-                if c == 1:
-                    cycle = path[path.index(nxt):]
-                    return [_gate_label(netlist.gates[j], j) for j in cycle]
-                if c == 0:
-                    work.append((idx, edge))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[idx] = 2
-                path.pop()
-    return None
-
-
-def _schedule(netlist: Netlist) -> tuple[Gate, ...]:
-    """Kahn order of the combinational gates of an acyclic netlist, ties
-    resolved by gate position."""
-    comb = [(i, g) for i, g in enumerate(netlist.gates)
-            if g.kind is not GateKind.DFF]
-    producer: dict[int, int] = {g.output: i for i, g in comb}
-    pending: dict[int, int] = {}
+    pending = dict.fromkeys(comb, 0)
     consumers: dict[int, list[int]] = {}
-    for i, g in comb:
-        pending[i] = 0
-        for n in g.inputs:
+    for i in comb:
+        for n in gates[i].inputs:
             if n in producer:
                 pending[i] += 1
                 consumers.setdefault(producer[n], []).append(i)
-
-    ready = [i for i, _ in comb if pending[i] == 0]
+    ready = [i for i in comb if pending[i] == 0]
     for i in ready:  # grows while it is walked
         for j in consumers.get(i, ()):
             pending[j] -= 1
             if pending[j] == 0:
                 ready.append(j)
-    return tuple(netlist.gates[i] for i in ready)
+    order = tuple(gates[i] for i in ready)
+    if len(ready) == len(comb):
+        return order, None
+
+    # Every unordered gate reads an unordered gate. From the lowest one,
+    # follow the first such input until a gate repeats; this is the cycle a
+    # depth-first search in gate order meets first.
+    stuck = {i for i in comb if pending[i]}
+    path: dict[int, int] = {}
+    i = min(stuck)
+    while i not in path:
+        path[i] = len(path)
+        i = next(producer[n] for n in gates[i].inputs
+                 if producer.get(n) in stuck)
+    return order, [_gate_label(gates[j], j) for j in list(path)[path[i]:]]
 
 
 def levelize(netlist: Netlist) -> tuple[Gate, ...]:

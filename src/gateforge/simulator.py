@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .netlist import CompiledNetlist, Netlist, compile_netlist
@@ -170,21 +170,47 @@ def _source_values(compiled: CompiledNetlist, mask: int) -> dict[int, int]:
     return {nid: mask if value else 0 for nid, value in compiled.const_nets}
 
 
-def _check_vector_keys(vector: TestVector, index: int,
-                       in_bits: dict[str, int], out_bits: dict[str, int],
-                       clock: str | None) -> None:
-    for key in vector.inputs:
-        if key == clock:
+def check_vectors(vectors: Sequence[TestVector], inputs: Collection[str],
+                  outputs: Collection[str], clock: str | None = None,
+                  cycles: int | None = None) -> None:
+    """Raise SimulationError naming the first vector that no design with
+    these input and output bits could run against.
+
+    A vector must name only declared bits and must not drive the clock.
+    Without `cycles` the vectors are combinational and each must assign
+    every input bit. With it they are the cycles of a sequential run: each
+    sits at its own cycle in 0..cycles-1, and a vector at cycle 0 must
+    assign every input bit but the clock.
+    """
+    inputs, outputs = set(inputs), set(outputs)
+    drive = inputs - {clock}
+    seen: set[int] = set()
+    for i, v in enumerate(vectors):
+        if clock in v.inputs:
             raise SimulationError(
-                f"vector {index}: clock '{clock}' is driven by the harness, "
+                f"vector {i}: clock '{clock}' is driven by the harness, "
                 "not by vectors")
-        if key not in in_bits:
-            raise SimulationError(f"vector {index}: '{key}' is not a declared "
-                                  "input port bit")
-    for key in vector.expected:
-        if key not in out_bits:
-            raise SimulationError(f"vector {index}: '{key}' is not a declared "
-                                  "output port bit")
+        if not (v.inputs.keys() <= inputs and v.expected.keys() <= outputs):
+            side, key = next(
+                (side, key) for side, bits, declared
+                in (("input", v.inputs, inputs), ("output", v.expected, outputs))
+                for key in bits if key not in declared)
+            raise SimulationError(f"vector {i}: '{key}' is not a declared "
+                                  f"{side} port bit")
+        if cycles is not None:
+            if not 0 <= v.cycle < cycles:
+                raise SimulationError(
+                    f"vector {i}: cycle {v.cycle} outside 0..{cycles - 1}")
+            if v.cycle in seen:
+                raise SimulationError(f"vector {i}: duplicate cycle {v.cycle}")
+            seen.add(v.cycle)
+        if (cycles is None or v.cycle == 0) and not drive <= v.inputs.keys():
+            raise SimulationError(
+                f"vector {i}: unassigned input bit(s): "
+                + ", ".join(sorted(drive - v.inputs.keys())))
+    if cycles is not None and drive and 0 not in seen:
+        raise SimulationError("no vector at cycle 0 assigns input bit(s): "
+                              + ", ".join(sorted(drive)))
 
 
 def simulate_combinational(netlist: Netlist,
@@ -207,13 +233,7 @@ def simulate_combinational(netlist: Netlist,
     out_bits = dict(compiled.output_bits)
     if not (packed.input_key_sets <= {frozenset(in_bits)}
             and packed.expected_keys <= out_bits.keys()):
-        # Find the first offending vector for the message.
-        for i, v in enumerate(packed.vectors):
-            _check_vector_keys(v, i, in_bits, out_bits, clock=None)
-            missing = sorted(set(in_bits) - set(v.inputs))
-            if missing:
-                raise SimulationError(
-                    f"vector {i}: unassigned input bit(s): {', '.join(missing)}")
+        check_vectors(packed.vectors, in_bits, out_bits)
 
     if not packed.vectors:
         return SimOutcome(0, 0)
@@ -296,32 +316,16 @@ def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
                         cycles: int, clock: str | None = None) -> SimOutcome:
     """Cycle-accurate run: settle, check, then clock all registers at once.
 
-    Inputs hold their values between vectors; the vector at cycle 0 must
-    assign every non-clock input bit. Registers start at 0. When `clock` is
-    None it is inferred from the register clock pins.
+    The vectors must pass check_vectors. Inputs hold their values between
+    vectors. Registers start at 0. When `clock` is None it is inferred from
+    the register clock pins.
     """
     compiled = compile_netlist(netlist)
     clock, clock_net = _resolve_clock(netlist, clock)
     in_bits = dict(compiled.input_bits)
     out_bits = dict(compiled.output_bits)
-    drive_bits = {k: v for k, v in in_bits.items() if v != clock_net}
-
-    by_cycle: dict[int, tuple[int, TestVector]] = {}
-    for i, v in enumerate(vectors):
-        _check_vector_keys(v, i, in_bits, out_bits, clock)
-        if not (0 <= v.cycle < cycles):
-            raise SimulationError(
-                f"vector {i}: cycle {v.cycle} outside 0..{cycles - 1}")
-        if v.cycle in by_cycle:
-            raise SimulationError(f"vector {i}: duplicate cycle {v.cycle}")
-        by_cycle[v.cycle] = (i, v)
-
-    first_vec = by_cycle.get(0)
-    assigned = set(first_vec[1].inputs) if first_vec else set()
-    missing = sorted(set(drive_bits) - assigned)
-    if missing:
-        raise SimulationError(
-            "cycle 0 must assign every input bit; missing: " + ", ".join(missing))
+    check_vectors(vectors, in_bits, out_bits, clock, cycles)
+    by_cycle = {v.cycle: (i, v) for i, v in enumerate(vectors)}
 
     updates = ({in_bits[key]: val & 1 for key, val in by_cycle[t][1].inputs.items()}
                if t in by_cycle else {} for t in range(cycles))

@@ -31,7 +31,9 @@ from .parser import parse
 from .simulator import (
     PackedVectors,
     SimOutcome,
+    SimulationError,
     TestVector,
+    check_vectors,
     pack_vectors,
     simulate_combinational,
     simulate_sequential,
@@ -96,12 +98,15 @@ class TaskPack:
         return measure(self.reference.report, weights)
 
     def input_bit_names(self) -> list[str]:
-        return [p.bit_name(i) for p in self.ports if p.direction is PortDir.IN
-                for i in range(p.width)]
+        return _bit_names(self.ports, PortDir.IN)
 
     def output_bit_names(self) -> list[str]:
-        return [p.bit_name(i) for p in self.ports if p.direction is PortDir.OUT
-                for i in range(p.width)]
+        return _bit_names(self.ports, PortDir.OUT)
+
+
+def _bit_names(ports, direction: PortDir) -> list[str]:
+    return [p.bit_name(i) for p in ports if p.direction is direction
+            for i in range(p.width)]
 
 
 def _expand_port_values(value, port: Port, where: str) -> dict[str, int]:
@@ -115,62 +120,53 @@ def _expand_port_values(value, port: Port, where: str) -> dict[str, int]:
     return {port.bit_name(i): (value >> i) & 1 for i in range(port.width)}
 
 
-def _expand_expected(value, port: Port, where: str) -> dict[str, int | None]:
-    if value is None or value == "x":
-        return {port.bit_name(i): None for i in range(port.width)}
-    return dict(_expand_port_values(value, port, where))
+def _parse_bits(doc: dict, ports: dict[str, Port], direction: PortDir,
+                where: str) -> dict[str, int | None]:
+    """Per-bit values of a vector's `inputs` or `expected` object, keyed by
+    Port.bit_name. Only expected values may be don't-cares (None)."""
+    side = "input" if direction is PortDir.IN else "output"
+    bits: dict[str, int | None] = {}
+    for key, value in doc.items():
+        port, bit = ports.get(key), None
+        if port is None and key.endswith("]") and "[" in key:
+            base, _, idx = key[:-1].partition("[")
+            if idx.isdecimal():
+                port, bit = ports.get(base), int(idx)
+        if port is None:
+            raise TaskSchemaError(f"{where}: unknown port bit '{key}'")
+        if port.direction is not direction:
+            raise TaskSchemaError(f"{where}: '{key}' is not an {side} port")
+        care = direction is PortDir.IN or (value is not None and value != "x")
+        if bit is None:
+            bits.update(_expand_port_values(value, port, where) if care
+                        else dict.fromkeys(map(port.bit_name, range(port.width))))
+            continue
+        if not (port.lsb <= bit <= port.msb):
+            raise TaskSchemaError(f"{where}: bit {bit} out of range for "
+                                  f"'{port.name}'")
+        if care and value not in (0, 1):
+            raise TaskSchemaError(
+                f"{where}: bit value must be 0 or 1" if direction is PortDir.IN
+                else f"{where}: expected bit must be 0, 1, null or \"x\"")
+        bits[port.bit_name(bit - port.lsb)] = int(value) if care else None
+    return bits
 
 
-def _parse_vector(doc: dict, ports: dict[str, Port], index: int) -> TestVector:
+def _parse_vector(doc: dict, ports: dict[str, Port], index: int,
+                  combinational: bool) -> TestVector:
     where = f"testbench.vectors[{index}]"
     if not isinstance(doc, dict):
         raise TaskSchemaError(f"{where}: vector must be an object")
     cycle = doc.get("cycle", 0)
     if not isinstance(cycle, int) or cycle < 0:
         raise TaskSchemaError(f"{where}.cycle: must be a non-negative integer")
-
-    def resolve(key: str) -> tuple[Port, int | None]:
-        if key in ports:
-            return ports[key], None
-        if key.endswith("]") and "[" in key:
-            base, _, idx = key[:-1].partition("[")
-            if base in ports and idx.isdigit():
-                return ports[base], int(idx)
-        raise TaskSchemaError(f"{where}: unknown port bit '{key}'")
-
-    inputs: dict[str, int] = {}
-    for key, value in doc.get("inputs", {}).items():
-        port, bit = resolve(key)
-        if port.direction is not PortDir.IN:
-            raise TaskSchemaError(f"{where}: '{key}' is not an input port")
-        if bit is None:
-            inputs.update(_expand_port_values(value, port, where))
-        else:
-            if not (port.lsb <= bit <= port.msb):
-                raise TaskSchemaError(f"{where}: bit {bit} out of range for "
-                                      f"'{port.name}'")
-            if value not in (0, 1):
-                raise TaskSchemaError(f"{where}: bit value must be 0 or 1")
-            inputs[key] = int(value)
-    expected: dict[str, int | None] = {}
-    for key, value in doc.get("expected", {}).items():
-        port, bit = resolve(key)
-        if port.direction is not PortDir.OUT:
-            raise TaskSchemaError(f"{where}: '{key}' is not an output port")
-        if bit is None:
-            expected.update(_expand_expected(value, port, where))
-        else:
-            if not (port.lsb <= bit <= port.msb):
-                raise TaskSchemaError(f"{where}: bit {bit} out of range for "
-                                      f"'{port.name}'")
-            if value is None or value == "x":
-                expected[key] = None
-            elif value in (0, 1):
-                expected[key] = int(value)
-            else:
-                raise TaskSchemaError(f"{where}: expected bit must be 0, 1, "
-                                      "null or \"x\"")
-    return TestVector(inputs=inputs, expected=expected, cycle=cycle)
+    if combinational and cycle != 0:
+        raise TaskSchemaError(f"{where}.cycle: combinational vectors must all "
+                              "have cycle 0")
+    return TestVector(
+        inputs=_parse_bits(doc.get("inputs", {}), ports, PortDir.IN, where),
+        expected=_parse_bits(doc.get("expected", {}), ports, PortDir.OUT, where),
+        cycle=cycle)
 
 
 def load_task_pack(path: str | os.PathLike) -> TaskPack:
@@ -246,38 +242,18 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
     cycles = tb.get("cycles", 1)
     if not isinstance(cycles, int) or cycles < 1:
         raise TaskSchemaError("testbench.json.cycles: must be an integer >= 1")
-    vectors = tuple(_parse_vector(v, port_map, i)
+    combinational = meta["circuit_class"] == "combinational"
+    vectors = tuple(_parse_vector(v, port_map, i, combinational)
                     for i, v in enumerate(tb.get("vectors", [])))
     if not any(e is not None for v in vectors for e in v.expected.values()):
         raise TaskSchemaError("testbench.json: no vector checks anything")
     # Refuse at load what no design could be simulated against.
-    combinational = meta["circuit_class"] == "combinational"
-    drive = {p.bit_name(i) for p in ports
-             if p.direction is PortDir.IN and p.name != clock
-             for i in range(p.width)}
-    cycles_seen: set[int] = set()
-    for i, v in enumerate(vectors):
-        if clock in v.inputs:
-            raise TaskSchemaError(f"testbench.vectors[{i}]: vectors must not "
-                                  "drive the clock")
-        if combinational and v.cycle != 0:
-            raise TaskSchemaError(f"testbench.vectors[{i}].cycle: combinational "
-                                  "vectors must all have cycle 0")
-        if v.cycle >= cycles:
-            raise TaskSchemaError(f"testbench.vectors[{i}].cycle: {v.cycle} is "
-                                  f"not below cycles ({cycles})")
-        if v.cycle in cycles_seen and not combinational:
-            raise TaskSchemaError(f"testbench.vectors[{i}].cycle: duplicate "
-                                  f"cycle {v.cycle}")
-        cycles_seen.add(v.cycle)
-        # Combinational vectors all sit at cycle 0.
-        if v.cycle == 0 and not v.inputs.keys() >= drive:
-            raise TaskSchemaError(
-                f"testbench.vectors[{i}]: unassigned input bit(s): "
-                + ", ".join(sorted(drive - v.inputs.keys())))
-    if drive and 0 not in cycles_seen:
-        raise TaskSchemaError("testbench.json: no vector at cycle 0 assigns "
-                              "the inputs")
+    try:
+        check_vectors(vectors, _bit_names(ports, PortDir.IN),
+                      _bit_names(ports, PortDir.OUT), clock,
+                      None if combinational else cycles)
+    except SimulationError as exc:
+        raise TaskSchemaError(f"testbench.json: {exc}") from None
 
     reference = None
     if meta.get("human_reference") is not None:

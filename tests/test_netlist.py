@@ -5,9 +5,16 @@ from conftest import build_half_adder, random_netlist
 
 from gateforge.netlist import (
     CombinationalLoopError,
+    Gate,
     GateKind,
+    Net,
+    NetKind,
     Netlist,
     NetlistBuilder,
+    Port,
+    PortDir,
+    StructuralViolation,
+    compile_netlist,
     critical_path_delay,
     errors_of,
     gate_count,
@@ -63,7 +70,7 @@ def test_self_loop_is_a_combinational_loop():
 
 
 def test_two_gate_cycle_detected_by_dfs():
-    # g1 feeds g2 feeds g1: the DFS oracle must name both gates.
+    # g1 feeds g2 feeds g1: the loop witness must name both gates.
     b = NetlistBuilder("top")
     a = b.input("a")
     y = b.output("y")
@@ -76,6 +83,104 @@ def test_two_gate_cycle_detected_by_dfs():
     loops = [v for v in validate(n) if v.kind == "combinational-loop"]
     assert len(loops) == 1
     assert "g1" in loops[0].message and "g2" in loops[0].message
+
+
+def test_loop_witness_keeps_gate_names_whole():
+    b = NetlistBuilder("top")
+    a = b.input("a")
+    y = b.output("y")
+    w = b.wire()
+    b.gate(GateKind.AND, (a, y), w, name="p -> q")
+    b.gate(GateKind.OR, (w, a), y, name="r")
+    with pytest.raises(CombinationalLoopError) as exc:
+        b.build()
+    assert exc.value.cycle == ["p -> q", "r"]
+
+
+def reference_comb_cycle(netlist: Netlist) -> list[str] | None:
+    """Gate labels of the first cycle an iterative depth-first search over
+    the combinational gates meets, starting from each gate in order; the
+    loop check validate used before it took its witness from Kahn's
+    algorithm."""
+    comb = [(i, g) for i, g in enumerate(netlist.gates)
+            if g.kind is not GateKind.DFF]
+    by_output: dict[int, int] = {}
+    for i, g in comb:
+        by_output.setdefault(g.output, i)
+    color: dict[int, int] = {}  # 0 unseen implicit, 1 on stack, 2 done
+    for start, _ in comb:
+        if color.get(start, 0) != 0:
+            continue
+        path: list[int] = []
+        work: list[tuple[int, int]] = [(start, 0)]
+        while work:
+            idx, edge = work.pop()
+            if edge == 0:
+                color[idx] = 1
+                path.append(idx)
+            deps = [by_output[n] for n in netlist.gates[idx].inputs
+                    if n in by_output]
+            advanced = False
+            while edge < len(deps):
+                nxt = deps[edge]
+                edge += 1
+                c = color.get(nxt, 0)
+                if c == 1:
+                    return [netlist.gates[j].name or f"gate#{j}"
+                            for j in path[path.index(nxt):]]
+                if c == 0:
+                    work.append((idx, edge))
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                color[idx] = 2
+                path.pop()
+    return None
+
+
+def random_gate_graph(rng: random.Random) -> Netlist:
+    """Random netlist over a known net table: gates read any net, so loops,
+    self-loops, multi-driver nets, wrong arities and registers all occur."""
+    n_in = rng.randint(1, 3)
+    n_gates = rng.randint(1, 9)
+    n_nets = n_in + n_gates + rng.randint(0, 2)
+    nets = {i: Net(i, NetKind.PRIMARY_INPUT if i < n_in else NetKind.INTERNAL,
+                   f"n{i}") for i in range(n_nets)}
+    gates = []
+    for k in range(n_gates):
+        kind = rng.choice(list(GateKind))
+        arity = kind.arity if rng.random() < 0.9 else rng.randint(0, 3)
+        output = n_in + k if rng.random() < 0.8 else rng.randrange(n_nets)
+        name = f"g{k}" if rng.random() < 0.9 else ""
+        gates.append(Gate(kind, output,
+                          tuple(rng.randrange(n_nets) for _ in range(arity)),
+                          name))
+    ports = tuple(Port(f"i{i}", PortDir.IN) for i in range(n_in)) \
+        + (Port("y", PortDir.OUT),)
+    port_nets = {f"i{i}": (i,) for i in range(n_in)}
+    port_nets["y"] = (rng.randrange(n_nets),)
+    return Netlist("rand", ports, nets, tuple(gates), port_nets)
+
+
+def test_loop_witness_matches_depth_first_reference():
+    loops = 0
+    for seed in range(3000):
+        n = random_gate_graph(random.Random(seed))
+        witness = reference_comb_cycle(n)
+        violations = validate(n)
+        rest = [v for v in violations if v.kind != "combinational-loop"]
+        loop = [] if witness is None else [StructuralViolation(
+            "combinational-loop", "error", "netlist",
+            "cycle through " + " -> ".join(witness))]
+        assert violations == errors_of(rest) + loop + [
+            v for v in rest if v.severity == "warning"], seed
+        if witness is not None:
+            loops += 1
+            with pytest.raises(CombinationalLoopError) as exc:
+                compile_netlist(n)
+            assert exc.value.cycle == witness, seed
+    assert 500 < loops < 2500
 
 
 def test_dff_breaks_the_cycle():

@@ -4,6 +4,8 @@ import shutil
 import pytest
 
 from gateforge.metrics import MetricWeights, TierVerdict, classify_tier
+from gateforge.parser import parse
+from gateforge.simulator import SimulationError, TestVector, simulate_sequential
 from gateforge.taskpack import (
     BenchmarkReport,
     ReferenceMismatchError,
@@ -68,11 +70,14 @@ def test_every_seed_reference_verifies():
 
 
 def test_unknown_port_in_vector_is_a_schema_violation(tmp_path):
-    path = copy_pack("xnor2", tmp_path,
-                     mutate_tb=lambda tb: tb["vectors"][0]["inputs"]
-                     .update({"ghost": 1}))
-    with pytest.raises(TaskSchemaError, match="unknown port bit 'ghost'"):
-        load_task_pack(path)
+    for i, key in enumerate(("ghost", "a[\u00b2]")):  # not a decimal index
+        path = copy_pack("xnor2", tmp_path / str(i),
+                         mutate_tb=lambda tb: tb["vectors"][0]["inputs"]
+                         .update({key: 1}))
+        with pytest.raises(TaskSchemaError) as exc:
+            load_task_pack(path)
+        assert str(exc.value) == \
+            f"testbench.vectors[0]: unknown port bit '{key}'"
 
 
 def test_clock_on_combinational_task_is_a_schema_violation(tmp_path):
@@ -187,13 +192,13 @@ def test_reference_tiers_key_is_ignored(tmp_path):
 
 @pytest.mark.parametrize("task_id, mutate_tb, match", [
     ("and3", lambda tb: tb["vectors"][3]["inputs"].pop("b"),
-     r"vectors\[3\]: unassigned input bit\(s\): b"),
+     r"testbench\.json: vector 3: unassigned input bit\(s\): b"),
     ("seq101", lambda tb: tb["vectors"][0]["inputs"].pop("x"),
-     r"vectors\[0\]: unassigned input bit\(s\): x"),
+     r"testbench\.json: vector 0: unassigned input bit\(s\): x"),
     ("seq101", lambda tb: tb["vectors"][2].update(cycle=1),
-     r"vectors\[2\]\.cycle: duplicate cycle 1"),
+     r"testbench\.json: vector 2: duplicate cycle 1"),
     ("seq101", lambda tb: tb["vectors"][-1].update(cycle=tb["cycles"]),
-     r"vectors\[\d+\]\.cycle: 32 is not below cycles \(32\)"),
+     r"testbench\.json: vector \d+: cycle 32 outside 0\.\.31"),
 ], ids=["combinational-unassigned-bit", "sequential-cycle-0-unassigned-bit",
         "sequential-duplicate-cycle", "sequential-cycle-past-the-end"])
 def test_unsimulatable_testbench_is_refused_at_load(tmp_path, task_id,
@@ -201,6 +206,58 @@ def test_unsimulatable_testbench_is_refused_at_load(tmp_path, task_id,
     path = copy_pack(task_id, tmp_path, mutate_tb=mutate_tb)
     with pytest.raises(TaskSchemaError, match=match):
         load_task_pack(path)
+
+
+SEQUENTIAL_REFUSALS = {
+    "cycle-out-of-range": (lambda tb: tb["vectors"][-1].update(cycle=32),
+                           "vector 31: cycle 32 outside 0..31"),
+    "duplicate-cycle": (lambda tb: tb["vectors"][2].update(cycle=1),
+                        "vector 2: duplicate cycle 1"),
+    "no-cycle-0-vector": (lambda tb: tb["vectors"].pop(0),
+                          "no vector at cycle 0 assigns input bit(s): x"),
+    "cycle-0-unassigned-bit": (lambda tb: tb["vectors"][0]["inputs"].pop("x"),
+                               "vector 0: unassigned input bit(s): x"),
+    "driven-clock": (lambda tb: tb["vectors"][4]["inputs"].update(clk=1),
+                     "vector 4: clock 'clk' is driven by the harness, "
+                     "not by vectors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENTIAL_REFUSALS))
+def test_sequential_refusals_name_the_same_vector_in_simulator_and_load(
+        tmp_path, case):
+    mutate_tb, message = SEQUENTIAL_REFUSALS[case]
+    task = builtin("seq101")
+    with open(f"{task.path}/testbench.json", encoding="utf-8") as fh:
+        tb = json.load(fh)
+    mutate_tb(tb)
+    vectors = [TestVector(v["inputs"], v["expected"], v["cycle"])
+               for v in tb["vectors"]]
+    netlist = parse(task.reference_netlist).netlist
+    for clock in (task.clock, None):  # designated or inferred
+        with pytest.raises(SimulationError) as exc:
+            simulate_sequential(netlist, vectors, tb["cycles"], clock=clock)
+        assert str(exc.value) == message
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(copy_pack("seq101", tmp_path, mutate_tb=mutate_tb))
+    assert str(exc.value) == f"testbench.json: {message}"
+
+
+def test_bit_select_keys_name_canonical_bits(tmp_path):
+    def scalar_as_bit(tb):
+        for v in tb["vectors"]:
+            v["inputs"]["a[0]"] = v["inputs"].pop("a")
+
+    def port_as_padded_bits(tb):
+        for v in tb["vectors"]:
+            a = v["inputs"].pop("a")
+            v["inputs"].update({"a[00]": a & 1, "a[01]": a >> 1})
+
+    for task_id, mutate_tb in (("xnor2", scalar_as_bit),
+                               ("adder2", port_as_padded_bits)):
+        task = load_task_pack(copy_pack(task_id, tmp_path, mutate_tb=mutate_tb))
+        assert task.testbench == builtin(task_id).testbench
+        assert verify_reference(task).correctness == 1.0
 
 
 def test_whole_port_integers_expand_to_bits():
