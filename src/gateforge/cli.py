@@ -15,7 +15,7 @@ import tempfile
 from .backends import create_backend
 from .knowledge import KnowledgeStore
 from .metrics import MetricWeights
-from .orchestrator import RunConfig, run_benchmark, run_task
+from .orchestrator import RunConfig, run_benchmark, run_task, summarize
 from .taskpack import (
     builtin_task_dir,
     builtin_task_packs,
@@ -78,6 +78,7 @@ def _cmd_run(args) -> int:
     backend = _resolve_backend(args, cfg)
     store = _make_store(args)
     run = run_task(task, cfg, backend, store)
+    summarize(task, [run], store)
     print(f"task {task.id}: {run.status} "
           f"(revisions used: {run.revisions_used})")
     if run.result is not None:

@@ -641,28 +641,18 @@ def _archive_duplicate_primaries(entries: list[KnowledgeEntry]) -> None:
 
 class KnowledgeView(_RetrievalBase):
     """Frozen read-only view with the same retrieval and extraction
-    contract as the store."""
+    contract as the store.
+
+    `run_benchmark` gives the samples of one task a view taken when the
+    task starts. Nothing is written to the store until they all finish;
+    then `orchestrator.summarize` admits what they learned, once per task.
+    """
 
     def __init__(self, entries: tuple[KnowledgeEntry, ...]):
         self._frozen = entries
-        self._extracted: dict[tuple, tuple[KnowledgeEntry, ...]] = {}
 
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         return list(self._frozen)
-
-    def extract_patterns(self, netlist: Netlist, task_id: str = "",
-                         run_id: str = "", tags: tuple[str, ...] = (),
-                         text: str | None = None) -> list[KnowledgeEntry]:
-        # Over frozen entries, extraction depends only on the canonical text
-        # and these arguments; samples of one task share a view, so each
-        # distinct verified design is extracted once.
-        if text is None:
-            text = nl_parser.render(netlist)
-        key = (text, task_id, run_id, tuple(tags))
-        if key not in self._extracted:
-            self._extracted[key] = tuple(super().extract_patterns(
-                netlist, task_id, run_id, tags, text))
-        return list(self._extracted[key])
 
 
 def _enumerate_subnetlists(netlist: Netlist) -> Iterator[Netlist]:

@@ -487,10 +487,6 @@ def critical_path_delay(netlist: Netlist) -> int:
     return compile_netlist(netlist).report.delay
 
 
-def register_count(netlist: Netlist) -> int:
-    return len(netlist.dff_gates())
-
-
 def structural_report(netlist: Netlist) -> StructuralReport:
     return compile_netlist(netlist).report
 

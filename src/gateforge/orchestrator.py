@@ -4,9 +4,13 @@ UserProxy turns a task pack into a structured brief, Mediator routes every
 message and accounts for the revision budget, CoderAgent is the only role
 backed by the language model, Reviewer gates candidates with deterministic
 checks (parse, validate, locked-syntax compliance) and phrases feedback,
-Executor simulates, and Summarizer extracts verified patterns into the
-knowledge store. Static review always precedes execution, so nothing
-unparsed or structurally invalid ever reaches the simulator.
+Executor simulates, and Summarizer (`summarize`) turns verified designs into
+knowledge store entries. Static review always precedes execution, so
+nothing unparsed or structurally invalid ever reaches the simulator.
+
+`run_task` only reads the store. Entries are written once per task, after
+all of its samples finish, by `summarize` on the calling thread; both
+`run_benchmark` and `gateforge run --store` go through it.
 
 Revision policy: a fixed budget shared by functional fixes and the single
 optimization round. With the default budget of 2, a task sees at most three
@@ -66,7 +70,6 @@ ROLE_MEDIATOR = "mediator"
 ROLE_CODER = "coder"
 ROLE_REVIEWER = "reviewer"
 ROLE_EXECUTOR = "executor"
-ROLE_SUMMARIZER = "summarizer"
 
 MSG_SPEC = "spec"
 MSG_CANDIDATE = "netlist-candidate"
@@ -208,8 +211,9 @@ class TaskRun:
     transcript: list[AgentMessage]
     revisions_used: int
     netlist_text: str | None = None
+    netlist: Netlist | None = None    # the design netlist_text renders
     result: EvalResult | None = None
-    extracted: list[KnowledgeEntry] = field(default_factory=list)
+    run_id: str = ""                  # provenance of what summarize learns
     wall_seconds: float = 0.0
     error: str | None = None
 
@@ -385,8 +389,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
              store: KnowledgeStore | KnowledgeView | None = None,
              sample_index: int = 0, run_id: str = "") -> TaskRun:
     """Drive one task through the full generate/review/simulate loop.
-    A verified design's patterns are stored only into a `KnowledgeStore`;
-    a `KnowledgeView` snapshot just returns them in `TaskRun.extracted`."""
+    The store is only read; `summarize` learns from the returned run."""
     t0 = time.monotonic()
     mediator = Mediator()
     backend.start_sample(task.id, sample_index)
@@ -412,23 +415,12 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
     best: tuple[float, Netlist, str, StructuralReport] | None = None
 
     def finish(status: str, error: str | None = None) -> TaskRun:
-        final_text = None
-        result = None
-        extracted: list[KnowledgeEntry] = []
+        design = final_text = result = None
         if status == "verified":
             _, design, final_text, report = best
             sei = measure(report, cfg.weights)
             result = EvalResult(1.0, report.gate_count, report.delay, sei,
                                 classify_tier(sei) if sei is not None else None)
-            if store is not None:
-                extracted = store.extract_patterns(
-                    design, task_id=task.id, run_id=run_id, tags=task.tags,
-                    text=final_text)
-                mediator.route(ROLE_SUMMARIZER, ROLE_MEDIATOR, MSG_ACCEPT,
-                               f"extracted {len(extracted)} pattern(s)")
-                if isinstance(store, KnowledgeStore):
-                    for e in extracted:
-                        store.store(e)
             mediator.route(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ACCEPT,
                            f"verified with G={report.gate_count} "
                            f"D={report.delay}")
@@ -442,8 +434,9 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             transcript=mediator.transcript,
             revisions_used=mediator.revisions_used,
             netlist_text=final_text,
+            netlist=design,
             result=result,
-            extracted=extracted,
+            run_id=run_id,
             wall_seconds=time.monotonic() - t0,
             error=error,
         )
@@ -555,18 +548,31 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                            **attachments)
 
 
-def _merge_extracted(runs: list[TaskRun]) -> list[KnowledgeEntry]:
-    """One entry per (signature, interface) key from a task's samples.
+def summarize(task: TaskPack, runs: list[TaskRun],
+              store: KnowledgeStore) -> list[KnowledgeEntry]:
+    """The Summarizer: admit what a task's samples learned; returns the
+    admitted entries in admission order.
 
-    Runs are walked in sample order. An entry replaces the one held for its
-    key only when its efficiency index is strictly higher, and then moves to
-    the end, which is where storing every entry one by one would leave the
-    surviving primary; the store therefore ends with the same primaries in
-    the same relative id order, without the archived duplicates.
+    Call it on one thread once the task's samples all finish, before
+    anything else is written to the store, so extraction sees the entries
+    the samples retrieved from. Runs are walked in sample order and each
+    distinct verified design is extracted once. The results are merged to
+    one entry per (signature, interface) key: an entry replaces the one
+    held for its key only when its efficiency index is strictly higher, and
+    then moves to the end, which is where storing every entry one by one
+    would leave the surviving primary. The store therefore ends with the
+    same primaries in the same relative id order, without the archived
+    duplicates.
     """
+    seen: set[str] = set()
     merged: dict[tuple, KnowledgeEntry] = {}
-    for r in runs:
-        for entry in r.extracted:
+    for run in runs:
+        if run.status != "verified" or run.netlist_text in seen:
+            continue
+        seen.add(run.netlist_text)
+        for entry in store.extract_patterns(
+                run.netlist, task_id=task.id, run_id=run.run_id,
+                tags=task.tags, text=run.netlist_text):
             key = pattern_key(entry)
             held = merged.get(key)
             if held is not None:
@@ -574,7 +580,34 @@ def _merge_extracted(runs: list[TaskRun]) -> list[KnowledgeEntry]:
                     continue
                 del merged[key]
             merged[key] = entry
-    return list(merged.values())
+    admitted = list(merged.values())
+    for entry in admitted:
+        store.store(entry)
+    return admitted
+
+
+def _report_row(task: TaskPack, runs: list[TaskRun],
+                cfg: RunConfig) -> TaskReportRow:
+    n = len(runs)
+    c = sum(1 for r in runs if r.status == "verified")
+    errors = sum(1 for r in runs if r.status == "error")
+    best = None
+    for r in runs:
+        if r.status == "verified" and r.result and r.result.sei is not None:
+            if best is None or r.result.sei > best.sei:
+                best = r.result
+    return TaskReportRow(
+        task_id=task.id,
+        difficulty=task.difficulty,
+        n=n,
+        c=c,
+        pass_at={k: pass_at_k(SampleStats(n, c, k)) for k in cfg.pass_ks},
+        best_gate_count=best.gate_count if best else None,
+        best_delay=best.delay if best else None,
+        best_sei=best.sei if best else None,
+        status="verified" if c else ("error" if errors == n else "failed"),
+        errors=errors,
+    )
 
 
 def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
@@ -585,17 +618,18 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
 
     Tasks run in order; the samples of one task run on up to `cfg.workers`
     threads and retrieve from a store snapshot taken when the task starts.
-    Pattern writes land after all of the task's samples finish, as one
-    merged set of entries in sample order. Later samples of the same task
-    therefore cannot retrieve an earlier sample's answer, later tasks do see
-    earlier tasks' knowledge, and no result depends on the worker count.
+    Once they all finish, `summarize` writes what they learned on this
+    thread, and the task's report row is built. Later samples of the same
+    task therefore cannot retrieve an earlier sample's answer, later tasks
+    do see earlier tasks' knowledge, and no result depends on the worker
+    count.
     """
     if not tasks:
         raise ValueError("run_benchmark needs at least one task")
     t0 = time.monotonic()
     samples = range(cfg.samples_per_task)
 
-    all_runs: list[list[TaskRun]] = []
+    rows: list[TaskReportRow] = []
     with (ThreadPoolExecutor(cfg.workers) if cfg.workers > 1
           else nullcontext()) as pool:
         for task in tasks:
@@ -605,34 +639,9 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
             runs = list(pool.map(sample, samples) if pool
                         else map(sample, samples))
             if store is not None:
-                for entry in _merge_extracted(runs):
-                    store.store(entry)
-            all_runs.append(runs)
-
-    rows: list[TaskReportRow] = []
-    for task, runs in zip(tasks, all_runs):
-        n = len(runs)
-        c = sum(1 for r in runs if r.status == "verified")
-        errors = sum(1 for r in runs if r.status == "error")
-        pass_at = {k: pass_at_k(SampleStats(n, c, k)) for k in cfg.pass_ks}
-        best = None
-        for r in runs:
-            if r.status == "verified" and r.result and r.result.sei is not None:
-                if best is None or r.result.sei > best.sei:
-                    best = r.result
-        status = "verified" if c else ("error" if errors == n else "failed")
-        rows.append(TaskReportRow(
-            task_id=task.id,
-            difficulty=task.difficulty,
-            n=n,
-            c=c,
-            pass_at=pass_at,
-            best_gate_count=best.gate_count if best else None,
-            best_delay=best.delay if best else None,
-            best_sei=best.sei if best else None,
-            status=status,
-            errors=errors,
-        ))
+                summarize(task, runs, store)
+            rows.append(_report_row(task, runs, cfg))
+            del runs  # their netlists are not needed once the row is built
 
     by_difficulty: dict[str, list[TaskReportRow]] = {}
     for row in rows:

@@ -356,26 +356,19 @@ def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
                      clock: str | None = None) -> dict[str, list[int]]:
     """Drive one input assignment per cycle and record every output stream.
 
-    Same clocking semantics as simulate_sequential, no checking. Each
-    stimulus entry must assign every non-clock input bit.
+    Same clocking semantics as simulate_sequential, without expectations:
+    stimulus[t] is the input assignment of cycle t and must pass
+    check_vectors as a vector at that cycle, so the first one assigns every
+    input bit but the clock. Inputs hold their values between cycles.
     """
     compiled = compile_netlist(netlist)
-    _clock, clock_net = _resolve_clock(netlist, clock)
-    drive = {k: v for k, v in compiled.input_bits if v != clock_net}
-
-    updates: list[dict[int, int]] = []
-    for t, assignment in enumerate(stimulus):
-        missing = sorted(set(drive) - set(assignment))
-        if missing:
-            raise SimulationError(
-                f"cycle {t}: unassigned input bit(s): {', '.join(missing)}")
-        update = {}
-        for key, val in assignment.items():
-            if key not in drive:
-                raise SimulationError(f"cycle {t}: '{key}' is not a drivable "
-                                      "input bit")
-            update[drive[key]] = val & 1
-        updates.append(update)
+    clock, clock_net = _resolve_clock(netlist, clock)
+    in_bits = dict(compiled.input_bits)
+    check_vectors([TestVector(assignment, {}, t)
+                   for t, assignment in enumerate(stimulus)],
+                  in_bits, dict(compiled.output_bits), clock, len(stimulus))
+    updates = ({in_bits[key]: val & 1 for key, val in assignment.items()}
+               for assignment in stimulus)
     streams: dict[str, list[int]] = {name: [] for name, _ in compiled.output_bits}
     for values in _clocked_cycles(compiled, clock_net, updates):
         for name, nid in compiled.output_bits:

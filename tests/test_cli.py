@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -42,6 +43,37 @@ def test_run_single_task(capsys, script_path, tmp_path):
     out = capsys.readouterr().out
     assert "verified" in out
     assert "module full_adder" in out
+
+
+def store_contents(root):
+    """Index records without admission times, and every pattern file."""
+    records = [json.loads(line) for line
+               in (root / "index.jsonl").read_text().splitlines()]
+    for rec in records:
+        del rec["created_at"]
+    patterns = {p.name: p.read_text()
+                for p in sorted((root / "patterns").iterdir())}
+    return records, patterns
+
+
+@pytest.mark.parametrize("task_id", [t.id for t in builtin_task_packs()])
+def test_run_and_bench_learn_the_same_entries(capsys, script_path, tmp_path,
+                                              task_id):
+    pack = f"{builtin_task_dir()}/{task_id}"
+    assert main(["run", "--task", pack, "--backend", f"scripted:{script_path}",
+                 "--store", str(tmp_path / "run")]) == 0
+    shutil.copytree(pack, tmp_path / "tasks" / task_id)
+    assert main(["bench", "--tasks", str(tmp_path / "tasks"), "--n", "1",
+                 "--backend", f"scripted:{script_path}",
+                 "--store", str(tmp_path / "bench")]) == 0
+    run_records, run_patterns = store_contents(tmp_path / "run")
+    bench_records, bench_patterns = store_contents(tmp_path / "bench")
+    assert run_records
+    # Provenance names the command: `run` leaves no run id, `bench` "bench".
+    assert {rec.pop("run_id") for rec in run_records} == {""}
+    assert {rec.pop("run_id") for rec in bench_records} == {"bench"}
+    assert run_records == bench_records
+    assert run_patterns == bench_patterns
 
 
 def test_run_failure_exit_code(capsys, tmp_path):

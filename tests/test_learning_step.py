@@ -1,6 +1,8 @@
 """The learning step (extraction and admission) against reference versions
 that carve every sub-pattern and admit every extracted entry one by one."""
 
+import threading
+
 import pytest
 
 from gateforge import knowledge
@@ -15,7 +17,13 @@ from gateforge.knowledge import (
     make_pattern_entry,
     verify_pattern_entry,
 )
-from gateforge.orchestrator import RunConfig, run_benchmark, run_task
+from gateforge.orchestrator import (
+    RunConfig,
+    TaskRun,
+    run_benchmark,
+    run_task,
+    summarize,
+)
 from gateforge.parser import parse, render
 from gateforge.taskpack import builtin_task_packs
 
@@ -79,21 +87,26 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
     assert len(carves) < n_carved / 4
 
 
-def test_extraction_renders_only_what_it_emits(monkeypatch):
+def test_extraction_renders_only_what_it_emits(tmp_path, monkeypatch):
     netlist = parse(ADDER4.reference_netlist).netlist
     text = render(netlist)
     renders = []
     monkeypatch.setattr(knowledge.nl_parser, "render",
                         lambda n: renders.append(1) or render(n))
-    view = KnowledgeView(())
-    got = view.extract_patterns(netlist, task_id="adder4", text=text)
+    got = KnowledgeView(()).extract_patterns(netlist, task_id="adder4",
+                                             tags=ADDER4.tags, text=text)
     # The whole design's entry takes the caller's text; no carved
     # sub-netlist is rendered unless its entry is emitted.
     assert got[0].netlist_text == text
     assert len(renders) == len(got) - 1
+    # Two samples with one design: the Summarizer extracts it once, from
+    # the run's own netlist and text.
     renders.clear()
-    assert view.extract_patterns(netlist, task_id="adder4", text=text) == got
-    assert renders == []
+    runs = [TaskRun("adder4", i, "verified", [], 0, netlist_text=text,
+                    netlist=netlist) for i in range(2)]
+    admitted = summarize(ADDER4, runs, KnowledgeStore(tmp_path / "store"))
+    assert admitted == got
+    assert len(renders) == len(got) - 1
 
 
 def scripted(replies_by_sample):
@@ -126,7 +139,7 @@ def test_identical_samples_extract_once_and_store_no_duplicates(
     inner = []
     extract = knowledge._RetrievalBase.extract_patterns
     monkeypatch.setattr(knowledge._RetrievalBase, "extract_patterns",
-                        lambda *a: inner.append(1) or extract(*a))
+                        lambda *a, **kw: inner.append(1) or extract(*a, **kw))
     stores = {}
     for n in (1, 3):
         stores[n] = KnowledgeStore(tmp_path / f"n{n}")
@@ -156,21 +169,26 @@ def test_merged_commit_keeps_the_later_better_sample(tmp_path):
     report = run_benchmark([ADDER4], config, scripted(designs), merged)
     assert report.rows[0].c == 3
 
-    # Every sample's entries admitted one by one, in sample order.
+    # Every sample's entries extracted from the empty store and admitted
+    # one by one, in sample order.
     one_by_one = KnowledgeStore(tmp_path / "one_by_one")
     snapshot = one_by_one.snapshot()
     backend = scripted(designs)
-    runs = [run_task(ADDER4, config, backend, snapshot, sample_index=i,
-                     run_id="bench")
-            for i in range(3)]
-    for run in runs:
-        for entry in run.extracted:
+    extracted = []
+    for i in range(3):
+        run = run_task(ADDER4, config, backend, snapshot, sample_index=i,
+                       run_id="bench")
+        extracted.append(snapshot.extract_patterns(
+            run.netlist, task_id=ADDER4.id, run_id=run.run_id,
+            tags=ADDER4.tags, text=run.netlist_text))
+    for entries in extracted:
+        for entry in entries:
             one_by_one.store(entry)
 
     worse = {(e.signature_digest, e.inputs, e.outputs): e.sei
-             for e in runs[0].extracted}
+             for e in extracted[0]}
     better = {(e.signature_digest, e.inputs, e.outputs): e.sei
-              for e in runs[1].extracted}
+              for e in extracted[1]}
     improved = {k for k in worse.keys() & better.keys() if better[k] > worse[k]}
     assert improved  # the whole design at least
     primaries = merged.entries()
@@ -187,3 +205,46 @@ def test_merged_commit_keeps_the_later_better_sample(tmp_path):
     for q in queries:
         assert (content(merged.retrieve(q))
                 == content(one_by_one.retrieve(q)))
+
+
+def test_extraction_runs_on_the_calling_thread_once_per_design(tmp_path,
+                                                              monkeypatch):
+    calls = []
+    extract = knowledge._RetrievalBase.extract_patterns
+
+    def recording(self, netlist, task_id="", *args, **kwargs):
+        calls.append((threading.get_ident(), task_id, render(netlist)))
+        return extract(self, netlist, task_id, *args, **kwargs)
+
+    monkeypatch.setattr(knowledge._RetrievalBase, "extract_patterns",
+                        recording)
+
+    class PerThread(ModelBackend):
+        """Replies with the design listed for the sample each thread runs."""
+
+        identity = "per-thread"
+
+        def __init__(self, designs):
+            self.designs = designs
+            self.local = threading.local()
+
+        def start_sample(self, task_id, sample_index):
+            self.local.reply = self.designs[task_id][sample_index]
+
+        def complete(self, messages, params):
+            return f"```\n{self.local.reply}```\n"
+
+    full_adder = TASKS["full_adder"]
+    designs = {"adder4": [WORSE_ADDER4, ADDER4.reference_netlist] * 4,
+               "full_adder": [full_adder.reference_netlist] * 8}
+    config = RunConfig(samples_per_task=8, efficiency_accept_threshold=0.1,
+                       workers=4)
+    report = run_benchmark([ADDER4, full_adder], config, PerThread(designs),
+                           KnowledgeStore(tmp_path / "store"))
+    assert [r.c for r in report.rows] == [8, 8]
+    # Each task's distinct designs, in sample order, on this thread only.
+    canonical = [(t, render(parse(d).netlist)) for t, d in (
+        ("adder4", WORSE_ADDER4), ("adder4", ADDER4.reference_netlist),
+        ("full_adder", full_adder.reference_netlist))]
+    assert [(t, text) for _, t, text in calls] == canonical
+    assert {ident for ident, _, _ in calls} == {threading.get_ident()}

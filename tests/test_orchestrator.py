@@ -15,6 +15,7 @@ from gateforge.orchestrator import (
     build_prompt,
     run_benchmark,
     run_task,
+    summarize,
 )
 from gateforge.parser import parse
 from gateforge.taskpack import (
@@ -65,6 +66,9 @@ def test_correct_first_try(store):
     assert run.status == "verified"
     assert run.revisions_used == 0
     assert (run.result.gate_count, run.result.delay) == (5, 3)
+    # run_task only reads the store; the Summarizer writes.
+    assert store.entries() == []
+    assert summarize(FA, [run], store)
     assert len(store.entries()) > 0
 
 
@@ -195,7 +199,7 @@ def test_scores_agree_under_register_weight(task_id, dff_weight):
 
 def test_gate_free_design_verifies_without_an_index(tmp_path):
     """A design that only wires an input to an output has no index: it
-    verifies, and extraction leaves the store untouched."""
+    verifies, and the Summarizer leaves the store untouched."""
     pack = tmp_path / "buf1"
     pack.mkdir()
     (pack / "task.json").write_text(json.dumps({
@@ -214,7 +218,7 @@ def test_gate_free_design_verifies_without_an_index(tmp_path):
                    store)
     assert run.status == "verified"
     assert run.result.sei is None
-    assert run.extracted == []
+    assert summarize(load_task_pack(pack), [run], store) == []
     assert (tmp_path / "store" / "index.jsonl").read_bytes() == index_before
     assert not any((tmp_path / "store" / "patterns").iterdir())
 

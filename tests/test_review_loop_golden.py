@@ -3,7 +3,8 @@
 Each seed task is driven through `run_task` under five configurations (no
 store, review retrieval only, full retrieval on a snapshot, full retrieval
 with the model-written brief and feedback phrasing, full retrieval on the
-live store) with seeded reply sequences. Replies are drawn from: prose with
+live store, where `summarize` learns from each sample before the next)
+with seeded reply sequences. Replies are drawn from: prose with
 no code block, behavioural or unknown constructs, an extra port, a register
 in a combinational task, a register clocked from the wrong port, a gate-kind
 swap that fails the testbench, an inverter pair inserted at one of two
@@ -47,6 +48,7 @@ from gateforge.orchestrator import (
     RunConfig,
     TaskRun,
     run_task,
+    summarize,
 )
 from gateforge.parser import parse
 from gateforge.taskpack import builtin_task_packs, simulate_task
@@ -274,11 +276,13 @@ def run_record(run: TaskRun, calls: list[str], queries: list[str]) -> list:
     return record + [list(calls), list(queries)]
 
 
-def corpus_runs(root: Path) -> tuple[list[list[list]], list[TaskRun], list]:
-    """(records per batch, every run, the live store's records)."""
+def corpus_runs(root: Path,
+                ) -> tuple[list[list[list]], list[TaskRun], list, list]:
+    """(records per batch, every run, the live store's records, the entries
+    `summarize` admitted after each live sample)."""
     tasks = builtin_task_packs()
     menus = {t.id: reply_menu(t) for t in tasks}
-    batches, runs = [], []
+    batches, runs, learned = [], [], []
     live = _seeded_store(root / "live")
     for name, overrides, store_kind, samples in CONFIGS:
         base = _seeded_store(root / name) if store_kind == "view" else None
@@ -301,13 +305,15 @@ def corpus_runs(root: Path) -> tuple[list[list[list]], list[TaskRun], list]:
                                 **overrides)
                 del backend.log[:], queries[:]
                 run = run_task(task, cfg, backend, store, i, run_id=name)
+                if store_kind == "live":
+                    learned.append(summarize(task, [run], live))
                 runs.append(run)
                 batch.append(run_record(run, backend.log, queries))
             batches.append(batch)
     records = [{k: v for k, v in e.to_record().items() if k != "created_at"}
                | {"netlist_text": e.netlist_text}
                for e in live.entries(include_archived=True)]
-    return batches, runs, records
+    return batches, runs, records, learned
 
 
 def digests(batches: list[list[list]], records: list) -> list[str]:
@@ -335,7 +341,7 @@ def final_outcome(run: TaskRun) -> str:
 
 
 def test_corpus_covers_every_path(corpus):
-    batches, runs, records = corpus
+    batches, runs, records, learned = corpus
     statuses = {r.status for r in runs}
     assert statuses == {"verified", "failed", "error"}
     errors = [r.error for r in runs if r.status == "failed"]
@@ -360,14 +366,14 @@ def test_corpus_covers_every_path(corpus):
     assert any(b.startswith("Formal requirement.") for b in bodies)
     assert any("First failure" in b for b in bodies)
     assert any("Optimization hints" in b for b in bodies)
-    assert any(r.extracted for r in runs)
+    assert any(learned) and not all(learned)
     assert any(rec["kind"] == "circuit-pattern" and rec["run_id"] == "V2-live"
                for rec in records)
     assert sum(len(b) for b in batches) == len(runs) > 500
 
 
 def test_runs_match_recorded_digests(corpus):
-    batches, runs, records = corpus
+    batches, runs, records, _ = corpus
     want = DIGESTS.read_text().split()
     got = digests(batches, records)
     assert len(got) == len(want)
@@ -379,6 +385,6 @@ def test_runs_match_recorded_digests(corpus):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        batches, _, records = corpus_runs(Path(tmp))
+        batches, _, records, _ = corpus_runs(Path(tmp))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text("\n".join(digests(batches, records)) + "\n")

@@ -186,6 +186,30 @@ def test_causality_outputs_ignore_future_inputs():
         assert tr_a["det"][:3] == tr_b["det"][:3]
 
 
+@pytest.mark.parametrize("stimulus, message", [
+    ([{"d": 0}, {"d": 1, "clk": 1}],
+     "vector 1: clock 'clk' is driven by the harness, not by vectors"),
+    ([{"d": 0}, {"d": 1, "e": 0}],
+     "vector 1: 'e' is not a declared input port bit"),
+    ([{}], "vector 0: unassigned input bit(s): d"),
+    ([], "no vector at cycle 0 assigns input bit(s): d"),
+])
+def test_trace_refuses_stimulus_as_check_vectors_does(stimulus, message):
+    with pytest.raises(SimulationError) as exc:
+        sequential_trace(build_delay_line(), stimulus)
+    assert str(exc.value) == message
+    # simulate_sequential refuses the same cycles with the same words.
+    vectors = [TestVector(a, {}, t) for t, a in enumerate(stimulus)]
+    with pytest.raises(SimulationError) as exc:
+        simulate_sequential(build_delay_line(), vectors, len(stimulus))
+    assert str(exc.value) == message
+
+
+def test_trace_inputs_hold_between_cycles():
+    trace = sequential_trace(build_delay_line(), [{"d": 1}, {}, {"d": 0}, {}])
+    assert trace == {"q": [0, 1, 1, 0]}
+
+
 def test_clock_cannot_be_driven_by_vectors():
     with pytest.raises(SimulationError, match="clock"):
         simulate_sequential(build_delay_line(),
