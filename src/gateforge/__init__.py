@@ -16,7 +16,6 @@ from .netlist import (
 from .parser import (
     ParseError,
     ParseResult,
-    SourceText,
     extract_netlist_block,
     parse,
     render,
@@ -69,7 +68,7 @@ __all__ = [
     "GateKind", "Netlist", "NetlistBuilder", "Port", "PortDir",
     "StructuralReport", "critical_path_delay", "gate_count", "levelize",
     "structural_report", "validate",
-    "ParseError", "ParseResult", "SourceText", "extract_netlist_block",
+    "ParseError", "ParseResult", "extract_netlist_block",
     "parse", "render",
     "FunctionalSignature", "SimOutcome", "TestVector", "functional_signature",
     "simulate_combinational", "simulate_sequential", "truth_table",

@@ -19,9 +19,9 @@ from .netlist import (
     Gate,
     GateKind,
     Net,
-    NetKind,
     Netlist,
     NetlistBuilder,
+    PortDir,
     StructuralReport,
     compile_netlist,
     structural_report,
@@ -385,7 +385,7 @@ def _network_to_netlist(f: BoolFunction, nodes: list[_SearchNode],
         assert nd.kind is not None
         ins = tuple(net_of[o] for o in nd.operands)
         net_of[gi] = b.gate(nd.kind, ins)
-    b.bind_output("y", net_of[out_idx])
+    b.bind("y", PortDir.OUT, net_of[out_idx])
     netlist = b.build()
     return netlist, structural_report(netlist)
 
@@ -437,7 +437,7 @@ def suggest_optimizations(netlist: Netlist) -> list[OptimizationHint]:
     for g in netlist.gates:
         if g.kind is GateKind.DFF:
             continue
-        const_ins = [n for n in g.inputs if netlist.nets[n].is_const]
+        const_ins = [n for n in g.inputs if netlist.nets[n].value is not None]
         if const_ins:
             hints.append(OptimizationHint(
                 "constant-input", (g.name,),
@@ -524,8 +524,8 @@ def apply_hint(netlist: Netlist, hint: OptimizationHint) -> Netlist:
         return rewire({}, {and_gate.name, not_gate.name}, [fused])
     if hint.kind == "constant-input":
         g = gates[hint.gates[0]]
-        consts = {n: netlist.nets[n].const_value for n in g.inputs
-                  if netlist.nets[n].is_const}
+        consts = {n: netlist.nets[n].value for n in g.inputs
+                  if netlist.nets[n].value is not None}
         cn, cv = sorted(consts.items())[0]
         others = [n for n in g.inputs if n != cn]
         other = others[0] if others else cn
@@ -549,12 +549,11 @@ def apply_hint(netlist: Netlist, hint: OptimizationHint) -> Netlist:
 
 
 def _ensure_const(netlist: Netlist, value: int) -> Net:
-    want = NetKind.CONST1 if value else NetKind.CONST0
     for net in netlist.nets.values():
-        if net.kind is want:
+        if net.value == value:
             return net
     nid = max(netlist.nets) + 1 if netlist.nets else 0
-    return Net(nid, want, f"1'b{value}")
+    return Net(nid, f"1'b{value}", value)
 
 
 def apply_hints(netlist: Netlist, max_passes: int = 16) -> Netlist:

@@ -8,6 +8,7 @@ store (inspect / verify / compact / seed the knowledge store), report
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import tempfile
@@ -67,18 +68,21 @@ def _resolve_backend(args, cfg: RunConfig):
     return create_backend(selector, args.model or cfg.model)
 
 
-def _make_store(args) -> KnowledgeStore:
-    root = args.store or tempfile.mkdtemp(prefix="gateforge-store-")
-    return KnowledgeStore(root)
+def _store_dir(args) -> contextlib.AbstractContextManager[str]:
+    """The --store directory, or a fresh temporary one removed on exit."""
+    if args.store:
+        return contextlib.nullcontext(args.store)
+    return tempfile.TemporaryDirectory(prefix="gateforge-store-")
 
 
 def _cmd_run(args) -> int:
     task = load_task_pack(args.task)
     cfg = _load_config(args.config, None, {"samples_per_task": 1})
     backend = _resolve_backend(args, cfg)
-    store = _make_store(args)
-    run = run_task(task, cfg, backend, store)
-    summarize(task, [run], store)
+    with _store_dir(args) as root:
+        store = KnowledgeStore(root)
+        run = run_task(task, cfg, backend, store)
+        summarize(task, [run], store)
     print(f"task {task.id}: {run.status} "
           f"(revisions used: {run.revisions_used})")
     if run.result is not None:
@@ -101,8 +105,9 @@ def _cmd_bench(args) -> int:
     }
     cfg = _load_config(args.config, args.profile, overrides)
     backend = _resolve_backend(args, cfg)
-    store = _make_store(args)
-    report = run_benchmark(tasks, cfg, backend, store, profile=args.profile)
+    with _store_dir(args) as root:
+        report = run_benchmark(tasks, cfg, backend, KnowledgeStore(root),
+                               profile=args.profile)
     machine = emit_report(report, "machine")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
 from .metrics import measure
-from .netlist import (Gate, GateKind, Netlist, NetlistBuilder, StructuralReport,
-                      compile_netlist, structural_report)
+from .netlist import (Gate, GateKind, Netlist, NetlistBuilder, PortDir,
+                      StructuralReport, compile_netlist, structural_report)
 from .simulator import SimulationError, functional_signature, sequential_trace
 
 KIND_PATTERN = "circuit-pattern"
@@ -730,7 +730,7 @@ def _carve_subnetlist(netlist: Netlist, chosen: list[Gate]) -> Netlist | None:
         for net in g.inputs:
             if net in chosen_outputs:
                 continue
-            if netlist.nets[net].is_const:
+            if netlist.nets[net].value is not None:
                 continue
             if net not in boundary_inputs:
                 boundary_inputs.append(net)
@@ -751,14 +751,15 @@ def _carve_subnetlist(netlist: Netlist, chosen: list[Gate]) -> Netlist | None:
         net_map[net] = b.input(f"in{k}")
     for g in chosen:
         for net in g.inputs:
-            if netlist.nets[net].is_const and net not in net_map:
-                net_map[net] = b.const(netlist.nets[net].const_value)
+            value = netlist.nets[net].value
+            if value is not None and net not in net_map:
+                net_map[net] = b.const(value)
     for g in chosen:
         net_map.setdefault(g.output, b.wire())
     for g in chosen:
         b.gate(g.kind, tuple(net_map[n] for n in g.inputs), net_map[g.output])
     for k, net in enumerate(exposed):
-        b.bind_output(f"out{k}", net_map[net])
+        b.bind(f"out{k}", PortDir.OUT, net_map[net])
     return b.build()
 
 

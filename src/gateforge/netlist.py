@@ -75,14 +75,6 @@ GATE_EVAL: dict[GateKind, Callable[[int, int, int], int]] = {
 }
 
 
-class NetKind(Enum):
-    PRIMARY_INPUT = "primary-input"
-    PRIMARY_OUTPUT = "primary-output"
-    INTERNAL = "internal"
-    CONST0 = "constant-0"
-    CONST1 = "constant-1"
-
-
 class PortDir(Enum):
     IN = "in"
     OUT = "out"
@@ -91,20 +83,8 @@ class PortDir(Enum):
 @dataclass(frozen=True)
 class Net:
     id: int
-    kind: NetKind
     name: str | None = None
-
-    @property
-    def is_const(self) -> bool:
-        return self.kind in (NetKind.CONST0, NetKind.CONST1)
-
-    @property
-    def const_value(self) -> int:
-        if self.kind is NetKind.CONST0:
-            return 0
-        if self.kind is NetKind.CONST1:
-            return 1
-        raise ValueError(f"net {self.id} is not a constant")
+    value: int | None = None   # 0 or 1 on a constant net, None otherwise
 
 
 @dataclass(frozen=True)
@@ -163,12 +143,6 @@ class Netlist:
     # yields a netlist that is validated afresh.
     _compiled: "CompiledNetlist | None" = field(
         default=None, init=False, compare=False, repr=False)
-
-    def port(self, name: str) -> Port:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     def input_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction is PortDir.IN)
@@ -277,7 +251,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     # Drivers: constants drive themselves, input port bits drive their nets,
     # gate outputs drive their nets. Exactly one driver per net that is read.
     # Labels for messages are looked up only when something is wrong.
-    sources = [net.id for net in known.values() if net.is_const]
+    sources = [net.id for net in known.values() if net.value is not None]
     sources += [n for p in netlist.input_ports() for n in netlist.port_nets[p.name]]
     sources += [g.output for g in gates]
     driven = set(sources)
@@ -314,7 +288,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
 
 def _drivers_of(netlist: Netlist, net_id: int) -> list[str]:
     net = netlist.nets[net_id]
-    who = [f"constant {net.const_value}"] if net.is_const else []
+    who = [f"constant {net.value}"] if net.value is not None else []
     for p in netlist.input_ports():
         who += [f"input {p.bit_name(i)}"
                 for i, n in enumerate(netlist.port_nets[p.name]) if n == net_id]
@@ -398,8 +372,8 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
         registers=registers,
         input_bits=tuple(netlist.input_bits()),
         output_bits=output_bits,
-        const_nets=tuple((net.id, net.const_value)
-                         for net in netlist.nets.values() if net.is_const),
+        const_nets=tuple((net.id, net.value) for net in netlist.nets.values()
+                         if net.value is not None),
         report=StructuralReport(
             gate_count=len(netlist.gates),
             delay=max((depth.get(n, 0) for n in sinks), default=0),
@@ -500,51 +474,46 @@ class NetlistBuilder:
         self._port_nets: dict[str, tuple[int, ...]] = {}
         self._nets: dict[int, Net] = {}
         self._gates: list[Gate] = []
-        self._next_net = 0
         self._next_gate = 1
         self._consts: dict[int, int] = {}
 
-    def _new_net(self, kind: NetKind, name: str | None = None) -> int:
-        nid = self._next_net
-        self._next_net += 1
-        self._nets[nid] = Net(nid, kind, name)
+    def _new_net(self, name: str | None, value: int | None = None) -> int:
+        nid = len(self._nets)
+        self._nets[nid] = Net(nid, name, value)
         return nid
 
-    def _add_port(self, name: str, direction: PortDir, width: int,
-                  lsb: int, kind: NetKind) -> int | tuple[int, ...]:
-        if any(p.name == name for p in self._ports):
+    def bind(self, name: str, direction: PortDir, nets: int | tuple[int, ...],
+             lsb: int = 0) -> None:
+        """Declare a port whose bits, lsb first, are existing nets."""
+        bits = (nets,) if isinstance(nets, int) else tuple(nets)
+        if name in self._port_nets:
             raise ValueError(f"duplicate port {name}")
-        if width < 1:
+        if not bits:
             raise ValueError(f"port {name}: width must be >= 1")
+        self._ports.append(Port(name, direction, len(bits), lsb))
+        self._port_nets[name] = bits
+
+    def _new_port(self, name: str, direction: PortDir, width: int,
+                  lsb: int) -> int | tuple[int, ...]:
         port = Port(name, direction, width, lsb)
-        self._ports.append(port)
-        nets = tuple(self._new_net(kind, port.bit_name(i)) for i in range(width))
-        self._port_nets[name] = nets
+        nets = tuple(self.wire(port.bit_name(i)) for i in range(width))
+        self.bind(name, direction, nets, lsb)
         return nets[0] if width == 1 else nets
 
     def input(self, name: str, width: int = 1, lsb: int = 0):
-        return self._add_port(name, PortDir.IN, width, lsb, NetKind.PRIMARY_INPUT)
+        return self._new_port(name, PortDir.IN, width, lsb)
 
     def output(self, name: str, width: int = 1, lsb: int = 0):
-        return self._add_port(name, PortDir.OUT, width, lsb, NetKind.PRIMARY_OUTPUT)
-
-    def bind_output(self, name: str, nets: int | tuple[int, ...], lsb: int = 0):
-        """Declare an output port wired to existing nets (aliasing)."""
-        bits = (nets,) if isinstance(nets, int) else tuple(nets)
-        if any(p.name == name for p in self._ports):
-            raise ValueError(f"duplicate port {name}")
-        self._ports.append(Port(name, PortDir.OUT, len(bits), lsb))
-        self._port_nets[name] = bits
+        return self._new_port(name, PortDir.OUT, width, lsb)
 
     def wire(self, name: str | None = None) -> int:
-        return self._new_net(NetKind.INTERNAL, name)
+        return self._new_net(name)
 
     def const(self, value: int) -> int:
         if value not in (0, 1):
             raise ValueError("constant must be 0 or 1")
         if value not in self._consts:
-            kind = NetKind.CONST1 if value else NetKind.CONST0
-            self._consts[value] = self._new_net(kind, f"1'b{value}")
+            self._consts[value] = self._new_net(f"1'b{value}", value)
         return self._consts[value]
 
     def gate(self, kind: GateKind, inputs, output: int | None = None,

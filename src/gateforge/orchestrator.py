@@ -312,11 +312,11 @@ def _static_review(reply: str, task: TaskPack,
     """Parse, validate and check interface conformance of a raw reply.
     Returns (netlist, summary, error lines, error kinds in order of first
     appearance)."""
-    src = extract_netlist_block(reply)
-    if src is None:
+    text = extract_netlist_block(reply)
+    if text is None:
         return None, "no netlist module found in the reply", \
             ["reply contained no fenced code block with a module"], ["syntax"]
-    result = parse(src)
+    result = parse(text)
     if not result.ok:
         kinds = list(dict.fromkeys(e.kind for e in result.errors))
         return None, "rejected: " + ", ".join(sorted(kinds)), \

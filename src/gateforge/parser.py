@@ -18,12 +18,10 @@ import re
 from dataclasses import dataclass, field
 
 from .netlist import (
-    Gate,
     GateKind,
     InvalidNetlistError,
-    Net,
-    NetKind,
     Netlist,
+    NetlistBuilder,
     Port,
     PortDir,
     StructuralViolation,
@@ -60,12 +58,6 @@ _TOKEN_RE = re.compile(r"""
       | (?P<eof>\Z)
       | (?P<bad>.))
 """, re.VERBOSE | re.DOTALL)
-
-
-@dataclass(frozen=True)
-class SourceText:
-    text: str
-    origin: str = "<memory>"
 
 
 @dataclass(frozen=True)
@@ -165,9 +157,9 @@ class _Parser:
     never steps past 'eof'.
     """
 
-    def __init__(self, source: SourceText):
-        self.text = source.text
-        self.toks = _lex(source.text)
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _lex(text)
         self.pos = 0
         self.errors: list[ParseError] = []
         self.scope = _ModuleScope()
@@ -540,84 +532,60 @@ class _Parser:
 
     def _finalize(self) -> ParseResult:
         scope = self.scope
-        nets: dict[int, Net] = {}
-        next_net = 0
-
-        def make_net(kind: NetKind, name: str | None) -> int:
-            nonlocal next_net
-            nid = next_net
-            next_net += 1
-            nets[nid] = Net(nid, kind, name)
-            return nid
-
-        # One net per alias class. Classes containing a constant become that
-        # constant's net; classes containing an input bit take the input's
-        # identity; the rest become internal or output nets.
+        builder = NetlistBuilder(self.module_name)
+        # One net per alias class: a class holding a constant is that
+        # constant's net, any other class a wire named after the slot that
+        # claims it first.
         const_roots = {scope.find(slot): value
                        for value, slot in scope.const_slot.items()}
         class_net: dict[int, int] = {}
 
-        def materialize(slot: int, kind: NetKind, name: str | None) -> int:
+        def net_of(slot: int, name: str | None = None) -> int:
             root = scope.find(slot)
             if root not in class_net:
-                if root in const_roots:
-                    value = const_roots[root]
-                    ckind = NetKind.CONST1 if value else NetKind.CONST0
-                    class_net[root] = make_net(ckind, f"1'b{value}")
-                else:
-                    class_net[root] = make_net(kind, name)
+                value = const_roots.get(root)
+                class_net[root] = builder.wire(name) if value is None \
+                    else builder.const(value)
             return class_net[root]
 
-        # Inputs claim their class first, then outputs, then wires (the port
-        # bits met again there are already claimed); the port list itself
-        # keeps declaration order.
+        # Input bits claim their class first, then output bits, then wires
+        # (the port bits met again there are already claimed), then the
+        # constants a gate reads; ports are bound in declaration order.
         ports = [Port(pname, d, *scope.decls[pname][1:3])
                  for pname, d in scope.ports.items()]
         port_nets: dict[str, tuple[int, ...]] = {}
-        for p in ports:
-            if p.direction is PortDir.IN:
-                base = scope.decls[p.name][3]
-                port_nets[p.name] = tuple(
-                    materialize(base + i, NetKind.PRIMARY_INPUT, p.bit_name(i))
-                    for i in range(p.width))
-        for p in ports:
-            if p.direction is PortDir.OUT:
-                base = scope.decls[p.name][3]
-                port_nets[p.name] = tuple(
-                    materialize(base + i, NetKind.PRIMARY_OUTPUT, p.bit_name(i))
-                    for i in range(p.width))
+        for direction in (PortDir.IN, PortDir.OUT):
+            for p in ports:
+                if p.direction is direction:
+                    base = scope.decls[p.name][3]
+                    port_nets[p.name] = tuple(net_of(base + i, p.bit_name(i))
+                                              for i in range(p.width))
         for wname, (_tok, width, lsb, base) in scope.decls.items():
             for i in range(width):
-                materialize(base + i, NetKind.INTERNAL,
-                            wname if width == 1 else f"{wname}[{lsb + i}]")
+                net_of(base + i, wname if width == 1 else f"{wname}[{lsb + i}]")
+        for p in ports:
+            builder.bind(p.name, p.direction, port_nets[p.name], p.lsb)
 
         input_bit_nets = {n for p in ports if p.direction is PortDir.IN
                           for n in port_nets[p.name]}
-
-        gates: list[Gate] = []
         for kind, iname, conns, kw in self.instances:
-            out = materialize(conns[0], NetKind.INTERNAL, None)
-            ins = tuple(materialize(c, NetKind.INTERNAL, None)
-                        for c in conns[1:])
+            ins = tuple(net_of(c) for c in conns[1:])
             if kind is GateKind.DFF and ins[1] not in input_bit_nets:
                 self.error("syntax", kw,
                            "dff clock must be a primary input port bit")
                 continue
-            gates.append(Gate(kind, out, ins, iname))
+            builder.gate(kind, ins, net_of(conns[0]), iname)
 
         if self.errors:
             return ParseResult(None, self.errors)
-
-        netlist = Netlist(self.module_name, tuple(ports), nets,
-                          tuple(gates), port_nets)
         try:
-            compiled = compile_netlist(netlist)
+            netlist = builder.build()
         except InvalidNetlistError as exc:
             for v in exc.violations:
                 self.error("syntax", self._violation_token(v),
                            f"{v.kind}: {v.message}")
             return ParseResult(None, self.errors)
-        return ParseResult(netlist, [], list(compiled.warnings))
+        return ParseResult(netlist, [], list(compile_netlist(netlist).warnings))
 
     def _violation_token(self, v: StructuralViolation) -> _Token:
         name = v.where.split()[-1].split("[")[0]
@@ -628,15 +596,15 @@ class _Parser:
         return self.toks[0]
 
 
-def parse(source: SourceText | str) -> ParseResult:
+def parse(text: str) -> ParseResult:
     """Parse structural netlist text into the IR.
 
     Deterministic and total: any byte sequence yields either a netlist that
     satisfies every structural invariant, or one or more positioned errors.
+    The netlist is built by NetlistBuilder.build(), so it is returned
+    validated and compiled.
     """
-    if isinstance(source, str):
-        source = SourceText(source)
-    return _Parser(source).parse()
+    return _Parser(text).parse()
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.S)
@@ -644,7 +612,7 @@ _MODULE_SPAN_RE = re.compile(r"\bmodule\b.*?\bendmodule\b", re.S)
 _MODULE_RE = re.compile(r"\bmodule\b")
 
 
-def extract_netlist_block(reply: str, origin: str = "llm-reply") -> SourceText | None:
+def extract_netlist_block(reply: str) -> str | None:
     """Pull the first code block with a module header out of a model reply.
 
     Fenced blocks are scanned in order; as a fallback a bare
@@ -654,10 +622,10 @@ def extract_netlist_block(reply: str, origin: str = "llm-reply") -> SourceText |
     for m in _FENCE_RE.finditer(reply):
         body = m.group(1)
         if _MODULE_RE.search(body):
-            return SourceText(body.strip("\n"), origin)
+            return body.strip("\n")
     m = _MODULE_SPAN_RE.search(reply)
     if m:
-        return SourceText(m.group(0), origin)
+        return m.group(0)
     return None
 
 

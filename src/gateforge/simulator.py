@@ -83,9 +83,6 @@ class FunctionalSignature:
             h.update(b"|" + hex(c).encode())
         return h.hexdigest()
 
-    def row(self, r: int) -> tuple[int, ...]:
-        return tuple((c >> r) & 1 for c in self.columns)
-
     def column_bits(self, j: int) -> list[int]:
         rows = 1 << self.n_inputs if self.exact else SAMPLED_VECTOR_COUNT
         return [(self.columns[j] >> r) & 1 for r in range(rows)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from gateforge.netlist import GateKind, Netlist, NetlistBuilder
+from gateforge.netlist import GateKind, Netlist, NetlistBuilder, PortDir
 
 
 def build_half_adder() -> Netlist:
@@ -29,8 +29,8 @@ def build_full_adder() -> Netlist:
     ab = b.gate(GateKind.AND, (a, c))
     axb_cin = b.gate(GateKind.AND, (axb, cin))
     co = b.gate(GateKind.OR, (ab, axb_cin))
-    b.bind_output("sum", s)
-    b.bind_output("cout", co)
+    b.bind("sum", PortDir.OUT, s)
+    b.bind("cout", PortDir.OUT, co)
     return b.build()
 
 
@@ -50,8 +50,8 @@ def build_nand_full_adder() -> Netlist:
     n7 = g(cin, n5)
     s = g(n6, n7)            # sum
     co = g(n5, n1)           # carry
-    b.bind_output("sum", s)
-    b.bind_output("cout", co)
+    b.bind("sum", PortDir.OUT, s)
+    b.bind("cout", PortDir.OUT, co)
     return b.build()
 
 
@@ -68,8 +68,8 @@ def recursive_eval(netlist: Netlist, assignment: dict[str, int]) -> dict[str, in
         if nid in memo:
             return memo[nid]
         net = netlist.nets[nid]
-        if net.is_const:
-            result = net.const_value
+        if net.value is not None:
+            result = net.value
         elif nid in input_net:
             result = input_net[nid] & 1
         else:
@@ -113,5 +113,5 @@ def random_netlist(rng: random.Random, n_inputs: int, n_gates: int,
     gate_outputs = pool[n_inputs:] or pool
     n_outputs = n_outputs or rng.randint(1, min(3, len(gate_outputs)))
     for k in range(n_outputs):
-        b.bind_output(f"o{k}", rng.choice(gate_outputs))
+        b.bind(f"o{k}", PortDir.OUT, rng.choice(gate_outputs))
     return b.build()

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tempfile
 
 import pytest
 
@@ -74,6 +75,20 @@ def test_run_and_bench_learn_the_same_entries(capsys, script_path, tmp_path,
     assert {rec.pop("run_id") for rec in bench_records} == {"bench"}
     assert run_records == bench_records
     assert run_patterns == bench_patterns
+
+
+def test_run_and_bench_remove_their_temporary_store(capsys, script_path,
+                                                    tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    pack = f"{builtin_task_dir()}/xnor2"
+    assert main(["run", "--task", pack,
+                 "--backend", f"scripted:{script_path}"]) == 0
+    shutil.copytree(pack, tmp_path / "tasks" / "xnor2")
+    assert main(["bench", "--tasks", str(tmp_path / "tasks"), "--n", "1",
+                 "--backend", f"scripted:{script_path}"]) == 0
+    assert list(temp.iterdir()) == []
 
 
 def test_run_failure_exit_code(capsys, tmp_path):

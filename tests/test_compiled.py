@@ -17,7 +17,6 @@ from gateforge.netlist import (
     GateKind,
     InvalidNetlistError,
     Net,
-    NetKind,
     Netlist,
     NetlistBuilder,
     critical_path_delay,
@@ -137,9 +136,9 @@ def test_key_errors_name_the_first_offending_vector():
 
 
 def dangling_netlist() -> Netlist:
-    nets = {0: Net(0, NetKind.PRIMARY_INPUT, "a"),
-            1: Net(1, NetKind.PRIMARY_OUTPUT, "y"),
-            2: Net(2, NetKind.INTERNAL, "w")}
+    nets = {0: Net(0, "a"),
+            1: Net(1, "y"),
+            2: Net(2, "w")}
     gates = (Gate(GateKind.AND, 1, (0, 2), "g1"),)
     return Netlist("top", (nl.Port("a", nl.PortDir.IN),
                            nl.Port("y", nl.PortDir.OUT)),
@@ -147,9 +146,9 @@ def dangling_netlist() -> Netlist:
 
 
 def looped_netlist() -> Netlist:
-    nets = {0: Net(0, NetKind.PRIMARY_INPUT, "a"),
-            1: Net(1, NetKind.PRIMARY_OUTPUT, "y"),
-            2: Net(2, NetKind.INTERNAL, "w")}
+    nets = {0: Net(0, "a"),
+            1: Net(1, "y"),
+            2: Net(2, "w")}
     gates = (Gate(GateKind.AND, 2, (0, 1), "g1"),
              Gate(GateKind.OR, 1, (2, 0), "g2"))
     return Netlist("top", (nl.Port("a", nl.PortDir.IN),

@@ -14,7 +14,7 @@ from gateforge.knowledge import (
     sequential_fingerprint,
     verify_pattern_entry,
 )
-from gateforge.netlist import GateKind, NetlistBuilder
+from gateforge.netlist import GateKind, NetlistBuilder, PortDir
 from gateforge.simulator import truth_table
 
 
@@ -97,7 +97,7 @@ def test_gate_free_pattern_has_no_index_and_is_refused(store):
     from dataclasses import replace
 
     b = NetlistBuilder("buf1")
-    b.bind_output("y", b.input("a"))
+    b.bind("y", PortDir.OUT, b.input("a"))
     entry = make_pattern_entry(b.build())
     assert entry.sei is None
     assert store.extract_patterns(b.build()) == []

@@ -8,7 +8,6 @@ from gateforge.netlist import (
     Gate,
     GateKind,
     Net,
-    NetKind,
     Netlist,
     NetlistBuilder,
     Port,
@@ -145,8 +144,7 @@ def random_gate_graph(rng: random.Random) -> Netlist:
     n_in = rng.randint(1, 3)
     n_gates = rng.randint(1, 9)
     n_nets = n_in + n_gates + rng.randint(0, 2)
-    nets = {i: Net(i, NetKind.PRIMARY_INPUT if i < n_in else NetKind.INTERNAL,
-                   f"n{i}") for i in range(n_nets)}
+    nets = {i: Net(i, f"n{i}") for i in range(n_nets)}
     gates = []
     for k in range(n_gates):
         kind = rng.choice(list(GateKind))
@@ -234,7 +232,7 @@ def test_gate_count_half_adder():
 def test_gate_count_empty_passthrough():
     b = NetlistBuilder("wirepass")
     a = b.input("a")
-    b.bind_output("y", a)
+    b.bind("y", PortDir.OUT, a)
     n = b.build()
     assert gate_count(n) == 0
     assert critical_path_delay(n) == 0
@@ -249,7 +247,7 @@ def test_eight_gate_two_level_design():
     outs = [b.gate(GateKind.OR, (level1[k], level1[(k + 1) % 4]))
             for k in range(4)]
     for k, net in enumerate(outs):
-        b.bind_output(f"o{k}", net)
+        b.bind(f"o{k}", PortDir.OUT, net)
     n = b.build()
     assert gate_count(n) == 8
     assert critical_path_delay(n) == 2

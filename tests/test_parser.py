@@ -3,8 +3,8 @@ import random
 import pytest
 from conftest import build_full_adder, build_half_adder, random_netlist
 
-from gateforge.netlist import GateKind, gate_count, structural_report
-from gateforge.parser import SourceText, extract_netlist_block, parse, render
+from gateforge.netlist import GateKind, PortDir, gate_count, structural_report
+from gateforge.parser import extract_netlist_block, parse, render
 from gateforge.simulator import truth_table
 
 BEHAVIORAL_CORPUS = [
@@ -56,7 +56,7 @@ def test_assign_constant_alias_accepted():
     r = parse("module t(input a, output y); assign y = 1'b1; endmodule")
     assert r.ok
     net = r.netlist.nets[r.netlist.port_nets["y"][0]]
-    assert net.is_const and net.const_value == 1
+    assert net.value == 1
 
 
 @pytest.mark.parametrize("op", ["==", "==="])
@@ -74,7 +74,7 @@ def test_sized_literal_inner_whitespace_is_ignored(literal):
     r = parse(f"module t(input a, output y); assign y = {literal}; endmodule")
     assert r.ok, [str(e) for e in r.errors]
     net = r.netlist.nets[r.netlist.port_nets["y"][0]]
-    assert net.is_const and net.const_value == 1
+    assert net.value == 1
 
 
 def test_sized_literal_across_a_newline_advances_the_line():
@@ -176,7 +176,7 @@ def test_nonzero_lsb_ranges_round_trip():
         "  not g2(y[5], a[4]);\n"
         "endmodule")
     assert r.ok, [str(e) for e in r.errors]
-    port = r.netlist.port("a")
+    port, = r.netlist.input_ports()
     assert (port.lsb, port.msb) == (4, 5)
     assert [n for n, _ in r.netlist.input_bits()] == ["a[4]", "a[5]"]
     out = render(r.netlist)
@@ -262,8 +262,8 @@ def test_determinism_byte_identical_input():
 
 def test_extract_single_fenced_block():
     reply = "Sure!\n```\nmodule m(input a, output y); not g1(y, a); endmodule\n```\nDone."
-    src = extract_netlist_block(reply)
-    assert src is not None and src.text.startswith("module m")
+    text = extract_netlist_block(reply)
+    assert text is not None and text.startswith("module m")
 
 
 def test_extract_prose_only_is_none():
@@ -274,17 +274,17 @@ def test_extract_skips_non_module_blocks():
     reply = ("First some helper notes:\n```python\nprint('hi')\n```\n"
              "then the design:\n```verilog\nmodule m(input a, output y);"
              " not g1(y, a); endmodule\n```")
-    src = extract_netlist_block(reply)
-    assert src is not None
-    assert "module m" in src.text and "print" not in src.text
+    text = extract_netlist_block(reply)
+    assert text is not None
+    assert "module m" in text and "print" not in text
 
 
 def test_extract_bare_module_span():
     reply = ("No fences, just code: module m(input a, output y); "
              "not g1(y, a); endmodule and some trailing prose")
-    src = extract_netlist_block(reply)
-    assert src is not None
-    assert src.text.startswith("module") and src.text.endswith("endmodule")
+    text = extract_netlist_block(reply)
+    assert text is not None
+    assert text.startswith("module") and text.endswith("endmodule")
 
 
 # -- rendering ----------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_render_passthrough_module():
 
     b = NetlistBuilder("wirepass")
     a = b.input("a")
-    b.bind_output("y", a)
+    b.bind("y", PortDir.OUT, a)
     text = render(b.build())
     assert "assign y = a;" in text
     r = parse(text)
@@ -353,9 +353,3 @@ def test_render_sequential_round_trip():
     assert r2.ok
     assert render(r2.netlist) == out
     assert len(r2.netlist.dff_gates()) == 2
-
-
-def test_source_text_origin_is_propagated():
-    src = SourceText("module t(input a, output y); not g1(y, a); endmodule",
-                     origin="turn-3")
-    assert parse(src).ok
