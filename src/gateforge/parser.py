@@ -462,7 +462,7 @@ class _Parser:
         return True
 
     def _assign(self) -> None:
-        self.pos += 1  # 'assign'
+        kw = self.advance()  # 'assign'
         lhs = self._connection(allow_const=False)
         if lhs is None:
             self.resync()
@@ -478,7 +478,14 @@ class _Parser:
                 or self.expect_punct(";") is None:
             self.resync()
             return
-        self.scope.union(lhs, rhs)
+        scope = self.scope
+        joined = {scope.find(lhs), scope.find(rhs)}
+        if len(joined) == 2 and joined == {scope.find(s)
+                                           for s in scope.const_slot.values()}:
+            self.error("syntax", kw,
+                       "multi-driver: driven by constant 0 and constant 1")
+            return
+        scope.union(lhs, rhs)
 
     def _instantiation(self, kind: GateKind) -> None:
         kw = self.toks[self.pos]

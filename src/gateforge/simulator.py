@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .netlist import CompiledNetlist, Netlist, compile_netlist
 
@@ -104,56 +105,68 @@ def pack_columns(rows: Iterable[int], width: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PackedVectors:
-    """A combinational vector list packed once for bit-parallel scoring.
+    """A vector list packed once for bit-parallel scoring.
 
     Bit v of every column stands for vector v. `checks` holds, per output bit
     some vector checks, (bit name, expected column, care column) sorted by
     name; `checked` marks the vectors with at least one check. The key sets
     let a netlist's interface be checked without visiting every vector.
+    keys[v] holds the input and output bits vector v names, in its order, and
+    its cycle, from which `vectors` is derived; keys are left out of equality.
     """
 
-    vectors: Sequence[TestVector]
+    keys: Sequence[tuple] = field(compare=False)
     inputs: dict[str, int]
     checks: tuple[tuple[str, int, int], ...]
     checked: int
     input_key_sets: frozenset[frozenset[str]]
     expected_keys: frozenset[str]
 
+    @cached_property
+    def vectors(self) -> tuple[TestVector, ...]:
+        """The per-bit vectors, derived from the columns when first read."""
+        care = {name: (e, c) for name, e, c in self.checks}
+        return tuple(
+            TestVector({name: self.inputs[name] >> v & 1 for name in ins},
+                       {name: e >> v & 1 if c >> v & 1 else None
+                        for name in outs for e, c in [care.get(name, (0, 0))]},
+                       cycle)
+            for v, (ins, outs, cycle) in enumerate(self.keys))
+
+
+def pack_rows(rows: Sequence[tuple[int, int, int]], in_names: Sequence[str],
+              out_names: Sequence[str],
+              keys: Sequence[tuple]) -> PackedVectors:
+    """Pack one (input, expected, care) row per vector, named by keys[v],
+    into columns; bit i of a row is bit in_names[i] or out_names[i]."""
+    in_rows, exp_rows, care_rows = zip(*rows) if rows else ((), (), ())
+    checks = tuple(sorted(
+        (name, e, c) for name, e, c in zip(
+            out_names, pack_columns(exp_rows, len(out_names)),
+            pack_columns(care_rows, len(out_names))) if c))
+    distinct = set(keys)
+    return PackedVectors(
+        keys, dict(zip(in_names, pack_columns(in_rows, len(in_names)))),
+        checks, sum(1 << v for v, care in enumerate(care_rows) if care),
+        frozenset(frozenset(ins) for ins, _, _ in distinct),
+        frozenset(name for _, outs, _ in distinct for name in outs))
+
 
 def pack_vectors(vectors: Sequence[TestVector]) -> PackedVectors:
-    """Pack combinational vectors for simulate_combinational; the vectors
-    are kept, not copied, for error messages."""
+    """Pack vectors for simulate_combinational."""
     in_names = list(dict.fromkeys(k for v in vectors for k in v.inputs))
     out_names = sorted({k for v in vectors for k in v.expected})
     in_pos = {name: i for i, name in enumerate(in_names)}
     out_pos = {name: i for i, name in enumerate(out_names)}
-    in_rows, exp_rows, care_rows = [], [], []
-    for v in vectors:
-        row = 0
-        for k, val in v.inputs.items():
-            row |= (val & 1) << in_pos[k]
-        in_rows.append(row)
-        exp = care = 0
-        for k, e in v.expected.items():
-            if e is not None:
-                exp |= (e & 1) << out_pos[k]
-                care |= 1 << out_pos[k]
-        exp_rows.append(exp)
-        care_rows.append(care)
-    exp_cols = pack_columns(exp_rows, len(out_names))
-    care_cols = pack_columns(care_rows, len(out_names))
-    checked = 0
-    for care in care_cols:
-        checked |= care
-    return PackedVectors(
-        vectors=vectors,
-        inputs=dict(zip(in_names, pack_columns(in_rows, len(in_names)))),
-        checks=tuple((name, e, c) for name, e, c
-                     in zip(out_names, exp_cols, care_cols) if c),
-        checked=checked,
-        input_key_sets=frozenset(frozenset(v.inputs) for v in vectors),
-        expected_keys=frozenset(out_names),
-    )
+    rows = [(sum((val & 1) << in_pos[k] for k, val in v.inputs.items()),
+             sum((e & 1) << out_pos[k] for k, e in v.expected.items()
+                 if e is not None),
+             sum(1 << out_pos[k] for k, e in v.expected.items()
+                 if e is not None))
+            for v in vectors]
+    return pack_rows(rows, in_names, out_names,
+                     [(tuple(v.inputs), tuple(v.expected), v.cycle)
+                      for v in vectors])
 
 
 def _settle(compiled: CompiledNetlist, values: dict[int, int],
@@ -167,9 +180,9 @@ def _source_values(compiled: CompiledNetlist, mask: int) -> dict[int, int]:
     return {nid: mask if value else 0 for nid, value in compiled.const_nets}
 
 
-def check_vectors(vectors: Sequence[TestVector], inputs: Collection[str],
-                  outputs: Collection[str], clock: str | None = None,
-                  cycles: int | None = None) -> None:
+def check_vectors(vectors: Sequence[TestVector] | PackedVectors,
+                  inputs: Collection[str], outputs: Collection[str],
+                  clock: str | None = None, cycles: int | None = None) -> None:
     """Raise SimulationError naming the first vector that no design with
     these input and output bits could run against.
 
@@ -177,8 +190,14 @@ def check_vectors(vectors: Sequence[TestVector], inputs: Collection[str],
     Without `cycles` the vectors are combinational and each must assign
     every input bit. With it they are the cycles of a sequential run: each
     sits at its own cycle in 0..cycles-1, and a vector at cycle 0 must
-    assign every input bit but the clock.
+    assign every input bit but the clock. Packed vectors are combinational:
+    their key sets decide, and only a fault reads the per-bit vectors.
     """
+    if isinstance(vectors, PackedVectors):
+        if vectors.input_key_sets <= {frozenset(inputs)} \
+                and vectors.expected_keys.issubset(outputs):
+            return
+        vectors = vectors.vectors
     inputs, outputs = set(inputs), set(outputs)
     drive = inputs - {clock}
     seen: set[int] = set()
@@ -217,8 +236,8 @@ def simulate_combinational(netlist: Netlist,
 
     Each vector with at least one expected output is one pass/fail unit;
     expected bits set to None are don't-cares and never fail. Every input
-    bit must be assigned in every vector. `vectors` may come packed by
-    pack_vectors, which lets one testbench be packed once for many netlists.
+    bit must be assigned in every vector. `vectors` may come packed, as a
+    task's testbench is, so one testbench is packed once for many netlists.
     """
     compiled = compile_netlist(netlist)
     if compiled.registers:
@@ -228,13 +247,11 @@ def simulate_combinational(netlist: Netlist,
         else pack_vectors(vectors)
     in_bits = dict(compiled.input_bits)
     out_bits = dict(compiled.output_bits)
-    if not (packed.input_key_sets <= {frozenset(in_bits)}
-            and packed.expected_keys <= out_bits.keys()):
-        check_vectors(packed.vectors, in_bits, out_bits)
+    check_vectors(packed, in_bits, out_bits)
 
-    if not packed.vectors:
+    if not packed.keys:
         return SimOutcome(0, 0)
-    mask = (1 << len(packed.vectors)) - 1
+    mask = (1 << len(packed.keys)) - 1
     values = _source_values(compiled, mask)
     for name, nid in in_bits.items():
         values[nid] = packed.inputs[name]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .metrics import (
     DEFAULT_WEIGHTS,
@@ -34,7 +33,7 @@ from .simulator import (
     SimulationError,
     TestVector,
     check_vectors,
-    pack_vectors,
+    pack_rows,
     simulate_combinational,
     simulate_sequential,
 )
@@ -69,12 +68,12 @@ class HumanReference:
 @dataclass(frozen=True)
 class Testbench:
     cycles: int
-    vectors: tuple[TestVector, ...]
+    packed: PackedVectors
 
-    @cached_property
-    def packed(self) -> PackedVectors:
-        """The vectors packed for combinational scoring, once per testbench."""
-        return pack_vectors(self.vectors)
+    @property
+    def vectors(self) -> tuple[TestVector, ...]:
+        """The per-bit vectors, derived from `packed` when first read."""
+        return self.packed.vectors
 
 
 @dataclass(frozen=True)
@@ -109,64 +108,81 @@ def _bit_names(ports, direction: PortDir) -> list[str]:
             for i in range(p.width)]
 
 
-def _expand_port_values(value, port: Port, where: str) -> dict[str, int]:
-    """Turn a whole-port integer into per-bit assignments."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TaskSchemaError(f"{where}: value for '{port.name}' must be an integer")
-    if value < 0 or value >= (1 << port.width):
-        raise TaskSchemaError(
-            f"{where}: value {value} does not fit in {port.width} bit(s) "
-            f"of '{port.name}'")
-    return {port.bit_name(i): (value >> i) & 1 for i in range(port.width)}
+def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
+                    out_names: list[str], combinational: bool) -> PackedVectors:
+    """Read testbench.json's vectors straight into rows of input, expected
+    and care bits, resolving each distinct key once, and pack them."""
+    slot = {n: i for names in (in_names, out_names) for i, n in enumerate(names)}
+    # Per side, key -> (port, whole port?, first row bit, mask, bit names).
+    in_table, out_table = {}, {}
 
-
-def _parse_bits(doc: dict, ports: dict[str, Port], direction: PortDir,
-                where: str) -> dict[str, int | None]:
-    """Per-bit values of a vector's `inputs` or `expected` object, keyed by
-    Port.bit_name. Only expected values may be don't-cares (None)."""
-    side = "input" if direction is PortDir.IN else "output"
-    bits: dict[str, int | None] = {}
-    for key, value in doc.items():
-        port, bit = ports.get(key), None
+    def resolve(key: str, inputs: bool, where: str) -> tuple:
+        port, bit = port_map.get(key), None
         if port is None and key.endswith("]") and "[" in key:
             base, _, idx = key[:-1].partition("[")
             if idx.isdecimal():
-                port, bit = ports.get(base), int(idx)
+                port, bit = port_map.get(base), int(idx)
         if port is None:
             raise TaskSchemaError(f"{where}: unknown port bit '{key}'")
-        if port.direction is not direction:
+        if (port.direction is PortDir.IN) is not inputs:
+            side = "input" if inputs else "output"
             raise TaskSchemaError(f"{where}: '{key}' is not an {side} port")
-        care = direction is PortDir.IN or (value is not None and value != "x")
-        if bit is None:
-            bits.update(_expand_port_values(value, port, where) if care
-                        else dict.fromkeys(map(port.bit_name, range(port.width))))
-            continue
-        if not (port.lsb <= bit <= port.msb):
+        if bit is not None and not port.lsb <= bit <= port.msb:
             raise TaskSchemaError(f"{where}: bit {bit} out of range for "
                                   f"'{port.name}'")
-        if care and value not in (0, 1):
-            raise TaskSchemaError(
-                f"{where}: bit value must be 0 or 1" if direction is PortDir.IN
-                else f"{where}: expected bit must be 0, 1, null or \"x\"")
-        bits[port.bit_name(bit - port.lsb)] = int(value) if care else None
-    return bits
+        names = tuple(map(port.bit_name, range(port.width))) if bit is None \
+            else (port.bit_name(bit - port.lsb),)
+        shift = slot[names[0]]
+        return port, bit is None, shift, ((1 << len(names)) - 1) << shift, names
 
+    def read(doc: dict, table: dict, inputs: bool,
+             where: str) -> tuple[int, int]:
+        """Values and set bits; only expected values may be null or "x"."""
+        row = care = 0
+        for key, value in doc.items():
+            if key not in table:
+                table[key] = resolve(key, inputs, where)
+            port, whole, shift, mask, _ = table[key]
+            if not inputs and (value is None or value == "x"):
+                row, care = row & ~mask, care & ~mask
+                continue
+            if whole:
+                if type(value) is not int:  # bool is not a port value
+                    raise TaskSchemaError(f"{where}: value for '{port.name}' "
+                                          "must be an integer")
+                if value < 0 or value >> port.width:
+                    raise TaskSchemaError(
+                        f"{where}: value {value} does not fit in "
+                        f"{port.width} bit(s) of '{port.name}'")
+            elif value not in (0, 1):
+                raise TaskSchemaError(
+                    f"{where}: bit value must be 0 or 1" if inputs
+                    else f"{where}: expected bit must be 0, 1, null or \"x\"")
+            row, care = row & ~mask | int(value) << shift, care | mask
+        return row, care
 
-def _parse_vector(doc: dict, ports: dict[str, Port], index: int,
-                  combinational: bool) -> TestVector:
-    where = f"testbench.vectors[{index}]"
-    if not isinstance(doc, dict):
-        raise TaskSchemaError(f"{where}: vector must be an object")
-    cycle = doc.get("cycle", 0)
-    if not isinstance(cycle, int) or cycle < 0:
-        raise TaskSchemaError(f"{where}.cycle: must be a non-negative integer")
-    if combinational and cycle != 0:
-        raise TaskSchemaError(f"{where}.cycle: combinational vectors must all "
-                              "have cycle 0")
-    return TestVector(
-        inputs=_parse_bits(doc.get("inputs", {}), ports, PortDir.IN, where),
-        expected=_parse_bits(doc.get("expected", {}), ports, PortDir.OUT, where),
-        cycle=cycle)
+    rows, keys, shapes = [], [], {}
+    for index, doc in enumerate(docs):
+        where = f"testbench.vectors[{index}]"
+        if not isinstance(doc, dict):
+            raise TaskSchemaError(f"{where}: vector must be an object")
+        cycle = doc.get("cycle", 0)
+        if not isinstance(cycle, int) or cycle < 0:
+            raise TaskSchemaError(f"{where}.cycle: must be a non-negative integer")
+        if combinational and cycle != 0:
+            raise TaskSchemaError(f"{where}.cycle: combinational vectors must all "
+                                  "have cycle 0")
+        ins, outs = doc.get("inputs", {}), doc.get("expected", {})
+        rows.append((read(ins, in_table, True, where)[0],
+                     *read(outs, out_table, False, where)))
+        shape = (tuple(ins), tuple(outs), cycle)
+        if shape not in shapes:  # the bit names each key sets, in order
+            shapes[shape] = tuple(
+                tuple(dict.fromkeys(n for key in side for n in table[key][4]))
+                for side, table in ((ins, in_table), (outs, out_table))
+            ) + (cycle,)
+        keys.append(shapes[shape])
+    return pack_rows(rows, in_names, out_names, keys)
 
 
 def load_task_pack(path: str | os.PathLike) -> TaskPack:
@@ -243,15 +259,15 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
     if not isinstance(cycles, int) or cycles < 1:
         raise TaskSchemaError("testbench.json.cycles: must be an integer >= 1")
     combinational = meta["circuit_class"] == "combinational"
-    vectors = tuple(_parse_vector(v, port_map, i, combinational)
-                    for i, v in enumerate(tb.get("vectors", [])))
-    if not any(e is not None for v in vectors for e in v.expected.values()):
+    in_names, out_names = (_bit_names(ports, d) for d in PortDir)
+    packed = _pack_testbench(tb.get("vectors", []), port_map, in_names,
+                             out_names, combinational)
+    if not packed.checked:
         raise TaskSchemaError("testbench.json: no vector checks anything")
     # Refuse at load what no design could be simulated against.
     try:
-        check_vectors(vectors, _bit_names(ports, PortDir.IN),
-                      _bit_names(ports, PortDir.OUT), clock,
-                      None if combinational else cycles)
+        check_vectors(packed if combinational else packed.vectors, in_names,
+                      out_names, clock, None if combinational else cycles)
     except SimulationError as exc:
         raise TaskSchemaError(f"testbench.json: {exc}") from None
 
@@ -292,7 +308,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
         ports=tuple(ports),
         clock=clock,
         tags=tuple(meta.get("tags", [])),
-        testbench=Testbench(cycles, vectors),
+        testbench=Testbench(cycles, packed),
         reference=reference,
         reference_netlist=ref_text,
         path=root,

@@ -207,6 +207,19 @@ def test_multi_driver_is_an_error():
     assert any("multi-driver" in e.message for e in r.errors)
 
 
+def test_two_constants_joined_by_assign_are_a_multi_driver():
+    for body, line in (("assign y = 1'b0;\nassign y = 1'b1;", 3),
+                       ("wire w;\nassign w = 1'b0;\nassign y = 1'b1;\n"
+                        "assign y = w;", 5)):
+        r = parse(f"module t(input a, output y);\n{body}\nendmodule")
+        assert [(e.kind, e.line, e.column, e.message, e.token)
+                for e in r.errors] == [
+            ("syntax", line, 1,
+             "multi-driver: driven by constant 0 and constant 1", "assign")]
+    assert parse("module t(input a, output y); assign y = 1'b1;"
+                 " assign y = 1'b1; endmodule").ok
+
+
 def test_combinational_loop_is_an_error():
     r = parse("module t(input a, output y); xor g1(y, a, y); endmodule")
     assert not r.ok

@@ -1,11 +1,21 @@
 import json
+import random
 import shutil
 
 import pytest
 
+from gateforge.backends import ScriptRule, ScriptedBackend
 from gateforge.metrics import MetricWeights, TierVerdict, classify_tier
+from gateforge.netlist import Port, PortDir
+from gateforge.orchestrator import RunConfig, run_benchmark
 from gateforge.parser import parse
-from gateforge.simulator import SimulationError, TestVector, simulate_sequential
+from gateforge.simulator import (
+    SimulationError,
+    TestVector,
+    check_vectors,
+    pack_vectors,
+    simulate_sequential,
+)
 from gateforge.taskpack import (
     BenchmarkReport,
     ReferenceMismatchError,
@@ -265,6 +275,285 @@ def test_whole_port_integers_expand_to_bits():
     v = t.testbench.vectors[-1]
     assert set(v.inputs) == {"a[0]", "a[1]", "b[0]", "b[1]", "cin"}
     assert set(v.expected) == {"s[0]", "s[1]", "cout"}
+
+
+# -- the packed reader against the per-bit reader it replaced -----------------
+
+def reference_bits(doc, ports, direction, where):
+    """Per-bit values of an `inputs` or `expected` object, keyed by
+    Port.bit_name, as the per-bit reader built them."""
+    side = "input" if direction is PortDir.IN else "output"
+    bits = {}
+    for key, value in doc.items():
+        port, bit = ports.get(key), None
+        if port is None and key.endswith("]") and "[" in key:
+            base, _, idx = key[:-1].partition("[")
+            if idx.isdecimal():
+                port, bit = ports.get(base), int(idx)
+        if port is None:
+            raise TaskSchemaError(f"{where}: unknown port bit '{key}'")
+        if port.direction is not direction:
+            raise TaskSchemaError(f"{where}: '{key}' is not an {side} port")
+        care = direction is PortDir.IN or (value is not None and value != "x")
+        if bit is None:
+            if not care:
+                bits.update(dict.fromkeys(map(port.bit_name, range(port.width))))
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TaskSchemaError(
+                    f"{where}: value for '{port.name}' must be an integer")
+            if value < 0 or value >= (1 << port.width):
+                raise TaskSchemaError(
+                    f"{where}: value {value} does not fit in {port.width} "
+                    f"bit(s) of '{port.name}'")
+            bits.update({port.bit_name(i): (value >> i) & 1
+                         for i in range(port.width)})
+            continue
+        if not (port.lsb <= bit <= port.msb):
+            raise TaskSchemaError(f"{where}: bit {bit} out of range for "
+                                  f"'{port.name}'")
+        if care and value not in (0, 1):
+            raise TaskSchemaError(
+                f"{where}: bit value must be 0 or 1" if direction is PortDir.IN
+                else f"{where}: expected bit must be 0, 1, null or \"x\"")
+        bits[port.bit_name(bit - port.lsb)] = int(value) if care else None
+    return bits
+
+
+def reference_vectors(pack) -> tuple[TestVector, ...]:
+    """A pack's vectors as the per-bit reader loaded them, with its checks
+    in its order: schema faults vector by vector, then a testbench that
+    checks nothing, then check_vectors."""
+    meta = json.loads((pack / "task.json").read_text())
+    tb = json.loads((pack / "testbench.json").read_text())
+    ports = {p["name"]: Port(p["name"], PortDir(p["dir"]), p.get("width", 1),
+                             p.get("lsb", 0)) for p in meta["ports"]}
+    combinational = meta["circuit_class"] == "combinational"
+    vectors = []
+    for i, doc in enumerate(tb["vectors"]):
+        where = f"testbench.vectors[{i}]"
+        if not isinstance(doc, dict):
+            raise TaskSchemaError(f"{where}: vector must be an object")
+        cycle = doc.get("cycle", 0)
+        if not isinstance(cycle, int) or cycle < 0:
+            raise TaskSchemaError(f"{where}.cycle: must be a non-negative "
+                                  "integer")
+        if combinational and cycle != 0:
+            raise TaskSchemaError(f"{where}.cycle: combinational vectors "
+                                  "must all have cycle 0")
+        vectors.append(TestVector(
+            reference_bits(doc.get("inputs", {}), ports, PortDir.IN, where),
+            reference_bits(doc.get("expected", {}), ports, PortDir.OUT, where),
+            cycle))
+    if not any(e is not None for v in vectors for e in v.expected.values()):
+        raise TaskSchemaError("testbench.json: no vector checks anything")
+    names = {d: [p.bit_name(i) for p in ports.values() if p.direction is d
+                 for i in range(p.width)] for d in PortDir}
+    try:
+        check_vectors(vectors, names[PortDir.IN], names[PortDir.OUT],
+                      meta.get("clock"), None if combinational else tb["cycles"])
+    except SimulationError as exc:
+        raise TaskSchemaError(f"testbench.json: {exc}") from None
+    return tuple(vectors)
+
+
+def outcome(read, pack):
+    """What `read` makes of a pack: its result, or its schema fault."""
+    try:
+        return read(pack)
+    except TaskSchemaError as exc:
+        return f"TaskSchemaError: {exc}"
+
+
+def loaded_vectors(pack) -> tuple[TestVector, ...]:
+    return load_task_pack(pack).testbench.vectors
+
+
+def port_entries(rng, port, expected):
+    """Keys and values that set a port: a whole-port value, bit keys (some
+    with padded indices), or both, so one can override the other. Inputs
+    always get every bit."""
+    def value(bits):
+        if expected and rng.random() < 0.3:
+            return rng.choice([None, "x"])
+        return rng.randrange(1 << bits)
+
+    whole = rng.random() < 0.6
+    entries = [(port["name"], value(port["width"]))] if whole else []
+    for i in range(port["width"]):
+        if not whole or rng.random() < 0.3:
+            index = port["lsb"] + i
+            key = (port["name"] if port["width"] == 1 and rng.random() < 0.5
+                   else f"{port['name']}[{index:0{rng.choice([1, 2])}d}]")
+            entries.append((key, value(1)))
+    return entries
+
+
+def random_pack(rng, tmp_path, name, sequential=False):
+    ports = []
+    for direction, count in (("in", rng.randint(1, 3)),
+                             ("out", rng.randint(1, 2))):
+        for _ in range(count):
+            ports.append({"name": "abcdefg"[len(ports)], "dir": direction,
+                          "width": rng.randint(1, 4),
+                          "lsb": rng.choice([0, 0, 1, 4])})
+    rng.shuffle(ports)
+    inputs = [p for p in ports if p["dir"] == "in"]
+    if sequential:
+        ports.insert(rng.randrange(len(ports) + 1),
+                     {"name": "clk", "dir": "in"})
+    count = rng.randint(1, 10)
+    cycles = count + rng.randint(0, 3)
+    at = [0] + rng.sample(range(1, cycles), count - 1) if sequential \
+        else [0] * count
+    vectors = []
+    for v, cycle in enumerate(at):
+        driven = inputs if cycle == 0 else rng.sample(
+            inputs, rng.randint(0, len(inputs)))
+        ins = [e for p in driven for e in port_entries(rng, p, False)]
+        outs = [e for p in ports if p["dir"] == "out" and rng.random() < 0.7
+                for e in port_entries(rng, p, True)]
+        rng.shuffle(ins)
+        rng.shuffle(outs)
+        doc = {"inputs": dict(ins), "expected": dict(outs)}
+        if sequential or rng.random() < 0.3:
+            doc["cycle"] = cycle
+        vectors.append(doc)
+    rng.shuffle(vectors)
+    meta = {"schema_version": 1, "id": name, "title": name,
+            "difficulty": "easy", "ports": ports,
+            "circuit_class": "sequential" if sequential else "combinational"}
+    if sequential:
+        meta["clock"] = "clk"
+    pack = tmp_path / name
+    pack.mkdir()
+    (pack / "task.json").write_text(json.dumps(meta))
+    (pack / "spec.txt").write_text(name)
+    (pack / "testbench.json").write_text(
+        json.dumps({"cycles": cycles, "vectors": vectors}))
+    return pack
+
+
+def override(doc, first, second):
+    """Whether some port's bits are set by a `first`-kind key and then again
+    by a later `second`-kind key (whole port or bit)."""
+    seen = set()
+    for key in doc:
+        port, kind = key.partition("[")[0], "bit" if "[" in key else "whole"
+        if kind == second and (port, first) in seen:
+            return True
+        seen.add((port, kind))
+    return False
+
+
+def test_packed_reader_matches_the_per_bit_reference(tmp_path):
+    rng = random.Random(13)
+    loaded, docs = 0, []
+    for n in range(80):
+        pack = random_pack(rng, tmp_path, f"t{n}", sequential=n % 4 == 3)
+        tb = json.loads((pack / "testbench.json").read_text())
+        docs += [d for v in tb["vectors"] for d in (v["inputs"], v["expected"])]
+        reference = outcome(reference_vectors, pack)
+        task = outcome(load_task_pack, pack)
+        if isinstance(reference, str):
+            assert task == reference
+            continue
+        loaded += 1
+        bench = task.testbench
+        assert bench.vectors == reference
+        assert [(list(v.inputs), list(v.expected)) for v in bench.vectors] \
+            == [(list(v.inputs), list(v.expected)) for v in reference]
+        if task.circuit_class == "combinational":
+            packed = pack_vectors(reference)
+            assert bench.packed == packed and bench.packed.keys == packed.keys
+    assert loaded >= 60
+    # The packs cover overrides both ways, don't-cares and padded indices.
+    assert any(override(d, "whole", "bit") for d in docs)
+    assert any(override(d, "bit", "whole") for d in docs)
+    assert any(any(v is None or v == "x" for v in d.values()) for d in docs)
+    assert any(any("[0" in k and not k.endswith("[0]") for k in d)
+               for d in docs)
+
+
+# Each fault edits vector `v`, or returns what replaces it, given one input
+# port `i` and one output port `o` of the pack.
+SCHEMA_FAULTS = {
+    "not-an-integer": lambda v, i, o: v["inputs"].update({i["name"]: "1"}),
+    "bool-port-value": lambda v, i, o: v["inputs"].update({i["name"]: True}),
+    "bad-input-bit": lambda v, i, o: v["inputs"].update(
+        {f"{i['name']}[{i['lsb']}]": 2}),
+    "bad-expected-bit": lambda v, i, o: v["expected"].update(
+        {f"{o['name']}[{o['lsb']}]": 2}),
+    "bad-expected-port": lambda v, i, o: v["expected"].update(
+        {o["name"]: "1"}),
+    "does-not-fit": lambda v, i, o: v["inputs"].update(
+        {i["name"]: 1 << i["width"]}),
+    "negative": lambda v, i, o: v["inputs"].update({i["name"]: -1}),
+    "unknown-key": lambda v, i, o: v["inputs"].update(
+        {f"{i['name']}[x]": 1}),
+    "wrong-direction": lambda v, i, o: v["expected"].update({i["name"]: 0}),
+    "bit-out-of-range": lambda v, i, o: v["inputs"].update(
+        {f"{i['name']}[{i['lsb'] + i['width']}]": 1}),
+    "bit-below-lsb": lambda v, i, o: v["inputs"].update(
+        {f"{i['name']}[{i['lsb'] - 1}]": 1} if i["lsb"] else {"q": 1}),
+    "not-an-object": lambda v, i, o: [v],
+    "negative-cycle": lambda v, i, o: v.update(cycle=-1),
+    "nonzero-cycle": lambda v, i, o: v.update(cycle=1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCHEMA_FAULTS))
+def test_schema_faults_win_over_an_earlier_unassigned_bit(tmp_path, fault):
+    """A fault in the last vector is reported, with the reference's words,
+    even when the first vector leaves an input bit unassigned."""
+    rng = random.Random(fault)
+    for n in range(10):
+        pack = random_pack(rng, tmp_path, f"t{n}")
+        meta = json.loads((pack / "task.json").read_text())
+        tb = json.loads((pack / "testbench.json").read_text())
+        i, o = (rng.choice([p for p in meta["ports"] if p["dir"] == d])
+                for d in ("in", "out"))
+        if n % 2:
+            tb["vectors"][0]["inputs"].clear()
+        last = tb["vectors"][-1]
+        tb["vectors"][-1] = SCHEMA_FAULTS[fault](last, i, o) or last
+        (pack / "testbench.json").write_text(json.dumps(tb))
+        reference = outcome(reference_vectors, pack)
+        assert reference.startswith("TaskSchemaError: testbench.vectors[")
+        assert outcome(loaded_vectors, pack) == reference
+
+
+def test_runnability_faults_use_the_reference_words(tmp_path):
+    rng = random.Random(7)
+    refused = 0
+    for n in range(20):
+        pack = random_pack(rng, tmp_path, f"t{n}")
+        tb = json.loads((pack / "testbench.json").read_text())
+        victim = rng.randrange(len(tb["vectors"]))
+        key = rng.choice(list(tb["vectors"][victim]["inputs"]))
+        del tb["vectors"][victim]["inputs"][key]
+        (pack / "testbench.json").write_text(json.dumps(tb))
+        reference = outcome(reference_vectors, pack)
+        assert outcome(loaded_vectors, pack) == reference
+        refused += "unassigned input bit(s)" in reference
+    assert refused >= 10
+
+
+def test_scoring_reads_no_per_bit_vectors():
+    """A benchmark sweep scores combinational candidates on the packed
+    columns alone; the per-bit vectors stay underived."""
+    tasks = builtin_task_packs()
+    backend = ScriptedBackend(
+        [ScriptRule(replies=[f"```\n{t.reference_netlist}```"],
+                    contains=f"Task: {t.id}") for t in tasks])
+    report = run_benchmark(tasks, RunConfig.from_profile("V0",
+                                                         samples_per_task=2),
+                           backend)
+    assert all(r.status == "verified" for r in report.rows)
+    combinational = [t.testbench.packed for t in tasks
+                     if t.circuit_class == "combinational"]
+    assert combinational
+    assert not any("vectors" in vars(packed) for packed in combinational)
 
 
 # -- reports ------------------------------------------------------------------
