@@ -5,8 +5,6 @@ This module is the independent source of truth the review loop leans on:
 quine_mccluskey gives a minimum-term sum-of-products cover, and
 min_gate_network exhaustively enumerates gate networks over a chosen subset
 of the locked primitives, so its answers are minimal by construction.
-Hints are textual by default; apply_hint/apply_hints perform the rewrite
-for callers that opt in (and for soundness testing).
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ from dataclasses import dataclass
 from .netlist import (
     COMBINATIONAL_KINDS,
     GATE_EVAL,
-    Gate,
     GateKind,
-    Net,
     Netlist,
     NetlistBuilder,
     PortDir,
@@ -264,7 +260,6 @@ class _SearchNode:
     depth: int
     kind: GateKind | None = None        # None for sources
     operands: tuple[int, ...] = ()      # indices into the node list
-    source_name: str | None = None
 
 
 def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKind],
@@ -288,15 +283,13 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
 
     rows = 1 << f.n
     mask = (1 << rows) - 1
-    sources: list[_SearchNode] = []
-    for i, p in enumerate(pack_columns(range(rows), f.n)):
-        sources.append(_SearchNode(p, 0, source_name=f"x{i}"))
-    sources.append(_SearchNode(0, 0, source_name="const0"))
-    sources.append(_SearchNode(mask, 0, source_name="const1"))
+    # Sources: the inputs x0..x{n-1}, then constants 0 and 1.
+    sources = [_SearchNode(p, 0) for p in pack_columns(range(rows), f.n)]
+    sources += [_SearchNode(0, 0), _SearchNode(mask, 0)]
 
     for idx, s in enumerate(sources):
         if f.agrees_with(s.table):
-            return _network_to_netlist(f, sources, idx, [])
+            return _network_to_netlist(f, sources, idx)
 
     # Iterative deepening: first budget with any realization is minimal;
     # among those, keep the smallest delay (ties: first in canonical order).
@@ -305,10 +298,6 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     # the same function twice), and independent adjacent gates must appear in
     # canonical order (every DAG has such a topological order).
     best: tuple[int, list[_SearchNode]] | None = None
-
-    def copy_nodes(nodes: list[_SearchNode]) -> list[_SearchNode]:
-        return [_SearchNode(nd.table, nd.depth, nd.kind, nd.operands,
-                            nd.source_name) for nd in nodes]
 
     for budget in range(1, max_gates + 1):
         best = None
@@ -344,7 +333,7 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
                     if f.agrees_with(t):
                         if _reaches_all(nodes, len(sources), len(nodes) - 1) \
                                 and (best is None or depth < best[0]):
-                            best = (depth, copy_nodes(nodes))
+                            best = (depth, list(nodes))
                     elif not last:
                         enumerate_gates(remaining - 1, sig)
                     nodes.pop()
@@ -353,8 +342,7 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
         enumerate_gates(budget, None)
         if best is not None:
             found = best[1]
-            gate_indices = list(range(len(sources), len(found)))
-            return _network_to_netlist(f, found, len(found) - 1, gate_indices)
+            return _network_to_netlist(f, found, len(found) - 1)
     return None
 
 
@@ -372,15 +360,15 @@ def _reaches_all(nodes: list[_SearchNode], n_sources: int, out_idx: int) -> bool
 
 
 def _network_to_netlist(f: BoolFunction, nodes: list[_SearchNode],
-                        out_idx: int, gate_indices: list[int],
-                        ) -> tuple[Netlist, StructuralReport]:
+                        out_idx: int) -> tuple[Netlist, StructuralReport]:
+    """Build the network whose gates are every node after the sources."""
     b = NetlistBuilder("minimal")
     net_of: dict[int, int] = {}
     for i in range(f.n):
         net_of[i] = b.input(f"x{i}")
     net_of[f.n] = b.const(0)
     net_of[f.n + 1] = b.const(1)
-    for gi in gate_indices:
+    for gi in range(f.n + 2, len(nodes)):
         nd = nodes[gi]
         assert nd.kind is not None
         ins = tuple(net_of[o] for o in nd.operands)
@@ -476,92 +464,3 @@ def suggest_optimizations(netlist: Netlist) -> list[OptimizationHint]:
 def _net_name(netlist: Netlist, net_id: int) -> str:
     net = netlist.nets[net_id]
     return net.name if net.name else f"net#{net_id}"
-
-
-def apply_hint(netlist: Netlist, hint: OptimizationHint) -> Netlist:
-    """Perform one hinted rewrite; behavior-preserving by construction."""
-    compile_netlist(netlist)
-    gates = {g.name: g for g in netlist.gates}
-
-    def rewire(mapping: dict[int, int], drop: set[str],
-               extra: list[Gate] | None = None) -> Netlist:
-        def m(n: int) -> int:
-            while n in mapping:
-                n = mapping[n]
-            return n
-
-        new_gates = []
-        for g in netlist.gates:
-            if g.name in drop:
-                continue
-            new_gates.append(Gate(g.kind, g.output,
-                                  tuple(m(n) for n in g.inputs), g.name))
-        for g in extra or []:
-            new_gates.append(Gate(g.kind, g.output,
-                                  tuple(m(n) for n in g.inputs), g.name))
-        port_nets = {name: tuple(m(n) for n in nets)
-                     for name, nets in netlist.port_nets.items()}
-        live = set()
-        for g in new_gates:
-            live.add(g.output)
-            live.update(g.inputs)
-        for nets in port_nets.values():
-            live.update(nets)
-        nets = {nid: net for nid, net in netlist.nets.items() if nid in live}
-        return Netlist(netlist.name, netlist.ports, nets,
-                       tuple(new_gates), port_nets)
-
-    if hint.kind == "double-negation":
-        inner, outer = (gates[n] for n in hint.gates)
-        return rewire({outer.output: inner.inputs[0]}, {outer.name})
-    if hint.kind == "duplicate-gate":
-        keep, dup = (gates[n] for n in hint.gates)
-        return rewire({dup.output: keep.output}, {dup.name})
-    if hint.kind == "fuse-nand":
-        and_gate, not_gate = (gates[n] for n in hint.gates)
-        fused = Gate(GateKind.NAND, not_gate.output, and_gate.inputs,
-                     and_gate.name)
-        return rewire({}, {and_gate.name, not_gate.name}, [fused])
-    if hint.kind == "constant-input":
-        g = gates[hint.gates[0]]
-        consts = {n: netlist.nets[n].value for n in g.inputs
-                  if netlist.nets[n].value is not None}
-        cn, cv = sorted(consts.items())[0]
-        others = [n for n in g.inputs if n != cn]
-        other = others[0] if others else cn
-        # The gate over two rows, the other input 0 then 1: its output
-        # column is the other input (0b10), its inverse (0b01) or a constant.
-        column = GATE_EVAL[g.kind](0b11 * cv, 0b10, 0b11)
-        if column == 0b10:
-            return rewire({g.output: other}, {g.name})
-        if column in (0b00, 0b11):
-            const_net = _ensure_const(netlist, column & 1)
-            rewired = rewire({g.output: const_net.id}, {g.name})
-            if const_net.id not in rewired.nets:
-                nets = dict(rewired.nets)
-                nets[const_net.id] = const_net
-                rewired = Netlist(rewired.name, rewired.ports, nets,
-                                  rewired.gates, rewired.port_nets)
-            return rewired
-        inv = Gate(GateKind.NOT, g.output, (other,), g.name)
-        return rewire({}, {g.name}, [inv])
-    raise ValueError(f"unknown hint kind {hint.kind}")
-
-
-def _ensure_const(netlist: Netlist, value: int) -> Net:
-    for net in netlist.nets.values():
-        if net.value == value:
-            return net
-    nid = max(netlist.nets) + 1 if netlist.nets else 0
-    return Net(nid, f"1'b{value}", value)
-
-
-def apply_hints(netlist: Netlist, max_passes: int = 16) -> Netlist:
-    """Repeatedly apply the first available hint until none remain."""
-    current = netlist
-    for _ in range(max_passes):
-        hints = suggest_optimizations(current)
-        if not hints:
-            break
-        current = apply_hint(current, hints[0])
-    return current

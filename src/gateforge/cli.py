@@ -17,7 +17,9 @@ from .backends import create_backend
 from .knowledge import KnowledgeStore
 from .metrics import MetricWeights
 from .orchestrator import RunConfig, run_benchmark, run_task, summarize
+from .simulator import SimulationError
 from .taskpack import (
+    ReferenceMismatchError,
     builtin_task_dir,
     builtin_task_packs,
     discover_task_packs,
@@ -177,7 +179,7 @@ def _cmd_tasks(args) -> int:
                 result = verify_reference(t)
                 print(f"{t.id:16s} ok (G={result.gate_count}, "
                       f"D={result.delay})")
-            except Exception as exc:
+            except (ReferenceMismatchError, SimulationError) as exc:
                 failures += 1
                 print(f"{t.id:16s} FAIL: {exc}")
         return 1 if failures else 0

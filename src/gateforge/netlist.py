@@ -7,9 +7,9 @@ are the vertices of the graph, net connections the edges.
 
 Netlist values are immutable after construction and every analysis here is a
 pure function, so they are safe to share across any number of workers. The
-analyses read one `CompiledNetlist`, built by `compile_netlist` the first
-time a netlist is analysed and cached on it, so each netlist object is
-validated once.
+analyses read one `CompiledNetlist`. `validate` builds it from the gate
+order its own levelization pass finds and caches it on a netlist with no
+error, so each netlist object is validated, and levelized, once.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ class Netlist:
     nets: dict[int, Net]
     gates: tuple[Gate, ...]
     port_nets: dict[str, tuple[int, ...]]
-    # Set by compile_netlist; not an init argument, so dataclasses.replace
-    # yields a netlist that is validated afresh.
+    # Set by validate; not an init argument, so dataclasses.replace yields
+    # a netlist that is validated afresh.
     _compiled: "CompiledNetlist | None" = field(
         default=None, init=False, compare=False, repr=False)
 
@@ -212,7 +212,9 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
 
     Error classes: dangling-net, multi-driver, arity, combinational-loop.
     Floating gate outputs are reported as warnings; they do not make the
-    netlist invalid and still count toward the gate total.
+    netlist invalid and still count toward the gate total. When there is no
+    error, the compiled form is built from the same levelization pass and
+    cached on the netlist.
     """
     violations: list[StructuralViolation] = []
 
@@ -271,8 +273,9 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             err("dangling-net", f"net {_net_label(netlist, net_id)}",
                 f"undriven net read as {_first_reader(netlist, net_id)}")
 
-    # Combinational loop detection (registers break the cycle).
-    _, cycle = _levelization(netlist, loops_only=True)
+    # Combinational loop detection (registers break the cycle); the same
+    # pass orders the gates for the compiled form.
+    schedule, cycle = _levelization(netlist)
     if cycle is not None:
         err("combinational-loop", "netlist",
             "cycle through " + " -> ".join(cycle))
@@ -283,6 +286,10 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             warn("floating-output", _gate_label(g, i),
                  "gate output is never read")
 
+    # With no error, the violations are the warnings.
+    if not errors_of(violations):
+        object.__setattr__(netlist, "_compiled",
+                           _compile(netlist, schedule, tuple(violations)))
     return violations
 
 
@@ -323,11 +330,11 @@ def is_valid(netlist: Netlist) -> bool:
 class CompiledNetlist:
     """What every analysis reads, derived once from a valid netlist.
 
-    Only compile_netlist builds one. `schedule` is the levelized
-    combinational order; `ops` gives, per scheduled gate, its evaluator from
-    GATE_EVAL, its output net and two operand nets (a NOT repeats its one
-    operand). Bit maps are (bit name, net id) in declaration order;
-    `const_nets` are (net id, value).
+    Only validate builds one. `schedule` is the levelized combinational
+    order; `ops` gives, per scheduled gate, its evaluator from GATE_EVAL,
+    its output net and two operand nets (a NOT repeats its one operand).
+    Bit maps are (bit name, net id) in declaration order; `const_nets` are
+    (net id, value).
     """
 
     schedule: tuple[Gate, ...]
@@ -341,23 +348,23 @@ class CompiledNetlist:
 
 
 def compile_netlist(netlist: Netlist) -> CompiledNetlist:
-    """The netlist's compiled form, validated and built on first use.
+    """The netlist's compiled form, cached by validate on first use.
 
-    The result is cached on the netlist, so each netlist object is validated
-    once. Raises InvalidNetlistError when validate reports an error, or its
-    subclass CombinationalLoopError, carrying the cycle, when one of the
-    errors is a combinational loop.
+    Each netlist object is validated once. Raises InvalidNetlistError when
+    validate reports an error, or its subclass CombinationalLoopError,
+    carrying the cycle, when one of the errors is a combinational loop.
     """
-    if netlist._compiled is not None:
-        return netlist._compiled
-    violations = validate(netlist)
-    bad = errors_of(violations)
-    if bad:
+    if netlist._compiled is None:
+        bad = errors_of(validate(netlist))
         if any(v.kind == "combinational-loop" for v in bad):
             raise CombinationalLoopError(bad, _levelization(netlist)[1])
-        raise InvalidNetlistError(bad)
+        if bad:
+            raise InvalidNetlistError(bad)
+    return netlist._compiled
 
-    schedule, _ = _levelization(netlist)
+
+def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
+             warnings: tuple[StructuralViolation, ...]) -> CompiledNetlist:
     depth: dict[int, int] = {}
     for g in schedule:
         depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
@@ -365,7 +372,7 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
     output_bits = tuple(netlist.output_bits())
     # Delay sinks: primary outputs and register input pins.
     sinks = [nid for _, nid in output_bits] + [n for g in registers for n in g.inputs]
-    compiled = CompiledNetlist(
+    return CompiledNetlist(
         schedule=schedule,
         ops=tuple((GATE_EVAL[g.kind], g.output, g.inputs[0], g.inputs[-1])
                   for g in schedule),
@@ -378,22 +385,17 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
             gate_count=len(netlist.gates),
             delay=max((depth.get(n, 0) for n in sinks), default=0),
             register_count=len(registers)),
-        warnings=tuple(v for v in violations if v.severity == "warning"),
+        warnings=warnings,
     )
-    object.__setattr__(netlist, "_compiled", compiled)
-    return compiled
 
 
-def _levelization(netlist: Netlist, loops_only: bool = False,
-                  ) -> tuple[tuple[Gate, ...], list[str] | None]:
+def _levelization(netlist: Netlist) -> tuple[tuple[Gate, ...], list[str] | None]:
     """Kahn order of the combinational gates, ties resolved by gate
     position, and the gate labels of a combinational cycle (None if the
     gates are acyclic).
 
     Register outputs are treated as sources and register inputs as sinks, so
-    only paths through combinational gates can form a cycle. With
-    `loops_only`, gates listed drivers-first skip the ordering and return
-    an empty one.
+    only paths through combinational gates can form a cycle.
     """
     gates = netlist.gates
     comb = [i for i, g in enumerate(gates) if g.kind is not GateKind.DFF]
@@ -401,11 +403,6 @@ def _levelization(netlist: Netlist, loops_only: bool = False,
     for i in comb:
         # Multi-driver nets are reported separately; first driver wins here.
         producer.setdefault(gates[i].output, i)
-    # Gates listed drivers-first, as in rendered text, cannot form a cycle.
-    if loops_only and all(producer.get(n, -1) < i
-                          for i in comb for n in gates[i].inputs):
-        return (), None
-
     pending = dict.fromkeys(comb, 0)
     consumers: dict[int, list[int]] = {}
     for i in comb:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .metrics import (
     DEFAULT_WEIGHTS,
@@ -167,7 +167,7 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
         if not isinstance(doc, dict):
             raise TaskSchemaError(f"{where}: vector must be an object")
         cycle = doc.get("cycle", 0)
-        if not isinstance(cycle, int) or cycle < 0:
+        if type(cycle) is not int or cycle < 0:
             raise TaskSchemaError(f"{where}.cycle: must be a non-negative integer")
         if combinational and cycle != 0:
             raise TaskSchemaError(f"{where}.cycle: combinational vectors must all "
@@ -216,13 +216,15 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
             direction = PortDir(pdoc["dir"])
         except (KeyError, ValueError):
             raise TaskSchemaError(f"{where}.dir: must be 'in' or 'out'") from None
-        width = pdoc.get("width", 1)
-        if not isinstance(width, int) or width < 1:
+        width, lsb = pdoc.get("width", 1), pdoc.get("lsb", 0)
+        if type(width) is not int or width < 1:  # bool is not a width
             raise TaskSchemaError(f"{where}.width: must be an integer >= 1")
+        if type(lsb) is not int or lsb < 0:
+            raise TaskSchemaError(f"{where}.lsb: must be an integer >= 0")
         name = pdoc.get("name")
         if not name or any(p.name == name for p in ports):
             raise TaskSchemaError(f"{where}.name: missing or duplicate")
-        ports.append(Port(name, direction, width, pdoc.get("lsb", 0)))
+        ports.append(Port(name, direction, width, lsb))
     port_map = {p.name: p for p in ports}
 
     clock = meta.get("clock")
@@ -256,7 +258,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
                 "testbench.json.interface: echo does not match the ports "
                 "declared in task.json")
     cycles = tb.get("cycles", 1)
-    if not isinstance(cycles, int) or cycles < 1:
+    if type(cycles) is not int or cycles < 1:
         raise TaskSchemaError("testbench.json.cycles: must be an integer >= 1")
     combinational = meta["circuit_class"] == "combinational"
     in_names, out_names = (_bit_names(ports, d) for d in PortDir)
@@ -272,15 +274,16 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
         raise TaskSchemaError(f"testbench.json: {exc}") from None
 
     reference = None
-    if meta.get("human_reference") is not None:
-        ref = meta["human_reference"]
-        try:
-            reference = HumanReference(
-                int(ref["gate_count"]), int(ref["delay"]),
-                int(ref.get("register_count", 0)))
-        except (KeyError, TypeError, ValueError):
-            raise TaskSchemaError("task.json.human_reference: needs integer "
-                                  "gate_count and delay") from None
+    ref = meta.get("human_reference")
+    if ref is not None:
+        if not isinstance(ref, dict):
+            raise TaskSchemaError("task.json.human_reference: must be an object")
+        reference = HumanReference(ref.get("gate_count"), ref.get("delay"),
+                                   ref.get("register_count", 0))
+        for key, value in asdict(reference).items():
+            if type(value) is not int:  # no bool, float or numeric string
+                raise TaskSchemaError(
+                    f"task.json.human_reference.{key}: must be an integer")
         g, d, r = reference.gate_count, reference.delay, reference.register_count
         if min(g, d, r) < 0 or g + d == 0 or r > g:
             raise TaskSchemaError(
@@ -288,6 +291,9 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
                 "not both 0, and 0 <= register_count <= gate_count")
         sei = measure(reference.report)
         declared = ref.get("sei")
+        if declared is not None and type(declared) not in (int, float):
+            raise TaskSchemaError(
+                "task.json.human_reference.sei: must be a number")
         if declared is not None and abs(declared - sei) > 5e-5:
             raise TaskSchemaError(
                 f"task.json.human_reference.sei: {declared} does not match "

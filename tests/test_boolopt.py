@@ -7,8 +7,6 @@ from conftest import build_half_adder
 from gateforge.boolopt import (
     BoolFunction,
     Cube,
-    apply_hint,
-    apply_hints,
     min_gate_network,
     prime_implicants,
     quine_mccluskey,
@@ -18,7 +16,6 @@ from gateforge.netlist import (
     COMBINATIONAL_KINDS,
     GateKind,
     NetlistBuilder,
-    gate_count,
 )
 from gateforge.simulator import truth_table
 
@@ -286,9 +283,8 @@ def test_double_negation_hint():
     n = b.build()
     hints = suggest_optimizations(n)
     assert [h.kind for h in hints] == ["double-negation"]
+    assert hints[0].gates == ("g1", "g2")
     assert "wire a directly" in hints[0].message
-    rewritten = apply_hint(n, hints[0])
-    assert truth_table(rewritten).digest == truth_table(n).digest
 
 
 def test_duplicate_gate_hint_is_input_order_insensitive():
@@ -302,9 +298,8 @@ def test_duplicate_gate_hint_is_input_order_insensitive():
     n = b.build()
     hints = suggest_optimizations(n)
     assert [h.kind for h in hints] == ["duplicate-gate"]
-    rewritten = apply_hint(n, hints[0])
-    assert gate_count(rewritten) == 1
-    assert truth_table(rewritten).digest == truth_table(n).digest
+    assert hints[0].gates == ("g1", "g2")
+    assert "g2 duplicates g1" in hints[0].message
 
 
 def test_fuse_nand_hint():
@@ -317,10 +312,8 @@ def test_fuse_nand_hint():
     n = b.build()
     hints = suggest_optimizations(n)
     assert [h.kind for h in hints] == ["fuse-nand"]
-    rewritten = apply_hint(n, hints[0])
-    assert gate_count(rewritten) == 1
-    assert rewritten.gates[0].kind is GateKind.NAND
-    assert truth_table(rewritten).digest == truth_table(n).digest
+    assert hints[0].gates == ("g1", "g2")
+    assert "fuse them into a single nand" in hints[0].message
 
 
 def test_and_with_fanout_is_not_fused():
@@ -349,24 +342,8 @@ def test_constant_input_rewrites_preserve_behavior(kind, const):
     b.gate(kind, (a, k), y)
     n = b.build()
     hints = [h for h in suggest_optimizations(n) if h.kind == "constant-input"]
-    assert hints
-    rewritten = apply_hint(n, hints[0])
-    assert truth_table(rewritten).digest == truth_table(n).digest
-
-
-def test_apply_hints_runs_to_fixpoint():
-    b = NetlistBuilder("m")
-    a = b.input("a")
-    c = b.input("b")
-    y = b.output("y")
-    w1 = b.gate(GateKind.NOT, (a,))
-    w2 = b.gate(GateKind.NOT, (w1,))
-    b.gate(GateKind.AND, (w2, c), y)
-    n = b.build()
-    optimized = apply_hints(n)
-    assert gate_count(optimized) < gate_count(n)
-    assert truth_table(optimized).digest == truth_table(n).digest
-    assert suggest_optimizations(optimized) == []
+    assert [h.gates for h in hints] == [("g1",)]
+    assert f"({kind.value}) has a constant input" in hints[0].message
 
 
 def test_hints_on_clean_design_are_empty():

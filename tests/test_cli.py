@@ -4,6 +4,7 @@ import tempfile
 
 import pytest
 
+from gateforge import cli
 from gateforge.cli import main
 from gateforge.taskpack import builtin_task_dir, builtin_task_packs
 
@@ -34,6 +35,25 @@ def test_tasks_validate(capsys):
     assert main(["tasks", "validate"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_tasks_validate_reports_a_mismatch_and_lets_a_bug_propagate(
+        capsys, tmp_path, monkeypatch):
+    tasks = tmp_path / "tasks"
+    shutil.copytree(f"{builtin_task_dir()}/full_adder", tasks / "full_adder")
+    ref = tasks / "full_adder" / "reference.nl"
+    ref.write_text(ref.read_text().replace("or g5", "and g5"))
+    assert main(["tasks", "validate", "--tasks", str(tasks)]) == 1
+    out = capsys.readouterr().out
+    assert "full_adder" in out and "FAIL" in out
+    assert "fails its own testbench" in out
+
+    def broken(task):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "verify_reference", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["tasks", "validate", "--tasks", str(tasks)])
 
 
 def test_run_single_task(capsys, script_path, tmp_path):

@@ -10,7 +10,7 @@ from conftest import build_full_adder, build_half_adder, recursive_eval
 from gateforge import netlist as nl
 from gateforge import orchestrator
 from gateforge.backends import ScriptRule, ScriptedBackend
-from gateforge.boolopt import OptimizationHint, apply_hint, suggest_optimizations
+from gateforge.boolopt import suggest_optimizations
 from gateforge.netlist import (
     CombinationalLoopError,
     Gate,
@@ -169,8 +169,6 @@ ENTRY_POINTS = {
     "functional_signature": functional_signature,
     "render": render,
     "suggest_optimizations": suggest_optimizations,
-    "apply_hint": lambda n: apply_hint(
-        n, OptimizationHint("duplicate-gate", ("g1", "g2"), "")),
 }
 
 
@@ -215,6 +213,38 @@ def test_builder_check_compiles_and_unchecked_build_defers(monkeypatch):
     truth_table(unchecked)
     truth_table(unchecked)
     assert len(calls) == 2 and calls[1] is unchecked
+
+
+@pytest.mark.parametrize("reorder", [tuple, lambda gates: gates[::-1]],
+                         ids=["drivers-first", "out-of-order"])
+def test_a_valid_compile_levelizes_once(monkeypatch, reorder):
+    fa = build_full_adder()
+    fresh = replace(fa, gates=reorder(fa.gates))
+    position = {g.output: i for i, g in enumerate(fresh.gates)}
+    drivers_first = all(position.get(n, -1) < i
+                        for i, g in enumerate(fresh.gates) for n in g.inputs)
+    assert drivers_first == (reorder is tuple)
+    calls = []
+    real = nl._levelization
+    monkeypatch.setattr(nl, "_levelization",
+                        lambda n: calls.append(n) or real(n))
+    assert gate_count(fresh) == 5 and critical_path_delay(fresh) == 3
+    assert truth_table(fresh) == truth_table(fa)
+    assert calls == [fresh]
+
+
+def test_validate_leaves_the_compiled_form(monkeypatch):
+    fresh = replace(build_full_adder())
+    assert nl.validate(fresh) == [] and fresh._compiled is not None
+    calls = []
+    real = nl.validate
+    monkeypatch.setattr(nl, "validate", lambda n: calls.append(n) or real(n))
+    assert nl.compile_netlist(fresh) is fresh._compiled
+    render(fresh)
+    structural_report(fresh)
+    assert calls == []
+    dangling = dangling_netlist()
+    assert nl.errors_of(nl.validate(dangling)) and dangling._compiled is None
 
 
 def test_one_run_task_candidate_validates_each_netlist_once(monkeypatch):

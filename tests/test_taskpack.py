@@ -169,6 +169,46 @@ def test_out_of_range_reference_numbers_are_rejected(tmp_path, numbers):
         load_task_pack(path)
 
 
+def _set_port(i, key, value):
+    return lambda meta: meta["ports"][i].update({key: value})
+
+
+def _set_reference(key, value):
+    return lambda meta: meta["human_reference"].update({key: value})
+
+
+@pytest.mark.parametrize("field,mutate", [
+    ("ports[0].lsb", _set_port(0, "lsb", "x")),
+    ("ports[0].lsb", _set_port(0, "lsb", -2)),
+    ("ports[0].width", _set_port(0, "width", True)),
+    ("ports[2].width", _set_port(2, "width", 1.0)),
+    ("human_reference.gate_count", _set_reference("gate_count", 3.5)),
+    ("human_reference.gate_count", _set_reference("gate_count", "3")),
+    ("human_reference.delay", _set_reference("delay", True)),
+    ("human_reference.register_count", _set_reference("register_count", 0.0)),
+    ("human_reference.sei", _set_reference("sei", "0.066667")),
+], ids=["lsb-string", "lsb-negative", "width-bool", "width-float",
+        "gate-count-float", "gate-count-string", "delay-bool",
+        "register-count-float", "sei-string"])
+def test_non_integer_task_fields_are_schema_errors(tmp_path, field, mutate):
+    path = copy_pack("adder2", tmp_path, mutate_meta=mutate)
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(path)
+    assert str(exc.value).startswith(f"task.json.{field}: must be")
+
+
+@pytest.mark.parametrize("mutate_tb,message", [
+    (lambda tb: tb.update({"cycles": True}), "testbench.json.cycles"),
+    (lambda tb: tb["vectors"][0].update({"cycle": False}),
+     "testbench.vectors[0].cycle"),
+], ids=["cycles-bool", "cycle-bool"])
+def test_bool_cycle_counts_are_schema_errors(tmp_path, mutate_tb, message):
+    path = copy_pack("counter2", tmp_path, mutate_tb=mutate_tb)
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(path)
+    assert str(exc.value).startswith(f"{message}: must be")
+
+
 def test_reference_index_weighs_registers():
     t = builtin("counter2")
     assert t.reference.register_count == 2
