@@ -24,6 +24,9 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "GATEFORGE_API_KEY"
 # Longest wait honoured from a rate-limit reply's Retry-After header.
 RETRY_AFTER_CAP_S = 60.0
+# Most requests one HttpChatBackend has in flight; samples on worker threads
+# share one client.
+MAX_INFLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -131,17 +134,14 @@ class HttpChatBackend(ModelBackend):
     """
 
     def __init__(self, url: str, model: str, timeout: float = 60.0,
-                 max_retries: int = 3, backoff_base: float = 0.5,
-                 max_inflight: int = 4, api_key_env: str = API_KEY_ENV):
+                 max_retries: int = 3, backoff_base: float = 0.5):
         self.url = url
         self.model = model
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.api_key_env = api_key_env
         self.identity = f"http:{model}"
-        # Samples on worker threads share one client; cap in-flight requests.
-        self._inflight = threading.BoundedSemaphore(max_inflight)
+        self._inflight = threading.BoundedSemaphore(MAX_INFLIGHT)
 
     def complete(self, messages: list[ChatMessage],
                  params: SamplingParams) -> str:
@@ -158,7 +158,7 @@ class HttpChatBackend(ModelBackend):
             "max_tokens": params.max_tokens,
         }).encode()
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         # Never log headers: they carry the bearer token.

@@ -19,7 +19,6 @@ from .netlist import (
     NetlistBuilder,
     PortDir,
     StructuralReport,
-    compile_netlist,
     structural_report,
 )
 from .simulator import pack_columns
@@ -405,10 +404,9 @@ def suggest_optimizations(netlist: Netlist) -> list[OptimizationHint]:
     Purely advisory: nothing is rewritten here. Each hint names the gate
     instances involved so feedback text can point at real locations.
     """
-    compiled = compile_netlist(netlist)
     hints: list[OptimizationHint] = []
     readers = _readers(netlist)
-    bound = {nid for _, nid in compiled.output_bits}
+    bound = {nid for _, nid in netlist.output_bits}
     by_output = {g.output: g for g in netlist.gates}
 
     for g in netlist.gates:

@@ -20,12 +20,14 @@ from .orchestrator import RunConfig, run_benchmark, run_task, summarize
 from .simulator import SimulationError
 from .taskpack import (
     ReferenceMismatchError,
+    TaskSchemaError,
     builtin_task_dir,
     builtin_task_packs,
     discover_task_packs,
     emit_report,
     load_report,
     load_task_pack,
+    task_pack_dirs,
     verify_reference,
 )
 
@@ -165,16 +167,22 @@ def _cmd_report(args) -> int:
 
 def _cmd_tasks(args) -> int:
     root = args.tasks or builtin_task_dir()
-    packs = discover_task_packs(root)
     if args.action == "list":
-        for t in packs:
+        for t in discover_task_packs(root):
             ref = (f"G={t.reference.gate_count} D={t.reference.delay}"
                    if t.reference else "no reference")
             print(f"{t.id:16s} {t.difficulty:8s} {t.circuit_class:14s} {ref}")
         return 0
     if args.action == "validate":
-        failures = 0
-        for t in packs:
+        # Each pack loads on its own, so one bad pack hides no other.
+        packs, failures = [], 0
+        for path in task_pack_dirs(root):
+            try:
+                packs.append(load_task_pack(path))
+            except TaskSchemaError as exc:
+                failures += 1
+                print(f"{path} FAIL: {exc}")
+        for t in sorted(packs, key=lambda t: t.id):
             try:
                 result = verify_reference(t)
                 print(f"{t.id:16s} ok (G={result.gate_count}, "

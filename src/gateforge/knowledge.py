@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from . import parser as nl_parser
 from .metrics import measure
 from .netlist import (Gate, GateKind, Netlist, NetlistBuilder, PortDir,
-                      StructuralReport, compile_netlist, structural_report)
+                      StructuralReport, structural_report)
 from .simulator import SimulationError, functional_signature, sequential_trace
 
 KIND_PATTERN = "circuit-pattern"
@@ -229,12 +229,12 @@ def sequential_fingerprint(netlist: Netlist) -> str:
     """
     rng = random.Random(_SEQ_FINGERPRINT_SEED)
     clock_nets = netlist.clock_nets()
-    drive = [name for name, nid in netlist.input_bits()
+    drive = [name for name, nid in netlist.input_bits
              if nid not in clock_nets]
     stimulus = [{n: rng.getrandbits(1) for n in drive}
                 for _ in range(_SEQ_FINGERPRINT_CYCLES)]
     streams = sequential_trace(netlist, stimulus)
-    out_names = [name for name, _ in netlist.output_bits()]
+    out_names = [name for name, _ in netlist.output_bits]
     h = hashlib.sha256()
     h.update(f"seq:{len(drive)}:{len(out_names)}".encode())
     for n in out_names:
@@ -283,12 +283,12 @@ class _Measure:
 
 def _measure(netlist: Netlist) -> _Measure:
     """The one measurement behind building and verifying a pattern entry."""
-    if netlist.dff_gates():
+    if netlist.registers:
         digest, kind = sequential_fingerprint(netlist), "sequential"
     else:
         sig = functional_signature(netlist)
         digest, kind = sig.digest, "exact" if sig.exact else "sampled"
-    shape = (len(netlist.input_bits()), len(netlist.output_bits()))
+    shape = (len(netlist.input_bits), len(netlist.output_bits))
     return _Measure(digest, kind, structural_report(netlist), shape)
 
 
@@ -665,7 +665,7 @@ def _enumerate_subnetlists(netlist: Netlist) -> Iterator[Netlist]:
     scheme so each connected gate subset appears exactly once, in
     deterministic order.
     """
-    gates = compile_netlist(netlist).schedule
+    gates = netlist.schedule
     n = len(gates)
     if n < SUBPATTERN_MIN_GATES:
         return
@@ -722,8 +722,7 @@ def _carve_subnetlist(netlist: Netlist, chosen: list[Gate]) -> Netlist | None:
     # is not a chosen one.
     outside_readers = {n for g in netlist.gates if g.output not in chosen_outputs
                        for n in g.inputs}
-    port_bound = {n for p in netlist.output_ports()
-                  for n in netlist.port_nets[p.name]}
+    port_bound = {n for _, n in netlist.output_bits}
 
     boundary_inputs: list[int] = []
     for g in chosen:

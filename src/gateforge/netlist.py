@@ -6,10 +6,11 @@ values; multi-bit ports are bit-blasted so the graph itself is scalar. Gates
 are the vertices of the graph, net connections the edges.
 
 Netlist values are immutable after construction and every analysis here is a
-pure function, so they are safe to share across any number of workers. The
-analyses read one `CompiledNetlist`. `validate` builds it from the gate
-order its own levelization pass finds and caches it on a netlist with no
-error, so each netlist object is validated, and levelized, once.
+pure function, so they are safe to share across any number of workers. A
+`Netlist` is validated when it is constructed: `validate` raises on a
+structural error, and otherwise fills in the netlist's compiled fields from
+the gate order its own levelization pass finds. Every analysis reads those
+fields, so each netlist is validated, and levelized, once.
 """
 
 from __future__ import annotations
@@ -126,12 +127,22 @@ class Port:
         return f"{self.name}[{self.lsb + index}]"
 
 
+def _derived_field():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Netlist:
-    """Immutable gate graph with a flat, bit-blasted net table.
+    """Immutable, validated gate graph with a flat, bit-blasted net table.
 
-    Its net and port dicts must not be mutated after construction: the
-    compiled form cached on the first analysis would no longer describe it.
+    Construction runs `validate`, which raises InvalidNetlistError on a
+    structural error and otherwise sets the compiled fields: `schedule` is
+    the levelized combinational order; `ops` gives, per scheduled gate, its
+    evaluator from GATE_EVAL, its output net and two operand nets (a NOT
+    repeats its one operand). Bit maps are (bit name, net id) in
+    declaration order; `const_nets` are (net id, value). Its net and port
+    dicts must not be mutated after construction: the compiled fields would
+    no longer describe it.
     """
 
     name: str
@@ -139,10 +150,20 @@ class Netlist:
     nets: dict[int, Net]
     gates: tuple[Gate, ...]
     port_nets: dict[str, tuple[int, ...]]
-    # Set by validate; not an init argument, so dataclasses.replace yields
-    # a netlist that is validated afresh.
-    _compiled: "CompiledNetlist | None" = field(
-        default=None, init=False, compare=False, repr=False)
+    # Set by validate. Not init arguments, so dataclasses.replace builds a
+    # netlist that is validated afresh; left out of equality and the repr.
+    schedule: tuple[Gate, ...] = _derived_field()
+    ops: tuple[tuple[Callable[[int, int, int], int], int, int, int], ...] = \
+        _derived_field()
+    registers: tuple[Gate, ...] = _derived_field()
+    input_bits: tuple[tuple[str, int], ...] = _derived_field()
+    output_bits: tuple[tuple[str, int], ...] = _derived_field()
+    const_nets: tuple[tuple[int, int], ...] = _derived_field()
+    report: StructuralReport = _derived_field()
+    warnings: tuple[StructuralViolation, ...] = _derived_field()
+
+    def __post_init__(self) -> None:
+        validate(self)
 
     def input_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction is PortDir.IN)
@@ -150,27 +171,9 @@ class Netlist:
     def output_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction is PortDir.OUT)
 
-    def input_bits(self) -> list[tuple[str, int]]:
-        """(bit name, net id) pairs for every input bit, declaration order."""
-        out = []
-        for p in self.input_ports():
-            for i, net in enumerate(self.port_nets[p.name]):
-                out.append((p.bit_name(i), net))
-        return out
-
-    def output_bits(self) -> list[tuple[str, int]]:
-        out = []
-        for p in self.output_ports():
-            for i, net in enumerate(self.port_nets[p.name]):
-                out.append((p.bit_name(i), net))
-        return out
-
-    def dff_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.kind is GateKind.DFF)
-
     def clock_nets(self) -> set[int]:
         """Nets attached to register clock pins."""
-        return {g.clock_input for g in self.dff_gates()}
+        return {g.clock_input for g in self.registers}
 
 
 @dataclass(frozen=True)
@@ -208,13 +211,15 @@ def _gate_label(gate: Gate, index: int) -> str:
 
 
 def validate(netlist: Netlist) -> list[StructuralViolation]:
-    """Check all structural invariants. Violations are data, not exceptions.
+    """Check all structural invariants and set the compiled fields.
 
     Error classes: dangling-net, multi-driver, arity, combinational-loop.
-    Floating gate outputs are reported as warnings; they do not make the
-    netlist invalid and still count toward the gate total. When there is no
-    error, the compiled form is built from the same levelization pass and
-    cached on the netlist.
+    Any error raises InvalidNetlistError carrying the errors, or its
+    subclass CombinationalLoopError, carrying the cycle, when one of them
+    is a combinational loop. Otherwise the compiled fields are set from the
+    same levelization pass and the warnings are returned: floating gate
+    outputs, which do not make the netlist invalid and still count toward
+    the gate total. Netlist construction runs this once.
     """
     violations: list[StructuralViolation] = []
 
@@ -232,16 +237,16 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
         if nets is None or len(nets) != p.width:
             err("dangling-net", f"port {p.name}",
                 "port is not bound to one net per bit")
-            return violations
+            raise InvalidNetlistError(violations)
         for n in nets:
             if n not in known:
                 err("dangling-net", f"port {p.name}", f"unknown net id {n}")
-                return violations
+                raise InvalidNetlistError(violations)
     for i, g in enumerate(gates):
         for n in (g.output, *g.inputs):
             if n not in known:
                 err("dangling-net", _gate_label(g, i), f"unknown net id {n}")
-                return violations
+                raise InvalidNetlistError(violations)
 
     # Arity.
     for i, g in enumerate(gates):
@@ -274,7 +279,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
                 f"undriven net read as {_first_reader(netlist, net_id)}")
 
     # Combinational loop detection (registers break the cycle); the same
-    # pass orders the gates for the compiled form.
+    # pass orders the gates for the compiled fields.
     schedule, cycle = _levelization(netlist)
     if cycle is not None:
         err("combinational-loop", "netlist",
@@ -286,19 +291,20 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             warn("floating-output", _gate_label(g, i),
                  "gate output is never read")
 
-    # With no error, the violations are the warnings.
-    if not errors_of(violations):
-        object.__setattr__(netlist, "_compiled",
-                           _compile(netlist, schedule, tuple(violations)))
+    bad = errors_of(violations)
+    if cycle is not None:
+        raise CombinationalLoopError(bad, cycle)
+    if bad:
+        raise InvalidNetlistError(bad)
+    _compile(netlist, schedule, tuple(violations))
     return violations
 
 
 def _drivers_of(netlist: Netlist, net_id: int) -> list[str]:
     net = netlist.nets[net_id]
     who = [f"constant {net.value}"] if net.value is not None else []
-    for p in netlist.input_ports():
-        who += [f"input {p.bit_name(i)}"
-                for i, n in enumerate(netlist.port_nets[p.name]) if n == net_id]
+    who += [f"input {bit}" for bit, n in _port_bits(netlist, PortDir.IN)
+            if n == net_id]
     return who + [_gate_label(g, i) for i, g in enumerate(netlist.gates)
                   if g.output == net_id]
 
@@ -307,8 +313,8 @@ def _first_reader(netlist: Netlist, net_id: int) -> str:
     for i, g in enumerate(netlist.gates):
         if net_id in g.inputs:
             return f"input of {_gate_label(g, i)}"
-    return next(f"output {p.bit_name(i)}" for p in netlist.output_ports()
-                for i, n in enumerate(netlist.port_nets[p.name]) if n == net_id)
+    return next(f"output {bit}" for bit, n in _port_bits(netlist, PortDir.OUT)
+                if n == net_id)
 
 
 def _net_label(netlist: Netlist, net_id: int) -> str:
@@ -322,71 +328,40 @@ def errors_of(violations: list[StructuralViolation]) -> list[StructuralViolation
     return [v for v in violations if v.severity == "error"]
 
 
-def is_valid(netlist: Netlist) -> bool:
-    return not errors_of(validate(netlist))
-
-
-@dataclass(frozen=True)
-class CompiledNetlist:
-    """What every analysis reads, derived once from a valid netlist.
-
-    Only validate builds one. `schedule` is the levelized combinational
-    order; `ops` gives, per scheduled gate, its evaluator from GATE_EVAL,
-    its output net and two operand nets (a NOT repeats its one operand).
-    Bit maps are (bit name, net id) in declaration order; `const_nets` are
-    (net id, value).
-    """
-
-    schedule: tuple[Gate, ...]
-    ops: tuple[tuple[Callable[[int, int, int], int], int, int, int], ...]
-    registers: tuple[Gate, ...]
-    input_bits: tuple[tuple[str, int], ...]
-    output_bits: tuple[tuple[str, int], ...]
-    const_nets: tuple[tuple[int, int], ...]
-    report: StructuralReport
-    warnings: tuple[StructuralViolation, ...]
-
-
-def compile_netlist(netlist: Netlist) -> CompiledNetlist:
-    """The netlist's compiled form, cached by validate on first use.
-
-    Each netlist object is validated once. Raises InvalidNetlistError when
-    validate reports an error, or its subclass CombinationalLoopError,
-    carrying the cycle, when one of the errors is a combinational loop.
-    """
-    if netlist._compiled is None:
-        bad = errors_of(validate(netlist))
-        if any(v.kind == "combinational-loop" for v in bad):
-            raise CombinationalLoopError(bad, _levelization(netlist)[1])
-        if bad:
-            raise InvalidNetlistError(bad)
-    return netlist._compiled
+def _port_bits(netlist: Netlist, direction: PortDir
+               ) -> tuple[tuple[str, int], ...]:
+    """(bit name, net id) for every bit of the ports in one direction."""
+    return tuple((p.bit_name(i), net) for p in netlist.ports
+                 if p.direction is direction
+                 for i, net in enumerate(netlist.port_nets[p.name]))
 
 
 def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
-             warnings: tuple[StructuralViolation, ...]) -> CompiledNetlist:
+             warnings: tuple[StructuralViolation, ...]) -> None:
     depth: dict[int, int] = {}
     for g in schedule:
         depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
-    registers = netlist.dff_gates()
-    output_bits = tuple(netlist.output_bits())
+    registers = tuple(g for g in netlist.gates if g.kind is GateKind.DFF)
+    output_bits = _port_bits(netlist, PortDir.OUT)
     # Delay sinks: primary outputs and register input pins.
     sinks = [nid for _, nid in output_bits] + [n for g in registers for n in g.inputs]
-    return CompiledNetlist(
-        schedule=schedule,
-        ops=tuple((GATE_EVAL[g.kind], g.output, g.inputs[0], g.inputs[-1])
-                  for g in schedule),
-        registers=registers,
-        input_bits=tuple(netlist.input_bits()),
-        output_bits=output_bits,
-        const_nets=tuple((net.id, net.value) for net in netlist.nets.values()
-                         if net.value is not None),
-        report=StructuralReport(
+    compiled = {
+        "schedule": schedule,
+        "ops": tuple((GATE_EVAL[g.kind], g.output, g.inputs[0], g.inputs[-1])
+                     for g in schedule),
+        "registers": registers,
+        "input_bits": _port_bits(netlist, PortDir.IN),
+        "output_bits": output_bits,
+        "const_nets": tuple((net.id, net.value) for net in netlist.nets.values()
+                            if net.value is not None),
+        "report": StructuralReport(
             gate_count=len(netlist.gates),
             delay=max((depth.get(n, 0) for n in sinks), default=0),
             register_count=len(registers)),
-        warnings=warnings,
-    )
+        "warnings": warnings,
+    }
+    for name, value in compiled.items():
+        object.__setattr__(netlist, name, value)
 
 
 def _levelization(netlist: Netlist) -> tuple[tuple[Gate, ...], list[str] | None]:
@@ -437,15 +412,15 @@ def levelize(netlist: Netlist) -> tuple[Gate, ...]:
     """Order combinational gates so each appears after all its drivers.
 
     Register updates are excluded: register outputs act as sources. The order
-    is deterministic (ties resolved by gate position). Raises like
-    compile_netlist when the netlist is invalid.
+    is deterministic (ties resolved by gate position). The order is found
+    once, when the netlist is constructed.
     """
-    return compile_netlist(netlist).schedule
+    return netlist.schedule
 
 
 def gate_count(netlist: Netlist) -> int:
     """Total number of gate instances. Registers count like any gate."""
-    return compile_netlist(netlist).report.gate_count
+    return netlist.report.gate_count
 
 
 def critical_path_delay(netlist: Netlist) -> int:
@@ -455,15 +430,15 @@ def critical_path_delay(netlist: Netlist) -> int:
     primary outputs and register input pins. Every gate kind contributes one
     unit of delay; registers contribute none.
     """
-    return compile_netlist(netlist).report.delay
+    return netlist.report.delay
 
 
 def structural_report(netlist: Netlist) -> StructuralReport:
-    return compile_netlist(netlist).report
+    return netlist.report
 
 
 class NetlistBuilder:
-    """Incremental construction helper; build() freezes and checks."""
+    """Incremental construction helper; build() freezes and validates."""
 
     def __init__(self, name: str):
         self.name = name
@@ -525,14 +500,11 @@ class NetlistBuilder:
         self._gates.append(Gate(kind, output, ins, name))
         return output
 
-    def build(self, check: bool = True) -> Netlist:
-        n = Netlist(
+    def build(self) -> Netlist:
+        return Netlist(
             name=self.name,
             ports=tuple(self._ports),
             nets=dict(self._nets),
             gates=tuple(self._gates),
             port_nets=dict(self._port_nets),
         )
-        if check:
-            compile_netlist(n)
-        return n

@@ -324,7 +324,7 @@ def _static_review(reply: str, task: TaskPack,
     mismatches = _interface_mismatch(task, result.netlist)
     if mismatches:
         return None, "rejected: interface mismatch", mismatches, ["interface"]
-    if task.circuit_class == "combinational" and result.netlist.dff_gates():
+    if task.circuit_class == "combinational" and result.netlist.registers:
         return None, "rejected: registers in a combinational task", \
             ["[interface] the task is combinational; remove dff instances"], \
             ["interface"]

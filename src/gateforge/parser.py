@@ -25,7 +25,6 @@ from .netlist import (
     Port,
     PortDir,
     StructuralViolation,
-    compile_netlist,
 )
 
 GATE_KEYWORDS = {k.value: k for k in GateKind}
@@ -592,7 +591,7 @@ class _Parser:
                 self.error("syntax", self._violation_token(v),
                            f"{v.kind}: {v.message}")
             return ParseResult(None, self.errors)
-        return ParseResult(netlist, [], list(compile_netlist(netlist).warnings))
+        return ParseResult(netlist, [], list(netlist.warnings))
 
     def _violation_token(self, v: StructuralViolation) -> _Token:
         name = v.where.split()[-1].split("[")[0]
@@ -609,7 +608,7 @@ def parse(text: str) -> ParseResult:
     Deterministic and total: any byte sequence yields either a netlist that
     satisfies every structural invariant, or one or more positioned errors.
     The netlist is built by NetlistBuilder.build(), so it is returned
-    validated and compiled.
+    validated, with its compiled fields set.
     """
     return _Parser(text).parse()
 
@@ -646,27 +645,16 @@ def render(netlist: Netlist) -> str:
     fixpoint: render(parse(render(n))) == render(n), as
     tests/test_round_trip.py checks.
     """
-    compiled = compile_netlist(netlist)
-
     names: dict[int, str] = {}
     assigns: list[tuple[str, int]] = []
 
-    for nid, value in compiled.const_nets:
+    for nid, value in netlist.const_nets:
         names[nid] = f"1'b{value}"
-    for p in netlist.input_ports():
-        for i, nid in enumerate(netlist.port_nets[p.name]):
-            bit = p.bit_name(i)
-            if nid in names:
-                assigns.append((bit, nid))  # input aliased to an earlier input
-            else:
-                names[nid] = bit
-    for p in netlist.output_ports():
-        for i, nid in enumerate(netlist.port_nets[p.name]):
-            bit = p.bit_name(i)
-            if nid in names:
-                assigns.append((bit, nid))  # alias to an input, const or twin
-            else:
-                names[nid] = bit
+    for bit, nid in netlist.input_bits + netlist.output_bits:
+        if nid in names:
+            assigns.append((bit, nid))  # alias to a constant or earlier bit
+        else:
+            names[nid] = bit
 
     wire_names: list[str] = []
 
@@ -677,11 +665,11 @@ def render(netlist: Netlist) -> str:
             names[nid] = w
         return names[nid]
 
-    for g in compiled.schedule:
+    for g in netlist.schedule:
         for n in g.inputs:
             claim(n)
         claim(g.output)
-    for g in compiled.registers:
+    for g in netlist.registers:
         for n in (g.output, *g.inputs):
             claim(n)
 
@@ -696,7 +684,7 @@ def render(netlist: Netlist) -> str:
         lines.append("  wire " + ", ".join(wire_names[i:i + 8]) + ";")
     for bit, nid in assigns:
         lines.append(f"  assign {bit} = {names[nid]};")
-    for seq, g in enumerate(compiled.schedule + compiled.registers, 1):
+    for seq, g in enumerate(netlist.schedule + netlist.registers, 1):
         conns = ", ".join([names[g.output]] + [names[n] for n in g.inputs])
         lines.append(f"  {g.kind.value} g{seq}({conns});")
     lines.append("endmodule")

@@ -16,7 +16,7 @@ from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .netlist import CompiledNetlist, Netlist, compile_netlist
+from .netlist import Netlist
 
 # Exhaustive signatures stop at 12 inputs (4096 rows); wider interfaces get
 # sampled signatures from a fixed seed and are flagged approximate.
@@ -169,15 +169,14 @@ def pack_vectors(vectors: Sequence[TestVector]) -> PackedVectors:
                       for v in vectors])
 
 
-def _settle(compiled: CompiledNetlist, values: dict[int, int],
-            mask: int) -> None:
+def _settle(netlist: Netlist, values: dict[int, int], mask: int) -> None:
     """Evaluate the combinational gates in place over packed values."""
-    for evaluate, out, a, b in compiled.ops:
+    for evaluate, out, a, b in netlist.ops:
         values[out] = evaluate(values[a], values[b], mask)
 
 
-def _source_values(compiled: CompiledNetlist, mask: int) -> dict[int, int]:
-    return {nid: mask if value else 0 for nid, value in compiled.const_nets}
+def _source_values(netlist: Netlist, mask: int) -> dict[int, int]:
+    return {nid: mask if value else 0 for nid, value in netlist.const_nets}
 
 
 def check_vectors(vectors: Sequence[TestVector] | PackedVectors,
@@ -239,23 +238,22 @@ def simulate_combinational(netlist: Netlist,
     bit must be assigned in every vector. `vectors` may come packed, as a
     task's testbench is, so one testbench is packed once for many netlists.
     """
-    compiled = compile_netlist(netlist)
-    if compiled.registers:
+    if netlist.registers:
         raise SimulationError("netlist contains registers; "
                               "use simulate_sequential")
     packed = vectors if isinstance(vectors, PackedVectors) \
         else pack_vectors(vectors)
-    in_bits = dict(compiled.input_bits)
-    out_bits = dict(compiled.output_bits)
+    in_bits = dict(netlist.input_bits)
+    out_bits = dict(netlist.output_bits)
     check_vectors(packed, in_bits, out_bits)
 
     if not packed.keys:
         return SimOutcome(0, 0)
     mask = (1 << len(packed.keys)) - 1
-    values = _source_values(compiled, mask)
+    values = _source_values(netlist, mask)
     for name, nid in in_bits.items():
         values[nid] = packed.inputs[name]
-    _settle(compiled, values, mask)
+    _settle(netlist, values, mask)
 
     failing = 0
     mismatches = []
@@ -301,29 +299,29 @@ def _resolve_clock(netlist: Netlist, clock: str | None) -> tuple[str, int]:
     if in_ports[clock].width != 1:
         raise SimulationError(f"clock '{clock}' must be one bit wide")
     clock_net = netlist.port_nets[clock][0]
-    for g in netlist.dff_gates():
+    for g in netlist.registers:
         if g.clock_input != clock_net:
             raise SimulationError(
                 f"register {g.name or '?'} is not clocked by '{clock}'")
     return clock, clock_net
 
 
-def _clocked_cycles(compiled: CompiledNetlist, clock_net: int,
+def _clocked_cycles(netlist: Netlist, clock_net: int,
                     updates: Iterable[dict[int, int]]) -> Iterator[dict[int, int]]:
     """Run one cycle per input update and yield its settled net values.
 
     Inputs hold their values until updated; the clock net reads 0.
     Registers start at 0 and all take their data input after each cycle.
     """
-    held = _source_values(compiled, 1)
+    held = _source_values(netlist, 1)
     held[clock_net] = 0
-    state = {g.output: 0 for g in compiled.registers}
+    state = {g.output: 0 for g in netlist.registers}
     for update in updates:
         held.update(update)
         values = {**held, **state}
-        _settle(compiled, values, 1)
+        _settle(netlist, values, 1)
         yield values
-        state = {g.output: values[g.data_input] for g in compiled.registers}
+        state = {g.output: values[g.data_input] for g in netlist.registers}
 
 
 def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
@@ -334,10 +332,9 @@ def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
     vectors. Registers start at 0. When `clock` is None it is inferred from
     the register clock pins.
     """
-    compiled = compile_netlist(netlist)
     clock, clock_net = _resolve_clock(netlist, clock)
-    in_bits = dict(compiled.input_bits)
-    out_bits = dict(compiled.output_bits)
+    in_bits = dict(netlist.input_bits)
+    out_bits = dict(netlist.output_bits)
     check_vectors(vectors, in_bits, out_bits, clock, cycles)
     by_cycle = {v.cycle: (i, v) for i, v in enumerate(vectors)}
 
@@ -345,7 +342,7 @@ def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
                if t in by_cycle else {} for t in range(cycles))
     passed = failed = 0
     first: FailureDetail | None = None
-    for t, values in enumerate(_clocked_cycles(compiled, clock_net, updates)):
+    for t, values in enumerate(_clocked_cycles(netlist, clock_net, updates)):
         if t not in by_cycle:
             continue
         index, vec = by_cycle[t]
@@ -375,64 +372,61 @@ def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
     check_vectors as a vector at that cycle, so the first one assigns every
     input bit but the clock. Inputs hold their values between cycles.
     """
-    compiled = compile_netlist(netlist)
     clock, clock_net = _resolve_clock(netlist, clock)
-    in_bits = dict(compiled.input_bits)
+    in_bits = dict(netlist.input_bits)
     check_vectors([TestVector(assignment, {}, t)
                    for t, assignment in enumerate(stimulus)],
-                  in_bits, dict(compiled.output_bits), clock, len(stimulus))
+                  in_bits, dict(netlist.output_bits), clock, len(stimulus))
     updates = ({in_bits[key]: val & 1 for key, val in assignment.items()}
                for assignment in stimulus)
-    streams: dict[str, list[int]] = {name: [] for name, _ in compiled.output_bits}
-    for values in _clocked_cycles(compiled, clock_net, updates):
-        for name, nid in compiled.output_bits:
+    streams: dict[str, list[int]] = {name: [] for name, _ in netlist.output_bits}
+    for values in _clocked_cycles(netlist, clock_net, updates):
+        for name, nid in netlist.output_bits:
             streams[name].append(values[nid])
     return streams
 
 
-def _table_form(netlist: Netlist) -> CompiledNetlist:
-    compiled = compile_netlist(netlist)
-    if compiled.registers:
+def _check_combinational(netlist: Netlist) -> None:
+    if netlist.registers:
         raise SimulationError("sequential netlist has no truth table")
-    return compiled
 
 
-def _signature(compiled: CompiledNetlist, rows: Sequence[int],
+def _signature(netlist: Netlist, rows: Sequence[int],
                exact: bool) -> FunctionalSignature:
     """Output columns over the given input rows; bit i of a row is the i-th
     declared input bit."""
-    n = len(compiled.input_bits)
+    n = len(netlist.input_bits)
     mask = (1 << len(rows)) - 1
-    values = _source_values(compiled, mask)
-    for (_, nid), column in zip(compiled.input_bits, pack_columns(rows, n)):
+    values = _source_values(netlist, mask)
+    for (_, nid), column in zip(netlist.input_bits, pack_columns(rows, n)):
         values[nid] = column
-    _settle(compiled, values, mask)
-    columns = tuple(values[nid] for _, nid in compiled.output_bits)
+    _settle(netlist, values, mask)
+    columns = tuple(values[nid] for _, nid in netlist.output_bits)
     return FunctionalSignature(n, len(columns), columns, exact=exact)
 
 
 def truth_table(netlist: Netlist) -> FunctionalSignature:
     """Exhaustive signature over all input rows (combinational, n <= 12)."""
-    compiled = _table_form(netlist)
-    n = len(compiled.input_bits)
+    _check_combinational(netlist)
+    n = len(netlist.input_bits)
     if n > MAX_EXACT_INPUTS:
         raise SimulationError(
             f"too many inputs for an exhaustive table ({n} > {MAX_EXACT_INPUTS})")
-    return _signature(compiled, range(1 << n), exact=True)
+    return _signature(netlist, range(1 << n), exact=True)
 
 
 def sampled_signature(netlist: Netlist,
                       vector_count: int = SAMPLED_VECTOR_COUNT) -> FunctionalSignature:
     """Fixed-seed random-vector signature for wide combinational interfaces."""
-    compiled = _table_form(netlist)
+    _check_combinational(netlist)
     rng = random.Random(_SAMPLED_SEED)
-    rows = [rng.getrandbits(len(compiled.input_bits))
+    rows = [rng.getrandbits(len(netlist.input_bits))
             for _ in range(vector_count)]
-    return _signature(compiled, rows, exact=False)
+    return _signature(netlist, rows, exact=False)
 
 
 def functional_signature(netlist: Netlist) -> FunctionalSignature:
     """Exact signature when the interface allows it, sampled otherwise."""
-    if len(compile_netlist(netlist).input_bits) <= MAX_EXACT_INPUTS:
+    if len(netlist.input_bits) <= MAX_EXACT_INPUTS:
         return truth_table(netlist)
     return sampled_signature(netlist)

@@ -237,16 +237,19 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
                 or port_map[clock].width != 1:
             raise TaskSchemaError("task.json.clock: sequential tasks need a "
                                   "1-bit input clock port")
+    tags = meta.get("tags", [])
+    if type(tags) is not list or not all(type(t) is str for t in tags):
+        raise TaskSchemaError("task.json.tags: must be a list of strings")
 
     spec_path = os.path.join(root, "spec.txt")
     if not os.path.exists(spec_path):
-        raise TaskSchemaError(f"{root}: missing spec.txt")
+        raise TaskSchemaError("missing spec.txt")
     with open(spec_path, encoding="utf-8") as fh:
         spec_text = fh.read()
 
     tb_path = os.path.join(root, "testbench.json")
     if not os.path.exists(tb_path):
-        raise TaskSchemaError(f"{root}: missing testbench.json")
+        raise TaskSchemaError("missing testbench.json")
     with open(tb_path, encoding="utf-8") as fh:
         tb = json.load(fh)
     echo = tb.get("interface")
@@ -313,7 +316,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
         spec_text=spec_text,
         ports=tuple(ports),
         clock=clock,
-        tags=tuple(meta.get("tags", [])),
+        tags=tuple(tags),
         testbench=Testbench(cycles, packed),
         reference=reference,
         reference_netlist=ref_text,
@@ -355,16 +358,24 @@ def verify_reference(task: TaskPack) -> EvalResult:
                       delay=report.delay, sei=measure(report))
 
 
-def discover_task_packs(root: str | os.PathLike) -> list[TaskPack]:
-    """Load every pack directly under `root`, sorted by id."""
+def task_pack_dirs(root: str | os.PathLike) -> list[str]:
+    """Every directory directly under `root` that holds a task.json, by name."""
     root = os.fspath(root)
+    return [cand for cand in (os.path.join(root, name)
+                              for name in sorted(os.listdir(root)))
+            if os.path.exists(os.path.join(cand, "task.json"))]
+
+
+def discover_task_packs(root: str | os.PathLike) -> list[TaskPack]:
+    """Load every pack directly under `root`, sorted by id. A schema fault
+    raises TaskSchemaError naming the pack's directory."""
     packs = []
-    for name in sorted(os.listdir(root)):
-        cand = os.path.join(root, name)
-        if os.path.isdir(cand) and os.path.exists(os.path.join(cand, "task.json")):
+    for cand in task_pack_dirs(root):
+        try:
             packs.append(load_task_pack(cand))
-    packs.sort(key=lambda t: t.id)
-    return packs
+        except TaskSchemaError as exc:
+            raise TaskSchemaError(f"{cand}: {exc}") from None
+    return sorted(packs, key=lambda t: t.id)
 
 
 def builtin_task_dir() -> str:

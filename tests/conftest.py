@@ -60,8 +60,8 @@ def recursive_eval(netlist: Netlist, assignment: dict[str, int]) -> dict[str, in
     levelized simulator. Combinational netlists only."""
     driver = {g.output: g for g in netlist.gates}
     input_net = {nid: val for (name, nid), val in
-                 zip(netlist.input_bits(),
-                     (assignment[n] for n, _ in netlist.input_bits()))}
+                 zip(netlist.input_bits,
+                     (assignment[n] for n, _ in netlist.input_bits))}
     memo: dict[int, int] = {}
 
     def value(nid: int) -> int:
@@ -90,7 +90,7 @@ def recursive_eval(netlist: Netlist, assignment: dict[str, int]) -> dict[str, in
         memo[nid] = result
         return result
 
-    return {name: value(nid) for name, nid in netlist.output_bits()}
+    return {name: value(nid) for name, nid in netlist.output_bits}
 
 
 def random_netlist(rng: random.Random, n_inputs: int, n_gates: int,

@@ -208,8 +208,8 @@ def test_criterion_5_simulator_oracle():
         net = random_netlist(rng, n_inputs, rng.randint(1, 25),
                              name=f"r{case}")
         sig = truth_table(net)
-        in_names = [name for name, _ in net.input_bits()]
-        out_names = [name for name, _ in net.output_bits()]
+        in_names = [name for name, _ in net.input_bits]
+        out_names = [name for name, _ in net.output_bits]
         for row in range(1 << n_inputs):
             assignment = {nm: (row >> i) & 1
                           for i, nm in enumerate(in_names)}

@@ -6,7 +6,12 @@ import pytest
 
 from gateforge import cli
 from gateforge.cli import main
-from gateforge.taskpack import builtin_task_dir, builtin_task_packs
+from gateforge.taskpack import (
+    TaskSchemaError,
+    builtin_task_dir,
+    builtin_task_packs,
+    discover_task_packs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +59,27 @@ def test_tasks_validate_reports_a_mismatch_and_lets_a_bug_propagate(
     monkeypatch.setattr(cli, "verify_reference", broken)
     with pytest.raises(KeyError, match="bug"):
         main(["tasks", "validate", "--tasks", str(tasks)])
+
+
+def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
+        capsys, tmp_path):
+    tasks = tmp_path / "tasks"
+    for task_id in ("and3", "xnor2"):
+        shutil.copytree(f"{builtin_task_dir()}/{task_id}", tasks / task_id)
+    meta_path = tasks / "and3" / "task.json"
+    meta = json.loads(meta_path.read_text())
+    meta["ports"][0]["lsb"] = -1
+    meta_path.write_text(json.dumps(meta))
+    assert main(["tasks", "validate", "--tasks", str(tasks)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"{tasks / 'and3'} FAIL: task.json.ports[0].lsb: must be an "
+        "integer >= 0",
+        "xnor2            ok (G=2, D=2)"]
+    with pytest.raises(TaskSchemaError) as exc:
+        discover_task_packs(tasks)
+    assert str(exc.value) == \
+        f"{tasks / 'and3'}: task.json.ports[0].lsb: must be an integer >= 0"
 
 
 def test_run_single_task(capsys, script_path, tmp_path):

@@ -135,25 +135,57 @@ def test_key_errors_name_the_first_offending_vector():
         assert str(exc.value) == message
 
 
-def dangling_netlist() -> Netlist:
+def dangling_args() -> tuple:
+    """Netlist constructor arguments: g1 reads a net nothing drives."""
     nets = {0: Net(0, "a"),
             1: Net(1, "y"),
             2: Net(2, "w")}
     gates = (Gate(GateKind.AND, 1, (0, 2), "g1"),)
-    return Netlist("top", (nl.Port("a", nl.PortDir.IN),
-                           nl.Port("y", nl.PortDir.OUT)),
-                   nets, gates, {"a": (0,), "y": (1,)})
+    return ("top", (nl.Port("a", nl.PortDir.IN), nl.Port("y", nl.PortDir.OUT)),
+            nets, gates, {"a": (0,), "y": (1,)})
 
 
-def looped_netlist() -> Netlist:
+def looped_args() -> tuple:
+    """Netlist constructor arguments: g1 and g2 read each other."""
     nets = {0: Net(0, "a"),
             1: Net(1, "y"),
             2: Net(2, "w")}
     gates = (Gate(GateKind.AND, 2, (0, 1), "g1"),
              Gate(GateKind.OR, 1, (2, 0), "g2"))
-    return Netlist("top", (nl.Port("a", nl.PortDir.IN),
-                           nl.Port("y", nl.PortDir.OUT)),
-                   nets, gates, {"a": (0,), "y": (1,)})
+    return ("top", (nl.Port("a", nl.PortDir.IN), nl.Port("y", nl.PortDir.OUT)),
+            nets, gates, {"a": (0,), "y": (1,)})
+
+
+def faulty_builder(dangling: bool) -> NetlistBuilder:
+    """A builder holding the same fault as dangling_args or looped_args."""
+    b = NetlistBuilder("top")
+    a = b.input("a")
+    y = b.output("y")
+    w = b.wire("w")
+    if dangling:
+        b.gate(GateKind.AND, (a, w), y, name="g1")
+    else:
+        b.gate(GateKind.AND, (a, y), w, name="g1")
+        b.gate(GateKind.OR, (w, a), y, name="g2")
+    return b
+
+
+def toggle_netlist() -> Netlist:
+    b = NetlistBuilder("toggle")
+    clk = b.input("clk")
+    q = b.output("q")
+    b.gate(GateKind.DFF, (b.gate(GateKind.NOT, (q,)), clk), q)
+    return b.build()
+
+
+def record_checks(monkeypatch) -> list[tuple[str, Netlist]]:
+    """Record every validate and _levelization call with its netlist."""
+    calls: list[tuple[str, Netlist]] = []
+    for fn in ("validate", "_levelization"):
+        real = getattr(nl, fn)
+        monkeypatch.setattr(
+            nl, fn, lambda n, fn=fn, real=real: calls.append((fn, n)) or real(n))
+    return calls
 
 
 ENTRY_POINTS = {
@@ -162,89 +194,90 @@ ENTRY_POINTS = {
     "structural_report": structural_report,
     "levelize": levelize,
     "simulate_combinational": lambda n: simulate_combinational(n, []),
-    "simulate_sequential": lambda n: simulate_sequential(n, [], 1, clock="a"),
-    "sequential_trace": lambda n: sequential_trace(n, [], clock="a"),
+    "simulate_sequential": lambda n: simulate_sequential(n, [], 4),
+    "sequential_trace": lambda n: sequential_trace(n, [{}] * 4),
     "truth_table": truth_table,
     "sampled_signature": sampled_signature,
     "functional_signature": functional_signature,
     "render": render,
     "suggest_optimizations": suggest_optimizations,
 }
+SEQUENTIAL_ENTRY_POINTS = {"simulate_sequential", "sequential_trace"}
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_directly_built_invalid_netlists_raise_from_every_entry_point(name):
+def test_directly_built_invalid_netlists_raise_from_every_entry_point(
+        name, monkeypatch):
+    """An invalid graph raises where it is constructed, so no entry point
+    sees one; a built netlist reaches every entry point validated, and none
+    validates or levelizes it again."""
     analyse = ENTRY_POINTS[name]
-    dangling = dangling_netlist()
-    for _ in range(2):  # a failed compile is not cached
+    for args in (dangling_args(), looped_args()):
+        with pytest.raises(InvalidNetlistError):
+            analyse(Netlist(*args))
+    netlist = toggle_netlist() if name in SEQUENTIAL_ENTRY_POINTS \
+        else build_full_adder()
+    calls = record_checks(monkeypatch)
+    analyse(netlist)
+    analyse(netlist)
+    assert [fn for fn, n in calls if n is netlist] == []
+
+
+def test_invalid_graphs_raise_at_construction():
+    fa = build_full_adder()
+    extra = Gate(GateKind.NOT, 99, (0,))  # drives a net the table lacks
+    for construct, where in (
+            (lambda: Netlist(*dangling_args()), "net w"),
+            (lambda: faulty_builder(dangling=True).build(), "net w"),
+            (lambda: replace(fa, gates=fa.gates + (extra,)), "gate#5")):
         with pytest.raises(InvalidNetlistError) as exc:
-            analyse(dangling)
+            construct()
         assert not isinstance(exc.value, CombinationalLoopError)
-        assert {v.kind for v in exc.value.violations} == {"dangling-net"}
-    looped = looped_netlist()
-    for _ in range(2):
+        assert [(v.kind, v.where) for v in exc.value.violations] == \
+            [("dangling-net", where)]
+    for construct in (lambda: Netlist(*looped_args()),
+                      lambda: faulty_builder(dangling=False).build()):
         with pytest.raises(CombinationalLoopError) as exc:
-            analyse(looped)
+            construct()
         assert exc.value.cycle == ["g1", "g2"]
+        assert [(v.kind, v.message) for v in exc.value.violations] == \
+            [("combinational-loop", "cycle through g1 -> g2")]
 
 
 def test_replace_yields_a_netlist_that_is_compiled_afresh():
     fa = build_full_adder()
-    assert gate_count(fa) == 5
-    broken = replace(fa, gates=fa.gates + (Gate(GateKind.NOT, 99, (0,)),))
-    with pytest.raises(InvalidNetlistError):
-        gate_count(broken)
-
-
-def test_builder_check_compiles_and_unchecked_build_defers(monkeypatch):
-    calls = []
-    real = nl.validate
-    monkeypatch.setattr(nl, "validate", lambda n: calls.append(n) or real(n))
-    b = NetlistBuilder("top")
-    a = b.input("a")
-    y = b.output("y")
-    b.gate(GateKind.NOT, (a,), y)
-    built = b.build()
-    unchecked = b.build(check=False)
-    assert calls == [built]
-    structural_report(built)
-    render(built)
-    assert calls == [built]
-    truth_table(unchecked)
-    truth_table(unchecked)
-    assert len(calls) == 2 and calls[1] is unchecked
+    reversed_fa = replace(fa, gates=fa.gates[::-1])
+    assert reversed_fa.schedule != fa.schedule
+    assert truth_table(reversed_fa) == truth_table(fa)
 
 
 @pytest.mark.parametrize("reorder", [tuple, lambda gates: gates[::-1]],
                          ids=["drivers-first", "out-of-order"])
 def test_a_valid_compile_levelizes_once(monkeypatch, reorder):
     fa = build_full_adder()
+    calls = record_checks(monkeypatch)
     fresh = replace(fa, gates=reorder(fa.gates))
     position = {g.output: i for i, g in enumerate(fresh.gates)}
     drivers_first = all(position.get(n, -1) < i
                         for i, g in enumerate(fresh.gates) for n in g.inputs)
     assert drivers_first == (reorder is tuple)
-    calls = []
-    real = nl._levelization
-    monkeypatch.setattr(nl, "_levelization",
-                        lambda n: calls.append(n) or real(n))
     assert gate_count(fresh) == 5 and critical_path_delay(fresh) == 3
     assert truth_table(fresh) == truth_table(fa)
-    assert calls == [fresh]
+    assert calls == [("validate", fresh), ("_levelization", fresh)]
 
 
 def test_validate_leaves_the_compiled_form(monkeypatch):
-    fresh = replace(build_full_adder())
-    assert nl.validate(fresh) == [] and fresh._compiled is not None
-    calls = []
-    real = nl.validate
-    monkeypatch.setattr(nl, "validate", lambda n: calls.append(n) or real(n))
-    assert nl.compile_netlist(fresh) is fresh._compiled
-    render(fresh)
-    structural_report(fresh)
-    assert calls == []
-    dangling = dangling_netlist()
-    assert nl.errors_of(nl.validate(dangling)) and dangling._compiled is None
+    fa = build_full_adder()
+    compiled = (fa.schedule, fa.ops, fa.registers, fa.input_bits,
+                fa.output_bits, fa.const_nets, fa.report, fa.warnings)
+    assert fa.report == nl.StructuralReport(5, 3, 0) and fa.warnings == ()
+    assert fa.input_bits == (("a", 0), ("b", 1), ("cin", 2))
+    assert [name for name, _ in fa.output_bits] == ["sum", "cout"]
+    assert nl.validate(fa) == []
+    assert (fa.schedule, fa.ops, fa.registers, fa.input_bits,
+            fa.output_bits, fa.const_nets, fa.report, fa.warnings) == compiled
+    # The compiled fields are neither compared nor shown.
+    assert "schedule" not in repr(fa) and "ops" not in repr(fa)
 
 
 def test_one_run_task_candidate_validates_each_netlist_once(monkeypatch):
@@ -275,10 +308,14 @@ def test_one_run_task_candidate_validates_each_netlist_once(monkeypatch):
     assert [id(n) for n in simulated] == [id(n) for n in seen]
 
 
-def test_a_compiled_netlist_pickles_with_its_compiled_form():
+def test_a_compiled_netlist_pickles_with_its_compiled_form(monkeypatch):
     import pickle
 
     fa = build_full_adder()
-    copy = pickle.loads(pickle.dumps(fa))
-    assert copy == fa and copy._compiled is not None
+    data = pickle.dumps(fa)
+    calls = record_checks(monkeypatch)
+    copy = pickle.loads(data)
+    assert calls == []
+    assert copy == fa and copy.schedule == fa.schedule
+    assert copy.report == fa.report
     assert truth_table(copy) == truth_table(fa)

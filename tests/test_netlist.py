@@ -7,17 +7,16 @@ from gateforge.netlist import (
     CombinationalLoopError,
     Gate,
     GateKind,
+    InvalidNetlistError,
     Net,
     Netlist,
     NetlistBuilder,
     Port,
     PortDir,
     StructuralViolation,
-    compile_netlist,
     critical_path_delay,
     errors_of,
     gate_count,
-    is_valid,
     levelize,
     structural_report,
     validate,
@@ -50,9 +49,9 @@ def test_two_drivers_on_one_net():
     y = b.output("y")
     b.gate(GateKind.NOT, (a,), y)
     b.gate(GateKind.NOT, (c,), y)
-    n = b.build(check=False)
-    kinds = {v.kind for v in errors_of(validate(n))}
-    assert kinds == {"multi-driver"}
+    with pytest.raises(InvalidNetlistError) as exc:
+        b.build()
+    assert {v.kind for v in exc.value.violations} == {"multi-driver"}
 
 
 def test_self_loop_is_a_combinational_loop():
@@ -60,11 +59,9 @@ def test_self_loop_is_a_combinational_loop():
     a = b.input("a")
     y = b.output("y")
     b.gate(GateKind.XOR, (a, y), y)
-    n = b.build(check=False)
-    kinds = {v.kind for v in errors_of(validate(n))}
-    assert "combinational-loop" in kinds
     with pytest.raises(CombinationalLoopError) as exc:
-        levelize(n)
+        b.build()
+    assert "combinational-loop" in {v.kind for v in exc.value.violations}
     assert exc.value.cycle  # witness present
 
 
@@ -78,8 +75,9 @@ def test_two_gate_cycle_detected_by_dfs():
     b.gate(GateKind.AND, (a, w2), w1, name="g1")
     b.gate(GateKind.OR, (w1, a), w2, name="g2")
     b.gate(GateKind.NOT, (w1,), y, name="g3")
-    n = b.build(check=False)
-    loops = [v for v in validate(n) if v.kind == "combinational-loop"]
+    with pytest.raises(CombinationalLoopError) as exc:
+        b.build()
+    loops = [v for v in exc.value.violations if v.kind == "combinational-loop"]
     assert len(loops) == 1
     assert "g1" in loops[0].message and "g2" in loops[0].message
 
@@ -96,12 +94,12 @@ def test_loop_witness_keeps_gate_names_whole():
     assert exc.value.cycle == ["p -> q", "r"]
 
 
-def reference_comb_cycle(netlist: Netlist) -> list[str] | None:
+def reference_comb_cycle(gates: tuple[Gate, ...]) -> list[str] | None:
     """Gate labels of the first cycle an iterative depth-first search over
     the combinational gates meets, starting from each gate in order; the
     loop check validate used before it took its witness from Kahn's
     algorithm."""
-    comb = [(i, g) for i, g in enumerate(netlist.gates)
+    comb = [(i, g) for i, g in enumerate(gates)
             if g.kind is not GateKind.DFF]
     by_output: dict[int, int] = {}
     for i, g in comb:
@@ -117,7 +115,7 @@ def reference_comb_cycle(netlist: Netlist) -> list[str] | None:
             if edge == 0:
                 color[idx] = 1
                 path.append(idx)
-            deps = [by_output[n] for n in netlist.gates[idx].inputs
+            deps = [by_output[n] for n in gates[idx].inputs
                     if n in by_output]
             advanced = False
             while edge < len(deps):
@@ -125,7 +123,7 @@ def reference_comb_cycle(netlist: Netlist) -> list[str] | None:
                 edge += 1
                 c = color.get(nxt, 0)
                 if c == 1:
-                    return [netlist.gates[j].name or f"gate#{j}"
+                    return [gates[j].name or f"gate#{j}"
                             for j in path[path.index(nxt):]]
                 if c == 0:
                     work.append((idx, edge))
@@ -138,9 +136,10 @@ def reference_comb_cycle(netlist: Netlist) -> list[str] | None:
     return None
 
 
-def random_gate_graph(rng: random.Random) -> Netlist:
-    """Random netlist over a known net table: gates read any net, so loops,
-    self-loops, multi-driver nets, wrong arities and registers all occur."""
+def random_gate_graph(rng: random.Random) -> tuple:
+    """Netlist constructor arguments for a random graph over a known net
+    table: gates read any net, so loops, self-loops, multi-driver nets,
+    wrong arities and registers all occur."""
     n_in = rng.randint(1, 3)
     n_gates = rng.randint(1, 9)
     n_nets = n_in + n_gates + rng.randint(0, 2)
@@ -158,26 +157,28 @@ def random_gate_graph(rng: random.Random) -> Netlist:
         + (Port("y", PortDir.OUT),)
     port_nets = {f"i{i}": (i,) for i in range(n_in)}
     port_nets["y"] = (rng.randrange(n_nets),)
-    return Netlist("rand", ports, nets, tuple(gates), port_nets)
+    return "rand", ports, nets, tuple(gates), port_nets
 
 
 def test_loop_witness_matches_depth_first_reference():
     loops = 0
     for seed in range(3000):
-        n = random_gate_graph(random.Random(seed))
-        witness = reference_comb_cycle(n)
-        violations = validate(n)
+        args = random_gate_graph(random.Random(seed))
+        witness = reference_comb_cycle(args[3])
+        try:
+            violations, cycle = list(Netlist(*args).warnings), None
+            severity = "warning"
+        except InvalidNetlistError as exc:
+            violations, cycle = exc.violations, getattr(exc, "cycle", None)
+            severity = "error"
         rest = [v for v in violations if v.kind != "combinational-loop"]
         loop = [] if witness is None else [StructuralViolation(
             "combinational-loop", "error", "netlist",
             "cycle through " + " -> ".join(witness))]
-        assert violations == errors_of(rest) + loop + [
-            v for v in rest if v.severity == "warning"], seed
-        if witness is not None:
-            loops += 1
-            with pytest.raises(CombinationalLoopError) as exc:
-                compile_netlist(n)
-            assert exc.value.cycle == witness, seed
+        assert violations == rest + loop, seed
+        assert {v.severity for v in violations} <= {severity}, seed
+        assert cycle == witness, seed
+        loops += witness is not None
     assert 500 < loops < 2500
 
 
@@ -189,7 +190,7 @@ def test_dff_breaks_the_cycle():
     d = b.gate(GateKind.NOT, (q,))
     b.gate(GateKind.DFF, (d, clk), q)
     n = b.build()
-    assert is_valid(n)
+    assert n.warnings == () and len(n.registers) == 1
 
 
 def test_arity_violation():
@@ -197,8 +198,9 @@ def test_arity_violation():
     a = b.input("a")
     y = b.output("y")
     b.gate(GateKind.NAND, (a,), y)  # nand needs two inputs
-    n = b.build(check=False)
-    assert {v.kind for v in errors_of(validate(n))} == {"arity"}
+    with pytest.raises(InvalidNetlistError) as exc:
+        b.build()
+    assert {v.kind for v in exc.value.violations} == {"arity"}
 
 
 def test_dangling_net():
@@ -207,8 +209,9 @@ def test_dangling_net():
     y = b.output("y")
     w = b.wire()
     b.gate(GateKind.NOT, (w,), y)
-    n = b.build(check=False)
-    assert "dangling-net" in {v.kind for v in errors_of(validate(n))}
+    with pytest.raises(InvalidNetlistError) as exc:
+        b.build()
+    assert "dangling-net" in {v.kind for v in exc.value.violations}
 
 
 def test_floating_output_is_a_warning_and_still_counts():
@@ -217,9 +220,9 @@ def test_floating_output_is_a_warning_and_still_counts():
     y = b.output("y")
     b.gate(GateKind.NOT, (a,), y)
     b.gate(GateKind.AND, (a, a))  # output never read
-    n = b.build(check=False)
+    n = b.build()
     violations = validate(n)
-    assert errors_of(violations) == []
+    assert errors_of(violations) == [] and tuple(violations) == n.warnings
     assert any(v.kind == "floating-output" and v.severity == "warning"
                for v in violations)
     assert gate_count(n) == 2
@@ -285,7 +288,7 @@ def test_floating_gate_off_any_path_adds_no_delay():
     b.gate(GateKind.NOT, (a,), y)
     w = b.gate(GateKind.AND, (a, a))
     b.gate(GateKind.NOT, (w,))  # 2-gate floating chain, longer than the path
-    n = b.build(check=False)
+    n = b.build()
     assert critical_path_delay(n) == 1
 
 
@@ -367,5 +370,13 @@ def test_validate_is_pure_and_idempotent():
     a = b.input("a")
     y = b.output("y")
     b.gate(GateKind.XOR, (a, y), y)
-    n = b.build(check=False)
-    assert validate(n) == validate(n)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(CombinationalLoopError) as exc:
+            b.build()
+        raised.append((exc.value.violations, exc.value.cycle))
+    assert raised[0] == raised[1]
+    n = build_half_adder()
+    schedule, report = n.schedule, n.report
+    assert validate(n) == validate(n) == list(n.warnings)
+    assert (n.schedule, n.report) == (schedule, report)

@@ -21,7 +21,7 @@ from gateforge.knowledge import (
     sequential_fingerprint,
     verify_pattern_entry,
 )
-from gateforge.netlist import GateKind, compile_netlist, structural_report
+from gateforge.netlist import GateKind, structural_report
 from gateforge.parser import parse, render
 from gateforge.simulator import SimulationError, functional_signature
 from gateforge.taskpack import builtin_task_packs, simulate_task
@@ -39,7 +39,7 @@ def reversed_gate_lines(text: str) -> str:
 
 
 def behaviour(netlist):
-    if netlist.dff_gates():
+    if netlist.registers:
         try:
             return sequential_fingerprint(netlist)
         except SimulationError as exc:
@@ -80,7 +80,7 @@ def test_corpus_has_designs_out_of_render_order(pairs):
     # Without them, enumerating in gate-list order would pass unnoticed.
     reordered = [label for label, n, _ in pairs
                  if tuple(g for g in n.gates if g.kind is not GateKind.DFF)
-                 != compile_netlist(n).schedule]
+                 != n.schedule]
     assert len(pairs) > 150 and len(reordered) >= 10
 
 

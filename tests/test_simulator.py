@@ -288,8 +288,8 @@ def test_simulator_matches_recursive_oracle():
     for _ in range(30):
         n_inputs = rng.randint(1, 6)
         net = random_netlist(rng, n_inputs, rng.randint(1, 20))
-        in_names = [name for name, _ in net.input_bits()]
-        out_names = [name for name, _ in net.output_bits()]
+        in_names = [name for name, _ in net.input_bits]
+        out_names = [name for name, _ in net.output_bits]
         vecs = []
         expect = []
         for row in range(1 << n_inputs):

@@ -187,9 +187,11 @@ def _set_reference(key, value):
     ("human_reference.delay", _set_reference("delay", True)),
     ("human_reference.register_count", _set_reference("register_count", 0.0)),
     ("human_reference.sei", _set_reference("sei", "0.066667")),
+    ("tags", lambda meta: meta.update({"tags": "parity"})),
+    ("tags", lambda meta: meta.update({"tags": [1, None]})),
 ], ids=["lsb-string", "lsb-negative", "width-bool", "width-float",
         "gate-count-float", "gate-count-string", "delay-bool",
-        "register-count-float", "sei-string"])
+        "register-count-float", "sei-string", "tags-string", "tags-non-string"])
 def test_non_integer_task_fields_are_schema_errors(tmp_path, field, mutate):
     path = copy_pack("adder2", tmp_path, mutate_meta=mutate)
     with pytest.raises(TaskSchemaError) as exc:
