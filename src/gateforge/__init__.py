@@ -7,8 +7,6 @@ from .netlist import (
     Port,
     PortDir,
     StructuralReport,
-    critical_path_delay,
-    gate_count,
     levelize,
     structural_report,
     validate,
@@ -66,8 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GateKind", "Netlist", "NetlistBuilder", "Port", "PortDir",
-    "StructuralReport", "critical_path_delay", "gate_count", "levelize",
-    "structural_report", "validate",
+    "StructuralReport", "levelize", "structural_report", "validate",
     "ParseError", "ParseResult", "extract_netlist_block",
     "parse", "render",
     "FunctionalSignature", "SimOutcome", "TestVector", "functional_signature",

@@ -32,21 +32,27 @@ from .taskpack import (
 )
 
 
-def _load_config(path: str | None, profile: str | None,
-                 overrides: dict) -> RunConfig:
-    doc: dict = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    weights_doc = doc.pop("weights", None)
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    if "pass_ks" in doc:
-        doc["pass_ks"] = tuple(doc["pass_ks"])
-    if weights_doc:
-        doc["weights"] = MetricWeights(**weights_doc)
-    if profile:
-        return RunConfig.from_profile(profile, **doc)
-    return RunConfig(**doc)
+def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
+    """The run config from --config and the command's own options. A value
+    the config refuses is a usage error of the command (exit 2)."""
+    try:
+        doc: dict = {}
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if type(doc) is not dict:
+                raise ValueError("--config must hold a JSON object")
+        weights_doc = doc.pop("weights", None)
+        doc.update({k: v for k, v in overrides.items() if v is not None})
+        if "pass_ks" in doc:
+            doc["pass_ks"] = tuple(doc["pass_ks"])
+        if weights_doc:
+            doc["weights"] = MetricWeights(**weights_doc)
+        if profile:
+            return RunConfig.from_profile(profile, **doc)
+        return RunConfig(**doc)
+    except (TypeError, ValueError) as exc:
+        args.parser.error(f"invalid run config: {exc}")
 
 
 def _resolve_tasks(args) -> list:
@@ -81,7 +87,7 @@ def _store_dir(args) -> contextlib.AbstractContextManager[str]:
 
 def _cmd_run(args) -> int:
     task = load_task_pack(args.task)
-    cfg = _load_config(args.config, None, {"samples_per_task": 1})
+    cfg = _load_config(args, None, {"samples_per_task": 1})
     backend = _resolve_backend(args, cfg)
     with _store_dir(args) as root:
         store = KnowledgeStore(root)
@@ -101,13 +107,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    tasks = _resolve_tasks(args)
     overrides = {
         "samples_per_task": args.n,
         "pass_ks": tuple(args.k) if args.k else None,
         "workers": args.workers,
     }
-    cfg = _load_config(args.config, args.profile, overrides)
+    cfg = _load_config(args, args.profile, overrides)
+    tasks = _resolve_tasks(args)
     backend = _resolve_backend(args, cfg)
     with _store_dir(args) as root:
         report = run_benchmark(tasks, cfg, backend, KnowledgeStore(root),
@@ -205,7 +211,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-netlist", action="store_true",
                    help="print the verified netlist")
     _add_backend_args(p)
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run, parser=p)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
     p.add_argument("--tasks", help="directory of task packs "
@@ -222,7 +228,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true",
                    help="also print the summary table")
     _add_backend_args(p)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, parser=p)
 
     p = sub.add_parser("store", help="knowledge store maintenance")
     p.add_argument("action", choices=("seed", "inspect", "verify", "compact"))

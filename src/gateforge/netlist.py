@@ -178,6 +178,15 @@ class Netlist:
 
 @dataclass(frozen=True)
 class StructuralReport:
+    """A netlist's size and depth.
+
+    `gate_count` counts gate instances; registers count like any gate.
+    `delay` is the longest combinational path, counted in gates traversed:
+    sources are primary inputs, constants and register outputs; sinks are
+    primary outputs and register input pins. Every gate kind contributes one
+    unit of delay; registers contribute none.
+    """
+
     gate_count: int
     delay: int
     register_count: int
@@ -416,21 +425,6 @@ def levelize(netlist: Netlist) -> tuple[Gate, ...]:
     once, when the netlist is constructed.
     """
     return netlist.schedule
-
-
-def gate_count(netlist: Netlist) -> int:
-    """Total number of gate instances. Registers count like any gate."""
-    return netlist.report.gate_count
-
-
-def critical_path_delay(netlist: Netlist) -> int:
-    """Longest combinational path, counted in gates traversed.
-
-    Sources are primary inputs, constants and register outputs; sinks are
-    primary outputs and register input pins. Every gate kind contributes one
-    unit of delay; registers contribute none.
-    """
-    return netlist.report.delay
 
 
 def structural_report(netlist: Netlist) -> StructuralReport:

@@ -4,8 +4,13 @@ Evaluation is two-state (0/1) and bit-parallel: every net holds a Python
 integer whose bit v is the net's value in vector v, so one levelized sweep
 evaluates all vectors of a testbench at once. Sequential runs use the
 standard synchronous model: per cycle, apply inputs, settle the
-combinational logic, check expectations, then clock every register from its
+combinational logic, record the outputs, then clock every register from its
 settled data input. Registers reset to 0.
+
+A testbench runs in one form, `PackedVectors`: hand-written `TestVector`s
+are packed by `pack_vectors`, a task pack's testbench is packed as it is
+read. Both simulators fill one column per checked output bit, bit v from
+the run of vector v, and score the columns with one rule (`_score`).
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import hashlib
 import random
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .netlist import Netlist
 
@@ -112,7 +116,7 @@ class PackedVectors:
     name; `checked` marks the vectors with at least one check. The key sets
     let a netlist's interface be checked without visiting every vector.
     keys[v] holds the input and output bits vector v names, in its order, and
-    its cycle, from which `vectors` is derived; keys are left out of equality.
+    its cycle; keys are left out of equality.
     """
 
     keys: Sequence[tuple] = field(compare=False)
@@ -121,17 +125,6 @@ class PackedVectors:
     checked: int
     input_key_sets: frozenset[frozenset[str]]
     expected_keys: frozenset[str]
-
-    @cached_property
-    def vectors(self) -> tuple[TestVector, ...]:
-        """The per-bit vectors, derived from the columns when first read."""
-        care = {name: (e, c) for name, e, c in self.checks}
-        return tuple(
-            TestVector({name: self.inputs[name] >> v & 1 for name in ins},
-                       {name: e >> v & 1 if c >> v & 1 else None
-                        for name in outs for e, c in [care.get(name, (0, 0))]},
-                       cycle)
-            for v, (ins, outs, cycle) in enumerate(self.keys))
 
 
 def pack_rows(rows: Sequence[tuple[int, int, int]], in_names: Sequence[str],
@@ -153,7 +146,7 @@ def pack_rows(rows: Sequence[tuple[int, int, int]], in_names: Sequence[str],
 
 
 def pack_vectors(vectors: Sequence[TestVector]) -> PackedVectors:
-    """Pack vectors for simulate_combinational."""
+    """Pack vectors for the simulators; the only reader of TestVector."""
     in_names = list(dict.fromkeys(k for v in vectors for k in v.inputs))
     out_names = sorted({k for v in vectors for k in v.expected})
     in_pos = {name: i for i, name in enumerate(in_names)}
@@ -179,9 +172,9 @@ def _source_values(netlist: Netlist, mask: int) -> dict[int, int]:
     return {nid: mask if value else 0 for nid, value in netlist.const_nets}
 
 
-def check_vectors(vectors: Sequence[TestVector] | PackedVectors,
-                  inputs: Collection[str], outputs: Collection[str],
-                  clock: str | None = None, cycles: int | None = None) -> None:
+def check_vectors(packed: PackedVectors, inputs: Collection[str],
+                  outputs: Collection[str], clock: str | None = None,
+                  cycles: int | None = None) -> None:
     """Raise SimulationError naming the first vector that no design with
     these input and output bits could run against.
 
@@ -189,43 +182,64 @@ def check_vectors(vectors: Sequence[TestVector] | PackedVectors,
     Without `cycles` the vectors are combinational and each must assign
     every input bit. With it they are the cycles of a sequential run: each
     sits at its own cycle in 0..cycles-1, and a vector at cycle 0 must
-    assign every input bit but the clock. Packed vectors are combinational:
-    their key sets decide, and only a fault reads the per-bit vectors.
+    assign every input bit but the clock. A combinational run is decided by
+    the key sets; only a fault walks the keys vector by vector.
     """
-    if isinstance(vectors, PackedVectors):
-        if vectors.input_key_sets <= {frozenset(inputs)} \
-                and vectors.expected_keys.issubset(outputs):
-            return
-        vectors = vectors.vectors
+    drive = frozenset(inputs) - {clock}
+    if cycles is None and packed.input_key_sets <= {drive} \
+            and packed.expected_keys.issubset(outputs):
+        return
     inputs, outputs = set(inputs), set(outputs)
-    drive = inputs - {clock}
     seen: set[int] = set()
-    for i, v in enumerate(vectors):
-        if clock in v.inputs:
+    for i, (ins, outs, cycle) in enumerate(packed.keys):
+        if clock in ins:
             raise SimulationError(
                 f"vector {i}: clock '{clock}' is driven by the harness, "
                 "not by vectors")
-        if not (v.inputs.keys() <= inputs and v.expected.keys() <= outputs):
-            side, key = next(
-                (side, key) for side, bits, declared
-                in (("input", v.inputs, inputs), ("output", v.expected, outputs))
-                for key in bits if key not in declared)
-            raise SimulationError(f"vector {i}: '{key}' is not a declared "
-                                  f"{side} port bit")
+        for side, bits, declared in (("input", ins, inputs),
+                                     ("output", outs, outputs)):
+            key = next((key for key in bits if key not in declared), None)
+            if key is not None:
+                raise SimulationError(f"vector {i}: '{key}' is not a "
+                                      f"declared {side} port bit")
         if cycles is not None:
-            if not 0 <= v.cycle < cycles:
+            if not 0 <= cycle < cycles:
                 raise SimulationError(
-                    f"vector {i}: cycle {v.cycle} outside 0..{cycles - 1}")
-            if v.cycle in seen:
-                raise SimulationError(f"vector {i}: duplicate cycle {v.cycle}")
-            seen.add(v.cycle)
-        if (cycles is None or v.cycle == 0) and not drive <= v.inputs.keys():
+                    f"vector {i}: cycle {cycle} outside 0..{cycles - 1}")
+            if cycle in seen:
+                raise SimulationError(f"vector {i}: duplicate cycle {cycle}")
+            seen.add(cycle)
+        if (cycles is None or cycle == 0) and not drive.issubset(ins):
             raise SimulationError(
                 f"vector {i}: unassigned input bit(s): "
-                + ", ".join(sorted(drive - v.inputs.keys())))
+                + ", ".join(sorted(drive.difference(ins))))
     if cycles is not None and drive and 0 not in seen:
         raise SimulationError("no vector at cycle 0 assigns input bit(s): "
                               + ", ".join(sorted(drive)))
+
+
+def _score(packed: PackedVectors, actual: dict[str, int],
+           order: Iterable[int] | None = None) -> SimOutcome:
+    """Score output columns against the packed checks.
+
+    Bit v of actual[name] is output bit `name` in the run of vector v. Each
+    vector with at least one check is one pass/fail unit; a don't-care never
+    fails. The first failure is the first failing vector in `order` (by
+    default the lowest-numbered one), at its first failing bit by name.
+    """
+    failing = 0
+    for name, expected, care in packed.checks:
+        failing |= (actual[name] ^ expected) & care
+    first: FailureDetail | None = None
+    if failing:
+        v = (failing & -failing).bit_length() - 1 if order is None \
+            else next(v for v in order if failing >> v & 1)
+        first = next(
+            FailureDetail(v, name, expected >> v & 1, actual[name] >> v & 1)
+            for name, expected, care in packed.checks
+            if ((actual[name] ^ expected) & care) >> v & 1)
+    failed = failing.bit_count()
+    return SimOutcome(packed.checked.bit_count() - failed, failed, first)
 
 
 def simulate_combinational(netlist: Netlist,
@@ -254,24 +268,8 @@ def simulate_combinational(netlist: Netlist,
     for name, nid in in_bits.items():
         values[nid] = packed.inputs[name]
     _settle(netlist, values, mask)
-
-    failing = 0
-    mismatches = []
-    for name, expected, care in packed.checks:
-        actual = values[out_bits[name]]
-        wrong = (actual ^ expected) & care
-        failing |= wrong
-        mismatches.append((name, expected, actual, wrong))
-    failed = failing.bit_count()
-    first: FailureDetail | None = None
-    if failing:
-        i = (failing & -failing).bit_length() - 1
-        for name, expected, actual, wrong in mismatches:
-            if (wrong >> i) & 1:
-                first = FailureDetail(i, name, (expected >> i) & 1,
-                                      (actual >> i) & 1)
-                break
-    return SimOutcome(packed.checked.bit_count() - failed, failed, first)
+    return _score(packed, {name: values[out_bits[name]]
+                           for name, _, _ in packed.checks})
 
 
 def _resolve_clock(netlist: Netlist, clock: str | None) -> tuple[str, int]:
@@ -306,61 +304,55 @@ def _resolve_clock(netlist: Netlist, clock: str | None) -> tuple[str, int]:
     return clock, clock_net
 
 
-def _clocked_cycles(netlist: Netlist, clock_net: int,
-                    updates: Iterable[dict[int, int]]) -> Iterator[dict[int, int]]:
-    """Run one cycle per input update and yield its settled net values.
+def _clocked_cycles(netlist: Netlist, clock_net: int, packed: PackedVectors,
+                    cycles: int) -> Iterator[tuple[int | None, dict[int, int]]]:
+    """Run `cycles` cycles; yield, per cycle, the vector at that cycle (None
+    if there is none) and the settled net values.
 
-    Inputs hold their values until updated; the clock net reads 0.
-    Registers start at 0 and all take their data input after each cycle.
+    A vector sets the input bits it names at its cycle, and inputs hold
+    their values until set again; the clock net reads 0. Registers start at
+    0 and all take their data input after each cycle.
     """
+    in_bits = dict(netlist.input_bits)
+    at = {cycle: v for v, (_, _, cycle) in enumerate(packed.keys)}
     held = _source_values(netlist, 1)
     held[clock_net] = 0
     state = {g.output: 0 for g in netlist.registers}
-    for update in updates:
-        held.update(update)
+    for t in range(cycles):
+        v = at.get(t)
+        if v is not None:
+            held.update((in_bits[name], packed.inputs[name] >> v & 1)
+                        for name in packed.keys[v][0])
         values = {**held, **state}
         _settle(netlist, values, 1)
-        yield values
+        yield v, values
         state = {g.output: values[g.data_input] for g in netlist.registers}
 
 
-def simulate_sequential(netlist: Netlist, vectors: Sequence[TestVector],
+def simulate_sequential(netlist: Netlist,
+                        vectors: Sequence[TestVector] | PackedVectors,
                         cycles: int, clock: str | None = None) -> SimOutcome:
-    """Cycle-accurate run: settle, check, then clock all registers at once.
+    """Cycle-accurate run: settle, record, then clock all registers at once.
 
     The vectors must pass check_vectors. Inputs hold their values between
     vectors. Registers start at 0. When `clock` is None it is inferred from
-    the register clock pins.
+    the register clock pins. The checks are scored as simulate_combinational
+    scores them; the first failure is the one at the earliest cycle.
     """
     clock, clock_net = _resolve_clock(netlist, clock)
-    in_bits = dict(netlist.input_bits)
+    packed = vectors if isinstance(vectors, PackedVectors) \
+        else pack_vectors(vectors)
     out_bits = dict(netlist.output_bits)
-    check_vectors(vectors, in_bits, out_bits, clock, cycles)
-    by_cycle = {v.cycle: (i, v) for i, v in enumerate(vectors)}
-
-    updates = ({in_bits[key]: val & 1 for key, val in by_cycle[t][1].inputs.items()}
-               if t in by_cycle else {} for t in range(cycles))
-    passed = failed = 0
-    first: FailureDetail | None = None
-    for t, values in enumerate(_clocked_cycles(netlist, clock_net, updates)):
-        if t not in by_cycle:
-            continue
-        index, vec = by_cycle[t]
-        checks = [(k, e) for k, e in vec.expected.items() if e is not None]
-        if checks:
-            ok = True
-            for key, exp in sorted(checks):
-                actual = values[out_bits[key]]
-                if actual != (exp & 1):
-                    ok = False
-                    if first is None:
-                        first = FailureDetail(index, key, exp & 1, actual)
-                    break
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-    return SimOutcome(passed, failed, first)
+    check_vectors(packed, dict(netlist.input_bits), out_bits, clock, cycles)
+    checked = [(name, out_bits[name]) for name, _, _ in packed.checks]
+    actual = dict.fromkeys(out_bits, 0)
+    order = []
+    for v, values in _clocked_cycles(netlist, clock_net, packed, cycles):
+        if v is not None:
+            order.append(v)
+            for name, nid in checked:
+                actual[name] |= values[nid] << v
+    return _score(packed, actual, order)
 
 
 def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
@@ -373,14 +365,12 @@ def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
     input bit but the clock. Inputs hold their values between cycles.
     """
     clock, clock_net = _resolve_clock(netlist, clock)
-    in_bits = dict(netlist.input_bits)
-    check_vectors([TestVector(assignment, {}, t)
-                   for t, assignment in enumerate(stimulus)],
-                  in_bits, dict(netlist.output_bits), clock, len(stimulus))
-    updates = ({in_bits[key]: val & 1 for key, val in assignment.items()}
-               for assignment in stimulus)
+    packed = pack_vectors([TestVector(assignment, {}, t)
+                           for t, assignment in enumerate(stimulus)])
+    check_vectors(packed, dict(netlist.input_bits),
+                  dict(netlist.output_bits), clock, len(stimulus))
     streams: dict[str, list[int]] = {name: [] for name, _ in netlist.output_bits}
-    for values in _clocked_cycles(netlist, clock_net, updates):
+    for _, values in _clocked_cycles(netlist, clock_net, packed, len(stimulus)):
         for name, nid in netlist.output_bits:
             streams[name].append(values[nid])
     return streams

@@ -31,7 +31,6 @@ from .simulator import (
     PackedVectors,
     SimOutcome,
     SimulationError,
-    TestVector,
     check_vectors,
     pack_rows,
     simulate_combinational,
@@ -69,11 +68,6 @@ class HumanReference:
 class Testbench:
     cycles: int
     packed: PackedVectors
-
-    @property
-    def vectors(self) -> tuple[TestVector, ...]:
-        """The per-bit vectors, derived from `packed` when first read."""
-        return self.packed.vectors
 
 
 @dataclass(frozen=True)
@@ -173,6 +167,9 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
             raise TaskSchemaError(f"{where}.cycle: combinational vectors must all "
                                   "have cycle 0")
         ins, outs = doc.get("inputs", {}), doc.get("expected", {})
+        if type(ins) is not dict or type(outs) is not dict:
+            side = "expected" if type(ins) is dict else "inputs"
+            raise TaskSchemaError(f"{where}.{side}: must be an object")
         rows.append((read(ins, in_table, True, where)[0],
                      *read(outs, out_table, False, where)))
         shape = (tuple(ins), tuple(outs), cycle)
@@ -185,14 +182,28 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
     return pack_rows(rows, in_names, out_names, keys)
 
 
+def _read_json(path: str) -> dict:
+    """A pack file's JSON object; a file that is not one is a schema fault."""
+    name = os.path.basename(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TaskSchemaError(
+                f"{name}: must be valid JSON (line {exc.lineno} column "
+                f"{exc.colno}: {exc.msg})") from None
+    if type(doc) is not dict:
+        raise TaskSchemaError(f"{name}: must be a JSON object")
+    return doc
+
+
 def load_task_pack(path: str | os.PathLike) -> TaskPack:
     """Load and invariant-check one task pack directory."""
     root = os.fspath(path)
     meta_path = os.path.join(root, "task.json")
     if not os.path.exists(meta_path):
         raise TaskSchemaError(f"{root}: missing task.json")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_json(meta_path)
 
     version = meta.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -209,6 +220,9 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
             f"task.json.circuit_class: {meta['circuit_class']!r} "
             f"not in {CIRCUIT_CLASSES}")
 
+    if type(meta["ports"]) is not list \
+            or not all(isinstance(pdoc, dict) for pdoc in meta["ports"]):
+        raise TaskSchemaError("task.json.ports: must be a list of objects")
     ports: list[Port] = []
     for i, pdoc in enumerate(meta["ports"]):
         where = f"task.json.ports[{i}]"
@@ -222,6 +236,8 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
         if type(lsb) is not int or lsb < 0:
             raise TaskSchemaError(f"{where}.lsb: must be an integer >= 0")
         name = pdoc.get("name")
+        if name is not None and type(name) is not str:
+            raise TaskSchemaError(f"{where}.name: must be a string")
         if not name or any(p.name == name for p in ports):
             raise TaskSchemaError(f"{where}.name: missing or duplicate")
         ports.append(Port(name, direction, width, lsb))
@@ -233,7 +249,8 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
             raise TaskSchemaError("task.json.clock: combinational tasks "
                                   "must not declare a clock")
     else:
-        if clock not in port_map or port_map[clock].direction is not PortDir.IN \
+        if type(clock) is not str or clock not in port_map \
+                or port_map[clock].direction is not PortDir.IN \
                 or port_map[clock].width != 1:
             raise TaskSchemaError("task.json.clock: sequential tasks need a "
                                   "1-bit input clock port")
@@ -250,8 +267,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
     tb_path = os.path.join(root, "testbench.json")
     if not os.path.exists(tb_path):
         raise TaskSchemaError("missing testbench.json")
-    with open(tb_path, encoding="utf-8") as fh:
-        tb = json.load(fh)
+    tb = _read_json(tb_path)
     echo = tb.get("interface")
     if echo is not None:
         declared = {p.name: {"dir": p.direction.value, "width": p.width}
@@ -265,14 +281,17 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
         raise TaskSchemaError("testbench.json.cycles: must be an integer >= 1")
     combinational = meta["circuit_class"] == "combinational"
     in_names, out_names = (_bit_names(ports, d) for d in PortDir)
-    packed = _pack_testbench(tb.get("vectors", []), port_map, in_names,
-                             out_names, combinational)
+    vectors = tb.get("vectors", [])
+    if type(vectors) is not list:
+        raise TaskSchemaError("testbench.json.vectors: must be a list")
+    packed = _pack_testbench(vectors, port_map, in_names, out_names,
+                             combinational)
     if not packed.checked:
         raise TaskSchemaError("testbench.json: no vector checks anything")
     # Refuse at load what no design could be simulated against.
     try:
-        check_vectors(packed if combinational else packed.vectors, in_names,
-                      out_names, clock, None if combinational else cycles)
+        check_vectors(packed, in_names, out_names, clock,
+                      None if combinational else cycles)
     except SimulationError as exc:
         raise TaskSchemaError(f"testbench.json: {exc}") from None
 
@@ -328,7 +347,7 @@ def simulate_task(task: TaskPack, netlist) -> SimOutcome:
     """Run the task's testbench against a candidate netlist."""
     bench = task.testbench
     if task.circuit_class == "sequential":
-        return simulate_sequential(netlist, bench.vectors, bench.cycles,
+        return simulate_sequential(netlist, bench.packed, bench.cycles,
                                    clock=task.clock)
     return simulate_combinational(netlist, bench.packed)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from gateforge.netlist import GateKind, Netlist, NetlistBuilder, PortDir
+from gateforge.simulator import PackedVectors, TestVector
 
 
 def build_half_adder() -> Netlist:
@@ -55,9 +56,24 @@ def build_nand_full_adder() -> Netlist:
     return b.build()
 
 
-def recursive_eval(netlist: Netlist, assignment: dict[str, int]) -> dict[str, int]:
+def unpack(packed: PackedVectors) -> tuple[TestVector, ...]:
+    """The per-bit vectors a packed testbench stands for: each vector's bits
+    in the order it names them, None for a don't-care, and its cycle."""
+    care = {name: (e, c) for name, e, c in packed.checks}
+    return tuple(
+        TestVector({name: packed.inputs[name] >> v & 1 for name in ins},
+                   {name: e >> v & 1 if c >> v & 1 else None
+                    for name in outs for e, c in [care.get(name, (0, 0))]},
+                   cycle)
+        for v, (ins, outs, cycle) in enumerate(packed.keys))
+
+
+def recursive_eval(netlist: Netlist, assignment: dict[str, int],
+                   state: dict[int, int] | None = None) -> dict[str, int]:
     """Direct recursive evaluation of the gate graph, independent of the
-    levelized simulator. Combinational netlists only."""
+    levelized simulator. Without `state` the netlist must be combinational.
+    With it (register output net -> value) registers are sources, and
+    `state` is then advanced by one clock edge."""
     driver = {g.output: g for g in netlist.gates}
     input_net = {nid: val for (name, nid), val in
                  zip(netlist.input_bits,
@@ -72,6 +88,8 @@ def recursive_eval(netlist: Netlist, assignment: dict[str, int]) -> dict[str, in
             result = net.value
         elif nid in input_net:
             result = input_net[nid] & 1
+        elif state is not None and nid in state:
+            result = state[nid]
         else:
             gate = driver[nid]
             ins = [value(n) for n in gate.inputs]
@@ -90,7 +108,10 @@ def recursive_eval(netlist: Netlist, assignment: dict[str, int]) -> dict[str, in
         memo[nid] = result
         return result
 
-    return {name: value(nid) for name, nid in netlist.output_bits}
+    outputs = {name: value(nid) for name, nid in netlist.output_bits}
+    if state is not None:
+        state.update({g.output: value(g.data_input) for g in netlist.registers})
+    return outputs
 
 
 def random_netlist(rng: random.Random, n_inputs: int, n_gates: int,

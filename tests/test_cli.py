@@ -63,23 +63,29 @@ def test_tasks_validate_reports_a_mismatch_and_lets_a_bug_propagate(
 
 def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         capsys, tmp_path):
-    tasks = tmp_path / "tasks"
-    for task_id in ("and3", "xnor2"):
-        shutil.copytree(f"{builtin_task_dir()}/{task_id}", tasks / task_id)
-    meta_path = tasks / "and3" / "task.json"
-    meta = json.loads(meta_path.read_text())
-    meta["ports"][0]["lsb"] = -1
-    meta_path.write_text(json.dumps(meta))
-    assert main(["tasks", "validate", "--tasks", str(tasks)]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [
-        f"{tasks / 'and3'} FAIL: task.json.ports[0].lsb: must be an "
-        "integer >= 0",
-        "xnor2            ok (G=2, D=2)"]
-    with pytest.raises(TaskSchemaError) as exc:
-        discover_task_packs(tasks)
-    assert str(exc.value) == \
-        f"{tasks / 'and3'}: task.json.ports[0].lsb: must be an integer >= 0"
+    def negative_lsb(meta_path):
+        meta = json.loads(meta_path.read_text())
+        meta["ports"][0]["lsb"] = -1
+        meta_path.write_text(json.dumps(meta))
+
+    cases = [
+        (negative_lsb, "task.json.ports[0].lsb: must be an integer >= 0"),
+        (lambda meta_path: meta_path.write_text("{"),
+         "task.json: must be valid JSON (line 1 column 2: Expecting "
+         "property name enclosed in double quotes)"),
+    ]
+    for n, (corrupt, message) in enumerate(cases):
+        tasks = tmp_path / str(n) / "tasks"
+        for task_id in ("and3", "xnor2"):
+            shutil.copytree(f"{builtin_task_dir()}/{task_id}", tasks / task_id)
+        corrupt(tasks / "and3" / "task.json")
+        assert main(["tasks", "validate", "--tasks", str(tasks)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{tasks / 'and3'} FAIL: {message}",
+                         "xnor2            ok (G=2, D=2)"]
+        with pytest.raises(TaskSchemaError) as exc:
+            discover_task_packs(tasks)
+        assert str(exc.value) == f"{tasks / 'and3'}: {message}"
 
 
 def test_run_single_task(capsys, script_path, tmp_path):
@@ -216,3 +222,37 @@ def test_backend_selector_from_config_file(capsys, script_path, tmp_path):
                "--config", str(cfg), "--store", str(tmp_path / "store")])
     assert rc == 0
     assert "verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,args,config,message", [
+    ("bench", ["--n", "1", "--k", "5"], None,
+     "every k must satisfy 1 <= k <= samples_per_task"),
+    ("bench", ["--k", "0"], None,
+     "every k must satisfy 1 <= k <= samples_per_task"),
+    ("bench", ["--n", "0"], None, "samples_per_task must be >= 1"),
+    ("bench", ["--workers", "0"], None, "workers must be >= 1"),
+    ("bench", [], {"weights": {"alpha": 0}},
+     "alpha, beta and epsilon must be positive"),
+    ("run", [], {"weights": {"alpha": 0}},
+     "alpha, beta and epsilon must be positive"),
+    ("run", [], {"samples_per_tsk": 3},
+     "unexpected keyword argument 'samples_per_tsk'"),
+    ("bench", [], [1], "--config must hold a JSON object"),
+], ids=["k-above-n", "k-zero", "n-zero", "workers-zero", "bench-weights",
+        "run-weights", "unknown-key", "not-an-object"])
+def test_bad_run_config_values_are_usage_errors(
+        capsys, script_path, tmp_path, command, args, config, message):
+    argv = [command, "--backend", f"scripted:{script_path}",
+            "--store", str(tmp_path / "store"), *args]
+    if command == "run":
+        argv += ["--task", f"{builtin_task_dir()}/xnor2"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge {command}: error: invalid run config: " in err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "store").exists()

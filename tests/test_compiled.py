@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import build_full_adder, build_half_adder, recursive_eval
+from conftest import build_full_adder, build_half_adder, recursive_eval, unpack
 
 from gateforge import netlist as nl
 from gateforge import orchestrator
@@ -19,8 +19,6 @@ from gateforge.netlist import (
     Net,
     Netlist,
     NetlistBuilder,
-    critical_path_delay,
-    gate_count,
     levelize,
     structural_report,
 )
@@ -42,20 +40,42 @@ from gateforge.taskpack import builtin_task_packs, simulate_task
 
 COMBINATIONAL = [t for t in builtin_task_packs()
                  if t.circuit_class == "combinational"]
+SEQUENTIAL = [t for t in builtin_task_packs()
+              if t.circuit_class == "sequential"]
 BINARY = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NAND)
 
 
-def reference_outcome(netlist: Netlist, vectors) -> SimOutcome:
-    """Score vector by vector with the recursive evaluator: a vector with a
-    non-None expectation is one check, its first mismatch in key order is
+def cycle_runs(netlist: Netlist, vectors, cycles: int):
+    """(index, vector, outputs) per vector, in cycle order, from a
+    cycle-by-cycle run: a vector's inputs hold until set again, registers
+    start at 0 and take their data input after each cycle."""
+    by_cycle = {v.cycle: (i, v) for i, v in enumerate(vectors)}
+    held = {name: 0 for name, _ in netlist.input_bits}
+    state = {g.output: 0 for g in netlist.registers}
+    for t in range(cycles):
+        i, v = by_cycle.get(t, (None, None))
+        if v is not None:
+            held.update(v.inputs)
+        outputs = recursive_eval(netlist, held, state)
+        if v is not None:
+            yield i, v, outputs
+
+
+def reference_outcome(netlist: Netlist, vectors,
+                      cycles: int | None = None) -> SimOutcome:
+    """Score vector by vector with the recursive evaluator, in cycle order
+    when `cycles` is given: a vector with a non-None expectation is one
+    check, and the first failing vector's first mismatch in key order is
     the failure detail."""
+    runs = ((i, v, recursive_eval(netlist, v.inputs))
+            for i, v in enumerate(vectors)) if cycles is None \
+        else cycle_runs(netlist, vectors, cycles)
     passed = failed = 0
     first = None
-    for i, v in enumerate(vectors):
+    for i, v, actual in runs:
         checks = sorted((k, e) for k, e in v.expected.items() if e is not None)
         if not checks:
             continue
-        actual = recursive_eval(netlist, v.inputs)
         bad = [(k, e) for k, e in checks if actual[k] != e & 1]
         if bad:
             failed += 1
@@ -75,7 +95,7 @@ def with_gate_kind(netlist: Netlist, index: int, kind: GateKind) -> Netlist:
 
 def loosened(vectors, rng: random.Random) -> list[TestVector]:
     """Turn some expected bits into don't-cares and some vectors into ones
-    that check nothing."""
+    that check nothing, and shuffle the vectors."""
     out = []
     for v in vectors:
         roll = rng.random()
@@ -86,7 +106,8 @@ def loosened(vectors, rng: random.Random) -> list[TestVector]:
         else:
             expected = {k: None if rng.random() < 0.3 else e
                         for k, e in v.expected.items()}
-        out.append(TestVector(v.inputs, expected))
+        out.append(TestVector(v.inputs, expected, v.cycle))
+    rng.shuffle(out)
     return out
 
 
@@ -100,7 +121,7 @@ def test_packed_scoring_matches_the_per_vector_reference(task):
                        rng.choice([k for k in BINARY
                                    if k is not reference.gates[i].kind]))
         for i in rng.sample(binary, min(4, len(binary)))]
-    vectors = task.testbench.vectors
+    vectors = unpack(task.testbench.packed)
     loose = loosened(vectors, rng)
     for netlist in variants:
         assert simulate_task(task, netlist) == \
@@ -109,6 +130,32 @@ def test_packed_scoring_matches_the_per_vector_reference(task):
             reference_outcome(netlist, loose)
     assert any(simulate_task(task, n).failed for n in variants[1:])
     assert task.testbench.packed is task.testbench.packed
+
+
+@pytest.mark.parametrize("task", SEQUENTIAL, ids=lambda t: t.id)
+def test_sequential_scoring_matches_the_per_cycle_reference(task):
+    """Every single gate-kind swap of the reference, on the pack and on
+    shuffled, loosened copies of its vectors: the first failure is the one
+    at the earliest failing cycle, whatever the vector order."""
+    rng = random.Random(task.id)
+    reference = parse(task.reference_netlist).netlist
+    variants = [reference] + [
+        with_gate_kind(reference, i, kind)
+        for i, g in enumerate(reference.gates) if g.kind in BINARY
+        for kind in BINARY if kind is not g.kind]
+    vectors, cycles = unpack(task.testbench.packed), task.testbench.cycles
+    outcomes = []
+    for netlist in variants:
+        outcomes.append(simulate_task(task, netlist))
+        assert outcomes[-1] == reference_outcome(netlist, vectors, cycles)
+        for _ in range(19):
+            loose = loosened(vectors, rng)
+            outcomes.append(simulate_sequential(netlist, loose, cycles))
+            assert outcomes[-1] == reference_outcome(netlist, loose, cycles)
+    assert outcomes[0] == SimOutcome(len(vectors), 0)
+    assert len(outcomes) == 20 * len(variants)
+    assert sum(o.first_failure is not None for o in outcomes) \
+        >= len(outcomes) // 2
 
 
 def test_no_vectors_and_no_checks_score_nothing():
@@ -189,8 +236,6 @@ def record_checks(monkeypatch) -> list[tuple[str, Netlist]]:
 
 
 ENTRY_POINTS = {
-    "gate_count": gate_count,
-    "critical_path_delay": critical_path_delay,
     "structural_report": structural_report,
     "levelize": levelize,
     "simulate_combinational": lambda n: simulate_combinational(n, []),
@@ -261,7 +306,7 @@ def test_a_valid_compile_levelizes_once(monkeypatch, reorder):
     drivers_first = all(position.get(n, -1) < i
                         for i, g in enumerate(fresh.gates) for n in g.inputs)
     assert drivers_first == (reorder is tuple)
-    assert gate_count(fresh) == 5 and critical_path_delay(fresh) == 3
+    assert fresh.report.gate_count == 5 and fresh.report.delay == 3
     assert truth_table(fresh) == truth_table(fa)
     assert calls == [("validate", fresh), ("_levelization", fresh)]
 

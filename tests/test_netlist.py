@@ -14,9 +14,7 @@ from gateforge.netlist import (
     Port,
     PortDir,
     StructuralViolation,
-    critical_path_delay,
     errors_of,
-    gate_count,
     levelize,
     structural_report,
     validate,
@@ -225,11 +223,11 @@ def test_floating_output_is_a_warning_and_still_counts():
     assert errors_of(violations) == [] and tuple(violations) == n.warnings
     assert any(v.kind == "floating-output" and v.severity == "warning"
                for v in violations)
-    assert gate_count(n) == 2
+    assert n.report.gate_count == 2
 
 
 def test_gate_count_half_adder():
-    assert gate_count(build_half_adder()) == 2
+    assert build_half_adder().report.gate_count == 2
 
 
 def test_gate_count_empty_passthrough():
@@ -237,8 +235,8 @@ def test_gate_count_empty_passthrough():
     a = b.input("a")
     b.bind("y", PortDir.OUT, a)
     n = b.build()
-    assert gate_count(n) == 0
-    assert critical_path_delay(n) == 0
+    assert n.report.gate_count == 0
+    assert n.report.delay == 0
 
 
 def test_eight_gate_two_level_design():
@@ -252,16 +250,16 @@ def test_eight_gate_two_level_design():
     for k, net in enumerate(outs):
         b.bind(f"o{k}", PortDir.OUT, net)
     n = b.build()
-    assert gate_count(n) == 8
-    assert critical_path_delay(n) == 2
+    assert n.report.gate_count == 8
+    assert n.report.delay == 2
 
 
 def test_delay_not_chain():
-    assert critical_path_delay(build_not_chain(3)) == 3
+    assert build_not_chain(3).report.delay == 3
 
 
 def test_delay_half_adder():
-    assert critical_path_delay(build_half_adder()) == 1
+    assert build_half_adder().report.delay == 1
 
 
 def test_delay_ignores_registers_and_counts_register_boundaries():
@@ -275,7 +273,7 @@ def test_delay_ignores_registers_and_counts_register_boundaries():
     q = b.gate(GateKind.DFF, (d, clk))
     b.gate(GateKind.NOT, (q,), y)
     n = b.build()
-    assert critical_path_delay(n) == 1
+    assert n.report.delay == 1
     report = structural_report(n)
     assert report.gate_count == 3
     assert report.register_count == 1
@@ -289,7 +287,7 @@ def test_floating_gate_off_any_path_adds_no_delay():
     w = b.gate(GateKind.AND, (a, a))
     b.gate(GateKind.NOT, (w,))  # 2-gate floating chain, longer than the path
     n = b.build()
-    assert critical_path_delay(n) == 1
+    assert n.report.delay == 1
 
 
 def test_levelize_chain_order():
@@ -340,7 +338,7 @@ def test_delay_never_exceeds_gate_count():
     rng = random.Random(99)
     for _ in range(50):
         n = random_netlist(rng, rng.randint(1, 5), rng.randint(1, 30))
-        assert critical_path_delay(n) <= gate_count(n)
+        assert n.report.delay <= n.report.gate_count
 
 
 def test_analyses_invariant_under_net_renaming():
@@ -351,8 +349,8 @@ def test_analyses_invariant_under_net_renaming():
     renamed_nets = {nid: replace(net, name=f"zz{nid}")
                     for nid, net in n.nets.items()}
     m = Netlist(n.name, n.ports, renamed_nets, n.gates, n.port_nets)
-    assert gate_count(m) == gate_count(n)
-    assert critical_path_delay(m) == critical_path_delay(n)
+    assert m.report.gate_count == n.report.gate_count
+    assert m.report.delay == n.report.delay
 
 
 def test_analyses_invariant_under_gate_reordering():
@@ -361,8 +359,8 @@ def test_analyses_invariant_under_gate_reordering():
     shuffled = list(n.gates)
     rng.shuffle(shuffled)
     m = Netlist(n.name, n.ports, n.nets, tuple(shuffled), n.port_nets)
-    assert gate_count(m) == gate_count(n)
-    assert critical_path_delay(m) == critical_path_delay(n)
+    assert m.report.gate_count == n.report.gate_count
+    assert m.report.delay == n.report.delay
 
 
 def test_validate_is_pure_and_idempotent():

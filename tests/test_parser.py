@@ -3,7 +3,7 @@ import random
 import pytest
 from conftest import build_full_adder, build_half_adder, random_netlist
 
-from gateforge.netlist import GateKind, PortDir, gate_count, structural_report
+from gateforge.netlist import GateKind, PortDir, structural_report
 from gateforge.parser import extract_netlist_block, parse, render
 from gateforge.simulator import truth_table
 
@@ -32,7 +32,7 @@ BEHAVIORAL_CORPUS = [
 def test_minimal_module_parses():
     r = parse("module top(input a, output y); not g1(y, a); endmodule")
     assert r.ok and not r.errors
-    assert gate_count(r.netlist) == 1
+    assert r.netlist.report.gate_count == 1
     assert [g.kind for g in r.netlist.gates] == [GateKind.NOT]
 
 
@@ -47,7 +47,7 @@ def test_behavioral_constructs_rejected(text):
 def test_assign_pure_alias_accepted():
     r = parse("module t(input a, output y); assign y = a; endmodule")
     assert r.ok
-    assert gate_count(r.netlist) == 0
+    assert r.netlist.report.gate_count == 0
     # y and a are the same net
     assert r.netlist.port_nets["y"] == r.netlist.port_nets["a"]
 
@@ -330,7 +330,7 @@ def test_render_passthrough_module():
     text = render(b.build())
     assert "assign y = a;" in text
     r = parse(text)
-    assert r.ok and gate_count(r.netlist) == 0
+    assert r.ok and r.netlist.report.gate_count == 0
 
 
 def test_render_full_adder_fixpoint():

@@ -3,11 +3,10 @@ import random
 import shutil
 
 import pytest
+from conftest import unpack
 
-from gateforge.backends import ScriptRule, ScriptedBackend
 from gateforge.metrics import MetricWeights, TierVerdict, classify_tier
 from gateforge.netlist import Port, PortDir
-from gateforge.orchestrator import RunConfig, run_benchmark
 from gateforge.parser import parse
 from gateforge.simulator import (
     SimulationError,
@@ -36,17 +35,19 @@ def builtin(task_id: str):
 
 
 def copy_pack(task_id: str, tmp_path, mutate_meta=None, mutate_tb=None):
+    """Copy a seed pack. Each mutate edits a file's JSON document in place,
+    or, given as a string, is the file's new text."""
     src = f"{builtin_task_dir()}/{task_id}"
     dst = tmp_path / task_id
     shutil.copytree(src, dst)
-    if mutate_meta:
-        meta = json.loads((dst / "task.json").read_text())
-        mutate_meta(meta)
-        (dst / "task.json").write_text(json.dumps(meta))
-    if mutate_tb:
-        tb = json.loads((dst / "testbench.json").read_text())
-        mutate_tb(tb)
-        (dst / "testbench.json").write_text(json.dumps(tb))
+    for name, mutate in (("task.json", mutate_meta),
+                         ("testbench.json", mutate_tb)):
+        if isinstance(mutate, str):
+            (dst / name).write_text(mutate)
+        elif mutate:
+            doc = json.loads((dst / name).read_text())
+            mutate(doc)
+            (dst / name).write_text(json.dumps(doc))
     return dst
 
 
@@ -54,7 +55,7 @@ def test_seed_full_adder_pack_loads():
     t = builtin("full_adder")
     assert t.difficulty == "medium"
     assert t.circuit_class == "combinational"
-    assert len(t.testbench.vectors) == 8
+    assert len(unpack(t.testbench.packed)) == 8
     assert t.reference.gate_count == 5
     assert t.reference_sei() == pytest.approx(1 / 8)
 
@@ -98,10 +99,13 @@ def test_clock_on_combinational_task_is_a_schema_violation(tmp_path):
 
 
 def test_sequential_task_requires_a_clock(tmp_path):
-    path = copy_pack("counter2", tmp_path,
-                     mutate_meta=lambda m: m.update({"clock": None}))
-    with pytest.raises(TaskSchemaError, match="clock"):
-        load_task_pack(path)
+    for i, clock in enumerate((None, ["clk"])):
+        path = copy_pack("counter2", tmp_path / str(i),
+                         mutate_meta=lambda m: m.update({"clock": clock}))
+        with pytest.raises(TaskSchemaError) as exc:
+            load_task_pack(path)
+        assert str(exc.value) == ("task.json.clock: sequential tasks need a "
+                                  "1-bit input clock port")
 
 
 def test_schema_version_is_checked(tmp_path):
@@ -189,21 +193,37 @@ def _set_reference(key, value):
     ("human_reference.sei", _set_reference("sei", "0.066667")),
     ("tags", lambda meta: meta.update({"tags": "parity"})),
     ("tags", lambda meta: meta.update({"tags": [1, None]})),
+    ("ports", lambda meta: meta.update({"ports": 5})),
+    ("ports", lambda meta: meta.update({"ports": [3]})),
+    ("ports[1].name", _set_port(1, "name", ["b"])),
+    ("", "{"),
+    ("", "[]"),
 ], ids=["lsb-string", "lsb-negative", "width-bool", "width-float",
         "gate-count-float", "gate-count-string", "delay-bool",
-        "register-count-float", "sei-string", "tags-string", "tags-non-string"])
+        "register-count-float", "sei-string", "tags-string", "tags-non-string",
+        "ports-integer", "ports-integer-item", "name-list", "unparsable-json",
+        "top-level-list"])
 def test_non_integer_task_fields_are_schema_errors(tmp_path, field, mutate):
     path = copy_pack("adder2", tmp_path, mutate_meta=mutate)
     with pytest.raises(TaskSchemaError) as exc:
         load_task_pack(path)
-    assert str(exc.value).startswith(f"task.json.{field}: must be")
+    where = f"task.json.{field}" if field else "task.json"
+    assert str(exc.value).startswith(f"{where}: must be")
 
 
 @pytest.mark.parametrize("mutate_tb,message", [
     (lambda tb: tb.update({"cycles": True}), "testbench.json.cycles"),
     (lambda tb: tb["vectors"][0].update({"cycle": False}),
      "testbench.vectors[0].cycle"),
-], ids=["cycles-bool", "cycle-bool"])
+    (lambda tb: tb.update({"vectors": 5}), "testbench.json.vectors"),
+    (lambda tb: tb["vectors"][1].update({"inputs": [1]}),
+     "testbench.vectors[1].inputs"),
+    (lambda tb: tb["vectors"][1].update({"expected": 5}),
+     "testbench.vectors[1].expected"),
+    ('{"cycles": 4,\n "vectors": [}', "testbench.json"),
+    ("[]", "testbench.json"),
+], ids=["cycles-bool", "cycle-bool", "vectors-integer", "inputs-list",
+        "expected-integer", "unparsable-json", "top-level-list"])
 def test_bool_cycle_counts_are_schema_errors(tmp_path, mutate_tb, message):
     path = copy_pack("counter2", tmp_path, mutate_tb=mutate_tb)
     with pytest.raises(TaskSchemaError) as exc:
@@ -314,7 +334,7 @@ def test_bit_select_keys_name_canonical_bits(tmp_path):
 
 def test_whole_port_integers_expand_to_bits():
     t = builtin("adder2")
-    v = t.testbench.vectors[-1]
+    v = unpack(t.testbench.packed)[-1]
     assert set(v.inputs) == {"a[0]", "a[1]", "b[0]", "b[1]", "cin"}
     assert set(v.expected) == {"s[0]", "s[1]", "cout"}
 
@@ -392,8 +412,9 @@ def reference_vectors(pack) -> tuple[TestVector, ...]:
     names = {d: [p.bit_name(i) for p in ports.values() if p.direction is d
                  for i in range(p.width)] for d in PortDir}
     try:
-        check_vectors(vectors, names[PortDir.IN], names[PortDir.OUT],
-                      meta.get("clock"), None if combinational else tb["cycles"])
+        check_vectors(pack_vectors(vectors), names[PortDir.IN],
+                      names[PortDir.OUT], meta.get("clock"),
+                      None if combinational else tb["cycles"])
     except SimulationError as exc:
         raise TaskSchemaError(f"testbench.json: {exc}") from None
     return tuple(vectors)
@@ -408,7 +429,7 @@ def outcome(read, pack):
 
 
 def loaded_vectors(pack) -> tuple[TestVector, ...]:
-    return load_task_pack(pack).testbench.vectors
+    return unpack(load_task_pack(pack).testbench.packed)
 
 
 def port_entries(rng, port, expected):
@@ -502,8 +523,9 @@ def test_packed_reader_matches_the_per_bit_reference(tmp_path):
             continue
         loaded += 1
         bench = task.testbench
-        assert bench.vectors == reference
-        assert [(list(v.inputs), list(v.expected)) for v in bench.vectors] \
+        vectors = unpack(bench.packed)
+        assert vectors == reference
+        assert [(list(v.inputs), list(v.expected)) for v in vectors] \
             == [(list(v.inputs), list(v.expected)) for v in reference]
         if task.circuit_class == "combinational":
             packed = pack_vectors(reference)
@@ -579,23 +601,6 @@ def test_runnability_faults_use_the_reference_words(tmp_path):
         assert outcome(loaded_vectors, pack) == reference
         refused += "unassigned input bit(s)" in reference
     assert refused >= 10
-
-
-def test_scoring_reads_no_per_bit_vectors():
-    """A benchmark sweep scores combinational candidates on the packed
-    columns alone; the per-bit vectors stay underived."""
-    tasks = builtin_task_packs()
-    backend = ScriptedBackend(
-        [ScriptRule(replies=[f"```\n{t.reference_netlist}```"],
-                    contains=f"Task: {t.id}") for t in tasks])
-    report = run_benchmark(tasks, RunConfig.from_profile("V0",
-                                                         samples_per_task=2),
-                           backend)
-    assert all(r.status == "verified" for r in report.rows)
-    combinational = [t.testbench.packed for t in tasks
-                     if t.circuit_class == "combinational"]
-    assert combinational
-    assert not any("vectors" in vars(packed) for packed in combinational)
 
 
 # -- reports ------------------------------------------------------------------
