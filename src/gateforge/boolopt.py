@@ -4,7 +4,10 @@ search at desk scale, and structural optimization hints.
 This module is the independent source of truth the review loop leans on:
 quine_mccluskey gives a minimum-term sum-of-products cover, and
 min_gate_network exhaustively enumerates gate networks over a chosen subset
-of the locked primitives, so its answers are minimal by construction.
+of the locked primitives, so its answers are minimal by construction. The
+enumeration skips only networks that a smaller or earlier one beats: every
+node computes a distinct table, independent adjacent gates appear in
+canonical order, and every gate is read by a later gate or is the output.
 """
 
 from __future__ import annotations
@@ -253,14 +256,6 @@ def quine_mccluskey(f: BoolFunction) -> MinimalCover:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SearchNode:
-    table: int
-    depth: int
-    kind: GateKind | None = None        # None for sources
-    operands: tuple[int, ...] = ()      # indices into the node list
-
-
 def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKind],
                      max_gates: int = SEARCH_MAX_GATES,
                      ) -> tuple[Netlist, StructuralReport] | None:
@@ -270,6 +265,11 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     construction; returns None when no network within max_gates matches f on
     its care set. Inputs, constants 0/1 and the function's don't-cares are
     all honored. Deterministic regardless of set iteration order.
+
+    Three prunings drop only networks that a smaller or earlier one beats:
+    every node computes a distinct table, independent adjacent gates appear
+    in canonical (kind, operands) order, and every gate is read by a later
+    gate or is the output.
     """
     if f.n > SEARCH_MAX_INPUTS:
         raise ValueError(f"arity {f.n} exceeds the limit of {SEARCH_MAX_INPUTS}")
@@ -282,96 +282,106 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
 
     rows = 1 << f.n
     mask = (1 << rows) - 1
+    target, care = f.table, f.care
     # Sources: the inputs x0..x{n-1}, then constants 0 and 1.
-    sources = [_SearchNode(p, 0) for p in pack_columns(range(rows), f.n)]
-    sources += [_SearchNode(0, 0), _SearchNode(mask, 0)]
+    sources = [*pack_columns(range(rows), f.n), 0, mask]
+    for idx, t in enumerate(sources):
+        if (t ^ target) & care == 0:
+            return _network_to_netlist(f, [], idx)
 
-    for idx, s in enumerate(sources):
-        if f.agrees_with(s.table):
-            return _network_to_netlist(f, sources, idx)
+    # The candidate gates over the first m nodes, for each node count m, in
+    # canonical order: (signature, reads node m-1, evaluator, kind, operands,
+    # first and last operand, operand bit mask).
+    n_sources = len(sources)
+    candidates: dict[int, list[tuple]] = {}
+    for m in range(n_sources, n_sources + max_gates):
+        cands = candidates[m] = []
+        for rank, kind in enumerate(kinds):
+            evaluate = GATE_EVAL[kind]
+            if kind is GateKind.NOT:
+                operand_sets = [(i,) for i in range(m)]
+            else:
+                operand_sets = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            for ops in operand_sets:
+                a, b = ops[0], ops[-1]
+                cands.append(((rank, ops), b == m - 1, evaluate, kind, ops,
+                              a, b, (1 << a) | (1 << b)))
+    # The last gate must read every gate nothing reads yet (the `unread` bit
+    # mask): those candidates, by node count and unread mask.
+    endings: dict[tuple[int, int], list[tuple]] = {}
 
-    # Iterative deepening: first budget with any realization is minimal;
-    # among those, keep the smallest delay (ties: first in canonical order).
-    # Two prunings keep this exhaustive-but-feasible: a new gate's table must
-    # be distinct from every existing node (a minimal network never computes
-    # the same function twice), and independent adjacent gates must appear in
-    # canonical order (every DAG has such a topological order).
-    best: tuple[int, list[_SearchNode]] | None = None
+    # Iterative deepening: the first budget with any realization is minimal;
+    # among its networks keep the smallest delay (ties: first in canonical
+    # order). A new gate's table must differ from every node's (a minimal
+    # network never computes a function twice), and independent adjacent
+    # gates must appear in canonical order (every DAG has such a topological
+    # order). The nodes are parallel lists, pushed and popped.
+    tables = list(sources)
+    depths = [0] * n_sources
+    gates: list[tuple[GateKind, tuple[int, ...]]] = []
+    seen = set(sources)
+    best: tuple[int, list] | None = None
 
-    for budget in range(1, max_gates + 1):
-        best = None
-        nodes = list(sources)
-        seen_tables = {nd.table for nd in nodes}
+    def extend(remaining: int, prev_sig: tuple, unread: int) -> None:
+        nonlocal best
+        m = len(tables)
+        if remaining == 1:
+            ending = endings.get((m, unread))
+            if ending is None:
+                ending = endings[(m, unread)] = [
+                    c for c in candidates[m] if unread & ~c[7] == 0]
+            for _, _, evaluate, kind, ops, a, b, _ in ending:
+                t = evaluate(tables[a], tables[b], mask)
+                if (t ^ target) & care or t in seen:
+                    continue
+                depth = 1 + max(depths[a], depths[b])
+                if best is None or depth < best[0]:
+                    best = (depth, [*gates, (kind, ops)])
+            return
+        for sig, reads_prev, evaluate, kind, ops, a, b, op_mask in candidates[m]:
+            if not reads_prev and sig <= prev_sig:
+                continue
+            t = evaluate(tables[a], tables[b], mask)
+            # A gate that already realizes f ends a smaller network, which
+            # an earlier budget has ruled out.
+            if t in seen or (t ^ target) & care == 0:
+                continue
+            now_unread = unread & ~op_mask | 1 << m
+            # A later gate lowers the unread count by at most one (it reads
+            # two and is one), and at the end only the output is unread.
+            if now_unread.bit_count() > remaining:
+                continue
+            tables.append(t)
+            depths.append(1 + max(depths[a], depths[b]))
+            gates.append((kind, ops))
+            seen.add(t)
+            extend(remaining - 1, sig, now_unread)
+            tables.pop()
+            depths.pop()
+            gates.pop()
+            seen.discard(t)
 
-        def enumerate_gates(remaining: int, prev_sig: tuple | None) -> None:
-            nonlocal best
-            last = remaining == 1
-            for kind in kinds:
-                evaluate = GATE_EVAL[kind]
-                if kind is GateKind.NOT:
-                    operand_sets = [(i,) for i in range(len(nodes))]
-                else:
-                    operand_sets = [(i, j) for i in range(len(nodes))
-                                    for j in range(i + 1, len(nodes))]
-                for ops in operand_sets:
-                    t = evaluate(nodes[ops[0]].table, nodes[ops[-1]].table,
-                                 mask)
-                    if t in seen_tables:
-                        continue
-                    if last and not f.agrees_with(t):
-                        continue
-                    sig = (kind.value, ops)
-                    consumes_prev = prev_sig is not None and \
-                        (len(nodes) - 1) in ops
-                    if prev_sig is not None and not consumes_prev \
-                            and sig <= prev_sig:
-                        continue
-                    depth = 1 + max(nodes[i].depth for i in ops)
-                    nodes.append(_SearchNode(t, depth, kind, ops))
-                    seen_tables.add(t)
-                    if f.agrees_with(t):
-                        if _reaches_all(nodes, len(sources), len(nodes) - 1) \
-                                and (best is None or depth < best[0]):
-                            best = (depth, list(nodes))
-                    elif not last:
-                        enumerate_gates(remaining - 1, sig)
-                    nodes.pop()
-                    seen_tables.discard(t)
-
-        enumerate_gates(budget, None)
-        if best is not None:
-            found = best[1]
-            return _network_to_netlist(f, found, len(found) - 1)
-    return None
-
-
-def _reaches_all(nodes: list[_SearchNode], n_sources: int, out_idx: int) -> bool:
-    """Every gate node must feed the output, else a smaller network exists."""
-    needed = set()
-    stack = [out_idx]
-    while stack:
-        i = stack.pop()
-        if i < n_sources or i in needed:
-            continue
-        needed.add(i)
-        stack.extend(nodes[i].operands)
-    return len(needed) == len(nodes) - n_sources
+    try:
+        for budget in range(1, max_gates + 1):
+            extend(budget, (), 0)  # () sorts before every signature
+            if best is not None:
+                return _network_to_netlist(f, best[1], n_sources + budget - 1)
+        return None
+    finally:
+        # `extend` refers to itself, a cycle that would hold the candidate
+        # lists until the next full garbage collection.
+        del extend
 
 
-def _network_to_netlist(f: BoolFunction, nodes: list[_SearchNode],
+def _network_to_netlist(f: BoolFunction, gates: list[tuple[GateKind, tuple[int, ...]]],
                         out_idx: int) -> tuple[Netlist, StructuralReport]:
-    """Build the network whose gates are every node after the sources."""
+    """Build the network of `gates`, whose operands index the sources x0..,
+    0, 1 and then the gates; node `out_idx` drives the output."""
     b = NetlistBuilder("minimal")
-    net_of: dict[int, int] = {}
-    for i in range(f.n):
-        net_of[i] = b.input(f"x{i}")
-    net_of[f.n] = b.const(0)
-    net_of[f.n + 1] = b.const(1)
-    for gi in range(f.n + 2, len(nodes)):
-        nd = nodes[gi]
-        assert nd.kind is not None
-        ins = tuple(net_of[o] for o in nd.operands)
-        net_of[gi] = b.gate(nd.kind, ins)
+    net_of = [b.input(f"x{i}") for i in range(f.n)]
+    net_of += [b.const(0), b.const(1)]
+    for kind, operands in gates:
+        net_of.append(b.gate(kind, tuple(net_of[o] for o in operands)))
     b.bind("y", PortDir.OUT, net_of[out_idx])
     netlist = b.build()
     return netlist, structural_report(netlist)

@@ -22,8 +22,6 @@ from .taskpack import (
     ReferenceMismatchError,
     TaskSchemaError,
     builtin_task_dir,
-    builtin_task_packs,
-    discover_task_packs,
     emit_report,
     load_report,
     load_task_pack,
@@ -33,8 +31,9 @@ from .taskpack import (
 
 
 def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
-    """The run config from --config and the command's own options. A value
-    the config refuses is a usage error of the command (exit 2)."""
+    """The run config from --config and the command's own options. A
+    --config file that cannot be read, or a value the config refuses, is a
+    usage error of the command (exit 2)."""
     try:
         doc: dict = {}
         if args.config:
@@ -51,14 +50,24 @@ def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
         if profile:
             return RunConfig.from_profile(profile, **doc)
         return RunConfig(**doc)
+    except OSError as exc:
+        args.parser.error(f"cannot read --config {args.config}: {exc.strerror}")
     except (TypeError, ValueError) as exc:
         args.parser.error(f"invalid run config: {exc}")
 
 
-def _resolve_tasks(args) -> list:
-    if args.tasks:
-        return discover_task_packs(args.tasks)
-    return builtin_task_packs()
+def _load_packs(paths, out) -> tuple[list, int]:
+    """The packs at `paths` that load, by id, and how many do not. Each pack
+    loads on its own, so one bad pack hides no other; each that fails
+    prints one `<dir> FAIL: <reason>` line to `out`."""
+    packs, failures = [], 0
+    for path in paths:
+        try:
+            packs.append(load_task_pack(path))
+        except TaskSchemaError as exc:
+            failures += 1
+            print(f"{path} FAIL: {exc}", file=out)
+    return sorted(packs, key=lambda t: t.id), failures
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -86,8 +95,11 @@ def _store_dir(args) -> contextlib.AbstractContextManager[str]:
 
 
 def _cmd_run(args) -> int:
-    task = load_task_pack(args.task)
     cfg = _load_config(args, None, {"samples_per_task": 1})
+    loaded, failures = _load_packs([args.task], sys.stderr)
+    if failures:
+        return 1
+    task = loaded[0]
     backend = _resolve_backend(args, cfg)
     with _store_dir(args) as root:
         store = KnowledgeStore(root)
@@ -113,7 +125,10 @@ def _cmd_bench(args) -> int:
         "workers": args.workers,
     }
     cfg = _load_config(args, args.profile, overrides)
-    tasks = _resolve_tasks(args)
+    tasks, failures = _load_packs(
+        task_pack_dirs(args.tasks or builtin_task_dir()), sys.stderr)
+    if failures:
+        return 1
     backend = _resolve_backend(args, cfg)
     with _store_dir(args) as root:
         report = run_benchmark(tasks, cfg, backend, KnowledgeStore(root),
@@ -172,23 +187,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_tasks(args) -> int:
-    root = args.tasks or builtin_task_dir()
+    packs, failures = _load_packs(
+        task_pack_dirs(args.tasks or builtin_task_dir()), sys.stdout)
     if args.action == "list":
-        for t in discover_task_packs(root):
+        for t in packs:
             ref = (f"G={t.reference.gate_count} D={t.reference.delay}"
                    if t.reference else "no reference")
             print(f"{t.id:16s} {t.difficulty:8s} {t.circuit_class:14s} {ref}")
-        return 0
+        return 1 if failures else 0
     if args.action == "validate":
-        # Each pack loads on its own, so one bad pack hides no other.
-        packs, failures = [], 0
-        for path in task_pack_dirs(root):
-            try:
-                packs.append(load_task_pack(path))
-            except TaskSchemaError as exc:
-                failures += 1
-                print(f"{path} FAIL: {exc}")
-        for t in sorted(packs, key=lambda t: t.id):
+        for t in packs:
             try:
                 result = verify_reference(t)
                 print(f"{t.id:16s} ok (G={result.gate_count}, "

@@ -182,16 +182,26 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
     return pack_rows(rows, in_names, out_names, keys)
 
 
+def _read_text(path: str) -> str:
+    """A pack file's text; a file that is not UTF-8 is a schema fault."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise TaskSchemaError(
+                f"{os.path.basename(path)}: must be UTF-8 text (byte "
+                f"{exc.start}: {exc.reason})") from None
+
+
 def _read_json(path: str) -> dict:
     """A pack file's JSON object; a file that is not one is a schema fault."""
     name = os.path.basename(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TaskSchemaError(
-                f"{name}: must be valid JSON (line {exc.lineno} column "
-                f"{exc.colno}: {exc.msg})") from None
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise TaskSchemaError(
+            f"{name}: must be valid JSON (line {exc.lineno} column "
+            f"{exc.colno}: {exc.msg})") from None
     if type(doc) is not dict:
         raise TaskSchemaError(f"{name}: must be a JSON object")
     return doc
@@ -202,7 +212,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
     root = os.fspath(path)
     meta_path = os.path.join(root, "task.json")
     if not os.path.exists(meta_path):
-        raise TaskSchemaError(f"{root}: missing task.json")
+        raise TaskSchemaError("missing task.json")
     meta = _read_json(meta_path)
 
     version = meta.get("schema_version")
@@ -261,8 +271,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
     spec_path = os.path.join(root, "spec.txt")
     if not os.path.exists(spec_path):
         raise TaskSchemaError("missing spec.txt")
-    with open(spec_path, encoding="utf-8") as fh:
-        spec_text = fh.read()
+    spec_text = _read_text(spec_path)
 
     tb_path = os.path.join(root, "testbench.json")
     if not os.path.exists(tb_path):
@@ -324,8 +333,7 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
     ref_text = None
     ref_path = os.path.join(root, "reference.nl")
     if os.path.exists(ref_path):
-        with open(ref_path, encoding="utf-8") as fh:
-            ref_text = fh.read()
+        ref_text = _read_text(ref_path)
 
     return TaskPack(
         id=str(meta["id"]),

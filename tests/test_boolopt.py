@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 
@@ -185,25 +187,22 @@ def test_network_search_matches_simulator_on_random_functions():
         assert table == f.table
 
 
-def _bfs_min_gate_count(f: BoolFunction, kinds, max_gates: int) -> int | None:
-    """Independent oracle: breadth-first search over reachable table sets,
-    no canonical-order or dedup pruning beyond visited-state tracking."""
-    rows = 1 << f.n
+def _bfs_min_gate_counts(n: int, kinds, max_gates: int) -> dict[int, int]:
+    """Independent oracle: the fewest gates over `kinds` that compute each
+    fully specified n-input table, for every table reachable within
+    max_gates. Breadth-first search over sets of reachable tables with its
+    own gate operators, and no pruning beyond visited-state tracking."""
+    rows = 1 << n
     mask = (1 << rows) - 1
     patterns = []
-    for i in range(f.n):
+    for i in range(n):
         p = 0
         for r in range(rows):
             if (r >> i) & 1:
                 p |= 1 << r
         patterns.append(p)
     sources = frozenset(patterns) | {0, mask}
-
-    def matches(tables) -> bool:
-        return any(f.agrees_with(t) for t in tables)
-
-    if matches(sources):
-        return 0
+    fewest = dict.fromkeys(sources, 0)
     frontier = {sources}
     seen = {sources}
     for depth in range(1, max_gates + 1):
@@ -227,32 +226,80 @@ def _bfs_min_gate_count(f: BoolFunction, kinds, max_gates: int) -> int | None:
                             elif kind is GateKind.NAND:
                                 new_tables.add(~(a & b) & mask)
             for t in new_tables:
-                if f.agrees_with(t):
-                    return depth
-                new_state = state | {t}
-                if new_state not in seen:
-                    seen.add(new_state)
-                    nxt.add(new_state)
+                fewest.setdefault(t, depth)
+                if depth < max_gates:
+                    new_state = state | {t}
+                    if new_state not in seen:
+                        seen.add(new_state)
+                        nxt.add(new_state)
         frontier = nxt
-    return None
+    return fewest
 
 
-@pytest.mark.parametrize("gate_set", [
+ORACLE_BASES = (
     frozenset(COMBINATIONAL_KINDS),
     frozenset({GateKind.AND, GateKind.OR, GateKind.NOT}),
     frozenset({GateKind.NAND}),
-])
-def test_search_matches_unpruned_bfs_oracle_on_all_two_var_functions(gate_set):
-    for table in range(16):
-        f = BoolFunction(2, table)
-        expected = _bfs_min_gate_count(f, sorted(gate_set, key=lambda k: k.value),
-                                       max_gates=5)
-        found = min_gate_network(f, gate_set, max_gates=5)
+)
+
+
+def _assert_search_matches_bfs(n: int, gate_set, max_gates: int, found_of):
+    fewest = _bfs_min_gate_counts(n, sorted(gate_set, key=lambda k: k.value),
+                                  max_gates)
+    for table in range(1 << (1 << n)):
+        found = found_of(table)
+        expected = fewest.get(table)
         if expected is None:
             assert found is None, (table, gate_set)
         else:
             assert found is not None, (table, gate_set)
             assert found[1].gate_count == expected, (table, gate_set)
+
+
+@pytest.mark.parametrize("gate_set", ORACLE_BASES)
+def test_search_matches_unpruned_bfs_oracle_on_all_two_var_functions(gate_set):
+    _assert_search_matches_bfs(
+        2, gate_set, 5,
+        lambda table: min_gate_network(BoolFunction(2, table), gate_set,
+                                       max_gates=5))
+
+
+@functools.cache
+def _three_var_networks(basis: int) -> tuple:
+    """min_gate_network at cap 3 for every 3-input table, over one basis."""
+    return tuple(min_gate_network(BoolFunction(3, table), ORACLE_BASES[basis],
+                                  max_gates=3) for table in range(256))
+
+
+@pytest.mark.parametrize("basis", range(len(ORACLE_BASES)),
+                         ids=("full", "and-or-not", "nand"))
+def test_search_matches_unpruned_bfs_oracle_on_all_three_var_functions(basis):
+    _assert_search_matches_bfs(3, ORACLE_BASES[basis], 3,
+                               _three_var_networks(basis).__getitem__)
+
+
+def test_search_output_is_pinned():
+    """Every gate, operand and tie-break of the search, on all 3-input
+    functions over each oracle basis at cap 3 plus seeded don't-care
+    functions, hashed: a faster search must return the same networks."""
+    found = [net for basis in range(len(ORACLE_BASES))
+             for net in _three_var_networks(basis)]
+    rng = random.Random(17)
+    for i in range(32):
+        dc = rng.getrandbits(8) & rng.getrandbits(8)
+        f = BoolFunction(3, rng.getrandbits(8) & ~dc, dc)
+        found.append(min_gate_network(f, ORACLE_BASES[i % 3], max_gates=3))
+    h = hashlib.sha256()
+    for result in found:
+        if result is None:
+            h.update(b"None;")
+            continue
+        netlist, report = result
+        record = [(g.kind.value, g.inputs, g.output) for g in netlist.gates]
+        record.append((report.gate_count, report.delay))
+        h.update(repr(record).encode() + b";")
+    assert h.hexdigest() == ("671329c76fdd58439097927f45af0fec"
+                             "90f1079cfbc3b56e3d55598c83d8b48b")
 
 
 def test_dont_care_relaxes_the_search():

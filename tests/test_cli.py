@@ -73,6 +73,9 @@ def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         (lambda meta_path: meta_path.write_text("{"),
          "task.json: must be valid JSON (line 1 column 2: Expecting "
          "property name enclosed in double quotes)"),
+        (lambda meta_path: (meta_path.parent / "spec.txt").write_bytes(
+            b"\xff\xfe"),
+         "spec.txt: must be UTF-8 text (byte 0: invalid start byte)"),
     ]
     for n, (corrupt, message) in enumerate(cases):
         tasks = tmp_path / str(n) / "tasks"
@@ -86,6 +89,33 @@ def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         with pytest.raises(TaskSchemaError) as exc:
             discover_task_packs(tasks)
         assert str(exc.value) == f"{tasks / 'and3'}: {message}"
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "tasks list"])
+def test_a_bad_pack_is_one_fail_line_not_a_traceback(
+        capsys, script_path, tmp_path, command):
+    tasks = tmp_path / "tasks"
+    for task_id in ("and3", "xnor2"):
+        shutil.copytree(f"{builtin_task_dir()}/{task_id}", tasks / task_id)
+    (tasks / "and3" / "task.json").write_text("{")
+    fail = (f"{tasks / 'and3'} FAIL: task.json: must be valid JSON (line 1 "
+            "column 2: Expecting property name enclosed in double quotes)")
+    backend = ["--backend", f"scripted:{script_path}",
+               "--store", str(tmp_path / "store")]
+    if command == "run":
+        assert main(["run", "--task", str(tasks / "and3"), *backend]) == 1
+    elif command == "bench":
+        assert main(["bench", "--tasks", str(tasks), "--n", "1",
+                     *backend]) == 1
+    else:
+        assert main(["tasks", "list", "--tasks", str(tasks)]) == 1
+    captured = capsys.readouterr()
+    if command == "tasks list":
+        assert captured.out.splitlines() == [
+            fail, "xnor2            easy     combinational  G=2 D=2"]
+    else:
+        assert (captured.out, captured.err) == ("", fail + "\n")
+    assert not (tmp_path / "store").exists()
 
 
 def test_run_single_task(capsys, script_path, tmp_path):
@@ -255,4 +285,26 @@ def test_bad_run_config_values_are_usage_errors(
     err = capsys.readouterr().err
     assert f"gateforge {command}: error: invalid run config: " in err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("config,reason", [
+    ("missing.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing", "directory"])
+def test_an_unreadable_config_file_is_a_usage_error(
+        capsys, script_path, tmp_path, command, config, reason):
+    config = str(tmp_path / config)
+    argv = [command, "--backend", f"scripted:{script_path}",
+            "--store", str(tmp_path / "store"), "--config", config]
+    if command == "run":
+        argv += ["--task", f"{builtin_task_dir()}/xnor2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge {command}: error: cannot read --config {config}: " \
+        f"{reason}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "store").exists()

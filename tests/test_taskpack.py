@@ -231,6 +231,17 @@ def test_bool_cycle_counts_are_schema_errors(tmp_path, mutate_tb, message):
     assert str(exc.value).startswith(f"{message}: must be")
 
 
+@pytest.mark.parametrize("name", ["task.json", "spec.txt", "testbench.json",
+                                  "reference.nl"])
+def test_non_utf8_pack_files_are_schema_errors(tmp_path, name):
+    path = copy_pack("and3", tmp_path)
+    (path / name).write_bytes(b"\xff\xfe")
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(path)
+    assert str(exc.value) == \
+        f"{name}: must be UTF-8 text (byte 0: invalid start byte)"
+
+
 def test_reference_index_weighs_registers():
     t = builtin("counter2")
     assert t.reference.register_count == 2
