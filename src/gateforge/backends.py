@@ -96,6 +96,14 @@ class ScriptedBackend(ModelBackend):
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if type(doc) is not dict:
+            raise ValueError(f"script {path} must hold a JSON object")
+        for i, r in enumerate(doc.get("rules", [])):
+            if type(r) is not dict or type(r.get("replies")) is not list:
+                raise ValueError(f"script {path}: rules[{i}] needs a "
+                                 "'replies' list")
+        if type(doc.get("default", [])) is not list:
+            raise ValueError(f"script {path}: 'default' must be a list")
         rules = [ScriptRule(replies=tuple(r["replies"]),
                             contains=r.get("contains"),
                             name=r.get("name", ""))

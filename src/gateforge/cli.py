@@ -81,10 +81,32 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_backend(args, cfg: RunConfig):
+    """The backend the selector names. A script that cannot be read or
+    does not hold rules, an unknown selector and an http endpoint without
+    a model are usage errors of the command (exit 2)."""
     selector = args.backend or cfg.backend
     if not selector:
         raise SystemExit("no backend: pass --backend or set it in the config")
-    return create_backend(selector, args.model or cfg.model)
+    try:
+        return create_backend(selector, args.model or cfg.model)
+    except OSError as exc:
+        args.parser.error(f"cannot read backend {selector}: {exc.strerror}")
+    except ValueError as exc:
+        args.parser.error(f"invalid backend: {exc}")
+
+
+def _pack_dirs(args) -> list[str]:
+    """The pack directories under --tasks (default: the built-in set). A
+    --tasks that cannot be listed is a usage error (exit 2); one that holds
+    no pack ends the command (exit 1)."""
+    root = args.tasks or builtin_task_dir()
+    try:
+        paths = task_pack_dirs(root)
+    except OSError as exc:
+        args.parser.error(f"cannot read --tasks {root}: {exc.strerror}")
+    if not paths:
+        raise SystemExit(f"no task packs under {root}")
+    return paths
 
 
 def _store_dir(args) -> contextlib.AbstractContextManager[str]:
@@ -125,8 +147,7 @@ def _cmd_bench(args) -> int:
         "workers": args.workers,
     }
     cfg = _load_config(args, args.profile, overrides)
-    tasks, failures = _load_packs(
-        task_pack_dirs(args.tasks or builtin_task_dir()), sys.stderr)
+    tasks, failures = _load_packs(_pack_dirs(args), sys.stderr)
     if failures:
         return 1
     backend = _resolve_backend(args, cfg)
@@ -187,8 +208,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_tasks(args) -> int:
-    packs, failures = _load_packs(
-        task_pack_dirs(args.tasks or builtin_task_dir()), sys.stdout)
+    packs, failures = _load_packs(_pack_dirs(args), sys.stdout)
     if args.action == "list":
         for t in packs:
             ref = (f"G={t.reference.gate_count} D={t.reference.delay}"
@@ -256,7 +276,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "validate"))
     p.add_argument("--tasks", help="directory of task packs "
                                    "(default: built-in seed set)")
-    p.set_defaults(func=_cmd_tasks)
+    p.set_defaults(func=_cmd_tasks, parser=p)
     return ap
 
 

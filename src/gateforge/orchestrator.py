@@ -57,7 +57,7 @@ from .metrics import (
 )
 from .netlist import Netlist, StructuralReport, structural_report
 from .parser import extract_netlist_block, parse, render
-from .simulator import SimulationError
+from .simulator import SimOutcome, SimulationError
 from .taskpack import (
     BenchmarkReport,
     TaskPack,
@@ -307,31 +307,57 @@ def _interface_mismatch(task: TaskPack, netlist: Netlist) -> list[str]:
     return lines
 
 
-def _static_review(reply: str, task: TaskPack,
-                   ) -> tuple[Netlist | None, str, list[str], list[str]]:
-    """Parse, validate and check interface conformance of a raw reply.
-    Returns (netlist, summary, error lines, error kinds in order of first
-    appearance)."""
-    text = extract_netlist_block(reply)
+@dataclass(frozen=True)
+class _Review:
+    """What reviewing one extracted block yields for one task; nothing in
+    it depends on the config, the sample or the attempt. `error_kinds` are
+    in order of first appearance. `rendered` is set iff the static review
+    is clean; then either `outcome` and `report` are set, or `refusal`
+    holds the simulator's reason."""
+    netlist: Netlist | None
+    summary: str
+    error_lines: tuple[str, ...] = ()
+    error_kinds: tuple[str, ...] = ()
+    rendered: str | None = None
+    outcome: SimOutcome | None = None
+    report: StructuralReport | None = None
+    refusal: str | None = None
+
+
+def _review(text: str | None, task: TaskPack) -> _Review:
+    """Static review of a reply's extracted block (parse, validate,
+    interface conformance), then, only if it is clean, simulation."""
     if text is None:
-        return None, "no netlist module found in the reply", \
-            ["reply contained no fenced code block with a module"], ["syntax"]
+        return _Review(None, "no netlist module found in the reply",
+                       ("reply contained no fenced code block with a module",),
+                       ("syntax",))
     result = parse(text)
     if not result.ok:
-        kinds = list(dict.fromkeys(e.kind for e in result.errors))
-        return None, "rejected: " + ", ".join(sorted(kinds)), \
-            [str(e) for e in result.errors], kinds
-    mismatches = _interface_mismatch(task, result.netlist)
+        kinds = tuple(dict.fromkeys(e.kind for e in result.errors))
+        return _Review(None, "rejected: " + ", ".join(sorted(kinds)),
+                       tuple(str(e) for e in result.errors), kinds)
+    netlist = result.netlist
+    mismatches = _interface_mismatch(task, netlist)
     if mismatches:
-        return None, "rejected: interface mismatch", mismatches, ["interface"]
-    if task.circuit_class == "combinational" and result.netlist.registers:
-        return None, "rejected: registers in a combinational task", \
-            ["[interface] the task is combinational; remove dff instances"], \
-            ["interface"]
-    return result.netlist, "clean parse and structural check", [], []
+        return _Review(None, "rejected: interface mismatch",
+                       tuple(mismatches), ("interface",))
+    if task.circuit_class == "combinational" and netlist.registers:
+        return _Review(None, "rejected: registers in a combinational task",
+                       ("[interface] the task is combinational; "
+                        "remove dff instances",), ("interface",))
+    clean = "clean parse and structural check"
+    rendered = render(netlist)
+    try:
+        outcome = simulate_task(task, netlist)
+    except SimulationError as exc:
+        # Conforming interface but unusable wiring (e.g. registers not
+        # clocked from the clock port): fed back like a static fault.
+        return _Review(netlist, clean, rendered=rendered, refusal=str(exc))
+    return _Review(netlist, clean, rendered=rendered, outcome=outcome,
+                   report=structural_report(netlist))
 
 
-def _review_fixes(store, classes: list[str], symptom: str,
+def _review_fixes(store, classes: tuple[str, ...], symptom: str,
                   cfg: RunConfig) -> list[KnowledgeEntry]:
     if store is None or not cfg.review_rag:
         return []
@@ -387,10 +413,17 @@ def _phrase_feedback(text: str, backend: ModelBackend,
 
 def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
              store: KnowledgeStore | KnowledgeView | None = None,
-             sample_index: int = 0, run_id: str = "") -> TaskRun:
+             sample_index: int = 0, run_id: str = "", *,
+             reviews: dict[str | None, _Review] | None = None) -> TaskRun:
     """Drive one task through the full generate/review/simulate loop.
-    The store is only read; `summarize` learns from the returned run."""
+    The store is only read; `summarize` learns from the returned run.
+
+    `reviews` memoizes the review of each distinct extracted block, so a
+    repeated candidate is parsed and simulated once; it must only ever see
+    this task. Without one, a fresh memo serves this sample's attempts."""
     t0 = time.monotonic()
+    if reviews is None:
+        reviews = {}
     mediator = Mediator()
     backend.start_sample(task.id, sample_index)
 
@@ -454,25 +487,27 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         mediator.route(ROLE_CODER, ROLE_MEDIATOR, MSG_CANDIDATE, reply)
         mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_CANDIDATE, reply)
 
-        netlist, error, error_lines, error_kinds = _static_review(reply, task)
+        block = extract_netlist_block(reply)
+        review = reviews.get(block)
+        if review is None:
+            # Samples on other threads may review the same text at the same
+            # moment; the results are equal and a dict write is atomic, so
+            # whichever lands last is as good as the other.
+            review = reviews[block] = _review(block, task)
+        netlist, error = review.netlist, review.summary
         mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW, error,
-                       errors=list(error_lines))
+                       errors=list(review.error_lines))
         verdict = VERDICT_REJECTED
         if netlist is not None:
             # Only a candidate with a clean static review reaches the Executor.
-            candidate_text = render(netlist)
             mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
-                           candidate_text)
-            try:
-                outcome = simulate_task(task, netlist)
-            except SimulationError as exc:
-                # Conforming interface but unusable wiring (e.g. registers
-                # not clocked from the clock port): fed back like a static fault.
+                           review.rendered)
+            outcome, report = review.outcome, review.report
+            if outcome is None:
                 mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                               f"simulation refused: {exc}")
-                verdict, error = VERDICT_REFUSED, str(exc)
+                               f"simulation refused: {review.refusal}")
+                verdict, error = VERDICT_REFUSED, review.refusal
             else:
-                report = structural_report(netlist)
                 mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
                                f"{outcome.passed} passed, {outcome.failed} failed",
                                outcome=outcome, report=report)
@@ -487,7 +522,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                 if reward.correctness == 1.0:
                     score = measure(report, cfg.weights) or float("inf")
                     if best is None or score > best[0]:
-                        best = (score, netlist, candidate_text, report)
+                        best = (score, netlist, review.rendered, report)
 
         # Exit decision.
         if verdict == VERDICT_ACCEPT or optimized:
@@ -500,11 +535,11 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         # Feedback step: the text and its attachments depend on the verdict.
         attachments: dict = {}
         if verdict == VERDICT_REJECTED:
-            fixes = _review_fixes(store, error_kinds, "; ".join(error_lines),
-                                  cfg)
+            fixes = _review_fixes(store, review.error_kinds,
+                                  "; ".join(review.error_lines), cfg)
             attachments["fixes"] = [e.name for e in fixes]
             text = ("Static review failed.\n"
-                    + "\n".join(f"- {line}" for line in error_lines)
+                    + "\n".join(f"- {line}" for line in review.error_lines)
                     + _format_fixes(fixes)
                     + "\nResend one complete module in a fenced code block.")
         elif verdict == VERDICT_REFUSED:
@@ -517,7 +552,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
                 detail = (f" First failure: vector {ff.vector_index}, output "
                           f"{ff.port_bit}, expected {ff.expected}, "
                           f"got {ff.actual}.")
-            fixes = _review_fixes(store, [FUNCTIONAL_MISMATCH],
+            fixes = _review_fixes(store, (FUNCTIONAL_MISMATCH,),
                                   f"simulation mismatch.{detail}", cfg)
             attachments["fixes"] = [e.name for e in fixes]
             text = (f"Simulation failed {outcome.failed} of "
@@ -622,7 +657,8 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
     thread, and the task's report row is built. Later samples of the same
     task therefore cannot retrieve an earlier sample's answer, later tasks
     do see earlier tasks' knowledge, and no result depends on the worker
-    count.
+    count. The samples of a task share one review memo (see `run_task`),
+    dropped with the task's runs.
     """
     if not tasks:
         raise ValueError("run_benchmark needs at least one task")
@@ -634,14 +670,19 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
           else nullcontext()) as pool:
         for task in tasks:
             snapshot = store.snapshot() if store is not None else None
+            # One review memo per task, shared by its samples. It goes by
+            # keyword, so a wrapper that names only run_task's leading
+            # parameters passes it on through **kwargs.
             sample = partial(run_task, task, cfg, backend, snapshot,
-                             run_id="bench")
+                             run_id="bench", reviews={})
             runs = list(pool.map(sample, samples) if pool
                         else map(sample, samples))
             if store is not None:
                 summarize(task, runs, store)
             rows.append(_report_row(task, runs, cfg))
-            del runs  # their netlists are not needed once the row is built
+            # Neither the runs' netlists nor the memo is needed once the row
+            # is built.
+            del runs, sample
 
     by_difficulty: dict[str, list[TaskReportRow]] = {}
     for row in rows:

@@ -308,3 +308,80 @@ def test_an_unreadable_config_file_is_a_usage_error(
         f"{reason}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "store").exists()
+
+
+TASKS_COMMANDS = ["bench", "tasks list", "tasks validate"]
+
+
+@pytest.mark.parametrize("command", TASKS_COMMANDS)
+@pytest.mark.parametrize("tasks,reason", [
+    ("missing", "No such file or directory"),
+    ("file.txt", "Not a directory"),
+], ids=["missing", "file"])
+def test_an_unlistable_tasks_dir_is_a_usage_error(
+        capsys, script_path, tmp_path, command, tasks, reason):
+    (tmp_path / "file.txt").write_text("not a directory")
+    tasks = str(tmp_path / tasks)
+    argv = [*command.split(), "--tasks", tasks]
+    if command == "bench":
+        argv += ["--backend", f"scripted:{script_path}",
+                 "--store", str(tmp_path / "store")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge {command.split()[0]}: error: cannot read --tasks " \
+        f"{tasks}: {reason}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("command", TASKS_COMMANDS)
+def test_a_tasks_dir_without_packs_ends_the_command(
+        capsys, tmp_path, command):
+    (tmp_path / "notes").mkdir()
+    # bench has no backend: it must stop on the packs before resolving one.
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--tasks", str(tmp_path)])
+    assert exc.value.code == f"no task packs under {tmp_path}"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("script,backend,message", [
+    (None, "scripted:{tmp}/missing.json",
+     "cannot read backend scripted:{tmp}/missing.json: "
+     "No such file or directory"),
+    ("{", "scripted:{tmp}/script.json",
+     "invalid backend: Expecting property name enclosed in double quotes"),
+    ("[]", "scripted:{tmp}/script.json",
+     "invalid backend: script {tmp}/script.json must hold a JSON object"),
+    ('{"rules": [{"contains": "x"}]}', "scripted:{tmp}/script.json",
+     "invalid backend: script {tmp}/script.json: rules[0] needs a "
+     "'replies' list"),
+    ('{"default": "no idea"}', "scripted:{tmp}/script.json",
+     "invalid backend: script {tmp}/script.json: 'default' must be a list"),
+    (None, "carrier-pigeon:coop",
+     "invalid backend: unknown backend selector: carrier-pigeon:coop"),
+    (None, "http://localhost:9/v1",
+     "invalid backend: http backends need a model identifier"),
+], ids=["missing-script", "unparsable-script", "list-script",
+        "rule-without-replies", "default-not-a-list", "unknown-selector",
+        "http-without-model"])
+def test_bad_backend_selectors_are_usage_errors(
+        capsys, tmp_path, command, script, backend, message):
+    if script is not None:
+        (tmp_path / "script.json").write_text(script)
+    argv = [command, "--backend", backend.format(tmp=tmp_path),
+            "--store", str(tmp_path / "store")]
+    if command == "run":
+        argv += ["--task", f"{builtin_task_dir()}/xnor2"]
+    else:
+        argv += ["--n", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge {command}: error: {message.format(tmp=tmp_path)}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "store").exists()

@@ -1,7 +1,12 @@
+import collections
+import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
+from gateforge import orchestrator
 from gateforge.backends import BackendError, ModelBackend, ScriptRule, ScriptedBackend
 from gateforge.knowledge import KnowledgeStore, make_error_fix_entry
 from gateforge.metrics import MetricWeights, SampleStats, pass_at_k
@@ -513,9 +518,10 @@ def padded_reply(task_id: str, output: str) -> str:
     """The reference with a double inverter in front of `output`: correct,
     but two gates and two levels worse."""
     text = TASKS[task_id].reference_netlist.replace(f"({output},", "(pad0,", 1)
-    return fenced(text.replace("endmodule", (
-        f"  wire pad0, pad1;\n  not pad_a(pad1, pad0);\n"
-        f"  not pad_b({output}, pad1);\nendmodule")))
+    header, body = text.split(";\n", 1)
+    return fenced(f"{header};\n  wire pad0, pad1;\n" + body.replace(
+        "endmodule", (f"  not pad_a(pad1, pad0);\n"
+                      f"  not pad_b({output}, pad1);\nendmodule")))
 
 
 def test_any_worker_count_leaves_identical_results_and_store(tmp_path):
@@ -555,6 +561,113 @@ def test_any_worker_count_leaves_identical_results_and_store(tmp_path):
     assert len(records) == len(patterns) > 3
     assert sweep(4, "w4a") == sequential
     assert sweep(4, "w4b") == sequential
+
+
+def test_each_distinct_candidate_is_reviewed_once_per_task(monkeypatch):
+    parsed, simulated = collections.Counter(), collections.Counter()
+    parse, simulate = orchestrator.parse, orchestrator.simulate_task
+
+    def counting_parse(text):
+        parsed[text] += 1
+        return parse(text)
+
+    def counting_simulate(task, netlist):
+        simulated[task.id] += 1
+        return simulate(task, netlist)
+
+    monkeypatch.setattr(orchestrator, "parse", counting_parse)
+    monkeypatch.setattr(orchestrator, "simulate_task", counting_simulate)
+    # The same interface under another id: the same texts are new to it.
+    twin = dataclasses.replace(FA, id="full_adder_twin")
+    backend = single_rule_backend(WRONG_LOGIC_REPLY, WRONG_LOGIC_REPLY,
+                                  correct_reply())
+    report = run_benchmark([FA, twin], RunConfig.from_profile(
+        "V0", samples_per_task=6), backend)
+    assert [(r.task_id, r.c) for r in report.rows] == [
+        ("full_adder", 6), ("full_adder_twin", 6)]
+    # 6 samples x 3 attempts per task, but two distinct texts.
+    assert sorted(parsed.values()) == [2, 2]
+    assert simulated == {"full_adder": 2, "full_adder_twin": 2}
+
+
+def recorded_runs(monkeypatch) -> dict:
+    """Wrap run_task where run_benchmark looks it up; every run it returns
+    lands in the dict, by (task id, sample index)."""
+    runs = {}
+    run_task = orchestrator.run_task
+
+    def recording(task, cfg, backend, store=None, sample_index=0, **kwargs):
+        run = run_task(task, cfg, backend, store, sample_index, **kwargs)
+        runs[(task.id, sample_index)] = run
+        return run
+
+    monkeypatch.setattr(orchestrator, "run_task", recording)
+    return runs
+
+
+def test_shared_reviews_leave_transcripts_alike_for_any_worker_count(
+        tmp_path, monkeypatch):
+    # Every verdict: rejected, functional mismatch, inefficient, refused
+    # by the simulator, interface mismatch, no code block, accepted.
+    scripts = [
+        (FA, [BEHAVIORAL_REPLY, WRONG_LOGIC_REPLY, padded_reply(FA.id, "sum"),
+              correct_reply()]),
+        (TASKS["seq101"], [MISCLOCKED_REPLY, "No design.",
+                           correct_reply("seq101")]),
+        (TASKS["mux2"], [WRONG_PORTS_REPLY, padded_reply("mux2", "y"),
+                         correct_reply("mux2")]),
+    ]
+    rules = [ScriptRule(replies=replies, contains=f"Task: {t.id}")
+             for t, replies in scripts]
+    runs = recorded_runs(monkeypatch)
+
+    def sweep(workers, tag):
+        runs.clear()
+        config = RunConfig.from_profile("V2", samples_per_task=6,
+                                        max_revisions=3, workers=workers)
+        report = run_benchmark([t for t, _ in scripts], config, ScriptedBackend(rules),
+                               KnowledgeStore(tmp_path / tag), profile="V2")
+        transcripts = {key: [(m.sender, m.recipient, m.turn, m.kind, m.body,
+                              m.attachments) for m in run.transcript]
+                       for key, run in sorted(runs.items())}
+        return emit_report(report, "machine"), transcripts
+
+    results, transcripts = sweep(1, "w1")
+    assert len(transcripts) == 18
+    kinds = {m[3] for t in transcripts.values() for m in t}
+    assert {MSG_EFFICIENCY_REVIEW, MSG_FIX_REQUEST} <= kinds
+    bodies = "\n".join(m[4] for t in transcripts.values() for m in t)
+    for said in ("could not be simulated", "Simulation failed",
+                 "interface mismatch", "no netlist module found"):
+        assert said in bodies
+    assert sweep(4, "w4") == (results, transcripts)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_no_review_memo_outlives_its_task(monkeypatch, workers):
+    designs: dict[str, list[weakref.ref]] = collections.defaultdict(list)
+    run_task = orchestrator.run_task
+
+    def watching(task, *args, **kwargs):
+        # Each earlier task's designs are gone once its row is built.
+        gc.collect()
+        for task_id, refs in designs.items():
+            assert task_id == task.id or not any(r() for r in refs)
+        run = run_task(task, *args, **kwargs)
+        designs[task.id].append(weakref.ref(run.netlist))
+        return run
+
+    monkeypatch.setattr(orchestrator, "run_task", watching)
+    tasks = [FA, TASKS["mux2"]]
+    backend = ScriptedBackend([ScriptRule(replies=[correct_reply(t.id)],
+                                          contains=f"Task: {t.id}")
+                               for t in tasks])
+    report = run_benchmark(tasks, RunConfig(samples_per_task=4,
+                                            workers=workers), backend)
+    assert [r.c for r in report.rows] == [4, 4]
+    gc.collect()
+    assert sum(len(refs) for refs in designs.values()) == 8
+    assert not any(r() for refs in designs.values() for r in refs)
 
 
 def test_config_profiles():
