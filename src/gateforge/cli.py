@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import tempfile
 
@@ -81,12 +82,12 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_backend(args, cfg: RunConfig):
-    """The backend the selector names. A script that cannot be read or
-    does not hold rules, an unknown selector and an http endpoint without
-    a model are usage errors of the command (exit 2)."""
+    """The backend the selector names. No selector, a script that cannot
+    be read or does not hold rules, an unknown selector and an http
+    endpoint without a model are usage errors of the command (exit 2)."""
     selector = args.backend or cfg.backend
     if not selector:
-        raise SystemExit("no backend: pass --backend or set it in the config")
+        args.parser.error("no backend: pass --backend or set it in the config")
     try:
         return create_backend(selector, args.model or cfg.model)
     except OSError as exc:
@@ -116,6 +117,19 @@ def _store_dir(args) -> contextlib.AbstractContextManager[str]:
     return tempfile.TemporaryDirectory(prefix="gateforge-store-")
 
 
+def _open_store(args, option: str, root: str, create: bool = True,
+                verify: bool = True) -> KnowledgeStore:
+    """The store in directory `root`, given as `option`. A path that is not
+    a directory, or is missing unless `create`, is a usage error (exit 2)
+    and creates nothing."""
+    try:
+        if not create:
+            os.listdir(root)   # raises unless root is an existing directory
+        return KnowledgeStore(root, verify=verify)
+    except OSError as exc:
+        args.parser.error(f"cannot open {option} {root}: {exc.strerror}")
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args, None, {"samples_per_task": 1})
     loaded, failures = _load_packs([args.task], sys.stderr)
@@ -124,7 +138,7 @@ def _cmd_run(args) -> int:
     task = loaded[0]
     backend = _resolve_backend(args, cfg)
     with _store_dir(args) as root:
-        store = KnowledgeStore(root)
+        store = _open_store(args, "--store", root)
         run = run_task(task, cfg, backend, store)
         summarize(task, [run], store)
     print(f"task {task.id}: {run.status} "
@@ -152,8 +166,8 @@ def _cmd_bench(args) -> int:
         return 1
     backend = _resolve_backend(args, cfg)
     with _store_dir(args) as root:
-        report = run_benchmark(tasks, cfg, backend, KnowledgeStore(root),
-                               profile=args.profile)
+        store = _open_store(args, "--store", root)
+        report = run_benchmark(tasks, cfg, backend, store, profile=args.profile)
     machine = emit_report(report, "machine")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -170,8 +184,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_store(args) -> int:
     # `verify` lists every bad pattern instead of failing on the first one.
-    store = KnowledgeStore(args.dir, verify=not args.no_verify
-                           and args.action != "verify")
+    # Only `seed` creates a store that is not there.
+    store = _open_store(args, "--dir", args.dir,
+                        create=args.action == "seed",
+                        verify=not args.no_verify and args.action != "verify")
     if args.action == "seed":
         n = store.seed_baseline()
         print(f"seeded {n} baseline entries")
@@ -201,8 +217,14 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.results, encoding="utf-8") as fh:
-        report = load_report(fh.read())
+    try:
+        with open(args.results, encoding="utf-8") as fh:
+            report = load_report(fh.read())
+    except OSError as exc:
+        args.parser.error(f"cannot read --results {args.results}: "
+                          f"{exc.strerror}")
+    except ValueError as exc:
+        args.parser.error(f"invalid results file: {exc}")
     print(emit_report(report, args.format), end="")
     return 0
 
@@ -265,12 +287,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="include archived entries in inspect")
     p.add_argument("--no-verify", action="store_true",
                    help="skip load-time re-verification")
-    p.set_defaults(func=_cmd_store)
+    p.set_defaults(func=_cmd_store, parser=p)
 
     p = sub.add_parser("report", help="re-render a results file")
     p.add_argument("--results", required=True)
     p.add_argument("--format", choices=("machine", "table"), default="table")
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, parser=p)
 
     p = sub.add_parser("tasks", help="list or validate task packs")
     p.add_argument("action", choices=("list", "validate"))

@@ -143,6 +143,26 @@ def displaces(new_sei: float | None, held_sei: float | None) -> bool:
     return (new_sei or 0.0) > (held_sei or 0.0) + 1e-12
 
 
+def offer_primary(primaries: dict[tuple, KnowledgeEntry],
+                  entry: KnowledgeEntry) -> KnowledgeEntry | None:
+    """The one primary-per-key rule, which admission, load repair,
+    extraction and the Summarizer all apply. Offers `entry` to `primaries`
+    (`pattern_key` -> primary, in admission order) and returns the loser:
+    the primary the entry `displaces`, which it replaces and then moves to
+    the end; else the entry itself, or None if its key held nothing. Only
+    primary circuit patterns compete."""
+    if entry.kind != KIND_PATTERN or entry.status != "primary":
+        return None
+    key = pattern_key(entry)
+    held = primaries.get(key)
+    if held is not None:
+        if not displaces(entry.sei, held.sei):
+            return entry
+        del primaries[key]
+    primaries[key] = entry
+    return held
+
+
 @dataclass(frozen=True)
 class RetrievalQuery:
     mode: str                       # by-function | by-interface | by-tags | by-error
@@ -257,12 +277,7 @@ class _Measure:
         # weights.
         return measure(self.report)
 
-    @property
-    def key(self) -> tuple[str, int, int]:
-        """`pattern_key` of the entry built from this measurement."""
-        return (self.digest, *self.shape)
-
-    def entry(self, netlist_text: str, name: str, tags: tuple[str, ...],
+    def entry(self, netlist_text: str | None, name: str, tags: tuple[str, ...],
               provenance: Provenance | None) -> KnowledgeEntry:
         """The circuit-pattern entry for this netlist, given its text."""
         return KnowledgeEntry(
@@ -362,16 +377,6 @@ class _RetrievalBase:
             return entries
         return [e for e in entries if e.status == "primary"]
 
-    def _best_sei_by_key(self) -> dict[tuple, float]:
-        best: dict[tuple, float] = {}
-        for e in self.entries():
-            if e.kind != KIND_PATTERN:
-                continue
-            key = pattern_key(e)
-            if e.sei is not None and e.sei > best.get(key, -1.0):
-                best[key] = e.sei
-        return best
-
     def extract_patterns(self, netlist: Netlist, task_id: str = "",
                          run_id: str = "", tags: tuple[str, ...] = (),
                          text: str | None = None) -> list[KnowledgeEntry]:
@@ -381,39 +386,34 @@ class _RetrievalBase:
         the results to a writable store. `text` is `render(netlist)`, when
         the caller already holds it."""
         provenance = Provenance(task_id=task_id, run_id=run_id)
-        existing = self._best_sei_by_key()
+        # Held primaries, then each emitted entry, compete under the rule.
+        primaries: dict[tuple, KnowledgeEntry] = {}
+        for held in self.entries():
+            offer_primary(primaries, held)
         out: list[KnowledgeEntry] = []
-        emitted: dict[tuple, float] = {}
 
-        def kept(m: _Measure) -> bool:
-            """Whether no held or emitted entry is at least as efficient."""
-            return all(best is None or displaces(m.sei, best)
-                       for best in (existing.get(m.key), emitted.get(m.key)))
-
-        def emit(m: _Measure, entry: KnowledgeEntry) -> None:
-            emitted[m.key] = m.sei
-            out.append(entry)
+        def offer(m: _Measure, source: Netlist, name: str,
+                  entry_tags: tuple[str, ...],
+                  rendered: str | None = None) -> None:
+            # Only an emitted entry is rendered; most carved ones are not.
+            entry = m.entry(None, name, entry_tags, provenance)
+            if offer_primary(primaries, entry) is not entry:
+                out.append(replace(entry, netlist_text=rendered
+                                   or nl_parser.render(source)))
 
         whole = _measure(netlist)
         if whole.sei is None:
             # A design with no gates and no delay has no index to rank it by,
             # and no gates to carve sub-patterns from.
             return []
-        if kept(whole):
-            emit(whole, whole.entry(
-                nl_parser.render(netlist) if text is None else text,
-                f"{task_id or netlist.name}-design", tags, provenance))
+        offer(whole, netlist, f"{task_id or netlist.name}-design", tags, text)
 
-        # A carved sub-netlist is rendered only once its entry is kept;
-        # most are not.
         sub_tags = tuple(tags) + ("subcircuit",)
         for sub in _enumerate_subnetlists(netlist):
             m = _measure(sub)
-            if kept(m):
-                emit(m, m.entry(nl_parser.render(sub), f"pat-{m.digest[:10]}",
-                                sub_tags, provenance))
-                if len(out) > SUBPATTERN_EMIT_CAP:
-                    break
+            offer(m, sub, f"pat-{m.digest[:10]}", sub_tags)
+            if len(out) > SUBPATTERN_EMIT_CAP:
+                break
         return out
 
 
@@ -423,7 +423,8 @@ class KnowledgeStore(_RetrievalBase):
     def __init__(self, root: str | os.PathLike, verify: bool = True):
         self.root = os.fspath(root)
         self._lock = threading.Lock()
-        self._entries: list[KnowledgeEntry] = []
+        self._entries: dict[int, KnowledgeEntry] = {}   # by id, in id order
+        self._primaries: dict[tuple, KnowledgeEntry] = {}  # see offer_primary
         self._next_id = 1
         # (size, prefix) when the index does not end on a complete line:
         # the next append first truncates the log to `size` bytes, then
@@ -434,7 +435,7 @@ class KnowledgeStore(_RetrievalBase):
 
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         with self._lock:
-            return list(self._entries)
+            return list(self._entries.values())
 
     @property
     def index_path(self) -> str:
@@ -470,8 +471,7 @@ class KnowledgeStore(_RetrievalBase):
             else:
                 records[rec["id"]] = rec
                 self._append_at = (len(data), b"\n")
-        for entry_id in sorted(records):
-            rec = records[entry_id]
+        for entry_id, rec in sorted(records.items()):
             text = None
             if rec["kind"] == KIND_PATTERN:
                 path = self._pattern_path(entry_id)
@@ -480,13 +480,11 @@ class KnowledgeStore(_RetrievalBase):
                         f"index references missing pattern file {path}")
                 with open(path, encoding="utf-8") as pf:
                     text = pf.read()
-            self._entries.append(KnowledgeEntry.from_record(rec, text))
-        _archive_duplicate_primaries(self._entries)
+            self._commit(KnowledgeEntry.from_record(rec, text))
         if verify:
-            for entry in self._entries:
+            for entry in self._entries.values():
                 if entry.status == "primary":
                     verify_pattern_entry(entry)
-        self._next_id = max(records, default=0) + 1
 
     def _parse_record(self, line: bytes, lineno: int) -> dict:
         try:
@@ -515,7 +513,7 @@ class KnowledgeStore(_RetrievalBase):
     def _rewrite_index(self) -> None:
         tmp = self.index_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            for e in self._entries:
+            for e in self._entries.values():
                 fh.write(json.dumps(e.to_record(), sort_keys=True) + "\n")
         os.replace(tmp, self.index_path)
         self._append_at = None
@@ -532,12 +530,11 @@ class KnowledgeStore(_RetrievalBase):
     def store(self, entry: KnowledgeEntry) -> int:
         """Admit one entry; returns its id.
 
-        Circuit patterns are re-verified before admission. When an entry
-        with the same signature and interface already exists, the one with
-        the higher efficiency index stays primary and the other is archived
-        (the incumbent wins ties). The pattern file lands first; then the
-        new record, followed by the archived incumbent's updated record if
-        there is one, is appended to the index in one write.
+        Circuit patterns are re-verified before admission, and
+        `offer_primary` archives either the entry or the primary it
+        displaces. The pattern file lands first; then the new record,
+        followed by the archived incumbent's record if there is one, is
+        appended to the index in one write.
         """
         verify_pattern_entry(entry)
         with self._lock:
@@ -548,30 +545,33 @@ class KnowledgeStore(_RetrievalBase):
                     entry.provenance,
                     created_at=time.strftime("%Y-%m-%dT%H:%M:%S",
                                              time.gmtime())))
-            displaced: tuple[int, KnowledgeEntry] | None = None
+            records = [entry]
             if entry.kind == KIND_PATTERN:
                 self._write_pattern(entry_id, entry.netlist_text or "")
+                # The rule decides on a copy of the key's slot: memory
+                # changes only once the log holds the outcome.
                 key = pattern_key(entry)
-                for i, other in enumerate(self._entries):
-                    if other.kind != KIND_PATTERN or other.status != "primary":
-                        continue
-                    if pattern_key(other) != key:
-                        continue
-                    if displaces(entry.sei, other.sei):
-                        displaced = (i, replace(other, status="archived"))
-                    else:
-                        entry = replace(entry, status="archived")
-                    break
-            if displaced is None:
-                self._append([entry])
-            else:
-                # New record first: a tear in the archive record leaves two
-                # primaries, which _load resolves, never none.
-                self._append([entry, displaced[1]])
-                self._entries[displaced[0]] = displaced[1]
-            self._entries.append(entry)
-            self._next_id += 1
+                held = self._primaries.get(key)
+                loser = offer_primary({key: held} if held else {}, entry)
+                if loser is entry:
+                    records = [replace(entry, status="archived")]
+                elif loser is not None:
+                    # New record first: a tear in the archive record leaves
+                    # two primaries, which _load resolves, never none.
+                    records.append(replace(loser, status="archived"))
+            self._append(records)
+            for record in records:
+                self._commit(record)
             return entry_id
+
+    def _commit(self, entry: KnowledgeEntry) -> None:
+        """Apply one logged record to memory, replacing any earlier record
+        with its id and archiving the loser of `offer_primary`."""
+        self._entries[entry.id] = entry
+        loser = offer_primary(self._primaries, entry)
+        if loser is not None:
+            self._entries[loser.id] = replace(loser, status="archived")
+        self._next_id = max(self._next_id, entry.id + 1)
 
     def seed_baseline(self) -> int:
         """Populate an empty store with the primitives and canonical blocks."""
@@ -589,7 +589,7 @@ class KnowledgeStore(_RetrievalBase):
 
     def snapshot(self) -> "KnowledgeView":
         with self._lock:
-            return KnowledgeView(tuple(self._entries))
+            return KnowledgeView(tuple(self._entries.values()))
 
     def verify_all(self) -> list[str]:
         """Re-check every primary pattern; returns failure descriptions."""
@@ -604,39 +604,18 @@ class KnowledgeStore(_RetrievalBase):
     def compact(self) -> int:
         """Drop archived entries and their pattern files; returns count removed."""
         with self._lock:
-            keep = [e for e in self._entries if e.status == "primary"]
-            dropped = [e for e in self._entries if e.status != "primary"]
-            self._entries = keep
+            dropped = [e for e in self._entries.values()
+                       if e.status != "primary"]
+            for e in dropped:
+                del self._entries[e.id]
             self._rewrite_index()
-            self._next_id = max((e.id for e in keep), default=0) + 1
+            self._next_id = max(self._entries, default=0) + 1
             for e in dropped:
                 if e.kind == KIND_PATTERN and e.id is not None:
                     path = self._pattern_path(e.id)
                     if os.path.exists(path):
                         os.remove(path)
             return len(dropped)
-
-
-def _archive_duplicate_primaries(entries: list[KnowledgeEntry]) -> None:
-    """Leave one primary per pattern key in id-ordered entries, in place.
-
-    Two primaries share a key only when a crash tore the archive record of
-    a displacement. The winner is chosen as in KnowledgeStore.store, with
-    the lower id as the incumbent.
-    """
-    held: dict[tuple, int] = {}
-    for i, entry in enumerate(entries):
-        if entry.kind != KIND_PATTERN or entry.status != "primary":
-            continue
-        key = pattern_key(entry)
-        j = held.get(key)
-        if j is None:
-            held[key] = i
-            continue
-        loser = i
-        if displaces(entry.sei, entries[j].sei):
-            held[key], loser = i, j
-        entries[loser] = replace(entries[loser], status="archived")
 
 
 class KnowledgeView(_RetrievalBase):

@@ -38,8 +38,7 @@ from .knowledge import (
     KnowledgeStore,
     KnowledgeView,
     RetrievalQuery,
-    displaces,
-    pattern_key,
+    offer_primary,
 )
 from .metrics import (
     DEFAULT_WEIGHTS,
@@ -592,12 +591,11 @@ def summarize(task: TaskPack, runs: list[TaskRun],
     anything else is written to the store, so extraction sees the entries
     the samples retrieved from. Runs are walked in sample order and each
     distinct verified design is extracted once. The results are merged to
-    one entry per (signature, interface) key: an entry replaces the one
-    held for its key only when its efficiency index is strictly higher, and
-    then moves to the end, which is where storing every entry one by one
-    would leave the surviving primary. The store therefore ends with the
-    same primaries in the same relative id order, without the archived
-    duplicates.
+    one entry per (signature, interface) key by `offer_primary`, the rule
+    the store admits by: a winner moves to the end, which is where storing
+    every entry one by one would leave the surviving primary. The store
+    therefore ends with the same primaries in the same relative id order,
+    without the archived duplicates.
     """
     seen: set[str] = set()
     merged: dict[tuple, KnowledgeEntry] = {}
@@ -608,13 +606,7 @@ def summarize(task: TaskPack, runs: list[TaskRun],
         for entry in store.extract_patterns(
                 run.netlist, task_id=task.id, run_id=run.run_id,
                 tags=task.tags, text=run.netlist_text):
-            key = pattern_key(entry)
-            held = merged.get(key)
-            if held is not None:
-                if not displaces(entry.sei, held.sei):
-                    continue
-                del merged[key]
-            merged[key] = entry
+            offer_primary(merged, entry)
     admitted = list(merged.values())
     for entry in admitted:
         store.store(entry)

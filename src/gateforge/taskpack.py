@@ -486,39 +486,45 @@ def emit_report(report: BenchmarkReport, fmt: str = "machine") -> str:
 
 
 def load_report(text: str) -> BenchmarkReport:
+    """The report a results file holds; ValueError if `text` is not one."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError("must hold a JSON object")
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError("unsupported report schema version")
-    rows = tuple(
-        TaskReportRow(
-            task_id=t["task_id"],
-            difficulty=t["difficulty"],
-            n=t["n"],
-            c=t["c"],
-            pass_at={int(k): v for k, v in t["pass_at"].items()},
-            best_gate_count=t["best_gate_count"],
-            best_delay=t["best_delay"],
-            best_sei=t["best_sei"],
-            status=t["status"],
-            errors=t.get("errors", 0),
+    try:
+        rows = tuple(
+            TaskReportRow(
+                task_id=t["task_id"],
+                difficulty=t["difficulty"],
+                n=t["n"],
+                c=t["c"],
+                pass_at={int(k): v for k, v in t["pass_at"].items()},
+                best_gate_count=t["best_gate_count"],
+                best_delay=t["best_delay"],
+                best_sei=t["best_sei"],
+                status=t["status"],
+                errors=t.get("errors", 0),
+            )
+            for t in doc["tasks"]
         )
-        for t in doc["tasks"]
-    )
-    tier_doc = doc["tier"]
-    tier = TierVerdict(
-        tier=tier_doc["tier"],
-        benchmark_sei=tier_doc["benchmark_sei"],
-        bands={k: (v[0], v[1]) for k, v in tier_doc["bands"].items()},
-        in_gap=tier_doc["in_gap"],
-    )
-    return BenchmarkReport(
-        rows=rows,
-        difficulty_pass_at_1=doc["difficulty_pass_at_1"],
-        difficulty_sei=doc["difficulty_sei"],
-        overall_sei=doc["overall_sei"],
-        tier=tier,
-        config=doc.get("config", {}),
-    )
+        tier_doc = doc["tier"]
+        tier = TierVerdict(
+            tier=tier_doc["tier"],
+            benchmark_sei=tier_doc["benchmark_sei"],
+            bands={k: (v[0], v[1]) for k, v in tier_doc["bands"].items()},
+            in_gap=tier_doc["in_gap"],
+        )
+        return BenchmarkReport(
+            rows=rows,
+            difficulty_pass_at_1=doc["difficulty_pass_at_1"],
+            difficulty_sei=doc["difficulty_sei"],
+            overall_sei=doc["overall_sei"],
+            tier=tier,
+            config=doc.get("config", {}),
+        )
+    except (LookupError, AttributeError, TypeError) as exc:
+        raise ValueError(f"missing or malformed field: {exc}") from None
 
 
 def _render_table(report: BenchmarkReport) -> str:

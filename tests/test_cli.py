@@ -385,3 +385,103 @@ def test_bad_backend_selectors_are_usage_errors(
     assert f"gateforge {command}: error: {message.format(tmp=tmp_path)}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_no_backend_anywhere_is_a_usage_error(capsys, tmp_path, command):
+    argv = [command, "--store", str(tmp_path / "store")]
+    if command == "run":
+        argv += ["--task", f"{builtin_task_dir()}/xnor2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge {command}: error: no backend: pass --backend or set " \
+        "it in the config" in err
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("results,reason", [
+    ("missing.json", "cannot read --results {path}: No such file or "
+                     "directory"),
+    (".", "cannot read --results {path}: Is a directory"),
+], ids=["missing", "directory"])
+def test_an_unreadable_results_file_is_a_usage_error(
+        capsys, tmp_path, results, reason):
+    path = str(tmp_path / results)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--results", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge report: error: {reason.format(path=path)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"{", "Expecting property name enclosed in double quotes"),
+    (b"[]", "must hold a JSON object"),
+    (b'{"schema_version": 0}', "unsupported report schema version"),
+    (b'{"schema_version": 1}', "missing or malformed field: 'tasks'"),
+    (b'{"schema_version": 1, "tasks": [1]}', "missing or malformed field: "),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+], ids=["unparsable", "list", "old-schema", "no-tasks", "task-not-an-object",
+        "not-utf-8"])
+def test_a_file_that_is_not_a_results_file_is_a_usage_error(
+        capsys, tmp_path, content, reason):
+    path = tmp_path / "results.json"
+    path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--results", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge report: error: invalid results file: {reason}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_a_store_path_that_is_a_file_is_a_usage_error(
+        capsys, script_path, tmp_path, command):
+    store = tmp_path / "store.txt"
+    store.write_text("not a directory")
+    argv = [command, "--backend", f"scripted:{script_path}",
+            "--store", str(store)]
+    if command == "run":
+        argv += ["--task", f"{builtin_task_dir()}/xnor2"]
+    else:
+        argv += ["--n", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge {command}: error: cannot open --store {store}: " \
+        "Not a directory" in err
+    assert "Traceback" not in err
+    assert store.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("action", ["seed", "inspect", "verify", "compact"])
+def test_a_store_dir_that_is_a_file_is_a_usage_error(capsys, tmp_path,
+                                                     action):
+    store = tmp_path / "store.txt"
+    store.write_text("not a directory")
+    with pytest.raises(SystemExit) as exc:
+        main(["store", action, "--dir", str(store)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge store: error: cannot open --dir {store}: " \
+        "Not a directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("action", ["inspect", "verify", "compact"])
+def test_only_seed_creates_a_missing_store_dir(capsys, tmp_path, action):
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        main(["store", action, "--dir", str(store)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge store: error: cannot open --dir {store}: " \
+        "No such file or directory" in err
+    assert not store.exists()
+    assert main(["store", "seed", "--dir", str(store)]) == 0
+    assert main(["store", action, "--dir", str(store)]) == 0

@@ -1,8 +1,12 @@
 import json
 import os
+import tempfile
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from conftest import build_full_adder, build_half_adder
+from hypothesis import given, settings, strategies as st
 
 from gateforge.knowledge import (
     AdmissionError,
@@ -15,6 +19,7 @@ from gateforge.knowledge import (
     verify_pattern_entry,
 )
 from gateforge.netlist import GateKind, NetlistBuilder, PortDir
+from gateforge.orchestrator import summarize
 from gateforge.simulator import truth_table
 
 
@@ -415,3 +420,85 @@ def test_record_without_an_id_raises_store_error(tmp_path):
         fh.write('{"kind": "error-fix", "name": "x"}\n')
     with pytest.raises(StoreError, match=r"index\.jsonl:2:"):
         KnowledgeStore(tmp_path / "store")
+
+
+# -- one primary per key --------------------------------------------------------
+
+def padded_gate(kind, pad):
+    """A two-input gate followed by `pad` pairs of inverters: the same
+    function at a lower efficiency index for each pair."""
+    b = NetlistBuilder(f"{kind.value}_pad{pad}")
+    net = b.gate(kind, (b.input("a"), b.input("b")))
+    for _ in range(2 * pad):
+        net = b.gate(GateKind.NOT, (net,))
+    b.bind("y", PortDir.OUT, net)
+    return b.build()
+
+
+RULE_KINDS = (GateKind.AND, GateKind.OR, GateKind.XOR)
+RULE_ENTRIES = {(kind, pad): make_pattern_entry(padded_gate(kind, pad))
+                for kind in RULE_KINDS for pad in range(3)}
+
+
+def replay(admissions):
+    """The rule written out: per key, a later entry takes over only when
+    its index is higher by more than 1e-12, and then moves to the end.
+    Returns the admission positions of the primaries, in map order."""
+    held = {}
+    for pos, choice in enumerate(admissions):
+        kind, sei = choice[0], RULE_ENTRIES[choice].sei
+        if kind not in held or sei > held[kind][0] + 1e-12:
+            held.pop(kind, None)
+            held[kind] = (sei, pos)
+    return [pos for _, pos in held.values()]
+
+
+def primary_ids(store):
+    return [e.id for e in store.entries()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(RULE_KINDS), st.integers(0, 2)),
+                min_size=1, max_size=12))
+def test_every_path_applies_the_same_primary_rule(admissions):
+    # Repeated choices are ties: same function, same index, new name.
+    entries = [replace(RULE_ENTRIES[choice], name=f"e{pos}")
+               for pos, choice in enumerate(admissions)]
+    want = replay(admissions)
+    with tempfile.TemporaryDirectory() as root:
+        store = KnowledgeStore(root)
+        for entry in entries:
+            store.store(entry)
+        assert primary_ids(store) == [pos + 1 for pos in want]
+        assert primary_ids(KnowledgeStore(root)) == [pos + 1 for pos in want]
+
+        # Drop every archive record, as if each displacement had torn after
+        # its new record: load must archive the same losers.
+        lines = index_lines(store)
+        seen = set()
+        with open(store.index_path, "w", encoding="utf-8") as fh:
+            for record in lines:
+                if record["id"] not in seen:
+                    fh.write(json.dumps(record) + "\n")
+                seen.add(record["id"])
+        assert primary_ids(KnowledgeStore(root)) == [pos + 1 for pos in want]
+
+    class Extracted:
+        """A store whose extraction yields the entry each run stands for."""
+
+        def __init__(self):
+            self.stored = []
+
+        def extract_patterns(self, netlist, text, **_):
+            return [entries[int(text)]]
+
+        def store(self, entry):
+            self.stored.append(entry)
+
+    runs = [SimpleNamespace(status="verified", netlist_text=str(pos),
+                            netlist=None, run_id="")
+            for pos in range(len(entries))]
+    summarized = Extracted()
+    admitted = summarize(SimpleNamespace(id="t", tags=()), runs, summarized)
+    assert [e.name for e in admitted] == [f"e{pos}" for pos in want]
+    assert summarized.stored == admitted

@@ -38,7 +38,11 @@ def eager_extract(store, netlist, task_id, tags):
     from dataclasses import replace
 
     provenance = Provenance(task_id=task_id)
-    existing = store._best_sei_by_key()
+    existing = {}
+    for e in store.entries():
+        key = (e.signature_digest, e.inputs, e.outputs)
+        if e.kind == knowledge.KIND_PATTERN and e.sei > existing.get(key, -1.0):
+            existing[key] = e.sei
     out, emitted = [], {}
 
     def consider(entry):
