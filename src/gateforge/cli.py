@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from .backends import create_backend
-from .knowledge import KnowledgeStore
+from .knowledge import AdmissionError, KnowledgeStore, StoreError
 from .metrics import MetricWeights
 from .orchestrator import RunConfig, run_benchmark, run_task, summarize
 from .simulator import SimulationError
@@ -119,15 +119,21 @@ def _store_dir(args) -> contextlib.AbstractContextManager[str]:
 
 def _open_store(args, option: str, root: str, create: bool = True,
                 verify: bool = True) -> KnowledgeStore:
-    """The store in directory `root`, given as `option`. A path that is not
-    a directory, or is missing unless `create`, is a usage error (exit 2)
-    and creates nothing."""
+    """The store in directory `root`, given as `option`. A non-directory, a
+    store that does not load, or unless `create` a missing directory or one
+    holding no store, is a usage error (exit 2) and creates nothing."""
     try:
-        if not create:
-            os.listdir(root)   # raises unless root is an existing directory
-        return KnowledgeStore(root, verify=verify)
+        # listdir raises unless root is an existing directory.
+        if create or {"index.jsonl", "patterns"} & set(os.listdir(root)):
+            return KnowledgeStore(root, verify=verify)
+        why = "not a store (no index.jsonl or patterns/)"
     except OSError as exc:
-        args.parser.error(f"cannot open {option} {root}: {exc.strerror}")
+        why = exc.strerror
+    except AdmissionError as exc:
+        why = f"{exc} (`gateforge store verify --dir {root}` lists all)"
+    except StoreError as exc:
+        why = str(exc)
+    args.parser.error(f"cannot open {option} {root}: {why}")
 
 
 def _cmd_run(args) -> int:

@@ -22,14 +22,15 @@ import os
 import random
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
 from .metrics import measure
-from .netlist import (Gate, GateKind, Netlist, NetlistBuilder, PortDir,
-                      StructuralReport, structural_report)
-from .simulator import SimulationError, functional_signature, sequential_trace
+from .netlist import (GateKind, Netlist, NetlistBuilder, PortDir,
+                      StructuralReport, gate_depths, structural_report)
+from .simulator import (FunctionalSignature, SimulationError,
+                        functional_signature, pack_columns, sequential_trace)
 
 KIND_PATTERN = "circuit-pattern"
 KIND_ERROR_FIX = "error-fix"
@@ -37,11 +38,12 @@ KIND_ERROR_FIX = "error-fix"
 SUBPATTERN_MIN_GATES = 2
 SUBPATTERN_MAX_GATES = 8
 SUBPATTERN_MAX_INPUTS = 6
-# Connected-subgraph enumeration is cut off here so pathological designs
-# cannot stall a run; seed-scale designs never get close.
+# Connected-subgraph enumeration stops here so pathological designs cannot
+# stall a run; alu1 with one inverter pair already has 4,510 subsets.
 SUBPATTERN_ENUM_CAP = 4096
-# At most this many sub-patterns are emitted per design, smallest first;
-# dense designs (wide selector trees) otherwise flood the store.
+# Extraction stops once it has emitted more than this many entries, so a
+# design yields at most 33, smallest sub-patterns first (33 sub-patterns
+# when its own entry is held); dense designs otherwise flood the store.
 SUBPATTERN_EMIT_CAP = 32
 
 _SEQ_FINGERPRINT_SEED = 0xD1F0
@@ -392,26 +394,26 @@ class _RetrievalBase:
             offer_primary(primaries, held)
         out: list[KnowledgeEntry] = []
 
-        def offer(m: _Measure, source: Netlist, name: str,
-                  entry_tags: tuple[str, ...],
-                  rendered: str | None = None) -> None:
-            # Only an emitted entry is rendered; most carved ones are not.
+        def offer(m: _Measure, name: str, entry_tags: tuple[str, ...],
+                  render: Callable[[], str]) -> None:
+            # Only an emitted entry is built and rendered; most are not.
             entry = m.entry(None, name, entry_tags, provenance)
             if offer_primary(primaries, entry) is not entry:
-                out.append(replace(entry, netlist_text=rendered
-                                   or nl_parser.render(source)))
+                out.append(replace(entry, netlist_text=render()))
 
         whole = _measure(netlist)
         if whole.sei is None:
             # A design with no gates and no delay has no index to rank it by,
             # and no gates to carve sub-patterns from.
             return []
-        offer(whole, netlist, f"{task_id or netlist.name}-design", tags, text)
+        offer(whole, f"{task_id or netlist.name}-design", tags,
+              lambda: text or nl_parser.render(netlist))
 
         sub_tags = tuple(tags) + ("subcircuit",)
-        for sub in _enumerate_subnetlists(netlist):
-            m = _measure(sub)
-            offer(m, sub, f"pat-{m.digest[:10]}", sub_tags)
+        for cut in _connected_cuts(netlist):
+            m = _measure_cut(netlist, *cut)
+            offer(m, f"pat-{m.digest[:10]}", sub_tags,
+                  lambda: nl_parser.render(_carve(netlist, *cut)))
             if len(out) > SUBPATTERN_EMIT_CAP:
                 break
         return out
@@ -634,109 +636,119 @@ class KnowledgeView(_RetrievalBase):
         return list(self._frozen)
 
 
-def _enumerate_subnetlists(netlist: Netlist) -> Iterator[Netlist]:
+def _bit_positions(mask: int) -> list[int]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _connected_cuts(netlist: Netlist) -> Iterator[tuple[list[int], ...]]:
     """Connected combinational sub-DAGs within the extraction bounds,
-    smallest first.
+    smallest first, as (ascending `schedule` positions, nets read from
+    outside bar constants, exposed nets).
 
     Gates are taken in compiled (levelized) order, the order `render`
     emits, so a design and its rendered-and-parsed copy give the same
-    sub-DAGs. Enumeration follows the classic grow-only-with-larger-indices
-    scheme so each connected gate subset appears exactly once, in
-    deterministic order.
+    sub-DAGs. ESU enumeration (Wernicke, TCBB 2006) over bitmasks yields
+    each connected gate subset once, in a deterministic depth-first order.
     """
     gates = netlist.schedule
     n = len(gates)
-    if n < SUBPATTERN_MIN_GATES:
-        return
     # Gates are adjacent when they touch a common net, including shared
     # inputs; that is what makes e.g. the XOR/AND pair of an adder one
-    # connected pattern.
-    touching: dict[int, list[int]] = {}
+    # connected pattern. A net's readers are the positions of the gates
+    # reading it, plus bit n when an output port or a register reads it.
+    readers = dict.fromkeys([nid for _, nid in netlist.output_bits] + [
+        net for g in netlist.registers for net in g.inputs], 1 << n)
+    touching: dict[int, int] = {}
     for pos, g in enumerate(gates):
         for net in (g.output, *g.inputs):
-            touching.setdefault(net, []).append(pos)
-    neighbors: list[set[int]] = [set() for _ in range(n)]
+            touching[net] = touching.get(net, 0) | 1 << pos
+        for net in g.inputs:
+            readers[net] = readers.get(net, 0) | 1 << pos
+    neighbors = [0] * n
     for group in touching.values():
-        for a in group:
-            for b in group:
-                if a != b:
-                    neighbors[a].add(b)
+        for pos in _bit_positions(group):
+            neighbors[pos] |= group & ~(1 << pos)
 
-    subsets: list[list[int]] = []
-    budget = [SUBPATTERN_ENUM_CAP]
+    found: list[tuple[int, int]] = []   # (size, subset), depth-first
 
-    def extend(start: int, subset: list[int], ext: list[int]) -> None:
-        # ESU-style enumeration via exclusive neighborhoods: each connected
-        # subset whose smallest member is `start` appears exactly once.
-        if budget[0] <= 0:
-            return
-        if SUBPATTERN_MIN_GATES <= len(subset):
-            budget[0] -= 1
-            subsets.append(sorted(subset))
-        if len(subset) >= SUBPATTERN_MAX_GATES:
-            return
-        closed = set(subset)
-        for u in subset:
-            closed |= neighbors[u]
+    def extend(above: int, size: int, subset: int, closed: int,
+               ext: list[int]) -> None:
+        # Records each child of `subset`, of `size` gates, before the
+        # child's own children, which grow from the start gate by exclusive
+        # neighborhoods (the start alone is never recorded); `closed` is the
+        # subset and its neighbors, `above` the positions past the start.
         for i, w in enumerate(ext):
-            exclusive = sorted(u for u in neighbors[w]
-                               if u > start and u not in closed)
-            extend(start, subset + [w], ext[i + 1:] + exclusive)
+            if len(found) >= SUBPATTERN_ENUM_CAP:
+                return
+            if size >= SUBPATTERN_MIN_GATES:
+                found.append((size, subset | 1 << w))
+            if size < SUBPATTERN_MAX_GATES:
+                exclusive = neighbors[w] & above & ~closed
+                extend(above, size + 1, subset | 1 << w,
+                       closed | neighbors[w],
+                       ext[i + 1:] + _bit_positions(exclusive))
 
     for v in range(n):
-        extend(v, [v], sorted(u for u in neighbors[v] if u > v))
+        above = -1 << (v + 1)
+        extend(above, 2, 1 << v, 1 << v | neighbors[v],
+               _bit_positions(neighbors[v] & above))
 
-    # Smallest first (stable, so enumeration order breaks ties); carving is
-    # lazy because the caller stops at SUBPATTERN_EMIT_CAP.
-    subsets.sort(key=len)
-    for subset in subsets:
-        sub = _carve_subnetlist(netlist, [gates[pos] for pos in subset])
-        if sub is not None:
-            yield sub
+    # Smallest first (stable, so enumeration order breaks ties); a cut is
+    # found only when consumed, as the caller stops at SUBPATTERN_EMIT_CAP.
+    found.sort(key=lambda size_subset: size_subset[0])
+    for _, subset in found:
+        positions = _bit_positions(subset)
+        outs = [gates[pos].output for pos in positions]
+        inputs = list(dict.fromkeys(
+            net for pos in positions for net in gates[pos].inputs
+            if net not in outs and netlist.nets[net].value is None))
+        if len(inputs) <= SUBPATTERN_MAX_INPUTS:
+            # Expose what is read outside, else a terminal cone's sinks.
+            yield positions, inputs, (
+                [net for net in outs if readers.get(net, 0) & ~subset]
+                or [net for net in outs if net not in readers])
 
 
-def _carve_subnetlist(netlist: Netlist, chosen: list[Gate]) -> Netlist | None:
-    chosen_outputs = {g.output for g in chosen}
-    # Each net has one driver, so a gate is outside exactly when its output
-    # is not a chosen one.
-    outside_readers = {n for g in netlist.gates if g.output not in chosen_outputs
-                       for n in g.inputs}
-    port_bound = {n for _, n in netlist.output_bits}
+_EXHAUSTIVE_COLUMNS = [pack_columns(range(1 << k), k)
+                       for k in range(SUBPATTERN_MAX_INPUTS + 1)]
 
-    boundary_inputs: list[int] = []
-    for g in chosen:
-        for net in g.inputs:
-            if net in chosen_outputs:
-                continue
-            if netlist.nets[net].value is not None:
-                continue
-            if net not in boundary_inputs:
-                boundary_inputs.append(net)
-    if len(boundary_inputs) > SUBPATTERN_MAX_INPUTS:
-        return None
-    exposed = [g.output for g in chosen
-               if g.output in outside_readers or g.output in port_bound]
-    if not exposed:
-        # Terminal cone: expose the sinks (outputs no chosen gate reads).
-        read_inside = {n for g in chosen for n in g.inputs}
-        exposed = [g.output for g in chosen if g.output not in read_inside]
-    if not exposed:
-        return None
 
+def _measure_cut(netlist: Netlist, positions: list[int], inputs: list[int],
+                 outputs: list[int]) -> _Measure:
+    """`_measure` of the cut's carved sub-netlist, taken from the design's
+    own compiled gates without building it."""
+    k = len(inputs)
+    mask = (1 << (1 << k)) - 1
+    values = {nid: mask if value else 0 for nid, value in netlist.const_nets}
+    values.update(zip(inputs, _EXHAUSTIVE_COLUMNS[k]))
+    for pos in positions:
+        evaluate, out, a, b = netlist.ops[pos]
+        values[out] = evaluate(values[a], values[b], mask)
+    columns = tuple(values[net] for net in outputs)
+    depth = gate_depths(netlist.schedule[pos] for pos in positions)
+    report = StructuralReport(len(positions), max(map(depth.get, outputs)), 0)
+    return _Measure(FunctionalSignature(k, len(columns), columns).digest,
+                    "exact", report, (k, len(columns)))
+
+
+def _carve(netlist: Netlist, positions: list[int], inputs: list[int],
+           outputs: list[int]) -> Netlist:
+    """The cut as a netlist of its own (ports in0.., out0..)."""
+    chosen = [netlist.schedule[pos] for pos in positions]
     b = NetlistBuilder("pattern")
-    net_map: dict[int, int] = {}
-    for k, net in enumerate(boundary_inputs):
-        net_map[net] = b.input(f"in{k}")
-    for g in chosen:
-        for net in g.inputs:
-            value = netlist.nets[net].value
-            if value is not None and net not in net_map:
-                net_map[net] = b.const(value)
-    for g in chosen:
-        net_map.setdefault(g.output, b.wire())
+    net_map = {net: b.input(f"in{k}") for k, net in enumerate(inputs)}
+    for net in (net for g in chosen for net in g.inputs):
+        value = netlist.nets[net].value
+        if value is not None and net not in net_map:
+            net_map[net] = b.const(value)
+    net_map.update((g.output, b.wire()) for g in chosen)
     for g in chosen:
         b.gate(g.kind, tuple(net_map[n] for n in g.inputs), net_map[g.output])
-    for k, net in enumerate(exposed):
+    for k, net in enumerate(outputs):
         b.bind(f"out{k}", PortDir.OUT, net_map[net])
     return b.build()
 

@@ -16,7 +16,7 @@ fields, so each netlist is validated, and levelized, once.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -345,11 +345,17 @@ def _port_bits(netlist: Netlist, direction: PortDir
                  for i, net in enumerate(netlist.port_nets[p.name]))
 
 
-def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
-             warnings: tuple[StructuralViolation, ...]) -> None:
+def gate_depths(schedule: Iterable[Gate]) -> dict[int, int]:
+    """Longest path, in gates, to each output of gates in topological order."""
     depth: dict[int, int] = {}
     for g in schedule:
         depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
+    return depth
+
+
+def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
+             warnings: tuple[StructuralViolation, ...]) -> None:
+    depth = gate_depths(schedule)
     registers = tuple(g for g in netlist.gates if g.kind is GateKind.DFF)
     output_bits = _port_bits(netlist, PortDir.OUT)
     # Delay sinks: primary outputs and register input pins.

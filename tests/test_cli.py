@@ -485,3 +485,71 @@ def test_only_seed_creates_a_missing_store_dir(capsys, tmp_path, action):
     assert not store.exists()
     assert main(["store", "seed", "--dir", str(store)]) == 0
     assert main(["store", action, "--dir", str(store)]) == 0
+
+
+@pytest.mark.parametrize("action", ["inspect", "verify", "compact"])
+@pytest.mark.parametrize("content", [[], ["notes.txt"]])
+def test_a_directory_without_a_store_is_a_usage_error(capsys, tmp_path,
+                                                      action, content):
+    store = tmp_path / "store"
+    store.mkdir()
+    for name in content:
+        (store / name).write_text("not a store")
+    with pytest.raises(SystemExit) as exc:
+        main(["store", action, "--dir", str(store)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge store: error: cannot open --dir {store}: " \
+        "not a store (no index.jsonl or patterns/)" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in store.iterdir()) == content
+
+
+def open_store_argv(command, store, script_path):
+    """A command that opens `store` (as --dir or --store) and learns."""
+    if command == "inspect":
+        return ["store", "inspect", "--dir", str(store)], "--dir"
+    argv = [command, "--backend", f"scripted:{script_path}",
+            "--store", str(store)]
+    if command == "run":
+        argv += ["--task", f"{builtin_task_dir()}/xnor2"]
+    else:
+        argv += ["--n", "1"]
+    return argv, "--store"
+
+
+@pytest.mark.parametrize("command", ["inspect", "run", "bench"])
+def test_an_unparsable_index_is_a_usage_error(capsys, script_path, tmp_path,
+                                              command):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "index.jsonl").write_text("garbage\n{}\n")
+    argv, option = open_store_argv(command, store, script_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot open {option} {store}: " \
+        f"{store / 'index.jsonl'}:1: unparsable index record" in err
+    assert "Traceback" not in err
+    assert (store / "index.jsonl").read_text() == "garbage\n{}\n"
+
+
+@pytest.mark.parametrize("command", ["inspect", "run", "bench"])
+def test_an_edited_pattern_file_is_a_usage_error_naming_store_verify(
+        capsys, script_path, tmp_path, command):
+    store = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store)]) == 0
+    and2 = store / "patterns" / "1.nl"
+    and2.write_text(and2.read_text().replace("and ", "or "))
+    capsys.readouterr()
+    argv, option = open_store_argv(command, store, script_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot open {option} {store}: and2: netlist does not " \
+        "match its stored functional signature (`gateforge store verify " \
+        f"--dir {store}` lists all)" in err
+    assert "Traceback" not in err
+    assert main(["store", "verify", "--dir", str(store)]) == 1

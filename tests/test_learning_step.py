@@ -1,14 +1,22 @@
 """The learning step (extraction and admission) against reference versions
-that carve every sub-pattern and admit every extracted entry one by one."""
+that enumerate connected subsets as lists, carve every sub-pattern and admit
+every extracted entry one by one."""
 
+import random
 import threading
 
 import pytest
+from conftest import random_netlist
+from hypothesis import given, settings, strategies as st
 
 from gateforge import knowledge
 from gateforge.backends import ModelBackend
 from gateforge.knowledge import (
     SUBPATTERN_EMIT_CAP,
+    SUBPATTERN_ENUM_CAP,
+    SUBPATTERN_MAX_GATES,
+    SUBPATTERN_MAX_INPUTS,
+    SUBPATTERN_MIN_GATES,
     AdmissionError,
     KnowledgeStore,
     KnowledgeView,
@@ -17,6 +25,7 @@ from gateforge.knowledge import (
     make_pattern_entry,
     verify_pattern_entry,
 )
+from gateforge.netlist import NetlistBuilder, PortDir
 from gateforge.orchestrator import (
     RunConfig,
     TaskRun,
@@ -29,6 +38,95 @@ from gateforge.taskpack import builtin_task_packs
 
 TASKS = {t.id: t for t in builtin_task_packs()}
 ADDER4 = TASKS["adder4"]
+
+# alu1 with an inverter pair after its first gate: 17 gates and 4,510
+# connected subsets, so SUBPATTERN_ENUM_CAP decides which are kept.
+PADDED_ALU1 = (TASKS["alu1"].reference_netlist
+               .replace("wire w1,", "wire spare_n0, spare_n1, w1,")
+               .replace("and g1(w1, a, b);",
+                        "and g1(spare_n0, a, b);\n  not gspare1(spare_n1, "
+                        "spare_n0);\n  not gspare2(w1, spare_n1);"))
+
+
+def reference_subsets(netlist, cap=SUBPATTERN_ENUM_CAP):
+    """Connected subsets of `netlist.schedule` positions as the list-based
+    ESU enumerator found them, smallest first: the first `cap` in
+    depth-first order (all of them when `cap` is None)."""
+    gates = netlist.schedule
+    n = len(gates)
+    if n < SUBPATTERN_MIN_GATES:
+        return []
+    touching = {}
+    for pos, g in enumerate(gates):
+        for net in (g.output, *g.inputs):
+            touching.setdefault(net, []).append(pos)
+    neighbors = [set() for _ in range(n)]
+    for group in touching.values():
+        for a in group:
+            for b in group:
+                if a != b:
+                    neighbors[a].add(b)
+    subsets = []
+
+    def extend(start, subset, ext):
+        if cap is not None and len(subsets) >= cap:
+            return
+        if SUBPATTERN_MIN_GATES <= len(subset):
+            subsets.append(sorted(subset))
+        if len(subset) >= SUBPATTERN_MAX_GATES:
+            return
+        closed = set(subset)
+        for u in subset:
+            closed |= neighbors[u]
+        for i, w in enumerate(ext):
+            exclusive = sorted(u for u in neighbors[w]
+                               if u > start and u not in closed)
+            extend(start, subset + [w], ext[i + 1:] + exclusive)
+
+    for v in range(n):
+        extend(v, [v], sorted(u for u in neighbors[v] if u > v))
+    subsets.sort(key=len)
+    return subsets
+
+
+def reference_carve(netlist, positions):
+    """The sub-netlist of the gates at `positions`, carved as a netlist of
+    its own by scanning the whole design; None when it has too many inputs."""
+    chosen = [netlist.schedule[pos] for pos in positions]
+    chosen_outputs = {g.output for g in chosen}
+    outside_readers = {n for g in netlist.gates
+                       if g.output not in chosen_outputs for n in g.inputs}
+    port_bound = {n for _, n in netlist.output_bits}
+    boundary_inputs = []
+    for g in chosen:
+        for net in g.inputs:
+            if net in chosen_outputs or netlist.nets[net].value is not None:
+                continue
+            if net not in boundary_inputs:
+                boundary_inputs.append(net)
+    if len(boundary_inputs) > SUBPATTERN_MAX_INPUTS:
+        return None
+    exposed = [g.output for g in chosen
+               if g.output in outside_readers or g.output in port_bound]
+    if not exposed:
+        read_inside = {n for g in chosen for n in g.inputs}
+        exposed = [g.output for g in chosen if g.output not in read_inside]
+    b = NetlistBuilder("pattern")
+    net_map = {}
+    for k, net in enumerate(boundary_inputs):
+        net_map[net] = b.input(f"in{k}")
+    for g in chosen:
+        for net in g.inputs:
+            value = netlist.nets[net].value
+            if value is not None and net not in net_map:
+                net_map[net] = b.const(value)
+    for g in chosen:
+        net_map.setdefault(g.output, b.wire())
+    for g in chosen:
+        b.gate(g.kind, tuple(net_map[n] for n in g.inputs), net_map[g.output])
+    for k, net in enumerate(exposed):
+        b.bind(f"out{k}", PortDir.OUT, net_map[net])
+    return b.build()
 
 
 def eager_extract(store, netlist, task_id, tags):
@@ -55,7 +153,9 @@ def eager_extract(store, netlist, task_id, tags):
 
     consider(make_pattern_entry(netlist, tags=tags, provenance=provenance,
                                 name=f"{task_id}-design"))
-    carved = list(knowledge._enumerate_subnetlists(netlist))
+    carved = [sub for sub in (reference_carve(netlist, s)
+                              for s in reference_subsets(netlist))
+              if sub is not None]
     for sub in sorted(carved, key=lambda s: len(s.gates)):
         if len(out) > SUBPATTERN_EMIT_CAP:
             break
@@ -79,16 +179,64 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
     store.seed_baseline()
     want, n_carved = eager_extract(store, netlist, task_id, task.tags)
 
-    carves = []
-    carve = knowledge._carve_subnetlist
-    monkeypatch.setattr(knowledge, "_carve_subnetlist",
-                        lambda *a: carves.append(1) or carve(*a))
+    builds = []
+    build = NetlistBuilder.build
+    monkeypatch.setattr(NetlistBuilder, "build",
+                        lambda self: builds.append(1) or build(self))
     got = store.extract_patterns(netlist, task_id=task_id, tags=task.tags)
 
     assert got == want
     assert len(got) == SUBPATTERN_EMIT_CAP + 1
-    # The cap was reached long before the last subset.
-    assert len(carves) < n_carved / 4
+    # Only the emitted sub-patterns were built as netlists; the cap was
+    # reached long before the last subset.
+    assert len(builds) == sum("subcircuit" in e.tags for e in got)
+    assert len(builds) < n_carved / 4
+
+
+def designs():
+    out = {t.id: parse(t.reference_netlist).netlist for t in TASKS.values()}
+    out["alu1-padded"] = parse(PADDED_ALU1).netlist
+    # A register is the only outside reader of a net that a gate in the
+    # same subset also reads.
+    out["register-reader"] = parse(
+        "module r(input a, input b, input clk, output y, output q);\n"
+        "  wire w;\n  and g1(w, a, b);\n  xor g2(y, w, a);\n"
+        "  dff g3(q, w, clk);\nendmodule\n").netlist
+    return out
+
+
+DESIGNS = designs()
+
+
+def assert_cuts_match_the_reference(netlist):
+    """The bitmask enumerator yields the reference subsets that fit the
+    input bound, in order, and each cut measures as its carved netlist."""
+    carved = [(s, sub) for s in reference_subsets(netlist)
+              if (sub := reference_carve(netlist, s)) is not None]
+    cuts = list(knowledge._connected_cuts(netlist))
+    assert [positions for positions, _, _ in cuts] == [s for s, _ in carved]
+    for cut, (_, sub) in zip(cuts, carved):
+        assert knowledge._carve(netlist, *cut) == sub
+        assert knowledge._measure_cut(netlist, *cut) == knowledge._measure(sub)
+    return cuts
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_bitmask_cuts_are_the_reference_subsets_in_order(name):
+    netlist = DESIGNS[name]
+    cuts = assert_cuts_match_the_reference(netlist)
+    if name == "alu1-padded":
+        assert len(netlist.schedule) == 17
+        assert len(reference_subsets(netlist, cap=None)) == 4510
+        assert len(cuts) <= SUBPATTERN_ENUM_CAP < 4510
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cut_measure_equals_the_carved_netlist_measure(seed):
+    rng = random.Random(seed)
+    netlist = random_netlist(rng, rng.randint(1, 7), rng.randint(2, 10))
+    assert_cuts_match_the_reference(netlist)
 
 
 def test_extraction_renders_only_what_it_emits(tmp_path, monkeypatch):
