@@ -19,6 +19,8 @@ import urllib.request
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .jsonfields import FieldError, is_json, take
+
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "GATEFORGE_API_KEY"
@@ -96,22 +98,28 @@ class ScriptedBackend(ModelBackend):
     def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if type(doc) is not dict:
+        if not is_json(doc, dict):
             raise ValueError(f"script {path} must hold a JSON object")
-        for i, r in enumerate(doc.get("rules", [])):
-            if type(r) is not dict or type(r.get("replies")) is not list:
-                raise ValueError(f"script {path}: rules[{i}] needs a "
-                                 "'replies' list")
-        if type(doc.get("default", [])) is not list:
-            raise ValueError(f"script {path}: 'default' must be a list")
-        rules = [ScriptRule(replies=tuple(r["replies"]),
-                            contains=r.get("contains"),
-                            name=r.get("name", ""))
-                 for r in doc.get("rules", [])]
-        if "default" in doc:
-            rules.append(ScriptRule(replies=tuple(doc["default"]),
-                                    contains=None, name="default"))
-        return cls(rules, identity=doc.get("identity", "scripted"))
+        try:
+            rules = []
+            for i, r in enumerate(take(doc, "rules", "", list[dict],
+                                       default=[])):
+                at = f"rules[{i}]"
+                rules.append(ScriptRule(
+                    replies=tuple(take(r, "replies", at, list[str])),
+                    contains=take(r, "contains", at, str, None, default=None),
+                    name=take(r, "name", at, str, default="")))
+            default = take(doc, "default", "", list[str], default=None)
+            identity = take(doc, "identity", "", str, default="scripted")
+        except FieldError as exc:
+            # A rule's fault names the rule; any other names its key.
+            raise ValueError(f"script {path}: " + (
+                f"{exc.where} needs a {exc.key!r} {exc.need.split(' ', 1)[1]}"
+                if exc.where else f"{exc.key!r} must be {exc.need}")) from None
+        if default is not None:
+            rules.append(ScriptRule(replies=tuple(default), contains=None,
+                                    name="default"))
+        return cls(rules, identity=identity)
 
     def start_sample(self, task_id: str, sample_index: int) -> None:
         self._cursors.served.clear()

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
 import tempfile
 
 from .backends import create_backend
+from .jsonfields import is_json, take
 from .knowledge import AdmissionError, KnowledgeStore, StoreError
 from .metrics import MetricWeights
 from .orchestrator import RunConfig, run_benchmark, run_task, summarize
@@ -31,6 +33,13 @@ from .taskpack import (
 )
 
 
+# A --config value holds the JSON type of its RunConfig field's default;
+# RunConfig refuses keys it has no field for.
+_CONFIG_TYPES = {int: (int,), bool: (bool,), float: (float,),
+                 tuple: (list[int],), MetricWeights: (dict[str, float],),
+                 type(None): (str, None)}
+
+
 def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
     """The run config from --config and the command's own options. A
     --config file that cannot be read, or a value the config refuses, is a
@@ -40,8 +49,11 @@ def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            if type(doc) is not dict:
+            if not is_json(doc, dict):
                 raise ValueError("--config must hold a JSON object")
+            for f in dataclasses.fields(RunConfig):
+                take(doc, f.name, args.config, *_CONFIG_TYPES[type(f.default)],
+                     default=None)
         weights_doc = doc.pop("weights", None)
         doc.update({k: v for k, v in overrides.items() if v is not None})
         if "pass_ks" in doc:
@@ -195,7 +207,10 @@ def _cmd_store(args) -> int:
                         create=args.action == "seed",
                         verify=not args.no_verify and args.action != "verify")
     if args.action == "seed":
-        n = store.seed_baseline()
+        try:
+            n = store.seed_baseline()
+        except StoreError as exc:
+            args.parser.error(f"cannot seed --dir {args.dir}: {exc}")
         print(f"seeded {n} baseline entries")
         return 0
     if args.action == "inspect":

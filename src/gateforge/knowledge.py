@@ -26,6 +26,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
+from .jsonfields import REQUIRED, FieldError, is_json, take_all
 from .metrics import measure
 from .netlist import (GateKind, Netlist, NetlistBuilder, PortDir,
                       StructuralReport, gate_depths, structural_report)
@@ -88,49 +89,45 @@ class KnowledgeEntry:
     status: str = "primary"             # primary | archived
 
     def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "name": self.name,
-            "tags": list(self.tags),
-            "signature_digest": self.signature_digest,
-            "signature_kind": self.signature_kind,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "gate_count": self.gate_count,
-            "delay": self.delay,
-            "sei": self.sei,
-            "error_class": self.error_class,
-            "symptom": self.symptom,
-            "fix": self.fix,
-            "task_id": self.provenance.task_id,
-            "run_id": self.provenance.run_id,
-            "created_at": self.provenance.created_at,
-            "status": self.status,
-        }
+        rec = {key: getattr(self.provenance if key in _PROVENANCE else self,
+                            key) for key, _, _ in RECORD_FIELDS}
+        rec["tags"] = list(self.tags)
+        return rec
 
     @classmethod
     def from_record(cls, rec: dict, netlist_text: str | None) -> "KnowledgeEntry":
-        return cls(
-            kind=rec["kind"],
-            name=rec["name"],
-            tags=tuple(rec.get("tags", [])),
-            netlist_text=netlist_text,
-            signature_digest=rec.get("signature_digest"),
-            signature_kind=rec.get("signature_kind"),
-            inputs=rec.get("inputs", 0),
-            outputs=rec.get("outputs", 0),
-            gate_count=rec.get("gate_count"),
-            delay=rec.get("delay"),
-            sei=rec.get("sei"),
-            error_class=rec.get("error_class"),
-            symptom=rec.get("symptom"),
-            fix=rec.get("fix"),
-            provenance=Provenance(rec.get("task_id", ""), rec.get("run_id", ""),
-                                  rec.get("created_at", "")),
-            id=rec["id"],
-            status=rec.get("status", "primary"),
-        )
+        """The entry an index record stands for; `rec` holds every field
+        of RECORD_FIELDS, as `KnowledgeStore._parse_record` returns it."""
+        values = dict(rec)
+        tags = tuple(values.pop("tags"))
+        provenance = Provenance(*(values.pop(key) for key in _PROVENANCE))
+        return cls(**values, tags=tags, netlist_text=netlist_text,
+                   provenance=provenance)
+
+
+# Each index record field, in record order: (key, JSON types, value when
+# absent). The provenance fields are stored flat.
+RECORD_FIELDS = (
+    ("id", (int,), REQUIRED),
+    ("kind", (str,), REQUIRED),
+    ("name", (str,), REQUIRED),
+    ("tags", (list[str],), []),
+    ("signature_digest", (str, None), None),
+    ("signature_kind", (str, None), None),
+    ("inputs", (int,), 0),
+    ("outputs", (int,), 0),
+    ("gate_count", (int, None), None),
+    ("delay", (int, None), None),
+    ("sei", (float, None), None),
+    ("error_class", (str, None), None),
+    ("symptom", (str, None), None),
+    ("fix", (str, None), None),
+    ("task_id", (str,), ""),
+    ("run_id", (str,), ""),
+    ("created_at", (str,), ""),
+    ("status", ("primary", "archived"), "primary"),
+)
+_PROVENANCE = ("task_id", "run_id", "created_at")
 
 
 def pattern_key(entry: KnowledgeEntry) -> tuple[str | None, int, int]:
@@ -477,11 +474,15 @@ class KnowledgeStore(_RetrievalBase):
             text = None
             if rec["kind"] == KIND_PATTERN:
                 path = self._pattern_path(entry_id)
-                if not os.path.exists(path):
-                    raise StoreError(
-                        f"index references missing pattern file {path}")
-                with open(path, encoding="utf-8") as pf:
-                    text = pf.read()
+                try:
+                    with open(path, "rb") as pf:
+                        text = pf.read().decode("utf-8")
+                except FileNotFoundError:
+                    raise StoreError(f"index references missing pattern file "
+                                     f"{path}") from None
+                except UnicodeDecodeError as exc:
+                    raise StoreError(f"{path}: must be UTF-8 text (byte "
+                                     f"{exc.start}: {exc.reason})") from None
             self._commit(KnowledgeEntry.from_record(rec, text))
         if verify:
             for entry in self._entries.values():
@@ -489,16 +490,18 @@ class KnowledgeStore(_RetrievalBase):
                     verify_pattern_entry(entry)
 
     def _parse_record(self, line: bytes, lineno: int) -> dict:
+        """Every field of the record on one index line (see RECORD_FIELDS);
+        StoreError naming the line if it holds no valid record."""
+        where = f"{self.index_path}:{lineno}"
         try:
             rec = json.loads(line)
+            if not is_json(rec, dict):
+                raise ValueError("not a JSON object")
+            return take_all(rec, "", RECORD_FIELDS)
+        except FieldError as exc:
+            raise StoreError(f"{where}: invalid index record: {exc}") from None
         except ValueError as exc:
-            raise StoreError(f"{self.index_path}:{lineno}: unparsable "
-                             f"index record: {exc}") from None
-        if not (isinstance(rec, dict) and isinstance(rec.get("id"), int)
-                and "kind" in rec and "name" in rec):
-            raise StoreError(f"{self.index_path}:{lineno}: index record "
-                             "lacks an integer id, a kind or a name")
-        return rec
+            raise StoreError(f"{where}: unparsable index record: {exc}") from None
 
     def _append(self, entries: list[KnowledgeEntry]) -> None:
         text = "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"

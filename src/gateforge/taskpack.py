@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
+from .jsonfields import REQUIRED, FieldError, is_json, take, take_all
 from .metrics import (
     DEFAULT_WEIGHTS,
     EvalResult,
@@ -182,119 +183,89 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
     return pack_rows(rows, in_names, out_names, keys)
 
 
-def _read_text(path: str) -> str:
-    """A pack file's text; a file that is not UTF-8 is a schema fault."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise TaskSchemaError(
-                f"{os.path.basename(path)}: must be UTF-8 text (byte "
-                f"{exc.start}: {exc.reason})") from None
-
-
-def _read_json(path: str) -> dict:
-    """A pack file's JSON object; a file that is not one is a schema fault."""
-    name = os.path.basename(path)
+def _read_text(root: str, name: str) -> str:
+    """Pack file `name`'s text; a missing or non-UTF-8 file is a schema
+    fault."""
     try:
-        doc = json.loads(_read_text(path))
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise TaskSchemaError(f"missing {name}") from None
+    except UnicodeDecodeError as exc:
+        raise TaskSchemaError(f"{name}: must be UTF-8 text (byte "
+                              f"{exc.start}: {exc.reason})") from None
+
+
+def _read_json(root: str, name: str) -> dict:
+    """Pack file `name`'s JSON object; anything else is a schema fault."""
+    try:
+        doc = json.loads(_read_text(root, name))
     except json.JSONDecodeError as exc:
         raise TaskSchemaError(
             f"{name}: must be valid JSON (line {exc.lineno} column "
             f"{exc.colno}: {exc.msg})") from None
-    if type(doc) is not dict:
+    if not is_json(doc, dict):
         raise TaskSchemaError(f"{name}: must be a JSON object")
     return doc
 
 
 def load_task_pack(path: str | os.PathLike) -> TaskPack:
     """Load and invariant-check one task pack directory."""
-    root = os.fspath(path)
-    meta_path = os.path.join(root, "task.json")
-    if not os.path.exists(meta_path):
-        raise TaskSchemaError("missing task.json")
-    meta = _read_json(meta_path)
+    try:
+        return _load_pack(os.fspath(path))
+    except FieldError as exc:
+        raise TaskSchemaError(str(exc)) from None
 
-    version = meta.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise TaskSchemaError(
-            f"task.json: schema_version {version!r} is not {SCHEMA_VERSION}")
-    for key in ("id", "title", "difficulty", "circuit_class", "ports"):
-        if key not in meta:
-            raise TaskSchemaError(f"task.json: missing field '{key}'")
-    if meta["difficulty"] not in DIFFICULTIES:
-        raise TaskSchemaError(
-            f"task.json.difficulty: {meta['difficulty']!r} not in {DIFFICULTIES}")
-    if meta["circuit_class"] not in CIRCUIT_CLASSES:
-        raise TaskSchemaError(
-            f"task.json.circuit_class: {meta['circuit_class']!r} "
-            f"not in {CIRCUIT_CLASSES}")
 
-    if type(meta["ports"]) is not list \
-            or not all(isinstance(pdoc, dict) for pdoc in meta["ports"]):
-        raise TaskSchemaError("task.json.ports: must be a list of objects")
-    ports: list[Port] = []
-    for i, pdoc in enumerate(meta["ports"]):
-        where = f"task.json.ports[{i}]"
-        try:
-            direction = PortDir(pdoc["dir"])
-        except (KeyError, ValueError):
-            raise TaskSchemaError(f"{where}.dir: must be 'in' or 'out'") from None
-        width, lsb = pdoc.get("width", 1), pdoc.get("lsb", 0)
-        if type(width) is not int or width < 1:  # bool is not a width
-            raise TaskSchemaError(f"{where}.width: must be an integer >= 1")
-        if type(lsb) is not int or lsb < 0:
-            raise TaskSchemaError(f"{where}.lsb: must be an integer >= 0")
-        name = pdoc.get("name")
-        if name is not None and type(name) is not str:
-            raise TaskSchemaError(f"{where}.name: must be a string")
-        if not name or any(p.name == name for p in ports):
-            raise TaskSchemaError(f"{where}.name: missing or duplicate")
-        ports.append(Port(name, direction, width, lsb))
-    port_map = {p.name: p for p in ports}
+def _load_pack(root: str) -> TaskPack:
+    meta, where = _read_json(root, "task.json"), "task.json"
+    take(meta, "schema_version", where, int, ok=SCHEMA_VERSION.__eq__,
+         need=f"the integer {SCHEMA_VERSION}")
+    task_id, title = (take(meta, key, where, str) for key in ("id", "title"))
+    difficulty = take(meta, "difficulty", where, *DIFFICULTIES)
+    circuit_class = take(meta, "circuit_class", where, *CIRCUIT_CLASSES)
 
-    clock = meta.get("clock")
-    if meta["circuit_class"] == "combinational":
-        if clock is not None:
-            raise TaskSchemaError("task.json.clock: combinational tasks "
-                                  "must not declare a clock")
+    port_map: dict[str, Port] = {}
+    for i, pdoc in enumerate(take(meta, "ports", where, list[dict])):
+        at = f"task.json.ports[{i}]"
+        direction = PortDir(take(pdoc, "dir", at, *(d.value for d in PortDir)))
+        width = take(pdoc, "width", at, int, default=1, ok=lambda w: w >= 1,
+                     need="an integer >= 1")
+        lsb = take(pdoc, "lsb", at, int, default=0, ok=lambda b: b >= 0,
+                   need="an integer >= 0")
+        name = take(pdoc, "name", at, str,
+                    ok=lambda n: n and n not in port_map,
+                    need="a non-empty string no other port has")
+        port_map[name] = Port(name, direction, width, lsb)
+    ports = tuple(port_map.values())
+
+    combinational = circuit_class == "combinational"
+    if combinational:
+        clock = take(meta, "clock", where, None, default=None,
+                     need="null in a combinational task")
     else:
-        if type(clock) is not str or clock not in port_map \
-                or port_map[clock].direction is not PortDir.IN \
-                or port_map[clock].width != 1:
+        clock = meta.get("clock")
+        port = port_map.get(clock) if is_json(clock, str) else None
+        if port is None or port.direction is not PortDir.IN \
+                or port.width != 1:
             raise TaskSchemaError("task.json.clock: sequential tasks need a "
                                   "1-bit input clock port")
-    tags = meta.get("tags", [])
-    if type(tags) is not list or not all(type(t) is str for t in tags):
-        raise TaskSchemaError("task.json.tags: must be a list of strings")
+    tags = take(meta, "tags", where, list[str], default=[])
 
-    spec_path = os.path.join(root, "spec.txt")
-    if not os.path.exists(spec_path):
-        raise TaskSchemaError("missing spec.txt")
-    spec_text = _read_text(spec_path)
-
-    tb_path = os.path.join(root, "testbench.json")
-    if not os.path.exists(tb_path):
-        raise TaskSchemaError("missing testbench.json")
-    tb = _read_json(tb_path)
-    echo = tb.get("interface")
-    if echo is not None:
-        declared = {p.name: {"dir": p.direction.value, "width": p.width}
-                    for p in ports}
-        if echo != declared:
-            raise TaskSchemaError(
-                "testbench.json.interface: echo does not match the ports "
-                "declared in task.json")
-    cycles = tb.get("cycles", 1)
-    if type(cycles) is not int or cycles < 1:
-        raise TaskSchemaError("testbench.json.cycles: must be an integer >= 1")
-    combinational = meta["circuit_class"] == "combinational"
+    spec_text = _read_text(root, "spec.txt")
+    tb, where = _read_json(root, "testbench.json"), "testbench.json"
+    echo = take(tb, "interface", where, dict, None, default=None)
+    if echo is not None and echo != {
+            p.name: {"dir": p.direction.value, "width": p.width}
+            for p in ports}:
+        raise TaskSchemaError(
+            "testbench.json.interface: echo does not match the ports "
+            "declared in task.json")
+    cycles = take(tb, "cycles", where, int, default=1, ok=lambda c: c >= 1,
+                  need="an integer >= 1")
     in_names, out_names = (_bit_names(ports, d) for d in PortDir)
-    vectors = tb.get("vectors", [])
-    if type(vectors) is not list:
-        raise TaskSchemaError("testbench.json.vectors: must be a list")
-    packed = _pack_testbench(vectors, port_map, in_names, out_names,
-                             combinational)
+    packed = _pack_testbench(take(tb, "vectors", where, list, default=[]),
+                             port_map, in_names, out_names, combinational)
     if not packed.checked:
         raise TaskSchemaError("testbench.json: no vector checks anything")
     # Refuse at load what no design could be simulated against.
@@ -305,43 +276,35 @@ def load_task_pack(path: str | os.PathLike) -> TaskPack:
         raise TaskSchemaError(f"testbench.json: {exc}") from None
 
     reference = None
-    ref = meta.get("human_reference")
+    ref = take(meta, "human_reference", "task.json", dict, None, default=None)
     if ref is not None:
-        if not isinstance(ref, dict):
-            raise TaskSchemaError("task.json.human_reference: must be an object")
-        reference = HumanReference(ref.get("gate_count"), ref.get("delay"),
-                                   ref.get("register_count", 0))
-        for key, value in asdict(reference).items():
-            if type(value) is not int:  # no bool, float or numeric string
-                raise TaskSchemaError(
-                    f"task.json.human_reference.{key}: must be an integer")
+        where = "task.json.human_reference"
+        reference = HumanReference(
+            take(ref, "gate_count", where, int), take(ref, "delay", where, int),
+            take(ref, "register_count", where, int, default=0))
         g, d, r = reference.gate_count, reference.delay, reference.register_count
         if min(g, d, r) < 0 or g + d == 0 or r > g:
             raise TaskSchemaError(
                 "task.json.human_reference: needs gate_count and delay >= 0, "
                 "not both 0, and 0 <= register_count <= gate_count")
         sei = measure(reference.report)
-        declared = ref.get("sei")
-        if declared is not None and type(declared) not in (int, float):
-            raise TaskSchemaError(
-                "task.json.human_reference.sei: must be a number")
+        declared = take(ref, "sei", where, float, None, default=None)
         if declared is not None and abs(declared - sei) > 5e-5:
             raise TaskSchemaError(
                 f"task.json.human_reference.sei: {declared} does not match "
                 f"1/(G+D) = {sei:.6f}")
 
     ref_text = None
-    ref_path = os.path.join(root, "reference.nl")
-    if os.path.exists(ref_path):
-        ref_text = _read_text(ref_path)
+    if os.path.exists(os.path.join(root, "reference.nl")):
+        ref_text = _read_text(root, "reference.nl")
 
     return TaskPack(
-        id=str(meta["id"]),
-        title=str(meta["title"]),
-        difficulty=meta["difficulty"],
-        circuit_class=meta["circuit_class"],
+        id=task_id,
+        title=title,
+        difficulty=difficulty,
+        circuit_class=circuit_class,
         spec_text=spec_text,
-        ports=tuple(ports),
+        ports=ports,
         clock=clock,
         tags=tuple(tags),
         testbench=Testbench(cycles, packed),
@@ -434,6 +397,22 @@ class TaskReportRow:
     errors: int = 0
 
 
+# Each results row field, in file order: (key, JSON types, value when
+# absent).
+_ROW_FIELDS = (
+    ("task_id", (str,), REQUIRED),
+    ("difficulty", (str,), REQUIRED),
+    ("n", (int,), REQUIRED),
+    ("c", (int,), REQUIRED),
+    ("pass_at", (dict[str, float],), REQUIRED),
+    ("best_gate_count", (int, None), REQUIRED),
+    ("best_delay", (int, None), REQUIRED),
+    ("best_sei", (float, None), REQUIRED),
+    ("status", (str,), REQUIRED),
+    ("errors", (int,), 0),
+)
+
+
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: tuple[TaskReportRow, ...]
@@ -453,18 +432,8 @@ def emit_report(report: BenchmarkReport, fmt: str = "machine") -> str:
             "schema_version": REPORT_SCHEMA_VERSION,
             "config": report.config,
             "tasks": [
-                {
-                    "task_id": r.task_id,
-                    "difficulty": r.difficulty,
-                    "n": r.n,
-                    "c": r.c,
-                    "pass_at": {str(k): v for k, v in sorted(r.pass_at.items())},
-                    "best_gate_count": r.best_gate_count,
-                    "best_delay": r.best_delay,
-                    "best_sei": r.best_sei,
-                    "status": r.status,
-                    "errors": r.errors,
-                }
+                {key: getattr(r, key) for key, _, _ in _ROW_FIELDS}
+                | {"pass_at": {str(k): v for k, v in sorted(r.pass_at.items())}}
                 for r in report.rows
             ],
             "difficulty_pass_at_1": {k: report.difficulty_pass_at_1[k]
@@ -488,43 +457,39 @@ def emit_report(report: BenchmarkReport, fmt: str = "machine") -> str:
 def load_report(text: str) -> BenchmarkReport:
     """The report a results file holds; ValueError if `text` is not one."""
     doc = json.loads(text)
-    if type(doc) is not dict:
+    if not is_json(doc, dict):
         raise ValueError("must hold a JSON object")
-    if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ValueError("unsupported report schema version")
     try:
-        rows = tuple(
-            TaskReportRow(
-                task_id=t["task_id"],
-                difficulty=t["difficulty"],
-                n=t["n"],
-                c=t["c"],
-                pass_at={int(k): v for k, v in t["pass_at"].items()},
-                best_gate_count=t["best_gate_count"],
-                best_delay=t["best_delay"],
-                best_sei=t["best_sei"],
-                status=t["status"],
-                errors=t.get("errors", 0),
-            )
-            for t in doc["tasks"]
-        )
-        tier_doc = doc["tier"]
+        if take(doc, "schema_version", "", int, default=None) \
+                != REPORT_SCHEMA_VERSION:
+            raise ValueError("unsupported report schema version")
+        rows = []
+        for i, t in enumerate(take(doc, "tasks", "", list[dict])):
+            row = take_all(t, f"tasks[{i}]", _ROW_FIELDS)
+            row["pass_at"] = {int(k): v for k, v in row["pass_at"].items()}
+            rows.append(TaskReportRow(**row))
+        tier_doc = take(doc, "tier", "", dict)
+        bands = take(tier_doc, "bands", "tier", dict[str, list[float]],
+                     ok=lambda b: all(len(v) == 2 for v in b.values()),
+                     need="an object of [low, high] number pairs")
         tier = TierVerdict(
-            tier=tier_doc["tier"],
-            benchmark_sei=tier_doc["benchmark_sei"],
-            bands={k: (v[0], v[1]) for k, v in tier_doc["bands"].items()},
-            in_gap=tier_doc["in_gap"],
+            tier=take(tier_doc, "tier", "tier", str),
+            benchmark_sei=take(tier_doc, "benchmark_sei", "tier", float),
+            bands={k: (v[0], v[1]) for k, v in bands.items()},
+            in_gap=take(tier_doc, "in_gap", "tier", bool),
         )
         return BenchmarkReport(
-            rows=rows,
-            difficulty_pass_at_1=doc["difficulty_pass_at_1"],
-            difficulty_sei=doc["difficulty_sei"],
-            overall_sei=doc["overall_sei"],
+            rows=tuple(rows),
+            difficulty_pass_at_1=take(doc, "difficulty_pass_at_1", "",
+                                      dict[str, float]),
+            difficulty_sei=take(doc, "difficulty_sei", "", dict[str, float]),
+            overall_sei=take(doc, "overall_sei", "", float),
             tier=tier,
-            config=doc.get("config", {}),
+            config=take(doc, "config", "", dict, default={}),
         )
-    except (LookupError, AttributeError, TypeError) as exc:
-        raise ValueError(f"missing or malformed field: {exc}") from None
+    except FieldError as exc:
+        raise ValueError(f"missing or malformed field: {exc.field!r} must "
+                         f"be {exc.need}") from None
 
 
 def _render_table(report: BenchmarkReport) -> str:

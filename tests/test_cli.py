@@ -268,8 +268,11 @@ def test_backend_selector_from_config_file(capsys, script_path, tmp_path):
     ("run", [], {"samples_per_tsk": 3},
      "unexpected keyword argument 'samples_per_tsk'"),
     ("bench", [], [1], "--config must hold a JSON object"),
+    ("run", [], {"temperature": "hot"}, "temperature: must be a number"),
+    ("bench", [], {"pass_ks": [True]}, "pass_ks: must be a list of integers"),
 ], ids=["k-above-n", "k-zero", "n-zero", "workers-zero", "bench-weights",
-        "run-weights", "unknown-key", "not-an-object"])
+        "run-weights", "unknown-key", "not-an-object", "temperature-string",
+        "pass-ks-bool"])
 def test_bad_run_config_values_are_usage_errors(
         capsys, script_path, tmp_path, command, args, config, message):
     argv = [command, "--backend", f"scripted:{script_path}",
@@ -361,12 +364,22 @@ def test_a_tasks_dir_without_packs_ends_the_command(
      "'replies' list"),
     ('{"default": "no idea"}', "scripted:{tmp}/script.json",
      "invalid backend: script {tmp}/script.json: 'default' must be a list"),
+    ('{"rules": [{"contains": 5, "replies": ["x"]}]}',
+     "scripted:{tmp}/script.json", "invalid backend: script "
+     "{tmp}/script.json: rules[0] needs a 'contains' string or null"),
+    ('{"rules": [{"replies": [7]}]}', "scripted:{tmp}/script.json",
+     "invalid backend: script {tmp}/script.json: rules[0] needs a "
+     "'replies' list of strings"),
+    ('{"identity": ["a"], "default": []}', "scripted:{tmp}/script.json",
+     "invalid backend: script {tmp}/script.json: 'identity' must be a "
+     "string"),
     (None, "carrier-pigeon:coop",
      "invalid backend: unknown backend selector: carrier-pigeon:coop"),
     (None, "http://localhost:9/v1",
      "invalid backend: http backends need a model identifier"),
 ], ids=["missing-script", "unparsable-script", "list-script",
-        "rule-without-replies", "default-not-a-list", "unknown-selector",
+        "rule-without-replies", "default-not-a-list", "contains-integer",
+        "reply-integer", "identity-list", "unknown-selector",
         "http-without-model"])
 def test_bad_backend_selectors_are_usage_errors(
         capsys, tmp_path, command, script, backend, message):
@@ -417,6 +430,30 @@ def test_an_unreadable_results_file_is_a_usage_error(
     assert "Traceback" not in err
 
 
+RESULTS = {
+    "schema_version": 1, "config": {"backend": "scripted"},
+    "tasks": [{"task_id": "xnor2", "difficulty": "easy", "n": 1, "c": 1,
+               "pass_at": {"1": 1.0}, "best_gate_count": 2, "best_delay": 2,
+               "best_sei": 0.25, "status": "verified", "errors": 0}],
+    "difficulty_pass_at_1": {"easy": 1.0}, "difficulty_sei": {"easy": 0.25},
+    "overall_sei": 0.25,
+    "tier": {"tier": "top", "benchmark_sei": 0.25, "in_gap": False,
+             "bands": {"top": [0.2, 1.0]}},
+}
+
+
+def results_with(path: str, value) -> bytes:
+    """RESULTS as a file's bytes, with the field at `path` (keys and list
+    indices joined by '/') set to `value`."""
+    doc = json.loads(json.dumps(RESULTS))
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("content,reason", [
     (b"{", "Expecting property name enclosed in double quotes"),
     (b"[]", "must hold a JSON object"),
@@ -424,8 +461,22 @@ def test_an_unreadable_results_file_is_a_usage_error(
     (b'{"schema_version": 1}', "missing or malformed field: 'tasks'"),
     (b'{"schema_version": 1, "tasks": [1]}', "missing or malformed field: "),
     (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    (results_with("tasks/0/best_sei", "x"), "missing or malformed field: "
+     "'tasks[0].best_sei' must be a number or null"),
+    (results_with("overall_sei", "x"),
+     "missing or malformed field: 'overall_sei' must be a number"),
+    (results_with("difficulty_pass_at_1/easy", "x"), "missing or malformed "
+     "field: 'difficulty_pass_at_1' must be an object of numbers"),
+    (results_with("difficulty_pass_at_1", [1.0]), "missing or malformed "
+     "field: 'difficulty_pass_at_1' must be an object of numbers"),
+    (results_with("tasks/0/pass_at/1", "x"), "missing or malformed field: "
+     "'tasks[0].pass_at' must be an object of numbers"),
+    (results_with("schema_version", True),
+     "missing or malformed field: 'schema_version' must be an integer"),
 ], ids=["unparsable", "list", "old-schema", "no-tasks", "task-not-an-object",
-        "not-utf-8"])
+        "not-utf-8", "best-sei-string", "overall-sei-string",
+        "difficulty-pass-string", "difficulty-pass-list", "pass-at-string",
+        "schema-version-bool"])
 def test_a_file_that_is_not_a_results_file_is_a_usage_error(
         capsys, tmp_path, content, reason):
     path = tmp_path / "results.json"
@@ -533,6 +584,63 @@ def test_an_unparsable_index_is_a_usage_error(capsys, script_path, tmp_path,
         f"{store / 'index.jsonl'}:1: unparsable index record" in err
     assert "Traceback" not in err
     assert (store / "index.jsonl").read_text() == "garbage\n{}\n"
+
+
+@pytest.mark.parametrize("field,value,need", [
+    ("sei", "high", "a number or null"),
+    ("tags", 5, "a list of strings"),
+    ("kind", 7, "a string"),
+    ("name", 3, "a string"),
+    ("status", "weird", "'primary' or 'archived'"),
+], ids=["sei-string", "tags-integer", "kind-integer", "name-integer",
+        "status-unknown"])
+def test_a_wrong_typed_index_record_is_a_usage_error(capsys, tmp_path, field,
+                                                     value, need):
+    store = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store)]) == 0
+    index = store / "index.jsonl"
+    first, rest = index.read_text().split("\n", 1)
+    index.write_text(json.dumps({**json.loads(first), field: value}) + "\n"
+                     + rest)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "inspect", "--dir", str(store)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge store: error: cannot open --dir {store}: {index}:1: " \
+        f"invalid index record: {field}: must be {need}" in err
+    assert "Traceback" not in err
+
+
+def test_a_pattern_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    store = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store)]) == 0
+    pattern = store / "patterns" / "1.nl"
+    pattern.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "inspect", "--dir", str(store)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge store: error: cannot open --dir {store}: {pattern}: " \
+        "must be UTF-8 text (byte 0: invalid start byte)" in err
+    assert "Traceback" not in err
+
+
+def test_seeding_a_store_that_holds_entries_is_a_usage_error(capsys,
+                                                             tmp_path):
+    store = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store)]) == 0
+    files = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "seed", "--dir", str(store)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gateforge store: error: cannot seed --dir {store}: " in err
+    assert "Traceback" not in err
+    assert {p: p.read_bytes() for p in store.rglob("*") if p.is_file()} \
+        == files
 
 
 @pytest.mark.parametrize("command", ["inspect", "run", "bench"])

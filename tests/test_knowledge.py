@@ -365,11 +365,22 @@ def test_equal_primaries_at_load_keep_the_lower_id(tmp_path):
             ] == [(1, "primary"), (2, "archived")]
 
 
-def test_torn_last_line_is_dropped_at_load(tmp_path):
+def retype_last_line(store):
+    """The last record complete but for its newline, with a string sei."""
+    with open(store.index_path, "rb") as fh:
+        head, _, last = fh.read().rstrip(b"\n").rpartition(b"\n")
+    with open(store.index_path, "wb") as fh:
+        fh.write(head + b"\n" + json.dumps(
+            {**json.loads(last), "sei": "high"}).encode())
+
+
+@pytest.mark.parametrize("tear", [tear_last_line, retype_last_line],
+                         ids=["cut", "wrong-typed"])
+def test_torn_last_line_is_dropped_at_load(tmp_path, tear):
     store = KnowledgeStore(tmp_path / "store")
     store.store(make_pattern_entry(build_half_adder()))
     store.store(make_pattern_entry(build_full_adder()))
-    tear_last_line(store)
+    tear(store)
     reopened = KnowledgeStore(tmp_path / "store")
     assert [e.name for e in reopened.entries()] == ["half_adder"]
 

@@ -196,13 +196,15 @@ def _set_reference(key, value):
     ("ports", lambda meta: meta.update({"ports": 5})),
     ("ports", lambda meta: meta.update({"ports": [3]})),
     ("ports[1].name", _set_port(1, "name", ["b"])),
+    ("id", lambda meta: meta.update({"id": None})),
+    ("schema_version", lambda meta: meta.update({"schema_version": True})),
     ("", "{"),
     ("", "[]"),
 ], ids=["lsb-string", "lsb-negative", "width-bool", "width-float",
         "gate-count-float", "gate-count-string", "delay-bool",
         "register-count-float", "sei-string", "tags-string", "tags-non-string",
-        "ports-integer", "ports-integer-item", "name-list", "unparsable-json",
-        "top-level-list"])
+        "ports-integer", "ports-integer-item", "name-list", "id-null",
+        "schema-version-bool", "unparsable-json", "top-level-list"])
 def test_non_integer_task_fields_are_schema_errors(tmp_path, field, mutate):
     path = copy_pack("adder2", tmp_path, mutate_meta=mutate)
     with pytest.raises(TaskSchemaError) as exc:
