@@ -6,7 +6,10 @@ n=1 with one worker and twice at n=N, with one worker and with four.
 Three scripts supply the replies: the reference; the reference with an
 inverter pair after its first gate, then the reference; and the padded
 design only, which admits a 17-gate alu1 whose connected subsets pass
-the enumeration cap.
+the enumeration cap. A scripted backend gives every sample of a task the
+same replies, so a fourth backend answers even samples from the padded
+script and odd samples from the reference script: its sweeps show the
+order in which a task's samples are collected.
 
 For each sweep one line of `data/sweep_golden.txt` holds the sha256 of
 the results file, of the index records without their admission time and
@@ -29,9 +32,12 @@ import io
 import json
 import re
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
-from gateforge.cli import main
+from gateforge import cli
+from gateforge.backends import ModelBackend, ScriptedBackend
 from gateforge.taskpack import builtin_task_packs
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "sweep_golden.txt"
@@ -72,6 +78,23 @@ def scripts() -> dict[str, dict]:
             "padded": script(lambda ref: [padded(ref)])}
 
 
+class BySample(ModelBackend):
+    """Even samples answer from one backend, odd samples from another, so
+    the samples of a task differ."""
+
+    identity = "scripted"
+
+    def __init__(self, even: ModelBackend, odd: ModelBackend):
+        self.sides, self.current = (even, odd), threading.local()
+
+    def start_sample(self, task_id: str, sample_index: int) -> None:
+        self.current.side = self.sides[sample_index % 2]
+        self.current.side.start_sample(task_id, sample_index)
+
+    def complete(self, messages, params) -> str:
+        return self.current.side.complete(messages, params)
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -81,7 +104,7 @@ def _quiet_main(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
+        assert cli.main(argv) == 0
     return out.getvalue()
 
 
@@ -89,10 +112,16 @@ def sweep_line(root: Path, name: str, profile: str, n: int,
                workers: int) -> str:
     tag = f"{name}-{profile}-n{n}-w{workers}"
     store, results = root / tag, root / f"{tag}.json"
-    _quiet_main(["bench", "--backend", f"scripted:{root / name}.json",
-                 "--profile", profile, "--n", str(n),
-                 "--workers", str(workers), "--store", str(store),
-                 "--out", str(results)])
+    backend = contextlib.nullcontext()
+    if name == "by-sample":
+        backend = mock.patch.object(cli, "create_backend", lambda *_: BySample(
+            ScriptedBackend.from_file(f"{root}/padded.json"),
+            ScriptedBackend.from_file(f"{root}/reference.json")))
+    with backend:
+        _quiet_main(["bench", "--backend", f"scripted:{root / name}.json",
+                     "--profile", profile, "--n", str(n),
+                     "--workers", str(workers), "--store", str(store),
+                     "--out", str(results)])
     records = [{k: v for k, v in json.loads(line).items()
                 if k != "created_at"}
                for line in (store / "index.jsonl").read_text().splitlines()]
@@ -105,11 +134,13 @@ def sweep_line(root: Path, name: str, profile: str, n: int,
 
 
 def golden_lines(root: Path) -> list[str]:
-    for name, doc in scripts().items():
+    docs = scripts()
+    for name, doc in docs.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
+    # At n=1 the by-sample backend is the padded script.
     lines = [sweep_line(root, name, profile, n, workers)
-             for name in scripts() for profile in PROFILES
-             for n, workers in RUNS]
+             for name in [*docs, "by-sample"] for profile in PROFILES
+             for n, workers in RUNS if name != "by-sample" or n > 1]
     return lines + [
         "tasks-validate " + _sha(_quiet_main(["tasks", "validate"]).encode())]
 
