@@ -106,16 +106,17 @@ class ScriptedBackend(ModelBackend):
                                        default=[])):
                 at = f"rules[{i}]"
                 rules.append(ScriptRule(
-                    replies=tuple(take(r, "replies", at, list[str])),
-                    contains=take(r, "contains", at, str, None, default=None),
-                    name=take(r, "name", at, str, default="")))
+                    replies=tuple(take(r, "replies", at, list[str],
+                                       need="list of strings")),
+                    contains=take(r, "contains", at, str, None, default=None,
+                                  need="string or null"),
+                    name=take(r, "name", at, str, default="", need="string")))
             default = take(doc, "default", "", list[str], default=None)
             identity = take(doc, "identity", "", str, default="scripted")
         except FieldError as exc:
-            # A rule's fault names the rule; any other names its key.
             raise ValueError(f"script {path}: " + (
-                f"{exc.where} needs a {exc.key!r} {exc.need.split(' ', 1)[1]}"
-                if exc.where else f"{exc.key!r} must be {exc.need}")) from None
+                f"{exc.where} needs a {exc.key!r} {exc.need}" if exc.where
+                else exc.quoted)) from None
         if default is not None:
             rules.append(ScriptRule(replies=tuple(default), contains=None,
                                     name="default"))

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
 import tempfile
 
 from .backends import create_backend
-from .jsonfields import is_json, take
+from .jsonfields import is_json, json_fields, take_all
 from .knowledge import AdmissionError, KnowledgeStore, StoreError
 from .metrics import MetricWeights
 from .orchestrator import RunConfig, run_benchmark, run_task, summarize
@@ -33,13 +32,6 @@ from .taskpack import (
 )
 
 
-# A --config value holds the JSON type of its RunConfig field's default;
-# RunConfig refuses keys it has no field for.
-_CONFIG_TYPES = {int: (int,), bool: (bool,), float: (float,),
-                 tuple: (list[int],), MetricWeights: (dict[str, float],),
-                 type(None): (str, None)}
-
-
 def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
     """The run config from --config and the command's own options. A
     --config file that cannot be read, or a value the config refuses, is a
@@ -51,9 +43,9 @@ def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
                 doc = json.load(fh)
             if not is_json(doc, dict):
                 raise ValueError("--config must hold a JSON object")
-            for f in dataclasses.fields(RunConfig):
-                take(doc, f.name, args.config, *_CONFIG_TYPES[type(f.default)],
-                     default=None)
+            # RunConfig refuses keys it has no field for.
+            take_all(doc, args.config, json_fields(
+                RunConfig, weights=(dict[str, float],)))
         weights_doc = doc.pop("weights", None)
         doc.update({k: v for k, v in overrides.items() if v is not None})
         if "pass_ks" in doc:

@@ -1,19 +1,31 @@
 """Checked reads of the JSON files gateforge takes from outside.
 
 Task packs, store index records, results files, backend scripts and run
-configs are written outside the program, and their readers take every
-field through `take` or `take_all`. So this module alone decides the type
-rule (a boolean is not an integer or a number; an integer is a number) and
-names each fault `<where>.<key>: must be <need>`.
+configs are written outside the program. Their readers take every field
+through `take`, or through `take_all` and a table that `json_fields` reads
+off a dataclass. So this module alone decides the type rule (a boolean is
+not an integer or a number; an integer is a number) and names each fault
+`<where>.<key>: must be <need>`.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 REQUIRED = object()   # `take`'s default: the key must be present
-_NAMES = {dict: ("an object", "objects"), list: ("a list", "lists"),
-          str: ("a string", "strings"), int: ("an integer", "integers"),
-          float: ("a number", "numbers"), bool: ("a boolean", "booleans"),
-          None: ("null", "nulls")}
+# How a fault names each JSON type a reader asks for.
+_NAMES = {dict: "an object", list: "a list", str: "a string",
+          int: "an integer", float: "a number", bool: "a boolean",
+          None: "null", list[dict]: "a list of objects",
+          list[str]: "a list of strings", list[int]: "a list of integers",
+          dict[str, float]: "an object of numbers",
+          dict[int, float]: "an object of numbers keyed by integers"}
+# The JSON types of a dataclass field, by its annotation.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (float,),
+               "bool": (bool,), "str | None": (str, None),
+               "int | None": (int, None), "float | None": (float, None),
+               "tuple[str, ...]": (list[str],), "tuple[int, ...]": (list[int],),
+               "dict[int, float]": (dict[int, float],)}
 
 
 class FieldError(ValueError):
@@ -22,31 +34,26 @@ class FieldError(ValueError):
     def __init__(self, where: str, key: str, need: str):
         self.where, self.key, self.need = where, key, need
         self.field = f"{where}.{key}" if where else key
+        self.quoted = f"{self.field!r} must be {need}"   # the other form
         super().__init__(f"{self.field}: must be {need}")
 
 
 def is_json(value, *types) -> bool:
     """Whether `value` holds one of the JSON `types`: dict, list, str, int,
-    float, bool, None or a string literal such as "in"; `list[T]` and
-    `dict[str, T]` type elements too."""
+    float, bool, None, a string literal such as "in", or a typed container
+    `list[T]`, `dict[str, T]` or `dict[int, T]` (keys spell integers)."""
     if type(value) in types or (value is None or type(value) is str) \
-            and value in types:
+            and value in types or type(value) is int and float in types:
         return True
-    for t in types:   # an int as a number, or a typed container
+    for t in types:   # a typed container
         args = getattr(t, "__args__", ())
-        if t is float and type(value) is int or args and type(value) is \
-                t.__origin__ and all(is_json(v, args[-1]) for v in (
-                    value.values() if type(value) is dict else value)):
-            return True
+        if args and type(value) is t.__origin__:
+            items = value.values() if type(value) is dict else value
+            if all(is_json(v, args[-1]) for v in items) and (
+                    len(args) == 1 or args[0] is str
+                    or all(map(str.isdecimal, value))):
+                return True
     return False
-
-
-def _name(t, several: bool = False) -> str:
-    if type(t) is str:
-        return repr(t)
-    args = getattr(t, "__args__", ())
-    name = _NAMES[getattr(t, "__origin__", t)][several]
-    return f"{name} of {_name(args[-1], True)}" if args else name
 
 
 def take(doc: dict, key: str, where: str, *types, default=REQUIRED,
@@ -54,13 +61,13 @@ def take(doc: dict, key: str, where: str, *types, default=REQUIRED,
     """`doc[key]` if it holds one of the JSON `types` and passes `ok`;
     `default` if the key is absent and one is given. Else FieldError: the
     field must be `need`, or else one of the types."""
+    if key not in doc and default is not REQUIRED:
+        return default
     value = doc.get(key, REQUIRED)
-    if value is REQUIRED:
-        if default is not REQUIRED:
-            return default
-    elif is_json(value, *types) and (ok is None or ok(value)):
+    if is_json(value, *types) and (ok is None or ok(value)):
         return value
-    raise FieldError(where, key, need or " or ".join(map(_name, types)))
+    raise FieldError(where, key, need or " or ".join(
+        repr(t) if type(t) is str else _NAMES[t] for t in types))
 
 
 def take_all(doc: dict, where: str, table) -> dict:
@@ -74,3 +81,12 @@ def take_all(doc: dict, where: str, table) -> dict:
             take(doc, key, where, *types)   # raises the field's FieldError
         values[key] = value
     return values
+
+
+def json_fields(cls, skip=(), **types) -> tuple:
+    """The `take_all` table of dataclass `cls`'s fields but `skip`, in
+    declaration order: each field's JSON types by its annotation, or
+    `types[name]`, and its default, REQUIRED where it has none."""
+    return tuple((f.name, types.get(f.name) or _JSON_TYPES[f.type],
+                  REQUIRED if f.default is MISSING else f.default)
+                 for f in fields(cls) if f.name not in skip)

@@ -26,7 +26,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 from . import parser as nl_parser
-from .jsonfields import REQUIRED, FieldError, is_json, take_all
+from .jsonfields import REQUIRED, FieldError, is_json, json_fields, take_all
 from .metrics import measure
 from .netlist import (GateKind, Netlist, NetlistBuilder, PortDir,
                       StructuralReport, gate_depths, structural_report)
@@ -98,33 +98,18 @@ class KnowledgeEntry:
     def from_record(cls, rec: dict, netlist_text: str | None) -> "KnowledgeEntry":
         """The entry an index record stands for; `rec` holds every field
         of RECORD_FIELDS, as `KnowledgeStore._parse_record` returns it."""
-        values = dict(rec)
-        tags = tuple(values.pop("tags"))
+        values = dict(rec, tags=tuple(rec["tags"]), netlist_text=netlist_text)
         provenance = Provenance(*(values.pop(key) for key in _PROVENANCE))
-        return cls(**values, tags=tags, netlist_text=netlist_text,
-                   provenance=provenance)
+        return cls(**values, provenance=provenance)
 
 
 # Each index record field, in record order: (key, JSON types, value when
-# absent). The provenance fields are stored flat.
+# absent). Every record has an id; the provenance fields are stored flat.
 RECORD_FIELDS = (
     ("id", (int,), REQUIRED),
-    ("kind", (str,), REQUIRED),
-    ("name", (str,), REQUIRED),
-    ("tags", (list[str],), []),
-    ("signature_digest", (str, None), None),
-    ("signature_kind", (str, None), None),
-    ("inputs", (int,), 0),
-    ("outputs", (int,), 0),
-    ("gate_count", (int, None), None),
-    ("delay", (int, None), None),
-    ("sei", (float, None), None),
-    ("error_class", (str, None), None),
-    ("symptom", (str, None), None),
-    ("fix", (str, None), None),
-    ("task_id", (str,), ""),
-    ("run_id", (str,), ""),
-    ("created_at", (str,), ""),
+    *json_fields(KnowledgeEntry,
+                 skip=("netlist_text", "provenance", "id", "status")),
+    *json_fields(Provenance),
     ("status", ("primary", "archived"), "primary"),
 )
 _PROVENANCE = ("task_id", "run_id", "created_at")
@@ -421,6 +406,8 @@ class KnowledgeStore(_RetrievalBase):
 
     def __init__(self, root: str | os.PathLike, verify: bool = True):
         self.root = os.fspath(root)
+        self.index_path = os.path.join(self.root, "index.jsonl")
+        self.patterns_dir = os.path.join(self.root, "patterns")
         self._lock = threading.Lock()
         self._entries: dict[int, KnowledgeEntry] = {}   # by id, in id order
         self._primaries: dict[tuple, KnowledgeEntry] = {}  # see offer_primary
@@ -435,14 +422,6 @@ class KnowledgeStore(_RetrievalBase):
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         with self._lock:
             return list(self._entries.values())
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, "index.jsonl")
-
-    @property
-    def patterns_dir(self) -> str:
-        return os.path.join(self.root, "patterns")
 
     def _pattern_path(self, entry_id: int) -> str:
         return os.path.join(self.patterns_dir, f"{entry_id}.nl")
@@ -583,12 +562,11 @@ class KnowledgeStore(_RetrievalBase):
         with self._lock:
             if self._entries:
                 raise StoreError("seed_baseline requires an empty store")
-        count = 0
-        for netlist, tags in _baseline_netlists():
+        baseline = _baseline_netlists()
+        for netlist, tags in baseline:
             self.store(make_pattern_entry(
                 netlist, tags=tags, provenance=Provenance(task_id="baseline")))
-            count += 1
-        return count
+        return len(baseline)
 
     # -- read path ----------------------------------------------------------
 

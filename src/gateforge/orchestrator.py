@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 from .backends import BackendError, ChatMessage, ModelBackend, SamplingParams
@@ -181,25 +181,16 @@ class RunConfig:
         return cls(**{**flags[profile], **overrides})
 
     def echo(self, backend_identity: str, profile: str | None = None) -> dict:
-        """Stable config summary for report embedding (no paths, no times)."""
-        return {
-            "backend": backend_identity,
-            "profile": profile,
-            "max_revisions": self.max_revisions,
-            "samples_per_task": self.samples_per_task,
-            "design_rag": self.design_rag,
-            "review_rag": self.review_rag,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "retrieval_limit": self.retrieval_limit,
-            "pass_ks": list(self.pass_ks),
-            "weights": {"alpha": self.weights.alpha, "beta": self.weights.beta,
-                        "epsilon": self.weights.epsilon,
-                        "dff_weight": self.weights.dff_weight},
-            "efficiency_accept_threshold": self.efficiency_accept_threshold,
-            "user_proxy_model": self.user_proxy_model,
-            "reviewer_phrasing_model": self.reviewer_phrasing_model,
-        }
+        """Stable config summary for report embedding (no paths, no times):
+        every field in declaration order but four. The backend stands as its
+        identity and the worker count changes no result; max_prompt_chars
+        does shape prompts, but echoing it would change every results file."""
+        unechoed = ("max_prompt_chars", "workers", "backend", "model")
+        doc = {"backend": backend_identity, "profile": profile}
+        doc |= {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in unechoed}
+        return doc | {"pass_ks": list(self.pass_ks),
+                      "weights": asdict(self.weights)}
 
 
 @dataclass
@@ -618,11 +609,10 @@ def _report_row(task: TaskPack, runs: list[TaskRun],
     n = len(runs)
     c = sum(1 for r in runs if r.status == "verified")
     errors = sum(1 for r in runs if r.status == "error")
-    best = None
-    for r in runs:
-        if r.status == "verified" and r.result and r.result.sei is not None:
-            if best is None or r.result.sei > best.sei:
-                best = r.result
+    # The first verified result with the highest index.
+    best = max((r.result for r in runs if r.status == "verified"
+                and r.result and r.result.sei is not None),
+               key=lambda result: result.sei, default=None)
     return TaskReportRow(
         task_id=task.id,
         difficulty=task.difficulty,

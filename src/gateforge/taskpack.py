@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .jsonfields import REQUIRED, FieldError, is_json, take, take_all
+from .jsonfields import FieldError, is_json, json_fields, take, take_all
 from .metrics import (
     DEFAULT_WEIGHTS,
     EvalResult,
@@ -254,13 +254,11 @@ def _load_pack(root: str) -> TaskPack:
 
     spec_text = _read_text(root, "spec.txt")
     tb, where = _read_json(root, "testbench.json"), "testbench.json"
-    echo = take(tb, "interface", where, dict, None, default=None)
-    if echo is not None and echo != {
-            p.name: {"dir": p.direction.value, "width": p.width}
-            for p in ports}:
-        raise TaskSchemaError(
-            "testbench.json.interface: echo does not match the ports "
-            "declared in task.json")
+    port_echo = {p.name: {"dir": p.direction.value, "width": p.width}
+                 for p in ports}
+    take(tb, "interface", where, dict, None, default=None,
+         ok=lambda echo: echo in (None, port_echo),
+         need="null or an echo of the ports declared in task.json")
     cycles = take(tb, "cycles", where, int, default=1, ok=lambda c: c >= 1,
                   need="an integer >= 1")
     in_names, out_names = (_bit_names(ports, d) for d in PortDir)
@@ -279,9 +277,8 @@ def _load_pack(root: str) -> TaskPack:
     ref = take(meta, "human_reference", "task.json", dict, None, default=None)
     if ref is not None:
         where = "task.json.human_reference"
-        reference = HumanReference(
-            take(ref, "gate_count", where, int), take(ref, "delay", where, int),
-            take(ref, "register_count", where, int, default=0))
+        reference = HumanReference(**take_all(ref, where,
+                                              json_fields(HumanReference)))
         g, d, r = reference.gate_count, reference.delay, reference.register_count
         if min(g, d, r) < 0 or g + d == 0 or r > g:
             raise TaskSchemaError(
@@ -397,22 +394,6 @@ class TaskReportRow:
     errors: int = 0
 
 
-# Each results row field, in file order: (key, JSON types, value when
-# absent).
-_ROW_FIELDS = (
-    ("task_id", (str,), REQUIRED),
-    ("difficulty", (str,), REQUIRED),
-    ("n", (int,), REQUIRED),
-    ("c", (int,), REQUIRED),
-    ("pass_at", (dict[str, float],), REQUIRED),
-    ("best_gate_count", (int, None), REQUIRED),
-    ("best_delay", (int, None), REQUIRED),
-    ("best_sei", (float, None), REQUIRED),
-    ("status", (str,), REQUIRED),
-    ("errors", (int,), 0),
-)
-
-
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: tuple[TaskReportRow, ...]
@@ -432,14 +413,13 @@ def emit_report(report: BenchmarkReport, fmt: str = "machine") -> str:
             "schema_version": REPORT_SCHEMA_VERSION,
             "config": report.config,
             "tasks": [
-                {key: getattr(r, key) for key, _, _ in _ROW_FIELDS}
-                | {"pass_at": {str(k): v for k, v in sorted(r.pass_at.items())}}
+                asdict(r) | {"pass_at": {str(k): v for k, v
+                                         in sorted(r.pass_at.items())}}
                 for r in report.rows
             ],
-            "difficulty_pass_at_1": {k: report.difficulty_pass_at_1[k]
-                                     for k in sorted(report.difficulty_pass_at_1)},
-            "difficulty_sei": {k: report.difficulty_sei[k]
-                               for k in sorted(report.difficulty_sei)},
+            "difficulty_pass_at_1": dict(sorted(
+                report.difficulty_pass_at_1.items())),
+            "difficulty_sei": dict(sorted(report.difficulty_sei.items())),
             "overall_sei": report.overall_sei,
             "tier": {
                 "tier": report.tier.tier,
@@ -463,9 +443,9 @@ def load_report(text: str) -> BenchmarkReport:
         if take(doc, "schema_version", "", int, default=None) \
                 != REPORT_SCHEMA_VERSION:
             raise ValueError("unsupported report schema version")
-        rows = []
+        rows, table = [], json_fields(TaskReportRow)   # fields in file order
         for i, t in enumerate(take(doc, "tasks", "", list[dict])):
-            row = take_all(t, f"tasks[{i}]", _ROW_FIELDS)
+            row = take_all(t, f"tasks[{i}]", table)
             row["pass_at"] = {int(k): v for k, v in row["pass_at"].items()}
             rows.append(TaskReportRow(**row))
         tier_doc = take(doc, "tier", "", dict)
@@ -488,8 +468,8 @@ def load_report(text: str) -> BenchmarkReport:
             config=take(doc, "config", "", dict, default={}),
         )
     except FieldError as exc:
-        raise ValueError(f"missing or malformed field: {exc.field!r} must "
-                         f"be {exc.need}") from None
+        raise ValueError(
+            f"missing or malformed field: {exc.quoted}") from None
 
 
 def _render_table(report: BenchmarkReport) -> str:

@@ -473,10 +473,13 @@ def results_with(path: str, value) -> bytes:
      "'tasks[0].pass_at' must be an object of numbers"),
     (results_with("schema_version", True),
      "missing or malformed field: 'schema_version' must be an integer"),
+    (results_with("tasks/0/pass_at", {"x": 1.0}), "missing or malformed "
+     "field: 'tasks[0].pass_at' must be an object of numbers keyed by "
+     "integers"),
 ], ids=["unparsable", "list", "old-schema", "no-tasks", "task-not-an-object",
         "not-utf-8", "best-sei-string", "overall-sei-string",
         "difficulty-pass-string", "difficulty-pass-list", "pass-at-string",
-        "schema-version-bool"])
+        "schema-version-bool", "pass-at-key-not-an-integer"])
 def test_a_file_that_is_not_a_results_file_is_a_usage_error(
         capsys, tmp_path, content, reason):
     path = tmp_path / "results.json"
