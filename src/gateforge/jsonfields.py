@@ -25,6 +25,7 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (float,),
                "bool": (bool,), "str | None": (str, None),
                "int | None": (int, None), "float | None": (float, None),
                "tuple[str, ...]": (list[str],), "tuple[int, ...]": (list[int],),
+               "dict[str, float]": (dict[str, float],),
                "dict[int, float]": (dict[int, float],)}
 
 

@@ -406,8 +406,6 @@ class KnowledgeStore(_RetrievalBase):
 
     def __init__(self, root: str | os.PathLike, verify: bool = True):
         self.root = os.fspath(root)
-        self.index_path = os.path.join(self.root, "index.jsonl")
-        self.patterns_dir = os.path.join(self.root, "patterns")
         self._lock = threading.Lock()
         self._entries: dict[int, KnowledgeEntry] = {}   # by id, in id order
         self._primaries: dict[tuple, KnowledgeEntry] = {}  # see offer_primary
@@ -422,6 +420,14 @@ class KnowledgeStore(_RetrievalBase):
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         with self._lock:
             return list(self._entries.values())
+
+    @property
+    def index_path(self) -> str:
+        return os.path.join(self.root, "index.jsonl")
+
+    @property
+    def patterns_dir(self) -> str:
+        return os.path.join(self.root, "patterns")
 
     def _pattern_path(self, entry_id: int) -> str:
         return os.path.join(self.patterns_dir, f"{entry_id}.nl")
@@ -469,8 +475,6 @@ class KnowledgeStore(_RetrievalBase):
                     verify_pattern_entry(entry)
 
     def _parse_record(self, line: bytes, lineno: int) -> dict:
-        """Every field of the record on one index line (see RECORD_FIELDS);
-        StoreError naming the line if it holds no valid record."""
         where = f"{self.index_path}:{lineno}"
         try:
             rec = json.loads(line)
@@ -562,11 +566,12 @@ class KnowledgeStore(_RetrievalBase):
         with self._lock:
             if self._entries:
                 raise StoreError("seed_baseline requires an empty store")
-        baseline = _baseline_netlists()
-        for netlist, tags in baseline:
+        count = 0
+        for netlist, tags in _baseline_netlists():
             self.store(make_pattern_entry(
                 netlist, tags=tags, provenance=Provenance(task_id="baseline")))
-        return len(baseline)
+            count += 1
+        return count
 
     # -- read path ----------------------------------------------------------
 

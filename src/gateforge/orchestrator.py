@@ -609,10 +609,11 @@ def _report_row(task: TaskPack, runs: list[TaskRun],
     n = len(runs)
     c = sum(1 for r in runs if r.status == "verified")
     errors = sum(1 for r in runs if r.status == "error")
-    # The first verified result with the highest index.
-    best = max((r.result for r in runs if r.status == "verified"
-                and r.result and r.result.sei is not None),
-               key=lambda result: result.sei, default=None)
+    best = None
+    for r in runs:
+        if r.status == "verified" and r.result and r.result.sei is not None:
+            if best is None or r.result.sei > best.sei:
+                best = r.result
     return TaskReportRow(
         task_id=task.id,
         difficulty=task.difficulty,

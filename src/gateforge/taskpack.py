@@ -452,21 +452,14 @@ def load_report(text: str) -> BenchmarkReport:
         bands = take(tier_doc, "bands", "tier", dict[str, list[float]],
                      ok=lambda b: all(len(v) == 2 for v in b.values()),
                      need="an object of [low, high] number pairs")
-        tier = TierVerdict(
-            tier=take(tier_doc, "tier", "tier", str),
-            benchmark_sei=take(tier_doc, "benchmark_sei", "tier", float),
-            bands={k: (v[0], v[1]) for k, v in bands.items()},
-            in_gap=take(tier_doc, "in_gap", "tier", bool),
-        )
+        pairs = {k: (v[0], v[1]) for k, v in bands.items()}
+        tier = TierVerdict(bands=pairs, **take_all(
+            tier_doc, "tier", json_fields(TierVerdict, skip=("bands",))))
         return BenchmarkReport(
-            rows=tuple(rows),
-            difficulty_pass_at_1=take(doc, "difficulty_pass_at_1", "",
-                                      dict[str, float]),
-            difficulty_sei=take(doc, "difficulty_sei", "", dict[str, float]),
-            overall_sei=take(doc, "overall_sei", "", float),
-            tier=tier,
+            rows=tuple(rows), tier=tier,
             config=take(doc, "config", "", dict, default={}),
-        )
+            **take_all(doc, "", json_fields(BenchmarkReport, skip=(
+                "rows", "tier", "config", "wall_seconds"))))
     except FieldError as exc:
         raise ValueError(
             f"missing or malformed field: {exc.quoted}") from None
