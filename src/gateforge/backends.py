@@ -215,12 +215,16 @@ class HttpChatBackend(ModelBackend):
                            f"{self.max_retries} retries: {last_error}")
 
     @staticmethod
-    def _reply_text(payload: dict) -> str:
+    def _reply_text(payload) -> str:
         try:
-            return payload["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError("malformed backend response: "
-                               "missing choices[0].message.content") from exc
+            reply = take({"reply": payload}, "reply", "", dict)
+            choices = take(reply, "choices", "reply", list[dict], ok=len,
+                           need="a non-empty list of objects")
+            message = take(choices[0], "message", "reply.choices[0]", dict)
+            return take(message, "content", "reply.choices[0].message",
+                        str, None) or ""
+        except FieldError as exc:
+            raise BackendError(f"malformed backend response: {exc}") from None
 
 
 def _retry_after_seconds(exc: urllib.error.HTTPError) -> float | None:

@@ -209,7 +209,8 @@ def _cmd_store(args) -> int:
         for e in store.entries(include_archived=args.all):
             line = f"#{e.id:<4} {e.kind:15s} {e.name:24s} {e.status}"
             if e.kind == "circuit-pattern":
-                line += (f"  G={e.gate_count} D={e.delay} sei={e.sei:.4f} "
+                sei = f"{e.sei:.4f}" if e.sei is not None else "n/a"
+                line += (f"  G={e.gate_count} D={e.delay} sei={sei} "
                          f"io={e.inputs}/{e.outputs} tags={','.join(e.tags)}")
             else:
                 line += f"  class={e.error_class}"

@@ -1,12 +1,12 @@
 """Multi-agent generation loop: an explicit state machine over six roles.
 
 UserProxy turns a task pack into a structured brief, Mediator routes every
-message and accounts for the revision budget, CoderAgent is the only role
-backed by the language model, Reviewer gates candidates with deterministic
-checks (parse, validate, locked-syntax compliance) and phrases feedback,
-Executor simulates, and Summarizer (`summarize`) turns verified designs into
-knowledge store entries. Static review always precedes execution, so
-nothing unparsed or structurally invalid ever reaches the simulator.
+message, CoderAgent is the only role backed by the language model,
+Reviewer gates candidates with deterministic checks (parse, validate,
+locked-syntax compliance) and phrases feedback, Executor simulates, and
+Summarizer (`summarize`) turns verified designs into knowledge store
+entries. Static review always precedes execution, so nothing unparsed or
+structurally invalid ever reaches the simulator.
 
 `run_task` only reads the store. Entries are written once per task, after
 all of its samples finish, by `summarize` on the calling thread; both
@@ -20,7 +20,10 @@ meets two exit rules: (1) the run is verified on accept, or on any candidate
 after the optimization round, keeping the best correct design; (2) otherwise,
 once the budget is spent, it is verified if a correct design is held, else
 it fails with the candidate's error. Any other candidate gets one feedback
-message and costs one revision.
+message and costs one revision. Each judged candidate leaves one `Attempt`
+record in `TaskRun.attempts`: the two rules read its verdict, the budget
+is spent once `max_revisions` attempts got feedback, and the Coder's
+prompt carries the feedback of every earlier attempt.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
+from math import inf
 
 from .backends import BackendError, ChatMessage, ModelBackend, SamplingParams
 from .boolopt import suggest_optimizations
@@ -42,12 +46,12 @@ from .knowledge import (
 )
 from .metrics import (
     DEFAULT_WEIGHTS,
+    DualReward,
     EvalResult,
     MetricWeights,
     SampleStats,
     VERDICT_ACCEPT,
     VERDICT_EFFICIENCY,
-    VERDICT_FUNCTIONAL,
     classify_tier,
     dual_reward,
     measure,
@@ -110,23 +114,17 @@ class AgentMessage:
 
 
 class Mediator:
-    """Routes messages, owns turn indices and the revision ledger."""
+    """Routes messages; a message's turn is its index in the transcript."""
 
     def __init__(self) -> None:
         self.transcript: list[AgentMessage] = []
-        self._turn = 0
-        self.revisions_used = 0
 
     def route(self, sender: str, recipient: str, kind: str, body: str,
               **attachments) -> AgentMessage:
-        msg = AgentMessage(sender, recipient, self._turn, kind, body,
-                           dict(attachments))
-        self._turn += 1
+        msg = AgentMessage(sender, recipient, len(self.transcript), kind,
+                           body, dict(attachments))
         self.transcript.append(msg)
         return msg
-
-    def charge_revision(self) -> None:
-        self.revisions_used += 1
 
 
 @dataclass(frozen=True)
@@ -193,19 +191,38 @@ class RunConfig:
                       "weights": asdict(self.weights)}
 
 
+@dataclass(frozen=True)
+class Attempt:
+    """One judged candidate. `block` is its extracted text, the review
+    memo's key; `reward` is set iff it was simulated. `feedback` is the
+    text sent back to the Coder, None iff the attempt ended the run;
+    `error_kinds` (what review-side retrieval was queried by) and
+    `attachments` (what the feedback message carried) go with it."""
+    block: str | None
+    verdict: str
+    error_kinds: tuple[str, ...] = ()
+    reward: DualReward | None = None
+    feedback: str | None = None
+    attachments: dict = field(default_factory=dict)
+
+
 @dataclass
 class TaskRun:
     task_id: str
     sample_index: int
     status: str                       # verified | failed | error
     transcript: list[AgentMessage]
-    revisions_used: int
+    attempts: list[Attempt]           # in order
     netlist_text: str | None = None
     netlist: Netlist | None = None    # the design netlist_text renders
     result: EvalResult | None = None
     run_id: str = ""                  # provenance of what summarize learns
     wall_seconds: float = 0.0
     error: str | None = None
+
+    @property
+    def revisions_used(self) -> int:
+        return sum(a.feedback is not None for a in self.attempts)
 
 
 def _format_task_brief(task: TaskPack) -> str:
@@ -253,16 +270,14 @@ def _format_retrieved(entries: list[KnowledgeEntry]) -> list[str]:
     return blocks
 
 
-def build_prompt(role: str, task: TaskPack, retrieved: list[KnowledgeEntry],
+def build_prompt(task: TaskPack, retrieved: list[KnowledgeEntry],
                  feedback: list[str], cfg: RunConfig,
                  brief: str | None = None) -> list[ChatMessage]:
-    """Deterministic prompt assembly for a model-backed role.
+    """Deterministic prompt assembly for the Coder.
 
     Retrieved examples keep their ranking order; when the prompt exceeds
     the configured budget they are dropped lowest-rank-first.
     """
-    if role != ROLE_CODER:
-        raise ValueError(f"role {role!r} is not model-backed")
     system = ("You are a gate-level circuit designer. Produce minimal, "
               "correct netlists.\n\n" + GRAMMAR_SUMMARY)
     if brief is None:
@@ -356,19 +371,97 @@ def _review_fixes(store, classes: tuple[str, ...], symptom: str,
         for cls in classes], cfg.retrieval_limit)
 
 
-def _format_fixes(fixes: list[KnowledgeEntry]) -> str:
-    if not fixes:
-        return ""
-    lines = ["", "Known fixes for similar errors:"]
-    for e in fixes:
-        lines.append(f"- [{e.error_class}] {e.symptom}: {e.fix}")
-    return "\n".join(lines)
+def _verdict(review: _Review, reference_sei: float | None,
+             cfg: RunConfig) -> tuple[str, DualReward | None]:
+    """A reviewed candidate's verdict, and its dual reward if simulated."""
+    if review.netlist is None:
+        return VERDICT_REJECTED, None
+    if review.outcome is None:
+        return VERDICT_REFUSED, None
+    reward = dual_reward(review.outcome, review.report, reference_sei,
+                         cfg.weights, cfg.efficiency_accept_threshold)
+    return reward.verdict, reward
 
 
-def _model_formalized_brief(task: TaskPack, backend: ModelBackend,
-                            cfg: RunConfig) -> str:
-    """Model-backed requirement formalization (behind a config flag)."""
+def _route_review(mediator: Mediator, review: _Review,
+                  attempt: Attempt) -> None:
+    """The Reviewer's and the Executor's messages on a judged candidate:
+    static review, simulation for a clean one, and the feedback if any."""
+    reward, text = attempt.reward, attempt.feedback
+    mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW,
+                   review.summary, errors=list(review.error_lines))
+    if review.netlist is not None:
+        # Only a candidate with a clean static review reaches the Executor.
+        mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
+                       review.rendered)
+    if review.refusal is not None:
+        mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
+                       f"simulation refused: {review.refusal}")
+    if reward is not None:
+        outcome = review.outcome
+        mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
+                       f"{outcome.passed} passed, {outcome.failed} failed",
+                       outcome=outcome, report=review.report)
+        mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_SIM_RESULT,
+                       f"correctness={reward.correctness:.3f}", reward=reward)
+    if text is not None and attempt.verdict == VERDICT_EFFICIENCY:
+        mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_EFFICIENCY_REVIEW,
+                       text, **attempt.attachments)
+        mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_FIX_REQUEST, text)
+    elif text is not None:
+        mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
+                       **attempt.attachments)
+
+
+def _feedback(verdict: str, review: _Review, reward: DualReward | None,
+              reference_sei: float | None, store, cfg: RunConfig,
+              ) -> tuple[str, tuple[str, ...], dict]:
+    """(text, error kinds, attachments) of the feedback on a candidate that
+    gets another attempt. A rejection or a mismatch queries review-side
+    retrieval by its error kinds; the other verdicts have none."""
+    if verdict == VERDICT_REFUSED:
+        return (f"The design could not be simulated: {review.refusal}\n"
+                "Correct the wiring and resend the full module."), (), {}
+    if verdict == VERDICT_EFFICIENCY:
+        hints = [h.message for h in suggest_optimizations(review.netlist)]
+        report = review.report
+        # Only a design measured against a reference index is inefficient.
+        return ("Design is functionally correct but not efficient enough."
+                f" Reference efficiency index is {reference_sei:.4f}; "
+                f"this design scores {reward.efficiency:.3f} of it."
+                f" Current: gates={report.gate_count}, delay={report.delay}."
+                + ("\nOptimization hints:\n"
+                   + "\n".join(f"- {h}" for h in hints) if hints else "")
+                + "\nResend an improved full module."), (), {"hints": hints}
+    if verdict == VERDICT_REJECTED:
+        kinds, symptom = review.error_kinds, "; ".join(review.error_lines)
+        head = ("Static review failed.\n"
+                + "\n".join(f"- {line}" for line in review.error_lines))
+        tail = "\nResend one complete module in a fenced code block."
+    else:
+        outcome, detail = review.outcome, ""
+        if outcome.first_failure is not None:
+            ff = outcome.first_failure
+            detail = (f" First failure: vector {ff.vector_index}, output "
+                      f"{ff.port_bit}, expected {ff.expected}, "
+                      f"got {ff.actual}.")
+        kinds, symptom = (FUNCTIONAL_MISMATCH,), f"simulation mismatch.{detail}"
+        head = (f"Simulation failed {outcome.failed} of "
+                f"{outcome.passed + outcome.failed} checks.{detail}")
+        tail = "\nFix the logic and resend the full module."
+    fixes = _review_fixes(store, kinds, symptom, cfg)
+    if fixes:
+        head += "\nKnown fixes for similar errors:" + "".join(
+            f"\n- [{e.error_class}] {e.symptom}: {e.fix}" for e in fixes)
+    return head + tail, kinds, {"fixes": [e.name for e in fixes]}
+
+
+def _brief(task: TaskPack, backend: ModelBackend, cfg: RunConfig) -> str:
+    """The templated task brief, or with `cfg.user_proxy_model` the model's
+    requirement formalization of it (the template again if that is empty)."""
     template = _format_task_brief(task)
+    if not cfg.user_proxy_model:
+        return template
     prompt = [
         ChatMessage("system",
                     "Rewrite the following circuit task brief as a precise, "
@@ -415,38 +508,32 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
     if reviews is None:
         reviews = {}
     mediator = Mediator()
+    attempts: list[Attempt] = []
     backend.start_sample(task.id, sample_index)
 
-    if cfg.user_proxy_model:
-        try:
-            brief = _model_formalized_brief(task, backend, cfg)
-        except BackendError as exc:
-            mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_ABORT, str(exc))
-            return TaskRun(task.id, sample_index, "error",
-                           mediator.transcript, 0,
-                           wall_seconds=time.monotonic() - t0, error=str(exc))
-    else:
-        brief = _format_task_brief(task)
+    try:
+        brief = _brief(task, backend, cfg)
+    except BackendError as exc:
+        mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_ABORT, str(exc))
+        return TaskRun(task.id, sample_index, "error", mediator.transcript,
+                       attempts, wall_seconds=time.monotonic() - t0,
+                       error=str(exc))
     mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_SPEC, brief)
     mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_SPEC, brief)
 
     retrieved = _design_retrievals(task, store, cfg)
     reference_sei = task.reference_sei(cfg.weights)
 
-    feedback: list[str] = []
-    # The best correct candidate: score, netlist, rendered text, report.
-    best: tuple[float, Netlist, str, StructuralReport] | None = None
+    # The best correct candidate: its scores, netlist and rendered text.
+    best: tuple[EvalResult, Netlist, str] | None = None
 
     def finish(status: str, error: str | None = None) -> TaskRun:
-        design = final_text = result = None
+        result = design = final_text = None
         if status == "verified":
-            _, design, final_text, report = best
-            sei = measure(report, cfg.weights)
-            result = EvalResult(1.0, report.gate_count, report.delay, sei,
-                                classify_tier(sei) if sei is not None else None)
+            result, design, final_text = best
             mediator.route(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ACCEPT,
-                           f"verified with G={report.gate_count} "
-                           f"D={report.delay}")
+                           f"verified with G={result.gate_count} "
+                           f"D={result.delay}")
         else:
             mediator.route(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ABORT,
                            error or status)
@@ -455,7 +542,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             sample_index=sample_index,
             status=status,
             transcript=mediator.transcript,
-            revisions_used=mediator.revisions_used,
+            attempts=attempts,
             netlist_text=final_text,
             netlist=design,
             result=result,
@@ -465,10 +552,8 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         )
 
     while True:
-        # A correct design is held iff the optimization round is spent.
-        optimized = best is not None
-        prompt = build_prompt(ROLE_CODER, task, retrieved, feedback, cfg,
-                              brief=brief)
+        prompt = build_prompt(task, retrieved, [a.feedback for a in attempts],
+                              cfg, brief=brief)
         try:
             reply = backend.complete(prompt, cfg.sampling)
         except BackendError as exc:
@@ -484,93 +569,37 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             # moment; the results are equal and a dict write is atomic, so
             # whichever lands last is as good as the other.
             review = reviews[block] = _review(block, task)
-        netlist, error = review.netlist, review.summary
-        mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW, error,
-                       errors=list(review.error_lines))
-        verdict = VERDICT_REJECTED
-        if netlist is not None:
-            # Only a candidate with a clean static review reaches the Executor.
-            mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
-                           review.rendered)
-            outcome, report = review.outcome, review.report
-            if outcome is None:
-                mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                               f"simulation refused: {review.refusal}")
-                verdict, error = VERDICT_REFUSED, review.refusal
-            else:
-                mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                               f"{outcome.passed} passed, {outcome.failed} failed",
-                               outcome=outcome, report=report)
-                reward = dual_reward(outcome, report, reference_sei,
-                                     cfg.weights, cfg.efficiency_accept_threshold)
-                mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_SIM_RESULT,
-                               f"correctness={reward.correctness:.3f}",
-                               reward=reward)
-                verdict = reward.verdict
-                error = (f"correctness {reward.correctness:.3f} "
-                         "after exhausting revisions")
-                if reward.correctness == 1.0:
-                    score = measure(report, cfg.weights) or float("inf")
-                    if best is None or score > best[0]:
-                        best = (score, netlist, review.rendered, report)
+        verdict, reward = _verdict(review, reference_sei, cfg)
+        if reward is not None and reward.correctness == 1.0:
+            report = review.report
+            sei = measure(report, cfg.weights)
+            if best is None or (sei or inf) > (best[0].sei or inf):
+                tier = classify_tier(sei) if sei is not None else None
+                best = (EvalResult(1.0, report.gate_count, report.delay, sei,
+                                   tier), review.netlist, review.rendered)
 
-        # Exit decision.
-        if verdict == VERDICT_ACCEPT or optimized:
+        # Exit decision. An accepted candidate is correct, and a spent
+        # optimization round means one is held, so by either rule the run
+        # is verified iff a correct design is held.
+        optimized = VERDICT_EFFICIENCY in (a.verdict for a in attempts)
+        if (verdict == VERDICT_ACCEPT or optimized
+                or len(attempts) >= cfg.max_revisions):
+            attempt = Attempt(block, verdict, reward=reward)
+        else:
+            text, kinds, attachments = _feedback(verdict, review, reward,
+                                                 reference_sei, store, cfg)
+            attempt = Attempt(block, verdict, kinds, reward,
+                              _phrase_feedback(text, backend, cfg), attachments)
+        attempts.append(attempt)
+        _route_review(mediator, review, attempt)
+        if attempt.feedback is None and best is not None:
             return finish("verified")
-        if mediator.revisions_used >= cfg.max_revisions:
-            if best is not None:
-                return finish("verified")
-            return finish("failed", error=error)
-
-        # Feedback step: the text and its attachments depend on the verdict.
-        attachments: dict = {}
-        if verdict == VERDICT_REJECTED:
-            fixes = _review_fixes(store, review.error_kinds,
-                                  "; ".join(review.error_lines), cfg)
-            attachments["fixes"] = [e.name for e in fixes]
-            text = ("Static review failed.\n"
-                    + "\n".join(f"- {line}" for line in review.error_lines)
-                    + _format_fixes(fixes)
-                    + "\nResend one complete module in a fenced code block.")
-        elif verdict == VERDICT_REFUSED:
-            text = (f"The design could not be simulated: {error}\n"
-                    "Correct the wiring and resend the full module.")
-        elif verdict == VERDICT_FUNCTIONAL:
-            detail = ""
-            if outcome.first_failure is not None:
-                ff = outcome.first_failure
-                detail = (f" First failure: vector {ff.vector_index}, output "
-                          f"{ff.port_bit}, expected {ff.expected}, "
-                          f"got {ff.actual}.")
-            fixes = _review_fixes(store, (FUNCTIONAL_MISMATCH,),
-                                  f"simulation mismatch.{detail}", cfg)
-            attachments["fixes"] = [e.name for e in fixes]
-            text = (f"Simulation failed {outcome.failed} of "
-                    f"{outcome.passed + outcome.failed} checks.{detail}"
-                    + _format_fixes(fixes)
-                    + "\nFix the logic and resend the full module.")
-        else:
-            hints = suggest_optimizations(netlist)
-            attachments["hints"] = [h.message for h in hints]
-            # Only a design measured against a reference index is inefficient.
-            text = ("Design is functionally correct but not efficient enough."
-                    f" Reference efficiency index is {reference_sei:.4f}; "
-                    f"this design scores {reward.efficiency:.3f} of it."
-                    f" Current: gates={report.gate_count}, delay={report.delay}."
-                    + ("\nOptimization hints:\n"
-                       + "\n".join(f"- {h}" for h in attachments["hints"])
-                       if hints else "")
-                    + "\nResend an improved full module.")
-        text = _phrase_feedback(text, backend, cfg)
-        feedback.append(text)
-        mediator.charge_revision()
-        if verdict == VERDICT_EFFICIENCY:
-            mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_EFFICIENCY_REVIEW,
-                           text, **attachments)
-            mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_FIX_REQUEST, text)
-        else:
-            mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
-                           **attachments)
+        if attempt.feedback is None:
+            return finish("failed", error=(
+                review.summary if review.netlist is None
+                else review.refusal if reward is None
+                else f"correctness {reward.correctness:.3f} "
+                     "after exhausting revisions"))
 
 
 def summarize(task: TaskPack, runs: list[TaskRun],

@@ -228,6 +228,40 @@ def test_http_429_retry_after_sets_the_delay(fake_http):
     assert sleeps == [2.0, 60.0]
 
 
+@pytest.mark.parametrize("payload,field", [
+    ({"choices": [{"message": {"content": 5}}]},
+     "reply.choices[0].message.content: must be a string or null"),
+    ({"choices": [{"message": {}}]},
+     "reply.choices[0].message.content: must be a string or null"),
+    ({"choices": [{"message": ["hi"]}]},
+     "reply.choices[0].message: must be an object"),
+    ({"choices": []}, "reply.choices: must be a non-empty list of objects"),
+    ({"choices": ["hi"]}, "reply.choices: must be a non-empty list of objects"),
+    ({}, "reply.choices: must be a non-empty list of objects"),
+    (["hi"], "reply: must be an object"),
+], ids=["content-integer", "content-missing", "message-list", "choices-empty",
+        "choice-string", "choices-missing", "reply-list"])
+def test_a_malformed_reply_fails_at_once(fake_http, monkeypatch, payload,
+                                         field):
+    import urllib.request
+
+    calls = []
+
+    def urlopen(req, timeout):
+        calls.append(req)
+        return _FakeReply(payload)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    backend = HttpChatBackend("http://stub.invalid/v1", model="m")
+    with pytest.raises(BackendError) as exc:
+        backend.complete(msg("x"), PARAMS)
+    assert str(exc.value) == f"malformed backend response: {field}"
+    assert len(calls) == 1 and fake_http[1] == []   # no retry, no sleep
+    # A null content is an empty reply.
+    assert HttpChatBackend._reply_text(
+        {"choices": [{"message": {"content": None}}]}) == ""
+
+
 def test_http_400_still_fails_at_once(fake_http):
     queue, sleeps = fake_http
     queue.extend([400, "ok"])

@@ -210,6 +210,15 @@ def test_store_subcommands(capsys, tmp_path):
     assert "half_adder" in out
     assert main(["store", "verify", "--dir", store_dir]) == 0
     assert main(["store", "compact", "--dir", store_dir]) == 0
+    # A pattern record without an index is valid; only verification
+    # refuses it, so an unverified inspect shows it.
+    index = tmp_path / "store" / "index.jsonl"
+    first, rest = index.read_text().split("\n", 1)
+    index.write_text(json.dumps({**json.loads(first), "sei": None}) + "\n"
+                     + rest)
+    capsys.readouterr()
+    assert main(["store", "inspect", "--no-verify", "--dir", store_dir]) == 0
+    assert "sei=n/a" in capsys.readouterr().out.split("\n")[0]
 
 
 def test_store_verify_lists_problems_instead_of_failing_at_load(

@@ -254,7 +254,7 @@ def test_extraction_renders_only_what_it_emits(tmp_path, monkeypatch):
     # Two samples with one design: the Summarizer extracts it once, from
     # the run's own netlist and text.
     renders.clear()
-    runs = [TaskRun("adder4", i, "verified", [], 0, netlist_text=text,
+    runs = [TaskRun("adder4", i, "verified", [], [], netlist_text=text,
                     netlist=netlist) for i in range(2)]
     admitted = summarize(ADDER4, runs, KnowledgeStore(tmp_path / "store"))
     assert admitted == got

@@ -9,13 +9,22 @@ import pytest
 from gateforge import orchestrator
 from gateforge.backends import BackendError, ModelBackend, ScriptRule, ScriptedBackend
 from gateforge.knowledge import KnowledgeStore, make_error_fix_entry
-from gateforge.metrics import MetricWeights, SampleStats, pass_at_k
+from gateforge.metrics import (
+    VERDICT_ACCEPT,
+    VERDICT_EFFICIENCY,
+    VERDICT_FUNCTIONAL,
+    MetricWeights,
+    SampleStats,
+    pass_at_k,
+)
 from gateforge.netlist import structural_report
 from gateforge.orchestrator import (
+    FUNCTIONAL_MISMATCH,
     MSG_CANDIDATE,
     MSG_EFFICIENCY_REVIEW,
     MSG_FIX_REQUEST,
     ROLE_CODER,
+    VERDICT_REJECTED,
     RunConfig,
     build_prompt,
     run_benchmark,
@@ -172,6 +181,34 @@ def test_full_feedback_ladder_in_one_run():
     assert any("behavioral-construct" in b for b in fixes)
     assert any("First failure" in b for b in fixes)
     assert any("not efficient enough" in b for b in fixes)
+
+
+def test_attempts_record_each_judged_candidate():
+    # A feedback ladder read from the run's attempt records: one per
+    # candidate, with the feedback each one got in fix-request order.
+    padded = FA.reference_netlist.replace(
+        "  xor g3(sum, w1, cin);",
+        "  wire spare_n0, spare_n1;\n  xor g3(spare_n0, w1, cin);\n"
+        "  not gspare1(spare_n1, spare_n0);\n  not gspare2(sum, spare_n1);")
+    assert padded != FA.reference_netlist
+    backend = single_rule_backend(BEHAVIORAL_REPLY, WRONG_LOGIC_REPLY,
+                                  fenced(padded), correct_reply())
+    run = run_task(FA, cfg(max_revisions=3), backend, None)
+    assert run.status == "verified"
+    assert [a.verdict for a in run.attempts] == [
+        VERDICT_REJECTED, VERDICT_FUNCTIONAL, VERDICT_EFFICIENCY,
+        VERDICT_ACCEPT]
+    assert [a.error_kinds for a in run.attempts] == [
+        ("behavioral-construct",), (FUNCTIONAL_MISMATCH,), (), ()]
+    assert [sorted(a.attachments) for a in run.attempts] == [
+        ["fixes"], ["fixes"], ["hints"], []]
+    assert [a.reward is not None for a in run.attempts] == [
+        False, True, True, True]
+    fixes = [m.body for m in run.transcript if m.kind == MSG_FIX_REQUEST]
+    assert [a.feedback for a in run.attempts] == fixes + [None]
+    assert run.revisions_used == 3
+    assert run.attempts[0].block.startswith("module full_adder")
+    assert run.result.gate_count == 5
 
 
 def test_sequential_task_end_to_end():
@@ -353,7 +390,7 @@ def test_model_phrased_reviewer_feedback_keeps_findings():
 # -- prompts ------------------------------------------------------------------
 
 def test_prompt_contains_grammar_and_ports():
-    msgs = build_prompt(ROLE_CODER, FA, [], [], cfg())
+    msgs = build_prompt(FA, [], [], cfg())
     system = msgs[0].content
     user = msgs[1].content
     assert "and, or, not, xor, nand" in system
@@ -367,7 +404,7 @@ def test_prompt_orders_retrievals_best_first(store):
     hits = store.retrieve(
         __import__("gateforge.knowledge", fromlist=["RetrievalQuery"])
         .RetrievalQuery.by_tags(("adder",), limit=2))
-    msgs = build_prompt(ROLE_CODER, FA, hits, [], cfg())
+    msgs = build_prompt(FA, hits, [], cfg())
     user = msgs[1].content
     first = user.index("pattern half_adder")
     second = user.index("pattern full_adder")
@@ -378,14 +415,14 @@ def test_prompt_truncates_lowest_rank_first(store):
     store.seed_baseline()
     entries = store.entries()[:4]
     small = cfg(max_prompt_chars=1400)
-    msgs = build_prompt(ROLE_CODER, FA, entries, [], small)
+    msgs = build_prompt(FA, entries, [], small)
     user = msgs[1].content
     kept = [e for e in entries if f"pattern {e.name}" in user]
     assert kept == entries[:len(kept)]  # a prefix of the ranking survives
 
 
 def test_prompt_carries_feedback_history():
-    msgs = build_prompt(ROLE_CODER, FA, [], ["fix A", "fix B"], cfg())
+    msgs = build_prompt(FA, [], ["fix A", "fix B"], cfg())
     user = msgs[1].content
     assert "fix A" in user and "fix B" in user
 

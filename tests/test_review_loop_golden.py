@@ -45,6 +45,7 @@ from gateforge.knowledge import (
 from gateforge.netlist import structural_report
 from gateforge.orchestrator import (
     MSG_EFFICIENCY_REVIEW,
+    MSG_STATIC_REVIEW,
     RunConfig,
     TaskRun,
     run_task,
@@ -329,21 +330,16 @@ def corpus():
 
 def final_outcome(run: TaskRun) -> str:
     """How the last candidate of a run was judged."""
-    i = max(i for i, m in enumerate(run.transcript) if m.kind == "static-review")
-    if run.transcript[i].attachments["errors"]:
-        return "rejected"
-    for m in run.transcript[i:]:
-        if m.body.startswith("simulation refused"):
-            return "refused"
-        if "reward" in m.attachments:
-            return m.attachments["reward"].verdict
-    raise AssertionError("candidate was neither refused nor scored")
+    return run.attempts[-1].verdict
 
 
 def test_corpus_covers_every_path(corpus):
     batches, runs, records, learned = corpus
     statuses = {r.status for r in runs}
     assert statuses == {"verified", "failed", "error"}
+    # One attempt record per candidate that reached the Reviewer.
+    assert all(len(r.attempts) == sum(m.kind == MSG_STATIC_REVIEW
+                                      for m in r.transcript) for r in runs)
     errors = [r.error for r in runs if r.status == "failed"]
     # Budget spent on each failing outcome.
     assert any(e.startswith("rejected: ") for e in errors)
@@ -355,8 +351,8 @@ def test_corpus_covers_every_path(corpus):
     optimized = [r for r in runs if r.status == "verified" and any(
         m.kind == MSG_EFFICIENCY_REVIEW for m in r.transcript)]
     assert {final_outcome(r) for r in optimized} == {
-        "rejected", "refused", "functional-feedback", "efficiency-feedback",
-        "accept"}
+        "static-rejection", "simulation-refused", "functional-feedback",
+        "efficiency-feedback", "accept"}
     assert any(r.status == "verified" and r.revisions_used == 0 and
                r.result.gate_count > 5 for r in runs)
     bodies = [m.body for r in runs for m in r.transcript]
