@@ -128,9 +128,9 @@ def _open_store(args, option: str, root: str, create: bool = True,
     holding no store, is a usage error (exit 2) and creates nothing."""
     try:
         # listdir raises unless root is an existing directory.
-        if create or {"index.jsonl", "patterns"} & set(os.listdir(root)):
+        if create or "index.jsonl" in os.listdir(root):
             return KnowledgeStore(root, verify=verify)
-        why = "not a store (no index.jsonl or patterns/)"
+        why = "not a store (no index.jsonl)"
     except OSError as exc:
         why = exc.strerror
     except AdmissionError as exc:

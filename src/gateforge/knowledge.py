@@ -1,12 +1,11 @@
 """Persistent store of verified circuit patterns and error-fix records.
 
-Layout on disk: a directory holding one canonical netlist text file per
-circuit pattern under patterns/, plus index.jsonl with one JSON record per
-entry carrying all metadata. The index is an append-only log (the last
-record per id wins) that only compact() rewrites. Pattern files are written
-before their index record is appended, so a crash can leave an orphan file
-but never an index record pointing at missing content. The exact schema is
-documented in docs/knowledge_store.md.
+Layout on disk: a directory holding one file, index.jsonl, with one JSON
+record per entry carrying all its fields, a circuit pattern's canonical
+netlist text included. The index is an append-only log (the last record per
+id wins) that only compact() rewrites. Each admission is one append, so a
+crash can tear at most the last line. The exact schema is documented in
+docs/knowledge_store.md.
 
 Retrieval is symbolic and deterministic: exact functional-signature match,
 interface shape, tag overlap and error-class/symptom token overlap. Entries
@@ -95,10 +94,10 @@ class KnowledgeEntry:
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict, netlist_text: str | None) -> "KnowledgeEntry":
+    def from_record(cls, rec: dict) -> "KnowledgeEntry":
         """The entry an index record stands for; `rec` holds every field
         of RECORD_FIELDS, as `KnowledgeStore._parse_record` returns it."""
-        values = dict(rec, tags=tuple(rec["tags"]), netlist_text=netlist_text)
+        values = dict(rec, tags=tuple(rec["tags"]))
         provenance = Provenance(*(values.pop(key) for key in _PROVENANCE))
         return cls(**values, provenance=provenance)
 
@@ -108,7 +107,7 @@ class KnowledgeEntry:
 RECORD_FIELDS = (
     ("id", (int,), REQUIRED),
     *json_fields(KnowledgeEntry,
-                 skip=("netlist_text", "provenance", "id", "status")),
+                 skip=("provenance", "id", "status")),
     *json_fields(Provenance),
     ("status", ("primary", "archived"), "primary"),
 )
@@ -414,7 +413,12 @@ class KnowledgeStore(_RetrievalBase):
         # the next append first truncates the log to `size` bytes, then
         # writes `prefix` and its records.
         self._append_at: tuple[int, bytes] | None = None
-        os.makedirs(self.patterns_dir, exist_ok=True)
+        # Only what is missing is created, so a read-only store opens, and
+        # a root that is a file raises NotADirectoryError at the open.
+        if not os.path.exists(self.root):
+            os.makedirs(self.root, exist_ok=True)
+        if not os.path.exists(self.index_path):
+            open(self.index_path, "ab").close()
         self._load(verify=verify)
 
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
@@ -425,16 +429,7 @@ class KnowledgeStore(_RetrievalBase):
     def index_path(self) -> str:
         return os.path.join(self.root, "index.jsonl")
 
-    @property
-    def patterns_dir(self) -> str:
-        return os.path.join(self.root, "patterns")
-
-    def _pattern_path(self, entry_id: int) -> str:
-        return os.path.join(self.patterns_dir, f"{entry_id}.nl")
-
     def _load(self, verify: bool) -> None:
-        if not os.path.exists(self.index_path):
-            return
         with open(self.index_path, "rb") as fh:
             data = fh.read()
         lines = data.split(b"\n")
@@ -455,20 +450,8 @@ class KnowledgeStore(_RetrievalBase):
             else:
                 records[rec["id"]] = rec
                 self._append_at = (len(data), b"\n")
-        for entry_id, rec in sorted(records.items()):
-            text = None
-            if rec["kind"] == KIND_PATTERN:
-                path = self._pattern_path(entry_id)
-                try:
-                    with open(path, "rb") as pf:
-                        text = pf.read().decode("utf-8")
-                except FileNotFoundError:
-                    raise StoreError(f"index references missing pattern file "
-                                     f"{path}") from None
-                except UnicodeDecodeError as exc:
-                    raise StoreError(f"{path}: must be UTF-8 text (byte "
-                                     f"{exc.start}: {exc.reason})") from None
-            self._commit(KnowledgeEntry.from_record(rec, text))
+        for _, rec in sorted(records.items()):
+            self._commit(KnowledgeEntry.from_record(rec))
         if verify:
             for entry in self._entries.values():
                 if entry.status == "primary":
@@ -506,13 +489,6 @@ class KnowledgeStore(_RetrievalBase):
         os.replace(tmp, self.index_path)
         self._append_at = None
 
-    def _write_pattern(self, entry_id: int, text: str) -> None:
-        path = self._pattern_path(entry_id)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-
     # -- write path ---------------------------------------------------------
 
     def store(self, entry: KnowledgeEntry) -> int:
@@ -520,9 +496,8 @@ class KnowledgeStore(_RetrievalBase):
 
         Circuit patterns are re-verified before admission, and
         `offer_primary` archives either the entry or the primary it
-        displaces. The pattern file lands first; then the new record,
-        followed by the archived incumbent's record if there is one, is
-        appended to the index in one write.
+        displaces. The new record, followed by the archived incumbent's
+        record if there is one, is appended to the index in one write.
         """
         verify_pattern_entry(entry)
         with self._lock:
@@ -535,7 +510,6 @@ class KnowledgeStore(_RetrievalBase):
                                              time.gmtime())))
             records = [entry]
             if entry.kind == KIND_PATTERN:
-                self._write_pattern(entry_id, entry.netlist_text or "")
                 # The rule decides on a copy of the key's slot: memory
                 # changes only once the log holds the outcome.
                 key = pattern_key(entry)
@@ -590,7 +564,7 @@ class KnowledgeStore(_RetrievalBase):
         return problems
 
     def compact(self) -> int:
-        """Drop archived entries and their pattern files; returns count removed."""
+        """Drop archived entries; returns count removed."""
         with self._lock:
             dropped = [e for e in self._entries.values()
                        if e.status != "primary"]
@@ -598,11 +572,6 @@ class KnowledgeStore(_RetrievalBase):
                 del self._entries[e.id]
             self._rewrite_index()
             self._next_id = max(self._entries, default=0) + 1
-            for e in dropped:
-                if e.kind == KIND_PATTERN and e.id is not None:
-                    path = self._pattern_path(e.id)
-                    if os.path.exists(path):
-                        os.remove(path)
             return len(dropped)
 
 

@@ -516,8 +516,8 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
     except BackendError as exc:
         mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_ABORT, str(exc))
         return TaskRun(task.id, sample_index, "error", mediator.transcript,
-                       attempts, wall_seconds=time.monotonic() - t0,
-                       error=str(exc))
+                       attempts, run_id=run_id,
+                       wall_seconds=time.monotonic() - t0, error=str(exc))
     mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_SPEC, brief)
     mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_SPEC, brief)
 

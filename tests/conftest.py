@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from gateforge.netlist import GateKind, Netlist, NetlistBuilder, PortDir
 from gateforge.simulator import PackedVectors, TestVector
@@ -136,3 +138,18 @@ def random_netlist(rng: random.Random, n_inputs: int, n_gates: int,
     for k in range(n_outputs):
         b.bind(f"o{k}", PortDir.OUT, rng.choice(gate_outputs))
     return b.build()
+
+
+def store_contents(root: Path) -> tuple[list[dict], list[tuple[str, str]]]:
+    """A store's index records, in log order, without `created_at` and
+    `netlist_text`; and each circuit pattern's text as `(f"{id}.nl", text)`
+    in id order, one per id, archived patterns included."""
+    records, texts = [], {}
+    for line in (root / "index.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        del rec["created_at"]
+        text = rec.pop("netlist_text")
+        if text is not None:
+            texts[rec["id"]] = text
+        records.append(rec)
+    return records, [(f"{i}.nl", texts[i]) for i in sorted(texts)]

@@ -3,6 +3,7 @@ import shutil
 import tempfile
 
 import pytest
+from conftest import store_contents
 
 from gateforge import cli
 from gateforge.cli import main
@@ -128,17 +129,6 @@ def test_run_single_task(capsys, script_path, tmp_path):
     assert "module full_adder" in out
 
 
-def store_contents(root):
-    """Index records without admission times, and every pattern file."""
-    records = [json.loads(line) for line
-               in (root / "index.jsonl").read_text().splitlines()]
-    for rec in records:
-        del rec["created_at"]
-    patterns = {p.name: p.read_text()
-                for p in sorted((root / "patterns").iterdir())}
-    return records, patterns
-
-
 @pytest.mark.parametrize("task_id", [t.id for t in builtin_task_packs()])
 def test_run_and_bench_learn_the_same_entries(capsys, script_path, tmp_path,
                                               task_id):
@@ -157,6 +147,28 @@ def test_run_and_bench_learn_the_same_entries(capsys, script_path, tmp_path,
     assert {rec.pop("run_id") for rec in bench_records} == {"bench"}
     assert run_records == bench_records
     assert run_patterns == bench_patterns
+
+
+def test_a_store_is_one_file(capsys, script_path, tmp_path):
+    pack = f"{builtin_task_dir()}/full_adder"
+    shutil.copytree(pack, tmp_path / "tasks" / "full_adder")
+    backend = ["--backend", f"scripted:{script_path}"]
+    assert main(["run", "--task", pack, *backend,
+                 "--store", str(tmp_path / "run")]) == 0
+    assert main(["bench", "--tasks", str(tmp_path / "tasks"), "--n", "2",
+                 *backend, "--store", str(tmp_path / "bench")]) == 0
+    assert main(["store", "seed", "--dir", str(tmp_path / "seed")]) == 0
+    assert main(["store", "compact", "--dir", str(tmp_path / "bench")]) == 0
+    for name in ("run", "bench", "seed"):
+        assert [p.name for p in (tmp_path / name).iterdir()] == [
+            "index.jsonl"]
+
+
+def edit_first_record(index, **fields):
+    """Rewrite the first record of the log `index` with `fields` set."""
+    first, rest = index.read_text().split("\n", 1)
+    index.write_text(json.dumps({**json.loads(first), **fields}) + "\n"
+                     + rest)
 
 
 def test_run_and_bench_remove_their_temporary_store(capsys, script_path,
@@ -212,10 +224,7 @@ def test_store_subcommands(capsys, tmp_path):
     assert main(["store", "compact", "--dir", store_dir]) == 0
     # A pattern record without an index is valid; only verification
     # refuses it, so an unverified inspect shows it.
-    index = tmp_path / "store" / "index.jsonl"
-    first, rest = index.read_text().split("\n", 1)
-    index.write_text(json.dumps({**json.loads(first), "sei": None}) + "\n"
-                     + rest)
+    edit_first_record(tmp_path / "store" / "index.jsonl", sei=None)
     capsys.readouterr()
     assert main(["store", "inspect", "--no-verify", "--dir", store_dir]) == 0
     assert "sei=n/a" in capsys.readouterr().out.split("\n")[0]
@@ -226,7 +235,8 @@ def test_store_verify_lists_problems_instead_of_failing_at_load(
     store_dir = tmp_path / "store"
     assert main(["store", "seed", "--dir", str(store_dir)]) == 0
     capsys.readouterr()
-    (store_dir / "patterns" / "1.nl").write_text("module broken;\n")
+    edit_first_record(store_dir / "index.jsonl",
+                      netlist_text="module broken;\n")
     assert main(["store", "verify", "--dir", str(store_dir)]) == 1
     out = capsys.readouterr().out
     assert out.count("FAIL ") == 1
@@ -563,7 +573,7 @@ def test_a_directory_without_a_store_is_a_usage_error(capsys, tmp_path,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"gateforge store: error: cannot open --dir {store}: " \
-        "not a store (no index.jsonl or patterns/)" in err
+        "not a store (no index.jsonl)" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in store.iterdir()) == content
 
@@ -611,9 +621,7 @@ def test_a_wrong_typed_index_record_is_a_usage_error(capsys, tmp_path, field,
     store = tmp_path / "store"
     assert main(["store", "seed", "--dir", str(store)]) == 0
     index = store / "index.jsonl"
-    first, rest = index.read_text().split("\n", 1)
-    index.write_text(json.dumps({**json.loads(first), field: value}) + "\n"
-                     + rest)
+    edit_first_record(index, **{field: value})
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["store", "inspect", "--dir", str(store)])
@@ -624,18 +632,21 @@ def test_a_wrong_typed_index_record_is_a_usage_error(capsys, tmp_path, field,
     assert "Traceback" not in err
 
 
-def test_a_pattern_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+def test_a_non_utf8_byte_in_an_index_line_is_a_usage_error(capsys,
+                                                           tmp_path):
     store = tmp_path / "store"
     assert main(["store", "seed", "--dir", str(store)]) == 0
-    pattern = store / "patterns" / "1.nl"
-    pattern.write_bytes(b"\xff\xfe")
+    index = store / "index.jsonl"
+    data = index.read_bytes()
+    index.write_bytes(data.replace(b'"and2"', b'"and\xff2"', 1))
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["store", "inspect", "--dir", str(store)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"gateforge store: error: cannot open --dir {store}: {pattern}: " \
-        "must be UTF-8 text (byte 0: invalid start byte)" in err
+    assert f"gateforge store: error: cannot open --dir {store}: {index}:1: " \
+        "unparsable index record: 'utf-8' codec can't decode byte 0xff " \
+        "in position " in err
     assert "Traceback" not in err
 
 
@@ -660,8 +671,9 @@ def test_an_edited_pattern_file_is_a_usage_error_naming_store_verify(
         capsys, script_path, tmp_path, command):
     store = tmp_path / "store"
     assert main(["store", "seed", "--dir", str(store)]) == 0
-    and2 = store / "patterns" / "1.nl"
-    and2.write_text(and2.read_text().replace("and ", "or "))
+    index = store / "index.jsonl"
+    and2 = json.loads(index.read_text().split("\n", 1)[0])["netlist_text"]
+    edit_first_record(index, netlist_text=and2.replace("and ", "or "))
     capsys.readouterr()
     argv, option = open_store_argv(command, store, script_path)
     with pytest.raises(SystemExit) as exc:
@@ -673,3 +685,29 @@ def test_an_edited_pattern_file_is_a_usage_error_naming_store_verify(
         f"--dir {store}` lists all)" in err
     assert "Traceback" not in err
     assert main(["store", "verify", "--dir", str(store)]) == 1
+
+
+def test_a_pattern_record_without_netlist_text_is_refused_at_load(capsys,
+                                                                  tmp_path):
+    """The record a store that kept each pattern's text in a file of its
+    own wrote: it loads only unverified."""
+    store = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store)]) == 0
+    index = store / "index.jsonl"
+    first, rest = index.read_text().split("\n", 1)
+    record = json.loads(first)
+    del record["netlist_text"]
+    index.write_text(json.dumps(record) + "\n" + rest)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "inspect", "--dir", str(store)])
+    assert exc.value.code == 2
+    assert f"cannot open --dir {store}: and2: pattern entry has no netlist " \
+        f"text (`gateforge store verify --dir {store}` lists all)" \
+        in capsys.readouterr().err
+    assert main(["store", "verify", "--dir", str(store)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL and2: pattern entry has no netlist text",
+        "9 primary entries, 1 problem(s)"]
+    assert main(["store", "inspect", "--no-verify", "--dir", str(store)]) == 0
+    assert "and2" in capsys.readouterr().out.splitlines()[0]

@@ -1,5 +1,4 @@
 import json
-import os
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
@@ -188,23 +187,21 @@ def test_persistence_across_reopen(tmp_path):
     assert sorted(e.id for e in reopened.entries()) == ids
 
 
-def test_corrupt_missing_pattern_file_detected(tmp_path):
-    root = tmp_path / "store"
-    store = KnowledgeStore(root)
-    store.store(make_pattern_entry(build_half_adder()))
-    os.remove(os.path.join(store.patterns_dir, "1.nl"))
-    with pytest.raises(StoreError):
-        KnowledgeStore(root)
+def set_netlist_text(store, text):
+    """Replace the netlist text of the store's only record."""
+    with open(store.index_path, encoding="utf-8") as fh:
+        record = json.loads(fh.read())
+    with open(store.index_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({**record, "netlist_text": text}) + "\n")
 
 
 def test_tampered_pattern_file_detected_on_load(tmp_path):
     root = tmp_path / "store"
     store = KnowledgeStore(root)
     store.store(make_pattern_entry(build_half_adder()))
-    path = os.path.join(store.patterns_dir, "1.nl")
-    with open(path, "w") as fh:
-        fh.write("module half_adder(input a, input b, output s, output c);\n"
-                 "  xor g1(s, a, b);\n  xor g2(c, a, b);\nendmodule\n")
+    set_netlist_text(
+        store, "module half_adder(input a, input b, output s, output c);\n"
+        "  xor g1(s, a, b);\n  xor g2(c, a, b);\nendmodule\n")
     with pytest.raises(AdmissionError):
         KnowledgeStore(root)
 
@@ -218,10 +215,9 @@ def test_unsimulatable_pattern_is_a_store_error_on_load(tmp_path):
     b.gate(GateKind.DFF, (d, clk), b.output("q"))
     store.store(make_pattern_entry(b.build()))
     # Two register clocks: the sequential fingerprint cannot be taken.
-    with open(os.path.join(store.patterns_dir, "1.nl"), "w") as fh:
-        fh.write("module dff1(input d, input clk, input c2, output q);\n"
-                 "  wire w;\n  dff g1(w, d, c2);\n  dff g2(q, w, clk);\n"
-                 "endmodule\n")
+    set_netlist_text(
+        store, "module dff1(input d, input clk, input c2, output q);\n"
+        "  wire w;\n  dff g1(w, d, c2);\n  dff g2(q, w, clk);\nendmodule\n")
     with pytest.raises(StoreError, match="cannot be simulated"):
         KnowledgeStore(root)
     assert KnowledgeStore(root, verify=False).verify_all() == [
@@ -358,8 +354,6 @@ def test_equal_primaries_at_load_keep_the_lower_id(tmp_path):
         record = json.loads(fh.readline())
     with open(store.index_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({**record, "id": 2}) + "\n")
-    os.link(os.path.join(store.patterns_dir, "1.nl"),
-            os.path.join(store.patterns_dir, "2.nl"))
     reopened = KnowledgeStore(tmp_path / "store")
     assert [(e.id, e.status) for e in reopened.entries(include_archived=True)
             ] == [(1, "primary"), (2, "archived")]

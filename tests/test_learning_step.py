@@ -277,12 +277,13 @@ def scripted(replies_by_sample):
 
 
 def content(entries):
-    """Entry content without the id and the admission time."""
+    """Entry content, netlist text included, without the id and the
+    admission time."""
     out = []
     for e in entries:
         rec = e.to_record()
         del rec["id"], rec["created_at"]
-        out.append((rec, e.netlist_text))
+        out.append(rec)
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import weakref
 
 import pytest
+from conftest import store_contents
 
 from gateforge import orchestrator
 from gateforge.backends import BackendError, ModelBackend, ScriptRule, ScriptedBackend
@@ -262,19 +263,29 @@ def test_gate_free_design_verifies_without_an_index(tmp_path):
     assert run.result.sei is None
     assert summarize(load_task_pack(pack), [run], store) == []
     assert (tmp_path / "store" / "index.jsonl").read_bytes() == index_before
-    assert not any((tmp_path / "store" / "patterns").iterdir())
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["index.jsonl"]
+
+
+class Broken(ModelBackend):
+    identity = "broken"
+
+    def complete(self, messages, params):
+        raise BackendError("socket down")
 
 
 def test_backend_error_yields_error_status():
-    class Broken(ModelBackend):
-        identity = "broken"
-
-        def complete(self, messages, params):
-            raise BackendError("socket down")
-
     run = run_task(FA, cfg(), Broken(), None)
     assert run.status == "error"
     assert "socket down" in run.error
+
+
+@pytest.mark.parametrize("user_proxy_model", [False, True],
+                         ids=["on-the-design", "on-the-brief"])
+def test_an_error_run_carries_the_run_id(user_proxy_model):
+    run = run_task(FA, cfg(user_proxy_model=user_proxy_model), Broken(),
+                   None, run_id="bench")
+    assert run.status == "error"
+    assert run.run_id == "bench"
 
 
 def test_review_rag_injects_error_fixes(store):
@@ -582,12 +593,7 @@ def test_any_worker_count_leaves_identical_results_and_store(tmp_path):
                                         workers=workers)
         report = run_benchmark(tasks, config, ScriptedBackend(rules),
                                KnowledgeStore(root), profile="V2")
-        records = [{k: v for k, v in json.loads(line).items()
-                    if k != "created_at"}
-                   for line in (root / "index.jsonl").read_text().splitlines()]
-        patterns = {p.name: p.read_text()
-                    for p in sorted((root / "patterns").iterdir())}
-        return emit_report(report, "machine"), records, patterns
+        return emit_report(report, "machine"), *store_contents(root)
 
     sequential = sweep(1, "w1")
     results, records, patterns = sequential

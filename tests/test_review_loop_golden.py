@@ -311,7 +311,8 @@ def corpus_runs(root: Path,
                 runs.append(run)
                 batch.append(run_record(run, backend.log, queries))
             batches.append(batch)
-    records = [{k: v for k, v in e.to_record().items() if k != "created_at"}
+    records = [{k: v for k, v in e.to_record().items()
+                if k not in ("created_at", "netlist_text")}
                | {"netlist_text": e.netlist_text}
                for e in live.entries(include_archived=True)]
     return batches, runs, records, learned

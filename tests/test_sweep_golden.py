@@ -13,7 +13,8 @@ order in which a task's samples are collected.
 
 For each sweep one line of `data/sweep_golden.txt` holds the sha256 of
 the results file, of the index records without their admission time and
-of the pattern files. The last line holds the sha256 of the output of
+netlist text, and of the circuit patterns' texts as (`<id>.nl`, text)
+pairs in id order (`conftest.store_contents`). The last line holds the sha256 of the output of
 `gateforge tasks validate`. Identical invocations must give byte-identical
 results files and store contents for any worker count, so any change in
 what a sweep decides, scores, admits or writes shows up as a line
@@ -35,6 +36,8 @@ import tempfile
 import threading
 from pathlib import Path
 from unittest import mock
+
+from conftest import store_contents
 
 from gateforge import cli
 from gateforge.backends import ModelBackend, ScriptedBackend
@@ -122,12 +125,7 @@ def sweep_line(root: Path, name: str, profile: str, n: int,
                      "--profile", profile, "--n", str(n),
                      "--workers", str(workers), "--store", str(store),
                      "--out", str(results)])
-    records = [{k: v for k, v in json.loads(line).items()
-                if k != "created_at"}
-               for line in (store / "index.jsonl").read_text().splitlines()]
-    patterns = [(p.name, p.read_text())
-                for p in sorted((store / "patterns").iterdir(),
-                                key=lambda p: int(p.stem))]
+    records, patterns = store_contents(store)
     return " ".join([tag, _sha(results.read_bytes()),
                      _sha(json.dumps(records, sort_keys=True).encode()),
                      _sha(json.dumps(patterns).encode())])
