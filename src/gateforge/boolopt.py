@@ -24,7 +24,7 @@ from .netlist import (
     StructuralReport,
     structural_report,
 )
-from .simulator import pack_columns
+from .simulator import exhaustive_columns
 
 QM_MAX_INPUTS = 12
 SEARCH_MAX_INPUTS = 4
@@ -284,7 +284,7 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     mask = (1 << rows) - 1
     target, care = f.table, f.care
     # Sources: the inputs x0..x{n-1}, then constants 0 and 1.
-    sources = [*pack_columns(range(rows), f.n), 0, mask]
+    sources = [*exhaustive_columns(f.n), 0, mask]
     for idx, t in enumerate(sources):
         if (t ^ target) & care == 0:
             return _network_to_netlist(f, [], idx)

@@ -30,7 +30,8 @@ from .metrics import measure
 from .netlist import (GateKind, Netlist, NetlistBuilder, PortDir,
                       StructuralReport, gate_depths, structural_report)
 from .simulator import (FunctionalSignature, SimulationError,
-                        functional_signature, pack_columns, sequential_trace)
+                        exhaustive_columns, functional_signature,
+                        sequential_trace)
 
 KIND_PATTERN = "circuit-pattern"
 KIND_ERROR_FIX = "error-fix"
@@ -668,10 +669,6 @@ def _connected_cuts(netlist: Netlist) -> Iterator[tuple[list[int], ...]]:
                 or [net for net in outs if net not in readers])
 
 
-_EXHAUSTIVE_COLUMNS = [pack_columns(range(1 << k), k)
-                       for k in range(SUBPATTERN_MAX_INPUTS + 1)]
-
-
 def _measure_cut(netlist: Netlist, positions: list[int], inputs: list[int],
                  outputs: list[int]) -> _Measure:
     """`_measure` of the cut's carved sub-netlist, taken from the design's
@@ -679,7 +676,7 @@ def _measure_cut(netlist: Netlist, positions: list[int], inputs: list[int],
     k = len(inputs)
     mask = (1 << (1 << k)) - 1
     values = {nid: mask if value else 0 for nid, value in netlist.const_nets}
-    values.update(zip(inputs, _EXHAUSTIVE_COLUMNS[k]))
+    values.update(zip(inputs, exhaustive_columns(k)))
     for pos in positions:
         evaluate, out, a, b = netlist.ops[pos]
         values[out] = evaluate(values[a], values[b], mask)

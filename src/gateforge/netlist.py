@@ -29,6 +29,11 @@ class GateKind(Enum):
     NAND = "nand"
     DFF = "dff"
 
+    # Members are singletons, so identity is equality. `Enum.__hash__`
+    # hashes the member's name in Python code, and the gate tables below
+    # are looked up once per gate of every netlist parsed.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return GATE_ARITY[self]
@@ -81,14 +86,14 @@ class PortDir(Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Net:
     id: int
     name: str | None = None
     value: int | None = None   # 0 or 1 on a constant net, None otherwise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: GateKind
     output: int
@@ -109,7 +114,7 @@ class Gate:
         return self.inputs[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     name: str
     direction: PortDir
@@ -251,15 +256,20 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             if n not in known:
                 err("dangling-net", f"port {p.name}", f"unknown net id {n}")
                 raise InvalidNetlistError(violations)
-    for i, g in enumerate(gates):
-        for n in (g.output, *g.inputs):
-            if n not in known:
-                err("dangling-net", _gate_label(g, i), f"unknown net id {n}")
-                raise InvalidNetlistError(violations)
+    outputs = [g.output for g in gates]
+    read = dict.fromkeys(n for g in gates for n in g.inputs)
+    if not all(map(known.__contains__, outputs)) \
+            or not all(map(known.__contains__, read)):
+        for i, g in enumerate(gates):
+            for n in (g.output, *g.inputs):
+                if n not in known:
+                    err("dangling-net", _gate_label(g, i),
+                        f"unknown net id {n}")
+                    raise InvalidNetlistError(violations)
 
     # Arity.
     for i, g in enumerate(gates):
-        want = g.kind.arity
+        want = GATE_ARITY[g.kind]
         if len(g.inputs) != want:
             err("arity", _gate_label(g, i),
                 f"{g.kind.value} takes {want} input(s), got {len(g.inputs)}")
@@ -267,9 +277,11 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     # Drivers: constants drive themselves, input port bits drive their nets,
     # gate outputs drive their nets. Exactly one driver per net that is read.
     # Labels for messages are looked up only when something is wrong.
+    input_bits = _port_bits(netlist, PortDir.IN)
+    output_bits = _port_bits(netlist, PortDir.OUT)
     sources = [net.id for net in known.values() if net.value is not None]
-    sources += [n for p in netlist.input_ports() for n in netlist.port_nets[p.name]]
-    sources += [g.output for g in gates]
+    sources += [n for _, n in input_bits]
+    sources += outputs
     driven = set(sources)
     if len(driven) < len(sources):
         counts = Counter(sources)
@@ -279,9 +291,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
                     "driven by " + " and ".join(_drivers_of(netlist, net_id)))
 
     # Read nets must be driven.
-    read = dict.fromkeys(n for g in gates for n in g.inputs)
-    bound = dict.fromkeys(n for p in netlist.output_ports()
-                          for n in netlist.port_nets[p.name])
+    bound = dict.fromkeys(n for _, n in output_bits)
     for net_id in {**read, **bound}:
         if net_id not in driven:
             err("dangling-net", f"net {_net_label(netlist, net_id)}",
@@ -305,7 +315,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
         raise CombinationalLoopError(bad, cycle)
     if bad:
         raise InvalidNetlistError(bad)
-    _compile(netlist, schedule, tuple(violations))
+    _compile(netlist, schedule, tuple(violations), input_bits, output_bits)
     return violations
 
 
@@ -340,38 +350,51 @@ def errors_of(violations: list[StructuralViolation]) -> list[StructuralViolation
 def _port_bits(netlist: Netlist, direction: PortDir
                ) -> tuple[tuple[str, int], ...]:
     """(bit name, net id) for every bit of the ports in one direction."""
-    return tuple((p.bit_name(i), net) for p in netlist.ports
-                 if p.direction is direction
-                 for i, net in enumerate(netlist.port_nets[p.name]))
+    bits: list[tuple[str, int]] = []
+    for p in netlist.ports:
+        if p.direction is direction:
+            nets = netlist.port_nets[p.name]
+            if p.width == 1:
+                bits.append((p.name, nets[0]))
+            else:
+                bits += [(p.bit_name(i), net) for i, net in enumerate(nets)]
+    return tuple(bits)
 
 
 def gate_depths(schedule: Iterable[Gate]) -> dict[int, int]:
     """Longest path, in gates, to each output of gates in topological order."""
     depth: dict[int, int] = {}
+    get = depth.get
     for g in schedule:
-        depth[g.output] = 1 + max((depth.get(n, 0) for n in g.inputs), default=0)
+        longest = 0
+        for n in g.inputs:
+            d = get(n, 0)
+            if d > longest:
+                longest = d
+        depth[g.output] = longest + 1
     return depth
 
 
 def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
-             warnings: tuple[StructuralViolation, ...]) -> None:
+             warnings: tuple[StructuralViolation, ...],
+             input_bits: tuple[tuple[str, int], ...],
+             output_bits: tuple[tuple[str, int], ...]) -> None:
     depth = gate_depths(schedule)
-    registers = tuple(g for g in netlist.gates if g.kind is GateKind.DFF)
-    output_bits = _port_bits(netlist, PortDir.OUT)
+    registers = tuple([g for g in netlist.gates if g.kind is GateKind.DFF])
     # Delay sinks: primary outputs and register input pins.
     sinks = [nid for _, nid in output_bits] + [n for g in registers for n in g.inputs]
     compiled = {
         "schedule": schedule,
-        "ops": tuple((GATE_EVAL[g.kind], g.output, g.inputs[0], g.inputs[-1])
-                     for g in schedule),
+        "ops": tuple([(GATE_EVAL[g.kind], g.output, g.inputs[0], g.inputs[-1])
+                      for g in schedule]),
         "registers": registers,
-        "input_bits": _port_bits(netlist, PortDir.IN),
+        "input_bits": input_bits,
         "output_bits": output_bits,
-        "const_nets": tuple((net.id, net.value) for net in netlist.nets.values()
-                            if net.value is not None),
+        "const_nets": tuple([(net.id, net.value) for net in netlist.nets.values()
+                             if net.value is not None]),
         "report": StructuralReport(
             gate_count=len(netlist.gates),
-            delay=max((depth.get(n, 0) for n in sinks), default=0),
+            delay=max([depth.get(n, 0) for n in sinks], default=0),
             register_count=len(registers)),
         "warnings": warnings,
     }
@@ -393,20 +416,21 @@ def _levelization(netlist: Netlist) -> tuple[tuple[Gate, ...], list[str] | None]
     for i in comb:
         # Multi-driver nets are reported separately; first driver wins here.
         producer.setdefault(gates[i].output, i)
-    pending = dict.fromkeys(comb, 0)
-    consumers: dict[int, list[int]] = {}
+    # Per gate position: combinational drivers not yet ordered, and readers.
+    pending = [0] * len(gates)
+    consumers: list[list[int]] = [[] for _ in gates]
     for i in comb:
         for n in gates[i].inputs:
             if n in producer:
                 pending[i] += 1
-                consumers.setdefault(producer[n], []).append(i)
+                consumers[producer[n]].append(i)
     ready = [i for i in comb if pending[i] == 0]
     for i in ready:  # grows while it is walked
-        for j in consumers.get(i, ()):
+        for j in consumers[i]:
             pending[j] -= 1
             if pending[j] == 0:
                 ready.append(j)
-    order = tuple(gates[i] for i in ready)
+    order = tuple([gates[i] for i in ready])
     if len(ready) == len(comb):
         return order, None
 

@@ -18,10 +18,11 @@ import re
 from dataclasses import dataclass, field
 
 from .netlist import (
+    Gate,
     GateKind,
     InvalidNetlistError,
+    Net,
     Netlist,
-    NetlistBuilder,
     Port,
     PortDir,
     StructuralViolation,
@@ -41,12 +42,13 @@ BEHAVIORAL_KEYWORDS = {
     "release", "deassign", "disable", "specify", "endspecify", "signed",
 }
 
-# One match per token: whitespace and comments are an atomic prefix, which no
-# alternative can take back (`\s` would also skip `\x1c` and `\xa0`, which are
-# 'bad'). No other alternative starts like `ident` or `punct`, so they go
-# first; `sized` precedes `number`, and `open` the `/` operator.
+# One match per token: whitespace and comments are a possessive prefix, which
+# no alternative can take back (`\s` would also skip `\x1c` and `\xa0`, which
+# are 'bad'); it is a whitespace run, then comments each followed by one.
+# No other alternative starts like `ident` or `punct`, so they go first;
+# `sized` precedes `number`, and `open` the `/` operator.
 _TOKEN_RE = re.compile(r"""
-    (?>(?:[ \t\r\f\v\n]+|(?P<comment>//[^\n]*)|/\*.*?\*/)*)
+    [ \t\r\f\v\n]*+(?:(?:(?P<comment>//[^\n]*)|/\*.*?\*/)[ \t\r\f\v\n]*+)*+
     (?: (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
       | (?P<punct>[()\[\]:;,.{}])
       | (?P<sized>[0-9]+\s*'\s*[bBdDhHoO][0-9a-fA-FxXzZ_]*)
@@ -537,55 +539,67 @@ class _Parser:
     # -- finalization --------------------------------------------------------
 
     def _finalize(self) -> ParseResult:
+        """Build the netlist's tables and the `Netlist`, which validates it.
+
+        One net per alias class, claimed in order: input bits, then output
+        bits, then wires, then the constants a gate reads. A class holding a
+        constant is that constant's net; any other is named after the bit
+        that claims it. Ports are bound in declaration order.
+        """
         scope = self.scope
-        builder = NetlistBuilder(self.module_name)
-        # One net per alias class: a class holding a constant is that
-        # constant's net, any other class a wire named after the slot that
-        # claims it first.
-        const_roots = {scope.find(slot): value
+        decls = scope.decls
+        # Root slot of each slot in one pass: a union keeps the lower root
+        # and path halving only lowers a parent, so parents precede slots.
+        roots: list[int] = []
+        for slot, parent in enumerate(scope.parent):
+            roots.append(slot if parent == slot else roots[parent])
+        const_roots = {roots[slot]: value
                        for value, slot in scope.const_slot.items()}
-        class_net: dict[int, int] = {}
-
-        def net_of(slot: int, name: str | None = None) -> int:
-            root = scope.find(slot)
-            if root not in class_net:
+        claimants = [decls[name] for name, d in scope.ports.items()
+                     if d is PortDir.IN]
+        claimants += [decls[name] for name, d in scope.ports.items()
+                      if d is PortDir.OUT]
+        claimants += [d for name, d in decls.items() if name not in scope.ports]
+        # Every declared bit with its name, in claim order, then every slot
+        # a gate reads: of those, only constants are still unclaimed.
+        claims = [(roots[base + i],
+                   name if width == 1 else f"{name}[{lsb + i}]")
+                  for (_kind, name, _start), width, lsb, base in claimants
+                  for i in range(width)]
+        claims += [(roots[slot], "") for _, _, conns, _ in self.instances
+                   for slot in conns[1:]]
+        nets: dict[int, Net] = {}
+        root_net: dict[int, int] = {}
+        for root, name in claims:
+            if root not in root_net:
+                nid = root_net[root] = len(nets)
                 value = const_roots.get(root)
-                class_net[root] = builder.wire(name) if value is None \
-                    else builder.const(value)
-            return class_net[root]
+                nets[nid] = Net(nid, name) if value is None \
+                    else Net(nid, f"1'b{value}", value)
+        net_of = [root_net.get(root) for root in roots]
 
-        # Input bits claim their class first, then output bits, then wires
-        # (the port bits met again there are already claimed), then the
-        # constants a gate reads; ports are bound in declaration order.
-        ports = [Port(pname, d, *scope.decls[pname][1:3])
-                 for pname, d in scope.ports.items()]
+        ports: list[Port] = []
         port_nets: dict[str, tuple[int, ...]] = {}
-        for direction in (PortDir.IN, PortDir.OUT):
-            for p in ports:
-                if p.direction is direction:
-                    base = scope.decls[p.name][3]
-                    port_nets[p.name] = tuple(net_of(base + i, p.bit_name(i))
-                                              for i in range(p.width))
-        for wname, (_tok, width, lsb, base) in scope.decls.items():
-            for i in range(width):
-                net_of(base + i, wname if width == 1 else f"{wname}[{lsb + i}]")
-        for p in ports:
-            builder.bind(p.name, p.direction, port_nets[p.name], p.lsb)
-
+        for name, direction in scope.ports.items():
+            _tok, width, lsb, base = decls[name]
+            ports.append(Port(name, direction, width, lsb))
+            port_nets[name] = tuple(net_of[base:base + width])
         input_bit_nets = {n for p in ports if p.direction is PortDir.IN
                           for n in port_nets[p.name]}
+        gates: list[Gate] = []
         for kind, iname, conns, kw in self.instances:
-            ins = tuple(net_of(c) for c in conns[1:])
+            ins = tuple([net_of[slot] for slot in conns[1:]])
             if kind is GateKind.DFF and ins[1] not in input_bit_nets:
                 self.error("syntax", kw,
                            "dff clock must be a primary input port bit")
                 continue
-            builder.gate(kind, ins, net_of(conns[0]), iname)
+            gates.append(Gate(kind, net_of[conns[0]], ins, iname))
 
         if self.errors:
             return ParseResult(None, self.errors)
         try:
-            netlist = builder.build()
+            netlist = Netlist(self.module_name, tuple(ports), nets,
+                              tuple(gates), port_nets)
         except InvalidNetlistError as exc:
             for v in exc.violations:
                 self.error("syntax", self._violation_token(v),
@@ -594,11 +608,15 @@ class _Parser:
         return ParseResult(netlist, [], list(netlist.warnings))
 
     def _violation_token(self, v: StructuralViolation) -> _Token:
-        name = v.where.split()[-1].split("[")[0]
-        if name in self.instance_names:
-            return self.instance_names[name]
-        if name in self.scope.decls:
-            return self.scope.decls[name][0]
+        """Where a structural error points: a net's or port's declaration,
+        a gate's instance name, and the first token for the whole netlist."""
+        scope, _, name = v.where.partition(" ")
+        if scope in ("net", "port"):
+            decl = self.scope.decls.get(name.split("[")[0])
+            if decl is not None:
+                return decl[0]
+        elif v.where != "netlist" and v.where in self.instance_names:
+            return self.instance_names[v.where]
         return self.toks[0]
 
 
@@ -607,8 +625,11 @@ def parse(text: str) -> ParseResult:
 
     Deterministic and total: any byte sequence yields either a netlist that
     satisfies every structural invariant, or one or more positioned errors.
-    The netlist is built by NetlistBuilder.build(), so it is returned
-    validated, with its compiled fields set.
+    The parser builds the netlist's net, port and gate tables itself and
+    constructs the `Netlist` from them, which validates it once, so it is
+    returned validated, with its compiled fields set. A structural error
+    points at the declaration of the net or port it names, at the gate's
+    instance name, or, for a combinational loop, at `module`.
     """
     return _Parser(text).parse()
 

@@ -15,6 +15,7 @@ the run of vector v, and score the columns with one rule (`_score`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from collections.abc import Collection, Iterable, Iterator, Sequence
@@ -105,6 +106,20 @@ def pack_columns(rows: Iterable[int], width: int) -> list[int]:
             row >>= 1
             i += 1
     return columns
+
+
+@functools.cache
+def exhaustive_columns(n: int) -> tuple[int, ...]:
+    """`pack_columns(range(1 << n), n)` in closed form: column i is 2**i
+    zeros, then 2**i ones, repeated over the 2**n rows."""
+    rows = 1 << n
+    columns = []
+    for i in range(n):
+        half = 1 << i
+        # One period is `half` zeros then `half` ones; the repunit repeats it.
+        repunit = ((1 << rows) - 1) // ((1 << 2 * half) - 1)
+        columns.append((((1 << half) - 1) << half) * repunit)
+    return tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -381,18 +396,17 @@ def _check_combinational(netlist: Netlist) -> None:
         raise SimulationError("sequential netlist has no truth table")
 
 
-def _signature(netlist: Netlist, rows: Sequence[int],
+def _signature(netlist: Netlist, columns: Sequence[int], rows: int,
                exact: bool) -> FunctionalSignature:
-    """Output columns over the given input rows; bit i of a row is the i-th
+    """Output columns over `rows` input rows, given one packed column per
     declared input bit."""
-    n = len(netlist.input_bits)
-    mask = (1 << len(rows)) - 1
+    mask = (1 << rows) - 1
     values = _source_values(netlist, mask)
-    for (_, nid), column in zip(netlist.input_bits, pack_columns(rows, n)):
+    for (_, nid), column in zip(netlist.input_bits, columns):
         values[nid] = column
     _settle(netlist, values, mask)
-    columns = tuple(values[nid] for _, nid in netlist.output_bits)
-    return FunctionalSignature(n, len(columns), columns, exact=exact)
+    outs = tuple(values[nid] for _, nid in netlist.output_bits)
+    return FunctionalSignature(len(columns), len(outs), outs, exact=exact)
 
 
 def truth_table(netlist: Netlist) -> FunctionalSignature:
@@ -402,7 +416,7 @@ def truth_table(netlist: Netlist) -> FunctionalSignature:
     if n > MAX_EXACT_INPUTS:
         raise SimulationError(
             f"too many inputs for an exhaustive table ({n} > {MAX_EXACT_INPUTS})")
-    return _signature(netlist, range(1 << n), exact=True)
+    return _signature(netlist, exhaustive_columns(n), 1 << n, exact=True)
 
 
 def sampled_signature(netlist: Netlist,
@@ -410,9 +424,10 @@ def sampled_signature(netlist: Netlist,
     """Fixed-seed random-vector signature for wide combinational interfaces."""
     _check_combinational(netlist)
     rng = random.Random(_SAMPLED_SEED)
-    rows = [rng.getrandbits(len(netlist.input_bits))
-            for _ in range(vector_count)]
-    return _signature(netlist, rows, exact=False)
+    n = len(netlist.input_bits)
+    rows = [rng.getrandbits(n) for _ in range(vector_count)]
+    return _signature(netlist, pack_columns(rows, n), vector_count,
+                      exact=False)
 
 
 def functional_signature(netlist: Netlist) -> FunctionalSignature:

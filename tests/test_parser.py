@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from conftest import build_full_adder, build_half_adder, random_netlist
@@ -6,6 +7,8 @@ from conftest import build_full_adder, build_half_adder, random_netlist
 from gateforge.netlist import GateKind, PortDir, structural_report
 from gateforge.parser import extract_netlist_block, parse, render
 from gateforge.simulator import truth_table
+
+TASKS = Path(__file__).resolve().parent.parent / "src" / "gateforge" / "tasks"
 
 BEHAVIORAL_CORPUS = [
     "module t(input a, output y); always @(a) y = a; endmodule",
@@ -250,6 +253,36 @@ def test_error_positions_are_tracked():
     err = r.errors[0]
     assert err.line == 2
     assert err.column > 1
+
+
+def test_a_loop_is_reported_at_module_even_beside_a_wire_named_netlist():
+    r = parse("module t(input a, output y);\n"
+              "  wire netlist;\n"
+              "  and g1(netlist, a, y);\n"
+              "  and g2(y, a, netlist);\n"
+              "endmodule")
+    assert [(e.line, e.column, e.token) for e in r.errors] == [(1, 1, "module")]
+    assert "combinational-loop" in r.errors[0].message
+
+
+def test_a_dangling_wire_is_reported_at_its_declaration_not_a_namesake():
+    r = parse("module t(input a, output y);\n"
+              "  wire w;\n"
+              "  and w(y, a, w);\n"
+              "endmodule")
+    assert [(e.line, e.column, e.token) for e in r.errors] == [(2, 8, "w")]
+    assert "dangling-net: undriven net read as input of w" in r.errors[0].message
+
+
+def test_parse_builds_netlists_without_the_builder(monkeypatch):
+    from gateforge.netlist import NetlistBuilder
+
+    def refuse(self):
+        raise AssertionError("parse must not go through NetlistBuilder")
+
+    monkeypatch.setattr(NetlistBuilder, "build", refuse)
+    for path in sorted(TASKS.glob("*/reference.nl")):
+        assert parse(path.read_text()).ok, path
 
 
 def test_parser_never_raises_on_garbage_bytes():

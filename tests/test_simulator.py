@@ -13,6 +13,8 @@ from gateforge.netlist import GateKind, NetlistBuilder, PortDir
 from gateforge.simulator import (
     SimulationError,
     TestVector,
+    exhaustive_columns,
+    pack_columns,
     sampled_signature,
     sequential_trace,
     simulate_combinational,
@@ -243,6 +245,11 @@ def test_not_gate_table():
     b.gate(GateKind.NOT, (a,), y)
     sig = truth_table(b.build())
     assert sig.column_bits(0) == [1, 0]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_exhaustive_columns_are_the_packed_row_numbers(n):
+    assert exhaustive_columns(n) == tuple(pack_columns(range(1 << n), n))
 
 
 def test_half_adder_columns_are_xor_and_and():
