@@ -256,9 +256,9 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             if n not in known:
                 err("dangling-net", f"port {p.name}", f"unknown net id {n}")
                 raise InvalidNetlistError(violations)
-    outputs = [g.output for g in gates]
+    gate_outputs = [g.output for g in gates]
     read = dict.fromkeys(n for g in gates for n in g.inputs)
-    if not all(map(known.__contains__, outputs)) \
+    if not all(map(known.__contains__, gate_outputs)) \
             or not all(map(known.__contains__, read)):
         for i, g in enumerate(gates):
             for n in (g.output, *g.inputs):
@@ -281,7 +281,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     output_bits = _port_bits(netlist, PortDir.OUT)
     sources = [net.id for net in known.values() if net.value is not None]
     sources += [n for _, n in input_bits]
-    sources += outputs
+    sources += gate_outputs
     driven = set(sources)
     if len(driven) < len(sources):
         counts = Counter(sources)
