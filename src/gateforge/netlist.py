@@ -350,15 +350,9 @@ def errors_of(violations: list[StructuralViolation]) -> list[StructuralViolation
 def _port_bits(netlist: Netlist, direction: PortDir
                ) -> tuple[tuple[str, int], ...]:
     """(bit name, net id) for every bit of the ports in one direction."""
-    bits: list[tuple[str, int]] = []
-    for p in netlist.ports:
-        if p.direction is direction:
-            nets = netlist.port_nets[p.name]
-            if p.width == 1:
-                bits.append((p.name, nets[0]))
-            else:
-                bits += [(p.bit_name(i), net) for i, net in enumerate(nets)]
-    return tuple(bits)
+    return tuple([(p.bit_name(i), net) for p in netlist.ports
+                  if p.direction is direction
+                  for i, net in enumerate(netlist.port_nets[p.name])])
 
 
 def gate_depths(schedule: Iterable[Gate]) -> dict[int, int]:
