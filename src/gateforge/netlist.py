@@ -256,16 +256,11 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             if n not in known:
                 err("dangling-net", f"port {p.name}", f"unknown net id {n}")
                 raise InvalidNetlistError(violations)
-    gate_outputs = [g.output for g in gates]
-    read = dict.fromkeys(n for g in gates for n in g.inputs)
-    if not all(map(known.__contains__, gate_outputs)) \
-            or not all(map(known.__contains__, read)):
-        for i, g in enumerate(gates):
-            for n in (g.output, *g.inputs):
-                if n not in known:
-                    err("dangling-net", _gate_label(g, i),
-                        f"unknown net id {n}")
-                    raise InvalidNetlistError(violations)
+    for i, g in enumerate(gates):
+        for n in (g.output, *g.inputs):
+            if n not in known:
+                err("dangling-net", _gate_label(g, i), f"unknown net id {n}")
+                raise InvalidNetlistError(violations)
 
     # Arity.
     for i, g in enumerate(gates):
@@ -281,7 +276,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     output_bits = _port_bits(netlist, PortDir.OUT)
     sources = [net.id for net in known.values() if net.value is not None]
     sources += [n for _, n in input_bits]
-    sources += gate_outputs
+    sources += [g.output for g in gates]
     driven = set(sources)
     if len(driven) < len(sources):
         counts = Counter(sources)
@@ -291,6 +286,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
                     "driven by " + " and ".join(_drivers_of(netlist, net_id)))
 
     # Read nets must be driven.
+    read = dict.fromkeys(n for g in gates for n in g.inputs)
     bound = dict.fromkeys(n for _, n in output_bits)
     for net_id in {**read, **bound}:
         if net_id not in driven:
@@ -410,17 +406,16 @@ def _levelization(netlist: Netlist) -> tuple[tuple[Gate, ...], list[str] | None]
     for i in comb:
         # Multi-driver nets are reported separately; first driver wins here.
         producer.setdefault(gates[i].output, i)
-    # Per gate position: combinational drivers not yet ordered, and readers.
-    pending = [0] * len(gates)
-    consumers: list[list[int]] = [[] for _ in gates]
+    pending = dict.fromkeys(comb, 0)
+    consumers: dict[int, list[int]] = {}
     for i in comb:
         for n in gates[i].inputs:
             if n in producer:
                 pending[i] += 1
-                consumers[producer[n]].append(i)
+                consumers.setdefault(producer[n], []).append(i)
     ready = [i for i in comb if pending[i] == 0]
     for i in ready:  # grows while it is walked
-        for j in consumers[i]:
+        for j in consumers.get(i, ()):
             pending[j] -= 1
             if pending[j] == 0:
                 ready.append(j)
