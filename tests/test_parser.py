@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import pytest
 from conftest import build_full_adder, build_half_adder, random_netlist
@@ -7,8 +6,6 @@ from conftest import build_full_adder, build_half_adder, random_netlist
 from gateforge.netlist import GateKind, PortDir, structural_report
 from gateforge.parser import extract_netlist_block, parse, render
 from gateforge.simulator import truth_table
-
-TASKS = Path(__file__).resolve().parent.parent / "src" / "gateforge" / "tasks"
 
 BEHAVIORAL_CORPUS = [
     "module t(input a, output y); always @(a) y = a; endmodule",
@@ -276,13 +273,16 @@ def test_a_dangling_wire_is_reported_at_its_declaration_not_a_namesake():
 
 def test_parse_builds_netlists_without_the_builder(monkeypatch):
     from gateforge.netlist import NetlistBuilder
+    from gateforge.taskpack import builtin_task_packs
+
+    references = [t.reference_netlist for t in builtin_task_packs()]
 
     def refuse(self):
         raise AssertionError("parse must not go through NetlistBuilder")
 
     monkeypatch.setattr(NetlistBuilder, "build", refuse)
-    for path in sorted(TASKS.glob("*/reference.nl")):
-        assert parse(path.read_text()).ok, path
+    for text in references:
+        assert parse(text).ok, text
 
 
 def test_parser_never_raises_on_garbage_bytes():
