@@ -27,8 +27,9 @@ from dataclasses import dataclass, field, replace
 from . import parser as nl_parser
 from .jsonfields import REQUIRED, FieldError, is_json, json_fields, take_all
 from .metrics import measure
-from .netlist import (GateKind, Netlist, NetlistBuilder, PortDir,
-                      StructuralReport, gate_depths, structural_report)
+from .netlist import (GateKind, Netlist, NetlistBuilder, Port, PortDir,
+                      StructuralReport, _levelization, gate_depths,
+                      structural_report)
 from .simulator import (FunctionalSignature, SimulationError,
                         exhaustive_columns, functional_signature,
                         sequential_trace)
@@ -378,7 +379,7 @@ class _RetrievalBase:
 
         def offer(m: _Measure, name: str, entry_tags: tuple[str, ...],
                   render: Callable[[], str]) -> None:
-            # Only an emitted entry is built and rendered; most are not.
+            # Only an emitted entry is rendered; most are not.
             entry = m.entry(None, name, entry_tags, provenance)
             if offer_primary(primaries, entry) is not entry:
                 out.append(replace(entry, netlist_text=render()))
@@ -395,7 +396,7 @@ class _RetrievalBase:
         for cut in _connected_cuts(netlist):
             m = _measure_cut(netlist, *cut)
             offer(m, f"pat-{m.digest[:10]}", sub_tags,
-                  lambda: nl_parser.render(_carve(netlist, *cut)))
+                  lambda: nl_parser.render(_cut_fields(netlist, *cut)))
             if len(out) > SUBPATTERN_EMIT_CAP:
                 break
         return out
@@ -687,22 +688,18 @@ def _measure_cut(netlist: Netlist, positions: list[int], inputs: list[int],
                     "exact", report, (k, len(columns)))
 
 
-def _carve(netlist: Netlist, positions: list[int], inputs: list[int],
-           outputs: list[int]) -> Netlist:
-    """The cut as a netlist of its own (ports in0.., out0..)."""
-    chosen = [netlist.schedule[pos] for pos in positions]
-    b = NetlistBuilder("pattern")
-    net_map = {net: b.input(f"in{k}") for k, net in enumerate(inputs)}
-    for net in (net for g in chosen for net in g.inputs):
-        value = netlist.nets[net].value
-        if value is not None and net not in net_map:
-            net_map[net] = b.const(value)
-    net_map.update((g.output, b.wire()) for g in chosen)
-    for g in chosen:
-        b.gate(g.kind, tuple(net_map[n] for n in g.inputs), net_map[g.output])
-    for k, net in enumerate(outputs):
-        b.bind(f"out{k}", PortDir.OUT, net_map[net])
-    return b.build()
+def _cut_fields(netlist: Netlist, positions: list[int], inputs: list[int],
+                outputs: list[int]) -> nl_parser.RenderedFields:
+    """What `render` reads of the cut as a netlist of its own (ports in0..,
+    out0..), taken from the design's own compiled gates without building
+    that netlist: its gates are levelized as its construction would."""
+    schedule, _ = _levelization([netlist.schedule[pos] for pos in positions])
+    input_bits = tuple([(f"in{k}", net) for k, net in enumerate(inputs)])
+    output_bits = tuple([(f"out{k}", net) for k, net in enumerate(outputs)])
+    ports = tuple([Port(bit, PortDir.IN) for bit, _ in input_bits]
+                  + [Port(bit, PortDir.OUT) for bit, _ in output_bits])
+    return nl_parser.RenderedFields("pattern", ports, netlist.const_nets,
+                                    input_bits, output_bits, schedule, ())
 
 
 def _baseline_netlists() -> list[tuple[Netlist, tuple[str, ...]]]:

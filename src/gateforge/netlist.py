@@ -16,7 +16,7 @@ fields, so each netlist is validated, and levelized, once.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -295,7 +295,7 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
 
     # Combinational loop detection (registers break the cycle); the same
     # pass orders the gates for the compiled fields.
-    schedule, cycle = _levelization(netlist)
+    schedule, cycle = _levelization(gates)
     if cycle is not None:
         err("combinational-loop", "netlist",
             "cycle through " + " -> ".join(cycle))
@@ -392,15 +392,15 @@ def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
         object.__setattr__(netlist, name, value)
 
 
-def _levelization(netlist: Netlist) -> tuple[tuple[Gate, ...], list[str] | None]:
-    """Kahn order of the combinational gates, ties resolved by gate
+def _levelization(gates: Sequence[Gate]
+                  ) -> tuple[tuple[Gate, ...], list[str] | None]:
+    """Kahn order of the combinational `gates`, ties resolved by gate
     position, and the gate labels of a combinational cycle (None if the
     gates are acyclic).
 
     Register outputs are treated as sources and register inputs as sinks, so
     only paths through combinational gates can form a cycle.
     """
-    gates = netlist.gates
     comb = [i for i, g in enumerate(gates) if g.kind is not GateKind.DFF]
     producer: dict[int, int] = {}
     for i in comb:

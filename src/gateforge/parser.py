@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netlist import (
     Gate,
@@ -609,12 +610,24 @@ class _Parser:
 
     def _violation_token(self, v: StructuralViolation) -> _Token:
         """Where a structural error points: a net's or port's declaration,
-        a gate's instance name, and the first token for the whole netlist."""
+        a gate's instance name, and the first token for the whole netlist.
+        A constant's net has no declaration, so a second driver of it is
+        the place: an input port's declaration, else the gate's instance."""
         scope, _, name = v.where.partition(" ")
         if scope in ("net", "port"):
             decl = self.scope.decls.get(name.split("[")[0])
             if decl is not None:
                 return decl[0]
+            if v.kind == "multi-driver":
+                # "driven by constant 0 and input a and g1": the constant,
+                # then input bits, then gate instance names.
+                for driver in v.message.removeprefix("driven by ").split(
+                        " and "):
+                    if driver in self.instance_names:
+                        return self.instance_names[driver]
+                    what, _, bit = driver.partition(" ")
+                    if what == "input":
+                        return self.scope.decls[bit.split("[")[0]][0]
         elif v.where != "netlist" and v.where in self.instance_names:
             return self.instance_names[v.where]
         return self.toks[0]
@@ -629,7 +642,8 @@ def parse(text: str) -> ParseResult:
     constructs the `Netlist` from them, which validates it once, so it is
     returned validated, with its compiled fields set. A structural error
     points at the declaration of the net or port it names, at the gate's
-    instance name, or, for a combinational loop, at `module`.
+    instance name, or, for a combinational loop, at `module`. A net joined
+    to a constant and driven again points at that other driver.
     """
     return _Parser(text).parse()
 
@@ -656,7 +670,21 @@ def extract_netlist_block(reply: str) -> str | None:
     return None
 
 
-def render(netlist: Netlist) -> str:
+class RenderedFields(NamedTuple):
+    """What `render` reads of a netlist, for text whose netlist is never
+    built: extraction renders a cut of a design from the design's own
+    compiled gates this way."""
+
+    name: str
+    ports: tuple[Port, ...]
+    const_nets: tuple[tuple[int, int], ...]
+    input_bits: tuple[tuple[str, int], ...]
+    output_bits: tuple[tuple[str, int], ...]
+    schedule: tuple[Gate, ...]
+    registers: tuple[Gate, ...]
+
+
+def render(netlist: Netlist | RenderedFields) -> str:
     """Emit canonical text for a netlist.
 
     Canonical choices: combinational gates in levelized order, registers

@@ -94,18 +94,30 @@ class FunctionalSignature:
         return [(self.columns[j] >> r) & 1 for r in range(rows)]
 
 
+# _BIT_DIGITS[k] translates a byte to the ASCII digit of its bit k.
+_BIT_DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256))
+                    for k in range(8))
+
+
 def pack_columns(rows: Iterable[int], width: int) -> list[int]:
     """Transpose rows into `width` bit columns: bit r of column i is bit i of
-    the r-th row."""
-    columns = [0] * width
-    for r, row in enumerate(rows):
-        i = 0
-        while row:
-            if row & 1:
-                columns[i] |= 1 << r
-            row >>= 1
-            i += 1
-    return columns
+    the r-th row. A row wider than `width` raises IndexError.
+
+    The rows' bytes are laid end to end, last row first, so column i is the
+    strided slice of byte i // 8, with each byte read as the digit of its
+    bit i % 8: a binary numeral whose last digit is row 0.
+    """
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)
+    if max(rows, default=0) >> width:
+        raise IndexError(f"a row is wider than {width} bits")
+    if not rows:
+        return [0] * width
+    size = (width + 7) // 8
+    data = b"".join([row.to_bytes(size, "big") for row in rows])[::-1]
+    lanes = [data[j::size] for j in range(size)]
+    return [int(lanes[i // 8].translate(_BIT_DIGITS[i % 8]), 2)
+            for i in range(width)]
 
 
 @functools.cache

@@ -225,9 +225,10 @@ def toggle_netlist() -> Netlist:
     return b.build()
 
 
-def record_checks(monkeypatch) -> list[tuple[str, Netlist]]:
-    """Record every validate and _levelization call with its netlist."""
-    calls: list[tuple[str, Netlist]] = []
+def record_checks(monkeypatch) -> list[tuple[str, object]]:
+    """Record every validate call with its netlist, and every
+    _levelization call with its gates."""
+    calls: list[tuple[str, object]] = []
     for fn in ("validate", "_levelization"):
         real = getattr(nl, fn)
         monkeypatch.setattr(
@@ -265,7 +266,8 @@ def test_directly_built_invalid_netlists_raise_from_every_entry_point(
     calls = record_checks(monkeypatch)
     analyse(netlist)
     analyse(netlist)
-    assert [fn for fn, n in calls if n is netlist] == []
+    assert [fn for fn, n in calls
+            if n is netlist or n is netlist.gates] == []
 
 
 def test_invalid_graphs_raise_at_construction():
@@ -308,7 +310,7 @@ def test_a_valid_compile_levelizes_once(monkeypatch, reorder):
     assert drivers_first == (reorder is tuple)
     assert fresh.report.gate_count == 5 and fresh.report.delay == 3
     assert truth_table(fresh) == truth_table(fa)
-    assert calls == [("validate", fresh), ("_levelization", fresh)]
+    assert calls == [("validate", fresh), ("_levelization", fresh.gates)]
 
 
 def test_validate_leaves_the_compiled_form(monkeypatch):

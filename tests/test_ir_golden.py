@@ -10,8 +10,8 @@ the gates (kind, output, inputs, name), `input_bits`, `output_bits`,
 One digest per batch of texts is stored in `data/ir_golden.txt`.
 
 The corpora are the parse-golden corpus and the canonical texts of every
-sub-pattern carved from the seed reference netlists, in the order the
-extractor meets them, each text once.
+sub-pattern cut from the seed reference netlists, as extraction renders
+them, in the order the extractor meets them, each text once.
 
 To record the digests again, when the IR of a parse is meant to change:
 
@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import pytest
 
-from gateforge.knowledge import _carve, _connected_cuts
+from gateforge.knowledge import _connected_cuts, _cut_fields
 from gateforge.parser import parse, render
 from test_parse_golden import BATCH, DIGESTS, TASKS, batch_digests, corpus
 
 IR_DIGESTS = DIGESTS.parent / "ir_golden.txt"
 
 
-def carved_texts() -> list[str]:
+def cut_texts() -> list[str]:
     texts: dict[str, None] = {}
     for path in sorted(TASKS.glob("*/reference.nl")):
         netlist = parse(path.read_text()).netlist
         for cut in _connected_cuts(netlist):
-            texts.setdefault(render(_carve(netlist, *cut)))
+            texts.setdefault(render(_cut_fields(netlist, *cut)))
     return list(texts)
 
 
@@ -56,7 +56,7 @@ def ir_of(text: str) -> list | None:
 
 
 def ir_corpus() -> list[str]:
-    return corpus() + carved_texts()
+    return corpus() + cut_texts()
 
 
 @pytest.fixture(scope="module")

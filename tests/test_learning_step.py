@@ -167,7 +167,7 @@ def eager_extract(store, netlist, task_id, tags):
         except AdmissionError:
             continue
         consider(entry)
-    return out, len(carved)
+    return out
 
 
 @pytest.mark.parametrize("task_id", ["adder4", "alu1"])
@@ -177,7 +177,7 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
     netlist = parse(task.reference_netlist).netlist
     store = KnowledgeStore(tmp_path / "store")
     store.seed_baseline()
-    want, n_carved = eager_extract(store, netlist, task_id, task.tags)
+    want = eager_extract(store, netlist, task_id, task.tags)
 
     builds = []
     build = NetlistBuilder.build
@@ -187,10 +187,9 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
 
     assert got == want
     assert len(got) == SUBPATTERN_EMIT_CAP + 1
-    # Only the emitted sub-patterns were built as netlists; the cap was
-    # reached long before the last subset.
-    assert len(builds) == sum("subcircuit" in e.tags for e in got)
-    assert len(builds) < n_carved / 4
+    # The emitted sub-patterns are rendered from the design's own gates:
+    # none is built as a netlist.
+    assert len(builds) == 0
 
 
 def designs():
@@ -210,13 +209,14 @@ DESIGNS = designs()
 
 def assert_cuts_match_the_reference(netlist):
     """The bitmask enumerator yields the reference subsets that fit the
-    input bound, in order, and each cut measures as its carved netlist."""
+    input bound, in order, and each cut renders and measures as its carved
+    netlist."""
     carved = [(s, sub) for s in reference_subsets(netlist)
               if (sub := reference_carve(netlist, s)) is not None]
     cuts = list(knowledge._connected_cuts(netlist))
     assert [positions for positions, _, _ in cuts] == [s for s, _ in carved]
     for cut, (_, sub) in zip(cuts, carved):
-        assert knowledge._carve(netlist, *cut) == sub
+        assert render(knowledge._cut_fields(netlist, *cut)) == render(sub)
         assert knowledge._measure_cut(netlist, *cut) == knowledge._measure(sub)
     return cuts
 
@@ -247,8 +247,8 @@ def test_extraction_renders_only_what_it_emits(tmp_path, monkeypatch):
                         lambda n: renders.append(1) or render(n))
     got = KnowledgeView(()).extract_patterns(netlist, task_id="adder4",
                                              tags=ADDER4.tags, text=text)
-    # The whole design's entry takes the caller's text; no carved
-    # sub-netlist is rendered unless its entry is emitted.
+    # The whole design's entry takes the caller's text; no sub-pattern
+    # is rendered unless its entry is emitted.
     assert got[0].netlist_text == text
     assert len(renders) == len(got) - 1
     # Two samples with one design: the Summarizer extracts it once, from

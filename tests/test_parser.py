@@ -220,6 +220,32 @@ def test_two_constants_joined_by_assign_are_a_multi_driver():
                  " assign y = 1'b1; endmodule").ok
 
 
+def test_a_gate_driving_a_constant_net_is_reported_at_its_instance():
+    for instance in ("g1", "constant"):
+        r = parse("module t(input a, input b, output y);\n"
+                  "  wire w;\n"
+                  "  assign w = 1'b0;\n"
+                  f"  and {instance}(w, a, b);\n"
+                  "  or g2(y, w, a);\n"
+                  "endmodule")
+        assert [(e.kind, e.line, e.column, e.message, e.token)
+                for e in r.errors] == [
+            ("syntax", 4, 7,
+             f"multi-driver: driven by constant 0 and {instance}", instance)]
+
+
+def test_an_input_joined_to_a_constant_is_reported_at_its_declaration():
+    for decl, bit, column in (("a", "a", 16), ("[1:0] a", "a[1]", 22)):
+        r = parse(f"module t(input {decl}, input b, output y);\n"
+                  f"  assign {bit} = 1'b1;\n"
+                  f"  and g1(y, {bit}, b);\n"
+                  "endmodule")
+        assert [(e.kind, e.line, e.column, e.message, e.token)
+                for e in r.errors] == [
+            ("syntax", 1, column,
+             f"multi-driver: driven by constant 1 and input {bit}", "a")]
+
+
 def test_combinational_loop_is_an_error():
     r = parse("module t(input a, output y); xor g1(y, a, y); endmodule")
     assert not r.ok

@@ -8,6 +8,7 @@ from conftest import (
     random_netlist,
     recursive_eval,
 )
+from hypothesis import given, settings, strategies as st
 
 from gateforge.netlist import GateKind, NetlistBuilder, PortDir
 from gateforge.simulator import (
@@ -250,6 +251,39 @@ def test_not_gate_table():
 @pytest.mark.parametrize("n", range(13))
 def test_exhaustive_columns_are_the_packed_row_numbers(n):
     assert exhaustive_columns(n) == tuple(pack_columns(range(1 << n), n))
+
+
+def reference_pack_columns(rows, width):
+    """The transpose bit by bit: bit r of column i is bit i of row r."""
+    columns = [0] * width
+    for r, row in enumerate(rows):
+        i = 0
+        while row:
+            if row & 1:
+                columns[i] |= 1 << r
+            row >>= 1
+            i += 1
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 1100), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_pack_columns_is_the_bitwise_transpose(count, width, seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(width) for _ in range(count)]
+    want = reference_pack_columns(rows, width)
+    assert pack_columns(rows, width) == want
+    assert pack_columns(tuple(rows), width) == want
+    assert pack_columns((row for row in rows), width) == want
+
+
+@pytest.mark.parametrize("rows, width", [([0, 8], 3), ([1], 0),
+                                         ([5, 1 << 40], 40), ([1 << 8], 8)])
+def test_pack_columns_refuses_a_row_wider_than_width(rows, width):
+    with pytest.raises(IndexError):
+        reference_pack_columns(rows, width)
+    with pytest.raises(IndexError):
+        pack_columns(iter(rows), width)
 
 
 def test_half_adder_columns_are_xor_and_and():
