@@ -22,7 +22,8 @@ import random
 import threading
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import parser as nl_parser
 from .jsonfields import REQUIRED, FieldError, is_json, json_fields, take_all
@@ -61,13 +62,6 @@ class AdmissionError(StoreError):
 
 
 @dataclass(frozen=True)
-class Provenance:
-    task_id: str = ""
-    run_id: str = ""
-    created_at: str = ""
-
-
-@dataclass(frozen=True)
 class KnowledgeEntry:
     kind: str
     name: str
@@ -85,13 +79,15 @@ class KnowledgeEntry:
     error_class: str | None = None
     symptom: str | None = None
     fix: str | None = None
-    provenance: Provenance = field(default_factory=Provenance)
+    # Where and when the entry was learned.
+    task_id: str = ""
+    run_id: str = ""
+    created_at: str = ""
     id: int | None = None
     status: str = "primary"             # primary | archived
 
     def to_record(self) -> dict:
-        rec = {key: getattr(self.provenance if key in _PROVENANCE else self,
-                            key) for key, _, _ in RECORD_FIELDS}
+        rec = {key: getattr(self, key) for key, _, _ in RECORD_FIELDS}
         rec["tags"] = list(self.tags)
         return rec
 
@@ -99,21 +95,16 @@ class KnowledgeEntry:
     def from_record(cls, rec: dict) -> "KnowledgeEntry":
         """The entry an index record stands for; `rec` holds every field
         of RECORD_FIELDS, as `KnowledgeStore._parse_record` returns it."""
-        values = dict(rec, tags=tuple(rec["tags"]))
-        provenance = Provenance(*(values.pop(key) for key in _PROVENANCE))
-        return cls(**values, provenance=provenance)
+        return cls(**dict(rec, tags=tuple(rec["tags"])))
 
 
 # Each index record field, in record order: (key, JSON types, value when
-# absent). Every record has an id; the provenance fields are stored flat.
+# absent). Every record has an id.
 RECORD_FIELDS = (
     ("id", (int,), REQUIRED),
-    *json_fields(KnowledgeEntry,
-                 skip=("provenance", "id", "status")),
-    *json_fields(Provenance),
+    *json_fields(KnowledgeEntry, skip=("id", "status")),
     ("status", ("primary", "archived"), "primary"),
 )
-_PROVENANCE = ("task_id", "run_id", "created_at")
 
 
 def pattern_key(entry: KnowledgeEntry) -> tuple[str | None, int, int]:
@@ -247,38 +238,18 @@ def sequential_fingerprint(netlist: Netlist) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class _Measure:
-    """What a circuit-pattern entry records about its netlist."""
+class _Measure(NamedTuple):
+    """What a circuit-pattern entry records about its netlist, under the
+    entry's field names. `sei` is at default weights, so one store serves
+    runs under any weights."""
 
-    digest: str
+    signature_digest: str
     signature_kind: str       # exact | sampled | sequential
-    report: StructuralReport
-    shape: tuple[int, int]    # (input bits, output bits)
-
-    @property
-    def sei(self) -> float | None:
-        # Always at default weights, so one store serves runs under any
-        # weights.
-        return measure(self.report)
-
-    def entry(self, netlist_text: str | None, name: str, tags: tuple[str, ...],
-              provenance: Provenance | None) -> KnowledgeEntry:
-        """The circuit-pattern entry for this netlist, given its text."""
-        return KnowledgeEntry(
-            kind=KIND_PATTERN,
-            name=name,
-            tags=tuple(tags),
-            netlist_text=netlist_text,
-            signature_digest=self.digest,
-            signature_kind=self.signature_kind,
-            inputs=self.shape[0],
-            outputs=self.shape[1],
-            gate_count=self.report.gate_count,
-            delay=self.report.delay,
-            sei=self.sei,
-            provenance=provenance or Provenance(),
-        )
+    inputs: int
+    outputs: int
+    gate_count: int
+    delay: int
+    sei: float | None
 
 
 def _measure(netlist: Netlist) -> _Measure:
@@ -288,21 +259,25 @@ def _measure(netlist: Netlist) -> _Measure:
     else:
         sig = functional_signature(netlist)
         digest, kind = sig.digest, "exact" if sig.exact else "sampled"
-    shape = (len(netlist.input_bits), len(netlist.output_bits))
-    return _Measure(digest, kind, structural_report(netlist), shape)
+    report = structural_report(netlist)
+    return _Measure(digest, kind, len(netlist.input_bits),
+                    len(netlist.output_bits), report.gate_count, report.delay,
+                    measure(report))
 
 
 def make_pattern_entry(netlist: Netlist, tags: tuple[str, ...] = (),
-                       provenance: Provenance | None = None,
+                       task_id: str = "", run_id: str = "",
                        name: str | None = None) -> KnowledgeEntry:
     """Build a circuit-pattern entry from a verified netlist."""
-    return _measure(netlist).entry(nl_parser.render(netlist),
-                                   name or netlist.name, tags, provenance)
+    return KnowledgeEntry(KIND_PATTERN, name or netlist.name, tuple(tags),
+                          nl_parser.render(netlist),
+                          **_measure(netlist)._asdict(), task_id=task_id,
+                          run_id=run_id)
 
 
 def make_error_fix_entry(error_class: str, symptom: str, fix: str,
-                         tags: tuple[str, ...] = (),
-                         provenance: Provenance | None = None,
+                         tags: tuple[str, ...] = (), task_id: str = "",
+                         run_id: str = "",
                          name: str | None = None) -> KnowledgeEntry:
     return KnowledgeEntry(
         kind=KIND_ERROR_FIX,
@@ -311,7 +286,8 @@ def make_error_fix_entry(error_class: str, symptom: str, fix: str,
         error_class=error_class,
         symptom=symptom,
         fix=fix,
-        provenance=provenance or Provenance(),
+        task_id=task_id,
+        run_id=run_id,
     )
 
 
@@ -331,19 +307,18 @@ def verify_pattern_entry(entry: KnowledgeEntry) -> None:
     except SimulationError as exc:
         raise AdmissionError(
             f"{entry.name}: stored netlist cannot be simulated: {exc}") from None
-    if m.digest != entry.signature_digest:
+    if m.signature_digest != entry.signature_digest:
         raise AdmissionError(f"{entry.name}: netlist does not match its "
                              "stored functional signature")
-    measured = (m.report.gate_count, m.report.delay)
+    measured = (m.gate_count, m.delay)
     if measured != (entry.gate_count, entry.delay):
         raise AdmissionError(f"{entry.name}: stored gate count/delay "
                              f"({entry.gate_count}, {entry.delay}) do not match "
                              f"measured {measured}")
-    want_sei = m.sei
-    if want_sei is None or entry.sei is None or abs(entry.sei - want_sei) > 1e-9:
+    if m.sei is None or entry.sei is None or abs(entry.sei - m.sei) > 1e-9:
         raise AdmissionError(f"{entry.name}: stored efficiency index "
-                             f"{entry.sei} does not match {want_sei}")
-    if m.shape != (entry.inputs, entry.outputs):
+                             f"{entry.sei} does not match {m.sei}")
+    if (m.inputs, m.outputs) != (entry.inputs, entry.outputs):
         raise AdmissionError(f"{entry.name}: interface shape mismatch")
 
 
@@ -370,7 +345,6 @@ class _RetrievalBase:
         equal or better efficiency. Nothing is inserted here; callers pass
         the results to a writable store. `text` is `render(netlist)`, when
         the caller already holds it."""
-        provenance = Provenance(task_id=task_id, run_id=run_id)
         # Held primaries, then each emitted entry, compete under the rule.
         primaries: dict[tuple, KnowledgeEntry] = {}
         for held in self.entries():
@@ -380,7 +354,9 @@ class _RetrievalBase:
         def offer(m: _Measure, name: str, entry_tags: tuple[str, ...],
                   render: Callable[[], str]) -> None:
             # Only an emitted entry is rendered; most are not.
-            entry = m.entry(None, name, entry_tags, provenance)
+            entry = KnowledgeEntry(KIND_PATTERN, name, tuple(entry_tags),
+                                   **m._asdict(), task_id=task_id,
+                                   run_id=run_id)
             if offer_primary(primaries, entry) is not entry:
                 out.append(replace(entry, netlist_text=render()))
 
@@ -395,7 +371,7 @@ class _RetrievalBase:
         sub_tags = tuple(tags) + ("subcircuit",)
         for cut in _connected_cuts(netlist):
             m = _measure_cut(netlist, *cut)
-            offer(m, f"pat-{m.digest[:10]}", sub_tags,
+            offer(m, f"pat-{m.signature_digest[:10]}", sub_tags,
                   lambda: nl_parser.render(_cut_fields(netlist, *cut)))
             if len(out) > SUBPATTERN_EMIT_CAP:
                 break
@@ -504,12 +480,9 @@ class KnowledgeStore(_RetrievalBase):
         verify_pattern_entry(entry)
         with self._lock:
             entry_id = self._next_id
-            entry = replace(entry, id=entry_id, status="primary")
-            if not entry.provenance.created_at:
-                entry = replace(entry, provenance=replace(
-                    entry.provenance,
-                    created_at=time.strftime("%Y-%m-%dT%H:%M:%S",
-                                             time.gmtime())))
+            entry = replace(entry, id=entry_id, status="primary",
+                            created_at=entry.created_at or time.strftime(
+                                "%Y-%m-%dT%H:%M:%S", time.gmtime()))
             records = [entry]
             if entry.kind == KIND_PATTERN:
                 # The rule decides on a copy of the key's slot: memory
@@ -544,8 +517,8 @@ class KnowledgeStore(_RetrievalBase):
                 raise StoreError("seed_baseline requires an empty store")
         count = 0
         for netlist, tags in _baseline_netlists():
-            self.store(make_pattern_entry(
-                netlist, tags=tags, provenance=Provenance(task_id="baseline")))
+            self.store(make_pattern_entry(netlist, tags=tags,
+                                          task_id="baseline"))
             count += 1
         return count
 
@@ -685,7 +658,8 @@ def _measure_cut(netlist: Netlist, positions: list[int], inputs: list[int],
     depth = gate_depths(netlist.schedule[pos] for pos in positions)
     report = StructuralReport(len(positions), max(map(depth.get, outputs)), 0)
     return _Measure(FunctionalSignature(k, len(columns), columns).digest,
-                    "exact", report, (k, len(columns)))
+                    "exact", k, len(columns), report.gate_count, report.delay,
+                    measure(report))
 
 
 def _cut_fields(netlist: Netlist, positions: list[int], inputs: list[int],

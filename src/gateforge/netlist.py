@@ -173,9 +173,6 @@ class Netlist:
     def input_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction is PortDir.IN)
 
-    def output_ports(self) -> tuple[Port, ...]:
-        return tuple(p for p in self.ports if p.direction is PortDir.OUT)
-
     def clock_nets(self) -> set[int]:
         """Nets attached to register clock pins."""
         return {g.clock_input for g in self.registers}

@@ -161,6 +161,8 @@ class RunConfig:
             raise ValueError("every k must satisfy 1 <= k <= samples_per_task")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.retrieval_limit < 1:
+            raise ValueError("retrieval_limit must be >= 1")
 
     @property
     def sampling(self) -> SamplingParams:

@@ -280,6 +280,8 @@ def test_backend_selector_from_config_file(capsys, script_path, tmp_path):
      "every k must satisfy 1 <= k <= samples_per_task"),
     ("bench", ["--n", "0"], None, "samples_per_task must be >= 1"),
     ("bench", ["--workers", "0"], None, "workers must be >= 1"),
+    ("bench", ["--profile", "V2"], {"retrieval_limit": 0},
+     "retrieval_limit must be >= 1"),
     ("bench", [], {"weights": {"alpha": 0}},
      "alpha, beta and epsilon must be positive"),
     ("run", [], {"weights": {"alpha": 0}},
@@ -289,9 +291,9 @@ def test_backend_selector_from_config_file(capsys, script_path, tmp_path):
     ("bench", [], [1], "--config must hold a JSON object"),
     ("run", [], {"temperature": "hot"}, "temperature: must be a number"),
     ("bench", [], {"pass_ks": [True]}, "pass_ks: must be a list of integers"),
-], ids=["k-above-n", "k-zero", "n-zero", "workers-zero", "bench-weights",
-        "run-weights", "unknown-key", "not-an-object", "temperature-string",
-        "pass-ks-bool"])
+], ids=["k-above-n", "k-zero", "n-zero", "workers-zero",
+        "retrieval-limit-zero", "bench-weights", "run-weights", "unknown-key",
+        "not-an-object", "temperature-string", "pass-ks-bool"])
 def test_bad_run_config_values_are_usage_errors(
         capsys, script_path, tmp_path, command, args, config, message):
     argv = [command, "--backend", f"scripted:{script_path}",

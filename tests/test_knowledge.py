@@ -182,9 +182,18 @@ def test_persistence_across_reopen(tmp_path):
     root = tmp_path / "store"
     store = KnowledgeStore(root)
     store.seed_baseline()
-    ids = sorted(e.id for e in store.entries())
+    # A three-gate mux displaces the seeded four-gate mux2.
+    b = NetlistBuilder("mux_xor")
+    a, c, sel = b.input("a"), b.input("b"), b.input("sel")
+    picked = b.gate(GateKind.AND, (sel, b.gate(GateKind.XOR, (a, c))))
+    b.gate(GateKind.XOR, (a, picked), b.output("y"))
+    store.store(make_pattern_entry(b.build(), tags=("mux",)))
+    store.store(make_error_fix_entry("syntax", "stray token", "remove it",
+                                     tags=("lint",), task_id="t", run_id="r"))
+    written = store.entries(include_archived=True)
+    assert {e.status for e in written} == {"primary", "archived"}
     reopened = KnowledgeStore(root)  # verify-on-load runs here
-    assert sorted(e.id for e in reopened.entries()) == ids
+    assert reopened.entries(include_archived=True) == written
 
 
 def set_netlist_text(store, text):

@@ -20,7 +20,6 @@ from gateforge.knowledge import (
     AdmissionError,
     KnowledgeStore,
     KnowledgeView,
-    Provenance,
     RetrievalQuery,
     make_pattern_entry,
     verify_pattern_entry,
@@ -135,7 +134,6 @@ def eager_extract(store, netlist, task_id, tags):
     until the emit cap."""
     from dataclasses import replace
 
-    provenance = Provenance(task_id=task_id)
     existing = {}
     for e in store.entries():
         key = (e.signature_digest, e.inputs, e.outputs)
@@ -151,7 +149,7 @@ def eager_extract(store, netlist, task_id, tags):
         emitted[key] = entry.sei or 0.0
         out.append(entry)
 
-    consider(make_pattern_entry(netlist, tags=tags, provenance=provenance,
+    consider(make_pattern_entry(netlist, tags=tags, task_id=task_id,
                                 name=f"{task_id}-design"))
     carved = [sub for sub in (reference_carve(netlist, s)
                               for s in reference_subsets(netlist))
@@ -160,7 +158,7 @@ def eager_extract(store, netlist, task_id, tags):
         if len(out) > SUBPATTERN_EMIT_CAP:
             break
         entry = make_pattern_entry(sub, tags=tuple(tags) + ("subcircuit",),
-                                   provenance=provenance)
+                                   task_id=task_id)
         entry = replace(entry, name=f"pat-{entry.signature_digest[:10]}")
         try:
             verify_pattern_entry(entry)
