@@ -289,6 +289,31 @@ def test_search_output_is_pinned():
         dc = rng.getrandbits(8) & rng.getrandbits(8)
         f = BoolFunction(3, rng.getrandbits(8) & ~dc, dc)
         found.append(min_gate_network(f, ORACLE_BASES[i % 3], max_gates=3))
+    assert _search_digest(found) == ("671329c76fdd58439097927f45af0fec"
+                                     "90f1079cfbc3b56e3d55598c83d8b48b")
+
+
+def test_deeper_search_output_is_pinned():
+    """As above, past cap 3: there a next-to-last gate can leave two gates
+    unread, and the prefixes are longer. All 3-input functions at cap 4
+    over {and, or, not} and {nand}, seeded don't-care 3-input functions at
+    cap 5 and 4-input ones at cap 4, over each oracle basis."""
+    found = [min_gate_network(BoolFunction(3, table), ORACLE_BASES[basis],
+                              max_gates=4)
+             for basis in (1, 2) for table in range(256)]
+    rng = random.Random(25)
+    for n, count, cap in ((3, 24, 5), (4, 12, 4)):
+        rows = 1 << n
+        for i in range(count):
+            dc = rng.getrandbits(rows) & rng.getrandbits(rows)
+            f = BoolFunction(n, rng.getrandbits(rows) & ~dc, dc)
+            found.append(min_gate_network(f, ORACLE_BASES[i % 3], max_gates=cap))
+    assert _search_digest(found) == ("18db9766a155bf66fcb5db1b0af44b09"
+                                     "3503af0e2cc01ef550a5ce0581c124fd")
+
+
+def _search_digest(found) -> str:
+    """sha256 over every gate, operand, output and report of `found`."""
     h = hashlib.sha256()
     for result in found:
         if result is None:
@@ -298,8 +323,7 @@ def test_search_output_is_pinned():
         record = [(g.kind.value, g.inputs, g.output) for g in netlist.gates]
         record.append((report.gate_count, report.delay))
         h.update(repr(record).encode() + b";")
-    assert h.hexdigest() == ("671329c76fdd58439097927f45af0fec"
-                             "90f1079cfbc3b56e3d55598c83d8b48b")
+    return h.hexdigest()
 
 
 def test_dont_care_relaxes_the_search():
