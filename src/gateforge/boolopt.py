@@ -5,14 +5,17 @@ This module is the independent source of truth the review loop leans on:
 quine_mccluskey gives a minimum-term sum-of-products cover, and
 min_gate_network exhaustively enumerates gate networks over a chosen subset
 of the locked primitives, so its answers are minimal by construction. The
-enumeration skips only networks that a smaller or earlier one beats: every
-node computes a distinct table, independent adjacent gates appear in
-canonical order, and every gate is read by a later gate or is the output.
+enumeration skips only networks that a smaller or earlier one beats, and
+per-row rules pick its output gates: it never tries one that misses.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 
 from .netlist import (
     COMBINATIONAL_KINDS,
@@ -269,13 +272,17 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     Three prunings drop only networks that a smaller or earlier one beats:
     every node computes a distinct table, independent adjacent gates appear
     in canonical (kind, operands) order, and every gate is read by a later
-    gate or is the output.
+    gate or is the output. So the output gate reads the next-to-last gate
+    and any older unread node. For each such gate, `_operand_rule` fixes
+    rows of the next-to-last table, and one mask test finds the gates that
+    match f. They are tested in canonical order, keeping the least delay,
+    first on a tie: the networks that trying every output gate returns.
     """
     if f.n > SEARCH_MAX_INPUTS:
         raise ValueError(f"arity {f.n} exceeds the limit of {SEARCH_MAX_INPUTS}")
-    if max_gates > SEARCH_MAX_GATES:
-        raise ValueError(f"max_gates {max_gates} exceeds the limit of {SEARCH_MAX_GATES}")
-    kinds = sorted(set(gate_set), key=lambda k: k.value)
+    if not 0 <= max_gates <= SEARCH_MAX_GATES:
+        raise ValueError(f"max_gates {max_gates} is outside 0..{SEARCH_MAX_GATES}")
+    kinds = tuple(sorted(set(gate_set), key=lambda k: k.value))
     if not kinds or any(k not in COMBINATIONAL_KINDS for k in kinds):
         raise ValueError("gate_set must be a non-empty subset of the "
                          "combinational locked primitives")
@@ -289,58 +296,52 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
         if (t ^ target) & care == 0:
             return _network_to_netlist(f, [], idx)
 
-    # The candidate gates over the first m nodes, for each node count m, in
-    # canonical order: (signature, reads node m-1, evaluator, kind, operands,
-    # first and last operand, operand bit mask).
     n_sources = len(sources)
-    candidates: dict[int, list[tuple]] = {}
-    for m in range(n_sources, n_sources + max_gates):
-        cands = candidates[m] = []
-        for rank, kind in enumerate(kinds):
-            evaluate = GATE_EVAL[kind]
-            if kind is GateKind.NOT:
-                operand_sets = [(i,) for i in range(m)]
-            else:
-                operand_sets = [(i, j) for i in range(m) for j in range(i + 1, m)]
-            for ops in operand_sets:
-                a, b = ops[0], ops[-1]
-                cands.append(((rank, ops), b == m - 1, evaluate, kind, ops,
-                              a, b, (1 << a) | (1 << b)))
-    # The last gate must read every gate nothing reads yet (the `unread` bit
-    # mask): those candidates, by node count and unread mask.
-    endings: dict[tuple[int, int], list[tuple]] = {}
-
+    candidates = {m: _candidates(kinds, m)
+                  for m in range(n_sources, n_sources + max_gates)}
     # Iterative deepening: the first budget with any realization is minimal;
     # among its networks keep the smallest delay (ties: first in canonical
     # order). A new gate's table must differ from every node's (a minimal
     # network never computes a function twice), and independent adjacent
     # gates must appear in canonical order (every DAG has such a topological
-    # order). The nodes are parallel lists, pushed and popped.
+    # order). The nodes are parallel lists, pushed and popped; `rules` holds
+    # each kind's rule (by rank) with the node as the other operand.
     tables = list(sources)
     depths = [0] * n_sources
     gates: list[tuple[GateKind, tuple[int, ...]]] = []
     seen = set(sources)
+    evaluators = [GATE_EVAL[kind] for kind in kinds]
+    rules = [[_operand_rule(e, t, target, care, mask) for e in evaluators]
+             for t in sources]
     best: tuple[int, list] | None = None
 
     def extend(remaining: int, prev_sig: tuple, unread: int) -> None:
         nonlocal best
         m = len(tables)
-        if remaining == 1:
-            ending = endings.get((m, unread))
-            if ending is None:
-                ending = endings[(m, unread)] = [
-                    c for c in candidates[m] if unread & ~c[7] == 0]
-            for _, _, evaluate, kind, ops, a, b, _ in ending:
-                t = evaluate(tables[a], tables[b], mask)
-                if (t ^ target) & care or t in seen:
-                    continue
-                depth = 1 + max(depths[a], depths[b])
-                if best is None or depth < best[0]:
-                    best = (depth, [*gates, (kind, ops)])
+        if remaining == 1:  # budget 1: the first gate over the sources
+            for _, evaluate, kind, ops, a, b, _ in candidates[m][0]:
+                if (evaluate(tables[a], tables[b], mask) ^ target) & care == 0:
+                    best = (1, [(kind, ops)])
+                    break
             return
-        for sig, reads_prev, evaluate, kind, ops, a, b, op_mask in candidates[m]:
-            if not reads_prev and sig <= prev_sig:
-                continue
+        if remaining == 2:
+            # The output gate will read the next gate (table t) and every
+            # older unread node. For each such gate, in canonical order, the
+            # rows of t it fixes, by the older node left unread (0: none).
+            ends: dict[int, list[tuple]] = {0: []}
+            for (rank, _), evaluate, kind, ops, a, _, _ in candidates[m + 1][1]:
+                j = a if a < m else 0  # a NOT reads t alone; source 0 stands in
+                rule = rules[j][rank]
+                if rule is not None:
+                    ends[0].append((kind, ops, evaluate, tables[j], depths[j], *rule))
+                    if unread >> a & 1:
+                        ends.setdefault(1 << a, []).append(ends[0][-1])
+        # Canonical order: a gate that does not read node m-1 sorts after the
+        # gate before it. Candidates are sorted by signature.
+        cands, lasts = candidates[m]
+        walk = (lasts[:bisect_right(lasts, prev_sig, key=itemgetter(0))]
+                + cands[bisect_right(cands, prev_sig, key=itemgetter(0)):])
+        for sig, evaluate, kind, ops, a, b, op_mask in walk:
             t = evaluate(tables[a], tables[b], mask)
             # A gate that already realizes f ends a smaller network, which
             # an earlier budget has ruled out.
@@ -351,15 +352,28 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
             # two and is one), and at the end only the output is unread.
             if now_unread.bit_count() > remaining:
                 continue
-            tables.append(t)
-            depths.append(1 + max(depths[a], depths[b]))
-            gates.append((kind, ops))
-            seen.add(t)
-            extend(remaining - 1, sig, now_unread)
-            tables.pop()
-            depths.pop()
-            gates.pop()
-            seen.discard(t)
+            if remaining > 2:
+                tables.append(t)
+                depths.append(1 + max(depths[a], depths[b]))
+                gates.append((kind, ops))
+                seen.add(t)
+                rules.append([_operand_rule(e, t, target, care, mask) for e in evaluators])
+                extend(remaining - 1, sig, now_unread)
+                tables.pop()
+                depths.pop()
+                gates.pop()
+                seen.discard(t)
+                rules.pop()
+                continue
+            # Only an output gate whose rule t meets can match f.
+            for end_kind, end_ops, end_eval, other, other_depth, fixed, want in \
+                    ends.get(now_unread ^ 1 << m, ()):
+                if t & fixed != want or (out := end_eval(t, other, mask)) == t \
+                        or out in seen:
+                    continue
+                end_depth = 1 + max(1 + max(depths[a], depths[b]), other_depth)
+                if best is None or end_depth < best[0]:
+                    best = (end_depth, [*gates, (kind, ops), (end_kind, end_ops)])
 
     try:
         for budget in range(1, max_gates + 1):
@@ -368,9 +382,34 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
                 return _network_to_netlist(f, best[1], n_sources + budget - 1)
         return None
     finally:
-        # `extend` refers to itself, a cycle that would hold the candidate
-        # lists until the next full garbage collection.
+        # `extend` refers to itself, a cycle that would hold the search
+        # state until the next full garbage collection.
         del extend
+
+
+@functools.cache
+def _candidates(kinds: tuple[GateKind, ...], m: int) -> tuple[tuple, tuple]:
+    """The gates over the first m nodes in canonical order, and those that
+    read node m-1: (signature, evaluator, kind, operands, first and last
+    operand, operand bit mask). Bounded: 31 kind sets, node counts 2..12."""
+    cands = []
+    for rank, kind in enumerate(kinds):
+        operand_sets = ([(i,) for i in range(m)] if kind is GateKind.NOT
+                        else combinations(range(m), 2))
+        cands += [((rank, ops), GATE_EVAL[kind], kind, ops, ops[0], ops[-1],
+                   (1 << ops[0]) | (1 << ops[-1])) for ops in operand_sets]
+    return tuple(cands), tuple(c for c in cands if c[5] == m - 1)
+
+
+def _operand_rule(evaluate, other, target, care, mask) -> tuple[int, int] | None:
+    """(fixed, want) such that `evaluate(u, other, mask)` matches target on
+    care exactly when u & fixed == want; None when no u does. Gates act row
+    by row, so each care row of u is free, forced or impossible. Binary
+    kinds are symmetric, so u may stand for either operand."""
+    lo = evaluate(0, other, mask) ^ target
+    hi = evaluate(mask, other, mask) ^ target
+    fixed = (lo ^ hi) & care
+    return None if lo & hi & care else (fixed, fixed & lo)
 
 
 def _network_to_netlist(f: BoolFunction, gates: list[tuple[GateKind, tuple[int, ...]]],

@@ -5,10 +5,12 @@ import random
 
 import pytest
 from conftest import build_half_adder
+from hypothesis import given, settings, strategies as st
 
 from gateforge.boolopt import (
     BoolFunction,
     Cube,
+    _operand_rule,
     min_gate_network,
     prime_implicants,
     quine_mccluskey,
@@ -16,6 +18,7 @@ from gateforge.boolopt import (
 )
 from gateforge.netlist import (
     COMBINATIONAL_KINDS,
+    GATE_EVAL,
     GateKind,
     NetlistBuilder,
 )
@@ -294,7 +297,7 @@ def test_search_output_is_pinned():
 
 
 def test_deeper_search_output_is_pinned():
-    """As above, past cap 3: there a next-to-last gate can leave two gates
+    """As above, past cap 3: there the next-to-last gate can find two gates
     unread, and the prefixes are longer. All 3-input functions at cap 4
     over {and, or, not} and {nand}, seeded don't-care 3-input functions at
     cap 5 and 4-input ones at cap 4, over each oracle basis."""
@@ -326,6 +329,29 @@ def _search_digest(found) -> str:
     return h.hexdigest()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(COMBINATIONAL_KINDS, key=lambda k: k.value)),
+       st.integers(1, 4), st.data())
+def test_operand_rule_accepts_exactly_the_matching_operands(kind, n, data):
+    """The rule accepts table tj exactly when evaluate(tj, tu) matches the
+    target on the care rows; a kind it rules out has no such tj. Every tj
+    up to 3 inputs, a sample (with the rule's own picks) at 4."""
+    mask = (1 << (1 << n)) - 1
+    tu, target, care = (data.draw(st.integers(0, mask)) for _ in range(3))
+    evaluate = GATE_EVAL[kind]
+    rule = _operand_rule(evaluate, tu, target, care, mask)
+    if n <= 3:
+        operands = range(mask + 1)
+    else:
+        operands = data.draw(st.lists(st.integers(0, mask), min_size=64))
+        if rule is not None:
+            fixed, want = rule
+            operands += [want, want | ~fixed & mask]
+    for tj in operands:
+        matches = (evaluate(tj, tu, mask) ^ target) & care == 0
+        assert (rule is not None and tj & rule[0] == rule[1]) == matches, tj
+
+
 def test_dont_care_relaxes_the_search():
     # Target XOR but with half the rows unconstrained: a single projection
     # suffices, so no gates are needed.
@@ -339,6 +365,9 @@ def test_search_arity_and_bound_limits():
         min_gate_network(BoolFunction(5, 0), COMBINATIONAL_KINDS)
     with pytest.raises(ValueError):
         min_gate_network(XOR2, COMBINATIONAL_KINDS, max_gates=8)
+    # x0 needs no gate, but no network fits within a negative bound.
+    with pytest.raises(ValueError):
+        min_gate_network(BoolFunction(1, 0b10), COMBINATIONAL_KINDS, max_gates=-1)
     with pytest.raises(ValueError):
         min_gate_network(XOR2, {GateKind.DFF})
 
