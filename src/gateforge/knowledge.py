@@ -3,8 +3,9 @@
 Layout on disk: a directory holding one file, index.jsonl, with one JSON
 record per entry carrying all its fields, a circuit pattern's canonical
 netlist text included. The index is an append-only log (the last record per
-id wins) that only compact() rewrites. Each admission is one append, so a
-crash can tear at most the last line. The exact schema is documented in
+id wins) that only compact() rewrites. Each `store` call is one append of
+its entries' records, so a crash can tear at most the last line; the
+complete records before it stay. The exact schema is documented in
 docs/knowledge_store.md.
 
 Retrieval is symbolic and deterministic: exact functional-signature match,
@@ -41,8 +42,9 @@ KIND_ERROR_FIX = "error-fix"
 SUBPATTERN_MIN_GATES = 2
 SUBPATTERN_MAX_GATES = 8
 SUBPATTERN_MAX_INPUTS = 6
-# Connected-subgraph enumeration stops here so pathological designs cannot
-# stall a run; alu1 with one inverter pair already has 4,510 subsets.
+# Connected-subgraph enumeration stops after this many subsets, counted
+# smallest first, so pathological designs cannot stall a run; alu1 with one
+# inverter pair already has 4,510 subsets and loses only 8-gate ones.
 SUBPATTERN_ENUM_CAP = 4096
 # Extraction stops once it has emitted more than this many entries, so a
 # design yields at most 33, smallest sub-patterns first (33 sub-patterns
@@ -455,7 +457,7 @@ class KnowledgeStore(_RetrievalBase):
             os.truncate(self.index_path, size)
             text = prefix + text
             self._append_at = None
-        # One write per admission, so a crash tears at most the last line.
+        # One write per `store` call, so a crash tears at most the last line.
         with open(self.index_path, "ab") as fh:
             fh.write(text)
 
@@ -469,37 +471,59 @@ class KnowledgeStore(_RetrievalBase):
 
     # -- write path ---------------------------------------------------------
 
-    def store(self, entry: KnowledgeEntry) -> int:
-        """Admit one entry; returns its id.
+    def store(self, *entries: KnowledgeEntry) -> int:
+        """Admit entries in order; returns the first one's id, and the
+        others take the ids after it.
 
         Circuit patterns are re-verified before admission, and
-        `offer_primary` archives either the entry or the primary it
-        displaces. The new record, followed by the archived incumbent's
-        record if there is one, is appended to the index in one write.
+        `offer_primary` archives either each entry or the primary it
+        displaces. Each new record, followed by the archived incumbent's
+        record if there is one, is appended to the index, all in one
+        write. If an entry is refused, the ones before it are admitted
+        and its `AdmissionError` propagates, as storing them one by one
+        would leave it.
         """
-        verify_pattern_entry(entry)
+        if not entries:
+            raise TypeError("store() needs at least one entry")
+        verified: list[KnowledgeEntry] = []
+        for entry in entries:
+            try:
+                verify_pattern_entry(entry)
+            except AdmissionError:
+                if verified:
+                    self._admit(verified)
+                raise
+            verified.append(entry)
+        return self._admit(verified)
+
+    def _admit(self, entries: list[KnowledgeEntry]) -> int:
+        """Log and commit verified entries; returns the first one's id."""
         with self._lock:
-            entry_id = self._next_id
-            entry = replace(entry, id=entry_id, status="primary",
-                            created_at=entry.created_at or time.strftime(
-                                "%Y-%m-%dT%H:%M:%S", time.gmtime()))
-            records = [entry]
-            if entry.kind == KIND_PATTERN:
-                # The rule decides on a copy of the key's slot: memory
-                # changes only once the log holds the outcome.
+            now = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+            # The rule decides on a copy of the keys' slots: memory changes
+            # only once the log holds the outcome.
+            slots: dict[tuple, KnowledgeEntry] = {}
+            records = []
+            for entry_id, entry in enumerate(entries, self._next_id):
+                entry = replace(entry, id=entry_id, status="primary",
+                                created_at=entry.created_at or now)
                 key = pattern_key(entry)
-                held = self._primaries.get(key)
-                loser = offer_primary({key: held} if held else {}, entry)
+                if key not in slots and key in self._primaries:
+                    slots[key] = self._primaries[key]
+                loser = offer_primary(slots, entry)
                 if loser is entry:
-                    records = [replace(entry, status="archived")]
-                elif loser is not None:
-                    # New record first: a tear in the archive record leaves
-                    # two primaries, which _load resolves, never none.
-                    records.append(replace(loser, status="archived"))
+                    records.append(replace(entry, status="archived"))
+                else:
+                    records.append(entry)
+                    if loser is not None:
+                        # New record first: a tear in the archive record
+                        # leaves two primaries, which _load resolves,
+                        # never none.
+                        records.append(replace(loser, status="archived"))
             self._append(records)
             for record in records:
                 self._commit(record)
-            return entry_id
+            return records[0].id
 
     def _commit(self, entry: KnowledgeEntry) -> None:
         """Apply one logged record to memory, replacing any earlier record
@@ -515,12 +539,10 @@ class KnowledgeStore(_RetrievalBase):
         with self._lock:
             if self._entries:
                 raise StoreError("seed_baseline requires an empty store")
-        count = 0
-        for netlist, tags in _baseline_netlists():
-            self.store(make_pattern_entry(netlist, tags=tags,
-                                          task_id="baseline"))
-            count += 1
-        return count
+        entries = [make_pattern_entry(netlist, tags=tags, task_id="baseline")
+                   for netlist, tags in _baseline_netlists()]
+        self.store(*entries)
+        return len(entries)
 
     # -- read path ----------------------------------------------------------
 
@@ -575,14 +597,18 @@ def _bit_positions(mask: int) -> list[int]:
 
 
 def _connected_cuts(netlist: Netlist) -> Iterator[tuple[list[int], ...]]:
-    """Connected combinational sub-DAGs within the extraction bounds,
-    smallest first, as (ascending `schedule` positions, nets read from
-    outside bar constants, exposed nets).
+    """Connected combinational sub-DAGs within the extraction bounds, as
+    (ascending `schedule` positions, nets read from outside bar constants,
+    exposed nets), on demand and smallest first.
 
     Gates are taken in compiled (levelized) order, the order `render`
     emits, so a design and its rendered-and-parsed copy give the same
-    sub-DAGs. ESU enumeration (Wernicke, TCBB 2006) over bitmasks yields
-    each connected gate subset once, in a deterministic depth-first order.
+    sub-DAGs. ESU enumeration (Wernicke, TCBB 2006) over bitmasks finds
+    each connected gate subset once. It runs level by level: every subset
+    of k gates comes before any of k + 1, and within a size the subsets
+    keep the order of the depth-first ESU walk. The first
+    `SUBPATTERN_ENUM_CAP` subsets in this order are considered; those
+    with too many inputs are skipped.
     """
     gates = netlist.schedule
     n = len(gates)
@@ -603,44 +629,44 @@ def _connected_cuts(netlist: Netlist) -> Iterator[tuple[list[int], ...]]:
         for pos in _bit_positions(group):
             neighbors[pos] |= group & ~(1 << pos)
 
-    found: list[tuple[int, int]] = []   # (size, subset), depth-first
-
-    def extend(above: int, size: int, subset: int, closed: int,
-               ext: list[int]) -> None:
-        # Records each child of `subset`, of `size` gates, before the
-        # child's own children, which grow from the start gate by exclusive
-        # neighborhoods (the start alone is never recorded); `closed` is the
-        # subset and its neighbors, `above` the positions past the start.
-        for i, w in enumerate(ext):
-            if len(found) >= SUBPATTERN_ENUM_CAP:
-                return
-            if size >= SUBPATTERN_MIN_GATES:
-                found.append((size, subset | 1 << w))
-            if size < SUBPATTERN_MAX_GATES:
-                exclusive = neighbors[w] & above & ~closed
-                extend(above, size + 1, subset | 1 << w,
-                       closed | neighbors[w],
-                       ext[i + 1:] + _bit_positions(exclusive))
-
-    for v in range(n):
-        above = -1 << (v + 1)
-        extend(above, 2, 1 << v, 1 << v | neighbors[v],
-               _bit_positions(neighbors[v] & above))
-
-    # Smallest first (stable, so enumeration order breaks ties); a cut is
-    # found only when consumed, as the caller stops at SUBPATTERN_EMIT_CAP.
-    found.sort(key=lambda size_subset: size_subset[0])
-    for _, subset in found:
-        positions = _bit_positions(subset)
-        outs = [gates[pos].output for pos in positions]
-        inputs = list(dict.fromkeys(
-            net for pos in positions for net in gates[pos].inputs
-            if net not in outs and netlist.nets[net].value is None))
-        if len(inputs) <= SUBPATTERN_MAX_INPUTS:
-            # Expose what is read outside, else a terminal cone's sinks.
-            yield positions, inputs, (
-                [net for net in outs if readers.get(net, 0) & ~subset]
-                or [net for net in outs if net not in readers])
+    # ESU states, one per subset of the previous size, starting from single
+    # gates: (`above`, the positions past the start gate; the subset;
+    # `closed`, the subset and its neighbors; `ext`, the positions it may
+    # grow by). A child adds one position of `ext` and may grow further by
+    # those after it there, or by its exclusive neighbors past the start.
+    level = [(-1 << (v + 1), 1 << v, 1 << v | neighbors[v],
+              _bit_positions(neighbors[v] & -1 << (v + 1))) for v in range(n)]
+    room = SUBPATTERN_ENUM_CAP
+    for size in range(2, SUBPATTERN_MAX_GATES + 1):
+        # A level is built as it is consumed, from the one before it, so an
+        # extraction that stops early never builds the levels past it.
+        grow = size < SUBPATTERN_MAX_GATES
+        record = size >= SUBPATTERN_MIN_GATES
+        children = []
+        for above, subset, closed, ext in level:
+            for i, w in enumerate(ext):
+                if not room:
+                    return
+                subset_w = subset | 1 << w
+                if grow:
+                    children.append((above, subset_w, closed | neighbors[w],
+                                     ext[i + 1:] + _bit_positions(
+                                         neighbors[w] & above & ~closed)))
+                if not record:
+                    continue
+                room -= 1
+                positions = _bit_positions(subset_w)
+                outs = [gates[pos].output for pos in positions]
+                inputs = list(dict.fromkeys(
+                    net for pos in positions for net in gates[pos].inputs
+                    if net not in outs and netlist.nets[net].value is None))
+                if len(inputs) <= SUBPATTERN_MAX_INPUTS:
+                    # Expose what is read outside, else a terminal cone's
+                    # sinks.
+                    yield positions, inputs, (
+                        [net for net in outs if readers.get(net, 0) & ~subset_w]
+                        or [net for net in outs if net not in readers])
+        level = children
 
 
 def _measure_cut(netlist: Netlist, positions: list[int], inputs: list[int],

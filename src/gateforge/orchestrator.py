@@ -617,7 +617,8 @@ def summarize(task: TaskPack, runs: list[TaskRun],
     the store admits by: a winner moves to the end, which is where storing
     every entry one by one would leave the surviving primary. The store
     therefore ends with the same primaries in the same relative id order,
-    without the archived duplicates.
+    without the archived duplicates. They are admitted in one `store`
+    call, so the task costs one index write.
     """
     seen: set[str] = set()
     merged: dict[tuple, KnowledgeEntry] = {}
@@ -630,8 +631,8 @@ def summarize(task: TaskPack, runs: list[TaskRun],
                 tags=task.tags, text=run.netlist_text):
             offer_primary(merged, entry)
     admitted = list(merged.values())
-    for entry in admitted:
-        store.store(entry)
+    if admitted:
+        store.store(*admitted)
     return admitted
 
 

@@ -6,8 +6,25 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
+from gateforge.knowledge import KnowledgeStore
 from gateforge.netlist import GateKind, Netlist, NetlistBuilder, PortDir
 from gateforge.simulator import PackedVectors, TestVector
+
+
+@pytest.fixture
+def index_writes(monkeypatch) -> list[int]:
+    """The record count of each index write a store makes, in order."""
+    writes: list[int] = []
+    append = KnowledgeStore._append
+
+    def counting(self, records):
+        writes.append(len(records))
+        append(self, records)
+
+    monkeypatch.setattr(KnowledgeStore, "_append", counting)
+    return writes
 
 
 def build_half_adder() -> Netlist:

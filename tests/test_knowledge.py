@@ -12,6 +12,7 @@ from gateforge.knowledge import (
     KnowledgeStore,
     RetrievalQuery,
     StoreError,
+    _baseline_netlists,
     make_error_fix_entry,
     make_pattern_entry,
     sequential_fingerprint,
@@ -86,6 +87,23 @@ def test_tampered_entry_is_refused(store):
         store.store(bad)
 
 
+def test_a_refused_entry_ends_its_batch(store):
+    bad = replace(make_pattern_entry(build_half_adder()), gate_count=1,
+                  sei=0.5)
+    with pytest.raises(AdmissionError):
+        store.store(make_pattern_entry(build_full_adder()), bad,
+                    make_error_fix_entry("syntax", "x", "y"))
+    # What came before it is admitted, as storing one by one would leave it.
+    assert [(e.id, e.name) for e in store.entries(include_archived=True)
+            ] == [(1, "full_adder")]
+    assert [r["id"] for r in index_lines(store)] == [1]
+    with pytest.raises(AdmissionError):
+        store.store(bad)
+    with pytest.raises(TypeError):
+        store.store()
+    assert store.store(make_error_fix_entry("syntax", "x", "y")) == 2
+
+
 def test_wrong_signature_is_refused(store):
     from dataclasses import replace
 
@@ -117,6 +135,21 @@ def test_seed_baseline(store):
     assert store.verify_all() == []
     with pytest.raises(StoreError):
         store.seed_baseline()
+
+
+def test_seed_baseline_is_one_write_of_the_one_by_one_records(
+        tmp_path, index_writes):
+    seeded = KnowledgeStore(tmp_path / "seeded")
+    assert seeded.seed_baseline() == 9
+    assert index_writes == [9]
+    one_by_one = KnowledgeStore(tmp_path / "one_by_one")
+    for netlist, tags in _baseline_netlists():
+        one_by_one.store(make_pattern_entry(netlist, tags=tags,
+                                            task_id="baseline"))
+    # Same ids and records, and2 first: `gateforge store seed` output that
+    # edits line 1 edits the same pattern.
+    assert undated(index_lines(seeded)) == undated(index_lines(one_by_one))
+    assert index_lines(seeded)[0]["name"] == "and2"
 
 
 def test_bootstrap_two_in_one_out_retrieval(store):
@@ -336,6 +369,34 @@ def tear_last_line(store):
         fh.write(data[:-20])
 
 
+@pytest.mark.parametrize("complete", [1, 3])
+def test_torn_batch_keeps_its_complete_records(tmp_path, complete):
+    # One write logs [1 worse, 2 better, 1 archived, 3 full adder]; the
+    # tear falls in the record after the first `complete` ones.
+    store = KnowledgeStore(tmp_path / "store")
+    assert store.store(make_pattern_entry(build_worse_half_adder()),
+                       make_pattern_entry(build_half_adder()),
+                       make_pattern_entry(build_full_adder())) == 1
+    assert [(r["id"], r["status"]) for r in index_lines(store)] == [
+        (1, "primary"), (2, "primary"), (1, "archived"), (3, "primary")]
+    with open(store.index_path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(store.index_path, "wb") as fh:
+        fh.write(b"".join(lines[:complete + 1]))
+    tear_last_line(store)
+    reopened = KnowledgeStore(tmp_path / "store")
+    kept = {1: [(1, "primary")],
+            3: [(1, "archived"), (2, "primary")]}[complete]
+    assert [(e.id, e.status) for e in reopened.entries(include_archived=True)
+            ] == kept
+    # The torn record's id is handed out again, on a fresh line.
+    torn_id = len(kept) + 1
+    assert reopened.store(make_error_fix_entry("syntax", "x", "y")) == torn_id
+    again = KnowledgeStore(tmp_path / "store")
+    assert [(e.id, e.status) for e in again.entries(include_archived=True)
+            ] == kept + [(torn_id, "primary")]
+
+
 def test_torn_archive_record_leaves_the_better_entry_primary(tmp_path):
     store = KnowledgeStore(tmp_path / "store")
     store.store(make_pattern_entry(build_worse_half_adder()))
@@ -401,7 +462,7 @@ def test_store_after_a_torn_tail_starts_a_fresh_line(tmp_path):
     store.store(make_pattern_entry(build_full_adder()))
     tear_last_line(store)
     reopened = KnowledgeStore(tmp_path / "store")
-    # The torn record's id is free again and its orphan file is replaced.
+    # The torn record's id is free again.
     assert reopened.store(make_pattern_entry(build_full_adder())) == 2
     assert [r["id"] for r in index_lines(reopened)] == [1, 2]
     again = KnowledgeStore(tmp_path / "store")
@@ -478,6 +539,11 @@ def primary_ids(store):
     return [e.id for e in store.entries()]
 
 
+def undated(records):
+    return [{k: v for k, v in rec.items() if k != "created_at"}
+            for rec in records]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(RULE_KINDS), st.integers(0, 2)),
                 min_size=1, max_size=12))
@@ -486,12 +552,25 @@ def test_every_path_applies_the_same_primary_rule(admissions):
     entries = [replace(RULE_ENTRIES[choice], name=f"e{pos}")
                for pos, choice in enumerate(admissions)]
     want = replay(admissions)
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, \
+            tempfile.TemporaryDirectory() as batch_root:
         store = KnowledgeStore(root)
         for entry in entries:
             store.store(entry)
         assert primary_ids(store) == [pos + 1 for pos in want]
         assert primary_ids(KnowledgeStore(root)) == [pos + 1 for pos in want]
+
+        # One call admitting them all leaves the same log and memory.
+        batch = KnowledgeStore(batch_root)
+        assert batch.store(*entries) == 1
+        assert undated(index_lines(batch)) == undated(index_lines(store))
+        for a, b in ((batch, store),
+                     (KnowledgeStore(batch_root), KnowledgeStore(root))):
+            assert primary_ids(a) == [pos + 1 for pos in want]
+            assert (undated(e.to_record()
+                            for e in a.entries(include_archived=True))
+                    == undated(e.to_record()
+                               for e in b.entries(include_archived=True)))
 
         # Drop every archive record, as if each displacement had torn after
         # its new record: load must archive the same losers.
@@ -513,8 +592,8 @@ def test_every_path_applies_the_same_primary_rule(admissions):
         def extract_patterns(self, netlist, text, **_):
             return [entries[int(text)]]
 
-        def store(self, entry):
-            self.stored.append(entry)
+        def store(self, *entries):
+            self.stored.extend(entries)
 
     runs = [SimpleNamespace(status="verified", netlist_text=str(pos),
                             netlist=None, run_id="")

@@ -49,8 +49,8 @@ PADDED_ALU1 = (TASKS["alu1"].reference_netlist
 
 def reference_subsets(netlist, cap=SUBPATTERN_ENUM_CAP):
     """Connected subsets of `netlist.schedule` positions as the list-based
-    ESU enumerator found them, smallest first: the first `cap` in
-    depth-first order (all of them when `cap` is None)."""
+    ESU enumerator finds them, in depth-first order, then sorted smallest
+    first (stably); the first `cap` of those (all when `cap` is None)."""
     gates = netlist.schedule
     n = len(gates)
     if n < SUBPATTERN_MIN_GATES:
@@ -68,8 +68,6 @@ def reference_subsets(netlist, cap=SUBPATTERN_ENUM_CAP):
     subsets = []
 
     def extend(start, subset, ext):
-        if cap is not None and len(subsets) >= cap:
-            return
         if SUBPATTERN_MIN_GATES <= len(subset):
             subsets.append(sorted(subset))
         if len(subset) >= SUBPATTERN_MAX_GATES:
@@ -85,7 +83,7 @@ def reference_subsets(netlist, cap=SUBPATTERN_ENUM_CAP):
     for v in range(n):
         extend(v, [v], sorted(u for u in neighbors[v] if u > v))
     subsets.sort(key=len)
-    return subsets
+    return subsets[:cap]
 
 
 def reference_carve(netlist, positions):
@@ -229,6 +227,19 @@ def test_bitmask_cuts_are_the_reference_subsets_in_order(name):
         assert len(cuts) <= SUBPATTERN_ENUM_CAP < 4510
 
 
+def test_the_enumeration_cap_keeps_every_small_subset():
+    # The cap is counted smallest first: a design with more connected
+    # subsets than it admits loses only its largest ones.
+    netlist = DESIGNS["alu1-padded"]
+    every = reference_subsets(netlist, cap=None)
+    kept = [positions for positions, _, _ in knowledge._connected_cuts(netlist)]
+    for size, count in ((2, 28), (3, 58)):
+        want = [s for s in every if len(s) == size]
+        assert len(want) == count
+        assert [p for p in kept if len(p) == size] == want
+    assert max(map(len, kept)) == SUBPATTERN_MAX_GATES
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cut_measure_equals_the_carved_netlist_measure(seed):
@@ -257,6 +268,25 @@ def test_extraction_renders_only_what_it_emits(tmp_path, monkeypatch):
     admitted = summarize(ADDER4, runs, KnowledgeStore(tmp_path / "store"))
     assert admitted == got
     assert len(renders) == len(got) - 1
+
+
+def test_summarize_admits_each_task_in_one_write(tmp_path, index_writes):
+    store = KnowledgeStore(tmp_path / "store")
+    admitted = {}
+    for task in TASKS.values():
+        netlist = parse(task.reference_netlist).netlist
+        runs = [TaskRun(task.id, 0, "verified", [], [],
+                        netlist_text=render(netlist), netlist=netlist)]
+        admitted[task.id] = summarize(task, runs, store)
+    # One write per task that learns anything, not one per entry, and no
+    # archive record: and3 and full_adder bring nothing the store lacks.
+    assert index_writes == [len(entries) for entries in admitted.values()
+                            if entries]
+    assert {t for t, entries in admitted.items() if not entries} == {
+        "and3", "full_adder"}
+    assert sum(index_writes) == 109
+    assert (content(store.entries(include_archived=True))
+            == content(e for entries in admitted.values() for e in entries))
 
 
 def scripted(replies_by_sample):
