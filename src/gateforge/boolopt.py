@@ -97,21 +97,13 @@ class Cube:
     def covers(self, minterm: int) -> bool:
         return (minterm ^ self.value) & self.mask == 0
 
-    def minterms(self) -> list[int]:
-        free = [i for i in range(self.n) if not (self.mask >> i) & 1]
-        out = []
-        for bits in range(1 << len(free)):
-            m = self.value
-            for j, var in enumerate(free):
-                if (bits >> j) & 1:
-                    m |= 1 << var
-            out.append(m)
-        return sorted(out)
-
     def cover_bits(self) -> int:
-        bits = 0
-        for m in self.minterms():
-            bits |= 1 << m
+        """The minterms this cube covers, as packed truth-table bits: the
+        AND of its literals' input columns."""
+        bits = (1 << (1 << self.n)) - 1
+        for i, column in enumerate(exhaustive_columns(self.n)):
+            if self.mask >> i & 1:
+                bits &= column if self.value >> i & 1 else ~column
         return bits
 
     @property
@@ -178,37 +170,33 @@ def prime_implicants(f: BoolFunction) -> list[Cube]:
 
 
 def _essential_first_cover(f: BoolFunction, primes: list[Cube]) -> list[Cube]:
-    """Exact minimum-cardinality cover: essential primes, then branch and
-    bound over the rest with a deterministic lexicographic tie-break."""
-    ones = [m for m in range(1 << f.n) if f.value(m)]
-    if not ones:
-        return []
-    cover_of = {id(c): c.cover_bits() for c in primes}
-    need = 0
-    for m in ones:
-        need |= 1 << m
+    """Exact minimum-cardinality cover of the ones of f by `primes`.
 
-    chosen: list[Cube] = []
-    remaining = need
-    while True:
-        essential_pick = None
-        for m in range(1 << f.n):
-            if not (remaining >> m) & 1:
-                continue
-            holders = [c for c in primes if cover_of[id(c)] >> m & 1]
-            if len(holders) == 1:
-                essential_pick = holders[0]
-                break
-        if essential_pick is None:
-            break
-        chosen.append(essential_pick)
-        remaining &= ~cover_of[id(essential_pick)]
-        primes = [c for c in primes if c is not essential_pick]
-        if not remaining:
-            return sorted(chosen, key=str)
+    The essential primes, each the only holder of some one, are found in one
+    pass: `twice` marks the minterms two or more primes cover. Taking an
+    essential prime never changes the holders of a one it does not cover,
+    so these are the primes that taking them one at a time would find.
+    Branch and bound covers the rest. It branches on the one with the
+    fewest holders, the lowest on a tie, and of two covers keeps the
+    smaller, then the least by sorted cube strings."""
+    if not f.table:
+        return []
+    covers = [(c, c.cover_bits()) for c in primes]
+    once = twice = 0
+    for _, bits in covers:
+        twice |= once & bits
+        once |= bits
+    sole = f.table & ~twice
+    chosen, remaining = [], f.table
+    for c, bits in covers:
+        if bits & sole:
+            chosen.append(c)
+            remaining &= ~bits
+    if not remaining:
+        return sorted(chosen, key=str)
 
     # Branch and bound over the residue.
-    candidates = [c for c in primes if cover_of[id(c)] & remaining]
+    candidates = [(c, bits) for c, bits in covers if bits & remaining]
     best: list[Cube] | None = None
 
     def key(cubes: list[Cube]) -> tuple:
@@ -224,11 +212,11 @@ def _essential_first_cover(f: BoolFunction, primes: list[Cube]) -> list[Cube]:
         if best is not None and len(picked) + 1 > len(best):
             return
         # Branch on the hardest minterm (fewest covering cubes).
-        holders: list[Cube] | None = None
+        holders: list[tuple[Cube, int]] | None = None
         m = uncovered
         while m:
             mt = (m & -m).bit_length() - 1
-            h = [c for c in candidates if cover_of[id(c)] >> mt & 1]
+            h = [pair for pair in candidates if pair[1] >> mt & 1]
             if holders is None or len(h) < len(holders):
                 holders = h
                 if len(h) <= 1:
@@ -236,8 +224,8 @@ def _essential_first_cover(f: BoolFunction, primes: list[Cube]) -> list[Cube]:
             m &= m - 1
         if not holders:
             return
-        for c in holders:
-            recurse(uncovered & ~cover_of[id(c)], picked + [c])
+        for c, bits in holders:
+            recurse(uncovered & ~bits, picked + [c])
 
     recurse(remaining, [])
     if best is None:

@@ -95,7 +95,6 @@ class EvalResult:
     gate_count: int
     delay: int
     sei: float | None
-    tier: TierVerdict | None = None
 
 
 def sei_task(gate_count: float, delay: float,
@@ -146,9 +145,8 @@ def pass_at_k(stats: SampleStats) -> float:
     return 1.0 - prod
 
 
-def classify_tier(benchmark_sei: float,
-                  bands: dict[str, tuple[float, float]] | None = None) -> TierVerdict:
-    """Map a benchmark index onto the human reference bands.
+def classify_tier(benchmark_sei: float) -> TierVerdict:
+    """Map a benchmark index onto the human reference bands, TIER_BANDS.
 
     Values above the best band's upper bound still classify as that band.
     Values falling in a gap between bands are assigned to the band below
@@ -156,7 +154,7 @@ def classify_tier(benchmark_sei: float,
     """
     if benchmark_sei < 0:
         raise ValueError("benchmark index must be >= 0")
-    bands = dict(TIER_BANDS) if bands is None else dict(bands)
+    bands = dict(TIER_BANDS)
     ordered = sorted(bands.items(), key=lambda kv: kv[1][0], reverse=True)
     for rank, (tier, (lower, upper)) in enumerate(ordered):
         if benchmark_sei < lower:

@@ -576,9 +576,8 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             report = review.report
             sei = measure(report, cfg.weights)
             if best is None or (sei or inf) > (best[0].sei or inf):
-                tier = classify_tier(sei) if sei is not None else None
-                best = (EvalResult(1.0, report.gate_count, report.delay, sei,
-                                   tier), review.netlist, review.rendered)
+                best = (EvalResult(1.0, report.gate_count, report.delay, sei),
+                        review.netlist, review.rendered)
 
         # Exit decision. An accepted candidate is correct, and a spent
         # optimization round means one is held, so by either rule the run

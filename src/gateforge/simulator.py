@@ -431,14 +431,14 @@ def truth_table(netlist: Netlist) -> FunctionalSignature:
     return _signature(netlist, exhaustive_columns(n), 1 << n, exact=True)
 
 
-def sampled_signature(netlist: Netlist,
-                      vector_count: int = SAMPLED_VECTOR_COUNT) -> FunctionalSignature:
-    """Fixed-seed random-vector signature for wide combinational interfaces."""
+def sampled_signature(netlist: Netlist) -> FunctionalSignature:
+    """Fixed-seed random-vector signature for wide combinational interfaces:
+    SAMPLED_VECTOR_COUNT rows, the length `column_bits` assumes."""
     _check_combinational(netlist)
     rng = random.Random(_SAMPLED_SEED)
     n = len(netlist.input_bits)
-    rows = [rng.getrandbits(n) for _ in range(vector_count)]
-    return _signature(netlist, pack_columns(rows, n), vector_count,
+    rows = [rng.getrandbits(n) for _ in range(SAMPLED_VECTOR_COUNT)]
+    return _signature(netlist, pack_columns(rows, n), SAMPLED_VECTOR_COUNT,
                       exact=False)
 
 

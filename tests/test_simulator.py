@@ -237,6 +237,24 @@ def test_registers_clocked_by_different_nets_fail():
         simulate_sequential(b.build(), [TestVector({"d": 0}, {"q": 0})], 1)
 
 
+def test_register_clocked_through_a_gate_fails():
+    # `parse` refuses a gated clock; a built netlist can still hold one.
+    b = NetlistBuilder("gated")
+    d = b.input("d")
+    clk = b.input("clk")
+    q = b.output("q")
+    b.gate(GateKind.DFF, (d, b.gate(GateKind.NOT, clk)), q)
+    netlist = b.build()
+    vectors = [TestVector({"d": 0}, {"q": 0})]
+    with pytest.raises(SimulationError) as exc:
+        simulate_sequential(netlist, vectors, 1)
+    assert str(exc.value) == ("register clock pin is not driven by a "
+                              "primary input")
+    with pytest.raises(SimulationError) as exc:
+        simulate_sequential(netlist, vectors, 1, clock="clk")
+    assert str(exc.value) == "register g2 is not clocked by 'clk'"
+
+
 # -- signatures ---------------------------------------------------------------
 
 def test_not_gate_table():
