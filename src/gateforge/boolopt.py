@@ -73,9 +73,6 @@ class BoolFunction:
             dc |= 1 << m
         return cls(n, table, dc)
 
-    def value(self, minterm: int) -> int:
-        return (self.table >> minterm) & 1
-
     def agrees_with(self, table: int) -> bool:
         """True when `table` matches this function on every care minterm."""
         return (table ^ self.table) & self.care == 0

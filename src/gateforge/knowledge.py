@@ -29,9 +29,8 @@ from typing import NamedTuple
 from . import parser as nl_parser
 from .jsonfields import REQUIRED, FieldError, is_json, json_fields, take_all
 from .metrics import measure
-from .netlist import (GateKind, Netlist, NetlistBuilder, Port, PortDir,
-                      StructuralReport, _levelization, gate_depths,
-                      structural_report)
+from .netlist import (Netlist, Port, PortDir, StructuralReport,
+                      _levelization, gate_depths, structural_report)
 from .simulator import (FunctionalSignature, SimulationError,
                         exhaustive_columns, functional_signature,
                         sequential_trace)
@@ -39,7 +38,6 @@ from .simulator import (FunctionalSignature, SimulationError,
 KIND_PATTERN = "circuit-pattern"
 KIND_ERROR_FIX = "error-fix"
 
-SUBPATTERN_MIN_GATES = 2
 SUBPATTERN_MAX_GATES = 8
 SUBPATTERN_MAX_INPUTS = 6
 # Connected-subgraph enumeration stops after this many subsets, counted
@@ -641,7 +639,6 @@ def _connected_cuts(netlist: Netlist) -> Iterator[tuple[list[int], ...]]:
         # A level is built as it is consumed, from the one before it, so an
         # extraction that stops early never builds the levels past it.
         grow = size < SUBPATTERN_MAX_GATES
-        record = size >= SUBPATTERN_MIN_GATES
         children = []
         for above, subset, closed, ext in level:
             for i, w in enumerate(ext):
@@ -652,8 +649,6 @@ def _connected_cuts(netlist: Netlist) -> Iterator[tuple[list[int], ...]]:
                     children.append((above, subset_w, closed | neighbors[w],
                                      ext[i + 1:] + _bit_positions(
                                          neighbors[w] & above & ~closed)))
-                if not record:
-                    continue
                 room -= 1
                 positions = _bit_positions(subset_w)
                 outs = [gates[pos].output for pos in positions]
@@ -702,69 +697,37 @@ def _cut_fields(netlist: Netlist, positions: list[int], inputs: list[int],
                                     input_bits, output_bits, schedule, ())
 
 
+# The six primitives plus canonical small blocks, as `render` writes them,
+# with their tags; `store seed` admits them in this order.
+_BASELINE: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("module and2(input a, input b, output y);\n"
+     "  and g1(y, a, b);\nendmodule\n", ("and", "primitive")),
+    ("module or2(input a, input b, output y);\n"
+     "  or g1(y, a, b);\nendmodule\n", ("or", "primitive")),
+    ("module not1(input a, output y);\n"
+     "  not g1(y, a);\nendmodule\n", ("not", "inverter", "primitive")),
+    ("module xor2(input a, input b, output y);\n"
+     "  xor g1(y, a, b);\nendmodule\n", ("xor", "primitive")),
+    ("module nand2(input a, input b, output y);\n"
+     "  nand g1(y, a, b);\nendmodule\n", ("nand", "primitive")),
+    ("module dff1(input d, input clk, output q);\n"
+     "  dff g1(q, d, clk);\nendmodule\n",
+     ("dff", "register", "primitive", "sequential")),
+    ("module half_adder(input a, input b, output s, output c);\n"
+     "  xor g1(s, a, b);\n  and g2(c, a, b);\nendmodule\n",
+     ("adder", "half-adder")),
+    ("module full_adder(input a, input b, input cin, output sum,"
+     " output cout);\n"
+     "  wire w1, w2, w3;\n  xor g1(w1, a, b);\n  and g2(w2, a, b);\n"
+     "  xor g3(sum, w1, cin);\n  and g4(w3, w1, cin);\n"
+     "  or g5(cout, w2, w3);\nendmodule\n", ("adder", "full-adder")),
+    ("module mux2(input a, input b, input sel, output y);\n"
+     "  wire w1, w2, w3;\n  not g1(w1, sel);\n  and g2(w2, b, sel);\n"
+     "  and g3(w3, a, w1);\n  or g4(y, w3, w2);\nendmodule\n",
+     ("mux", "selector")),
+)
+
+
 def _baseline_netlists() -> list[tuple[Netlist, tuple[str, ...]]]:
-    """The six primitives plus canonical small blocks, all as valid modules."""
-    out: list[tuple[Netlist, tuple[str, ...]]] = []
-
-    def unary(kind: GateKind, name: str, tags: tuple[str, ...]) -> None:
-        b = NetlistBuilder(name)
-        a = b.input("a")
-        y = b.output("y")
-        b.gate(kind, (a,), y)
-        out.append((b.build(), tags))
-
-    def binary(kind: GateKind, name: str, tags: tuple[str, ...]) -> None:
-        b = NetlistBuilder(name)
-        a = b.input("a")
-        c = b.input("b")
-        y = b.output("y")
-        b.gate(kind, (a, c), y)
-        out.append((b.build(), tags))
-
-    binary(GateKind.AND, "and2", ("and", "primitive"))
-    binary(GateKind.OR, "or2", ("or", "primitive"))
-    unary(GateKind.NOT, "not1", ("not", "inverter", "primitive"))
-    binary(GateKind.XOR, "xor2", ("xor", "primitive"))
-    binary(GateKind.NAND, "nand2", ("nand", "primitive"))
-
-    b = NetlistBuilder("dff1")
-    d = b.input("d")
-    clk = b.input("clk")
-    q = b.output("q")
-    b.gate(GateKind.DFF, (d, clk), q)
-    out.append((b.build(), ("dff", "register", "primitive", "sequential")))
-
-    b = NetlistBuilder("half_adder")
-    a = b.input("a")
-    c = b.input("b")
-    s = b.output("s")
-    co = b.output("c")
-    b.gate(GateKind.XOR, (a, c), s)
-    b.gate(GateKind.AND, (a, c), co)
-    out.append((b.build(), ("adder", "half-adder")))
-
-    b = NetlistBuilder("full_adder")
-    a = b.input("a")
-    c = b.input("b")
-    cin = b.input("cin")
-    s = b.output("sum")
-    co = b.output("cout")
-    axb = b.gate(GateKind.XOR, (a, c))
-    b.gate(GateKind.XOR, (axb, cin), s)
-    ab = b.gate(GateKind.AND, (a, c))
-    axb_cin = b.gate(GateKind.AND, (axb, cin))
-    b.gate(GateKind.OR, (ab, axb_cin), co)
-    out.append((b.build(), ("adder", "full-adder")))
-
-    b = NetlistBuilder("mux2")
-    a = b.input("a")
-    c = b.input("b")
-    sel = b.input("sel")
-    y = b.output("y")
-    nsel = b.gate(GateKind.NOT, (sel,))
-    t0 = b.gate(GateKind.AND, (a, nsel))
-    t1 = b.gate(GateKind.AND, (c, sel))
-    b.gate(GateKind.OR, (t0, t1), y)
-    out.append((b.build(), ("mux", "selector")))
-
-    return out
+    """The seed set's modules, parsed, with their tags."""
+    return [(nl_parser.parse(text).netlist, tags) for text, tags in _BASELINE]

@@ -200,6 +200,9 @@ class StructuralViolation:
     severity: str   # "error" | "warning"
     where: str
     message: str
+    # The net of a multi-driver or dangling-net fault, by which the parser
+    # places it; kept out of the repr and equality, which goldens hash.
+    net: int | None = field(default=None, repr=False, compare=False)
 
 
 class InvalidNetlistError(ValueError):
@@ -234,8 +237,10 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     """
     violations: list[StructuralViolation] = []
 
-    def err(kind: str, where: str, message: str) -> None:
-        violations.append(StructuralViolation(kind, "error", where, message))
+    def err(kind: str, where: str, message: str,
+            net: int | None = None) -> None:
+        violations.append(StructuralViolation(kind, "error", where, message,
+                                              net))
 
     def warn(kind: str, where: str, message: str) -> None:
         violations.append(StructuralViolation(kind, "warning", where, message))
@@ -280,7 +285,8 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
         for net_id in known:
             if counts[net_id] > 1:
                 err("multi-driver", f"net {_net_label(netlist, net_id)}",
-                    "driven by " + " and ".join(_drivers_of(netlist, net_id)))
+                    "driven by " + " and ".join(_drivers_of(netlist, net_id)),
+                    net_id)
 
     # Read nets must be driven.
     read = dict.fromkeys(n for g in gates for n in g.inputs)
@@ -288,7 +294,8 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     for net_id in {**read, **bound}:
         if net_id not in driven:
             err("dangling-net", f"net {_net_label(netlist, net_id)}",
-                f"undriven net read as {_first_reader(netlist, net_id)}")
+                f"undriven net read as {_first_reader(netlist, net_id)}",
+                net_id)
 
     # Combinational loop detection (registers break the cycle); the same
     # pass orders the gates for the compiled fields.

@@ -603,34 +603,31 @@ class _Parser:
                               tuple(gates), port_nets)
         except InvalidNetlistError as exc:
             for v in exc.violations:
-                self.error("syntax", self._violation_token(v),
+                self.error("syntax",
+                           self._violation_token(v, nets, port_nets, gates),
                            f"{v.kind}: {v.message}")
             return ParseResult(None, self.errors)
         return ParseResult(netlist, [], list(netlist.warnings))
 
-    def _violation_token(self, v: StructuralViolation) -> _Token:
-        """Where a structural error points: a net's or port's declaration,
-        a gate's instance name, and the first token for the whole netlist.
-        A constant's net has no declaration, so a second driver of it is
-        the place: an input port's declaration, else the gate's instance."""
-        scope, _, name = v.where.partition(" ")
-        if scope in ("net", "port"):
-            decl = self.scope.decls.get(name.split("[")[0])
-            if decl is not None:
-                return decl[0]
-            if v.kind == "multi-driver":
-                # "driven by constant 0 and input a and g1": the constant,
-                # then input bits, then gate instance names.
-                for driver in v.message.removeprefix("driven by ").split(
-                        " and "):
-                    if driver in self.instance_names:
-                        return self.instance_names[driver]
-                    what, _, bit = driver.partition(" ")
-                    if what == "input":
-                        return self.scope.decls[bit.split("[")[0]][0]
-        elif v.where != "netlist" and v.where in self.instance_names:
-            return self.instance_names[v.where]
-        return self.toks[0]
+    def _violation_token(self, v: StructuralViolation, nets: dict[int, Net],
+                         port_nets: dict[str, tuple[int, ...]],
+                         gates: list[Gate]) -> _Token:
+        """Where a structural error points: the declaration of the net
+        `validate` names, and `module` for a combinational loop, which names
+        none. A constant's net has no declaration, so a second driver of it
+        is the place: the first input bit on it in port order, else the
+        gate."""
+        if v.net is None:
+            return self.toks[0]
+        decls = self.scope.decls
+        net = nets[v.net]
+        if net.value is None:
+            return decls[net.name.split("[")[0]][0]
+        for name, bits in port_nets.items():
+            if self.scope.ports[name] is PortDir.IN and v.net in bits:
+                return decls[name][0]
+        return next(self.instance_names[g.name] for g in gates
+                    if g.output == v.net)
 
 
 def parse(text: str) -> ParseResult:
@@ -641,9 +638,10 @@ def parse(text: str) -> ParseResult:
     The parser builds the netlist's net, port and gate tables itself and
     constructs the `Netlist` from them, which validates it once, so it is
     returned validated, with its compiled fields set. A structural error
-    points at the declaration of the net or port it names, at the gate's
-    instance name, or, for a combinational loop, at `module`. A net joined
-    to a constant and driven again points at that other driver.
+    points at the declaration of the net it names or, for a combinational
+    loop, at `module`. A net joined to a constant and driven again points at
+    that other driver: an input port's declaration or a gate's instance
+    name.
     """
     return _Parser(text).parse()
 

@@ -221,10 +221,10 @@ def test_criterion_5_simulator_oracle():
 # -- 6 ------------------------------------------------------------------------
 
 def _exhaustive_min_terms(f: BoolFunction) -> int:
-    ones = [m for m in range(8) if f.value(m)]
+    ones = [m for m in range(8) if f.table >> m & 1]
     if not ones:
         return 0
-    off = [m for m in range(8) if not f.value(m)]
+    off = [m for m in range(8) if not f.table >> m & 1]
     implicants = []
     for spec in itertools.product("01-", repeat=3):
         value = mask = 0

@@ -39,14 +39,14 @@ def all_cubes(n):
 def implicants_of(f: BoolFunction):
     """Cubes that never cover an off-minterm (independent oracle)."""
     off = [m for m in range(1 << f.n)
-           if not f.value(m) and not (f.dont_care >> m) & 1]
+           if not f.table >> m & 1 and not (f.dont_care >> m) & 1]
     return [c for c in all_cubes(f.n)
             if not any(c.covers(m) for m in off)]
 
 
 def min_sop_terms(f: BoolFunction) -> int:
     """Exhaustive minimum-term cover search (independent oracle)."""
-    ones = [m for m in range(1 << f.n) if f.value(m)]
+    ones = [m for m in range(1 << f.n) if f.table >> m & 1]
     if not ones:
         return 0
     cand = implicants_of(f)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from dataclasses import replace
@@ -12,6 +13,7 @@ from gateforge.knowledge import (
     KnowledgeStore,
     RetrievalQuery,
     StoreError,
+    _BASELINE,
     _baseline_netlists,
     make_error_fix_entry,
     make_pattern_entry,
@@ -20,6 +22,7 @@ from gateforge.knowledge import (
 )
 from gateforge.netlist import GateKind, NetlistBuilder, PortDir
 from gateforge.orchestrator import summarize
+from gateforge.parser import parse, render
 from gateforge.simulator import truth_table
 
 
@@ -150,6 +153,20 @@ def test_seed_baseline_is_one_write_of_the_one_by_one_records(
     # edits line 1 edits the same pattern.
     assert undated(index_lines(seeded)) == undated(index_lines(one_by_one))
     assert index_lines(seeded)[0]["name"] == "and2"
+
+
+def test_seed_records_are_pinned():
+    # The seed set's records, `created_at` aside, are those of the nine
+    # modules as they were first built; any change to them shows here.
+    records = [make_pattern_entry(n, tags=t, task_id="baseline").to_record()
+               for n, t in _baseline_netlists()]
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == ("76a55018c11c37bb34fc3260f7be64bf9b3d6a15f820fb81"
+                      "67a69e32b648cc8d")
+    # Each seed text is what `render` writes of its own parse.
+    for text, _tags in _BASELINE:
+        assert render(parse(text).netlist) == text
 
 
 def test_bootstrap_two_in_one_out_retrieval(store):

@@ -16,7 +16,6 @@ from gateforge.knowledge import (
     SUBPATTERN_ENUM_CAP,
     SUBPATTERN_MAX_GATES,
     SUBPATTERN_MAX_INPUTS,
-    SUBPATTERN_MIN_GATES,
     AdmissionError,
     KnowledgeStore,
     KnowledgeView,
@@ -53,7 +52,7 @@ def reference_subsets(netlist, cap=SUBPATTERN_ENUM_CAP):
     first (stably); the first `cap` of those (all when `cap` is None)."""
     gates = netlist.schedule
     n = len(gates)
-    if n < SUBPATTERN_MIN_GATES:
+    if n < 2:
         return []
     touching = {}
     for pos, g in enumerate(gates):
@@ -68,7 +67,7 @@ def reference_subsets(netlist, cap=SUBPATTERN_ENUM_CAP):
     subsets = []
 
     def extend(start, subset, ext):
-        if SUBPATTERN_MIN_GATES <= len(subset):
+        if 2 <= len(subset):
             subsets.append(sorted(subset))
         if len(subset) >= SUBPATTERN_MAX_GATES:
             return

@@ -198,6 +198,8 @@ def test_undriven_output_is_an_error():
     r = parse("module t(input a, output y); wire w; not g1(w, a); endmodule")
     assert not r.ok
     assert any("dangling-net" in e.message for e in r.errors)
+    # It points at the output port's declaration.
+    assert [(e.line, e.column, e.token) for e in r.errors] == [(1, 26, "y")]
 
 
 def test_multi_driver_is_an_error():
@@ -205,6 +207,12 @@ def test_multi_driver_is_an_error():
               " not g1(y, a); not g2(y, a); endmodule")
     assert not r.ok
     assert any("multi-driver" in e.message for e in r.errors)
+    assert [(e.line, e.column, e.token) for e in r.errors] == [(1, 26, "y")]
+    # A wire driven by two gates points at the wire's declaration.
+    r = parse("module t(input a, output y);\n  wire w;\n"
+              "  not g1(w, a);\n  not g2(w, a);\n  not g3(y, w);\nendmodule")
+    assert [(e.line, e.column, e.message, e.token) for e in r.errors] == [
+        (2, 8, "multi-driver: driven by g1 and g2", "w")]
 
 
 def test_two_constants_joined_by_assign_are_a_multi_driver():
