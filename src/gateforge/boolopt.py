@@ -62,17 +62,6 @@ class BoolFunction:
     def care(self) -> int:
         return self.mask & ~self.dont_care
 
-    @classmethod
-    def from_minterms(cls, n: int, ones: list[int],
-                      dont_cares: list[int] | None = None) -> "BoolFunction":
-        table = 0
-        for m in ones:
-            table |= 1 << m
-        dc = 0
-        for m in dont_cares or []:
-            dc |= 1 << m
-        return cls(n, table, dc)
-
     def agrees_with(self, table: int) -> bool:
         """True when `table` matches this function on every care minterm."""
         return (table ^ self.table) & self.care == 0

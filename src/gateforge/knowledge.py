@@ -21,7 +21,6 @@ import json
 import os
 import random
 import threading
-import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -79,10 +78,9 @@ class KnowledgeEntry:
     error_class: str | None = None
     symptom: str | None = None
     fix: str | None = None
-    # Where and when the entry was learned.
+    # Where the entry was learned.
     task_id: str = ""
     run_id: str = ""
-    created_at: str = ""
     id: int | None = None
     status: str = "primary"             # primary | archived
 
@@ -102,7 +100,9 @@ class KnowledgeEntry:
 # absent). Every record has an id.
 RECORD_FIELDS = (
     ("id", (int,), REQUIRED),
-    *json_fields(KnowledgeEntry, skip=("id", "status")),
+    *json_fields(KnowledgeEntry, skip=("id", "status"),
+                 kind=(KIND_PATTERN, KIND_ERROR_FIX),
+                 signature_kind=("exact", "sampled", "sequential", None)),
     ("status", ("primary", "archived"), "primary"),
 )
 
@@ -310,16 +310,16 @@ def verify_pattern_entry(entry: KnowledgeEntry) -> None:
     if m.signature_digest != entry.signature_digest:
         raise AdmissionError(f"{entry.name}: netlist does not match its "
                              "stored functional signature")
-    measured = (m.gate_count, m.delay)
-    if measured != (entry.gate_count, entry.delay):
-        raise AdmissionError(f"{entry.name}: stored gate count/delay "
-                             f"({entry.gate_count}, {entry.delay}) do not match "
-                             f"measured {measured}")
-    if m.sei is None or entry.sei is None or abs(entry.sei - m.sei) > 1e-9:
-        raise AdmissionError(f"{entry.name}: stored efficiency index "
-                             f"{entry.sei} does not match {m.sei}")
-    if (m.inputs, m.outputs) != (entry.inputs, entry.outputs):
-        raise AdmissionError(f"{entry.name}: interface shape mismatch")
+    if m.sei is None:
+        raise AdmissionError(f"{entry.name}: stored netlist has no gates "
+                             "and no delay, so no efficiency index")
+    # The record holds the float `json.dumps` wrote of this same
+    # computation, which reads back exactly, so `sei` compares exactly too.
+    for field, measured in m._asdict().items():
+        stored = getattr(entry, field)
+        if stored != measured:
+            raise AdmissionError(f"{entry.name}: stored {field} {stored!r} "
+                                 f"does not match measured {measured!r}")
 
 
 class _RetrievalBase:
@@ -497,14 +497,12 @@ class KnowledgeStore(_RetrievalBase):
     def _admit(self, entries: list[KnowledgeEntry]) -> int:
         """Log and commit verified entries; returns the first one's id."""
         with self._lock:
-            now = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
             # The rule decides on a copy of the keys' slots: memory changes
             # only once the log holds the outcome.
             slots: dict[tuple, KnowledgeEntry] = {}
             records = []
             for entry_id, entry in enumerate(entries, self._next_id):
-                entry = replace(entry, id=entry_id, status="primary",
-                                created_at=entry.created_at or now)
+                entry = replace(entry, id=entry_id, status="primary")
                 key = pattern_key(entry)
                 if key not in slots and key in self._primaries:
                     slots[key] = self._primaries[key]

@@ -158,13 +158,12 @@ def random_netlist(rng: random.Random, n_inputs: int, n_gates: int,
 
 
 def store_contents(root: Path) -> tuple[list[dict], list[tuple[str, str]]]:
-    """A store's index records, in log order, without `created_at` and
-    `netlist_text`; and each circuit pattern's text as `(f"{id}.nl", text)`
-    in id order, one per id, archived patterns included."""
+    """A store's index records, in log order, without `netlist_text`; and
+    each circuit pattern's text as `(f"{id}.nl", text)` in id order, one
+    per id, archived patterns included."""
     records, texts = [], {}
     for line in (root / "index.jsonl").read_text().splitlines():
         rec = json.loads(line)
-        del rec["created_at"]
         text = rec.pop("netlist_text")
         if text is not None:
             texts[rec["id"]] = text

@@ -70,7 +70,7 @@ def test_constant_zero_is_an_empty_cover():
 
 def test_three_variable_example_has_three_terms():
     # ones on minterms 0,1,2,5,6,7; exhaustive search says 3 terms.
-    f = BoolFunction.from_minterms(3, [0, 1, 2, 5, 6, 7])
+    f = BoolFunction(3, 0b11100111)
     assert min_sop_terms(f) == 3
     cover = quine_mccluskey(f)
     assert cover.term_count == 3
@@ -84,8 +84,8 @@ def test_xor_cannot_merge():
 
 
 def test_dont_cares_enlarge_cubes():
-    # f = minterm 3, dc on 1 and 2: a single 1-literal cube suffices.
-    f = BoolFunction.from_minterms(2, [3], dont_cares=[1])
+    # f = minterm 3, dc on 1: a single 1-literal cube suffices.
+    f = BoolFunction(2, 0b1000, 0b0010)
     cover = quine_mccluskey(f)
     assert cover.term_count == 1
     assert cover.cubes[0].literal_count == 1
@@ -115,7 +115,7 @@ def test_qm_minimality_on_sampled_four_variable_functions():
 
 
 def test_qm_deterministic_tie_break():
-    f = BoolFunction.from_minterms(3, [0, 1, 2, 5, 6, 7])
+    f = BoolFunction(3, 0b11100111)
     a = [str(c) for c in quine_mccluskey(f).cubes]
     b = [str(c) for c in quine_mccluskey(f).cubes]
     assert a == b == sorted(a)

@@ -1,12 +1,14 @@
 import json
 import shutil
 import tempfile
+import time
 
 import pytest
 from conftest import store_contents
 
 from gateforge import cli
 from gateforge.cli import main
+from gateforge.knowledge import AdmissionError, KnowledgeStore
 from gateforge.taskpack import (
     TaskSchemaError,
     builtin_task_dir,
@@ -242,6 +244,42 @@ def test_store_verify_lists_problems_instead_of_failing_at_load(
     assert out.count("FAIL ") == 1
     assert "no longer parses" in out
     assert "1 problem(s)" in out
+
+
+def test_a_forged_signature_kind_is_refused_at_open_and_listed(capsys,
+                                                              tmp_path):
+    store_dir = tmp_path / "store"
+    assert main(["store", "seed", "--dir", str(store_dir)]) == 0
+    edit_first_record(store_dir / "index.jsonl", signature_kind="sampled")
+    with pytest.raises(AdmissionError, match="^and2: stored signature_kind "
+                       "'sampled' does not match measured 'exact'$"):
+        KnowledgeStore(store_dir)
+    capsys.readouterr()
+    assert main(["store", "verify", "--dir", str(store_dir)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL ")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL and2: ")
+
+
+def test_identical_sweeps_leave_identical_bytes_across_a_clock_change(
+        script_path, tmp_path, monkeypatch):
+    """The quick-start sweep, three times into fresh stores, each under
+    another wall clock, the last on four workers: the index and the
+    results file must be the same bytes every time."""
+    gmtime = time.gmtime
+    outputs = []
+    for name, clock, workers in (("a", 0, 1), ("b", 86_400, 1),
+                                 ("c", 172_800, 4)):
+        monkeypatch.setattr(time, "gmtime",
+                            lambda secs=None, at=clock: gmtime(at))
+        store, out = tmp_path / f"store-{name}", tmp_path / f"{name}.json"
+        assert main(["bench", "--backend", f"scripted:{script_path}",
+                     "--n", "3", "--profile", "V2",
+                     "--workers", str(workers), "--store", str(store),
+                     "--out", str(out)]) == 0
+        outputs.append(((store / "index.jsonl").read_bytes(),
+                        out.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_config_file_round_trip(capsys, script_path, tmp_path):
@@ -613,11 +651,14 @@ def test_an_unparsable_index_is_a_usage_error(capsys, script_path, tmp_path,
 @pytest.mark.parametrize("field,value,need", [
     ("sei", "high", "a number or null"),
     ("tags", 5, "a list of strings"),
-    ("kind", 7, "a string"),
+    ("kind", 7, "'circuit-pattern' or 'error-fix'"),
+    ("kind", "weird", "'circuit-pattern' or 'error-fix'"),
+    ("signature_kind", "weird",
+     "'exact' or 'sampled' or 'sequential' or null"),
     ("name", 3, "a string"),
     ("status", "weird", "'primary' or 'archived'"),
-], ids=["sei-string", "tags-integer", "kind-integer", "name-integer",
-        "status-unknown"])
+], ids=["sei-string", "tags-integer", "kind-integer", "kind-unknown",
+        "signature_kind-unknown", "name-integer", "status-unknown"])
 def test_a_wrong_typed_index_record_is_a_usage_error(capsys, tmp_path, field,
                                                      value, need):
     store = tmp_path / "store"

@@ -151,19 +151,19 @@ def test_seed_baseline_is_one_write_of_the_one_by_one_records(
                                             task_id="baseline"))
     # Same ids and records, and2 first: `gateforge store seed` output that
     # edits line 1 edits the same pattern.
-    assert undated(index_lines(seeded)) == undated(index_lines(one_by_one))
+    assert index_lines(seeded) == index_lines(one_by_one)
     assert index_lines(seeded)[0]["name"] == "and2"
 
 
 def test_seed_records_are_pinned():
-    # The seed set's records, `created_at` aside, are those of the nine
-    # modules as they were first built; any change to them shows here.
+    # The seed set's records are those of the nine modules as they were
+    # first built; any change to them shows here.
     records = [make_pattern_entry(n, tags=t, task_id="baseline").to_record()
                for n, t in _baseline_netlists()]
     digest = hashlib.sha256(
         json.dumps(records, sort_keys=True).encode()).hexdigest()
-    assert digest == ("76a55018c11c37bb34fc3260f7be64bf9b3d6a15f820fb81"
-                      "67a69e32b648cc8d")
+    assert digest == ("1d06d055addf99eb8df3565b6caf810e0f6f099a5a6d7f5c"
+                      "9ed9958842ae9d99")
     # Each seed text is what `render` writes of its own parse.
     for text, _tags in _BASELINE:
         assert render(parse(text).netlist) == text
@@ -365,6 +365,28 @@ def index_lines(store):
         return [json.loads(line) for line in fh]
 
 
+def test_an_index_with_admission_times_opens_and_compacts_without_them(
+        tmp_path):
+    # The layout of a store that stamped each record with its admission
+    # time: the key is read past, and compact() drops it.
+    store = KnowledgeStore(tmp_path / "store")
+    store.seed_baseline()
+    with open(store.index_path, "rb") as fh:
+        seeded = fh.read()
+    records = index_lines(store)
+    with open(store.index_path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record | {"created_at": "2026-08-08T00:00:00"},
+                                sort_keys=True) + "\n")
+    reopened = KnowledgeStore(tmp_path / "store")
+    assert reopened.entries() == store.entries()
+    assert reopened.compact() == 0
+    assert all("created_at" not in record
+               for record in index_lines(reopened))
+    with open(store.index_path, "rb") as fh:
+        assert fh.read() == seeded
+
+
 def test_archiving_appends_instead_of_rewriting(tmp_path):
     store = KnowledgeStore(tmp_path / "store")
     store.store(make_pattern_entry(build_worse_half_adder()))
@@ -556,11 +578,6 @@ def primary_ids(store):
     return [e.id for e in store.entries()]
 
 
-def undated(records):
-    return [{k: v for k, v in rec.items() if k != "created_at"}
-            for rec in records]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(RULE_KINDS), st.integers(0, 2)),
                 min_size=1, max_size=12))
@@ -580,14 +597,12 @@ def test_every_path_applies_the_same_primary_rule(admissions):
         # One call admitting them all leaves the same log and memory.
         batch = KnowledgeStore(batch_root)
         assert batch.store(*entries) == 1
-        assert undated(index_lines(batch)) == undated(index_lines(store))
+        assert index_lines(batch) == index_lines(store)
         for a, b in ((batch, store),
                      (KnowledgeStore(batch_root), KnowledgeStore(root))):
             assert primary_ids(a) == [pos + 1 for pos in want]
-            assert (undated(e.to_record()
-                            for e in a.entries(include_archived=True))
-                    == undated(e.to_record()
-                               for e in b.entries(include_archived=True)))
+            assert (a.entries(include_archived=True)
+                    == b.entries(include_archived=True))
 
         # Drop every archive record, as if each displacement had torn after
         # its new record: load must archive the same losers.

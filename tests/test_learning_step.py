@@ -304,12 +304,11 @@ def scripted(replies_by_sample):
 
 
 def content(entries):
-    """Entry content, netlist text included, without the id and the
-    admission time."""
+    """Entry content, netlist text included, without the id."""
     out = []
     for e in entries:
         rec = e.to_record()
-        del rec["id"], rec["created_at"]
+        del rec["id"]
         out.append(rec)
     return out
 

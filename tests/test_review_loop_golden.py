@@ -312,7 +312,7 @@ def corpus_runs(root: Path,
                 batch.append(run_record(run, backend.log, queries))
             batches.append(batch)
     records = [{k: v for k, v in e.to_record().items()
-                if k not in ("created_at", "netlist_text")}
+                if k != "netlist_text"}
                | {"netlist_text": e.netlist_text}
                for e in live.entries(include_archived=True)]
     return batches, runs, records, learned

@@ -12,13 +12,13 @@ script and odd samples from the reference script: its sweeps show the
 order in which a task's samples are collected.
 
 For each sweep one line of `data/sweep_golden.txt` holds the sha256 of
-the results file, of the index records without their admission time and
-netlist text, and of the circuit patterns' texts as (`<id>.nl`, text)
-pairs in id order (`conftest.store_contents`). The last line holds the sha256 of the output of
-`gateforge tasks validate`. Identical invocations must give byte-identical
-results files and store contents for any worker count, so any change in
-what a sweep decides, scores, admits or writes shows up as a line
-mismatch.
+the results file, of the index records without their netlist text, and
+of the circuit patterns' texts as (`<id>.nl`, text) pairs in id order
+(`conftest.store_contents`). The last line holds the sha256 of the
+output of `gateforge tasks validate`. Identical invocations must give
+byte-identical results files and store contents for any worker count, so
+any change in what a sweep decides, scores, admits or writes shows up as
+a line mismatch.
 
 To record the digests again, when a sweep's output is meant to change:
 
