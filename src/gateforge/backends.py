@@ -14,8 +14,6 @@ import logging
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -183,6 +181,11 @@ class HttpChatBackend(ModelBackend):
                   self.model, len(messages), self.url,
                   "redacted" if api_key else "none")
 
+        # The HTTP stack costs tens of milliseconds to import, and only this
+        # backend needs it.
+        import urllib.error
+        import urllib.request
+
         last_error: Exception | None = None
         retry_after: float | None = None
         for attempt in range(self.max_retries + 1):
@@ -203,7 +206,7 @@ class HttpChatBackend(ModelBackend):
                 return text
             except urllib.error.HTTPError as exc:
                 if exc.code == 429:
-                    retry_after = _retry_after_seconds(exc)
+                    retry_after = _retry_after_seconds(exc.headers)
                 elif 400 <= exc.code < 500:
                     raise BackendError(
                         f"backend rejected the request: HTTP {exc.code}") from exc
@@ -227,10 +230,11 @@ class HttpChatBackend(ModelBackend):
             raise BackendError(f"malformed backend response: {exc}") from None
 
 
-def _retry_after_seconds(exc: urllib.error.HTTPError) -> float | None:
-    """The delta-seconds form of Retry-After, capped; None for the
-    HTTP-date form or no header, so the caller backs off as usual."""
-    value = (exc.headers.get("Retry-After") or "").strip()
+def _retry_after_seconds(headers) -> float | None:
+    """The delta-seconds form of a rate-limit reply's Retry-After header,
+    capped; None for the HTTP-date form or no header, so the caller backs
+    off as usual."""
+    value = (headers.get("Retry-After") or "").strip()
     if not (value.isascii() and value.isdigit()):
         return None
     return min(float(value), RETRY_AFTER_CAP_S)

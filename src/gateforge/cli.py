@@ -193,8 +193,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    # `verify` lists every bad pattern instead of failing on the first one.
-    # Only `seed` creates a store that is not there.
+    # `verify` checks every pattern, stamp or no stamp, and lists each bad
+    # one instead of failing on the first; a clean store is stamped. Only
+    # `seed` creates a store that is not there.
     store = _open_store(args, "--dir", args.dir,
                         create=args.action == "seed",
                         verify=not args.no_verify and args.action != "verify")
@@ -300,7 +301,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="include archived entries in inspect")
     p.add_argument("--no-verify", action="store_true",
-                   help="skip load-time re-verification")
+                   help="skip load-time re-verification of the records "
+                        "the store's stamp does not cover")
     p.set_defaults(func=_cmd_store, parser=p)
 
     p = sub.add_parser("report", help="re-render a results file")

@@ -1,12 +1,14 @@
 """Persistent store of verified circuit patterns and error-fix records.
 
-Layout on disk: a directory holding one file, index.jsonl, with one JSON
-record per entry carrying all its fields, a circuit pattern's canonical
-netlist text included. The index is an append-only log (the last record per
-id wins) that only compact() rewrites. Each `store` call is one append of
-its entries' records, so a crash can tear at most the last line; the
-complete records before it stay. The exact schema is documented in
-docs/knowledge_store.md.
+Layout on disk: a directory holding index.jsonl, with one JSON record per
+entry carrying all its fields, a circuit pattern's canonical netlist text
+included, and the stamp index.verified. The index is an append-only log
+(the last record per id wins) that only compact() rewrites. Each `store`
+call is one append of its entries' records, so a crash can tear at most the
+last line; the complete records before it stay. The stamp names a prefix of
+the log, by length and sha256, whose primaries were verified under the
+current verification rules, so an open re-verifies only what lies past it.
+The exact schema is documented in docs/knowledge_store.md.
 
 Retrieval is symbolic and deterministic: exact functional-signature match,
 interface shape, tag overlap and error-class/symptom token overlap. Entries
@@ -16,10 +18,13 @@ efficiency: the higher index stays primary, the loser is archived.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
 import random
+import sys
 import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
@@ -50,6 +55,9 @@ SUBPATTERN_EMIT_CAP = 32
 
 _SEQ_FINGERPRINT_SEED = 0xD1F0
 _SEQ_FINGERPRINT_CYCLES = 32
+
+# The modules whose code decides whether a record verifies.
+_RULE_MODULES = ("parser", "netlist", "simulator", "metrics", "knowledge")
 
 
 class StoreError(RuntimeError):
@@ -92,7 +100,7 @@ class KnowledgeEntry:
     @classmethod
     def from_record(cls, rec: dict) -> "KnowledgeEntry":
         """The entry an index record stands for; `rec` holds every field
-        of RECORD_FIELDS, as `KnowledgeStore._parse_record` returns it."""
+        of RECORD_FIELDS, as `KnowledgeStore._parse_entry` reads it."""
         return cls(**dict(rec, tags=tuple(rec["tags"])))
 
 
@@ -322,6 +330,29 @@ def verify_pattern_entry(entry: KnowledgeEntry) -> None:
                                  f"does not match measured {measured!r}")
 
 
+@functools.cache
+def _rules_digest() -> str | None:
+    """sha256 of the verification rules: the Python version and the source
+    of `_RULE_MODULES`. None when a source cannot be read; then no stamp is
+    valid and none is written."""
+    h = hashlib.sha256(sys.version.encode())
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        for name in _RULE_MODULES:
+            with open(os.path.join(here, f"{name}.py"), "rb") as fh:
+                source = fh.read()
+            h.update(f"\0{name}\0{len(source)}\0".encode() + source)
+    except OSError:
+        return None
+    return h.hexdigest()
+
+
+def _record_lines(entries) -> bytes:
+    """The index lines of `entries`, in order."""
+    return "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
+                   for e in entries).encode()
+
+
 class _RetrievalBase:
     """Shared read-side behavior of the store and its frozen snapshots."""
 
@@ -391,6 +422,13 @@ class KnowledgeStore(_RetrievalBase):
         # the next append first truncates the log to `size` bytes, then
         # writes `prefix` and its records.
         self._append_at: tuple[int, bytes] | None = None
+        # The running sha256 and length of the index bytes that memory was
+        # loaded from or that this handle appended, and whether every
+        # primary they hold has been verified under the current rules. Only
+        # then may the handle stamp them.
+        self._seen = hashlib.sha256()
+        self._seen_length = 0
+        self._verified = verify
         # Only what is missing is created, so a read-only store opens, and
         # a root that is a file raises NotADirectoryError at the open.
         if not os.path.exists(self.root):
@@ -407,49 +445,113 @@ class KnowledgeStore(_RetrievalBase):
     def index_path(self) -> str:
         return os.path.join(self.root, "index.jsonl")
 
+    @property
+    def stamp_path(self) -> str:
+        return os.path.join(self.root, "index.verified")
+
     def _load(self, verify: bool) -> None:
         with open(self.index_path, "rb") as fh:
             data = fh.read()
+        stamped = self._stamped_length(data) if verify else 0
         lines = data.split(b"\n")
         # The last piece is empty when the log ends on a newline; otherwise
         # an append was cut short.
         tail = lines.pop()
-        records: dict[int, dict] = {}
+        entries: dict[int, KnowledgeEntry] = {}
+        in_stamp: dict[int, KnowledgeEntry] = {}   # by id, within the stamp
+        start = 0
         for lineno, line in enumerate(lines, 1):
             if line.strip():
-                rec = self._parse_record(line, lineno)
-                records[rec["id"]] = rec
-        if tail.strip():
+                entry = self._parse_entry(line, lineno)
+                entries[entry.id] = entry
+                if start < stamped:
+                    in_stamp[entry.id] = entry
+            start += len(line) + 1
+        if tail:
             try:
-                rec = self._parse_record(tail, len(lines) + 1)
+                entry = self._parse_entry(tail, len(lines) + 1)
             except StoreError:
-                # Torn tail: drop it; the next append overwrites it.
-                self._append_at = (len(data) - len(tail), b"")
+                # Torn or blank tail: drop it; the next append overwrites it.
+                self._append_at = (start, b"")
             else:
-                records[rec["id"]] = rec
+                entries[entry.id] = entry
                 self._append_at = (len(data), b"\n")
-        for _, rec in sorted(records.items()):
-            self._commit(KnowledgeEntry.from_record(rec))
+        seen = data[:self._append_at[0]] if self._append_at else data
+        self._seen = hashlib.sha256(seen)
+        self._seen_length = len(seen)
+        for _, entry in sorted(entries.items()):
+            self._commit(entry)
         if verify:
+            # The stamp vouches for the primaries of its prefix loaded on
+            # its own. A record past it can add a primary or change one, and
+            # an archive record there can promote an entry the stamp never
+            # vouched for; each of those is verified.
+            vouched: dict[tuple, KnowledgeEntry] = {}
+            for _, entry in sorted(in_stamp.items()):
+                offer_primary(vouched, entry)
+            by_id = {e.id: e for e in vouched.values()}
             for entry in self._entries.values():
-                if entry.status == "primary":
+                if entry.status == "primary" and by_id.get(entry.id) != entry:
                     verify_pattern_entry(entry)
 
-    def _parse_record(self, line: bytes, lineno: int) -> dict:
+    def _stamped_length(self, data: bytes) -> int:
+        """The length of the prefix of the index `data` that the stamp
+        vouches for; 0 unless the stamp parses, ends on a line of `data`,
+        matches that prefix's sha256 and was made under the current rules."""
+        try:
+            with open(self.stamp_path, "rb") as fh:
+                stamp = json.load(fh)
+        except (OSError, ValueError):
+            return 0
+        if not is_json(stamp, dict):
+            return 0
+        length = stamp.get("length")
+        if not (is_json(length, int) and 0 < length <= len(data)
+                and data[length - 1] == ord("\n")):
+            return 0
+        rules = _rules_digest()
+        if rules is None or stamp.get("rules") != rules:
+            return 0
+        prefix = hashlib.sha256(memoryview(data)[:length]).hexdigest()
+        return length if stamp.get("sha256") == prefix else 0
+
+    def _write_stamp(self) -> None:
+        """Stamp the index bytes this handle has seen, when it may: every
+        primary they hold is verified under rules that can be digested, and
+        they end on a newline. A stamp that cannot be written is left out;
+        the next open then verifies more."""
+        rules = _rules_digest()
+        # A log that ends in an unterminated record ends mid-line until the
+        # next append writes the newline `_append_at` holds.
+        mid_line = self._append_at is not None and self._append_at[1]
+        if not self._verified or rules is None or mid_line:
+            return
+        stamp = json.dumps({"length": self._seen_length, "rules": rules,
+                            "sha256": self._seen.hexdigest()}, sort_keys=True)
+        tmp = self.stamp_path + ".tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(stamp + "\n")
+            os.replace(tmp, self.stamp_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+    def _parse_entry(self, line: bytes, lineno: int) -> KnowledgeEntry:
         where = f"{self.index_path}:{lineno}"
         try:
             rec = json.loads(line)
             if not is_json(rec, dict):
                 raise ValueError("not a JSON object")
-            return take_all(rec, "", RECORD_FIELDS)
+            rec = take_all(rec, "", RECORD_FIELDS)
         except FieldError as exc:
             raise StoreError(f"{where}: invalid index record: {exc}") from None
         except ValueError as exc:
             raise StoreError(f"{where}: unparsable index record: {exc}") from None
+        return KnowledgeEntry.from_record(rec)
 
     def _append(self, entries: list[KnowledgeEntry]) -> None:
-        text = "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
-                       for e in entries).encode()
+        text = _record_lines(entries)
         if self._append_at is not None:
             size, prefix = self._append_at
             os.truncate(self.index_path, size)
@@ -458,14 +560,18 @@ class KnowledgeStore(_RetrievalBase):
         # One write per `store` call, so a crash tears at most the last line.
         with open(self.index_path, "ab") as fh:
             fh.write(text)
+        self._seen.update(text)
+        self._seen_length += len(text)
 
     def _rewrite_index(self) -> None:
+        text = _record_lines(self._entries.values())
         tmp = self.index_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for e in self._entries.values():
-                fh.write(json.dumps(e.to_record(), sort_keys=True) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(text)
         os.replace(tmp, self.index_path)
         self._append_at = None
+        self._seen = hashlib.sha256(text)
+        self._seen_length = len(text)
 
     # -- write path ---------------------------------------------------------
 
@@ -519,6 +625,7 @@ class KnowledgeStore(_RetrievalBase):
             self._append(records)
             for record in records:
                 self._commit(record)
+            self._write_stamp()
             return records[0].id
 
     def _commit(self, entry: KnowledgeEntry) -> None:
@@ -547,13 +654,18 @@ class KnowledgeStore(_RetrievalBase):
             return KnowledgeView(tuple(self._entries.values()))
 
     def verify_all(self) -> list[str]:
-        """Re-check every primary pattern; returns failure descriptions."""
+        """Re-check every primary pattern, stamp or no stamp; returns
+        failure descriptions. When there are none, the index is stamped."""
         problems = []
         for e in self.entries():
             try:
                 verify_pattern_entry(e)
             except AdmissionError as exc:
                 problems.append(str(exc))
+        if not problems:
+            with self._lock:
+                self._verified = True
+                self._write_stamp()
         return problems
 
     def compact(self) -> int:
@@ -564,6 +676,7 @@ class KnowledgeStore(_RetrievalBase):
             for e in dropped:
                 del self._entries[e.id]
             self._rewrite_index()
+            self._write_stamp()
             self._next_id = max(self._entries, default=0) + 1
             return len(dropped)
 

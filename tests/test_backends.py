@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import gateforge
 from gateforge.backends import (
     BackendError,
     ChatMessage,
@@ -270,3 +274,15 @@ def test_http_400_still_fails_at_once(fake_http):
         backend.complete(msg("x"), PARAMS)
     assert sleeps == []
     assert queue == ["ok"]
+
+
+def test_the_cli_loads_no_http_stack():
+    """Only the HTTP backend needs urllib, and it imports it when called,
+    so a scripted run does not pay for loading it."""
+    src = os.path.dirname(os.path.dirname(gateforge.__file__))
+    probe = ("import sys, gateforge.cli; print(sorted(m for m in "
+             "('urllib.request', 'http.client') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -151,7 +151,9 @@ def test_run_and_bench_learn_the_same_entries(capsys, script_path, tmp_path,
     assert run_patterns == bench_patterns
 
 
-def test_a_store_is_one_file(capsys, script_path, tmp_path):
+def test_a_store_is_an_index_and_its_stamp(capsys, script_path, tmp_path):
+    """Every command that writes a store leaves the log and its stamp, and
+    no temporary file."""
     pack = f"{builtin_task_dir()}/full_adder"
     shutil.copytree(pack, tmp_path / "tasks" / "full_adder")
     backend = ["--backend", f"scripted:{script_path}"]
@@ -162,8 +164,8 @@ def test_a_store_is_one_file(capsys, script_path, tmp_path):
     assert main(["store", "seed", "--dir", str(tmp_path / "seed")]) == 0
     assert main(["store", "compact", "--dir", str(tmp_path / "bench")]) == 0
     for name in ("run", "bench", "seed"):
-        assert [p.name for p in (tmp_path / name).iterdir()] == [
-            "index.jsonl"]
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+            "index.jsonl", "index.verified"]
 
 
 def edit_first_record(index, **fields):
@@ -230,6 +232,27 @@ def test_store_subcommands(capsys, tmp_path):
     capsys.readouterr()
     assert main(["store", "inspect", "--no-verify", "--dir", store_dir]) == 0
     assert "sei=n/a" in capsys.readouterr().out.split("\n")[0]
+
+
+def test_store_verify_stamps_a_clean_store_and_inspect_writes_nothing(
+        capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    stamp = store_dir / "index.verified"
+    assert main(["store", "seed", "--dir", str(store_dir)]) == 0
+    stamped = stamp.read_bytes()
+    stamp.unlink()
+    assert main(["store", "inspect", "--dir", str(store_dir)]) == 0
+    assert not stamp.exists()
+    assert main(["store", "verify", "--dir", str(store_dir)]) == 0
+    assert stamp.read_bytes() == stamped
+    assert main(["store", "inspect", "--dir", str(store_dir)]) == 0
+    assert stamp.read_bytes() == stamped
+    # A store with a problem is not stamped.
+    edit_first_record(store_dir / "index.jsonl",
+                      netlist_text="module broken;\n")
+    stamp.unlink()
+    assert main(["store", "verify", "--dir", str(store_dir)]) == 1
+    assert not stamp.exists()
 
 
 def test_store_verify_lists_problems_instead_of_failing_at_load(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,6 +9,8 @@ import pytest
 from conftest import build_full_adder, build_half_adder
 from hypothesis import given, settings, strategies as st
 
+from gateforge import knowledge
+from gateforge.cli import main
 from gateforge.knowledge import (
     AdmissionError,
     KnowledgeStore,
@@ -24,6 +27,7 @@ from gateforge.netlist import GateKind, NetlistBuilder, PortDir
 from gateforge.orchestrator import summarize
 from gateforge.parser import parse, render
 from gateforge.simulator import truth_table
+from gateforge.taskpack import builtin_task_packs
 
 
 @pytest.fixture
@@ -634,3 +638,248 @@ def test_every_path_applies_the_same_primary_rule(admissions):
     admitted = summarize(SimpleNamespace(id="t", tags=()), runs, summarized)
     assert [e.name for e in admitted] == [f"e{pos}" for pos in want]
     assert summarized.stored == admitted
+
+
+# -- the verification stamp -----------------------------------------------------
+
+@pytest.fixture
+def verify_calls(monkeypatch) -> list[str]:
+    """The name of each entry `verify_pattern_entry` checks, in order."""
+    calls: list[str] = []
+    check = knowledge.verify_pattern_entry
+
+    def counting(entry):
+        calls.append(entry.name)
+        check(entry)
+
+    monkeypatch.setattr(knowledge, "verify_pattern_entry", counting)
+    return calls
+
+
+def seeded(root):
+    KnowledgeStore(root).seed_baseline()
+    return root / "index.jsonl", root / "index.verified"
+
+
+def build_and3():
+    b = NetlistBuilder("and3")
+    ab = b.gate(GateKind.AND, (b.input("a"), b.input("b")))
+    b.gate(GateKind.AND, (ab, b.input("c")), b.output("y"))
+    return b.build()
+
+
+def append_record(index, **fields):
+    with open(index, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(fields, sort_keys=True) + "\n")
+
+
+def assert_stamps_the_whole_index(index, stamp):
+    data = index.read_bytes()
+    assert json.loads(stamp.read_text()) == {
+        "length": len(data), "rules": knowledge._rules_digest(),
+        "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_an_open_of_a_stamped_store_verifies_nothing(tmp_path, verify_calls):
+    # The store a one-sample README quick start leaves.
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rules": [
+        {"contains": f"Task: {t.id}",
+         "replies": [f"```\n{t.reference_netlist}```"]}
+        for t in builtin_task_packs()], "default": ["pass"]}))
+    root = tmp_path / "store"
+    assert main(["bench", "--backend", f"scripted:{script}", "--n", "1",
+                 "--profile", "V2", "--store", str(root),
+                 "--out", str(tmp_path / "results.json")]) == 0
+    assert_stamps_the_whole_index(root / "index.jsonl",
+                                  root / "index.verified")
+    verify_calls.clear()
+    store = KnowledgeStore(root)
+    assert len(store.entries()) == 109
+    assert verify_calls == []
+
+
+def test_each_write_stamps_the_whole_index(tmp_path):
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    assert_stamps_the_whole_index(index, stamp)
+    store = KnowledgeStore(root)
+    store.store(make_pattern_entry(build_worse_half_adder()))
+    assert_stamps_the_whole_index(index, stamp)
+    assert store.compact() == 1
+    assert_stamps_the_whole_index(index, stamp)
+    # An append that first truncates a torn tail, and one that first ends
+    # an unterminated last record.
+    tear_last_line(store)
+    KnowledgeStore(root).store(make_pattern_entry(build_and3()))
+    assert_stamps_the_whole_index(index, stamp)
+    index.write_bytes(index.read_bytes().rstrip(b"\n"))
+    KnowledgeStore(root).store(make_error_fix_entry("syntax", "x", "y"))
+    assert_stamps_the_whole_index(index, stamp)
+    assert sorted(p.name for p in root.iterdir()) == [
+        "index.jsonl", "index.verified"]
+
+
+def test_a_record_edited_after_a_stamped_write_fails_the_next_open(tmp_path):
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    assert stamp.exists()
+    first, rest = index.read_text().split("\n", 1)
+    index.write_text(first.replace("and g1(", "or g1(") + "\n" + rest)
+    with pytest.raises(AdmissionError, match="^and2: "):
+        KnowledgeStore(root)
+
+
+def test_only_records_past_the_stamp_are_verified(tmp_path, verify_calls):
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    stamped = stamp.read_bytes()
+    record = replace(make_pattern_entry(build_and3()), id=10).to_record()
+    append_record(index, **record)
+    verify_calls.clear()
+    KnowledgeStore(root)
+    assert verify_calls == ["and3"]
+    # An open writes nothing, not even a stamp over what it verified.
+    assert stamp.read_bytes() == stamped
+    # A tampered primary past the stamp fails the open: and3's record again,
+    # computing something else.
+    append_record(index, **dict(record, name="and3-or",
+                                netlist_text=record["netlist_text"].replace(
+                                    "and g2(", "or g2(")))
+    with pytest.raises(AdmissionError, match="^and3-or: "):
+        KnowledgeStore(root)
+
+
+def test_an_entry_promoted_past_the_stamp_is_verified(tmp_path):
+    root = tmp_path / "store"
+    store = KnowledgeStore(root)
+    store.store(make_pattern_entry(build_half_adder()))
+    index = root / "index.jsonl"
+    good = index_lines(store)[0]
+    # A forged copy ties the half adder, so it loads archived and is not
+    # verified; the next admission stamps past it.
+    forged = dict(good, id=2, name="forged", netlist_text=good[
+        "netlist_text"].replace("and g2(", "or g2("))
+    append_record(index, **forged)
+    KnowledgeStore(root).store(make_error_fix_entry("syntax", "x", "y"))
+    assert [r["id"] for r in index_lines(store)] == [1, 2, 3]
+    # Archiving the half adder past the stamp makes the forgery primary.
+    append_record(index, **dict(good, status="archived"))
+    with pytest.raises(AdmissionError, match="^forged: "):
+        KnowledgeStore(root)
+
+
+def spoil_rules(index, stamp):
+    stamp.write_text(json.dumps({**json.loads(stamp.read_text()),
+                                 "rules": "0" * 64}))
+
+
+def spoil_prefix_hash(index, stamp):
+    stamp.write_text(json.dumps({**json.loads(stamp.read_text()),
+                                 "sha256": "0" * 64}))
+
+
+def tear_stamp(index, stamp):
+    stamp.write_bytes(stamp.read_bytes()[:-12])
+
+
+def garble_stamp(index, stamp):
+    stamp.write_text("garbage\n")
+
+
+def list_stamp(index, stamp):
+    stamp.write_text(json.dumps([json.loads(stamp.read_text())]))
+
+
+def shorten_index(index, stamp):
+    index.write_bytes(index.read_bytes().rstrip(b"\n").rpartition(b"\n")[0]
+                      + b"\n")
+
+
+@pytest.mark.parametrize("spoil", [
+    spoil_rules, spoil_prefix_hash, tear_stamp, garble_stamp, list_stamp,
+    shorten_index])
+def test_a_stamp_that_does_not_hold_leads_to_full_verification(
+        tmp_path, verify_calls, spoil):
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    assert stamp.exists()
+    spoil(index, stamp)
+    primaries = [e.name for e in KnowledgeStore(root, verify=False).entries()]
+    verify_calls.clear()
+    KnowledgeStore(root)
+    assert verify_calls == primaries
+    assert len(primaries) == len(_BASELINE) - (spoil is shorten_index)
+
+
+def test_an_unverified_handle_stamps_only_after_a_clean_verify_all(
+        tmp_path, verify_calls):
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    stamp.unlink()
+    store = KnowledgeStore(root, verify=False)
+    store.store(make_pattern_entry(build_and3()))
+    assert not stamp.exists()
+    assert store.verify_all() == []
+    assert_stamps_the_whole_index(index, stamp)
+    verify_calls.clear()
+    KnowledgeStore(root)
+    assert verify_calls == []
+
+
+def test_an_unverified_admission_leaves_a_tampered_prefix_unstamped(
+        tmp_path):
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    stamped = stamp.read_bytes()
+    first, rest = index.read_text().split("\n", 1)
+    index.write_text(first.replace("and g1(", "or g1(") + "\n" + rest)
+    store = KnowledgeStore(root, verify=False)
+    store.store(make_pattern_entry(build_and3()))
+    assert store.verify_all() != []
+    assert stamp.read_bytes() == stamped
+    with pytest.raises(AdmissionError, match="^and2: "):
+        KnowledgeStore(root)
+
+
+def test_a_store_in_a_read_only_directory_opens_and_writes_nothing(
+        tmp_path, monkeypatch, verify_calls):
+    """Every write is refused, as a read-only directory refuses it,
+    whoever runs the test."""
+    root = tmp_path / "store"
+    seeded(root)
+    files = {p.name: p.read_bytes() for p in root.iterdir()}
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    def read_only_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            refuse()
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(knowledge, "open", read_only_open, raising=False)
+    for name in ("replace", "truncate", "remove", "makedirs"):
+        monkeypatch.setattr(os, name, refuse)
+    verify_calls.clear()
+    store = KnowledgeStore(root)
+    assert verify_calls == []
+    assert len(store.entries()) == len(_BASELINE)
+    # verify_all stamps a clean store; here the stamp cannot be written.
+    assert store.verify_all() == []
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == files
+
+
+def test_a_failed_stamp_write_raises_nothing(tmp_path, verify_calls):
+    root = tmp_path / "store"
+    store = KnowledgeStore(root)
+    # A directory where the stamp goes: reading it fails, and so does
+    # renaming the new stamp over it.
+    (root / "index.verified").mkdir()
+    assert store.store(make_pattern_entry(build_half_adder())) == 1
+    assert sorted(p.name for p in root.iterdir()) == [
+        "index.jsonl", "index.verified"]
+    verify_calls.clear()
+    assert [e.name for e in KnowledgeStore(root).entries()] == ["half_adder"]
+    assert verify_calls == ["half_adder"]

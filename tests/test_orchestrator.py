@@ -263,7 +263,8 @@ def test_gate_free_design_verifies_without_an_index(tmp_path):
     assert run.result.sei is None
     assert summarize(load_task_pack(pack), [run], store) == []
     assert (tmp_path / "store" / "index.jsonl").read_bytes() == index_before
-    assert [p.name for p in (tmp_path / "store").iterdir()] == ["index.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+        "index.jsonl", "index.verified"]
 
 
 class Broken(ModelBackend):
