@@ -519,7 +519,12 @@ class KnowledgeStore(_RetrievalBase):
         """Stamp the index bytes this handle has seen, when it may: every
         primary they hold is verified under rules that can be digested, and
         they end on a newline. A stamp that cannot be written is left out;
-        the next open then verifies more."""
+        the next open then verifies more.
+
+        The stamp is written in place, with no newline after the object:
+        a stamp torn at any byte, or mixed from two writers, fails its own
+        JSON, length, prefix-hash or rules check, and the next open then
+        verifies everything."""
         rules = _rules_digest()
         # A log that ends in an unterminated record ends mid-line until the
         # next append writes the newline `_append_at` holds.
@@ -528,14 +533,9 @@ class KnowledgeStore(_RetrievalBase):
             return
         stamp = json.dumps({"length": self._seen_length, "rules": rules,
                             "sha256": self._seen.hexdigest()}, sort_keys=True)
-        tmp = self.stamp_path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(stamp + "\n")
-            os.replace(tmp, self.stamp_path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+        with contextlib.suppress(OSError), \
+                open(self.stamp_path, "w", encoding="utf-8") as fh:
+            fh.write(stamp)
 
     def _parse_entry(self, line: bytes, lineno: int) -> KnowledgeEntry:
         where = f"{self.index_path}:{lineno}"

@@ -61,6 +61,32 @@ _TOKEN_RE = re.compile(r"""
       | (?P<bad>.))
 """, re.VERBOSE | re.DOTALL)
 
+# The statement reader's patterns: one match per module header, port, wire
+# declaration, gate instantiation and `endmodule`, each with the trivia
+# after it. Trivia is only the six whitespace characters; an identifier has
+# no `$`, a constant is exactly 1'b0 or 1'b1 and the output is never one.
+# Every keyword is followed by `\b`, so `andx` or `wire1` is not read as a
+# keyword and a name. Whatever else follows a token, in the token grammar
+# it would end or extend that token, and here it fails the match.
+_WS = r"[ \t\r\f\v\n]*+"
+_NAME = r"([A-Za-z_][A-Za-z0-9_]*+)"
+_RANGE = rf"\[{_WS}([0-9]++){_WS}:{_WS}([0-9]++){_WS}\]{_WS}"
+_BIT = rf"{_NAME}(?:{_WS}\[{_WS}([0-9]++){_WS}\])?"
+_CONN = rf"(?:{_BIT}|1'b([01]))"
+_HEADER_RE = re.compile(
+    rf"{_WS}(module)\b{_WS}{_NAME}{_WS}\({_WS}(\){_WS};)?{_WS}")
+_PORT_RE = re.compile(
+    rf"(input|output)\b{_WS}(?:{_RANGE})?{_NAME}{_WS}(?:(,)|\){_WS};){_WS}")
+_GATE_RE = re.compile(
+    rf"(and|or|not|xor|nand|dff)\b{_WS}{_NAME}{_WS}\({_WS}{_BIT}{_WS},{_WS}"
+    rf"{_CONN}(?:{_WS},{_WS}{_CONN})?{_WS}\){_WS};{_WS}")
+_WIRE_RE = re.compile(
+    rf"wire\b{_WS}(?:{_RANGE})?([A-Za-z_][A-Za-z0-9_]*+"
+    rf"(?:{_WS},{_WS}[A-Za-z_][A-Za-z0-9_]*+)*+){_WS};{_WS}")
+_END_RE = re.compile(rf"endmodule{_WS}\Z")
+_KEYWORDS = frozenset(BEHAVIORAL_KEYWORDS | STRUCTURAL_KEYWORDS
+                      | GATE_KEYWORDS.keys())
+
 
 @dataclass(frozen=True)
 class ParseError:
@@ -151,17 +177,25 @@ class _ModuleScope:
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Two readers that fill one set of tables, which `_finalize` builds
+    the netlist from.
 
-    Punctuation and keywords are known by their text alone: no token of
-    another kind has the text ';' or 'module'. Where the current token is
-    known not to be 'eof', stepping past it is `self.pos += 1`; `advance`
-    never steps past 'eof'.
+    `parse` is recursive descent over the token list of the whole text; it
+    reports every error. `read_statements` reads well-formed text one
+    statement per match and reports no error of its own: at the first thing
+    it does not accept it gives up, and the text is left to `parse`.
+
+    In the grammar, punctuation and keywords are known by their text alone:
+    no token of another kind has the text ';' or 'module'. Where the
+    current token is known not to be 'eof', stepping past it is
+    `self.pos += 1`; `advance` never steps past 'eof'.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = _lex(text)
+        # The token list; `read_statements` records only `module`'s, the
+        # one token `_finalize` reads from it.
+        self.toks: list[_Token] = []
         self.pos = 0
         self.errors: list[ParseError] = []
         self.scope = _ModuleScope()
@@ -210,6 +244,7 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> ParseResult:
+        self.toks = _lex(self.text)
         kind, text, _ = t = self.toks[0]
         if text != "module":
             if text in BEHAVIORAL_KEYWORDS:
@@ -537,6 +572,103 @@ class _Parser:
             return
         self.instances.append((kind, name, conns, kw))
 
+    # -- statement reader ----------------------------------------------------
+
+    def read_statements(self) -> ParseResult | None:
+        """Read well-formed text into the tables and finalize them; None at
+        the first thing this reader does not accept, with nothing reported.
+
+        It accepts what the grammar reads without an error, less comments,
+        `assign`, upper-case gate kinds, `$` in a name, constants spelled
+        other than 1'b0 and 1'b1, and trivia other than whitespace. Each
+        token it records keeps its start offset, so `_finalize` places an
+        error where it would after `parse`."""
+        text = self.text
+        m = _HEADER_RE.match(text)
+        if m is None or m[2] in _KEYWORDS:
+            return None
+        self.toks = [("ident", "module", m.start(1))]
+        self.module_name = m[2]
+        pos = m.end()
+        more = m[3] is None
+        while more:
+            m = _PORT_RE.match(text, pos)
+            if m is None:
+                return None
+            direction, msb, lsb, name, more = m.groups()
+            if not self._read_decl(name, m.start(4), msb, lsb):
+                return None
+            self.scope.ports[name] = PortDir.IN if direction == "input" \
+                else PortDir.OUT
+            pos = m.end()
+        while True:
+            if m := _GATE_RE.match(text, pos):
+                if not self._read_gate(m):
+                    return None
+            elif m := _WIRE_RE.match(text, pos):
+                msb, lsb, names = m.groups()
+                start = m.start(3)
+                for piece in names.split(","):
+                    name = piece.strip()
+                    if not self._read_decl(name, start + piece.index(name),
+                                           msb, lsb):
+                        return None
+                    start += len(piece) + 1
+            else:
+                break
+            pos = m.end()
+        return self._finalize() if _END_RE.match(text, pos) else None
+
+    def _read_decl(self, name: str, start: int, msb: str | None,
+                   lsb: str | None) -> bool:
+        """Enter a port or wire as `_declare` does; False where the grammar
+        reports an error."""
+        decls = self.scope.decls
+        if name in _KEYWORDS or name in decls:
+            return False
+        width, low = 1, 0
+        if msb is not None:
+            low = int(lsb)
+            width = int(msb) - low + 1
+            if width < 1:
+                return False
+        decls[name] = (("ident", name, start), width, low,
+                       self.scope.new_slots(width))
+        return True
+
+    def _read_gate(self, m: re.Match[str]) -> bool:
+        """Enter the gate `_GATE_RE` matched; False where the grammar reports
+        an error."""
+        gate, name, out, out_bit, *ins = m.groups()
+        kind = GATE_KEYWORDS[gate]
+        third = ins[3] is not None or ins[5] is not None
+        if name in _KEYWORDS or name in self.instance_names \
+                or kind.arity != 1 + third:
+            return False
+        conns = [self._read_slot(out, out_bit, None), self._read_slot(*ins[:3])]
+        if third:
+            conns.append(self._read_slot(*ins[3:]))
+        if None in conns:
+            return False
+        self.instance_names[name] = ("ident", name, m.start(2))
+        self.instances.append((kind, name, conns, ("ident", gate, m.start(1))))
+        return True
+
+    def _read_slot(self, name: str | None, bit: str | None,
+                   const: str | None) -> int | None:
+        """The slot of a declared bit or constant; None where the grammar
+        reports an error."""
+        if const is not None:
+            return self.scope.const(int(const))
+        decl = self.scope.decls.get(name)
+        if decl is None:
+            return None
+        _tok, width, lsb, base = decl
+        if bit is None:
+            return base if width == 1 else None
+        i = int(bit) - lsb
+        return base + i if width > 1 and 0 <= i < width else None
+
     # -- finalization --------------------------------------------------------
 
     def _finalize(self) -> ParseResult:
@@ -642,8 +774,16 @@ def parse(text: str) -> ParseResult:
     loop, at `module`. A net joined to a constant and driven again points at
     that other driver: an input port's declaration or a gate's instance
     name.
+
+    Well-formed text, such as canonical text and most replies, is read one
+    statement per regex match (`_Parser.read_statements`). Any other text
+    goes to the token grammar, which reports every error in it. Both fill
+    the same tables, from which one final step builds the netlist and
+    reports any structural error, so the result does not depend on which
+    of them read the text.
     """
-    return _Parser(text).parse()
+    result = _Parser(text).read_statements()
+    return _Parser(text).parse() if result is None else result
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.S)

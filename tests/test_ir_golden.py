@@ -23,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from gateforge.knowledge import _connected_cuts, _cut_fields
+from gateforge.netlist import Netlist
 from gateforge.parser import parse, render
 from test_parse_golden import BATCH, DIGESTS, TASKS, batch_digests, corpus
 
@@ -40,8 +41,10 @@ def cut_texts() -> list[str]:
 
 def ir_of(text: str) -> list | None:
     n = parse(text).netlist
-    if n is None:
-        return None
+    return None if n is None else netlist_ir(n)
+
+
+def netlist_ir(n: Netlist) -> list:
     return [
         n.name,
         [[p.name, p.direction.value, p.width, p.lsb] for p in n.ports],

@@ -883,3 +883,36 @@ def test_a_failed_stamp_write_raises_nothing(tmp_path, verify_calls):
     verify_calls.clear()
     assert [e.name for e in KnowledgeStore(root).entries()] == ["half_adder"]
     assert verify_calls == ["half_adder"]
+
+
+def test_a_stamp_is_written_in_place(tmp_path, monkeypatch):
+    written: list[str] = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            written.append(os.path.basename(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(knowledge, "open", recording_open, raising=False)
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    store = KnowledgeStore(root)
+    store.store(make_pattern_entry(build_worse_half_adder()))
+    assert store.compact() == 1
+    assert store.verify_all() == []
+    assert_stamps_the_whole_index(index, stamp)
+    # Seed, store, compact and verify_all each wrote the stamp, in place.
+    assert written.count("index.verified") == 4
+    assert "index.verified.tmp" not in written
+
+
+def test_every_torn_stamp_leads_to_full_verification(tmp_path, verify_calls):
+    root = tmp_path / "store"
+    _index, stamp = seeded(root)
+    whole = stamp.read_bytes()
+    primaries = [e.name for e in KnowledgeStore(root, verify=False).entries()]
+    for cut in range(len(whole)):
+        stamp.write_bytes(whole[:cut])
+        verify_calls.clear()
+        KnowledgeStore(root)
+        assert verify_calls == primaries, whole[:cut]

@@ -1,10 +1,21 @@
 import random
+import re
 
 import pytest
 from conftest import build_full_adder, build_half_adder, random_netlist
+from hypothesis import given, settings, strategies as st
+from test_ir_golden import cut_texts, netlist_ir
+from test_parse_golden import TASKS, corpus
 
+from gateforge import knowledge, parser
 from gateforge.netlist import GateKind, PortDir, structural_report
-from gateforge.parser import extract_netlist_block, parse, render
+from gateforge.parser import (
+    ParseResult,
+    _Parser,
+    extract_netlist_block,
+    parse,
+    render,
+)
 from gateforge.simulator import truth_table
 
 BEHAVIORAL_CORPUS = [
@@ -336,6 +347,233 @@ def test_determinism_byte_identical_input():
     bad = "module t(input a, output y); assign y = a + 1; endmodule"
     assert [str(e) for e in parse(bad).errors] == \
         [str(e) for e in parse(bad).errors]
+
+
+# -- the statement reader against the token grammar ---------------------------
+#
+# `parse` reads well-formed text with `_Parser.read_statements` and leaves
+# the rest to the token grammar, `_Parser(text).parse()`. Whichever reads a
+# text, the result must be the one the grammar alone returns.
+
+def outcome(result: ParseResult) -> list:
+    """The errors as strings, the IR and the warnings."""
+    return [[str(e) for e in result.errors],
+            netlist_ir(result.netlist) if result.ok else None,
+            [str(w) for w in result.warnings]]
+
+
+def read_as_the_grammar(text: str) -> bool:
+    """Assert that `parse` returns what the token grammar returns; True when
+    the statement reader took the text."""
+    assert outcome(parse(text)) == outcome(_Parser(text).parse()), text
+    return _Parser(text).read_statements() is not None
+
+
+def test_parse_reads_every_corpus_text_as_the_token_grammar():
+    # The IR golden's corpus: the parse-golden corpus and every cut text.
+    cuts = cut_texts()
+    taken = [text for text in corpus() + cuts if read_as_the_grammar(text)]
+    assert set(cuts) <= set(taken)
+    # Texts whose only fault `_finalize` finds, placed by the reader's tokens.
+    assert sum(not parse(text).ok for text in taken) > 100
+
+
+def test_canonical_text_never_reaches_the_token_grammar(monkeypatch):
+    texts = [p.read_text() for p in sorted(TASKS.glob("*/reference.nl"))]
+    texts += [text for text, _tags in knowledge._BASELINE]
+    texts += cut_texts()
+
+    def refuse(text):
+        raise AssertionError("canonical text reached the token grammar")
+
+    monkeypatch.setattr(parser, "_lex", refuse)
+    for text in texts:
+        assert parse(text).ok, text
+
+
+TRIVIA = " \t\r\f\v\n"
+
+
+def _gate_lines(lines: list[str]) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.endswith(");")
+            and not line.startswith(("module", "  wire", "  assign"))]
+
+
+def _edit_pins(rng: random.Random, text: str, edit) -> str:
+    """Apply `edit` to the connection list of one gate."""
+    lines = text.split("\n")
+    i = rng.choice(_gate_lines(lines))
+    head, _, pins = lines[i].partition("(")
+    lines[i] = f"{head}({', '.join(edit(pins[:-2].split(', ')))});"
+    return "\n".join(lines)
+
+
+def _set_pin(rng: random.Random, text: str, value: str, *,
+             output: bool = False) -> str:
+    """Connect `value` to one gate's output, or to one of its inputs."""
+    def edit(pins):
+        pins[0 if output else rng.randrange(1, len(pins))] = value
+        return pins
+    return _edit_pins(rng, text, edit)
+
+
+def _set_instance(rng: random.Random, text: str, name: str) -> str:
+    lines = text.split("\n")
+    i = rng.choice(_gate_lines(lines))
+    lines[i] = re.sub(r"^(  \w+ )\w+", rf"\g<1>{name}", lines[i])
+    return "\n".join(lines)
+
+
+def _insert_after_header(text: str, lines: str) -> str:
+    header, body = text.split("\n", 1)
+    return f"{header}\n{lines}\n{body}"
+
+
+def spaced(rng, text):
+    def pad(least):
+        return "".join(rng.choice(TRIVIA) for _ in range(rng.randint(least, 3)))
+    text = re.sub(r"\s*([(),;:\[\]])\s*", lambda m: pad(0) + m[1] + pad(0), text)
+    return pad(0) + re.sub(" ", lambda m: pad(1), text) + pad(0)
+
+
+def vectors(rng, text):
+    """The inputs as one vector and the outputs as another, each with a
+    non-zero lsb."""
+    header, body = text.split("\n", 1)
+    name = header[len("module "):header.index("(")]
+    low = {"i": rng.randint(1, 4), "o": rng.randint(1, 4)}
+    count = {"i": header.count("input "), "o": header.count("output ")}
+    ranges = {p: f"[{low[p] + count[p] - 1}:{low[p]}]" for p in "io"}
+    body = re.sub(r"\b([io])(\d+)\b",
+                  lambda m: f"{m[1]}[{low[m[1]] + int(m[2])}]", body)
+    return f"module {name}(input {ranges['i']} i, output {ranges['o']} o);\n{body}"
+
+
+def constant_inputs(rng, text):
+    return _set_pin(rng, text, rng.choice(["1'b0", "1'b1"]))
+
+
+def empty_port_list(rng, text):
+    """No ports: the outputs are wires and constants replace the inputs."""
+    header, body = text.split("\n", 1)
+    name = header[len("module "):header.index("(")]
+    outputs = re.findall(r"output (o\d+)", header)
+    body = re.sub(r"\bi\d+\b", lambda m: rng.choice(["1'b0", "1'b1"]), body)
+    return f"module {name}();\n  wire {', '.join(outputs)};\n{body}"
+
+
+def comment(rng, text):
+    i = rng.choice([m.end() for m in re.finditer(";", text)])
+    return text[:i] + rng.choice([" // note", "/* c */", "\n// x\n"]) + text[i:]
+
+
+def assign(rng, text):
+    return _insert_after_header(text, "  wire x;\n  assign x = i0;")
+
+
+def upper_case_kind(rng, text):
+    lines = text.split("\n")
+    i = rng.choice(_gate_lines(lines))
+    lines[i] = re.sub(r"^  (\w+)", lambda m: "  " + rng.choice(
+        [m[1].upper(), m[1].capitalize()]), lines[i])
+    return "\n".join(lines)
+
+
+def dollar(rng, text):
+    if rng.random() < 0.5:
+        return text.replace("(", "$1(", 1)      # the module name
+    return _set_instance(rng, text, "g$1")
+
+
+def keyword_name(rng, text):
+    word = rng.choice(["wire", "assign", "module", "nand", "dff", "always",
+                       "reg", "begin"])
+    if rng.random() < 0.5:
+        return _set_instance(rng, text, word)
+    return _insert_after_header(text, f"  wire {word};")
+
+
+def duplicate_name(rng, text):
+    lines = text.split("\n")
+    gates = _gate_lines(lines)
+    if len(gates) > 1 and rng.random() < 0.5:
+        first = re.match(r"  \w+ (\w+)", lines[gates[0]])[1]
+        lines[gates[1]] = re.sub(r"^(  \w+ )\w+", rf"\g<1>{first}",
+                                 lines[gates[1]])
+        return "\n".join(lines)
+    return _insert_after_header(text, rng.choice(["  wire i0;", "  wire o0;"]))
+
+
+def undeclared_net(rng, text):
+    return _set_pin(rng, text, rng.choice(["u0", "w99", "i"]))
+
+
+def range_fault(rng, text):
+    decl, pin = rng.choice([
+        ("", "i0[0]"),                    # a select on a scalar
+        ("  wire [0:0] v;", "v[0]"),      # a select on a one-bit range
+        ("  wire [0:1] v;", "v[0]"),      # a descending range
+        ("  wire [2:1] v;", "v[0]"),      # bits out of range
+        ("  wire [2:1] v;", "v[3]"),
+        ("  wire [1:0] v;", "v"),         # a vector without a select
+    ])
+    text = _set_pin(rng, text, pin)
+    return _insert_after_header(text, decl) if decl else text
+
+
+def constant_output(rng, text):
+    return _set_pin(rng, text, rng.choice(["1'b0", "1'b1"]), output=True)
+
+
+def other_constant(rng, text):
+    return _set_pin(rng, text, rng.choice([
+        "1'B0", "1'B1", "1 'b1", "1' b0", "1'\nb1", "1'bx", "1'bz", "2'b01",
+        "1'h1", "1'd0", "01'b1", "1'b0_", "1'b"]))
+
+
+def bare_number(rng, text):
+    return _set_pin(rng, text, rng.choice(["0", "1", "7", "00"]))
+
+
+def wrong_arity(rng, text):
+    return _edit_pins(rng, text, lambda pins: pins[:-1] if rng.random() < 0.5
+                      else pins + ["i0"])
+
+
+def other_trivia(rng, text):
+    spaces = [i for i, c in enumerate(text) if c == " "]
+    i = rng.choice(spaces)
+    return text[:i] + rng.choice(["\x1c", "\xa0", "\u3000"]) + text[i + 1:]
+
+
+def text_after_endmodule(rng, text):
+    return text + rng.choice(["x", ";", "endmodule", "module", "\x00", "1"])
+
+
+# Each perturbation of a rendered design, and whether the statement reader
+# takes the text it makes.
+PERTURBATIONS = {f.__name__: (f, taken) for f, taken in [
+    (spaced, True), (vectors, True), (constant_inputs, True),
+    (empty_port_list, True),
+    (comment, False), (assign, False), (upper_case_kind, False),
+    (dollar, False), (keyword_name, False), (duplicate_name, False),
+    (undeclared_net, False), (range_fault, False), (constant_output, False),
+    (other_constant, False), (bare_number, False), (wrong_arity, False),
+    (other_trivia, False), (text_after_endmodule, False),
+]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(PERTURBATIONS)))
+def test_parse_reads_perturbed_designs_as_the_token_grammar(seed, name):
+    rng = random.Random(seed)
+    # Two inputs or more and outputs on distinct gates, so no `assign` and
+    # neither port vector is one bit wide.
+    while "assign" in (text := render(random_netlist(
+            rng, rng.randint(2, 4), rng.randint(2, 10), rng.randint(2, 3)))):
+        pass
+    perturb, taken = PERTURBATIONS[name]
+    assert read_as_the_grammar(perturb(rng, text)) is taken
 
 
 # -- reply extraction ---------------------------------------------------------
