@@ -7,11 +7,19 @@ min_gate_network exhaustively enumerates gate networks over a chosen subset
 of the locked primitives, so its answers are minimal by construction. The
 enumeration skips only networks that a smaller or earlier one beats, and
 per-row rules pick its output gates: it never tries one that misses.
+
+The enumeration's answers never change, so those for every fully specified
+function of up to three inputs over the three oracle bases (all five
+combinational kinds, {and, or, not} and {nand}) are built once by
+`tools/exact3_table.py` and checked in as `exact3.json`; min_gate_network
+looks those up and searches only the rest (docs/exact_synthesis.md).
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -32,6 +40,12 @@ from .simulator import exhaustive_columns
 QM_MAX_INPUTS = 12
 SEARCH_MAX_INPUTS = 4
 SEARCH_MAX_GATES = 7
+# The exact-synthesis table: every fully specified function of up to
+# TABLE_MAX_INPUTS inputs over each basis here, keyed as `_basis_key` names
+# it. `tools/exact3_table.py` writes TABLE_PATH.
+TABLE_MAX_INPUTS = 3
+TABLE_BASES = frozenset({"and,nand,not,or,xor", "and,not,or", "nand"})
+TABLE_PATH = os.path.join(os.path.dirname(__file__), "exact3.json")
 
 
 @dataclass(frozen=True)
@@ -238,19 +252,17 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
                      ) -> tuple[Netlist, StructuralReport] | None:
     """Smallest network over `gate_set` realizing f, ties broken by delay.
 
-    Exhaustive iterative-deepening enumeration, so the result is minimal by
-    construction; returns None when no network within max_gates matches f on
-    its care set. Inputs, constants 0/1 and the function's don't-cares are
-    all honored. Deterministic regardless of set iteration order.
+    Minimal by construction; returns None when no network within max_gates
+    matches f on its care set. Inputs, constants 0/1 and the function's
+    don't-cares are all honored. Deterministic regardless of set iteration
+    order.
 
-    Three prunings drop only networks that a smaller or earlier one beats:
-    every node computes a distinct table, independent adjacent gates appear
-    in canonical (kind, operands) order, and every gate is read by a later
-    gate or is the output. So the output gate reads the next-to-last gate
-    and any older unread node. For each such gate, `_operand_rule` fixes
-    rows of the next-to-last table, and one mask test finds the gates that
-    match f. They are tested in canonical order, keeping the least delay,
-    first on a tie: the networks that trying every output gate returns.
+    A fully specified function of at most TABLE_MAX_INPUTS inputs over one
+    of the TABLE_BASES is looked up in the checked-in table, which holds the
+    network `_search` finds at SEARCH_MAX_GATES. Iterative deepening returns
+    the first network at the least budget that has one, so that is the
+    network it finds at every cap it fits in. Any other query runs
+    `_search`. See docs/exact_synthesis.md.
     """
     if f.n > SEARCH_MAX_INPUTS:
         raise ValueError(f"arity {f.n} exceeds the limit of {SEARCH_MAX_INPUTS}")
@@ -260,7 +272,37 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     if not kinds or any(k not in COMBINATIONAL_KINDS for k in kinds):
         raise ValueError("gate_set must be a non-empty subset of the "
                          "combinational locked primitives")
+    basis = _basis_key(kinds)
+    if f.dont_care == 0 and f.n <= TABLE_MAX_INPUTS and basis in TABLE_BASES:
+        entry = _exact3_table()[basis][f.n][f.table]
+        # An entry is its output node and then one gate per space.
+        found = None if entry is None or entry.count(" ") > max_gates \
+            else _decode_network(entry)
+    else:
+        found = _search(f, kinds, max_gates)
+    if found is None:
+        return None
+    out, gates = found
+    return _network_to_netlist(f, gates, out)
 
+
+def _search(f: BoolFunction, kinds: tuple[GateKind, ...], max_gates: int,
+            ) -> tuple[int, list[tuple[GateKind, tuple[int, ...]]]] | None:
+    """The smallest network over `kinds` (sorted by value) realizing f, as
+    (output node, gates), ties broken by delay; None when none fits within
+    max_gates. Operands and the output index the sources x0.., 0, 1 and
+    then the gates.
+
+    Exhaustive iterative-deepening enumeration. Three prunings drop only
+    networks that a smaller or earlier one beats: every node computes a
+    distinct table, independent adjacent gates appear in canonical (kind,
+    operands) order, and every gate is read by a later gate or is the
+    output. So the output gate reads the next-to-last gate and any older
+    unread node. For each such gate, `_operand_rule` fixes rows of the
+    next-to-last table, and one mask test finds the gates that match f.
+    They are tested in canonical order, keeping the least delay, first on a
+    tie: the networks that trying every output gate returns.
+    """
     rows = 1 << f.n
     mask = (1 << rows) - 1
     target, care = f.table, f.care
@@ -268,7 +310,7 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
     sources = [*exhaustive_columns(f.n), 0, mask]
     for idx, t in enumerate(sources):
         if (t ^ target) & care == 0:
-            return _network_to_netlist(f, [], idx)
+            return idx, []
 
     n_sources = len(sources)
     candidates = {m: _candidates(kinds, m)
@@ -353,7 +395,7 @@ def min_gate_network(f: BoolFunction, gate_set: frozenset[GateKind] | set[GateKi
         for budget in range(1, max_gates + 1):
             extend(budget, (), 0)  # () sorts before every signature
             if best is not None:
-                return _network_to_netlist(f, best[1], n_sources + budget - 1)
+                return n_sources + budget - 1, best[1]
         return None
     finally:
         # `extend` refers to itself, a cycle that would hold the search
@@ -384,6 +426,40 @@ def _operand_rule(evaluate, other, target, care, mask) -> tuple[int, int] | None
     hi = evaluate(mask, other, mask) ^ target
     fixed = (lo ^ hi) & care
     return None if lo & hi & care else (fixed, fixed & lo)
+
+
+_KIND_OF = {kind.value: kind for kind in COMBINATIONAL_KINDS}
+
+
+def _basis_key(kinds: tuple[GateKind, ...]) -> str:
+    """A gate set's key in the table: its kinds' values, sorted, joined by
+    commas."""
+    return ",".join(sorted(k.value for k in kinds))
+
+
+def _encode_network(found: tuple[int, list[tuple[GateKind, tuple[int, ...]]]],
+                    ) -> str:
+    """A `_search` result as a table entry: the output node, then one
+    `kind:operand,...` per gate, separated by spaces."""
+    out, gates = found
+    return " ".join([str(out), *(f"{kind.value}:{','.join(map(str, ops))}"
+                                 for kind, ops in gates)])
+
+
+def _decode_network(entry: str) -> tuple[int, list[tuple[GateKind, tuple[int, ...]]]]:
+    """The `_search` result a table entry encodes."""
+    out, *gates = entry.split()
+    return int(out), [(_KIND_OF[kind], tuple(map(int, ops.split(","))))
+                      for kind, _, ops in (gate.partition(":") for gate in gates)]
+
+
+@functools.cache
+def _exact3_table() -> dict[str, list[list[str | None]]]:
+    """The table at TABLE_PATH, loaded on the first query it covers: per
+    basis key, per arity 0..TABLE_MAX_INPUTS, the entry of every truth
+    table, or None where no network fits within its cap."""
+    with open(TABLE_PATH, encoding="utf-8") as fh:
+        return json.load(fh)["bases"]
 
 
 def _network_to_netlist(f: BoolFunction, gates: list[tuple[GateKind, tuple[int, ...]]],

@@ -86,6 +86,9 @@ _WIRE_RE = re.compile(
 _END_RE = re.compile(rf"endmodule{_WS}\Z")
 _KEYWORDS = frozenset(BEHAVIORAL_KEYWORDS | STRUCTURAL_KEYWORDS
                       | GATE_KEYWORDS.keys())
+# The most digits a bit index or range bound may have. No declaration can
+# be that wide, and `int` refuses a string past its own digit limit.
+_MAX_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -297,6 +300,10 @@ class _Parser:
             self.error("syntax", t, "expected bit index")
             return None
         self.pos += 1
+        if len(text) > _MAX_DIGITS:
+            self.error("width", t, f"{len(text)}-digit number; a bit index "
+                                   f"has at most {_MAX_DIGITS} digits")
+            return None
         return int(text)
 
     def _range(self) -> tuple[int, int] | None:
@@ -628,6 +635,8 @@ class _Parser:
             return False
         width, low = 1, 0
         if msb is not None:
+            if max(len(msb), len(lsb)) > _MAX_DIGITS:
+                return False
             low = int(lsb)
             width = int(msb) - low + 1
             if width < 1:
@@ -666,6 +675,8 @@ class _Parser:
         _tok, width, lsb, base = decl
         if bit is None:
             return base if width == 1 else None
+        if len(bit) > _MAX_DIGITS:
+            return None
         i = int(bit) - lsb
         return base + i if width > 1 and 0 <= i < width else None
 

@@ -1,16 +1,31 @@
 import functools
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from conftest import build_half_adder
 from hypothesis import given, settings, strategies as st
 
+import gateforge
+from gateforge import boolopt
 from gateforge.boolopt import (
+    SEARCH_MAX_GATES,
+    TABLE_BASES,
+    TABLE_MAX_INPUTS,
     BoolFunction,
     Cube,
+    _basis_key,
+    _decode_network,
+    _encode_network,
+    _exact3_table,
+    _network_to_netlist,
     _operand_rule,
+    _search,
     min_gate_network,
     prime_implicants,
     quine_mccluskey,
@@ -297,41 +312,60 @@ def _assert_search_matches_bfs(n: int, gate_set, max_gates: int, found_of):
             assert found[1].gate_count == expected, (table, gate_set)
 
 
-@pytest.mark.parametrize("gate_set", ORACLE_BASES)
-def test_search_matches_unpruned_bfs_oracle_on_all_two_var_functions(gate_set):
-    _assert_search_matches_bfs(
-        2, gate_set, 5,
-        lambda table: min_gate_network(BoolFunction(2, table), gate_set,
-                                       max_gates=5))
+def _searched(f: BoolFunction, gate_set, max_gates: int):
+    """min_gate_network's answer from `_search` alone, never the table."""
+    found = _searched_network(f, frozenset(gate_set), max_gates)
+    return None if found is None else _network_to_netlist(f, found[1], found[0])
 
 
 @functools.cache
-def _three_var_networks(basis: int) -> tuple:
-    """min_gate_network at cap 3 for every 3-input table, over one basis."""
-    return tuple(min_gate_network(BoolFunction(3, table), ORACLE_BASES[basis],
-                                  max_gates=3) for table in range(256))
+def _searched_network(f: BoolFunction, gate_set: frozenset, max_gates: int):
+    return _search(f, tuple(sorted(gate_set, key=lambda k: k.value)), max_gates)
+
+
+# The two ways to an answer: the public function, which takes a fully
+# specified function of up to three inputs over an oracle basis from the
+# table, and the search alone. The pins and oracles below hold for both.
+FINDERS = (min_gate_network, _searched)
+
+
+@pytest.mark.parametrize("gate_set", ORACLE_BASES)
+def test_search_matches_unpruned_bfs_oracle_on_all_two_var_functions(gate_set):
+    for find in FINDERS:
+        _assert_search_matches_bfs(
+            2, gate_set, 5,
+            lambda table: find(BoolFunction(2, table), gate_set, max_gates=5))
+
+
+@functools.cache
+def _three_var_networks(basis: int, find) -> tuple:
+    """`find` at cap 3 for every 3-input table, over one basis."""
+    return tuple(find(BoolFunction(3, table), ORACLE_BASES[basis], max_gates=3)
+                 for table in range(256))
 
 
 @pytest.mark.parametrize("basis", range(len(ORACLE_BASES)),
                          ids=("full", "and-or-not", "nand"))
 def test_search_matches_unpruned_bfs_oracle_on_all_three_var_functions(basis):
-    _assert_search_matches_bfs(3, ORACLE_BASES[basis], 3,
-                               _three_var_networks(basis).__getitem__)
+    for find in FINDERS:
+        _assert_search_matches_bfs(3, ORACLE_BASES[basis], 3,
+                                   _three_var_networks(basis, find).__getitem__)
 
 
 def test_search_output_is_pinned():
     """Every gate, operand and tie-break of the search, on all 3-input
     functions over each oracle basis at cap 3 plus seeded don't-care
     functions, hashed: a faster search must return the same networks."""
-    found = [net for basis in range(len(ORACLE_BASES))
-             for net in _three_var_networks(basis)]
-    rng = random.Random(17)
-    for i in range(32):
-        dc = rng.getrandbits(8) & rng.getrandbits(8)
-        f = BoolFunction(3, rng.getrandbits(8) & ~dc, dc)
-        found.append(min_gate_network(f, ORACLE_BASES[i % 3], max_gates=3))
-    assert _search_digest(found) == ("671329c76fdd58439097927f45af0fec"
-                                     "90f1079cfbc3b56e3d55598c83d8b48b")
+    for find in FINDERS:
+        found = [net for basis in range(len(ORACLE_BASES))
+                 for net in _three_var_networks(basis, find)]
+        rng = random.Random(17)
+        for i in range(32):
+            dc = rng.getrandbits(8) & rng.getrandbits(8)
+            f = BoolFunction(3, rng.getrandbits(8) & ~dc, dc)
+            found.append(find(f, ORACLE_BASES[i % 3], max_gates=3))
+        assert _search_digest(found) == ("671329c76fdd58439097927f45af0fec"
+                                         "90f1079cfbc3b56e3d55598c83d8b48b"), find
 
 
 def test_deeper_search_output_is_pinned():
@@ -339,18 +373,95 @@ def test_deeper_search_output_is_pinned():
     unread, and the prefixes are longer. All 3-input functions at cap 4
     over {and, or, not} and {nand}, seeded don't-care 3-input functions at
     cap 5 and 4-input ones at cap 4, over each oracle basis."""
-    found = [min_gate_network(BoolFunction(3, table), ORACLE_BASES[basis],
-                              max_gates=4)
-             for basis in (1, 2) for table in range(256)]
-    rng = random.Random(25)
-    for n, count, cap in ((3, 24, 5), (4, 12, 4)):
-        rows = 1 << n
-        for i in range(count):
-            dc = rng.getrandbits(rows) & rng.getrandbits(rows)
-            f = BoolFunction(n, rng.getrandbits(rows) & ~dc, dc)
-            found.append(min_gate_network(f, ORACLE_BASES[i % 3], max_gates=cap))
-    assert _search_digest(found) == ("18db9766a155bf66fcb5db1b0af44b09"
-                                     "3503af0e2cc01ef550a5ce0581c124fd")
+    for find in FINDERS:
+        found = [find(BoolFunction(3, table), ORACLE_BASES[basis], max_gates=4)
+                 for basis in (1, 2) for table in range(256)]
+        rng = random.Random(25)
+        for n, count, cap in ((3, 24, 5), (4, 12, 4)):
+            rows = 1 << n
+            for i in range(count):
+                dc = rng.getrandbits(rows) & rng.getrandbits(rows)
+                f = BoolFunction(n, rng.getrandbits(rows) & ~dc, dc)
+                found.append(find(f, ORACLE_BASES[i % 3], max_gates=cap))
+        assert _search_digest(found) == ("18db9766a155bf66fcb5db1b0af44b09"
+                                         "3503af0e2cc01ef550a5ce0581c124fd"), find
+
+
+# -- the exact-synthesis table ------------------------------------------------
+
+def test_every_table_entry_is_the_network_the_search_finds():
+    """Each entry computes its key's function over its basis's kinds alone,
+    and at cap 4 the search returns the same network, or None where the
+    entry has more gates (or none fits within the table's cap)."""
+    table = _exact3_table()
+    assert set(table) == TABLE_BASES
+    for basis, by_arity in table.items():
+        kinds = frozenset(GateKind(k) for k in basis.split(","))
+        assert _basis_key(tuple(kinds)) == basis
+        assert [len(entries) for entries in by_arity] == [
+            1 << (1 << n) for n in range(TABLE_MAX_INPUTS + 1)]
+        for n, entries in enumerate(by_arity):
+            for bits, entry in enumerate(entries):
+                f = BoolFunction(n, bits)
+                searched = _searched_network(f, kinds, 4)
+                if entry is None:
+                    assert searched is None, (basis, n, bits)
+                    continue
+                found = _decode_network(entry)
+                assert _encode_network(found) == entry
+                assert {kind for kind, _ in found[1]} <= kinds
+                netlist, _ = _network_to_netlist(f, found[1], found[0])
+                column = truth_table(netlist).column_bits(0)
+                assert sum(b << m for m, b in enumerate(column)) == bits
+                assert searched == (found if len(found[1]) <= 4 else None), \
+                    (basis, n, bits)
+
+
+def test_the_table_was_built_at_the_search_cap():
+    with open(boolopt.TABLE_PATH, encoding="utf-8") as fh:
+        assert json.load(fh)["cap"] == SEARCH_MAX_GATES
+
+
+def test_only_queries_the_table_lacks_reach_the_search(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr(boolopt, "_search", counted)
+    aon = {GateKind.AND, GateKind.OR, GateKind.NOT}
+
+    def searches(f, gate_set, max_gates=SEARCH_MAX_GATES):
+        calls.clear()
+        found = min_gate_network(f, gate_set, max_gates=max_gates)
+        assert _search_digest([found]) == _search_digest(
+            [_searched(f, gate_set, max_gates)])
+        return len(calls)
+
+    # Covered: arities 0 to 3, each basis, an entry with more gates than
+    # the cap and a null entry (parity needs more than 7 gates), both None.
+    assert searches(BoolFunction(0, 1), {GateKind.NAND}) == 0
+    assert searches(XOR2, COMBINATIONAL_KINDS) == 0
+    assert searches(BoolFunction(3, 0xE8), aon) == 0
+    assert searches(XOR2, aon, max_gates=3) == 0
+    assert min_gate_network(XOR2, aon, max_gates=3) is None
+    assert searches(BoolFunction(3, 0x96), aon, max_gates=4) == 0
+    assert min_gate_network(BoolFunction(3, 0x96), aon) is None
+    # Not covered: a don't-care, a fourth input, another basis.
+    assert searches(BoolFunction(3, 0x96, 0x01), aon, max_gates=4) == 1
+    assert searches(BoolFunction(4, 0x8000), COMBINATIONAL_KINDS) == 1
+    assert searches(BoolFunction(2, 0b0111), {GateKind.AND, GateKind.NOT}) == 1
+
+
+def test_importing_the_cli_loads_no_table():
+    src = os.path.dirname(os.path.dirname(gateforge.__file__))
+    probe = ("import sys, gateforge.cli; b = sys.modules.get('gateforge.boolopt'); "
+             "print(0 if b is None else b._exact3_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def _search_digest(found) -> str:

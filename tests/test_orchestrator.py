@@ -212,6 +212,18 @@ def test_attempts_record_each_judged_candidate():
     assert run.result.gate_count == 5
 
 
+def test_a_reply_with_a_long_number_is_rejected_and_the_sample_goes_on():
+    long_bound = ("```\nmodule full_adder(input [" + "9" * 5000 + ":0] a, "
+                  "input b, input cin, output sum, output cout);\n"
+                  "endmodule\n```")
+    run = run_task(FA, cfg(), single_rule_backend(long_bound, correct_reply()),
+                   None)
+    assert run.status == "verified"
+    assert [a.verdict for a in run.attempts] == [VERDICT_REJECTED,
+                                                 VERDICT_ACCEPT]
+    assert run.attempts[0].error_kinds[0] == "width"
+
+
 def test_sequential_task_end_to_end():
     task = TASKS["seq101"]
     run = run_task(task, cfg(), single_rule_backend(correct_reply("seq101")),

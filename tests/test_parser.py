@@ -170,6 +170,46 @@ def test_width_errors():
     assert any(e.kind == "width" for e in r.errors)
 
 
+# A number past `int`'s default digit limit (4,300 digits).
+LONG = "9" * 5000
+
+
+def _width_error_at_long_number(text: str) -> None:
+    """`parse` reports a `width` error at the long number, the statement
+    reader refuses the text, and no exception escapes."""
+    r = parse(text)
+    column = text.index(LONG) + 1
+    assert [(e.kind, e.line, e.column) for e in r.errors][:1] == [
+        ("width", 1, column)]
+    assert "5000-digit number" in r.errors[0].message
+    assert _Parser(text).read_statements() is None
+
+
+def test_a_long_range_bound_in_a_port_is_a_width_error():
+    # Well formed otherwise: the statement reader's `_read_decl` sees it.
+    _width_error_at_long_number(
+        f"module t(input [{LONG}:0] a, output y); not g1(y, a[0]); endmodule")
+
+
+def test_a_long_range_bound_in_a_wire_is_a_width_error():
+    _width_error_at_long_number(
+        f"module t(input a, output y); wire [0:{LONG}] w; not g1(y, a); endmodule")
+
+
+def test_a_long_bit_index_is_a_width_error():
+    # The statement reader's `_read_slot` sees it.
+    _width_error_at_long_number(
+        f"module t(input [1:0] a, output y); not g1(y, a[{LONG}]); endmodule")
+
+
+def test_a_long_number_the_token_grammar_reads_is_a_width_error():
+    # The statement reader refuses the comment before it reads a number, so
+    # the grammar's `_Parser._number` sees it.
+    _width_error_at_long_number(
+        f"module t(/* a */ input [{LONG}:0] a, output y); not g1(y, a[0]); "
+        "endmodule")
+
+
 def test_vector_ports_and_bit_selects():
     r = parse(
         "module t(input [1:0] a, output [1:0] y);\n"
