@@ -8,6 +8,14 @@ of the locked primitives, so its answers are minimal by construction. The
 enumeration skips only networks that a smaller or earlier one beats, and
 per-row rules pick its output gates: it never tries one that misses.
 
+Quine-McCluskey finds its prime implicants on packed truth tables. Bit r
+of I[D] marks the cube with dashes at the variable set D, fixed elsewhere
+as in row r, lying inside the ones and don't-cares. With i the lowest
+variable of D and X_i its input column, I[0] = table | dont_care and
+I[D] = P & (P >> 2**i) & ~X_i for P = I[D & (D - 1)]: one AND merges
+every pair of cubes across variable i. The primes are the cubes no I with
+one more dash holds (prime_implicants).
+
 The enumeration's answers never change, so those for every fully specified
 function of up to three inputs over the three oracle bases (all five
 combinational kinds, {and, or, not} and {nand}) are built once by
@@ -28,9 +36,11 @@ from operator import itemgetter
 from .netlist import (
     COMBINATIONAL_KINDS,
     GATE_EVAL,
+    Gate,
     GateKind,
+    Net,
     Netlist,
-    NetlistBuilder,
+    Port,
     PortDir,
     StructuralReport,
     structural_report,
@@ -141,36 +151,71 @@ class MinimalCover:
 
 
 def prime_implicants(f: BoolFunction) -> list[Cube]:
-    """All prime implicants by iterative adjacent-cube merging."""
+    """All prime implicants of f, sorted by their strings.
+
+    One bit-parallel pass over packed truth tables. For a dash set D (a
+    bitmask over the variables), bit r of I[D] is set when the cube with
+    dashes at D and the other variables fixed as in row r, whose D bits
+    are 0, lies inside the ones and don't-cares of f. With i the lowest
+    variable of D and X_i its `exhaustive_columns` column,
+
+        I[0] = table | dont_care
+        I[D] = P & (P >> 2**i) & ~X_i,  where P = I[D & (D - 1)].
+
+    A cube of I[D] is prime when no I[D | 1 << i], i not in D, holds it
+    widened by variable i: its primes are the bits of
+    I[D] & ~(I[D | 1 << i] | I[D | 1 << i] << 2**i) over every such i.
+    """
+    return [c for c, _ in _prime_covers(f)]
+
+
+def _prime_covers(f: BoolFunction) -> list[tuple[Cube, int]]:
+    """The primes of `prime_implicants`, each with the minterms it covers
+    as packed truth-table bits."""
     n = f.n
-    current = {(m, (1 << n) - 1) for m in range(1 << n)
-               if (f.table | f.dont_care) >> m & 1}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        merged: set[tuple[int, int]] = set()
-        used: set[tuple[int, int]] = set()
-        by_mask: dict[int, list[tuple[int, int]]] = {}
-        for cube in current:
-            by_mask.setdefault(cube[1], []).append(cube)
-        for mask, cubes in by_mask.items():
-            group = set(cubes)
-            for value, _ in cubes:
-                for i in range(n):
-                    bit = 1 << i
-                    if not mask & bit or not value & bit:
-                        continue
-                    partner = (value ^ bit, mask)
-                    if partner in group:
-                        merged.add((value & ~bit, mask & ~bit))
-                        used.add((value, mask))
-                        used.add(partner)
-        primes |= current - used
-        current = merged
-    return sorted((Cube(n, v, m) for v, m in primes), key=str)
+    columns = exhaustive_columns(n)
+    inside = [0] * (1 << n)
+    inside[0] = f.table | f.dont_care
+    # The dash sets whose I is nonzero, fewest dashes first. Each is found
+    # from the set without its lowest variable, and a superset of a set
+    # whose I is empty has an empty I too. The list grows while it is walked.
+    live = [0] if inside[0] else []
+    for dashes in live:
+        p = inside[dashes]
+        for i in range((dashes & -dashes).bit_length() - 1 if dashes else n):
+            if wider := p & (p >> (1 << i)) & ~columns[i]:
+                inside[dashes | 1 << i] = wider
+                live.append(dashes | 1 << i)
+    # Most dashes first, so that covered[D], the rows of I[D] whose cubes
+    # one more dash widens, is complete when D is reached.
+    covered = [0] * (1 << n)
+    fixed_all = (1 << n) - 1
+    found = []
+    for dashes in reversed(live):
+        cubes = inside[dashes]
+        primes = cubes & ~covered[dashes]
+        block = 1  # the cube's rows at row 0: every subset of the dashes
+        rest = dashes
+        while rest:
+            low = rest & -rest
+            step = 1 << (low.bit_length() - 1)  # 2**i for dash variable i
+            covered[dashes ^ low] |= cubes | cubes << step
+            block |= block << step
+            rest ^= low
+        fixed = fixed_all & ~dashes
+        while primes:
+            low = primes & -primes
+            row = low.bit_length() - 1
+            found.append((Cube(n, row, fixed), block << row))
+            primes ^= low
+    found.sort(key=lambda pair: str(pair[0]))
+    return found
 
 
-def _essential_first_cover(f: BoolFunction, primes: list[Cube]) -> list[Cube]:
-    """Exact minimum-cardinality cover of the ones of f by `primes`.
+def _essential_first_cover(f: BoolFunction,
+                           covers: list[tuple[Cube, int]]) -> list[Cube]:
+    """Exact minimum-cardinality cover of the ones of f by the primes of
+    `covers`, each given with its cover bits.
 
     The essential primes, each the only holder of some one, are found in one
     pass: `twice` marks the minterms two or more primes cover. Taking an
@@ -181,7 +226,6 @@ def _essential_first_cover(f: BoolFunction, primes: list[Cube]) -> list[Cube]:
     smaller, then the least by sorted cube strings."""
     if not f.table:
         return []
-    covers = [(c, c.cover_bits()) for c in primes]
     once = twice = 0
     for _, bits in covers:
         twice |= once & bits
@@ -237,9 +281,7 @@ def quine_mccluskey(f: BoolFunction) -> MinimalCover:
     """Minimum-term sum-of-products cover of a single-output function."""
     if f.n > QM_MAX_INPUTS:
         raise ValueError(f"arity {f.n} exceeds the limit of {QM_MAX_INPUTS}")
-    primes = prime_implicants(f)
-    cubes = _essential_first_cover(f, primes)
-    return MinimalCover(tuple(cubes))
+    return MinimalCover(tuple(_essential_first_cover(f, _prime_covers(f))))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +507,24 @@ def _exact3_table() -> dict[str, list[list[str | None]]]:
 def _network_to_netlist(f: BoolFunction, gates: list[tuple[GateKind, tuple[int, ...]]],
                         out_idx: int) -> tuple[Netlist, StructuralReport]:
     """Build the network of `gates`, whose operands index the sources x0..,
-    0, 1 and then the gates; node `out_idx` drives the output."""
-    b = NetlistBuilder("minimal")
-    net_of = [b.input(f"x{i}") for i in range(f.n)]
-    net_of += [b.const(0), b.const(1)]
-    for kind, operands in gates:
-        net_of.append(b.gate(kind, tuple(net_of[o] for o in operands)))
-    b.bind("y", PortDir.OUT, net_of[out_idx])
-    netlist = b.build()
+    0, 1 and then the gates; node `out_idx` drives the output.
+
+    Node k is net k: the inputs x0.., the constants 1'b0 and 1'b1, then
+    one unnamed net per gate g1... The tables are filled here, as `parse`
+    fills its own, and constructing the `Netlist` validates them."""
+    n = f.n
+    nets = {i: Net(i, f"x{i}") for i in range(n)}
+    nets[n] = Net(n, "1'b0", 0)
+    nets[n + 1] = Net(n + 1, "1'b1", 1)
+    net_gates = []
+    for k, (kind, operands) in enumerate(gates, 1):
+        nets[n + 1 + k] = Net(n + 1 + k)
+        net_gates.append(Gate(kind, n + 1 + k, operands, f"g{k}"))
+    ports = [Port(f"x{i}", PortDir.IN) for i in range(n)]
+    port_nets = {f"x{i}": (i,) for i in range(n)}
+    ports.append(Port("y", PortDir.OUT))
+    port_nets["y"] = (out_idx,)
+    netlist = Netlist("minimal", tuple(ports), nets, tuple(net_gates), port_nets)
     return netlist, structural_report(netlist)
 
 

@@ -89,6 +89,10 @@ _KEYWORDS = frozenset(BEHAVIORAL_KEYWORDS | STRUCTURAL_KEYWORDS
 # The most digits a bit index or range bound may have. No declaration can
 # be that wide, and `int` refuses a string past its own digit limit.
 _MAX_DIGITS = 18
+# The most bits the ports and wires of one module may declare together. A
+# seed design declares a few dozen; every declared bit gets a slot, and a
+# net in the built netlist, before anything else is checked.
+_MAX_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,16 @@ class _ModuleScope:
         self.ports: dict[str, PortDir] = {}
         self.parent: list[int] = []
         self.const_slot: dict[int, int] = {}
+        self.declared_bits = 0
+
+    def declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
+        """Enter a port or wire and its bit slots; False, entering
+        nothing, when the module would declare more than _MAX_BITS bits."""
+        if self.declared_bits + width > _MAX_BITS:
+            return False
+        self.declared_bits += width
+        self.decls[name_tok[1]] = (name_tok, width, lsb, self.new_slots(width))
+        return True
 
     def new_slots(self, count: int) -> int:
         """Allocate `count` consecutive slots; returns the first."""
@@ -353,12 +367,17 @@ class _Parser:
             self.pos += 1
 
     def _declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
-        """Enter a port or wire name and its bit slots; False on a duplicate."""
+        """Enter a port or wire name and its bit slots; False on a duplicate
+        or past the module's bit limit."""
         name = name_tok[1]
         if name in self.scope.decls:
             self.error("duplicate-name", name_tok, f"'{name}' already declared")
             return False
-        self.scope.decls[name] = (name_tok, width, lsb, self.scope.new_slots(width))
+        if not self.scope.declare(name_tok, width, lsb):
+            self.error("width", name_tok,
+                       f"'{name}' is {width} bits wide; a module declares at "
+                       f"most {_MAX_BITS} bits")
+            return False
         return True
 
     def _usable_name(self, tok: _Token) -> bool:
@@ -641,9 +660,7 @@ class _Parser:
             width = int(msb) - low + 1
             if width < 1:
                 return False
-        decls[name] = (("ident", name, start), width, low,
-                       self.scope.new_slots(width))
-        return True
+        return self.scope.declare(("ident", name, start), width, low)
 
     def _read_gate(self, m: re.Match[str]) -> bool:
         """Enter the gate `_GATE_RE` matched; False where the grammar reports

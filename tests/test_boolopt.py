@@ -36,6 +36,7 @@ from gateforge.netlist import (
     GATE_EVAL,
     GateKind,
     NetlistBuilder,
+    PortDir,
 )
 from gateforge.simulator import truth_table
 
@@ -177,6 +178,62 @@ def test_qm_output_is_pinned():
         h.update(" ".join(str(c) for c in cover.cubes).encode() + b";")
     assert h.hexdigest() == ("00ec25c30d12e9a9907271c7f8b99373"
                              "8408fe520e61e8654da34d78dcf86528")
+
+
+def maximal_implicants(f: BoolFunction) -> list[str]:
+    """The implicants no other implicant contains, sorted (independent
+    oracle for the prime implicants)."""
+    cubes = implicants_of(f)
+    return sorted(str(c) for c in cubes
+                  if not any(d != c and d.mask & c.mask == d.mask
+                             and c.value & d.mask == d.value for d in cubes))
+
+
+def test_primes_are_the_maximal_implicants_on_three_inputs():
+    # Every minterm off, on or don't-care: all 3**8 functions.
+    for spec in itertools.product((0, 1, 2), repeat=8):
+        table = sum(1 << m for m, s in enumerate(spec) if s == 1)
+        dc = sum(1 << m for m, s in enumerate(spec) if s == 2)
+        f = BoolFunction(3, table, dc)
+        assert [str(c) for c in prime_implicants(f)] == \
+            maximal_implicants(f), spec
+
+
+def test_primes_are_the_maximal_implicants_on_four_inputs():
+    rng = random.Random(8)
+    for _ in range(30):
+        dc = rng.getrandbits(16) & rng.getrandbits(16)
+        f = BoolFunction(4, rng.getrandbits(16) & ~dc, dc)
+        assert [str(c) for c in prime_implicants(f)] == maximal_implicants(f)
+
+
+def test_primes_carry_their_cover_bits():
+    for f in _seeded_qm_functions()[::10]:
+        for cube, bits in boolopt._prime_covers(f):
+            assert bits == cube.cover_bits()
+
+
+def _wide_qm_functions() -> list[BoolFunction]:
+    """One function at each of 9..12 inputs: three ones in four rows, less
+    sparse don't-cares; thousands of primes at 12 inputs."""
+    rng = random.Random(9)
+    found = []
+    for n in range(9, 13):
+        rows = 1 << n
+        dc = rng.getrandbits(rows) & rng.getrandbits(rows) & rng.getrandbits(rows)
+        table = rng.getrandbits(rows) | rng.getrandbits(rows)
+        found.append(BoolFunction(n, table & ~dc, dc))
+    return found
+
+
+def test_prime_implicants_are_pinned():
+    """Every prime, in order, of the pinned QM functions and four of 9-12
+    inputs, hashed; recorded from the cube-merging implementation."""
+    h = hashlib.sha256()
+    for f in _seeded_qm_functions() + _wide_qm_functions():
+        h.update(" ".join(map(str, prime_implicants(f))).encode() + b";")
+    assert h.hexdigest() == ("d50ac68afe3e5d30c0f2f12a297e5649"
+                             "f766b76ea4c8db15f2be4189c769fbfc")
 
 
 # -- minimal gate network -----------------------------------------------------
@@ -415,6 +472,45 @@ def test_every_table_entry_is_the_network_the_search_finds():
                 assert sum(b << m for m, b in enumerate(column)) == bits
                 assert searched == (found if len(found[1]) <= 4 else None), \
                     (basis, n, bits)
+
+
+def _built_by_the_builder(f: BoolFunction, gates, out_idx: int):
+    """The network `_network_to_netlist` builds, through NetlistBuilder."""
+    b = NetlistBuilder("minimal")
+    net_of = [b.input(f"x{i}") for i in range(f.n)]
+    net_of += [b.const(0), b.const(1)]
+    for kind, operands in gates:
+        net_of.append(b.gate(kind, tuple(net_of[o] for o in operands)))
+    b.bind("y", PortDir.OUT, net_of[out_idx])
+    return b.build()
+
+
+def test_networks_are_the_netlists_the_builder_makes():
+    # Every table entry, and searched networks with don't-cares and four
+    # inputs, whose outputs include an input and a constant.
+    networks = [(BoolFunction(n, bits), _decode_network(entry))
+                for by_arity in _exact3_table().values()
+                for n, entries in enumerate(by_arity)
+                for bits, entry in enumerate(entries) if entry is not None]
+    for f in (BoolFunction(3, 0x96, 0x01), BoolFunction(4, 0x8000),
+              BoolFunction(4, 0xFF00), BoolFunction(2, 0, 0b0110)):
+        networks.append((f, _search(f, tuple(sorted(COMBINATIONAL_KINDS,
+                                                    key=lambda k: k.value)), 4)))
+    for f, (out, gates) in networks:
+        netlist, report = _network_to_netlist(f, gates, out)
+        built = _built_by_the_builder(f, gates, out)
+        assert netlist == built and report == built.report, (f, out, gates)
+
+
+def test_min_gate_network_builds_netlists_without_the_builder(monkeypatch):
+    def refuse(self):
+        raise AssertionError("min_gate_network must not go through NetlistBuilder")
+
+    monkeypatch.setattr(NetlistBuilder, "build", refuse)
+    # From the table, and from the search.
+    assert min_gate_network(XOR2, COMBINATIONAL_KINDS)[1].gate_count == 1
+    assert min_gate_network(BoolFunction(3, 0x80, 0x01),
+                            COMBINATIONAL_KINDS)[1].gate_count == 2
 
 
 def test_the_table_was_built_at_the_search_cap():

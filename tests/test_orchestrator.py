@@ -224,6 +224,17 @@ def test_a_reply_with_a_long_number_is_rejected_and_the_sample_goes_on():
     assert run.attempts[0].error_kinds[0] == "width"
 
 
+def test_a_reply_with_a_wide_declaration_is_rejected_and_the_sample_goes_on():
+    wide = ("```\nmodule full_adder(input [" + "9" * 18 + ":0] a, "
+            "input b, input cin, output sum, output cout);\n"
+            "endmodule\n```")
+    run = run_task(FA, cfg(), single_rule_backend(wide, correct_reply()), None)
+    assert run.status == "verified"
+    assert [a.verdict for a in run.attempts] == [VERDICT_REJECTED,
+                                                 VERDICT_ACCEPT]
+    assert run.attempts[0].error_kinds[0] == "width"
+
+
 def test_sequential_task_end_to_end():
     task = TASKS["seq101"]
     run = run_task(task, cfg(), single_rule_backend(correct_reply("seq101")),

@@ -210,6 +210,47 @@ def test_a_long_number_the_token_grammar_reads_is_a_width_error():
         "endmodule")
 
 
+# An 18-digit range bound: short enough for `_MAX_DIGITS`, and far more
+# bits than `_MAX_BITS` lets a module declare.
+WIDE = "9" * 18
+
+
+def _width_error_at_wide_declaration(text: str, name: str) -> None:
+    """`parse` reports a `width` error at the declared name, the statement
+    reader refuses the text as the grammar does, and nothing is allocated
+    for the declaration."""
+    r = parse(text)
+    column = re.search(rf"\b{name}\b", text).start() + 1
+    assert [(e.kind, e.line, e.column, e.token) for e in r.errors][:1] == [
+        ("width", 1, column, name)]
+    assert f"a module declares at most {parser._MAX_BITS} bits" \
+        in r.errors[0].message
+    assert read_as_the_grammar(text) is False
+
+
+def test_a_wide_port_is_a_width_error():
+    _width_error_at_wide_declaration(
+        f"module t(input [{WIDE}:0] a, output y); not g1(y, a[0]); endmodule",
+        "a")
+
+
+def test_a_wide_wire_is_a_width_error():
+    _width_error_at_wide_declaration(
+        f"module t(input a, output y); wire [{WIDE}:1] w; not g1(y, a); "
+        "endmodule", "w")
+
+
+def test_the_bit_limit_counts_every_declaration_of_the_module():
+    # Two bits of ports, then wires up to the limit and one bit past it.
+    bound = parser._MAX_BITS
+    fits = f"wire [{bound - 3}:0] w"
+    text = f"module t(input a, output y); {fits}; not g1(y, a); endmodule"
+    assert parse(text).ok and read_as_the_grammar(text)
+    _width_error_at_wide_declaration(
+        f"module t(input a, output y); {fits}; wire v; not g1(y, a); "
+        "endmodule", "v")
+
+
 def test_vector_ports_and_bit_selects():
     r = parse(
         "module t(input [1:0] a, output [1:0] y);\n"
