@@ -362,6 +362,14 @@ class _RetrievalBase:
     def retrieve(self, query: RetrievalQuery) -> list[KnowledgeEntry]:
         return _rank(self._snapshot_entries(), query)
 
+    def _held_primaries(self) -> dict[tuple, KnowledgeEntry]:
+        """A fresh `pattern_key` -> primary map of the held entries, as
+        `offer_primary` leaves it."""
+        primaries: dict[tuple, KnowledgeEntry] = {}
+        for held in self.entries():
+            offer_primary(primaries, held)
+        return primaries
+
     def entries(self, include_archived: bool = False) -> list[KnowledgeEntry]:
         entries = self._snapshot_entries()
         if include_archived:
@@ -377,26 +385,29 @@ class _RetrievalBase:
         the results to a writable store. `text` is `render(netlist)`, when
         the caller already holds it."""
         # Held primaries, then each emitted entry, compete under the rule.
-        primaries: dict[tuple, KnowledgeEntry] = {}
-        for held in self.entries():
-            offer_primary(primaries, held)
+        primaries = self._held_primaries()
         out: list[KnowledgeEntry] = []
 
         def offer(m: _Measure, name: str, entry_tags: tuple[str, ...],
                   render: Callable[[], str]) -> None:
-            # Only an emitted entry is rendered; most are not.
-            entry = KnowledgeEntry(KIND_PATTERN, name, tuple(entry_tags),
+            # A measure that does not displace its key's held primary is
+            # dropped before any entry is built; most are. Only an emitted
+            # entry is built and rendered.
+            held = primaries.get((m.signature_digest, m.inputs, m.outputs))
+            if held is not None and not displaces(m.sei, held.sei):
+                return
+            entry = KnowledgeEntry(KIND_PATTERN, name, entry_tags, render(),
                                    **m._asdict(), task_id=task_id,
                                    run_id=run_id)
-            if offer_primary(primaries, entry) is not entry:
-                out.append(replace(entry, netlist_text=render()))
+            offer_primary(primaries, entry)
+            out.append(entry)
 
         whole = _measure(netlist)
         if whole.sei is None:
             # A design with no gates and no delay has no index to rank it by,
             # and no gates to carve sub-patterns from.
             return []
-        offer(whole, f"{task_id or netlist.name}-design", tags,
+        offer(whole, f"{task_id or netlist.name}-design", tuple(tags),
               lambda: text or nl_parser.render(netlist))
 
         sub_tags = tuple(tags) + ("subcircuit",)
@@ -440,6 +451,11 @@ class KnowledgeStore(_RetrievalBase):
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         with self._lock:
             return list(self._entries.values())
+
+    def _held_primaries(self) -> dict[tuple, KnowledgeEntry]:
+        # Admission and load keep this map already.
+        with self._lock:
+            return dict(self._primaries)
 
     @property
     def index_path(self) -> str:
@@ -521,10 +537,12 @@ class KnowledgeStore(_RetrievalBase):
         they end on a newline. A stamp that cannot be written is left out;
         the next open then verifies more.
 
-        The stamp is written in place, with no newline after the object:
-        a stamp torn at any byte, or mixed from two writers, fails its own
-        JSON, length, prefix-hash or rules check, and the next open then
-        verifies everything."""
+        The stamp is overwritten in place from its first byte, with no
+        newline after the object, and then cut at its new end; it is never
+        first truncated to nothing. A stamp torn at any byte, which leaves
+        a prefix of the new one before the rest of the old, or one mixed
+        from two writers, fails its own JSON, length, prefix-hash or rules
+        check, and the next open then verifies everything."""
         rules = _rules_digest()
         # A log that ends in an unterminated record ends mid-line until the
         # next append writes the newline `_append_at` holds.
@@ -533,21 +551,28 @@ class KnowledgeStore(_RetrievalBase):
             return
         stamp = json.dumps({"length": self._seen_length, "rules": rules,
                             "sha256": self._seen.hexdigest()}, sort_keys=True)
-        with contextlib.suppress(OSError), \
-                open(self.stamp_path, "w", encoding="utf-8") as fh:
-            fh.write(stamp)
+        with contextlib.suppress(OSError):
+            try:
+                fh = open(self.stamp_path, "r+b")
+            except FileNotFoundError:
+                fh = open(self.stamp_path, "wb")
+            with fh:
+                fh.write(stamp.encode())
+                fh.truncate()
 
     def _parse_entry(self, line: bytes, lineno: int) -> KnowledgeEntry:
-        where = f"{self.index_path}:{lineno}"
+        # The record's location is formatted only for a refusal.
         try:
             rec = json.loads(line)
             if not is_json(rec, dict):
                 raise ValueError("not a JSON object")
             rec = take_all(rec, "", RECORD_FIELDS)
         except FieldError as exc:
-            raise StoreError(f"{where}: invalid index record: {exc}") from None
+            raise StoreError(f"{self.index_path}:{lineno}: invalid index "
+                             f"record: {exc}") from None
         except ValueError as exc:
-            raise StoreError(f"{where}: unparsable index record: {exc}") from None
+            raise StoreError(f"{self.index_path}:{lineno}: unparsable index "
+                             f"record: {exc}") from None
         return KnowledgeEntry.from_record(rec)
 
     def _append(self, entries: list[KnowledgeEntry]) -> None:
@@ -692,9 +717,18 @@ class KnowledgeView(_RetrievalBase):
 
     def __init__(self, entries: tuple[KnowledgeEntry, ...]):
         self._frozen = entries
+        # Each distinct query is ranked once: the entries never change.
+        # Threads that race on a miss both rank it, to the same result.
+        self._ranked: dict[RetrievalQuery, tuple[KnowledgeEntry, ...]] = {}
 
     def _snapshot_entries(self) -> list[KnowledgeEntry]:
         return list(self._frozen)
+
+    def retrieve(self, query: RetrievalQuery) -> list[KnowledgeEntry]:
+        ranked = self._ranked.get(query)
+        if ranked is None:
+            ranked = self._ranked[query] = tuple(super().retrieve(query))
+        return list(ranked)
 
 
 def _bit_positions(mask: int) -> list[int]:

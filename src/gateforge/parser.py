@@ -153,7 +153,8 @@ class _ModuleScope:
 
     def __init__(self) -> None:
         # Ports and wires share one table, in declaration order: name ->
-        # (token, width, lsb, base), where bit `lsb + i` owns slot `base + i`.
+        # (token, width, lsb, base), where bit `lsb + i` owns slot `base + i`;
+        # a name refused for its width has width 0 and no slots.
         # `ports` holds each port's direction, also in declaration order.
         self.decls: dict[str, tuple[_Token, int, int, int]] = {}
         self.ports: dict[str, PortDir] = {}
@@ -368,7 +369,9 @@ class _Parser:
 
     def _declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
         """Enter a port or wire name and its bit slots; False on a duplicate
-        or past the module's bit limit."""
+        or past the module's bit limit. A name refused for its width is
+        entered with no slots (width 0), so that its uses are skipped
+        without a second report."""
         name = name_tok[1]
         if name in self.scope.decls:
             self.error("duplicate-name", name_tok, f"'{name}' already declared")
@@ -377,6 +380,7 @@ class _Parser:
             self.error("width", name_tok,
                        f"'{name}' is {width} bits wide; a module declares at "
                        f"most {_MAX_BITS} bits")
+            self.scope.decls[name] = (name_tok, 0, lsb, -1)
             return False
         return True
 
@@ -487,6 +491,9 @@ class _Parser:
             self.error("syntax", t, f"'{text}' is not declared")
             return None
         _tok, width, lsb, base = decl
+        if not width:
+            # Refused at its declaration, which reported it.
+            return None
         if self.toks[self.pos][1] != "[":
             self.error("width", t,
                        f"'{text}' is {width} bits wide; a scalar connection needs a bit-select")

@@ -886,11 +886,11 @@ def test_a_failed_stamp_write_raises_nothing(tmp_path, verify_calls):
 
 
 def test_a_stamp_is_written_in_place(tmp_path, monkeypatch):
-    written: list[str] = []
+    written: list[tuple[str, str]] = []
 
     def recording_open(file, mode="r", *args, **kwargs):
         if set(mode) & set("wax+"):
-            written.append(os.path.basename(file))
+            written.append((os.path.basename(file), mode))
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(knowledge, "open", recording_open, raising=False)
@@ -901,9 +901,44 @@ def test_a_stamp_is_written_in_place(tmp_path, monkeypatch):
     assert store.compact() == 1
     assert store.verify_all() == []
     assert_stamps_the_whole_index(index, stamp)
-    # Seed, store, compact and verify_all each wrote the stamp, in place.
-    assert written.count("index.verified") == 4
-    assert "index.verified.tmp" not in written
+    # Seed, store, compact and verify_all each wrote the stamp, in place:
+    # opened for update, and created only by the first write, which found
+    # no stamp to open.
+    assert [mode for name, mode in written if name == "index.verified"] == [
+        "r+b", "wb", "r+b", "r+b", "r+b"]
+    assert {name for name, _ in written} == {"index.jsonl", "index.verified",
+                                             "index.jsonl.tmp"}
+
+
+def archive_until_the_index_is(root, size):
+    """Admit worse half adders, each archived on arrival, until the index
+    holds at least `size` bytes; returns the handle that admitted them."""
+    store = KnowledgeStore(root)
+    while os.path.getsize(store.index_path) < size:
+        store.store(make_pattern_entry(build_worse_half_adder()))
+    return store
+
+
+def test_a_shorter_stamp_overwrites_a_longer_one_exactly(tmp_path,
+                                                         verify_calls):
+    # A log of five digits' length, compacted back to four: the new stamp
+    # is one byte shorter than the one it overwrites.
+    root = tmp_path / "store"
+    index, stamp = seeded(root)
+    assert os.path.getsize(index) < 10_000
+    store = archive_until_the_index_is(root, 10_000)
+    longer = stamp.read_bytes()
+    assert store.compact() > 0
+    data = index.read_bytes()
+    assert len(data) < 10_000
+    want = json.dumps({"length": len(data), "rules": knowledge._rules_digest(),
+                       "sha256": hashlib.sha256(data).hexdigest()},
+                      sort_keys=True).encode()
+    assert len(want) == len(longer) - 1
+    assert stamp.read_bytes() == want
+    verify_calls.clear()
+    assert len(KnowledgeStore(root).entries()) == len(_BASELINE)
+    assert verify_calls == []
 
 
 def test_every_torn_stamp_leads_to_full_verification(tmp_path, verify_calls):
@@ -916,3 +951,17 @@ def test_every_torn_stamp_leads_to_full_verification(tmp_path, verify_calls):
         verify_calls.clear()
         KnowledgeStore(root)
         assert verify_calls == primaries, whole[:cut]
+
+    # A stamp is overwritten in place and then cut at its new end, so an
+    # overwrite torn before the cut leaves a prefix of the new stamp, or all
+    # of it, followed by the rest of the longer old one.
+    store = archive_until_the_index_is(root, 10_000)
+    old = stamp.read_bytes()
+    store.compact()
+    new = stamp.read_bytes()
+    assert len(new) < len(old)
+    for cut in range(len(new) + 1):
+        stamp.write_bytes(new[:cut] + old[cut:])
+        verify_calls.clear()
+        KnowledgeStore(root)
+        assert verify_calls == primaries, new[:cut] + old[cut:]

@@ -4,13 +4,14 @@ every extracted entry one by one."""
 
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 from conftest import random_netlist
 from hypothesis import given, settings, strategies as st
 
 from gateforge import knowledge
-from gateforge.backends import ModelBackend
+from gateforge.backends import ModelBackend, ScriptedBackend, ScriptRule
 from gateforge.knowledge import (
     SUBPATTERN_EMIT_CAP,
     SUBPATTERN_ENUM_CAP,
@@ -129,8 +130,6 @@ def eager_extract(store, netlist, task_id, tags):
     """extract_patterns as written before carving became lazy: carve every
     connected subset, sort the carved sub-netlists by size, then walk them
     until the emit cap."""
-    from dataclasses import replace
-
     existing = {}
     for e in store.entries():
         key = (e.signature_digest, e.inputs, e.outputs)
@@ -185,6 +184,70 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
     # The emitted sub-patterns are rendered from the design's own gates:
     # none is built as a netlist.
     assert len(builds) == 0
+
+
+# A half adder with an inverter pair on its sum, which the seed set's half
+# adder beats, and a three-gate mux that beats the seed set's four-gate one.
+WORSE_HALF_ADDER = ("module ha(input a, input b, output s, output c);\n"
+                    "  wire w1, w2;\n  xor g1(w1, a, b);\n  not g2(w2, w1);\n"
+                    "  not g3(s, w2);\n  and g4(c, a, b);\nendmodule\n")
+XOR_MUX2 = ("module mux2(input a, input b, input sel, output y);\n"
+            "  wire w1, w2;\n  xor g1(w1, a, b);\n  and g2(w2, w1, sel);\n"
+            "  xor g3(y, a, w2);\nendmodule\n")
+
+
+@pytest.mark.parametrize("task_id", ["adder4", "alu1"])
+def test_extraction_from_a_reopened_store_matches_the_eager_reference(
+        tmp_path, task_id):
+    # Held primaries come from the store's own map: here one built at load
+    # from archive records and a displaced primary.
+    root = tmp_path / "store"
+    store = KnowledgeStore(root)
+    store.seed_baseline()
+    for text in (WORSE_HALF_ADDER, XOR_MUX2):
+        store.store(make_pattern_entry(parse(text).netlist))
+    store = KnowledgeStore(root)
+    archived = [e.name for e in store.entries(include_archived=True)
+                if e.status == "archived"]
+    assert archived == ["mux2", "ha"]
+    assert store._held_primaries() == knowledge._RetrievalBase._held_primaries(
+        store)
+
+    task = TASKS[task_id]
+    netlist = parse(task.reference_netlist).netlist
+    got = store.extract_patterns(netlist, task_id=task_id, tags=task.tags)
+    assert got == eager_extract(store, netlist, task_id, task.tags)
+    assert got == store.snapshot().extract_patterns(netlist, task_id=task_id,
+                                                    tags=task.tags)
+
+
+def test_a_task_snapshot_ranks_each_query_once(tmp_path, monkeypatch):
+    # The README quick start at n=3: each task's three samples ask the same
+    # two design-side queries of one snapshot, and the view ranks each once.
+    ranks = []
+    rank = knowledge._rank
+    monkeypatch.setattr(knowledge, "_rank",
+                        lambda entries, q: ranks.append(q) or rank(entries, q))
+    tasks = list(TASKS.values())
+    backend = ScriptedBackend([
+        ScriptRule([f"```\n{t.reference_netlist}```"], f"Task: {t.id}")
+        for t in tasks])
+    store = KnowledgeStore(tmp_path / "store")
+    report = run_benchmark(tasks, RunConfig.from_profile(
+        "V2", samples_per_task=3), backend, store)
+    assert all(row.c == 3 for row in report.rows)
+    assert len(ranks) == 2 * len(tasks) == 18
+    assert len(store.entries()) == 109
+
+
+def test_a_snapshot_hands_each_caller_its_own_list():
+    entry = make_pattern_entry(parse(XOR_MUX2).netlist)
+    view = KnowledgeView((replace(entry, id=1),))
+    query = RetrievalQuery.by_interface((3, 1))
+    first = view.retrieve(query)
+    first.clear()
+    assert view.retrieve(query) == [replace(entry, id=1)]
+    assert view.retrieve(query) is not view.retrieve(query)
 
 
 def designs():

@@ -240,6 +240,18 @@ def test_a_wide_wire_is_a_width_error():
         "endmodule", "w")
 
 
+@pytest.mark.parametrize("text", [
+    f"module t(input [{WIDE}:0] a, output [1:0] y);\n"
+    "  not g1(y[0], a[0]);\n  and g2(y[1], a[1], a);\nendmodule",
+    f"module t(input b, output [1:0] y); wire [{WIDE}:0] a;\n"
+    "  not g1(y[0], a[0]);\n  and g2(y[1], a[1], a);\n"
+    "  assign a[2] = b;\nendmodule"], ids=["port", "wire"])
+def test_a_wide_declaration_is_reported_once_however_often_it_is_used(text):
+    # The refused name is entered with no slots: its uses are skipped, not
+    # reported as undeclared.
+    assert [(e.kind, e.token) for e in parse(text).errors] == [("width", "a")]
+
+
 def test_the_bit_limit_counts_every_declaration_of_the_module():
     # Two bits of ports, then wires up to the limit and one bit past it.
     bound = parser._MAX_BITS
