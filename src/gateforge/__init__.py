@@ -23,6 +23,7 @@ from .simulator import (
     SimOutcome,
     TestVector,
     functional_signature,
+    pack_vectors,
     simulate_combinational,
     simulate_sequential,
     truth_table,
@@ -67,8 +68,8 @@ __all__ = [
     "StructuralReport", "levelize", "structural_report", "validate",
     "ParseError", "ParseResult", "extract_netlist_block",
     "parse", "render",
-    "FunctionalSignature", "SimOutcome", "TestVector", "functional_signature",
-    "simulate_combinational", "simulate_sequential", "truth_table",
+    "FunctionalSignature", "SimOutcome", "TestVector", "pack_vectors",
+    "functional_signature", "simulate_combinational", "simulate_sequential", "truth_table",
     "DualReward", "EvalResult", "MetricWeights", "SampleStats", "TierVerdict",
     "classify_tier", "dual_reward", "pass_at_k", "sei_benchmark", "sei_task",
     "BoolFunction", "MinimalCover", "OptimizationHint", "min_gate_network",

@@ -45,6 +45,7 @@ from .netlist import (
     StructuralReport,
     structural_report,
 )
+from .parser import GATE_KEYWORDS
 from .simulator import exhaustive_columns
 
 QM_MAX_INPUTS = 12
@@ -470,9 +471,6 @@ def _operand_rule(evaluate, other, target, care, mask) -> tuple[int, int] | None
     return None if lo & hi & care else (fixed, fixed & lo)
 
 
-_KIND_OF = {kind.value: kind for kind in COMBINATIONAL_KINDS}
-
-
 def _basis_key(kinds: tuple[GateKind, ...]) -> str:
     """A gate set's key in the table: its kinds' values, sorted, joined by
     commas."""
@@ -491,7 +489,7 @@ def _encode_network(found: tuple[int, list[tuple[GateKind, tuple[int, ...]]]],
 def _decode_network(entry: str) -> tuple[int, list[tuple[GateKind, tuple[int, ...]]]]:
     """The `_search` result a table entry encodes."""
     out, *gates = entry.split()
-    return int(out), [(_KIND_OF[kind], tuple(map(int, ops.split(","))))
+    return int(out), [(GATE_KEYWORDS[kind], tuple(map(int, ops.split(","))))
                       for kind, _, ops in (gate.partition(":") for gate in gates)]
 
 

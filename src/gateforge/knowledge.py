@@ -115,7 +115,8 @@ RECORD_FIELDS = (
 )
 
 
-def pattern_key(entry: KnowledgeEntry) -> tuple[str | None, int, int]:
+def pattern_key(entry: KnowledgeEntry | _Measure,
+                ) -> tuple[str | None, int, int]:
     """The key circuit patterns compete under: one primary per function
     and interface shape."""
     return (entry.signature_digest, entry.inputs, entry.outputs)
@@ -393,7 +394,7 @@ class _RetrievalBase:
             # A measure that does not displace its key's held primary is
             # dropped before any entry is built; most are. Only an emitted
             # entry is built and rendered.
-            held = primaries.get((m.signature_digest, m.inputs, m.outputs))
+            held = primaries.get(pattern_key(m))
             if held is not None and not displaces(m.sei, held.sei):
                 return
             entry = KnowledgeEntry(KIND_PATTERN, name, entry_tags, render(),
@@ -428,7 +429,6 @@ class KnowledgeStore(_RetrievalBase):
         self._lock = threading.Lock()
         self._entries: dict[int, KnowledgeEntry] = {}   # by id, in id order
         self._primaries: dict[tuple, KnowledgeEntry] = {}  # see offer_primary
-        self._next_id = 1
         # (size, prefix) when the index does not end on a complete line:
         # the next append first truncates the log to `size` bytes, then
         # writes `prefix` and its records.
@@ -632,7 +632,8 @@ class KnowledgeStore(_RetrievalBase):
             # only once the log holds the outcome.
             slots: dict[tuple, KnowledgeEntry] = {}
             records = []
-            for entry_id, entry in enumerate(entries, self._next_id):
+            first_id = max(self._entries, default=0) + 1
+            for entry_id, entry in enumerate(entries, first_id):
                 entry = replace(entry, id=entry_id, status="primary")
                 key = pattern_key(entry)
                 if key not in slots and key in self._primaries:
@@ -660,7 +661,6 @@ class KnowledgeStore(_RetrievalBase):
         loser = offer_primary(self._primaries, entry)
         if loser is not None:
             self._entries[loser.id] = replace(loser, status="archived")
-        self._next_id = max(self._next_id, entry.id + 1)
 
     def seed_baseline(self) -> int:
         """Populate an empty store with the primitives and canonical blocks."""
@@ -702,7 +702,6 @@ class KnowledgeStore(_RetrievalBase):
                 del self._entries[e.id]
             self._rewrite_index()
             self._write_stamp()
-            self._next_id = max(self._entries, default=0) + 1
             return len(dropped)
 
 

@@ -125,6 +125,12 @@ class Port:
     def msb(self) -> int:
         return self.lsb + self.width - 1
 
+    def declaration(self) -> str:
+        """The port as netlist text declares it: `input [3:0] a`."""
+        direction = "input" if self.direction is PortDir.IN else "output"
+        width = f" [{self.msb}:{self.lsb}]" if self.width > 1 else ""
+        return f"{direction}{width} {self.name}"
+
     def bit_name(self, index: int) -> str:
         """Canonical name of one bit: plain name for scalars, name[i] otherwise."""
         if self.width == 1:

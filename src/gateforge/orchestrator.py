@@ -163,6 +163,12 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.retrieval_limit < 1:
             raise ValueError("retrieval_limit must be >= 1")
+        if self.max_prompt_chars < 1:
+            raise ValueError("max_prompt_chars must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
     @property
     def sampling(self) -> SamplingParams:
@@ -228,11 +234,7 @@ class TaskRun:
 
 
 def _format_task_brief(task: TaskPack) -> str:
-    ports = []
-    for p in task.ports:
-        direction = "input" if p.direction.value == "in" else "output"
-        width = f" [{p.msb}:{p.lsb}]" if p.width > 1 else ""
-        ports.append(f"  {direction}{width} {p.name}")
+    ports = [f"  {p.declaration()}" for p in task.ports]
     clock_note = (f"\nClock port: {task.clock} (drive registers from it)"
                   if task.clock else "")
     return (f"Task: {task.id}\n"

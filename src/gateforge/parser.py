@@ -276,8 +276,7 @@ class _Parser:
             return ParseResult(None, self.errors)
 
         kind, text, _ = name_tok = self.toks[1]
-        if kind != "ident" or text in BEHAVIORAL_KEYWORDS \
-                or text in STRUCTURAL_KEYWORDS or text in GATE_KEYWORDS:
+        if kind != "ident" or text in _KEYWORDS:
             self.error("syntax", name_tok, "expected module name")
             return ParseResult(None, self.errors)
         self.module_name = text
@@ -390,7 +389,7 @@ class _Parser:
             self.error("behavioral-construct", tok,
                        f"'{text}' is a banned behavioral construct")
             return False
-        if text in STRUCTURAL_KEYWORDS or text in GATE_KEYWORDS:
+        if text in _KEYWORDS:
             return False
         if "$" in text:
             self.error("syntax", tok, "system identifiers are not allowed")
@@ -479,12 +478,12 @@ class _Parser:
             self.error("behavioral-construct", t,
                        f"operator '{text}' is not part of the structural language")
             return None
-        if kind != "ident" or text in STRUCTURAL_KEYWORDS or text in GATE_KEYWORDS:
-            self.error("syntax", t, "expected a net name")
-            return None
         if text in BEHAVIORAL_KEYWORDS:
             self.error("behavioral-construct", t,
                        f"'{text}' is a banned behavioral construct")
+            return None
+        if kind != "ident" or text in _KEYWORDS:
+            self.error("syntax", t, "expected a net name")
             return None
         self.pos += 1
         if decl is None:
@@ -895,12 +894,7 @@ def render(netlist: Netlist | RenderedFields) -> str:
         for n in (g.output, *g.inputs):
             claim(n)
 
-    ports_text = ", ".join(
-        f"{'input' if p.direction is PortDir.IN else 'output'}"
-        + (f" [{p.msb}:{p.lsb}]" if p.width > 1 else "")
-        + f" {p.name}"
-        for p in netlist.ports
-    )
+    ports_text = ", ".join(p.declaration() for p in netlist.ports)
     lines = [f"module {netlist.name}({ports_text});"]
     for i in range(0, len(wire_names), 8):
         lines.append("  wire " + ", ".join(wire_names[i:i + 8]) + ";")

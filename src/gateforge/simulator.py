@@ -7,10 +7,11 @@ standard synchronous model: per cycle, apply inputs, settle the
 combinational logic, record the outputs, then clock every register from its
 settled data input. Registers reset to 0.
 
-A testbench runs in one form, `PackedVectors`: hand-written `TestVector`s
-are packed by `pack_vectors`, a task pack's testbench is packed as it is
-read. Both simulators fill one column per checked output bit, bit v from
-the run of vector v, and score the columns with one rule (`_score`).
+The simulators take a testbench only as `PackedVectors`: a task pack's
+testbench is packed as it is read, and `pack_vectors` packs hand-written
+`TestVector`s. Both fill one column per checked output bit, bit v from the
+run of vector v, and score the columns with one rule (`_score`).
+`sequential_trace` packs its own stimulus and infers its clock.
 """
 
 from __future__ import annotations
@@ -269,32 +270,36 @@ def _score(packed: PackedVectors, actual: dict[str, int],
     return SimOutcome(packed.checked.bit_count() - failed, failed, first)
 
 
+def _sweep(netlist: Netlist, columns: Iterable[int],
+           mask: int) -> dict[int, int]:
+    """Every net's column over packed rows, given one column per declared
+    input bit in order."""
+    values = _source_values(netlist, mask)
+    for (_, nid), column in zip(netlist.input_bits, columns):
+        values[nid] = column
+    _settle(netlist, values, mask)
+    return values
+
+
 def simulate_combinational(netlist: Netlist,
-                           vectors: Sequence[TestVector] | PackedVectors,
-                           ) -> SimOutcome:
+                           packed: PackedVectors) -> SimOutcome:
     """Run every vector through one levelized sweep and score the checks.
 
     Each vector with at least one expected output is one pass/fail unit;
     expected bits set to None are don't-cares and never fail. Every input
-    bit must be assigned in every vector. `vectors` may come packed, as a
-    task's testbench is, so one testbench is packed once for many netlists.
+    bit must be assigned in every vector. One packed testbench serves many
+    netlists; `pack_vectors` packs hand-written vectors.
     """
     if netlist.registers:
         raise SimulationError("netlist contains registers; "
                               "use simulate_sequential")
-    packed = vectors if isinstance(vectors, PackedVectors) \
-        else pack_vectors(vectors)
-    in_bits = dict(netlist.input_bits)
     out_bits = dict(netlist.output_bits)
-    check_vectors(packed, in_bits, out_bits)
+    check_vectors(packed, dict(netlist.input_bits), out_bits)
 
     if not packed.keys:
         return SimOutcome(0, 0)
-    mask = (1 << len(packed.keys)) - 1
-    values = _source_values(netlist, mask)
-    for name, nid in in_bits.items():
-        values[nid] = packed.inputs[name]
-    _settle(netlist, values, mask)
+    columns = [packed.inputs[name] for name, _ in netlist.input_bits]
+    values = _sweep(netlist, columns, (1 << len(packed.keys)) - 1)
     return _score(packed, {name: values[out_bits[name]]
                            for name, _, _ in packed.checks})
 
@@ -356,19 +361,17 @@ def _clocked_cycles(netlist: Netlist, clock_net: int, packed: PackedVectors,
         state = {g.output: values[g.data_input] for g in netlist.registers}
 
 
-def simulate_sequential(netlist: Netlist,
-                        vectors: Sequence[TestVector] | PackedVectors,
+def simulate_sequential(netlist: Netlist, packed: PackedVectors,
                         cycles: int, clock: str | None = None) -> SimOutcome:
     """Cycle-accurate run: settle, record, then clock all registers at once.
 
-    The vectors must pass check_vectors. Inputs hold their values between
-    vectors. Registers start at 0. When `clock` is None it is inferred from
-    the register clock pins. The checks are scored as simulate_combinational
-    scores them; the first failure is the one at the earliest cycle.
+    The packed testbench must pass check_vectors. Inputs hold their values
+    between vectors. Registers start at 0. When `clock` is None it is
+    inferred from the register clock pins. The checks are scored as
+    simulate_combinational scores them; the first failure is the one at the
+    earliest cycle.
     """
     clock, clock_net = _resolve_clock(netlist, clock)
-    packed = vectors if isinstance(vectors, PackedVectors) \
-        else pack_vectors(vectors)
     out_bits = dict(netlist.output_bits)
     check_vectors(packed, dict(netlist.input_bits), out_bits, clock, cycles)
     checked = [(name, out_bits[name]) for name, _, _ in packed.checks]
@@ -382,16 +385,17 @@ def simulate_sequential(netlist: Netlist,
     return _score(packed, actual, order)
 
 
-def sequential_trace(netlist: Netlist, stimulus: list[dict[str, int]],
-                     clock: str | None = None) -> dict[str, list[int]]:
+def sequential_trace(netlist: Netlist,
+                     stimulus: list[dict[str, int]]) -> dict[str, list[int]]:
     """Drive one input assignment per cycle and record every output stream.
 
-    Same clocking semantics as simulate_sequential, without expectations:
-    stimulus[t] is the input assignment of cycle t and must pass
-    check_vectors as a vector at that cycle, so the first one assigns every
-    input bit but the clock. Inputs hold their values between cycles.
+    Same clocking semantics as simulate_sequential, without expectations;
+    the clock is inferred from the register clock pins. stimulus[t] is the
+    input assignment of cycle t and must pass check_vectors as a vector at
+    that cycle, so the first one assigns every input bit but the clock.
+    Inputs hold their values between cycles.
     """
-    clock, clock_net = _resolve_clock(netlist, clock)
+    clock, clock_net = _resolve_clock(netlist, None)
     packed = pack_vectors([TestVector(assignment, {}, t)
                            for t, assignment in enumerate(stimulus)])
     check_vectors(packed, dict(netlist.input_bits),
@@ -412,11 +416,7 @@ def _signature(netlist: Netlist, columns: Sequence[int], rows: int,
                exact: bool) -> FunctionalSignature:
     """Output columns over `rows` input rows, given one packed column per
     declared input bit."""
-    mask = (1 << rows) - 1
-    values = _source_values(netlist, mask)
-    for (_, nid), column in zip(netlist.input_bits, columns):
-        values[nid] = column
-    _settle(netlist, values, mask)
+    values = _sweep(netlist, columns, (1 << rows) - 1)
     outs = tuple(values[nid] for _, nid in netlist.output_bits)
     return FunctionalSignature(len(columns), len(outs), outs, exact=exact)
 

@@ -1,5 +1,6 @@
 """The benchmark harness still runs and checks its own output."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -30,6 +31,23 @@ def test_workload_smoke(workload):
     assert last["correct"] is True
     assert last["attempted"] > 0
     assert last["failed"] == 0
+
+
+def test_every_trace_target_names_a_callable():
+    """Each (metric, module, attribute path) the tracer wraps resolves in
+    the package, so a renamed target fails here, not after a workload."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for name, module_name, path in tracing.TARGETS:
+        owner = importlib.import_module(f"gateforge.{module_name}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            unresolved.append(name)
+    assert not unresolved
 
 
 # The tracer wraps gateforge functions by name: renaming one breaks

@@ -343,6 +343,9 @@ def test_backend_selector_from_config_file(capsys, script_path, tmp_path):
     ("bench", ["--workers", "0"], None, "workers must be >= 1"),
     ("bench", ["--profile", "V2"], {"retrieval_limit": 0},
      "retrieval_limit must be >= 1"),
+    ("bench", [], {"max_prompt_chars": 0}, "max_prompt_chars must be >= 1"),
+    ("run", [], {"max_tokens": 0}, "max_tokens must be >= 1"),
+    ("bench", [], {"temperature": -1}, "temperature must be >= 0"),
     ("bench", [], {"weights": {"alpha": 0}},
      "alpha, beta and epsilon must be positive"),
     ("run", [], {"weights": {"alpha": 0}},
@@ -353,7 +356,8 @@ def test_backend_selector_from_config_file(capsys, script_path, tmp_path):
     ("run", [], {"temperature": "hot"}, "temperature: must be a number"),
     ("bench", [], {"pass_ks": [True]}, "pass_ks: must be a list of integers"),
 ], ids=["k-above-n", "k-zero", "n-zero", "workers-zero",
-        "retrieval-limit-zero", "bench-weights", "run-weights", "unknown-key",
+        "retrieval-limit-zero", "max-prompt-chars-zero", "max-tokens-zero",
+        "temperature-negative", "bench-weights", "run-weights", "unknown-key",
         "not-an-object", "temperature-string", "pass-ks-bool"])
 def test_bad_run_config_values_are_usage_errors(
         capsys, script_path, tmp_path, command, args, config, message):

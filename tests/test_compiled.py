@@ -30,6 +30,7 @@ from gateforge.simulator import (
     SimulationError,
     TestVector,
     functional_signature,
+    pack_vectors,
     sampled_signature,
     sequential_trace,
     simulate_combinational,
@@ -126,7 +127,7 @@ def test_packed_scoring_matches_the_per_vector_reference(task):
     for netlist in variants:
         assert simulate_task(task, netlist) == \
             reference_outcome(netlist, vectors)
-        assert simulate_combinational(netlist, loose) == \
+        assert simulate_combinational(netlist, pack_vectors(loose)) == \
             reference_outcome(netlist, loose)
     assert any(simulate_task(task, n).failed for n in variants[1:])
     assert task.testbench.packed is task.testbench.packed
@@ -150,7 +151,8 @@ def test_sequential_scoring_matches_the_per_cycle_reference(task):
         assert outcomes[-1] == reference_outcome(netlist, vectors, cycles)
         for _ in range(19):
             loose = loosened(vectors, rng)
-            outcomes.append(simulate_sequential(netlist, loose, cycles))
+            outcomes.append(
+                simulate_sequential(netlist, pack_vectors(loose), cycles))
             assert outcomes[-1] == reference_outcome(netlist, loose, cycles)
     assert outcomes[0] == SimOutcome(len(vectors), 0)
     assert len(outcomes) == 20 * len(variants)
@@ -160,9 +162,10 @@ def test_sequential_scoring_matches_the_per_cycle_reference(task):
 
 def test_no_vectors_and_no_checks_score_nothing():
     ha = build_half_adder()
-    assert simulate_combinational(ha, []) == SimOutcome(0, 0)
+    assert simulate_combinational(ha, pack_vectors([])) == SimOutcome(0, 0)
     unchecked = [TestVector({"a": 1, "b": 0}, {"s": None})]
-    assert simulate_combinational(ha, unchecked) == SimOutcome(0, 0)
+    assert simulate_combinational(ha, pack_vectors(unchecked)) == \
+        SimOutcome(0, 0)
 
 
 def test_key_errors_name_the_first_offending_vector():
@@ -178,7 +181,7 @@ def test_key_errors_name_the_first_offending_vector():
     ]
     for bad, message in cases:
         with pytest.raises(SimulationError) as exc:
-            simulate_combinational(ha, [good, bad, bad])
+            simulate_combinational(ha, pack_vectors([good, bad, bad]))
         assert str(exc.value) == message
 
 
@@ -239,8 +242,10 @@ def record_checks(monkeypatch) -> list[tuple[str, object]]:
 ENTRY_POINTS = {
     "structural_report": structural_report,
     "levelize": levelize,
-    "simulate_combinational": lambda n: simulate_combinational(n, []),
-    "simulate_sequential": lambda n: simulate_sequential(n, [], 4),
+    "simulate_combinational":
+        lambda n: simulate_combinational(n, pack_vectors([])),
+    "simulate_sequential":
+        lambda n: simulate_sequential(n, pack_vectors([]), 4),
     "sequential_trace": lambda n: sequential_trace(n, [{}] * 4),
     "truth_table": truth_table,
     "sampled_signature": sampled_signature,

@@ -299,6 +299,22 @@ def test_compact_drops_archived(tmp_path):
     assert len(reopened.entries(include_archived=True)) == 1
 
 
+@pytest.mark.parametrize("reopen", [False, True],
+                         ids=["same-handle", "reopened"])
+def test_the_next_id_after_compact_follows_the_highest_remaining_id(
+        tmp_path, reopen):
+    store = KnowledgeStore(tmp_path / "store")
+    assert store.store(make_pattern_entry(build_half_adder())) == 1
+    assert store.store(make_pattern_entry(build_worse_half_adder())) == 2
+    assert store.compact() == 1
+    if reopen:
+        store = KnowledgeStore(tmp_path / "store")
+    assert store.store(make_pattern_entry(build_full_adder())) == 2
+    reopened = KnowledgeStore(tmp_path / "store")
+    assert [(e.id, e.name) for e in reopened.entries()] == [
+        (1, "half_adder"), (2, "full_adder")]
+
+
 def test_index_is_json_lines(tmp_path):
     store = KnowledgeStore(tmp_path / "store")
     store.store(make_pattern_entry(build_half_adder()))

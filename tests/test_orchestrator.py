@@ -753,6 +753,22 @@ def test_config_validation():
         RunConfig(samples_per_task=2, pass_ks=(3,))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_prompt_chars", 0, "max_prompt_chars must be >= 1"),
+    ("max_tokens", 0, "max_tokens must be >= 1"),
+    ("temperature", -0.5, "temperature must be >= 0"),
+])
+def test_config_refuses_values_no_request_could_use(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        RunConfig(**{field: value})
+    assert str(exc.value) == message
+
+
+def test_config_accepts_the_smallest_usable_values():
+    c = RunConfig(max_prompt_chars=1, max_tokens=1, temperature=0.0)
+    assert (c.max_prompt_chars, c.max_tokens, c.temperature) == (1, 1, 0.0)
+
+
 def test_default_config_matches_the_protocol():
     c = RunConfig()
     assert c.max_revisions == 2

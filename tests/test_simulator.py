@@ -16,6 +16,7 @@ from gateforge.simulator import (
     TestVector,
     exhaustive_columns,
     pack_columns,
+    pack_vectors,
     sampled_signature,
     sequential_trace,
     simulate_combinational,
@@ -38,7 +39,8 @@ def half_adder_vectors(break_one: bool = False):
 
 
 def test_half_adder_all_vectors_pass():
-    out = simulate_combinational(build_half_adder(), half_adder_vectors())
+    out = simulate_combinational(build_half_adder(),
+                                 pack_vectors(half_adder_vectors()))
     assert (out.passed, out.failed) == (4, 0)
     assert out.correctness == 1.0
     assert out.first_failure is None
@@ -46,7 +48,8 @@ def test_half_adder_all_vectors_pass():
 
 def test_half_adder_one_bad_expectation():
     out = simulate_combinational(build_half_adder(),
-                                 half_adder_vectors(break_one=True))
+                                 pack_vectors(half_adder_vectors(
+                                     break_one=True)))
     assert (out.passed, out.failed) == (3, 1)
     assert out.correctness == 0.75
     ff = out.first_failure
@@ -61,33 +64,34 @@ def test_xor_primitive_semantics():
     b.gate(GateKind.XOR, (a, c), y)
     vecs = [TestVector({"a": x, "b": z}, {"y": x ^ z})
             for x in (0, 1) for z in (0, 1)]
-    out = simulate_combinational(b.build(), vecs)
+    out = simulate_combinational(b.build(), pack_vectors(vecs))
     assert out.correctness == 1.0
 
 
 def test_dont_care_never_fails():
     vecs = [TestVector({"a": a, "b": b}, {"s": None, "c": a & b})
             for a in (0, 1) for b in (0, 1)]
-    out = simulate_combinational(build_half_adder(), vecs)
+    out = simulate_combinational(build_half_adder(), pack_vectors(vecs))
     assert out.correctness == 1.0
 
 
 def test_vector_with_no_expectations_is_not_a_check():
     vecs = half_adder_vectors() + [TestVector({"a": 0, "b": 0}, {})]
-    out = simulate_combinational(build_half_adder(), vecs)
+    out = simulate_combinational(build_half_adder(), pack_vectors(vecs))
     assert out.passed + out.failed == 4
 
 
 def test_undeclared_port_rejected():
     with pytest.raises(SimulationError, match="not a declared"):
         simulate_combinational(build_half_adder(),
-                               [TestVector({"a": 0, "b": 0, "zz": 1}, {"s": 0})])
+                               pack_vectors([TestVector(
+                                   {"a": 0, "b": 0, "zz": 1}, {"s": 0})]))
 
 
 def test_missing_input_rejected():
     with pytest.raises(SimulationError, match="unassigned"):
         simulate_combinational(build_half_adder(),
-                               [TestVector({"a": 0}, {"s": 0})])
+                               pack_vectors([TestVector({"a": 0}, {"s": 0})]))
 
 
 def test_register_netlist_rejected_by_combinational_sim():
@@ -97,7 +101,8 @@ def test_register_netlist_rejected_by_combinational_sim():
     q = b.output("q")
     b.gate(GateKind.DFF, (d, clk), q)
     with pytest.raises(SimulationError, match="registers"):
-        simulate_combinational(b.build(), [TestVector({"d": 0, "clk": 0}, {"q": 0})])
+        simulate_combinational(b.build(), pack_vectors(
+            [TestVector({"d": 0, "clk": 0}, {"q": 0})]))
 
 
 # -- sequential ---------------------------------------------------------------
@@ -114,7 +119,7 @@ def build_delay_line():
 def test_delay_line_register_semantics():
     vecs = [TestVector({"d": x}, {"q": e}, cycle=i)
             for i, (x, e) in enumerate([(1, 0), (0, 1), (1, 0)])]
-    out = simulate_sequential(build_delay_line(), vecs, cycles=3)
+    out = simulate_sequential(build_delay_line(), pack_vectors(vecs), cycles=3)
     assert out.correctness == 1.0
 
 
@@ -135,7 +140,7 @@ def test_two_bit_counter_counts():
     # Hand simulation: q shows 00, 01, 10, 11 on the first four cycles.
     vecs = [TestVector({}, {"q[0]": t & 1, "q[1]": (t >> 1) & 1}, cycle=t)
             for t in range(4)]
-    out = simulate_sequential(build_counter2(), vecs, cycles=4)
+    out = simulate_sequential(build_counter2(), pack_vectors(vecs), cycles=4)
     assert out.correctness == 1.0, out.first_failure
 
 
@@ -163,7 +168,7 @@ def test_sequence_detector_against_fsm_oracle():
         det = 1 if (x, p1, p2) == (1, 0, 1) else 0
         vecs.append(TestVector({"x": x}, {"det": det}, cycle=t))
         p2, p1 = p1, x
-    out = simulate_sequential(build_seq101(), vecs, cycles=64)
+    out = simulate_sequential(build_seq101(), pack_vectors(vecs), cycles=64)
     assert out.correctness == 1.0, out.first_failure
 
 
@@ -171,7 +176,7 @@ def test_inputs_hold_between_vectors():
     # Drive d=1 at cycle 0 only; it must still be 1 at cycle 1.
     vecs = [TestVector({"d": 1}, {}, cycle=0),
             TestVector({}, {"q": 1}, cycle=2)]
-    out = simulate_sequential(build_delay_line(), vecs, cycles=3)
+    out = simulate_sequential(build_delay_line(), pack_vectors(vecs), cycles=3)
     assert out.correctness == 1.0
 
 
@@ -204,7 +209,8 @@ def test_trace_refuses_stimulus_as_check_vectors_does(stimulus, message):
     # simulate_sequential refuses the same cycles with the same words.
     vectors = [TestVector(a, {}, t) for t, a in enumerate(stimulus)]
     with pytest.raises(SimulationError) as exc:
-        simulate_sequential(build_delay_line(), vectors, len(stimulus))
+        simulate_sequential(build_delay_line(), pack_vectors(vectors),
+                            len(stimulus))
     assert str(exc.value) == message
 
 
@@ -216,13 +222,15 @@ def test_trace_inputs_hold_between_cycles():
 def test_clock_cannot_be_driven_by_vectors():
     with pytest.raises(SimulationError, match="clock"):
         simulate_sequential(build_delay_line(),
-                            [TestVector({"d": 0, "clk": 1}, {"q": 0})], 1)
+                            pack_vectors([TestVector({"d": 0, "clk": 1},
+                                                     {"q": 0})]), 1)
 
 
 def test_no_register_and_no_clock_designation_fails():
     with pytest.raises(SimulationError, match="clock"):
         simulate_sequential(build_half_adder(),
-                            [TestVector({"a": 0, "b": 0}, {"s": 0})], 1)
+                            pack_vectors([TestVector({"a": 0, "b": 0},
+                                                     {"s": 0})]), 1)
 
 
 def test_registers_clocked_by_different_nets_fail():
@@ -234,7 +242,8 @@ def test_registers_clocked_by_different_nets_fail():
     w = b.gate(GateKind.DFF, (d, c1))
     b.gate(GateKind.DFF, (w, c2), q)
     with pytest.raises(SimulationError, match="clock"):
-        simulate_sequential(b.build(), [TestVector({"d": 0}, {"q": 0})], 1)
+        simulate_sequential(b.build(),
+                            pack_vectors([TestVector({"d": 0}, {"q": 0})]), 1)
 
 
 def test_register_clocked_through_a_gate_fails():
@@ -247,11 +256,11 @@ def test_register_clocked_through_a_gate_fails():
     netlist = b.build()
     vectors = [TestVector({"d": 0}, {"q": 0})]
     with pytest.raises(SimulationError) as exc:
-        simulate_sequential(netlist, vectors, 1)
+        simulate_sequential(netlist, pack_vectors(vectors), 1)
     assert str(exc.value) == ("register clock pin is not driven by a "
                               "primary input")
     with pytest.raises(SimulationError) as exc:
-        simulate_sequential(netlist, vectors, 1, clock="clk")
+        simulate_sequential(netlist, pack_vectors(vectors), 1, clock="clk")
     assert str(exc.value) == "register g2 is not clocked by 'clk'"
 
 
@@ -364,4 +373,5 @@ def test_simulator_matches_recursive_oracle():
 def test_determinism_identical_runs():
     vecs = half_adder_vectors()
     n = build_half_adder()
-    assert simulate_combinational(n, vecs) == simulate_combinational(n, vecs)
+    assert simulate_combinational(n, pack_vectors(vecs)) == \
+        simulate_combinational(n, pack_vectors(vecs))

@@ -321,7 +321,8 @@ def test_sequential_refusals_name_the_same_vector_in_simulator_and_load(
     netlist = parse(task.reference_netlist).netlist
     for clock in (task.clock, None):  # designated or inferred
         with pytest.raises(SimulationError) as exc:
-            simulate_sequential(netlist, vectors, tb["cycles"], clock=clock)
+            simulate_sequential(netlist, pack_vectors(vectors), tb["cycles"],
+                                clock=clock)
         assert str(exc.value) == message
     with pytest.raises(TaskSchemaError) as exc:
         load_task_pack(copy_pack("seq101", tmp_path, mutate_tb=mutate_tb))
