@@ -22,11 +22,10 @@ from .orchestrator import RunConfig, run_benchmark, run_task, summarize
 from .simulator import SimulationError
 from .taskpack import (
     ReferenceMismatchError,
-    TaskSchemaError,
     builtin_task_dir,
     emit_report,
     load_report,
-    load_task_pack,
+    load_task_packs,
     task_pack_dirs,
     verify_reference,
 )
@@ -62,17 +61,12 @@ def _load_config(args, profile: str | None, overrides: dict) -> RunConfig:
 
 
 def _load_packs(paths, out) -> tuple[list, int]:
-    """The packs at `paths` that load, by id, and how many do not. Each pack
-    loads on its own, so one bad pack hides no other; each that fails
-    prints one `<dir> FAIL: <reason>` line to `out`."""
-    packs, failures = [], 0
-    for path in paths:
-        try:
-            packs.append(load_task_pack(path))
-        except TaskSchemaError as exc:
-            failures += 1
-            print(f"{path} FAIL: {exc}", file=out)
-    return sorted(packs, key=lambda t: t.id), failures
+    """The packs at `paths` that load (`load_task_packs`), and how many do
+    not; each that does not prints one `<dir> FAIL: <reason>` line to `out`."""
+    packs, failures = load_task_packs(paths)
+    for path, exc in failures:
+        print(f"{path} FAIL: {exc}", file=out)
+    return packs, len(failures)
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:

@@ -1,7 +1,7 @@
 """Multi-agent generation loop: an explicit state machine over six roles.
 
-UserProxy turns a task pack into a structured brief, Mediator routes every
-message, CoderAgent is the only role backed by the language model,
+UserProxy turns a task pack into a structured brief, Mediator sits between
+the other roles, CoderAgent is the only role backed by the language model,
 Reviewer gates candidates with deterministic checks (parse, validate,
 locked-syntax compliance) and phrases feedback, Executor simulates, and
 Summarizer (`summarize`) turns verified designs into knowledge store
@@ -23,7 +23,8 @@ it fails with the candidate's error. Any other candidate gets one feedback
 message and costs one revision. Each judged candidate leaves one `Attempt`
 record in `TaskRun.attempts`: the two rules read its verdict, the budget
 is spent once `max_revisions` attempts got feedback, and the Coder's
-prompt carries the feedback of every earlier attempt.
+prompt carries the feedback of every earlier attempt. It is the one record
+a sample keeps: `TaskRun.transcript` rebuilds the role messages from it.
 """
 
 from __future__ import annotations
@@ -113,20 +114,6 @@ class AgentMessage:
     attachments: dict = field(default_factory=dict)
 
 
-class Mediator:
-    """Routes messages; a message's turn is its index in the transcript."""
-
-    def __init__(self) -> None:
-        self.transcript: list[AgentMessage] = []
-
-    def route(self, sender: str, recipient: str, kind: str, body: str,
-              **attachments) -> AgentMessage:
-        msg = AgentMessage(sender, recipient, len(self.transcript), kind,
-                           body, dict(attachments))
-        self.transcript.append(msg)
-        return msg
-
-
 @dataclass(frozen=True)
 class RunConfig:
     max_revisions: int = 2
@@ -201,36 +188,44 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Attempt:
-    """One judged candidate. `block` is its extracted text, the review
-    memo's key; `reward` is set iff it was simulated. `feedback` is the
-    text sent back to the Coder, None iff the attempt ended the run;
-    `error_kinds` (what review-side retrieval was queried by) and
-    `attachments` (what the feedback message carried) go with it."""
+    """One judged candidate: the Coder's `reply`, its extracted `block`
+    (the review memo's key) and the `review` it was judged by; `reward` is
+    set iff it was simulated. `feedback` is the text sent back to the Coder,
+    None iff the attempt ended the run; `error_kinds` (what review-side
+    retrieval was queried by) and `attachments` (what the feedback message
+    carried) go with it. The transcript is rebuilt from these."""
     block: str | None
     verdict: str
     error_kinds: tuple[str, ...] = ()
     reward: DualReward | None = None
     feedback: str | None = None
     attachments: dict = field(default_factory=dict)
+    reply: str = field(kw_only=True, repr=False, compare=False)
+    review: _Review = field(kw_only=True, repr=False, compare=False)
 
 
 @dataclass
 class TaskRun:
+    """One sample; `transcript` is rebuilt from its brief and attempts."""
     task_id: str
     sample_index: int
     status: str                       # verified | failed | error
-    transcript: list[AgentMessage]
     attempts: list[Attempt]           # in order
     netlist_text: str | None = None
     netlist: Netlist | None = None    # the design netlist_text renders
     result: EvalResult | None = None
     run_id: str = ""                  # provenance of what summarize learns
+    brief: str | None = None          # None iff it could not be written
     wall_seconds: float = 0.0
     error: str | None = None
 
     @property
     def revisions_used(self) -> int:
         return sum(a.feedback is not None for a in self.attempts)
+
+    @property
+    def transcript(self) -> list[AgentMessage]:
+        return _transcript(self)
 
 
 def _format_task_brief(task: TaskPack) -> str:
@@ -387,34 +382,55 @@ def _verdict(review: _Review, reference_sei: float | None,
     return reward.verdict, reward
 
 
-def _route_review(mediator: Mediator, review: _Review,
-                  attempt: Attempt) -> None:
-    """The Reviewer's and the Executor's messages on a judged candidate:
-    static review, simulation for a clean one, and the feedback if any."""
-    reward, text = attempt.reward, attempt.feedback
-    mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW,
-                   review.summary, errors=list(review.error_lines))
-    if review.netlist is not None:
-        # Only a candidate with a clean static review reaches the Executor.
-        mediator.route(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE,
-                       review.rendered)
-    if review.refusal is not None:
-        mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                       f"simulation refused: {review.refusal}")
-    if reward is not None:
-        outcome = review.outcome
-        mediator.route(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
-                       f"{outcome.passed} passed, {outcome.failed} failed",
-                       outcome=outcome, report=review.report)
-        mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_SIM_RESULT,
-                       f"correctness={reward.correctness:.3f}", reward=reward)
-    if text is not None and attempt.verdict == VERDICT_EFFICIENCY:
-        mediator.route(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_EFFICIENCY_REVIEW,
-                       text, **attempt.attachments)
-        mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_FIX_REQUEST, text)
-    elif text is not None:
-        mediator.route(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
-                       **attempt.attachments)
+def _transcript(run: TaskRun) -> list[AgentMessage]:
+    """The role messages of a sample in turn order, rebuilt from its brief
+    and attempts; a message's turn is its index."""
+    messages: list[AgentMessage] = []
+
+    def say(sender: str, recipient: str, kind: str, body: str,
+            **attachments) -> None:
+        messages.append(AgentMessage(sender, recipient, len(messages), kind,
+                                     body, attachments))
+
+    if run.brief is None:
+        say(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_ABORT, run.error)
+        return messages
+    say(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_SPEC, run.brief)
+    say(ROLE_MEDIATOR, ROLE_CODER, MSG_SPEC, run.brief)
+    for attempt in run.attempts:
+        review, reward, text = attempt.review, attempt.reward, attempt.feedback
+        say(ROLE_CODER, ROLE_MEDIATOR, MSG_CANDIDATE, attempt.reply)
+        say(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_CANDIDATE, attempt.reply)
+        say(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_STATIC_REVIEW, review.summary,
+            errors=list(review.error_lines))
+        if review.netlist is not None:
+            say(ROLE_MEDIATOR, ROLE_EXECUTOR, MSG_CANDIDATE, review.rendered)
+        if review.refusal is not None:
+            say(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
+                f"simulation refused: {review.refusal}")
+        if reward is not None:
+            outcome = review.outcome
+            say(ROLE_EXECUTOR, ROLE_MEDIATOR, MSG_SIM_RESULT,
+                f"{outcome.passed} passed, {outcome.failed} failed",
+                outcome=outcome, report=review.report)
+            say(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_SIM_RESULT,
+                f"correctness={reward.correctness:.3f}", reward=reward)
+        if text is not None and attempt.verdict == VERDICT_EFFICIENCY:
+            say(ROLE_REVIEWER, ROLE_MEDIATOR, MSG_EFFICIENCY_REVIEW, text,
+                **attempt.attachments)
+            say(ROLE_MEDIATOR, ROLE_CODER, MSG_FIX_REQUEST, text)
+        elif text is not None:
+            say(ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, text,
+                **attempt.attachments)
+    if run.status == "error":
+        # Only a failed Coder call ends a run with a brief in error.
+        say(ROLE_CODER, ROLE_MEDIATOR, MSG_ABORT, run.error)
+    if run.status == "verified":
+        say(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ACCEPT,
+            f"verified with G={run.result.gate_count} D={run.result.delay}")
+    else:
+        say(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ABORT, run.error or run.status)
+    return messages
 
 
 def _feedback(verdict: str, review: _Review, reward: DualReward | None,
@@ -511,49 +527,25 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
     t0 = time.monotonic()
     if reviews is None:
         reviews = {}
-    mediator = Mediator()
     attempts: list[Attempt] = []
-    backend.start_sample(task.id, sample_index)
-
-    try:
-        brief = _brief(task, backend, cfg)
-    except BackendError as exc:
-        mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_ABORT, str(exc))
-        return TaskRun(task.id, sample_index, "error", mediator.transcript,
-                       attempts, run_id=run_id,
-                       wall_seconds=time.monotonic() - t0, error=str(exc))
-    mediator.route(ROLE_USER_PROXY, ROLE_MEDIATOR, MSG_SPEC, brief)
-    mediator.route(ROLE_MEDIATOR, ROLE_CODER, MSG_SPEC, brief)
-
-    retrieved = _design_retrievals(task, store, cfg)
-    reference_sei = task.reference_sei(cfg.weights)
-
+    brief: str | None = None
     # The best correct candidate: its scores, netlist and rendered text.
     best: tuple[EvalResult, Netlist, str] | None = None
 
     def finish(status: str, error: str | None = None) -> TaskRun:
-        result = design = final_text = None
-        if status == "verified":
-            result, design, final_text = best
-            mediator.route(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ACCEPT,
-                           f"verified with G={result.gate_count} "
-                           f"D={result.delay}")
-        else:
-            mediator.route(ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ABORT,
-                           error or status)
-        return TaskRun(
-            task_id=task.id,
-            sample_index=sample_index,
-            status=status,
-            transcript=mediator.transcript,
-            attempts=attempts,
-            netlist_text=final_text,
-            netlist=design,
-            result=result,
-            run_id=run_id,
-            wall_seconds=time.monotonic() - t0,
-            error=error,
-        )
+        result, design, final = best if status == "verified" else (None,) * 3
+        return TaskRun(task.id, sample_index, status, attempts,
+                       netlist_text=final, netlist=design, result=result,
+                       run_id=run_id, brief=brief,
+                       wall_seconds=time.monotonic() - t0, error=error)
+
+    backend.start_sample(task.id, sample_index)
+    try:
+        brief = _brief(task, backend, cfg)
+    except BackendError as exc:
+        return finish("error", error=str(exc))
+    retrieved = _design_retrievals(task, store, cfg)
+    reference_sei = task.reference_sei(cfg.weights)
 
     while True:
         prompt = build_prompt(task, retrieved, [a.feedback for a in attempts],
@@ -561,10 +553,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         try:
             reply = backend.complete(prompt, cfg.sampling)
         except BackendError as exc:
-            mediator.route(ROLE_CODER, ROLE_MEDIATOR, MSG_ABORT, str(exc))
             return finish("error", error=str(exc))
-        mediator.route(ROLE_CODER, ROLE_MEDIATOR, MSG_CANDIDATE, reply)
-        mediator.route(ROLE_MEDIATOR, ROLE_REVIEWER, MSG_CANDIDATE, reply)
 
         block = extract_netlist_block(reply)
         review = reviews.get(block)
@@ -585,19 +574,17 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         # optimization round means one is held, so by either rule the run
         # is verified iff a correct design is held.
         optimized = VERDICT_EFFICIENCY in (a.verdict for a in attempts)
-        if (verdict == VERDICT_ACCEPT or optimized
+        text, kinds, attachments = None, (), {}
+        if not (verdict == VERDICT_ACCEPT or optimized
                 or len(attempts) >= cfg.max_revisions):
-            attempt = Attempt(block, verdict, reward=reward)
-        else:
             text, kinds, attachments = _feedback(verdict, review, reward,
                                                  reference_sei, store, cfg)
-            attempt = Attempt(block, verdict, kinds, reward,
-                              _phrase_feedback(text, backend, cfg), attachments)
-        attempts.append(attempt)
-        _route_review(mediator, review, attempt)
-        if attempt.feedback is None and best is not None:
+            text = _phrase_feedback(text, backend, cfg)
+        attempts.append(Attempt(block, verdict, kinds, reward, text,
+                                attachments, reply=reply, review=review))
+        if text is None and best is not None:
             return finish("verified")
-        if attempt.feedback is None:
+        if text is None:
             return finish("failed", error=(
                 review.summary if review.netlist is None
                 else review.refusal if reward is None
@@ -704,7 +691,7 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
     for row in rows:
         by_difficulty.setdefault(row.difficulty, []).append(row)
     difficulty_pass_at_1 = {
-        d: sum(r.pass_at.get(1, 0.0) for r in drows) / len(drows)
+        d: sum(r.pass_at_1 for r in drows) / len(drows)
         for d, drows in sorted(by_difficulty.items())
     }
     difficulty_sei = {

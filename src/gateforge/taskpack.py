@@ -23,8 +23,10 @@ from .metrics import (
     DEFAULT_WEIGHTS,
     EvalResult,
     MetricWeights,
+    SampleStats,
     TierVerdict,
     measure,
+    pass_at_k,
 )
 from .netlist import Port, PortDir, StructuralReport, structural_report
 from .parser import parse
@@ -353,16 +355,32 @@ def task_pack_dirs(root: str | os.PathLike) -> list[str]:
             if os.path.exists(os.path.join(cand, "task.json"))]
 
 
-def discover_task_packs(root: str | os.PathLike) -> list[TaskPack]:
-    """Load every pack directly under `root`, sorted by id. A schema fault
-    raises TaskSchemaError naming the pack's directory."""
-    packs = []
-    for cand in task_pack_dirs(root):
+def load_task_packs(paths) -> tuple[list[TaskPack], list[tuple]]:
+    """The packs at `paths` that load, sorted by id, and a (path,
+    TaskSchemaError) pair for each that does not. Each loads on its own, so
+    one bad pack hides no other; a pack with an earlier one's id is bad."""
+    packs, failures, owners = [], [], {}
+    for path in paths:
         try:
-            packs.append(load_task_pack(cand))
+            pack = load_task_pack(path)
+            if pack.id in owners:
+                raise TaskSchemaError(
+                    f"task id {pack.id!r} is also the id of {owners[pack.id]}")
         except TaskSchemaError as exc:
-            raise TaskSchemaError(f"{cand}: {exc}") from None
-    return sorted(packs, key=lambda t: t.id)
+            failures.append((path, exc))
+        else:
+            owners[pack.id] = path
+            packs.append(pack)
+    return sorted(packs, key=lambda t: t.id), failures
+
+
+def discover_task_packs(root: str | os.PathLike) -> list[TaskPack]:
+    """Load every pack directly under `root`, sorted by id. If any fails,
+    the first raises TaskSchemaError naming its directory."""
+    packs, failures = load_task_packs(task_pack_dirs(root))
+    if failures:
+        raise TaskSchemaError("{}: {}".format(*failures[0]))
+    return packs
 
 
 def builtin_task_dir() -> str:
@@ -392,6 +410,13 @@ class TaskReportRow:
     best_sei: float | None
     status: str            # verified | failed | error
     errors: int = 0
+
+    @property
+    def pass_at_1(self) -> float | None:
+        """pass@1 by the row's counts, whichever ks it was run with; None if
+        no sweep gives such counts (n < 1, or c outside 0..n)."""
+        ok = self.n >= 1 and 0 <= self.c <= self.n
+        return pass_at_k(SampleStats(self.n, self.c, 1)) if ok else None
 
 
 @dataclass(frozen=True)
@@ -468,22 +493,22 @@ def load_report(text: str) -> BenchmarkReport:
 def _render_table(report: BenchmarkReport) -> str:
     columns = [d for d in DIFFICULTIES
                if any(r.difficulty == d for r in report.rows)] + ["overall"]
+    row_p1 = [r.pass_at_1 for r in report.rows]
     p1 = dict(report.difficulty_pass_at_1)
     sei = dict(report.difficulty_sei)
-    rows_with_p1 = [r.pass_at.get(1) for r in report.rows if 1 in r.pass_at]
-    p1["overall"] = (sum(rows_with_p1) / len(rows_with_p1)
-                     if rows_with_p1 else 0.0)
+    scored = [v for v in row_p1 if v is not None]
+    p1["overall"] = sum(scored) / len(scored) if scored else None
     sei["overall"] = report.overall_sei
 
-    def fmt(d: dict[str, float], key: str, places: int) -> str:
-        return f"{d[key]:.{places}f}" if key in d else "-"
+    def fmt(value: float | None, places: int) -> str:
+        return "-" if value is None else f"{value:.{places}f}"
 
     widths = [max(8, len(c) + 2) for c in columns]
     header = "metric".ljust(10) + "".join(c.rjust(w) for c, w in zip(columns, widths))
     line_p1 = "pass@1".ljust(10) + "".join(
-        fmt(p1, c, 3).rjust(w) for c, w in zip(columns, widths))
+        fmt(p1.get(c), 3).rjust(w) for c, w in zip(columns, widths))
     line_sei = "sei".ljust(10) + "".join(
-        fmt(sei, c, 4).rjust(w) for c, w in zip(columns, widths))
+        fmt(sei.get(c), 4).rjust(w) for c, w in zip(columns, widths))
     gap = " (gap value, assigned downward)" if report.tier.in_gap else ""
     lo, hi = report.tier.bands.get(report.tier.tier, (0.0, 0.0)) \
         if report.tier.tier != "below" else (0.0, 0.0)
@@ -491,10 +516,10 @@ def _render_table(report: BenchmarkReport) -> str:
     tier_line = f"tier: {report.tier.tier}{band}{gap}"
     task_lines = [
         f"  {r.task_id:<18} {r.difficulty:<8} c/n={r.c}/{r.n}"
-        f"  pass@1={r.pass_at.get(1, float('nan')):.3f}"
+        f"  pass@1={fmt(p, 3)}"
         + (f"  G={r.best_gate_count} D={r.best_delay} sei={r.best_sei:.4f}"
            if r.best_sei is not None else "  (no verified sample)")
-        for r in report.rows
+        for r, p in zip(report.rows, row_p1)
     ]
     return "\n".join([header, line_p1, line_sei, tier_line, "", "tasks:"]
                      + task_lines) + "\n"

@@ -94,6 +94,78 @@ def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         assert str(exc.value) == f"{tasks / 'and3'}: {message}"
 
 
+@pytest.mark.parametrize("command", ["tasks validate", "tasks list",
+                                     "bench"])
+def test_a_second_pack_with_one_id_is_refused(capsys, script_path, tmp_path,
+                                              command):
+    tasks = tmp_path / "tasks"
+    for name in ("and3", "and3_copy", "xnor2"):
+        shutil.copytree(f"{builtin_task_dir()}/{name.split('_copy')[0]}",
+                        tasks / name)
+    fail = (f"{tasks / 'and3_copy'} FAIL: task id 'and3' is also the id of "
+            f"{tasks / 'and3'}")
+    argv = [*command.split(), "--tasks", str(tasks)]
+    if command == "bench":
+        argv += ["--n", "1", "--backend", f"scripted:{script_path}",
+                 "--store", str(tmp_path / "store")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    if command == "tasks validate":
+        assert captured.out.splitlines() == [
+            fail, "and3             ok (G=2, D=2)",
+            "xnor2            ok (G=2, D=2)"]
+    elif command == "tasks list":
+        assert captured.out.splitlines()[0] == fail
+    else:
+        assert (captured.out, captured.err) == ("", fail + "\n")
+        assert not (tmp_path / "store").exists()
+    with pytest.raises(TaskSchemaError) as exc:
+        discover_task_packs(tasks)
+    assert str(exc.value) == (f"{tasks / 'and3_copy'}: task id 'and3' is also "
+                              f"the id of {tasks / 'and3'}")
+
+
+def test_pass_at_1_is_reported_whichever_ks_a_sweep_ran(
+        capsys, script_path, tmp_path):
+    out_path = tmp_path / "results.json"
+    assert main(["bench", "--backend", f"scripted:{script_path}",
+                 "--n", "3", "--k", "3", "--profile", "V0",
+                 "--out", str(out_path), "--table"]) == 0
+    table = capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert [(t["c"], t["pass_at"]) for t in doc["tasks"]] == [
+        (3, {"3": 1.0})] * 9
+    assert doc["difficulty_pass_at_1"] == {
+        "easy": 1.0, "hard": 1.0, "medium": 1.0}
+    assert "pass@1=1.000" in table and "nan" not in table
+    metric_line = next(line for line in table.splitlines()
+                       if line.startswith("pass@1 "))
+    assert metric_line.split()[1:] == ["1.000"] * 4
+
+
+def test_report_skips_the_pass_at_1_of_a_row_no_sweep_can_give(
+        capsys, tmp_path):
+    doc = json.loads(json.dumps(RESULTS))
+    good = doc["tasks"][0]
+    doc["tasks"] = [good, good | {"task_id": "empty", "n": 0, "c": 0},
+                    good | {"task_id": "overcount", "n": 2, "c": 3},
+                    good | {"task_id": "three", "n": 3, "c": 1,
+                            "pass_at": {"3": 1.0}}]
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--results", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    pass_at_1 = {line.split()[0]: line.split()[3]
+                 for line in captured.out.splitlines() if "c/n=" in line}
+    assert pass_at_1 == {"xnor2": "pass@1=1.000", "empty": "pass@1=-",
+                         "overcount": "pass@1=-", "three": "pass@1=0.333"}
+    # The overall pass@1 is the mean of the two rows that have one.
+    metric_line = next(line for line in captured.out.splitlines()
+                       if line.startswith("pass@1 "))
+    assert metric_line.split()[-1] == "0.667"
+
+
 @pytest.mark.parametrize("command", ["run", "bench", "tasks list"])
 def test_a_bad_pack_is_one_fail_line_not_a_traceback(
         capsys, script_path, tmp_path, command):

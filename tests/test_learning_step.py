@@ -325,7 +325,7 @@ def test_extraction_renders_only_what_it_emits(tmp_path, monkeypatch):
     # Two samples with one design: the Summarizer extracts it once, from
     # the run's own netlist and text.
     renders.clear()
-    runs = [TaskRun("adder4", i, "verified", [], [], netlist_text=text,
+    runs = [TaskRun("adder4", i, "verified", [], netlist_text=text,
                     netlist=netlist) for i in range(2)]
     admitted = summarize(ADDER4, runs, KnowledgeStore(tmp_path / "store"))
     assert admitted == got
@@ -337,7 +337,7 @@ def test_summarize_admits_each_task_in_one_write(tmp_path, index_writes):
     admitted = {}
     for task in TASKS.values():
         netlist = parse(task.reference_netlist).netlist
-        runs = [TaskRun(task.id, 0, "verified", [], [],
+        runs = [TaskRun(task.id, 0, "verified", [],
                         netlist_text=render(netlist), netlist=netlist)]
         admitted[task.id] = summarize(task, runs, store)
     # One write per task that learns anything, not one per entry, and no

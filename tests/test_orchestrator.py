@@ -21,11 +21,16 @@ from gateforge.metrics import (
 from gateforge.netlist import structural_report
 from gateforge.orchestrator import (
     FUNCTIONAL_MISMATCH,
+    MSG_ABORT,
     MSG_CANDIDATE,
     MSG_EFFICIENCY_REVIEW,
     MSG_FIX_REQUEST,
     ROLE_CODER,
+    ROLE_MEDIATOR,
+    ROLE_REVIEWER,
+    ROLE_USER_PROXY,
     VERDICT_REJECTED,
+    AgentMessage,
     RunConfig,
     build_prompt,
     run_benchmark,
@@ -310,6 +315,72 @@ def test_an_error_run_carries_the_run_id(user_proxy_model):
                    None, run_id="bench")
     assert run.status == "error"
     assert run.run_id == "bench"
+
+
+# -- the transcript, rebuilt from the attempt record ---------------------------
+
+class BreaksAfter(ModelBackend):
+    """Serves `replies` in order, then raises on every later call."""
+    identity = "breaks-after"
+
+    def __init__(self, *replies: str) -> None:
+        self.replies = list(replies)
+
+    def complete(self, messages, params):
+        if not self.replies:
+            raise BackendError("socket down")
+        return self.replies.pop(0)
+
+
+def test_a_sweep_builds_no_transcript(store, monkeypatch):
+    built = []
+    message = orchestrator.AgentMessage
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return message(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "AgentMessage", counting)
+    backend = ScriptedBackend([ScriptRule(replies=[correct_reply(t)],
+                                          contains=f"Task: {t}")
+                               for t in TASKS])
+    report = run_benchmark(list(TASKS.values()), RunConfig.from_profile(
+        "V2", samples_per_task=3), backend, store, profile="V2")
+    assert [r.c for r in report.rows] == [3] * len(TASKS)
+    assert built == []
+    # A transcript is built when it is read, one message per turn.
+    run = run_task(FA, cfg(), single_rule_backend(correct_reply()), None)
+    assert len(run.transcript) == len(built) == 9
+
+
+def test_each_read_of_a_transcript_gives_an_equal_one():
+    backend = single_rule_backend(BEHAVIORAL_REPLY, WRONG_LOGIC_REPLY,
+                                  padded_reply(FA.id, "sum"), correct_reply())
+    run = run_task(FA, cfg(max_revisions=3), backend, None)
+    first, second = run.transcript, run.transcript
+    assert first == second and first is not second
+    assert [m.turn for m in first] == list(range(len(first)))
+    assert {MSG_EFFICIENCY_REVIEW, MSG_FIX_REQUEST} <= {m.kind for m in first}
+
+
+def test_a_failed_brief_leaves_one_abort():
+    run = run_task(FA, cfg(user_proxy_model=True), Broken(), None)
+    assert run.brief is None and run.attempts == []
+    assert run.transcript == [AgentMessage(
+        ROLE_USER_PROXY, ROLE_MEDIATOR, 0, MSG_ABORT, "socket down")]
+
+
+def test_a_failed_coder_call_ends_in_two_aborts():
+    run = run_task(FA, cfg(), BreaksAfter(WRONG_LOGIC_REPLY), None)
+    assert run.status == "error" and len(run.attempts) == 1
+    assert run.brief is not None
+    ending = [(m.sender, m.recipient, m.kind, m.body)
+              for m in run.transcript[-3:]]
+    assert ending == [
+        (ROLE_REVIEWER, ROLE_CODER, MSG_FIX_REQUEST, run.attempts[0].feedback),
+        (ROLE_CODER, ROLE_MEDIATOR, MSG_ABORT, "socket down"),
+        (ROLE_MEDIATOR, ROLE_USER_PROXY, MSG_ABORT, "socket down"),
+    ]
 
 
 def test_review_rag_injects_error_fixes(store):

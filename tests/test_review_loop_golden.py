@@ -11,7 +11,7 @@ swap that fails the testbench, an inverter pair inserted at one of two
 places, and the reference. Budgets range from 0 to 3 revisions, so every outcome is seen
 both with budget left and with the budget spent.
 
-For each run every `TaskRun` field but `wall_seconds` is hashed (the
+For each run the `TaskRun` attributes in `RECORDED` are hashed (the
 transcript as the `repr` of its messages, attachments included), together
 with every prompt the backend received and every retrieval query the store
 answered. One digest per (configuration, task) batch is stored in
@@ -31,7 +31,6 @@ import json
 import random
 import re
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -271,9 +270,12 @@ def _logged_retrieval(store, log: list[str]):
     return store
 
 
+RECORDED = ("task_id", "sample_index", "status", "transcript", "attempts",
+            "netlist_text", "netlist", "result", "run_id", "error")
+
+
 def run_record(run: TaskRun, calls: list[str], queries: list[str]) -> list:
-    record = [repr(getattr(run, f.name)) for f in fields(TaskRun)
-              if f.name != "wall_seconds"]
+    record = [repr(getattr(run, name)) for name in RECORDED]
     return record + [list(calls), list(queries)]
 
 
