@@ -50,7 +50,8 @@ from .boolopt import (
 )
 from .knowledge import KnowledgeEntry, KnowledgeStore, RetrievalQuery
 from .backends import ChatMessage, ModelBackend, SamplingParams, ScriptedBackend
-from .orchestrator import AgentMessage, RunConfig, TaskRun, run_benchmark, run_task
+from .orchestrator import (AgentMessage, RunConfig, TaskRun, run_benchmark,
+                           run_task, verify_reference)
 from .taskpack import (
     BenchmarkReport,
     TaskPack,
@@ -58,7 +59,6 @@ from .taskpack import (
     emit_report,
     load_report,
     load_task_pack,
-    verify_reference,
 )
 
 __version__ = "0.1.0"

@@ -64,8 +64,10 @@ from .parser import extract_netlist_block, parse, render
 from .simulator import SimOutcome, SimulationError
 from .taskpack import (
     BenchmarkReport,
+    ReferenceMismatchError,
     TaskPack,
     TaskReportRow,
+    mean_by_difficulty,
     simulate_task,
 )
 
@@ -359,6 +361,30 @@ def _review(text: str | None, task: TaskPack) -> _Review:
         return _Review(netlist, clean, rendered=rendered, refusal=str(exc))
     return _Review(netlist, clean, rendered=rendered, outcome=outcome,
                    report=structural_report(netlist))
+
+
+def verify_reference(task: TaskPack) -> EvalResult:
+    """Review the pack's reference design as the Reviewer reviews a reply;
+    it must then pass its whole testbench and measure the declared G, D, R."""
+    if not task.reference_netlist:
+        raise ReferenceMismatchError(f"{task.id}: no reference netlist provided")
+    review = _review(task.reference_netlist, task)
+    outcome, report = review.outcome, review.report
+    if outcome is None:
+        raise ReferenceMismatchError(
+            f"{task.id}: reference {review.summary}: "
+            + (review.refusal or "; ".join(review.error_lines)))
+    if outcome.correctness != 1.0:
+        raise ReferenceMismatchError(
+            f"{task.id}: reference fails its own testbench "
+            f"({outcome.passed}/{outcome.passed + outcome.failed}; "
+            f"first failure {outcome.first_failure})")
+    if task.reference is not None and task.reference.report != report:
+        raise ReferenceMismatchError(
+            f"{task.id}: declared reference {task.reference.report} does "
+            f"not match measured {report}")
+    return EvalResult(correctness=1.0, gate_count=report.gate_count,
+                      delay=report.delay, sei=measure(report))
 
 
 def _review_fixes(store, classes: tuple[str, ...], symptom: str,
@@ -687,22 +713,11 @@ def run_benchmark(tasks: list[TaskPack], cfg: RunConfig,
             # is built.
             del runs, sample
 
-    by_difficulty: dict[str, list[TaskReportRow]] = {}
-    for row in rows:
-        by_difficulty.setdefault(row.difficulty, []).append(row)
-    difficulty_pass_at_1 = {
-        d: sum(r.pass_at_1 for r in drows) / len(drows)
-        for d, drows in sorted(by_difficulty.items())
-    }
-    difficulty_sei = {
-        d: sum(r.best_sei or 0.0 for r in drows) / len(drows)
-        for d, drows in sorted(by_difficulty.items())
-    }
     overall = sei_benchmark([r.best_sei for r in rows], cfg.weights)
     return BenchmarkReport(
         rows=tuple(rows),
-        difficulty_pass_at_1=difficulty_pass_at_1,
-        difficulty_sei=difficulty_sei,
+        difficulty_pass_at_1=mean_by_difficulty(rows, lambda r: r.pass_at_1),
+        difficulty_sei=mean_by_difficulty(rows, lambda r: r.best_sei or 0.0),
         overall_sei=overall,
         tier=classify_tier(overall),
         config=cfg.echo(backend.identity, profile),

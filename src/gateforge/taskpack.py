@@ -16,20 +16,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 from .jsonfields import FieldError, is_json, json_fields, take, take_all
 from .metrics import (
     DEFAULT_WEIGHTS,
-    EvalResult,
     MetricWeights,
     SampleStats,
     TierVerdict,
     measure,
     pass_at_k,
 )
-from .netlist import Port, PortDir, StructuralReport, structural_report
-from .parser import parse
+from .netlist import Port, PortDir, StructuralReport
+from .parser import _KEYWORDS, _MAX_BITS, _NAME
 from .simulator import (
     PackedVectors,
     SimOutcome,
@@ -186,13 +186,16 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
 
 
 def _read_text(root: str, name: str) -> str:
-    """Pack file `name`'s text; a missing or non-UTF-8 file is a schema
-    fault."""
+    """Pack file `name`'s text; a missing, unreadable or non-UTF-8 file is
+    a schema fault."""
     try:
         with open(os.path.join(root, name), encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError:
         raise TaskSchemaError(f"missing {name}") from None
+    except OSError as exc:
+        raise TaskSchemaError(
+            f"{name}: cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise TaskSchemaError(f"{name}: must be UTF-8 text (byte "
                               f"{exc.start}: {exc.reason})") from None
@@ -227,17 +230,24 @@ def _load_pack(root: str) -> TaskPack:
     difficulty = take(meta, "difficulty", where, *DIFFICULTIES)
     circuit_class = take(meta, "circuit_class", where, *CIRCUIT_CLASSES)
 
+    # Only an interface a netlist can declare: the parser's bit limit, name
+    # pattern and keywords; checked before any bit name is built.
     port_map: dict[str, Port] = {}
+    bits = 0
     for i, pdoc in enumerate(take(meta, "ports", where, list[dict])):
         at = f"task.json.ports[{i}]"
         direction = PortDir(take(pdoc, "dir", at, *(d.value for d in PortDir)))
-        width = take(pdoc, "width", at, int, default=1, ok=lambda w: w >= 1,
-                     need="an integer >= 1")
+        width = take(pdoc, "width", at, int, default=1,
+                     ok=lambda w: 1 <= w <= _MAX_BITS - bits,
+                     need=f"an integer >= 1, with at most {_MAX_BITS} bits "
+                     "over all ports")
+        bits += width
         lsb = take(pdoc, "lsb", at, int, default=0, ok=lambda b: b >= 0,
                    need="an integer >= 0")
-        name = take(pdoc, "name", at, str,
-                    ok=lambda n: n and n not in port_map,
-                    need="a non-empty string no other port has")
+        name = take(pdoc, "name", at, str, ok=lambda n: n not in _KEYWORDS
+                    and re.fullmatch(_NAME, n) and n not in port_map,
+                    need="an identifier, not a keyword, that no other port "
+                    "has")
         port_map[name] = Port(name, direction, width, lsb)
     ports = tuple(port_map.values())
 
@@ -320,31 +330,6 @@ def simulate_task(task: TaskPack, netlist) -> SimOutcome:
         return simulate_sequential(netlist, bench.packed, bench.cycles,
                                    clock=task.clock)
     return simulate_combinational(netlist, bench.packed)
-
-
-def verify_reference(task: TaskPack) -> EvalResult:
-    """Check the pack's reference design against its own metadata."""
-    if not task.reference_netlist:
-        raise ReferenceMismatchError(f"{task.id}: no reference netlist provided")
-    result = parse(task.reference_netlist)
-    if not result.ok:
-        raise ReferenceMismatchError(
-            f"{task.id}: reference does not parse: "
-            + "; ".join(str(e) for e in result.errors))
-    netlist = result.netlist
-    outcome = simulate_task(task, netlist)
-    if outcome.correctness != 1.0:
-        raise ReferenceMismatchError(
-            f"{task.id}: reference fails its own testbench "
-            f"({outcome.passed}/{outcome.passed + outcome.failed}; "
-            f"first failure {outcome.first_failure})")
-    report = structural_report(netlist)
-    if task.reference is not None and task.reference.report != report:
-        raise ReferenceMismatchError(
-            f"{task.id}: declared reference {task.reference.report} does "
-            f"not match measured {report}")
-    return EvalResult(correctness=1.0, gate_count=report.gate_count,
-                      delay=report.delay, sei=measure(report))
 
 
 def task_pack_dirs(root: str | os.PathLike) -> list[str]:
@@ -490,13 +475,24 @@ def load_report(text: str) -> BenchmarkReport:
             f"missing or malformed field: {exc.quoted}") from None
 
 
+def mean_by_difficulty(rows, value) -> dict[str, float]:
+    """Per difficulty of `rows`, in sorted order, the mean of `value(row)`
+    over the rows where it is not None; a difficulty with none is left out."""
+    groups: dict[str, list[float]] = {}
+    for row in rows:
+        if (v := value(row)) is not None:
+            groups.setdefault(row.difficulty, []).append(v)
+    return {d: sum(vs) / len(vs) for d, vs in sorted(groups.items())}
+
+
 def _render_table(report: BenchmarkReport) -> str:
+    """The human summary. Like `run_benchmark`, it computes each difficulty
+    column from the rows; it reads neither stored one."""
     columns = [d for d in DIFFICULTIES
                if any(r.difficulty == d for r in report.rows)] + ["overall"]
-    row_p1 = [r.pass_at_1 for r in report.rows]
-    p1 = dict(report.difficulty_pass_at_1)
-    sei = dict(report.difficulty_sei)
-    scored = [v for v in row_p1 if v is not None]
+    p1 = mean_by_difficulty(report.rows, lambda r: r.pass_at_1)
+    sei = mean_by_difficulty(report.rows, lambda r: r.best_sei or 0.0)
+    scored = [r.pass_at_1 for r in report.rows if r.pass_at_1 is not None]
     p1["overall"] = sum(scored) / len(scored) if scored else None
     sei["overall"] = report.overall_sei
 
@@ -516,10 +512,10 @@ def _render_table(report: BenchmarkReport) -> str:
     tier_line = f"tier: {report.tier.tier}{band}{gap}"
     task_lines = [
         f"  {r.task_id:<18} {r.difficulty:<8} c/n={r.c}/{r.n}"
-        f"  pass@1={fmt(p, 3)}"
+        f"  pass@1={fmt(r.pass_at_1, 3)}"
         + (f"  G={r.best_gate_count} D={r.best_delay} sei={r.best_sei:.4f}"
            if r.best_sei is not None else "  (no verified sample)")
-        for r, p in zip(report.rows, row_p1)
+        for r in report.rows
     ]
     return "\n".join([header, line_p1, line_sei, tier_line, "", "tasks:"]
                      + task_lines) + "\n"

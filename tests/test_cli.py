@@ -71,8 +71,13 @@ def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         meta["ports"][0]["lsb"] = -1
         meta_path.write_text(json.dumps(meta))
 
+    def spec_as_directory(meta_path):
+        (meta_path.parent / "spec.txt").unlink()
+        (meta_path.parent / "spec.txt").mkdir()
+
     cases = [
         (negative_lsb, "task.json.ports[0].lsb: must be an integer >= 0"),
+        (spec_as_directory, "spec.txt: cannot be read: Is a directory"),
         (lambda meta_path: meta_path.write_text("{"),
          "task.json: must be valid JSON (line 1 column 2: Expecting "
          "property name enclosed in double quotes)"),
@@ -92,6 +97,20 @@ def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         with pytest.raises(TaskSchemaError) as exc:
             discover_task_packs(tasks)
         assert str(exc.value) == f"{tasks / 'and3'}: {message}"
+
+
+def test_tasks_validate_gives_a_reference_the_reviewers_interface_rule(
+        capsys, tmp_path):
+    tasks = tmp_path / "tasks"
+    shutil.copytree(f"{builtin_task_dir()}/and3", tasks / "and3")
+    ref = tasks / "and3" / "reference.nl"
+    ref.write_text(ref.read_text().replace("output y)", "output y, output z)")
+                   .replace("endmodule", "  assign z = a;\nendmodule"))
+    assert main(["tasks", "validate", "--tasks", str(tasks)]) == 1
+    assert capsys.readouterr().out == (
+        "and3             FAIL: and3: reference rejected: interface mismatch: "
+        "[interface] port not in the task interface: output z (1 bit(s), "
+        "lsb 0)\n")
 
 
 @pytest.mark.parametrize("command", ["tasks validate", "tasks list",
@@ -164,6 +183,28 @@ def test_report_skips_the_pass_at_1_of_a_row_no_sweep_can_give(
     metric_line = next(line for line in captured.out.splitlines()
                        if line.startswith("pass@1 "))
     assert metric_line.split()[-1] == "0.667"
+
+
+def test_report_computes_each_difficulty_column_from_the_rows(capsys,
+                                                              tmp_path):
+    # An older sweep that ran without k=1 stored pass@1 as 0.0 per difficulty.
+    doc = json.loads(json.dumps(RESULTS))
+    good = doc["tasks"][0] | {"n": 3, "c": 3, "pass_at": {"3": 1.0}}
+    doc["tasks"] = [good, good | {"task_id": "mux2", "c": 1},
+                    good | {"task_id": "alu1", "difficulty": "hard", "c": 0,
+                            "pass_at": {"3": 0.0}, "best_gate_count": None,
+                            "best_delay": None, "best_sei": None,
+                            "status": "failed"}]
+    doc["difficulty_pass_at_1"] = {"easy": 0.0, "hard": 0.0}
+    doc["difficulty_sei"] = {"easy": 0.0, "hard": 0.5}
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--results", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[:3]] == [
+        ["metric", "easy", "hard", "overall"],
+        ["pass@1", "0.667", "0.000", "0.444"],
+        ["sei", "0.2500", "0.0000", "0.2500"]]
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "tasks list"])

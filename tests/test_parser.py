@@ -131,6 +131,11 @@ HEADER = "module t(input a, output y);"
     (f"{HEADER} not g1(y, a); endmodule\n", []),
     (f"{HEADER} not g1(y, a); endmodule\n x",
      [("syntax", 2, 2, "x", "text after 'endmodule'")]),
+    ("module t(inout a, output y); not g1(y, a); endmodule",
+     [("syntax", 1, 10, "inout", "inout ports are not supported"),
+      ("syntax", 1, 16, "a", "expected ')'")]),
+    (f"{HEADER} assign y a; endmodule",
+     [("syntax", 1, 39, "a", "expected '=' in assign")]),
 ])
 def test_error_positions_follow_the_text(text, want):
     assert [(e.kind, e.line, e.column, e.token, e.message)

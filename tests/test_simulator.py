@@ -11,10 +11,12 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from gateforge.netlist import GateKind, NetlistBuilder, PortDir
+from gateforge.parser import parse, render
 from gateforge.simulator import (
     SimulationError,
     TestVector,
     exhaustive_columns,
+    functional_signature,
     pack_columns,
     pack_vectors,
     sampled_signature,
@@ -233,6 +235,20 @@ def test_no_register_and_no_clock_designation_fails():
                                                      {"s": 0})]), 1)
 
 
+@pytest.mark.parametrize("clock, message", [
+    ("ck", "clock 'ck' is not a declared input port"),
+    ("c", "clock 'c' must be one bit wide"),
+])
+def test_a_designated_clock_must_be_a_one_bit_input(clock, message):
+    netlist = parse("module t(input [1:0] c, input d, output q); "
+                    "dff g1(q, d, c[0]); endmodule").netlist
+    with pytest.raises(SimulationError) as exc:
+        simulate_sequential(netlist, pack_vectors([TestVector({"d": 0},
+                                                              {"q": 0})]),
+                            1, clock=clock)
+    assert str(exc.value) == message
+
+
 def test_registers_clocked_by_different_nets_fail():
     b = NetlistBuilder("twoclock")
     d = b.input("d")
@@ -328,8 +344,6 @@ def test_structurally_different_full_adders_share_a_signature():
 
 def test_graph_isomorphic_netlists_equal_signature():
     rng = random.Random(11)
-    from gateforge.parser import parse, render
-
     for _ in range(10):
         n = random_netlist(rng, 3, 10)
         m = parse(render(n)).netlist
@@ -349,6 +363,7 @@ def test_too_many_inputs_for_exhaustive_table():
     sig = sampled_signature(n)
     assert not sig.exact
     assert sig.digest == sampled_signature(n).digest
+    assert functional_signature(n) == sig
 
 
 def test_simulator_matches_recursive_oracle():

@@ -7,6 +7,7 @@ from conftest import unpack
 
 from gateforge.metrics import MetricWeights, TierVerdict, classify_tier
 from gateforge.netlist import Port, PortDir
+from gateforge.orchestrator import verify_reference
 from gateforge.parser import parse
 from gateforge.simulator import (
     SimulationError,
@@ -26,7 +27,6 @@ from gateforge.taskpack import (
     emit_report,
     load_report,
     load_task_pack,
-    verify_reference,
 )
 
 
@@ -157,6 +157,39 @@ def test_wrong_declared_register_count_is_detected(tmp_path):
         verify_reference(load_task_pack(path))
 
 
+def test_a_pack_without_a_reference_netlist_fails_validation(tmp_path):
+    path = copy_pack("and3", tmp_path)
+    (path / "reference.nl").unlink()
+    with pytest.raises(ReferenceMismatchError) as exc:
+        verify_reference(load_task_pack(path))
+    assert str(exc.value) == "and3: no reference netlist provided"
+
+
+@pytest.mark.parametrize("task_id, edit, message", [
+    ("and3", lambda text: text.replace("endmodule", ""),
+     "and3: reference rejected: syntax: line 6 col 1 [syntax] "
+     "missing 'endmodule'"),
+    ("and3", lambda text: text.replace("output y)", "output y, output z)")
+     .replace("endmodule", "  assign z = a;\nendmodule"),
+     "and3: reference rejected: interface mismatch: [interface] port not in "
+     "the task interface: output z (1 bit(s), lsb 0)"),
+    ("and3", lambda text: text.replace("and g2", "dff g2"),
+     "and3: reference rejected: registers in a combinational task: "
+     "[interface] the task is combinational; remove dff instances"),
+    ("seq101", lambda text: text.replace("w1, clk", "w1, x"),
+     "seq101: reference clean parse and structural check: register g5 is "
+     "not clocked by 'clk'"),
+], ids=["no-endmodule", "extra-output", "register", "refused"])
+def test_a_reference_gets_the_reviewers_review(tmp_path, task_id, edit,
+                                               message):
+    path = copy_pack(task_id, tmp_path)
+    (path / "reference.nl").write_text(edit((path / "reference.nl")
+                                            .read_text()))
+    with pytest.raises(ReferenceMismatchError) as exc:
+        verify_reference(load_task_pack(path))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("numbers", [
     {"gate_count": -1, "delay": 3},
     {"gate_count": 3, "delay": -1},
@@ -242,6 +275,45 @@ def test_non_utf8_pack_files_are_schema_errors(tmp_path, name):
         load_task_pack(path)
     assert str(exc.value) == \
         f"{name}: must be UTF-8 text (byte 0: invalid start byte)"
+
+
+@pytest.mark.parametrize("name", ["task.json", "spec.txt", "testbench.json",
+                                  "reference.nl"])
+def test_a_pack_file_that_cannot_be_read_is_a_schema_error(tmp_path, name):
+    path = copy_pack("and3", tmp_path)
+    (path / name).unlink()
+    if name != "reference.nl":   # the one optional file
+        with pytest.raises(TaskSchemaError) as exc:
+            load_task_pack(path)
+        assert str(exc.value) == f"missing {name}"
+    (path / name).mkdir()
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(path)
+    assert str(exc.value) == f"{name}: cannot be read: Is a directory"
+
+
+@pytest.mark.parametrize("ports, message", [
+    ([{"name": "a", "dir": "in", "width": 65537}],
+     "task.json.ports[0].width: must be an integer >= 1, with at most 65536 "
+     "bits over all ports"),
+    ([{"name": "a", "dir": "in", "width": 65535},
+      {"name": "b", "dir": "in", "width": 2}],
+     "task.json.ports[1].width: must be an integer >= 1, with at most 65536 "
+     "bits over all ports"),
+    ([{"name": "wire", "dir": "in"}],
+     "task.json.ports[0].name: must be an identifier, not a keyword, that "
+     "no other port has"),
+    ([{"name": "a$b", "dir": "in"}],
+     "task.json.ports[0].name: must be an identifier, not a keyword, that "
+     "no other port has"),
+], ids=["wide-port", "wide-ports", "keyword", "dollar"])
+def test_an_interface_no_netlist_can_declare_is_refused(tmp_path, ports,
+                                                        message):
+    path = copy_pack("and3", tmp_path,
+                     mutate_meta=lambda m: m.update({"ports": ports}))
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(path)
+    assert str(exc.value) == message
 
 
 def test_reference_index_weighs_registers():
