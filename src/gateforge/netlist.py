@@ -240,7 +240,45 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
     same levelization pass and the warnings are returned: floating gate
     outputs, which do not make the netlist invalid and still count toward
     the gate total. Netlist construction runs this once.
+
+    One pass over the ports and one over the gates gather the bit maps,
+    arity, drivers and reads; a message is built only for a fault found.
     """
+    known = netlist.nets
+    gates = netlist.gates
+
+    # Net table integrity: ports and gates must reference known nets. The
+    # first unknown reference is the only violation reported.
+    input_bits: list[tuple[str, int]] = []
+    output_bits: list[tuple[str, int]] = []
+    for p in netlist.ports:
+        nets = netlist.port_nets.get(p.name)
+        if nets is None or len(nets) != p.width:
+            _raise_dangling(f"port {p.name}",
+                            "port is not bound to one net per bit")
+        bits = input_bits if p.direction is PortDir.IN else output_bits
+        for i, n in enumerate(nets):
+            if n not in known:
+                _raise_dangling(f"port {p.name}", f"unknown net id {n}")
+            bits.append((p.bit_name(i), n))
+    # Drivers: constants drive themselves, input port bits drive their nets,
+    # gate outputs drive their nets. Exactly one driver per net that is read.
+    const_nets = [(net.id, net.value) for net in known.values()
+                  if net.value is not None]
+    outputs: list[int] = []
+    read: dict[int, None] = {}
+    wrong_arity: list[int] = []
+    for i, g in enumerate(gates):
+        if g.output not in known:
+            _raise_dangling(_gate_label(g, i), f"unknown net id {g.output}")
+        for n in g.inputs:
+            if n not in known:
+                _raise_dangling(_gate_label(g, i), f"unknown net id {n}")
+            read[n] = None
+        if len(g.inputs) != GATE_ARITY[g.kind]:
+            wrong_arity.append(i)
+        outputs.append(g.output)
+
     violations: list[StructuralViolation] = []
 
     def err(kind: str, where: str, message: str,
@@ -248,43 +286,13 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
         violations.append(StructuralViolation(kind, "error", where, message,
                                               net))
 
-    def warn(kind: str, where: str, message: str) -> None:
-        violations.append(StructuralViolation(kind, "warning", where, message))
-
-    # Net table integrity: ports and gates must reference known nets.
-    known = netlist.nets
-    gates = netlist.gates
-    for p in netlist.ports:
-        nets = netlist.port_nets.get(p.name)
-        if nets is None or len(nets) != p.width:
-            err("dangling-net", f"port {p.name}",
-                "port is not bound to one net per bit")
-            raise InvalidNetlistError(violations)
-        for n in nets:
-            if n not in known:
-                err("dangling-net", f"port {p.name}", f"unknown net id {n}")
-                raise InvalidNetlistError(violations)
-    for i, g in enumerate(gates):
-        for n in (g.output, *g.inputs):
-            if n not in known:
-                err("dangling-net", _gate_label(g, i), f"unknown net id {n}")
-                raise InvalidNetlistError(violations)
-
-    # Arity.
-    for i, g in enumerate(gates):
+    for i in wrong_arity:
+        g = gates[i]
         want = GATE_ARITY[g.kind]
-        if len(g.inputs) != want:
-            err("arity", _gate_label(g, i),
-                f"{g.kind.value} takes {want} input(s), got {len(g.inputs)}")
-
-    # Drivers: constants drive themselves, input port bits drive their nets,
-    # gate outputs drive their nets. Exactly one driver per net that is read.
-    # Labels for messages are looked up only when something is wrong.
-    input_bits = _port_bits(netlist, PortDir.IN)
-    output_bits = _port_bits(netlist, PortDir.OUT)
-    sources = [net.id for net in known.values() if net.value is not None]
-    sources += [n for _, n in input_bits]
-    sources += [g.output for g in gates]
+        err("arity", _gate_label(g, i),
+            f"{g.kind.value} takes {want} input(s), got {len(g.inputs)}")
+    sources = [n for n, _ in const_nets] + [n for _, n in input_bits]
+    sources += outputs
     driven = set(sources)
     if len(driven) < len(sources):
         counts = Counter(sources)
@@ -293,15 +301,14 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
                 err("multi-driver", f"net {_net_label(netlist, net_id)}",
                     "driven by " + " and ".join(_drivers_of(netlist, net_id)),
                     net_id)
-
     # Read nets must be driven.
-    read = dict.fromkeys(n for g in gates for n in g.inputs)
     bound = dict.fromkeys(n for _, n in output_bits)
-    for net_id in {**read, **bound}:
-        if net_id not in driven:
-            err("dangling-net", f"net {_net_label(netlist, net_id)}",
-                f"undriven net read as {_first_reader(netlist, net_id)}",
-                net_id)
+    if not (driven.issuperset(read) and driven.issuperset(bound)):
+        for net_id in {**read, **bound}:
+            if net_id not in driven:
+                err("dangling-net", f"net {_net_label(netlist, net_id)}",
+                    f"undriven net read as {_first_reader(netlist, net_id)}",
+                    net_id)
 
     # Combinational loop detection (registers break the cycle); the same
     # pass orders the gates for the compiled fields.
@@ -311,18 +318,28 @@ def validate(netlist: Netlist) -> list[StructuralViolation]:
             "cycle through " + " -> ".join(cycle))
 
     # Floating gate outputs: counted, but flagged.
-    for i, g in enumerate(gates):
-        if g.output not in read and g.output not in bound:
-            warn("floating-output", _gate_label(g, i),
-                 "gate output is never read")
+    floating = set(outputs).difference(read, bound)
+    if floating:
+        for i, g in enumerate(gates):
+            if g.output in floating:
+                violations.append(StructuralViolation(
+                    "floating-output", "warning", _gate_label(g, i),
+                    "gate output is never read"))
 
     bad = errors_of(violations)
     if cycle is not None:
         raise CombinationalLoopError(bad, cycle)
     if bad:
         raise InvalidNetlistError(bad)
-    _compile(netlist, schedule, tuple(violations), input_bits, output_bits)
+    _compile(netlist, schedule, tuple(violations), tuple(input_bits),
+             tuple(output_bits), tuple(const_nets))
     return violations
+
+
+def _raise_dangling(where: str, message: str) -> None:
+    """Raise the one violation of a reference to a net the table lacks."""
+    raise InvalidNetlistError([
+        StructuralViolation("dangling-net", "error", where, message)])
 
 
 def _drivers_of(netlist: Netlist, net_id: int) -> list[str]:
@@ -378,7 +395,8 @@ def gate_depths(schedule: Iterable[Gate]) -> dict[int, int]:
 def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
              warnings: tuple[StructuralViolation, ...],
              input_bits: tuple[tuple[str, int], ...],
-             output_bits: tuple[tuple[str, int], ...]) -> None:
+             output_bits: tuple[tuple[str, int], ...],
+             const_nets: tuple[tuple[int, int], ...]) -> None:
     depth = gate_depths(schedule)
     registers = tuple([g for g in netlist.gates if g.kind is GateKind.DFF])
     # Delay sinks: primary outputs and register input pins.
@@ -390,8 +408,7 @@ def _compile(netlist: Netlist, schedule: tuple[Gate, ...],
         "registers": registers,
         "input_bits": input_bits,
         "output_bits": output_bits,
-        "const_nets": tuple([(net.id, net.value) for net in netlist.nets.values()
-                             if net.value is not None]),
+        "const_nets": const_nets,
         "report": StructuralReport(
             gate_count=len(netlist.gates),
             delay=max([depth.get(n, 0) for n in sinks], default=0),
@@ -411,23 +428,26 @@ def _levelization(gates: Sequence[Gate]
     Register outputs are treated as sources and register inputs as sinks, so
     only paths through combinational gates can form a cycle.
     """
-    comb = [i for i, g in enumerate(gates) if g.kind is not GateKind.DFF]
+    comb: list[int] = []
     producer: dict[int, int] = {}
-    for i in comb:
-        # Multi-driver nets are reported separately; first driver wins here.
-        producer.setdefault(gates[i].output, i)
-    pending = dict.fromkeys(comb, 0)
+    for i, g in enumerate(gates):
+        if g.kind is not GateKind.DFF:
+            comb.append(i)
+            # Multi-driver nets are reported separately; first driver wins.
+            producer.setdefault(g.output, i)
+    pending = [0] * len(gates)
     consumers: dict[int, list[int]] = {}
     for i in comb:
         for n in gates[i].inputs:
-            if n in producer:
+            p = producer.get(n)
+            if p is not None:
                 pending[i] += 1
-                consumers.setdefault(producer[n], []).append(i)
-    ready = [i for i in comb if pending[i] == 0]
+                consumers.setdefault(p, []).append(i)
+    ready = [i for i in comb if not pending[i]]
     for i in ready:  # grows while it is walked
         for j in consumers.get(i, ()):
             pending[j] -= 1
-            if pending[j] == 0:
+            if not pending[j]:
                 ready.append(j)
     order = tuple([gates[i] for i in ready])
     if len(ready) == len(comb):

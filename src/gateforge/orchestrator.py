@@ -33,7 +33,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from math import inf
 
 from .backends import BackendError, ChatMessage, ModelBackend, SamplingParams
@@ -317,17 +317,22 @@ def _interface_mismatch(task: TaskPack, netlist: Netlist) -> list[str]:
 class _Review:
     """What reviewing one extracted block yields for one task; nothing in
     it depends on the config, the sample or the attempt. `error_kinds` are
-    in order of first appearance. `rendered` is set iff the static review
+    in order of first appearance. `netlist` is set iff the static review
     is clean; then either `outcome` and `report` are set, or `refusal`
     holds the simulator's reason."""
     netlist: Netlist | None
     summary: str
     error_lines: tuple[str, ...] = ()
     error_kinds: tuple[str, ...] = ()
-    rendered: str | None = None
     outcome: SimOutcome | None = None
     report: StructuralReport | None = None
     refusal: str | None = None
+
+    @cached_property
+    def rendered(self) -> str | None:
+        """The clean design's canonical text, rendered when first read:
+        most reviewed designs are never kept, so never rendered."""
+        return None if self.netlist is None else render(self.netlist)
 
 
 def _review(text: str | None, task: TaskPack) -> _Review:
@@ -352,14 +357,13 @@ def _review(text: str | None, task: TaskPack) -> _Review:
                        ("[interface] the task is combinational; "
                         "remove dff instances",), ("interface",))
     clean = "clean parse and structural check"
-    rendered = render(netlist)
     try:
         outcome = simulate_task(task, netlist)
     except SimulationError as exc:
         # Conforming interface but unusable wiring (e.g. registers not
         # clocked from the clock port): fed back like a static fault.
-        return _Review(netlist, clean, rendered=rendered, refusal=str(exc))
-    return _Review(netlist, clean, rendered=rendered, outcome=outcome,
+        return _Review(netlist, clean, refusal=str(exc))
+    return _Review(netlist, clean, outcome=outcome,
                    report=structural_report(netlist))
 
 
@@ -555,11 +559,14 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
         reviews = {}
     attempts: list[Attempt] = []
     brief: str | None = None
-    # The best correct candidate: its scores, netlist and rendered text.
-    best: tuple[EvalResult, Netlist, str] | None = None
+    # The best correct candidate: its scores and its review.
+    best: tuple[EvalResult, _Review] | None = None
 
     def finish(status: str, error: str | None = None) -> TaskRun:
-        result, design, final = best if status == "verified" else (None,) * 3
+        result = design = final = None
+        if status == "verified":
+            result, kept = best
+            design, final = kept.netlist, kept.rendered
         return TaskRun(task.id, sample_index, status, attempts,
                        netlist_text=final, netlist=design, result=result,
                        run_id=run_id, brief=brief,
@@ -594,7 +601,7 @@ def run_task(task: TaskPack, cfg: RunConfig, backend: ModelBackend,
             sei = measure(report, cfg.weights)
             if best is None or (sei or inf) > (best[0].sei or inf):
                 best = (EvalResult(1.0, report.gate_count, report.delay, sei),
-                        review.netlist, review.rendered)
+                        review)
 
         # Exit decision. An accepted candidate is correct, and a spent
         # optimization round means one is held, so by either rule the run

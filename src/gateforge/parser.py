@@ -45,19 +45,22 @@ BEHAVIORAL_KEYWORDS = {
 
 # One match per token: whitespace and comments are a possessive prefix, which
 # no alternative can take back (`\s` would also skip `\x1c` and `\xa0`, which
-# are 'bad'); it is a whitespace run, then comments each followed by one.
-# No other alternative starts like `ident` or `punct`, so they go first;
-# `sized` precedes `number`, and `open` the `/` operator.
+# are 'bad'). The prefix holds no capture group: CPython's `re` can raise
+# SystemError for one inside a possessive repeat. A `//` comment in it ends
+# at a newline; one that runs to the end of the text is `eof`'s own text, so
+# `eof` starts where that comment does. No other alternative starts like
+# `ident` or `punct`, so they go first; `sized` precedes `number`, and
+# `open` and `eof` the `/` operator.
 _TOKEN_RE = re.compile(r"""
-    [ \t\r\f\v\n]*+(?:(?:(?P<comment>//[^\n]*)|/\*.*?\*/)[ \t\r\f\v\n]*+)*+
+    (?:[ \t\r\f\v\n]++|//[^\n]*+(?=\n)|/\*.*?\*/)*+
     (?: (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
       | (?P<punct>[()\[\]:;,.{}])
       | (?P<sized>[0-9]+\s*'\s*[bBdDhHoO][0-9a-fA-FxXzZ_]*)
       | (?P<number>[0-9]+)
       | (?P<open>/\*)
+      | (?P<eof>(?://[^\n]*+)?\Z)
       | (?P<op>===|==|!==|<<<|>>>|!=|<=|>=|&&|\|\||<<|>>|\*\*|[-+*/%&|^~!?@\#<>])
       | (?P<eq>=)
-      | (?P<eof>\Z)
       | (?P<bad>.))
 """, re.VERBOSE | re.DOTALL)
 
@@ -69,10 +72,12 @@ _TOKEN_RE = re.compile(r"""
 # keyword and a name. Whatever else follows a token, in the token grammar
 # it would end or extend that token, and here it fails the match.
 _WS = r"[ \t\r\f\v\n]*+"
-_NAME = r"([A-Za-z_][A-Za-z0-9_]*+)"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*+"
+_NAME = rf"({_IDENT})"
 _RANGE = rf"\[{_WS}([0-9]++){_WS}:{_WS}([0-9]++){_WS}\]{_WS}"
-_BIT = rf"{_NAME}(?:{_WS}\[{_WS}([0-9]++){_WS}\])?"
-_CONN = rf"(?:{_BIT}|1'b([01]))"
+_SELECT = rf"{_IDENT}(?:{_WS}\[{_WS}[0-9]++{_WS}\])?"
+_BIT = rf"({_SELECT})"
+_CONN = rf"({_SELECT}|1'b[01])"
 _HEADER_RE = re.compile(
     rf"{_WS}(module)\b{_WS}{_NAME}{_WS}\({_WS}(\){_WS};)?{_WS}")
 _PORT_RE = re.compile(
@@ -81,8 +86,7 @@ _GATE_RE = re.compile(
     rf"(and|or|not|xor|nand|dff)\b{_WS}{_NAME}{_WS}\({_WS}{_BIT}{_WS},{_WS}"
     rf"{_CONN}(?:{_WS},{_WS}{_CONN})?{_WS}\){_WS};{_WS}")
 _WIRE_RE = re.compile(
-    rf"wire\b{_WS}(?:{_RANGE})?([A-Za-z_][A-Za-z0-9_]*+"
-    rf"(?:{_WS},{_WS}[A-Za-z_][A-Za-z0-9_]*+)*+){_WS};{_WS}")
+    rf"wire\b{_WS}(?:{_RANGE})?({_IDENT}(?:{_WS},{_WS}{_IDENT})*+){_WS};{_WS}")
 _END_RE = re.compile(rf"endmodule{_WS}\Z")
 _KEYWORDS = frozenset(BEHAVIORAL_KEYWORDS | STRUCTURAL_KEYWORDS
                       | GATE_KEYWORDS.keys())
@@ -137,8 +141,6 @@ def _lex(text: str) -> list[_Token]:
         kind = m.lastgroup
         start = m.start(kind)
         if kind == "eof":
-            if m.end("comment") == len(text):
-                start = m.start("comment")
             toks.append(("eof", "", start))
             break
         if kind == "open":
@@ -149,27 +151,11 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _ModuleScope:
-    """Declared names, bit slots and the alias union-find."""
+    """The token grammar's bit slots and their alias union-find."""
 
     def __init__(self) -> None:
-        # Ports and wires share one table, in declaration order: name ->
-        # (token, width, lsb, base), where bit `lsb + i` owns slot `base + i`;
-        # a name refused for its width has width 0 and no slots.
-        # `ports` holds each port's direction, also in declaration order.
-        self.decls: dict[str, tuple[_Token, int, int, int]] = {}
-        self.ports: dict[str, PortDir] = {}
         self.parent: list[int] = []
         self.const_slot: dict[int, int] = {}
-        self.declared_bits = 0
-
-    def declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
-        """Enter a port or wire and its bit slots; False, entering
-        nothing, when the module would declare more than _MAX_BITS bits."""
-        if self.declared_bits + width > _MAX_BITS:
-            return False
-        self.declared_bits += width
-        self.decls[name_tok[1]] = (name_tok, width, lsb, self.new_slots(width))
-        return True
 
     def new_slots(self, count: int) -> int:
         """Allocate `count` consecutive slots; returns the first."""
@@ -195,13 +181,15 @@ class _ModuleScope:
 
 
 class _Parser:
-    """Two readers that fill one set of tables, which `_finalize` builds
-    the netlist from.
+    """Two readers of one module: each ends in `_build`, which builds the
+    netlist and places any structural error it raises.
 
     `parse` is recursive descent over the token list of the whole text; it
-    reports every error. `read_statements` reads well-formed text one
-    statement per match and reports no error of its own: at the first thing
-    it does not accept it gives up, and the text is left to `parse`.
+    reports every error, fills slot tables and leaves numbering the nets to
+    `_finalize`. `read_statements` reads well-formed text one statement per
+    match and numbers each net as it reads it. It reports no error of its
+    own but a dff's clock: at the first thing it does not accept it gives
+    up, and the text is left to `parse`.
 
     In the grammar, punctuation and keywords are known by their text alone:
     no token of another kind has the text ';' or 'module'. Where the
@@ -212,14 +200,29 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         # The token list; `read_statements` records only `module`'s, the
-        # one token `_finalize` reads from it.
+        # one token `_build` reads from it.
         self.toks: list[_Token] = []
         self.pos = 0
         self.errors: list[ParseError] = []
-        self.scope = _ModuleScope()
         self.module_name = ""
+        # Ports and wires share one table: name -> (token, width, lsb,
+        # base). Bit `lsb + i` is slot `base + i` in the grammar and net
+        # `base + i` in the statement reader; a name refused for its width
+        # has width 0 and no slots. `declared_bits` counts the bits entered.
+        self.decls: dict[str, tuple[_Token, int, int, int]] = {}
+        self.declared_bits = 0
+        # Each instance name's start offset.
+        self.instance_names: dict[str, int] = {}
+        # The grammar's alone: each port's direction in declaration order,
+        # the slots and the gates read, as (kind, name, slots, keyword).
+        self.ports: dict[str, PortDir] = {}
+        self.scope = _ModuleScope()
         self.instances: list[tuple[GateKind, str, list[int], _Token]] = []
-        self.instance_names: dict[str, _Token] = {}
+        # The statement reader's alone: each declared bit's net, by the
+        # bit's name, and each constant read, by its text, as `~i` for the
+        # i-th read (`_read_net`).
+        self.net_of: dict[str, int] = {}
+        self.consts: dict[str, int] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -354,7 +357,7 @@ class _Parser:
                     return
                 self.pos += 1
                 if self._declare(name_tok, *rng):
-                    self.scope.ports[name_tok[1]] = direction
+                    self.ports[name_tok[1]] = direction
             elif t[1] == "inout":
                 self.error("syntax", t, "inout ports are not supported")
                 self.pos += 1
@@ -372,15 +375,17 @@ class _Parser:
         entered with no slots (width 0), so that its uses are skipped
         without a second report."""
         name = name_tok[1]
-        if name in self.scope.decls:
+        if name in self.decls:
             self.error("duplicate-name", name_tok, f"'{name}' already declared")
             return False
-        if not self.scope.declare(name_tok, width, lsb):
+        if self.declared_bits + width > _MAX_BITS:
             self.error("width", name_tok,
                        f"'{name}' is {width} bits wide; a module declares at "
                        f"most {_MAX_BITS} bits")
-            self.scope.decls[name] = (name_tok, 0, lsb, -1)
+            self.decls[name] = (name_tok, 0, lsb, -1)
             return False
+        self.declared_bits += width
+        self.decls[name] = (name_tok, width, lsb, self.scope.new_slots(width))
         return True
 
     def _usable_name(self, tok: _Token) -> bool:
@@ -455,7 +460,7 @@ class _Parser:
         kind, text, _ = t = self.toks[self.pos]
         # Common case: a declared scalar without a bit-select. Only
         # identifiers are declared, and never a keyword (`_usable_name`).
-        decl = self.scope.decls.get(text)
+        decl = self.decls.get(text)
         if decl and decl[1] == 1 and self.toks[self.pos + 1][1] != "[":
             self.pos += 1
             return decl[3]
@@ -571,7 +576,7 @@ class _Parser:
                        f"instance '{name}' already defined")
             self.resync()
             return
-        self.instance_names[name] = name_tok
+        self.instance_names[name] = name_tok[2]
         if self.expect_punct("(") is None:
             self.resync()
             return
@@ -607,14 +612,17 @@ class _Parser:
     # -- statement reader ----------------------------------------------------
 
     def read_statements(self) -> ParseResult | None:
-        """Read well-formed text into the tables and finalize them; None at
-        the first thing this reader does not accept, with nothing reported.
+        """Read well-formed text straight into a netlist; None at the first
+        thing this reader does not accept, with nothing reported.
 
         It accepts what the grammar reads without an error, less comments,
         `assign`, upper-case gate kinds, `$` in a name, constants spelled
-        other than 1'b0 and 1'b1, and trivia other than whitespace. Each
-        token it records keeps its start offset, so `_finalize` places an
-        error where it would after `parse`."""
+        other than 1'b0 and 1'b1, bit indices with a leading zero, and trivia
+        other than whitespace. With no `assign` no bit aliases another, so
+        each bit gets its net as it is read, in `_finalize`'s claim order:
+        input bits, then output bits, then wire bits as declared, then
+        constants in first-read order. Each token it records keeps its start
+        offset, so `_build` places an error where it would after `parse`."""
         text = self.text
         m = _HEADER_RE.match(text)
         if m is None or m[2] in _KEYWORDS:
@@ -622,41 +630,69 @@ class _Parser:
         self.toks = [("ident", "module", m.start(1))]
         self.module_name = m[2]
         pos = m.end()
+        heads: list[re.Match[str]] = []
         more = m[3] is None
         while more:
             m = _PORT_RE.match(text, pos)
             if m is None:
                 return None
-            direction, msb, lsb, name, more = m.groups()
-            if not self._read_decl(name, m.start(4), msb, lsb):
-                return None
-            self.scope.ports[name] = PortDir.IN if direction == "input" \
-                else PortDir.OUT
+            heads.append(m)
+            more = m[5]
             pos = m.end()
+        nets: dict[int, Net] = {}
+        # Input bits take the first nets, then output bits.
+        for m in sorted(heads, key=lambda m: m[1] == "output"):
+            if not self._read_decl(nets, m[4], m.start(4), m[2], m[3]):
+                return None
+        ports: list[Port] = []
+        port_nets: dict[str, tuple[int, ...]] = {}
+        inputs = 0
+        for m in heads:
+            name = m[4]
+            _tok, width, lsb, base = self.decls[name]
+            ports.append(Port(name, PortDir.IN if m[1] == "input"
+                              else PortDir.OUT, width, lsb))
+            port_nets[name] = tuple(range(base, base + width))
+            if m[1] == "input":
+                inputs += width
+        read: list[tuple[GateKind, int, tuple[int, ...], str]] = []
         while True:
             if m := _GATE_RE.match(text, pos):
-                if not self._read_gate(m):
+                gate = self._read_gate(m, inputs)
+                if gate is None:
                     return None
+                read.append(gate)
             elif m := _WIRE_RE.match(text, pos):
                 msb, lsb, names = m.groups()
                 start = m.start(3)
                 for piece in names.split(","):
                     name = piece.strip()
-                    if not self._read_decl(name, start + piece.index(name),
-                                           msb, lsb):
+                    if not self._read_decl(nets, name,
+                                           start + piece.index(name), msb, lsb):
                         return None
                     start += len(piece) + 1
             else:
                 break
             pos = m.end()
-        return self._finalize() if _END_RE.match(text, pos) else None
+        if _END_RE.match(text, pos) is None:
+            return None
+        if not self.consts:
+            gates = [Gate(*gate) for gate in read]
+        else:
+            # The constants' nets follow every wire's.
+            base = len(nets)
+            for const, k in self.consts.items():
+                nets[base + ~k] = Net(base + ~k, const, int(const[-1]))
+            gates = [Gate(kind, out, tuple([n if n >= 0 else base + ~n
+                                            for n in ins]), name)
+                     for kind, out, ins, name in read]
+        return self._build(ports, nets, gates, port_nets)
 
-    def _read_decl(self, name: str, start: int, msb: str | None,
-                   lsb: str | None) -> bool:
-        """Enter a port or wire as `_declare` does; False where the grammar
-        reports an error."""
-        decls = self.scope.decls
-        if name in _KEYWORDS or name in decls:
+    def _read_decl(self, nets: dict[int, Net], name: str, start: int,
+                   msb: str | None, lsb: str | None) -> bool:
+        """Enter a port or wire as `_declare` does, with a net per bit from
+        the next free id; False where the grammar reports an error."""
+        if name in _KEYWORDS or name in self.decls:
             return False
         width, low = 1, 0
         if msb is not None:
@@ -666,47 +702,59 @@ class _Parser:
             width = int(msb) - low + 1
             if width < 1:
                 return False
-        return self.scope.declare(("ident", name, start), width, low)
-
-    def _read_gate(self, m: re.Match[str]) -> bool:
-        """Enter the gate `_GATE_RE` matched; False where the grammar reports
-        an error."""
-        gate, name, out, out_bit, *ins = m.groups()
-        kind = GATE_KEYWORDS[gate]
-        third = ins[3] is not None or ins[5] is not None
-        if name in _KEYWORDS or name in self.instance_names \
-                or kind.arity != 1 + third:
+        self.declared_bits += width
+        if self.declared_bits > _MAX_BITS:
             return False
-        conns = [self._read_slot(out, out_bit, None), self._read_slot(*ins[:3])]
-        if third:
-            conns.append(self._read_slot(*ins[3:]))
-        if None in conns:
-            return False
-        self.instance_names[name] = ("ident", name, m.start(2))
-        self.instances.append((kind, name, conns, ("ident", gate, m.start(1))))
+        base = len(nets)
+        self.decls[name] = (("ident", name, start), width, low, base)
+        if width == 1:
+            nets[base] = Net(base, name)
+            self.net_of[name] = base
+        else:
+            for i in range(width):
+                bit = f"{name}[{low + i}]"
+                nets[base + i] = Net(base + i, bit)
+                self.net_of[bit] = base + i
         return True
 
-    def _read_slot(self, name: str | None, bit: str | None,
-                   const: str | None) -> int | None:
-        """The slot of a declared bit or constant; None where the grammar
-        reports an error."""
-        if const is not None:
-            return self.scope.const(int(const))
-        decl = self.scope.decls.get(name)
-        if decl is None:
+    def _read_gate(self, m: re.Match[str], inputs: int
+                   ) -> tuple[GateKind, int, tuple[int, ...], str] | None:
+        """The gate `_GATE_RE` matched, as `Gate`'s fields; None where this
+        reader gives the text up. A clock that is not one of the first
+        `inputs` nets, the input bits, is reported as `_finalize` does."""
+        gate, name, out, a, b = m.groups()
+        kind = GATE_KEYWORDS[gate]
+        if name in _KEYWORDS or name in self.instance_names \
+                or kind.arity != (1 if b is None else 2):
             return None
-        _tok, width, lsb, base = decl
-        if bit is None:
-            return base if width == 1 else None
-        if len(bit) > _MAX_DIGITS:
+        net = self._read_net
+        output = net(out)
+        ins = (net(a),) if b is None else (net(a), net(b))
+        if output is None or None in ins:
             return None
-        i = int(bit) - lsb
-        return base + i if width > 1 and 0 <= i < width else None
+        self.instance_names[name] = m.start(2)
+        if kind is GateKind.DFF and not 0 <= ins[1] < inputs:
+            self.error("syntax", ("ident", gate, m.start(1)),
+                       "dff clock must be a primary input port bit")
+        return (kind, output, ins, name)
+
+    def _read_net(self, conn: str) -> int | None:
+        """The net of a connection: the net named as it is spelled, or a
+        constant's, or that of a bit-select with whitespace in it; None for
+        anything else, which the grammar reads (`a[01]`) or reports. A
+        constant's net is numbered once every wire is declared, so until
+        then it is `~i` for the i-th constant read."""
+        net = self.net_of.get(conn)
+        if net is not None:
+            return net
+        if conn[0] == "1":
+            return self.consts.setdefault(conn, ~len(self.consts))
+        return self.net_of.get("".join(conn.split()))
 
     # -- finalization --------------------------------------------------------
 
     def _finalize(self) -> ParseResult:
-        """Build the netlist's tables and the `Netlist`, which validates it.
+        """Number the grammar's slots as nets and build the netlist.
 
         One net per alias class, claimed in order: input bits, then output
         bits, then wires, then the constants a gate reads. A class holding a
@@ -714,7 +762,7 @@ class _Parser:
         that claims it. Ports are bound in declaration order.
         """
         scope = self.scope
-        decls = scope.decls
+        decls = self.decls
         # Root slot of each slot in one pass: a union keeps the lower root
         # and path halving only lowers a parent, so parents precede slots.
         roots: list[int] = []
@@ -722,11 +770,11 @@ class _Parser:
             roots.append(slot if parent == slot else roots[parent])
         const_roots = {roots[slot]: value
                        for value, slot in scope.const_slot.items()}
-        claimants = [decls[name] for name, d in scope.ports.items()
+        claimants = [decls[name] for name, d in self.ports.items()
                      if d is PortDir.IN]
-        claimants += [decls[name] for name, d in scope.ports.items()
+        claimants += [decls[name] for name, d in self.ports.items()
                       if d is PortDir.OUT]
-        claimants += [d for name, d in decls.items() if name not in scope.ports]
+        claimants += [d for name, d in decls.items() if name not in self.ports]
         # Every declared bit with its name, in claim order, then every slot
         # a gate reads: of those, only constants are still unclaimed.
         claims = [(roots[base + i],
@@ -747,7 +795,7 @@ class _Parser:
 
         ports: list[Port] = []
         port_nets: dict[str, tuple[int, ...]] = {}
-        for name, direction in scope.ports.items():
+        for name, direction in self.ports.items():
             _tok, width, lsb, base = decls[name]
             ports.append(Port(name, direction, width, lsb))
             port_nets[name] = tuple(net_of[base:base + width])
@@ -761,21 +809,30 @@ class _Parser:
                            "dff clock must be a primary input port bit")
                 continue
             gates.append(Gate(kind, net_of[conns[0]], ins, iname))
+        return self._build(ports, nets, gates, port_nets)
 
-        if self.errors:
-            return ParseResult(None, self.errors)
-        try:
-            netlist = Netlist(self.module_name, tuple(ports), nets,
-                              tuple(gates), port_nets)
-        except InvalidNetlistError as exc:
-            for v in exc.violations:
-                self.error("syntax",
-                           self._violation_token(v, nets, port_nets, gates),
-                           f"{v.kind}: {v.message}")
-            return ParseResult(None, self.errors)
-        return ParseResult(netlist, [], list(netlist.warnings))
+    def _build(self, ports: list[Port], nets: dict[int, Net],
+               gates: list[Gate], port_nets: dict[str, tuple[int, ...]]
+               ) -> ParseResult:
+        """Construct the `Netlist`, which validates it, unless an error is
+        already reported; a structural error is placed by
+        `_violation_token`."""
+        if not self.errors:
+            try:
+                netlist = Netlist(self.module_name, tuple(ports), nets,
+                                  tuple(gates), port_nets)
+            except InvalidNetlistError as exc:
+                for v in exc.violations:
+                    self.error("syntax",
+                               self._violation_token(v, nets, ports,
+                                                     port_nets, gates),
+                               f"{v.kind}: {v.message}")
+            else:
+                return ParseResult(netlist, [], list(netlist.warnings))
+        return ParseResult(None, self.errors)
 
     def _violation_token(self, v: StructuralViolation, nets: dict[int, Net],
+                         ports: list[Port],
                          port_nets: dict[str, tuple[int, ...]],
                          gates: list[Gate]) -> _Token:
         """Where a structural error points: the declaration of the net
@@ -785,15 +842,14 @@ class _Parser:
         gate."""
         if v.net is None:
             return self.toks[0]
-        decls = self.scope.decls
         net = nets[v.net]
         if net.value is None:
-            return decls[net.name.split("[")[0]][0]
-        for name, bits in port_nets.items():
-            if self.scope.ports[name] is PortDir.IN and v.net in bits:
-                return decls[name][0]
-        return next(self.instance_names[g.name] for g in gates
-                    if g.output == v.net)
+            return self.decls[net.name.split("[")[0]][0]
+        for p in ports:
+            if p.direction is PortDir.IN and v.net in port_nets[p.name]:
+                return self.decls[p.name][0]
+        name = next(g.name for g in gates if g.output == v.net)
+        return ("ident", name, self.instance_names[name])
 
 
 def parse(text: str) -> ParseResult:
@@ -810,11 +866,11 @@ def parse(text: str) -> ParseResult:
     name.
 
     Well-formed text, such as canonical text and most replies, is read one
-    statement per regex match (`_Parser.read_statements`). Any other text
-    goes to the token grammar, which reports every error in it. Both fill
-    the same tables, from which one final step builds the netlist and
-    reports any structural error, so the result does not depend on which
-    of them read the text.
+    statement per regex match (`_Parser.read_statements`), which numbers
+    the nets as it reads them. Any other text goes to the token grammar,
+    which reports every error in it. Both number nets in one claim order,
+    and one final step builds the netlist and places any structural error,
+    so the result does not depend on which of them read the text.
     """
     result = _Parser(text).read_statements()
     return _Parser(text).parse() if result is None else result

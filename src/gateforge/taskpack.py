@@ -29,7 +29,7 @@ from .metrics import (
     pass_at_k,
 )
 from .netlist import Port, PortDir, StructuralReport
-from .parser import _KEYWORDS, _MAX_BITS, _NAME
+from .parser import _KEYWORDS, _MAX_BITS, _MAX_DIGITS, _NAME
 from .simulator import (
     PackedVectors,
     SimOutcome,
@@ -230,8 +230,9 @@ def _load_pack(root: str) -> TaskPack:
     difficulty = take(meta, "difficulty", where, *DIFFICULTIES)
     circuit_class = take(meta, "circuit_class", where, *CIRCUIT_CLASSES)
 
-    # Only an interface a netlist can declare: the parser's bit limit, name
-    # pattern and keywords; checked before any bit name is built.
+    # Only an interface a netlist can declare: the parser's bit limit, index
+    # digits, name pattern and keywords; checked before any bit name is
+    # built.
     port_map: dict[str, Port] = {}
     bits = 0
     for i, pdoc in enumerate(take(meta, "ports", where, list[dict])):
@@ -242,8 +243,10 @@ def _load_pack(root: str) -> TaskPack:
                      need=f"an integer >= 1, with at most {_MAX_BITS} bits "
                      "over all ports")
         bits += width
-        lsb = take(pdoc, "lsb", at, int, default=0, ok=lambda b: b >= 0,
-                   need="an integer >= 0")
+        lsb = take(pdoc, "lsb", at, int, default=0,
+                   ok=lambda b: 0 <= b <= 10 ** _MAX_DIGITS - width,
+                   need=f"an integer >= 0, with a top bit index of at most "
+                   f"{_MAX_DIGITS} digits")
         name = take(pdoc, "name", at, str, ok=lambda n: n not in _KEYWORDS
                     and re.fullmatch(_NAME, n) and n not in port_map,
                     need="an identifier, not a keyword, that no other port "

@@ -76,7 +76,8 @@ def test_tasks_validate_reports_a_bad_pack_and_checks_the_rest(
         (meta_path.parent / "spec.txt").mkdir()
 
     cases = [
-        (negative_lsb, "task.json.ports[0].lsb: must be an integer >= 0"),
+        (negative_lsb, "task.json.ports[0].lsb: must be an integer >= 0, "
+                       "with a top bit index of at most 18 digits"),
         (spec_as_directory, "spec.txt: cannot be read: Is a directory"),
         (lambda meta_path: meta_path.write_text("{"),
          "task.json: must be valid JSON (line 1 column 2: Expecting "

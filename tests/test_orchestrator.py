@@ -26,6 +26,7 @@ from gateforge.orchestrator import (
     MSG_EFFICIENCY_REVIEW,
     MSG_FIX_REQUEST,
     ROLE_CODER,
+    ROLE_EXECUTOR,
     ROLE_MEDIATOR,
     ROLE_REVIEWER,
     ROLE_USER_PROXY,
@@ -37,7 +38,7 @@ from gateforge.orchestrator import (
     run_task,
     summarize,
 )
-from gateforge.parser import parse
+from gateforge.parser import extract_netlist_block, parse, render
 from gateforge.taskpack import (
     builtin_task_packs,
     emit_report,
@@ -351,6 +352,40 @@ def test_a_sweep_builds_no_transcript(store, monkeypatch):
     # A transcript is built when it is read, one message per turn.
     run = run_task(FA, cfg(), single_rule_backend(correct_reply()), None)
     assert len(run.transcript) == len(built) == 9
+
+
+def test_a_sweep_renders_only_the_designs_it_keeps(monkeypatch):
+    rendered = []
+
+    def counting(netlist):
+        rendered.append(text := render(netlist))
+        return text
+
+    monkeypatch.setattr(orchestrator, "render", counting)
+    # Each sample reviews up to three clean designs: a wrong one, a correct
+    # but padded one and the reference, which it keeps.
+    scripts = {FA.id: [WRONG_LOGIC_REPLY, padded_reply(FA.id, "sum"),
+                       correct_reply()],
+               "mux2": [padded_reply("mux2", "y"), correct_reply("mux2")]}
+    backend = ScriptedBackend([ScriptRule(replies=replies,
+                                          contains=f"Task: {task_id}")
+                               for task_id, replies in scripts.items()])
+    tasks = [FA, TASKS["mux2"]]
+    report = run_benchmark(tasks, RunConfig.from_profile(
+        "V0", samples_per_task=3), backend, None, profile="V0")
+    assert [r.c for r in report.rows] == [3, 3]
+    # One render per kept design: the samples of a task share its review.
+    assert rendered == [render(parse(t.reference_netlist).netlist)
+                        for t in tasks]
+
+    # A transcript still carries every clean candidate, rendered when read.
+    run = run_task(FA, cfg(), ScriptedBackend(
+        [ScriptRule(replies=scripts[FA.id])]), None)
+    assert rendered[2:] == [run.netlist_text]
+    sent = [m.body for m in run.transcript if m.recipient == ROLE_EXECUTOR]
+    assert sent == [render(parse(extract_netlist_block(reply)).netlist)
+                    for reply in scripts[FA.id]]
+    assert rendered[3:] == sent[:2]
 
 
 def test_each_read_of_a_transcript_gives_an_equal_one():

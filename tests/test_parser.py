@@ -136,10 +136,27 @@ HEADER = "module t(input a, output y);"
       ("syntax", 1, 16, "a", "expected ')'")]),
     (f"{HEADER} assign y a; endmodule",
      [("syntax", 1, 39, "a", "expected '=' in assign")]),
+    # A `//` comment and then a `/* */` one are trivia like any other.
+    ("// x\n/**/", [("syntax", 2, 5, "", "expected 'module'")]),
+    ("// x\n/**/ // y", [("syntax", 2, 6, "", "expected 'module'")]),
+    (" */$\\a1'b1task// note\n/**/}",
+     [("syntax", 1, 2, "*", "expected 'module'")]),
 ])
 def test_error_positions_follow_the_text(text, want):
     assert [(e.kind, e.line, e.column, e.token, e.message)
             for e in parse(text).errors] == want
+
+
+HALF_ADDER = ("module ha(input a, input b, output s, output c);\n"
+              "  xor g1(s, a, b);\n  and g2(c, a, b);\nendmodule\n")
+
+
+@pytest.mark.parametrize("comments", [
+    "// half adder\n/* generated */\n", "// x\n/**/", "/* a */ // b\n/* c */"])
+def test_comments_in_any_order_lead_a_module(comments):
+    r = parse(comments + HALF_ADDER)
+    assert r.ok, [str(e) for e in r.errors]
+    assert render(r.netlist) == render(parse(HALF_ADDER).netlist)
 
 
 def test_arity_error_on_short_nand():
@@ -202,7 +219,7 @@ def test_a_long_range_bound_in_a_wire_is_a_width_error():
 
 
 def test_a_long_bit_index_is_a_width_error():
-    # The statement reader's `_read_slot` sees it.
+    # The statement reader finds no bit of that name.
     _width_error_at_long_number(
         f"module t(input [1:0] a, output y); not g1(y, a[{LONG}]); endmodule")
 
@@ -474,6 +491,61 @@ def test_parse_reads_every_corpus_text_as_the_token_grammar():
     assert set(cuts) <= set(taken)
     # Texts whose only fault `_finalize` finds, placed by the reader's tokens.
     assert sum(not parse(text).ok for text in taken) > 100
+
+
+# Texts the statement reader takes, each with its nets' names by id: the
+# reader numbers nets as it reads, in the grammar's claim order.
+NUMBERED = {
+    "output-first": (
+        "module t(output y, input a, input b);\n"
+        "  and g1(y, a, b);\nendmodule", ["a", "b", "y"]),
+    "vector-ports": (
+        "module t(output [3:2] y, input [5:4] a);\n"
+        "  not g1(y[2], a[5]);\n  not g2(y[3], a[4]);\nendmodule",
+        ["a[4]", "a[5]", "y[2]", "y[3]"]),
+    "late-wire": (
+        "module t(input a, output y);\n  wire u;\n"
+        "  and g1(u, 1'b1, 1'b0);\n  wire v;\n  or g2(v, u, a);\n"
+        "  not g3(y, v);\nendmodule", ["a", "y", "u", "v", "1'b1", "1'b0"]),
+    "unused-wire": (
+        "module t(input a, output y);\n  wire spare, w;\n"
+        "  not g1(w, a);\n  not g2(y, w);\nendmodule",
+        ["a", "y", "spare", "w"]),
+    "dff": (
+        "module t(output q, input d, input clk);\n  wire n;\n"
+        "  not g1(n, d);\n  dff g2(q, n, clk);\nendmodule",
+        ["d", "clk", "q", "n"]),
+}
+
+# Texts the statement reader takes whose one fault `_build` finds.
+FAULTY = {
+    "multi-driver": "module t(input a, output y);\n  wire w;\n"
+                    "  not g1(w, a);\n  not g2(w, a);\n  not g3(y, w);\n"
+                    "endmodule",
+    "driven-input": "module t(input a, input b, output y);\n"
+                    "  not g1(a, b);\n  not g2(y, a);\nendmodule",
+    "undriven-wire": "module t(input a, output y);\n  wire w;\n"
+                     "  and g1(y, a, w);\nendmodule",
+    "undriven-output": "module t(input a, output y, output z);\n"
+                       "  not g1(y, a);\nendmodule",
+    "loop": "module t(input a, output y);\n  wire w;\n"
+            "  and g1(w, a, y);\n  and g2(y, a, w);\nendmodule",
+    "dff-clock": "module t(input d, output q);\n  wire c;\n"
+                 "  not g1(c, d);\n  dff g2(q, d, c);\nendmodule",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERED))
+def test_the_reader_numbers_nets_in_the_grammars_claim_order(name):
+    text, names = NUMBERED[name]
+    assert read_as_the_grammar(text)
+    assert [n.name for n in parse(text).netlist.nets.values()] == names
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY))
+def test_the_reader_places_a_structural_fault_as_the_grammar(name):
+    assert read_as_the_grammar(FAULTY[name])
+    assert len(parse(FAULTY[name]).errors) == 1
 
 
 def test_canonical_text_never_reaches_the_token_grammar(monkeypatch):

@@ -306,7 +306,15 @@ def test_a_pack_file_that_cannot_be_read_is_a_schema_error(tmp_path, name):
     ([{"name": "a$b", "dir": "in"}],
      "task.json.ports[0].name: must be an identifier, not a keyword, that "
      "no other port has"),
-], ids=["wide-port", "wide-ports", "keyword", "dollar"])
+    ([{"name": "a", "dir": "in", "lsb": 10**19}],
+     "task.json.ports[0].lsb: must be an integer >= 0, with a top bit index "
+     "of at most 18 digits"),
+    # The top bit, 10**18, has 19 digits.
+    ([{"name": "a", "dir": "in", "width": 2, "lsb": 10**18 - 1}],
+     "task.json.ports[0].lsb: must be an integer >= 0, with a top bit index "
+     "of at most 18 digits"),
+], ids=["wide-port", "wide-ports", "keyword", "dollar", "long-lsb",
+        "long-top-bit"])
 def test_an_interface_no_netlist_can_declare_is_refused(tmp_path, ports,
                                                         message):
     path = copy_pack("and3", tmp_path,
