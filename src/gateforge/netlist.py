@@ -85,6 +85,10 @@ class PortDir(Enum):
     IN = "in"
     OUT = "out"
 
+    # As for GateKind: identity is equality, and the Reviewer hashes every
+    # port of every candidate to compare interfaces.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Net:

@@ -301,16 +301,21 @@ def build_prompt(task: TaskPack, retrieved: list[KnowledgeEntry],
 
 
 def _interface_mismatch(task: TaskPack, netlist: Netlist) -> list[str]:
-    want = {(p.name, p.direction.value, p.width, p.lsb) for p in task.ports}
-    got = {(p.name, p.direction.value, p.width, p.lsb) for p in netlist.ports}
+    want = {(p.name, p.direction, p.width, p.lsb) for p in task.ports}
+    got = {(p.name, p.direction, p.width, p.lsb) for p in netlist.ports}
     lines = []
-    for name, d, w, lsb in sorted(want - got):
+    for name, d, w, lsb in _by_text(want - got):
         lines.append(f"[interface] missing or mistyped port: {d}put {name} "
                      f"({w} bit(s), lsb {lsb})")
-    for name, d, w, lsb in sorted(got - want):
+    for name, d, w, lsb in _by_text(got - want):
         lines.append(f"[interface] port not in the task interface: "
                      f"{d}put {name} ({w} bit(s), lsb {lsb})")
     return lines
+
+
+def _by_text(ports) -> list[tuple]:
+    """(name, direction text, width, lsb) of each port, sorted."""
+    return sorted((name, d.value, w, lsb) for name, d, w, lsb in ports)
 
 
 @dataclass(frozen=True)

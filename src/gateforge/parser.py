@@ -15,6 +15,7 @@ docs/netlist_format.md and must stay in sync with this module.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,6 +31,8 @@ from .netlist import (
 )
 
 GATE_KEYWORDS = {k.value: k for k in GateKind}
+# Each kind's keyword, for `render`.
+_GATE_TEXT = {k: text for text, k in GATE_KEYWORDS.items()}
 
 STRUCTURAL_KEYWORDS = {"module", "endmodule", "input", "output", "wire", "assign"}
 
@@ -204,6 +207,8 @@ class _Parser:
         self.toks: list[_Token] = []
         self.pos = 0
         self.errors: list[ParseError] = []
+        # The offset of each newline in the text, found at the first error.
+        self.line_breaks: list[int] | None = None
         self.module_name = ""
         # Ports and wires share one table: name -> (token, width, lsb,
         # base). Bit `lsb + i` is slot `base + i` in the grammar and net
@@ -233,11 +238,13 @@ class _Parser:
         return t
 
     def error(self, kind: str, tok: _Token, message: str) -> None:
-        """Report an error at `tok`, placed by counting lines up to its start."""
+        """Report an error at `tok`, placed by the newlines before its start."""
         _kind, text, start = tok
-        line = self.text.count("\n", 0, start) + 1
-        column = start - self.text.rfind("\n", 0, start)
-        self.errors.append(ParseError(kind, line, column, message, text))
+        if self.line_breaks is None:
+            self.line_breaks = [m.start() for m in re.finditer("\n", self.text)]
+        before = bisect_left(self.line_breaks, start)   # newlines before it
+        column = start - (self.line_breaks[before - 1] if before else -1)
+        self.errors.append(ParseError(kind, before + 1, column, message, text))
 
     def skip_statement(self, kind: str, message: str) -> None:
         """Report the current token, step past it and resync."""
@@ -958,6 +965,6 @@ def render(netlist: Netlist | RenderedFields) -> str:
         lines.append(f"  assign {bit} = {names[nid]};")
     for seq, g in enumerate(netlist.schedule + netlist.registers, 1):
         conns = ", ".join([names[g.output]] + [names[n] for n in g.inputs])
-        lines.append(f"  {g.kind.value} g{seq}({conns});")
+        lines.append(f"  {_GATE_TEXT[g.kind]} g{seq}({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

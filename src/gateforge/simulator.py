@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import random
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -115,7 +116,8 @@ def pack_columns(rows: Iterable[int], width: int) -> list[int]:
     if not rows:
         return [0] * width
     size = (width + 7) // 8
-    data = b"".join([row.to_bytes(size, "big") for row in rows])[::-1]
+    data = (bytes(rows) if size == 1 else
+            b"".join([row.to_bytes(size, "big") for row in rows]))[::-1]
     lanes = [data[j::size] for j in range(size)]
     return [int(lanes[i // 8].translate(_BIT_DIGITS[i % 8]), 2)
             for i in range(width)]
@@ -161,14 +163,15 @@ def pack_rows(rows: Sequence[tuple[int, int, int]], in_names: Sequence[str],
     """Pack one (input, expected, care) row per vector, named by keys[v],
     into columns; bit i of a row is bit in_names[i] or out_names[i]."""
     in_rows, exp_rows, care_rows = zip(*rows) if rows else ((), (), ())
+    care_columns = pack_columns(care_rows, len(out_names))
     checks = tuple(sorted(
         (name, e, c) for name, e, c in zip(
-            out_names, pack_columns(exp_rows, len(out_names)),
-            pack_columns(care_rows, len(out_names))) if c))
+            out_names, pack_columns(exp_rows, len(out_names)), care_columns)
+        if c))
     distinct = set(keys)
     return PackedVectors(
         keys, dict(zip(in_names, pack_columns(in_rows, len(in_names)))),
-        checks, sum(1 << v for v, care in enumerate(care_rows) if care),
+        checks, functools.reduce(operator.or_, care_columns, 0),
         frozenset(frozenset(ins) for ins, _, _ in distinct),
         frozenset(name for _, outs, _ in distinct for name in outs))
 

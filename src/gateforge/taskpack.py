@@ -18,6 +18,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 from .jsonfields import FieldError, is_json, json_fields, take, take_all
 from .metrics import (
@@ -44,6 +45,8 @@ SCHEMA_VERSION = 1
 
 DIFFICULTIES = ("easy", "medium", "hard")
 CIRCUIT_CLASSES = ("combinational", "sequential")
+_DIRECTIONS = {d.value: d for d in PortDir}
+_NAME_RE = re.compile(_NAME)
 
 
 class TaskSchemaError(ValueError):
@@ -65,6 +68,9 @@ class HumanReference:
         """The declared structure, scored and checked like a measured one."""
         return StructuralReport(self.gate_count, self.delay,
                                 self.register_count)
+
+
+_REFERENCE_FIELDS = json_fields(HumanReference)
 
 
 @dataclass(frozen=True)
@@ -107,13 +113,18 @@ def _bit_names(ports, direction: PortDir) -> list[str]:
 
 def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
                     out_names: list[str], combinational: bool) -> PackedVectors:
-    """Read testbench.json's vectors straight into rows of input, expected
-    and care bits, resolving each distinct key once, and pack them."""
+    """Pack testbench.json's vectors into rows of input, expected and care
+    bits. Vectors that name the same keys in the same order are read
+    together, a column of values at a time, and each distinct key is
+    resolved once. A column check only finds that some vector is faulty:
+    the per-vector rule, run in vector order, words the first fault."""
     slot = {n: i for names in (in_names, out_names) for i, n in enumerate(names)}
     # Per side, key -> (port, whole port?, first row bit, mask, bit names).
-    in_table, out_table = {}, {}
+    tables: dict[bool, dict[str, tuple]] = {True: {}, False: {}}
 
     def resolve(key: str, inputs: bool, where: str) -> tuple:
+        if key in tables[inputs]:
+            return tables[inputs][key]
         port, bit = port_map.get(key), None
         if port is None and key.endswith("]") and "[" in key:
             base, _, idx = key[:-1].partition("[")
@@ -130,36 +141,13 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
         names = tuple(map(port.bit_name, range(port.width))) if bit is None \
             else (port.bit_name(bit - port.lsb),)
         shift = slot[names[0]]
-        return port, bit is None, shift, ((1 << len(names)) - 1) << shift, names
+        entry = port, bit is None, shift, ((1 << len(names)) - 1) << shift, names
+        tables[inputs][key] = entry
+        return entry
 
-    def read(doc: dict, table: dict, inputs: bool,
-             where: str) -> tuple[int, int]:
-        """Values and set bits; only expected values may be null or "x"."""
-        row = care = 0
-        for key, value in doc.items():
-            if key not in table:
-                table[key] = resolve(key, inputs, where)
-            port, whole, shift, mask, _ = table[key]
-            if not inputs and (value is None or value == "x"):
-                row, care = row & ~mask, care & ~mask
-                continue
-            if whole:
-                if type(value) is not int:  # bool is not a port value
-                    raise TaskSchemaError(f"{where}: value for '{port.name}' "
-                                          "must be an integer")
-                if value < 0 or value >> port.width:
-                    raise TaskSchemaError(
-                        f"{where}: value {value} does not fit in "
-                        f"{port.width} bit(s) of '{port.name}'")
-            elif value not in (0, 1):
-                raise TaskSchemaError(
-                    f"{where}: bit value must be 0 or 1" if inputs
-                    else f"{where}: expected bit must be 0, 1, null or \"x\"")
-            row, care = row & ~mask | int(value) << shift, care | mask
-        return row, care
-
-    rows, keys, shapes = [], [], {}
-    for index, doc in enumerate(docs):
+    def check(index: int, doc) -> None:
+        """Raise vector `index`'s first schema fault, if it has one; only
+        expected values may be null or "x"."""
         where = f"testbench.vectors[{index}]"
         if not isinstance(doc, dict):
             raise TaskSchemaError(f"{where}: vector must be an object")
@@ -173,25 +161,121 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
         if type(ins) is not dict or type(outs) is not dict:
             side = "expected" if type(ins) is dict else "inputs"
             raise TaskSchemaError(f"{where}.{side}: must be an object")
-        rows.append((read(ins, in_table, True, where)[0],
-                     *read(outs, out_table, False, where)))
-        shape = (tuple(ins), tuple(outs), cycle)
-        if shape not in shapes:  # the bit names each key sets, in order
-            shapes[shape] = tuple(
-                tuple(dict.fromkeys(n for key in side for n in table[key][4]))
-                for side, table in ((ins, in_table), (outs, out_table))
-            ) + (cycle,)
-        keys.append(shapes[shape])
-    return pack_rows(rows, in_names, out_names, keys)
+        for side, inputs in ((ins, True), (outs, False)):
+            for key, value in side.items():
+                port, whole, *_ = resolve(key, inputs, where)
+                if not inputs and (value is None or value == "x"):
+                    continue
+                if whole:
+                    if type(value) is not int:  # bool is not a port value
+                        raise TaskSchemaError(f"{where}: value for "
+                                              f"'{port.name}' must be an integer")
+                    if value < 0 or value >> port.width:
+                        raise TaskSchemaError(
+                            f"{where}: value {value} does not fit in "
+                            f"{port.width} bit(s) of '{port.name}'")
+                elif value not in (0, 1):
+                    raise TaskSchemaError(
+                        f"{where}: bit value must be 0 or 1" if inputs
+                        else f"{where}: expected bit must be 0, 1, null or \"x\"")
 
+    def columns() -> PackedVectors | None:
+        """The vectors packed a key list and a column at a time, or None
+        if some vector is faulty."""
+        if not docs:
+            return pack_rows([], in_names, out_names, [])
+        if set(map(type, docs)) != {dict}:
+            return None
+        cycles = [doc.get("cycle", 0) for doc in docs]
+        sides = ([doc.get("inputs", {}) for doc in docs],
+                 [doc.get("expected", {}) for doc in docs])
+        if set(map(type, cycles)) != {int} or min(cycles) < 0 \
+                or combinational and max(cycles) \
+                or any(set(map(type, side)) != {dict} for side in sides):
+            return None
+        shapes = list(zip(map(tuple, sides[0]), map(tuple, sides[1])))
+        if shapes.count(shapes[0]) == len(shapes):   # the usual testbench
+            groups = {shapes[0]: range(len(shapes))}
+        else:
+            groups = {}
+            for index, shape in enumerate(shapes):
+                groups.setdefault(shape, []).append(index)
+        order, rows, keys = [], [], []
+        for key_list, members in groups.items():
+            def pick(seq: list) -> list:   # the group's items of a list
+                return seq if len(groups) == 1 else [seq[v] for v in members]
 
-def _read_text(root: str, name: str) -> str:
-    """Pack file `name`'s text; a missing, unreadable or non-UTF-8 file is
-    a schema fault."""
+            read = [read_side(names, pick(side), inputs) for names, side, inputs
+                    in zip(key_list, sides, (True, False))]
+            if None in read:
+                return None
+            (in_rows, _, in_bits), (exp_rows, care_rows, out_bits) = read
+            order += members
+            rows += zip(in_rows, exp_rows, care_rows)
+            # One key entry per cycle, shared by the vectors at that cycle.
+            shared = {c: (in_bits, out_bits, c) for c in set(pick(cycles))}
+            keys += map(shared.__getitem__, pick(cycles))
+        if len(groups) > 1:   # back into vector order
+            at = sorted(range(len(order)), key=order.__getitem__)
+            rows, keys = [rows[i] for i in at], [keys[i] for i in at]
+        return pack_rows(rows, in_names, out_names, keys)
+
+    def read_side(key_list: tuple, vectors: list[dict], inputs: bool):
+        """Rows of values and of set bits, and the bit names set, for one
+        side of vectors that share `key_list`; None if a value is faulty.
+        Each bit takes its value from the last key that sets it."""
+        entries = [resolve(key, inputs, "") for key in key_list]
+        values, care = [0] * len(vectors), [0] * len(vectors)
+        later = always = 0   # bits a later key sets; bits every vector sets
+        for key, (port, whole, shift, mask, _) in reversed(
+                list(zip(key_list, entries))):
+            own, later = mask & ~later, later | mask
+            column = list(map(itemgetter(key), vectors))
+            if not inputs and column.count(None) + column.count("x"):
+                sets = [v is not None and v != "x" for v in column]
+                column = [v if s else 0 for v, s in zip(column, sets)]
+                care = [c | own * s for c, s in zip(care, sets)]
+            else:
+                always |= own
+            column = _fitting(column, whole, port.width)
+            if column is None:
+                return None
+            values = [r | v << shift & own for r, v in zip(values, column)]
+        names = tuple(dict.fromkeys(n for entry in entries for n in entry[4]))
+        return values, [c | always for c in care], names
+
     try:
-        with open(os.path.join(root, name), encoding="utf-8") as fh:
-            return fh.read()
+        packed = columns()
+    except TaskSchemaError:   # a key that does not resolve
+        packed = None
+    if packed is None:
+        for index, doc in enumerate(docs):
+            check(index, doc)
+        raise AssertionError("a column check refused a sound testbench")
+    return packed
+
+
+def _fitting(column: list, whole: bool, width: int) -> list[int] | None:
+    """`column` as integers if every value fits: a whole port's integer in
+    `width` bits, or a bit's 0 or 1; None if one does not."""
+    if whole:
+        if set(map(type, column)) == {int} and min(column) >= 0 \
+                and not max(column) >> width:
+            return column
+    elif column.count(0) + column.count(1) == len(column):
+        return list(map(int, column))
+    return None
+
+
+def _read_text(root: str, name: str, optional: bool = False) -> str | None:
+    """Pack file `name`'s text, or None if it is `optional` and missing; a
+    missing, unreadable or non-UTF-8 file is otherwise a schema fault."""
+    try:
+        with open(os.path.join(root, name), "rb") as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError:
+        if optional:
+            return None
         raise TaskSchemaError(f"missing {name}") from None
     except OSError as exc:
         raise TaskSchemaError(
@@ -199,6 +283,9 @@ def _read_text(root: str, name: str) -> str:
     except UnicodeDecodeError as exc:
         raise TaskSchemaError(f"{name}: must be UTF-8 text (byte "
                               f"{exc.start}: {exc.reason})") from None
+    # Read as bytes, which is quicker, with text mode's universal newlines.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text \
+        else text
 
 
 def _read_json(root: str, name: str) -> dict:
@@ -237,7 +324,7 @@ def _load_pack(root: str) -> TaskPack:
     bits = 0
     for i, pdoc in enumerate(take(meta, "ports", where, list[dict])):
         at = f"task.json.ports[{i}]"
-        direction = PortDir(take(pdoc, "dir", at, *(d.value for d in PortDir)))
+        direction = _DIRECTIONS[take(pdoc, "dir", at, *_DIRECTIONS)]
         width = take(pdoc, "width", at, int, default=1,
                      ok=lambda w: 1 <= w <= _MAX_BITS - bits,
                      need=f"an integer >= 1, with at most {_MAX_BITS} bits "
@@ -248,7 +335,7 @@ def _load_pack(root: str) -> TaskPack:
                    need=f"an integer >= 0, with a top bit index of at most "
                    f"{_MAX_DIGITS} digits")
         name = take(pdoc, "name", at, str, ok=lambda n: n not in _KEYWORDS
-                    and re.fullmatch(_NAME, n) and n not in port_map,
+                    and _NAME_RE.fullmatch(n) and n not in port_map,
                     need="an identifier, not a keyword, that no other port "
                     "has")
         port_map[name] = Port(name, direction, width, lsb)
@@ -276,7 +363,7 @@ def _load_pack(root: str) -> TaskPack:
          need="null or an echo of the ports declared in task.json")
     cycles = take(tb, "cycles", where, int, default=1, ok=lambda c: c >= 1,
                   need="an integer >= 1")
-    in_names, out_names = (_bit_names(ports, d) for d in PortDir)
+    in_names, out_names = (_bit_names(ports, d) for d in (PortDir.IN, PortDir.OUT))
     packed = _pack_testbench(take(tb, "vectors", where, list, default=[]),
                              port_map, in_names, out_names, combinational)
     if not packed.checked:
@@ -292,8 +379,7 @@ def _load_pack(root: str) -> TaskPack:
     ref = take(meta, "human_reference", "task.json", dict, None, default=None)
     if ref is not None:
         where = "task.json.human_reference"
-        reference = HumanReference(**take_all(ref, where,
-                                              json_fields(HumanReference)))
+        reference = HumanReference(**take_all(ref, where, _REFERENCE_FIELDS))
         g, d, r = reference.gate_count, reference.delay, reference.register_count
         if min(g, d, r) < 0 or g + d == 0 or r > g:
             raise TaskSchemaError(
@@ -306,9 +392,7 @@ def _load_pack(root: str) -> TaskPack:
                 f"task.json.human_reference.sei: {declared} does not match "
                 f"1/(G+D) = {sei:.6f}")
 
-    ref_text = None
-    if os.path.exists(os.path.join(root, "reference.nl")):
-        ref_text = _read_text(root, "reference.nl")
+    ref_text = _read_text(root, "reference.nl", optional=True)
 
     return TaskPack(
         id=task_id,

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from conftest import build_full_adder, build_half_adder, random_netlist
@@ -462,6 +463,28 @@ def test_determinism_byte_identical_input():
     bad = "module t(input a, output y); assign y = a + 1; endmodule"
     assert [str(e) for e in parse(bad).errors] == \
         [str(e) for e in parse(bad).errors]
+
+
+def test_error_placement_is_linear_in_the_error_count():
+    """Four times the faulty lines, each as long, parse in about four times
+    the time: placing an error does not count lines from the start."""
+    def text(lines: int) -> str:
+        body = "".join(f"  bogus{i} ;  // {'p' * 200}\n" for i in range(lines))
+        return f"module t(input a, output y);\n{body}  not g1(y, a);\nendmodule\n"
+
+    def best_seconds(text: str) -> float:
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            parse(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = text(500), text(2000)
+    errors = parse(large).errors
+    assert len(errors) == 2000
+    assert (errors[-1].line, errors[-1].column) == (2001, 3)
+    assert best_seconds(large) < 8 * best_seconds(small)
 
 
 # -- the statement reader against the token grammar ---------------------------

@@ -277,6 +277,22 @@ def test_non_utf8_pack_files_are_schema_errors(tmp_path, name):
         f"{name}: must be UTF-8 text (byte 0: invalid start byte)"
 
 
+def test_pack_files_are_read_with_universal_newlines(tmp_path):
+    """`\\r\\n` and a lone `\\r` each end one line, as in text mode."""
+    path = copy_pack("and3", tmp_path)
+    (path / "spec.txt").write_bytes(b"Three-input AND.\r\nOutput y.\rEnd.\n")
+    reference = (path / "reference.nl").read_text().replace("\n", "\r\n")
+    (path / "reference.nl").write_bytes(reference.encode())
+    task = load_task_pack(path)
+    assert task.spec_text == "Three-input AND.\nOutput y.\nEnd.\n"
+    assert task.reference_netlist == builtin("and3").reference_netlist
+    (path / "task.json").write_bytes(b'{\r"id":\r\n}')
+    with pytest.raises(TaskSchemaError) as exc:
+        load_task_pack(path)
+    assert str(exc.value) == \
+        "task.json: must be valid JSON (line 3 column 1: Expecting value)"
+
+
 @pytest.mark.parametrize("name", ["task.json", "spec.txt", "testbench.json",
                                   "reference.nl"])
 def test_a_pack_file_that_cannot_be_read_is_a_schema_error(tmp_path, name):
@@ -679,6 +695,34 @@ def test_schema_faults_win_over_an_earlier_unassigned_bit(tmp_path, fault):
         reference = outcome(reference_vectors, pack)
         assert reference.startswith("TaskSchemaError: testbench.vectors[")
         assert outcome(loaded_vectors, pack) == reference
+
+
+@pytest.mark.parametrize("earlier", [
+    lambda v: v["inputs"].update(cin=2),          # in the last input key
+    lambda v: v["expected"].update(cout="1"),     # in an expected key
+    lambda v: v["inputs"].update(q=1),            # in a key no other has
+], ids=["later-key", "expected", "own-key-list"])
+def test_the_first_faulty_vector_wins_whatever_key_holds_its_fault(
+        tmp_path, earlier):
+    """Vector 2's fault sits in a key read after `a`; vector 5's is in `a`,
+    the first key. Vector 2 is named, with the reference's words."""
+    def mutate(tb):
+        earlier(tb["vectors"][2])
+        tb["vectors"][5]["inputs"]["a"] = True
+
+    pack = copy_pack("full_adder", tmp_path, mutate_tb=mutate)
+    reference = outcome(reference_vectors, pack)
+    assert reference.startswith("TaskSchemaError: testbench.vectors[2]: ")
+    assert outcome(loaded_vectors, pack) == reference
+
+
+@pytest.mark.parametrize("task_id", ["seq101", "counter2"])
+def test_vectors_sharing_a_key_list_keep_their_own_cycles(tmp_path, task_id):
+    pack = copy_pack(task_id, tmp_path)
+    keys = load_task_pack(pack).testbench.packed.keys
+    assert len({(ins, outs) for ins, outs, _ in keys}) == 1
+    assert [cycle for _, _, cycle in keys] == list(range(len(keys)))
+    assert keys == pack_vectors(reference_vectors(pack)).keys
 
 
 def test_runnability_faults_use_the_reference_words(tmp_path):
