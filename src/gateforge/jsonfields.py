@@ -6,11 +6,19 @@ through `take`, or through `take_all` and a table that `json_fields` reads
 off a dataclass. So this module alone decides the type rule (a boolean is
 not an integer or a number; an integer is a number) and names each fault
 `<where>.<key>: must be <need>`.
+
+A table's rows are compiled once, by `json_field`: each `Field` holds the
+Python types a value may have outright (`int` counts for `float`; `bool`
+is not an `int`), the string literals it may be, and, per typed
+container, the Python types its items may have. `take_all` then tests a
+value by set lookups alone; `take` runs only to word a fault, so the
+first faulty field in table order and its message are `take`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
+from typing import NamedTuple
 
 REQUIRED = object()   # `take`'s default: the key must be present
 # How a fault names each JSON type a reader asks for.
@@ -65,7 +73,7 @@ def take(doc: dict, key: str, where: str, *types, default=REQUIRED,
     if key not in doc and default is not REQUIRED:
         return default
     value = doc.get(key, REQUIRED)
-    # Cheap test first, as in `take_all`: most values are of a listed type.
+    # Cheap test first: most values are of a listed type.
     if (type(value) in types or is_json(value, *types)) \
             and (ok is None or ok(value)):
         return value
@@ -73,16 +81,70 @@ def take(doc: dict, key: str, where: str, *types, default=REQUIRED,
         repr(t) if type(t) is str else _NAMES[t] for t in types))
 
 
+class FieldRule(NamedTuple):
+    """What a compiled field admits beyond its plain types, and its JSON
+    types as `take` names them."""
+
+    types: tuple
+    literals: frozenset  # the string literals among `types`
+    # Per typed container's Python type: its items' Python types, and
+    # whether its keys must spell integers.
+    items: dict
+
+    def admits(self, value) -> bool:
+        """Whether `value`, of no plain type, is one of the types."""
+        kind = type(value)
+        if kind is str:
+            return value in self.literals
+        if kind not in self.items:
+            return False
+        held, keyed = self.items[kind]
+        return held.issuperset(map(type, value.values() if kind is dict
+                                   else value)) \
+            and (not keyed or all(map(str.isdecimal, value)))
+
+
+class Field(NamedTuple):
+    """A compiled `take_all` row; `json_field` makes one. `take_all`
+    reads `rule` only for a value of no plain type."""
+
+    key: str
+    default: object    # the value when absent; REQUIRED if it must be there
+    plain: frozenset   # the Python types whose every value is one of the types
+    rule: FieldRule
+
+
+def _plain(types) -> frozenset:
+    """The Python types whose every value holds one of the JSON `types`."""
+    out = {type(None) if t is None else t for t in types
+           if t is None or type(t) is type}
+    return frozenset(out | {int} if float in out else out)
+
+
+def json_field(key: str, types: tuple, default=REQUIRED) -> Field:
+    """The compiled `take_all` row of `key`: one of the JSON `types`, or
+    `default` when absent. A typed container's items must be plain types."""
+    items = {}
+    for t in types:
+        args = getattr(t, "__args__", ())
+        if args:
+            held = _plain(args[-1:])
+            if not held or t.__origin__ in items:
+                raise TypeError(f"no compiled check for {t}")
+            items[t.__origin__] = (held, len(args) == 2 and args[0] is not str)
+    return Field(key, default, _plain(types), FieldRule(
+        types, frozenset(t for t in types if type(t) is str), items))
+
+
 def take_all(doc: dict, where: str, table) -> dict:
-    """`take` of each (key, JSON types, default) row of `table`, by key."""
+    """`take` of each `Field` of `table`, by key."""
     values = {}
-    for key, types, default in table:
-        value = doc.get(key, default)
-        # Cheap tests first: most values are of a listed type or absent.
-        if type(value) not in types and value is not default \
-                and not is_json(value, *types) or value is REQUIRED:
-            take(doc, key, where, *types)   # raises the field's FieldError
-        values[key] = value
+    for key, default, plain, rule in table:
+        values[key] = value = doc.get(key, default)
+        # Most values are of a plain type.
+        if type(value) not in plain and (value is REQUIRED or (
+                value is not default and not rule.admits(value))):
+            take(doc, key, where, *rule.types)   # raises the field's FieldError
     return values
 
 
@@ -90,6 +152,6 @@ def json_fields(cls, skip=(), **types) -> tuple:
     """The `take_all` table of dataclass `cls`'s fields but `skip`, in
     declaration order: each field's JSON types by its annotation, or
     `types[name]`, and its default, REQUIRED where it has none."""
-    return tuple((f.name, types.get(f.name) or _JSON_TYPES[f.type],
-                  REQUIRED if f.default is MISSING else f.default)
+    return tuple(json_field(f.name, types.get(f.name) or _JSON_TYPES[f.type],
+                            REQUIRED if f.default is MISSING else f.default)
                  for f in fields(cls) if f.name not in skip)

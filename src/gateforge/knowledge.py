@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import parser as nl_parser
-from .jsonfields import REQUIRED, FieldError, is_json, json_fields, take_all
+from .jsonfields import FieldError, is_json, json_field, json_fields, take_all
 from .metrics import measure
 from .netlist import (Netlist, Port, PortDir, StructuralReport,
                       _levelization, gate_depths, structural_report)
@@ -93,26 +93,30 @@ class KnowledgeEntry:
     status: str = "primary"             # primary | archived
 
     def to_record(self) -> dict:
-        rec = {key: getattr(self, key) for key, _, _ in RECORD_FIELDS}
+        rec = {key: getattr(self, key) for key in _RECORD_KEYS}
         rec["tags"] = list(self.tags)
         return rec
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "KnowledgeEntry":
-        """The entry an index record stands for; `rec` holds every field
-        of RECORD_FIELDS, as `KnowledgeStore._parse_entry` reads it."""
-        return cls(**dict(rec, tags=tuple(rec["tags"])))
 
-
-# Each index record field, in record order: (key, JSON types, value when
-# absent). Every record has an id.
+# Each index record field, in record order, as a compiled `take_all` row:
+# the id, which every record has, then the other fields in declaration
+# order, then the status. `_entry` relies on this order.
 RECORD_FIELDS = (
-    ("id", (int,), REQUIRED),
+    json_field("id", (int,)),
     *json_fields(KnowledgeEntry, skip=("id", "status"),
                  kind=(KIND_PATTERN, KIND_ERROR_FIX),
                  signature_kind=("exact", "sampled", "sequential", None)),
-    ("status", ("primary", "archived"), "primary"),
+    json_field("status", ("primary", "archived"), "primary"),
 )
+_RECORD_KEYS = tuple(f.key for f in RECORD_FIELDS)
+# The fields `store` checks of an entry's record; it sets the other two.
+_ADMITTED_FIELDS = RECORD_FIELDS[1:-1]
+
+
+def _entry(values) -> KnowledgeEntry:
+    """The entry of a checked record's values, in record order."""
+    entry_id, kind, name, tags, *fields, status = values
+    return KnowledgeEntry(kind, name, tuple(tags), *fields, entry_id, status)
 
 
 def pattern_key(entry: KnowledgeEntry | _Measure,
@@ -348,10 +352,44 @@ def _rules_digest() -> str | None:
     return h.hexdigest()
 
 
-def _record_lines(entries) -> bytes:
-    """The index lines of `entries`, in order."""
-    return "".join(json.dumps(e.to_record(), sort_keys=True) + "\n"
-                   for e in entries).encode()
+_SCAN = json.JSONDecoder().raw_decode
+
+
+def _json_value(line: bytes):
+    """`json.loads(line)`. The usual index line, an object with no space
+    around it, is scanned as the UTF-8 text `json.loads` would decode it
+    to; any other line goes through `json.loads`, which also words each
+    fault."""
+    if line[:1] == b"{":
+        with contextlib.suppress(ValueError):
+            text = line.decode("utf-8", "surrogatepass")
+            value, end = _SCAN(text)
+            if end == len(text):
+                return value
+    return json.loads(line)
+
+
+# Writes what `json.dumps(record, sort_keys=True)` does, without building
+# an encoder per record.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _record_lines(records) -> bytes:
+    """The index lines of the record dicts `records`, in order."""
+    return "".join([_ENCODE(rec) + "\n" for rec in records]).encode()
+
+
+def _admissible_record(entry: KnowledgeEntry) -> dict:
+    """The record `entry` is written as, once `store` sets its id and
+    status; AdmissionError, in the loader's words, if the loader would
+    refuse it."""
+    rec = entry.to_record()
+    try:
+        take_all(rec, "", _ADMITTED_FIELDS)
+    except FieldError as exc:
+        raise AdmissionError(
+            f"{entry.name}: invalid index record: {exc}") from None
+    return rec
 
 
 class _RetrievalBase:
@@ -468,68 +506,71 @@ class KnowledgeStore(_RetrievalBase):
     def _load(self, verify: bool) -> None:
         with open(self.index_path, "rb") as fh:
             data = fh.read()
-        stamped = self._stamped_length(data) if verify else 0
+        # The sha256 that checks the stamp's prefix goes on over the rest
+        # of the loaded bytes, so each byte is hashed once.
+        length, digest = self._stamp_claim(data) if verify else (0, None)
+        view = memoryview(data)
+        self._seen = hashlib.sha256(view[:length])
+        stamped = length if self._seen.hexdigest() == digest else 0
         lines = data.split(b"\n")
         # The last piece is empty when the log ends on a newline; otherwise
         # an append was cut short.
         tail = lines.pop()
-        entries: dict[int, KnowledgeEntry] = {}
-        in_stamp: dict[int, KnowledgeEntry] = {}   # by id, within the stamp
-        start = 0
-        for lineno, line in enumerate(lines, 1):
-            if line.strip():
-                entry = self._parse_entry(line, lineno)
-                entries[entry.id] = entry
-                if start < stamped:
-                    in_stamp[entry.id] = entry
-            start += len(line) + 1
+        parse = self._parse_entry
+        covered = data.count(b"\n", 0, stamped)   # the lines in the stamp
+        in_stamp = [parse(line, lineno) for lineno, line
+                    in enumerate(lines[:covered], 1) if line.strip()]
+        past = [parse(line, lineno) for lineno, line
+                in enumerate(lines[covered:], covered + 1) if line.strip()]
+        end = len(data) - len(tail)
         if tail:
             try:
-                entry = self._parse_entry(tail, len(lines) + 1)
+                past.append(parse(tail, len(lines) + 1))
             except StoreError:
                 # Torn or blank tail: drop it; the next append overwrites it.
-                self._append_at = (start, b"")
+                self._append_at = (end, b"")
             else:
-                entries[entry.id] = entry
-                self._append_at = (len(data), b"\n")
-        seen = data[:self._append_at[0]] if self._append_at else data
-        self._seen = hashlib.sha256(seen)
-        self._seen_length = len(seen)
-        for _, entry in sorted(entries.items()):
-            self._commit(entry)
-        if verify:
+                end = len(data)
+                self._append_at = (end, b"\n")
+        self._seen.update(view[length:end])
+        self._seen_length = end
+        entries = {entry.id: entry for entry in in_stamp + past}
+        for entry_id in sorted(entries):
+            self._commit(entries[entry_id])
+        if verify and past:
             # The stamp vouches for the primaries of its prefix loaded on
             # its own. A record past it can add a primary or change one, and
             # an archive record there can promote an entry the stamp never
-            # vouched for; each of those is verified.
+            # vouched for; each of those is verified. With no record past
+            # it, the loaded primaries are the vouched ones.
             vouched: dict[tuple, KnowledgeEntry] = {}
-            for _, entry in sorted(in_stamp.items()):
+            for _, entry in sorted({e.id: e for e in in_stamp}.items()):
                 offer_primary(vouched, entry)
             by_id = {e.id: e for e in vouched.values()}
             for entry in self._entries.values():
                 if entry.status == "primary" and by_id.get(entry.id) != entry:
                     verify_pattern_entry(entry)
 
-    def _stamped_length(self, data: bytes) -> int:
-        """The length of the prefix of the index `data` that the stamp
-        vouches for; 0 unless the stamp parses, ends on a line of `data`,
-        matches that prefix's sha256 and was made under the current rules."""
+    def _stamp_claim(self, data: bytes) -> tuple[int, str | None]:
+        """The (length, sha256) the stamp claims for a prefix of the index
+        `data`; (0, None) unless the stamp parses, its length ends on a line
+        of `data` and it was made under the current rules. The claim holds
+        if the sha256 matches that prefix's."""
         try:
             with open(self.stamp_path, "rb") as fh:
                 stamp = json.load(fh)
         except (OSError, ValueError):
-            return 0
+            return 0, None
         if not is_json(stamp, dict):
-            return 0
+            return 0, None
         length = stamp.get("length")
         if not (is_json(length, int) and 0 < length <= len(data)
                 and data[length - 1] == ord("\n")):
-            return 0
+            return 0, None
         rules = _rules_digest()
         if rules is None or stamp.get("rules") != rules:
-            return 0
-        prefix = hashlib.sha256(memoryview(data)[:length]).hexdigest()
-        return length if stamp.get("sha256") == prefix else 0
+            return 0, None
+        return length, stamp.get("sha256")
 
     def _write_stamp(self) -> None:
         """Stamp the index bytes this handle has seen, when it may: every
@@ -563,20 +604,20 @@ class KnowledgeStore(_RetrievalBase):
     def _parse_entry(self, line: bytes, lineno: int) -> KnowledgeEntry:
         # The record's location is formatted only for a refusal.
         try:
-            rec = json.loads(line)
-            if not is_json(rec, dict):
+            rec = _json_value(line)
+            if type(rec) is not dict:
                 raise ValueError("not a JSON object")
-            rec = take_all(rec, "", RECORD_FIELDS)
+            values = take_all(rec, "", RECORD_FIELDS).values()
         except FieldError as exc:
             raise StoreError(f"{self.index_path}:{lineno}: invalid index "
                              f"record: {exc}") from None
         except ValueError as exc:
             raise StoreError(f"{self.index_path}:{lineno}: unparsable index "
                              f"record: {exc}") from None
-        return KnowledgeEntry.from_record(rec)
+        return _entry(values)
 
-    def _append(self, entries: list[KnowledgeEntry]) -> None:
-        text = _record_lines(entries)
+    def _append(self, records: list[dict]) -> None:
+        text = _record_lines(records)
         if self._append_at is not None:
             size, prefix = self._append_at
             os.truncate(self.index_path, size)
@@ -589,7 +630,7 @@ class KnowledgeStore(_RetrievalBase):
         self._seen_length += len(text)
 
     def _rewrite_index(self) -> None:
-        text = _record_lines(self._entries.values())
+        text = _record_lines(e.to_record() for e in self._entries.values())
         tmp = self.index_path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(text)
@@ -604,7 +645,8 @@ class KnowledgeStore(_RetrievalBase):
         """Admit entries in order; returns the first one's id, and the
         others take the ids after it.
 
-        Circuit patterns are re-verified before admission, and
+        An entry whose record the loader would refuse is refused, and
+        circuit patterns are re-verified before admission. Then
         `offer_primary` archives either each entry or the primary it
         displaces. Each new record, followed by the archived incumbent's
         record if there is one, is appended to the index, all in one
@@ -614,45 +656,50 @@ class KnowledgeStore(_RetrievalBase):
         """
         if not entries:
             raise TypeError("store() needs at least one entry")
-        verified: list[KnowledgeEntry] = []
+        records: list[dict] = []
         for entry in entries:
             try:
+                rec = _admissible_record(entry)
                 verify_pattern_entry(entry)
             except AdmissionError:
-                if verified:
-                    self._admit(verified)
+                if records:
+                    self._admit(records)
                 raise
-            verified.append(entry)
-        return self._admit(verified)
+            records.append(rec)
+        return self._admit(records)
 
-    def _admit(self, entries: list[KnowledgeEntry]) -> int:
-        """Log and commit verified entries; returns the first one's id."""
+    def _admit(self, records: list[dict]) -> int:
+        """Log and commit the checked records of verified entries; returns
+        the first one's id."""
         with self._lock:
             # The rule decides on a copy of the keys' slots: memory changes
             # only once the log holds the outcome.
             slots: dict[tuple, KnowledgeEntry] = {}
-            records = []
+            entries, logged = [], []
             first_id = max(self._entries, default=0) + 1
-            for entry_id, entry in enumerate(entries, first_id):
-                entry = replace(entry, id=entry_id, status="primary")
+            for entry_id, rec in enumerate(records, first_id):
+                rec["id"], rec["status"] = entry_id, "primary"
+                entry = _entry(rec.values())
                 key = pattern_key(entry)
                 if key not in slots and key in self._primaries:
                     slots[key] = self._primaries[key]
                 loser = offer_primary(slots, entry)
                 if loser is entry:
-                    records.append(replace(entry, status="archived"))
-                else:
-                    records.append(entry)
-                    if loser is not None:
-                        # New record first: a tear in the archive record
-                        # leaves two primaries, which _load resolves,
-                        # never none.
-                        records.append(replace(loser, status="archived"))
-            self._append(records)
-            for record in records:
-                self._commit(record)
+                    rec["status"] = "archived"
+                    entry, loser = _entry(rec.values()), None
+                entries.append(entry)
+                logged.append(rec)
+                if loser is not None:
+                    # New record first: a tear in the archive record
+                    # leaves two primaries, which _load resolves,
+                    # never none.
+                    entries.append(replace(loser, status="archived"))
+                    logged.append(entries[-1].to_record())
+            self._append(logged)
+            for entry in entries:
+                self._commit(entry)
             self._write_stamp()
-            return records[0].id
+            return entries[0].id
 
     def _commit(self, entry: KnowledgeEntry) -> None:
         """Apply one logged record to memory, replacing any earlier record

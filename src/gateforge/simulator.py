@@ -157,12 +157,12 @@ class PackedVectors:
     expected_keys: frozenset[str]
 
 
-def pack_rows(rows: Sequence[tuple[int, int, int]], in_names: Sequence[str],
+def pack_rows(in_rows: Sequence[int], exp_rows: Sequence[int],
+              care_rows: Sequence[int], in_names: Sequence[str],
               out_names: Sequence[str],
               keys: Sequence[tuple]) -> PackedVectors:
-    """Pack one (input, expected, care) row per vector, named by keys[v],
+    """Pack one input, expected and care row per vector, named by keys[v],
     into columns; bit i of a row is bit in_names[i] or out_names[i]."""
-    in_rows, exp_rows, care_rows = zip(*rows) if rows else ((), (), ())
     care_columns = pack_columns(care_rows, len(out_names))
     checks = tuple(sorted(
         (name, e, c) for name, e, c in zip(
@@ -182,13 +182,13 @@ def pack_vectors(vectors: Sequence[TestVector]) -> PackedVectors:
     out_names = sorted({k for v in vectors for k in v.expected})
     in_pos = {name: i for i, name in enumerate(in_names)}
     out_pos = {name: i for i, name in enumerate(out_names)}
-    rows = [(sum((val & 1) << in_pos[k] for k, val in v.inputs.items()),
-             sum((e & 1) << out_pos[k] for k, e in v.expected.items()
-                 if e is not None),
-             sum(1 << out_pos[k] for k, e in v.expected.items()
-                 if e is not None))
-            for v in vectors]
-    return pack_rows(rows, in_names, out_names,
+    in_rows = [sum((val & 1) << in_pos[k] for k, val in v.inputs.items())
+               for v in vectors]
+    exp_rows = [sum((e & 1) << out_pos[k] for k, e in v.expected.items()
+                    if e is not None) for v in vectors]
+    care_rows = [sum(1 << out_pos[k] for k, e in v.expected.items()
+                     if e is not None) for v in vectors]
+    return pack_rows(in_rows, exp_rows, care_rows, in_names, out_names,
                      [(tuple(v.inputs), tuple(v.expected), v.cycle)
                       for v in vectors])
 

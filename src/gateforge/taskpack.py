@@ -114,9 +114,9 @@ def _bit_names(ports, direction: PortDir) -> list[str]:
 def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
                     out_names: list[str], combinational: bool) -> PackedVectors:
     """Pack testbench.json's vectors into rows of input, expected and care
-    bits. Vectors that name the same keys in the same order are read
-    together, a column of values at a time, and each distinct key is
-    resolved once. A column check only finds that some vector is faulty:
+    bits, a list of each. Vectors that name the same keys in the same order
+    are read together, a column of values at a time, and each distinct key
+    is resolved once. A column check only finds that some vector is faulty:
     the per-vector rule, run in vector order, words the first fault."""
     slot = {n: i for names in (in_names, out_names) for i, n in enumerate(names)}
     # Per side, key -> (port, whole port?, first row bit, mask, bit names).
@@ -183,7 +183,7 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
         """The vectors packed a key list and a column at a time, or None
         if some vector is faulty."""
         if not docs:
-            return pack_rows([], in_names, out_names, [])
+            return pack_rows([], [], [], in_names, out_names, [])
         if set(map(type, docs)) != {dict}:
             return None
         cycles = [doc.get("cycle", 0) for doc in docs]
@@ -200,7 +200,7 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
             groups = {}
             for index, shape in enumerate(shapes):
                 groups.setdefault(shape, []).append(index)
-        order, rows, keys = [], [], []
+        order, in_rows, exp_rows, care_rows, keys = [], [], [], [], []
         for key_list, members in groups.items():
             def pick(seq: list) -> list:   # the group's items of a list
                 return seq if len(groups) == 1 else [seq[v] for v in members]
@@ -209,16 +209,21 @@ def _pack_testbench(docs, port_map: dict[str, Port], in_names: list[str],
                     in zip(key_list, sides, (True, False))]
             if None in read:
                 return None
-            (in_rows, _, in_bits), (exp_rows, care_rows, out_bits) = read
+            (ins, _, in_bits), (exps, cares, out_bits) = read
             order += members
-            rows += zip(in_rows, exp_rows, care_rows)
+            in_rows += ins
+            exp_rows += exps
+            care_rows += cares
             # One key entry per cycle, shared by the vectors at that cycle.
             shared = {c: (in_bits, out_bits, c) for c in set(pick(cycles))}
             keys += map(shared.__getitem__, pick(cycles))
         if len(groups) > 1:   # back into vector order
             at = sorted(range(len(order)), key=order.__getitem__)
-            rows, keys = [rows[i] for i in at], [keys[i] for i in at]
-        return pack_rows(rows, in_names, out_names, keys)
+            in_rows, exp_rows, care_rows, keys = (
+                [seq[i] for i in at]
+                for seq in (in_rows, exp_rows, care_rows, keys))
+        return pack_rows(in_rows, exp_rows, care_rows, in_names, out_names,
+                         keys)
 
     def read_side(key_list: tuple, vectors: list[dict], inputs: bool):
         """Rows of values and of set bits, and the bit names set, for one

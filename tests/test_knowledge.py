@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 from types import SimpleNamespace
@@ -109,6 +110,35 @@ def test_a_refused_entry_ends_its_batch(store):
     with pytest.raises(TypeError):
         store.store()
     assert store.store(make_error_fix_entry("syntax", "x", "y")) == 2
+
+
+@pytest.mark.parametrize("bad, fault", [
+    (lambda e: replace(e, task_id=5), "task_id: must be a string"),
+    (lambda e: replace(e, tags=["x", 3]), "tags: must be a list of strings"),
+    (lambda e: replace(e, kind="weird"),
+     "kind: must be 'circuit-pattern' or 'error-fix'"),
+    (lambda e: make_error_fix_entry(5, "s", "f"),
+     "error_class: must be a string or null"),
+    (lambda e: replace(e, netlist_text=5),
+     "netlist_text: must be a string or null"),
+], ids=["task_id", "tags", "kind", "error_class", "netlist_text"])
+def test_an_entry_the_loader_would_refuse_is_refused_at_admission(
+        tmp_path, bad, fault):
+    root = tmp_path / "store"
+    store = KnowledgeStore(root)
+    good = make_pattern_entry(build_half_adder())
+    entry = bad(make_pattern_entry(build_full_adder()))
+    with pytest.raises(AdmissionError) as refused:
+        store.store(good, entry)
+    assert str(refused.value) == f"{entry.name}: invalid index record: {fault}"
+    # The entry before it is admitted, and the store still opens.
+    assert [e.name for e in KnowledgeStore(root).entries()] == ["half_adder"]
+    # The loader refuses that record in the same words.
+    append_record(root / "index.jsonl",
+                  **replace(entry, id=2, status="primary").to_record())
+    with pytest.raises(StoreError, match=re.escape(
+            f"index.jsonl:2: invalid index record: {fault}") + "$"):
+        KnowledgeStore(root, verify=False)
 
 
 def test_wrong_signature_is_refused(store):
