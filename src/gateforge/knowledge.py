@@ -94,7 +94,8 @@ class KnowledgeEntry:
 
     def to_record(self) -> dict:
         rec = {key: getattr(self, key) for key in _RECORD_KEYS}
-        rec["tags"] = list(self.tags)
+        if type(self.tags) is tuple:
+            rec["tags"] = list(self.tags)
         return rec
 
 
@@ -278,11 +279,19 @@ def _measure(netlist: Netlist) -> _Measure:
                     measure(report))
 
 
+def _tag_tuple(tags) -> tuple[str, ...]:
+    """`tags` as an entry holds them; FieldError, in the loader's words,
+    unless they are a list or tuple of strings."""
+    if type(tags) not in (list, tuple) or not is_json(list(tags), list[str]):
+        raise FieldError("", "tags", "a list of strings")
+    return tuple(tags)
+
+
 def make_pattern_entry(netlist: Netlist, tags: tuple[str, ...] = (),
                        task_id: str = "", run_id: str = "",
                        name: str | None = None) -> KnowledgeEntry:
     """Build a circuit-pattern entry from a verified netlist."""
-    return KnowledgeEntry(KIND_PATTERN, name or netlist.name, tuple(tags),
+    return KnowledgeEntry(KIND_PATTERN, name or netlist.name, _tag_tuple(tags),
                           nl_parser.render(netlist),
                           **_measure(netlist)._asdict(), task_id=task_id,
                           run_id=run_id)
@@ -295,7 +304,7 @@ def make_error_fix_entry(error_class: str, symptom: str, fix: str,
     return KnowledgeEntry(
         kind=KIND_ERROR_FIX,
         name=name or f"fix-{error_class}",
-        tags=tuple(tags),
+        tags=_tag_tuple(tags),
         error_class=error_class,
         symptom=symptom,
         fix=fix,
@@ -446,10 +455,11 @@ class _RetrievalBase:
             # A design with no gates and no delay has no index to rank it by,
             # and no gates to carve sub-patterns from.
             return []
-        offer(whole, f"{task_id or netlist.name}-design", tuple(tags),
+        tags = _tag_tuple(tags)
+        offer(whole, f"{task_id or netlist.name}-design", tags,
               lambda: text or nl_parser.render(netlist))
 
-        sub_tags = tuple(tags) + ("subcircuit",)
+        sub_tags = tags + ("subcircuit",)
         for cut in _connected_cuts(netlist):
             m = _measure_cut(netlist, *cut)
             offer(m, f"pat-{m.signature_digest[:10]}", sub_tags,
@@ -913,9 +923,8 @@ _BASELINE: tuple[tuple[str, tuple[str, ...]], ...] = (
      "  xor g3(sum, w1, cin);\n  and g4(w3, w1, cin);\n"
      "  or g5(cout, w2, w3);\nendmodule\n", ("adder", "full-adder")),
     ("module mux2(input a, input b, input sel, output y);\n"
-     "  wire w1, w2, w3;\n  not g1(w1, sel);\n  and g2(w2, b, sel);\n"
-     "  and g3(w3, a, w1);\n  or g4(y, w3, w2);\nendmodule\n",
-     ("mux", "selector")),
+     "  wire w1, w2;\n  xor g1(w1, a, b);\n  and g2(w2, sel, w1);\n"
+     "  xor g3(y, a, w2);\nendmodule\n", ("mux", "selector")),
 )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .netlist import (
@@ -68,9 +69,12 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 # The statement reader's patterns: one match per module header, port, wire
-# declaration, gate instantiation and `endmodule`, each with the trivia
-# after it. Trivia is only the six whitespace characters; an identifier has
-# no `$`, a constant is exactly 1'b0 or 1'b1 and the output is never one.
+# declaration, `assign`, gate instantiation and `endmodule`, each with the
+# trivia after it. Trivia is only the six whitespace characters, since
+# `read_statements` blanks comments first. Only the module name may hold `$`;
+# a gate kind may be in any case. A constant is spelled as the grammar takes
+# it: 1'b0 or 1'b1 with `b` in either case and `\s` around the `'`, or a
+# bare 0 or 1; a gate's output or an `assign`'s left side is never one.
 # Every keyword is followed by `\b`, so `andx` or `wire1` is not read as a
 # keyword and a name. Whatever else follows a token, in the token grammar
 # it would end or extend that token, and here it fails the match.
@@ -80,26 +84,44 @@ _NAME = rf"({_IDENT})"
 _RANGE = rf"\[{_WS}([0-9]++){_WS}:{_WS}([0-9]++){_WS}\]{_WS}"
 _SELECT = rf"{_IDENT}(?:{_WS}\[{_WS}[0-9]++{_WS}\])?"
 _BIT = rf"({_SELECT})"
-_CONN = rf"({_SELECT}|1'b[01])"
+_CONN = rf"({_SELECT}|1\s*'\s*[bB][01]|[01])"
 _HEADER_RE = re.compile(
-    rf"{_WS}(module)\b{_WS}{_NAME}{_WS}\({_WS}(\){_WS};)?{_WS}")
+    rf"{_WS}(module)\b{_WS}([A-Za-z_][A-Za-z0-9_$]*+){_WS}\({_WS}"
+    rf"(\){_WS};)?{_WS}")
 _PORT_RE = re.compile(
     rf"(input|output)\b{_WS}(?:{_RANGE})?{_NAME}{_WS}(?:(,)|\){_WS};){_WS}")
+# A gate kind is tried in lower case before in any case: canonical text
+# holds lower case, and a case-blind match is slower.
 _GATE_RE = re.compile(
-    rf"(and|or|not|xor|nand|dff)\b{_WS}{_NAME}{_WS}\({_WS}{_BIT}{_WS},{_WS}"
-    rf"{_CONN}(?:{_WS},{_WS}{_CONN})?{_WS}\){_WS};{_WS}")
+    rf"(and|or|not|xor|nand|dff|(?ai:and|or|not|xor|nand|dff))\b{_WS}{_NAME}"
+    rf"{_WS}\({_WS}{_BIT}{_WS},{_WS}{_CONN}(?:{_WS},{_WS}{_CONN})?{_WS}\)"
+    rf"{_WS};{_WS}")
 _WIRE_RE = re.compile(
     rf"wire\b{_WS}(?:{_RANGE})?({_IDENT}(?:{_WS},{_WS}{_IDENT})*+){_WS};{_WS}")
+_ASSIGN_RE = re.compile(rf"assign\b{_WS}{_BIT}{_WS}={_WS}{_CONN}{_WS};{_WS}")
 _END_RE = re.compile(rf"endmodule{_WS}\Z")
+# A comment, as the lexer skips one. `read_statements` blanks each to spaces,
+# keeping its newlines, so every offset stays; an unterminated `/*` is left,
+# and no reader pattern takes its `/`. The group makes `split` return each
+# comment between the texts around it.
+_COMMENT = r"//[^\n]*+|/\*.*?\*/"
+_COMMENT_RE = re.compile(f"({_COMMENT})", re.DOTALL)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+# The head of a sized constant. To the grammar a comment inside one is no
+# trivia: `1'/**/b1` is an error there.
+_SIZED_HEAD_RE = re.compile(r"1\s*'\s*[bB]")
 _KEYWORDS = frozenset(BEHAVIORAL_KEYWORDS | STRUCTURAL_KEYWORDS
                       | GATE_KEYWORDS.keys())
 # The most digits a bit index or range bound may have. No declaration can
 # be that wide, and `int` refuses a string past its own digit limit.
 _MAX_DIGITS = 18
 # The most bits the ports and wires of one module may declare together. A
-# seed design declares a few dozen; every declared bit gets a slot, and a
-# net in the built netlist, before anything else is checked.
+# seed design declares a few dozen; every declared bit gets a net before
+# anything else is checked.
 _MAX_BITS = 1 << 16
+# The grammar's report on a text it finds no error in, should the statement
+# reader ever give one up.
+_NOT_READ = "text not read as a netlist"
 
 
 @dataclass(frozen=True)
@@ -153,46 +175,17 @@ def _lex(text: str) -> list[_Token]:
     return toks
 
 
-class _ModuleScope:
-    """The token grammar's bit slots and their alias union-find."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.const_slot: dict[int, int] = {}
-
-    def new_slots(self, count: int) -> int:
-        """Allocate `count` consecutive slots; returns the first."""
-        s = len(self.parent)
-        self.parent.extend(range(s, s + count))
-        return s
-
-    def find(self, s: int) -> int:
-        while self.parent[s] != s:
-            self.parent[s] = self.parent[self.parent[s]]
-            s = self.parent[s]
-        return s
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def const(self, value: int) -> int:
-        if value not in self.const_slot:
-            self.const_slot[value] = self.new_slots(1)
-        return self.const_slot[value]
-
-
 class _Parser:
-    """Two readers of one module: each ends in `_build`, which builds the
-    netlist and places any structural error it raises.
+    """Two readers of one module, of which only the first builds a netlist.
 
-    `parse` is recursive descent over the token list of the whole text; it
-    reports every error, fills slot tables and leaves numbering the nets to
-    `_finalize`. `read_statements` reads well-formed text one statement per
-    match and numbers each net as it reads it. It reports no error of its
-    own but a dff's clock: at the first thing it does not accept it gives
-    up, and the text is left to `parse`.
+    `read_statements` reads a text one statement per regex match and
+    builds its netlist, which validates itself; `_violation_token` places
+    a structural error. It takes every text the grammar reads without an
+    error and reports only what it finds once the text is read. At the
+    first thing it does not take it gives the text up, reporting nothing.
+    `parse`, the token grammar, runs only on a text given up: a recursive
+    descent over the token list of the whole text, which reports every
+    error in it.
 
     In the grammar, punctuation and keywords are known by their text alone:
     no token of another kind has the text ';' or 'module'. Where the
@@ -203,29 +196,23 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         # The token list; `read_statements` records only `module`'s, the
-        # one token `_build` reads from it.
+        # one token `_violation_token` reads from it.
         self.toks: list[_Token] = []
         self.pos = 0
         self.errors: list[ParseError] = []
         # The offset of each newline in the text, found at the first error.
         self.line_breaks: list[int] | None = None
-        self.module_name = ""
-        # Ports and wires share one table: name -> (token, width, lsb,
-        # base). Bit `lsb + i` is slot `base + i` in the grammar and net
-        # `base + i` in the statement reader; a name refused for its width
-        # has width 0 and no slots. `declared_bits` counts the bits entered.
-        self.decls: dict[str, tuple[_Token, int, int, int]] = {}
+        # Ports and wires share one table: name -> (token, width, lsb); a
+        # name refused for its width has width 0. `declared_bits` counts
+        # the bits entered.
+        self.decls: dict[str, tuple[_Token, int, int]] = {}
         self.declared_bits = 0
         # Each instance name's start offset.
         self.instance_names: dict[str, int] = {}
-        # The grammar's alone: each port's direction in declaration order,
-        # the slots and the gates read, as (kind, name, slots, keyword).
-        self.ports: dict[str, PortDir] = {}
-        self.scope = _ModuleScope()
-        self.instances: list[tuple[GateKind, str, list[int], _Token]] = []
-        # The statement reader's alone: each declared bit's net, by the
-        # bit's name, and each constant read, by its text, as `~i` for the
-        # i-th read (`_read_net`).
+        # The statement reader's alone: the module name, each declared
+        # bit's net, by the bit's name, and each constant's, by its value
+        # ('0' or '1'), as `~i` for the i-th read (`_read_net`).
+        self.module_name = ""
         self.net_of: dict[str, int] = {}
         self.consts: dict[str, int] = {}
 
@@ -272,6 +259,7 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> ParseResult:
+        """Report every error in a text `read_statements` gave up."""
         self.toks = _lex(self.text)
         kind, text, _ = t = self.toks[0]
         if text != "module":
@@ -289,7 +277,6 @@ class _Parser:
         if kind != "ident" or text in _KEYWORDS:
             self.error("syntax", name_tok, "expected module name")
             return ParseResult(None, self.errors)
-        self.module_name = text
         self.pos = 2
 
         if self.expect_punct("(") is None:
@@ -313,9 +300,12 @@ class _Parser:
                 break
             self._statement()
 
-        if self.errors:
-            return ParseResult(None, self.errors)
-        return self._finalize()
+        if not self.errors:
+            # The statement reader takes every text this grammar reads
+            # without an error; should it give one up, the text is still
+            # refused with an error.
+            self.error("syntax", self.toks[0], _NOT_READ)
+        return ParseResult(None, self.errors)
 
     def _number(self) -> int | None:
         """Parse one bit index."""
@@ -353,7 +343,6 @@ class _Parser:
         while True:
             t = self.toks[self.pos]
             if t[1] in ("input", "output"):
-                direction = PortDir.IN if t[1] == "input" else PortDir.OUT
                 self.pos += 1
                 rng = self._range()
                 if rng is None:
@@ -363,8 +352,7 @@ class _Parser:
                     self.error("syntax", name_tok, "expected port name")
                     return
                 self.pos += 1
-                if self._declare(name_tok, *rng):
-                    self.ports[name_tok[1]] = direction
+                self._declare(name_tok, *rng)
             elif t[1] == "inout":
                 self.error("syntax", t, "inout ports are not supported")
                 self.pos += 1
@@ -376,24 +364,21 @@ class _Parser:
                 return
             self.pos += 1
 
-    def _declare(self, name_tok: _Token, width: int, lsb: int) -> bool:
-        """Enter a port or wire name and its bit slots; False on a duplicate
-        or past the module's bit limit. A name refused for its width is
-        entered with no slots (width 0), so that its uses are skipped
-        without a second report."""
+    def _declare(self, name_tok: _Token, width: int, lsb: int) -> None:
+        """Enter a port or wire name, unless it is a duplicate. A name that
+        takes the module past its bit limit is entered with width 0, so
+        that its uses are skipped without a second report."""
         name = name_tok[1]
         if name in self.decls:
             self.error("duplicate-name", name_tok, f"'{name}' already declared")
-            return False
+            return
         if self.declared_bits + width > _MAX_BITS:
             self.error("width", name_tok,
                        f"'{name}' is {width} bits wide; a module declares at "
                        f"most {_MAX_BITS} bits")
-            self.decls[name] = (name_tok, 0, lsb, -1)
-            return False
+            width = 0
         self.declared_bits += width
-        self.decls[name] = (name_tok, width, lsb, self.scope.new_slots(width))
-        return True
+        self.decls[name] = (name_tok, width, lsb)
 
     def _usable_name(self, tok: _Token) -> bool:
         text = tok[1]
@@ -462,75 +447,68 @@ class _Parser:
             self.resync()
             return
 
-    def _connection(self, *, allow_const: bool) -> int | None:
-        """Parse one scalar connection; returns its slot."""
+    def _connection(self, *, allow_const: bool) -> bool:
+        """Parse one scalar connection; False once it reports an error, or
+        at a name refused at its declaration."""
         kind, text, _ = t = self.toks[self.pos]
         # Common case: a declared scalar without a bit-select. Only
         # identifiers are declared, and never a keyword (`_usable_name`).
         decl = self.decls.get(text)
         if decl and decl[1] == 1 and self.toks[self.pos + 1][1] != "[":
             self.pos += 1
-            return decl[3]
+            return True
         if kind == "sized":
             self.pos += 1
-            value = self._const_value(t)
-            if value is None:
-                return None
+            if "".join(text.split()) not in ("1'b0", "1'B0", "1'b1", "1'B1"):
+                self.error("width", t,
+                           "only 1'b0 and 1'b1 constants are allowed")
+                return False
             if not allow_const:
                 self.error("syntax", t, "constant cannot be driven")
-                return None
-            return self.scope.const(value)
+                return False
+            return True
         if kind == "number":
             self.pos += 1
             if text in ("0", "1") and allow_const:
-                return self.scope.const(int(text))
+                return True
             self.error("syntax", t, "bare numbers are not connections; use 1'b0 / 1'b1")
-            return None
+            return False
         if kind == "op":
             self.error("behavioral-construct", t,
                        f"operator '{text}' is not part of the structural language")
-            return None
+            return False
         if text in BEHAVIORAL_KEYWORDS:
             self.error("behavioral-construct", t,
                        f"'{text}' is a banned behavioral construct")
-            return None
+            return False
         if kind != "ident" or text in _KEYWORDS:
             self.error("syntax", t, "expected a net name")
-            return None
+            return False
         self.pos += 1
         if decl is None:
             self.error("syntax", t, f"'{text}' is not declared")
-            return None
-        _tok, width, lsb, base = decl
+            return False
+        _tok, width, lsb = decl
         if not width:
             # Refused at its declaration, which reported it.
-            return None
+            return False
         if self.toks[self.pos][1] != "[":
             self.error("width", t,
                        f"'{text}' is {width} bits wide; a scalar connection needs a bit-select")
-            return None
+            return False
         self.pos += 1
         idx_tok = self.toks[self.pos]
         idx = self._number()
         if idx is None or self.expect_punct("]") is None:
-            return None
+            return False
         if width == 1:
             self.error("width", idx_tok, f"'{text}' is scalar; bit-select not allowed")
-            return None
+            return False
         if not (lsb <= idx <= lsb + width - 1):
             self.error("width", idx_tok,
                        f"bit {idx} out of range for {text}[{lsb + width - 1}:{lsb}]")
-            return None
-        return base + idx - lsb
-
-    def _const_value(self, tok: _Token) -> int | None:
-        text = "".join(tok[1].split())
-        if text in ("1'b0", "1'B0"):
-            return 0
-        if text in ("1'b1", "1'B1"):
-            return 1
-        self.error("width", tok, "only 1'b0 and 1'b1 constants are allowed")
-        return None
+            return False
+        return True
 
     def _after_term_check(self) -> bool:
         """Reject a trailing operator, turning expressions into the banned class."""
@@ -543,9 +521,8 @@ class _Parser:
         return True
 
     def _assign(self) -> None:
-        kw = self.advance()  # 'assign'
-        lhs = self._connection(allow_const=False)
-        if lhs is None:
+        self.pos += 1  # 'assign'
+        if not self._connection(allow_const=False):
             self.resync()
             return
         t = self.toks[self.pos]
@@ -554,19 +531,10 @@ class _Parser:
             self.resync()
             return
         self.pos += 1
-        rhs = self._connection(allow_const=True)
-        if rhs is None or not self._after_term_check() \
+        if not self._connection(allow_const=True) \
+                or not self._after_term_check() \
                 or self.expect_punct(";") is None:
             self.resync()
-            return
-        scope = self.scope
-        joined = {scope.find(lhs), scope.find(rhs)}
-        if len(joined) == 2 and joined == {scope.find(s)
-                                           for s in scope.const_slot.values()}:
-            self.error("syntax", kw,
-                       "multi-driver: driven by constant 0 and constant 1")
-            return
-        scope.union(lhs, rhs)
 
     def _instantiation(self, kind: GateKind) -> None:
         kw = self.toks[self.pos]
@@ -587,14 +555,14 @@ class _Parser:
         if self.expect_punct("(") is None:
             self.resync()
             return
-        conns: list[int] = []
+        conns = 0
         while True:
             # Only the first connection, the output, may not be a constant.
-            conn = self._connection(allow_const=bool(conns))
-            if conn is None or not self._after_term_check():
+            if not self._connection(allow_const=conns > 0) \
+                    or not self._after_term_check():
                 self.resync()
                 return
-            conns.append(conn)
+            conns += 1
             t = self.toks[self.pos]
             if t[1] == ",":
                 self.pos += 1
@@ -608,29 +576,34 @@ class _Parser:
         if self.expect_punct(";") is None:
             self.resync()
             return
-        want = kind.arity + 1
-        if len(conns) != want:
+        if conns != kind.arity + 1:
             self.error("arity", kw,
                        f"{kind.value} takes {kind.arity} input(s) plus an output, "
-                       f"got {len(conns)} connection(s)")
-            return
-        self.instances.append((kind, name, conns, kw))
+                       f"got {conns} connection(s)")
 
     # -- statement reader ----------------------------------------------------
 
     def read_statements(self) -> ParseResult | None:
-        """Read well-formed text straight into a netlist; None at the first
-        thing this reader does not accept, with nothing reported.
+        """Read a text straight into a netlist; None at the first thing this
+        reader does not accept, with nothing reported.
 
-        It accepts what the grammar reads without an error, less comments,
-        `assign`, upper-case gate kinds, `$` in a name, constants spelled
-        other than 1'b0 and 1'b1, bit indices with a leading zero, and trivia
-        other than whitespace. With no `assign` no bit aliases another, so
-        each bit gets its net as it is read, in `_finalize`'s claim order:
-        input bits, then output bits, then wire bits as declared, then
-        constants in first-read order. Each token it records keeps its start
-        offset, so `_build` places an error where it would after `parse`."""
+        It takes every text the grammar reads without an error. Comments
+        are blanked to spaces first, keeping every offset, so each token it
+        records keeps its start offset and an error is placed where the
+        grammar would place it. Each declared bit gets its net as it is
+        read, in claim order: input bits, then output bits, then wire bits as
+        declared, then the constants in first-read order. An `assign`
+        joins two nets; the joins are made once the text is read
+        (`_join`)."""
         text = self.text
+        if "/" in text:
+            pieces = _COMMENT_RE.split(text)
+            pieces[1::2] = [_NOT_NEWLINE_RE.sub(" ", c) if "\n" in c
+                            else " " * len(c) for c in pieces[1::2]]
+            text = "".join(pieces)
+            if "'" in text and any(self.text[m.start():m.end()] != m[0]
+                                   for m in _SIZED_HEAD_RE.finditer(text)):
+                return None
         m = _HEADER_RE.match(text)
         if m is None or m[2] in _KEYWORDS:
             return None
@@ -647,25 +620,30 @@ class _Parser:
             more = m[5]
             pos = m.end()
         nets: dict[int, Net] = {}
-        # Input bits take the first nets, then output bits.
-        for m in sorted(heads, key=lambda m: m[1] == "output"):
-            if not self._read_decl(nets, m[4], m.start(4), m[2], m[3]):
+        # Ports in declaration order; input bits take the first nets, then
+        # output bits: "input" sorts before "output".
+        port_nets = dict.fromkeys(map(itemgetter(4), heads), ())
+        for m in sorted(heads, key=itemgetter(1)):
+            base = self._read_decl(nets, m[4], m.start(4), m[2], m[3])
+            if base is None:
                 return None
+            port_nets[m[4]] = tuple(range(base, len(nets)))
         ports: list[Port] = []
-        port_nets: dict[str, tuple[int, ...]] = {}
         inputs = 0
         for m in heads:
-            name = m[4]
-            _tok, width, lsb, base = self.decls[name]
-            ports.append(Port(name, PortDir.IN if m[1] == "input"
+            _tok, width, lsb = self.decls[m[4]]
+            ports.append(Port(m[4], PortDir.IN if m[1] == "input"
                               else PortDir.OUT, width, lsb))
-            port_nets[name] = tuple(range(base, base + width))
             if m[1] == "input":
                 inputs += width
         read: list[tuple[GateKind, int, tuple[int, ...], str]] = []
+        # Each dff's keyword and clock net, and each `assign`'s offset and
+        # the two nets it joins.
+        clocks: list[tuple[_Token, int]] = []
+        joins: list[tuple[int, int, int]] = []
         while True:
             if m := _GATE_RE.match(text, pos):
-                gate = self._read_gate(m, inputs)
+                gate = self._read_gate(m, clocks)
                 if gate is None:
                     return None
                 read.append(gate)
@@ -674,46 +652,81 @@ class _Parser:
                 start = m.start(3)
                 for piece in names.split(","):
                     name = piece.strip()
-                    if not self._read_decl(nets, name,
-                                           start + piece.index(name), msb, lsb):
+                    if self._read_decl(nets, name, start + piece.index(name),
+                                       msb, lsb) is None:
                         return None
                     start += len(piece) + 1
+            elif m := _ASSIGN_RE.match(text, pos):
+                lhs, rhs = self._read_net(m[1]), self._read_net(m[2])
+                if lhs is None or rhs is None:
+                    return None
+                joins.append((m.start(), lhs, rhs))
             else:
                 break
             pos = m.end()
         if _END_RE.match(text, pos) is None:
             return None
-        if not self.consts:
-            gates = [Gate(*gate) for gate in read]
-        else:
-            # The constants' nets follow every wire's.
+        if self.consts or joins:
+            # The constants' nets follow every wire's, in first-read order.
+            # `net_id` maps each id read to its net: the i-th constant,
+            # read as `~i`, indexes it from the end.
             base = len(nets)
-            for const, k in self.consts.items():
-                nets[base + ~k] = Net(base + ~k, const, int(const[-1]))
-            gates = [Gate(kind, out, tuple([n if n >= 0 else base + ~n
-                                            for n in ins]), name)
-                     for kind, out, ins, name in read]
-        return self._build(ports, nets, gates, port_nets)
+            for value, k in self.consts.items():
+                nets[base + ~k] = Net(base + ~k, f"1'b{value}", int(value))
+            net_id = [*range(base), *reversed(range(base, len(nets)))]
+            if joins:
+                joined = self._join(nets, [(start, net_id[a], net_id[b])
+                                           for start, a, b in joins])
+                if joined is None:
+                    return ParseResult(None, self.errors)
+                net_id = [joined[n] for n in net_id]
+                # Joining keeps the order of the classes' lowest ids, so
+                # the input bits' nets still come first.
+                inputs = len(set(net_id[:inputs]))
+            read = [(kind, net_id[out], tuple([net_id[n] for n in ins]), name)
+                    for kind, out, ins, name in read]
+            clocks = [(kw, net_id[n]) for kw, n in clocks]
+            port_nets = {name: tuple([net_id[n] for n in bits])
+                         for name, bits in port_nets.items()}
+        for kw, clock in clocks:
+            if clock >= inputs:
+                self.error("syntax", kw,
+                           "dff clock must be a primary input port bit")
+        if self.errors:
+            return ParseResult(None, self.errors)
+        gates = [Gate(*gate) for gate in read]
+        try:
+            netlist = Netlist(self.module_name, tuple(ports), nets,
+                              tuple(gates), port_nets)
+        except InvalidNetlistError as exc:
+            for v in exc.violations:
+                self.error("syntax",
+                           self._violation_token(v, nets, ports, port_nets,
+                                                 gates),
+                           f"{v.kind}: {v.message}")
+            return ParseResult(None, self.errors)
+        return ParseResult(netlist, [], list(netlist.warnings))
 
     def _read_decl(self, nets: dict[int, Net], name: str, start: int,
-                   msb: str | None, lsb: str | None) -> bool:
+                   msb: str | None, lsb: str | None) -> int | None:
         """Enter a port or wire as `_declare` does, with a net per bit from
-        the next free id; False where the grammar reports an error."""
+        the next free id, and return the first; None where the grammar
+        reports an error."""
         if name in _KEYWORDS or name in self.decls:
-            return False
+            return None
         width, low = 1, 0
         if msb is not None:
             if max(len(msb), len(lsb)) > _MAX_DIGITS:
-                return False
+                return None
             low = int(lsb)
             width = int(msb) - low + 1
             if width < 1:
-                return False
+                return None
         self.declared_bits += width
         if self.declared_bits > _MAX_BITS:
-            return False
+            return None
         base = len(nets)
-        self.decls[name] = (("ident", name, start), width, low, base)
+        self.decls[name] = (("ident", name, start), width, low)
         if width == 1:
             nets[base] = Net(base, name)
             self.net_of[name] = base
@@ -722,15 +735,15 @@ class _Parser:
                 bit = f"{name}[{low + i}]"
                 nets[base + i] = Net(base + i, bit)
                 self.net_of[bit] = base + i
-        return True
+        return base
 
-    def _read_gate(self, m: re.Match[str], inputs: int
+    def _read_gate(self, m: re.Match[str], clocks: list[tuple[_Token, int]]
                    ) -> tuple[GateKind, int, tuple[int, ...], str] | None:
         """The gate `_GATE_RE` matched, as `Gate`'s fields; None where this
-        reader gives the text up. A clock that is not one of the first
-        `inputs` nets, the input bits, is reported as `_finalize` does."""
+        reader gives the text up. A dff's keyword and clock net go on
+        `clocks`."""
         gate, name, out, a, b = m.groups()
-        kind = GATE_KEYWORDS[gate]
+        kind = GATE_KEYWORDS[gate.lower()]
         if name in _KEYWORDS or name in self.instance_names \
                 or kind.arity != (1 if b is None else 2):
             return None
@@ -740,103 +753,72 @@ class _Parser:
         if output is None or None in ins:
             return None
         self.instance_names[name] = m.start(2)
-        if kind is GateKind.DFF and not 0 <= ins[1] < inputs:
-            self.error("syntax", ("ident", gate, m.start(1)),
-                       "dff clock must be a primary input port bit")
+        if kind is GateKind.DFF:
+            clocks.append((("ident", gate, m.start(1)), ins[1]))
         return (kind, output, ins, name)
 
     def _read_net(self, conn: str) -> int | None:
         """The net of a connection: the net named as it is spelled, or a
-        constant's, or that of a bit-select with whitespace in it; None for
-        anything else, which the grammar reads (`a[01]`) or reports. A
+        constant's, or that of a bit-select with whitespace or a leading
+        zero in it; None for anything else, which the grammar reports. A
         constant's net is numbered once every wire is declared, so until
         then it is `~i` for the i-th constant read."""
         net = self.net_of.get(conn)
         if net is not None:
             return net
-        if conn[0] == "1":
-            return self.consts.setdefault(conn, ~len(self.consts))
-        return self.net_of.get("".join(conn.split()))
+        if conn[0] in "01":
+            return self.consts.setdefault(conn[-1], ~len(self.consts))
+        name, _, index = "".join(conn.split()).partition("[")
+        if index:
+            if len(index) > _MAX_DIGITS + 1:    # the digits and ']'
+                return None
+            name = f"{name}[{int(index[:-1])}]"
+        return self.net_of.get(name)
 
-    # -- finalization --------------------------------------------------------
+    def _join(self, nets: dict[int, Net], joins: list[tuple[int, int, int]]
+              ) -> list[int] | None:
+        """Join the nets each `assign` aliases, in text order, and renumber
+        `nets` with one net per class; returns each old id's new id, or
+        None once a join is refused.
 
-    def _finalize(self) -> ParseResult:
-        """Number the grammar's slots as nets and build the netlist.
+        Ids are in claim order, so a class's lowest id is the bit that
+        claims its net, and the net is named after that bit, or after the
+        constant in the class. An `assign` that would join the class of
+        1'b0 to that of 1'b1 is reported at its keyword, and not made."""
+        parent = list(range(len(nets)))
 
-        One net per alias class, claimed in order: input bits, then output
-        bits, then wires, then the constants a gate reads. A class holding a
-        constant is that constant's net; any other is named after the bit
-        that claims it. Ports are bound in declaration order.
-        """
-        scope = self.scope
-        decls = self.decls
-        # Root slot of each slot in one pass: a union keeps the lower root
-        # and path halving only lowers a parent, so parents precede slots.
-        roots: list[int] = []
-        for slot, parent in enumerate(scope.parent):
-            roots.append(slot if parent == slot else roots[parent])
-        const_roots = {roots[slot]: value
-                       for value, slot in scope.const_slot.items()}
-        claimants = [decls[name] for name, d in self.ports.items()
-                     if d is PortDir.IN]
-        claimants += [decls[name] for name, d in self.ports.items()
-                      if d is PortDir.OUT]
-        claimants += [d for name, d in decls.items() if name not in self.ports]
-        # Every declared bit with its name, in claim order, then every slot
-        # a gate reads: of those, only constants are still unclaimed.
-        claims = [(roots[base + i],
-                   name if width == 1 else f"{name}[{lsb + i}]")
-                  for (_kind, name, _start), width, lsb, base in claimants
-                  for i in range(width)]
-        claims += [(roots[slot], "") for _, _, conns, _ in self.instances
-                   for slot in conns[1:]]
-        nets: dict[int, Net] = {}
-        root_net: dict[int, int] = {}
-        for root, name in claims:
-            if root not in root_net:
-                nid = root_net[root] = len(nets)
-                value = const_roots.get(root)
-                nets[nid] = Net(nid, name) if value is None \
-                    else Net(nid, f"1'b{value}", value)
-        net_of = [root_net.get(root) for root in roots]
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]    # path halving
+                i = parent[i]
+            return i
 
-        ports: list[Port] = []
-        port_nets: dict[str, tuple[int, ...]] = {}
-        for name, direction in self.ports.items():
-            _tok, width, lsb, base = decls[name]
-            ports.append(Port(name, direction, width, lsb))
-            port_nets[name] = tuple(net_of[base:base + width])
-        input_bit_nets = {n for p in ports if p.direction is PortDir.IN
-                          for n in port_nets[p.name]}
-        gates: list[Gate] = []
-        for kind, iname, conns, kw in self.instances:
-            ins = tuple([net_of[slot] for slot in conns[1:]])
-            if kind is GateKind.DFF and ins[1] not in input_bit_nets:
-                self.error("syntax", kw,
-                           "dff clock must be a primary input port bit")
+        consts = [n.id for n in nets.values() if n.value is not None]
+        for start, a, b in joins:
+            ra, rb = find(a), find(b)
+            if ra != rb and len(consts) == 2 \
+                    and {ra, rb} == {find(c) for c in consts}:
+                self.error("syntax", ("ident", "assign", start),
+                           "multi-driver: driven by constant 0 and constant 1")
                 continue
-            gates.append(Gate(kind, net_of[conns[0]], ins, iname))
-        return self._build(ports, nets, gates, port_nets)
-
-    def _build(self, ports: list[Port], nets: dict[int, Net],
-               gates: list[Gate], port_nets: dict[str, tuple[int, ...]]
-               ) -> ParseResult:
-        """Construct the `Netlist`, which validates it, unless an error is
-        already reported; a structural error is placed by
-        `_violation_token`."""
-        if not self.errors:
-            try:
-                netlist = Netlist(self.module_name, tuple(ports), nets,
-                                  tuple(gates), port_nets)
-            except InvalidNetlistError as exc:
-                for v in exc.violations:
-                    self.error("syntax",
-                               self._violation_token(v, nets, ports,
-                                                     port_nets, gates),
-                               f"{v.kind}: {v.message}")
-            else:
-                return ParseResult(netlist, [], list(netlist.warnings))
-        return ParseResult(None, self.errors)
+            parent[max(ra, rb)] = min(ra, rb)
+        if self.errors:
+            return None
+        # Each id's root in one pass: a join keeps the lower root and path
+        # halving only lowers a parent, so parents precede ids.
+        roots: list[int] = []
+        for i, p in enumerate(parent):
+            roots.append(i if p == i else roots[p])
+        named = {roots[c]: nets[c] for c in consts}
+        old = dict(nets)
+        nets.clear()
+        new_id: dict[int, int] = {}
+        for i, root in enumerate(roots):
+            if root == i:
+                nid = new_id[i] = len(nets)
+                net = named.get(i, old[i])
+                nets[nid] = Net(nid, net.name, net.value)
+        return [new_id[root] for root in roots]
 
     def _violation_token(self, v: StructuralViolation, nets: dict[int, Net],
                          ports: list[Port],
@@ -872,28 +854,32 @@ def parse(text: str) -> ParseResult:
     that other driver: an input port's declaration or a gate's instance
     name.
 
-    Well-formed text, such as canonical text and most replies, is read one
-    statement per regex match (`_Parser.read_statements`), which numbers
-    the nets as it reads them. Any other text goes to the token grammar,
-    which reports every error in it. Both number nets in one claim order,
-    and one final step builds the netlist and places any structural error,
-    so the result does not depend on which of them read the text.
+    One reader builds every netlist: `_Parser.read_statements` reads the
+    text one statement per regex match, comments, `assign` and every other
+    form the language allows included, and numbers the nets as it reads
+    them. A text it gives up holds an error, and the token grammar,
+    `_Parser.parse`, reads it again only to report every error in it.
     """
     result = _Parser(text).read_statements()
     return _Parser(text).parse() if result is None else result
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.S)
-_MODULE_SPAN_RE = re.compile(r"\bmodule\b.*?\bendmodule\b", re.S)
-_MODULE_RE = re.compile(r"\bmodule\b")
+# A module header, `module`, a name and `(` with trivia between, so that
+# prose such as "this module is an AND" is not taken for a design. The trivia
+# is possessive: a run of `/` or a `/*` could be split into comments in many
+# ways, and trying each whenever a header fails later takes exponential time.
+_GAP = rf"(?:\s|{_COMMENT})"
+_MODULE_RE = re.compile(rf"\bmodule{_GAP}++[A-Za-z_][\w$]*+{_GAP}*+\(", re.S)
+_MODULE_SPAN_RE = re.compile(_MODULE_RE.pattern + r".*?\bendmodule\b", re.S)
 
 
 def extract_netlist_block(reply: str) -> str | None:
     """Pull the first code block with a module header out of a model reply.
 
-    Fenced blocks are scanned in order; as a fallback a bare
-    module...endmodule span is accepted. Returns None when no candidate
-    exists.
+    Fenced blocks are scanned in order; as a fallback a bare span from a
+    module header to `endmodule` is accepted. Returns None when no
+    candidate exists.
     """
     for m in _FENCE_RE.finditer(reply):
         body = m.group(1)

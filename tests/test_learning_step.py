@@ -187,10 +187,15 @@ def test_lazy_extraction_matches_the_eager_reference(tmp_path, monkeypatch,
 
 
 # A half adder with an inverter pair on its sum, which the seed set's half
-# adder beats, and a three-gate mux that beats the seed set's four-gate one.
+# adder beats, and a three-input AND with an inverter pair, which the
+# two-gate one then displaces.
 WORSE_HALF_ADDER = ("module ha(input a, input b, output s, output c);\n"
                     "  wire w1, w2;\n  xor g1(w1, a, b);\n  not g2(w2, w1);\n"
                     "  not g3(s, w2);\n  and g4(c, a, b);\nendmodule\n")
+SLOW_AND3 = ("module and3_slow(input a, input b, input c, output y);\n"
+             "  wire w1, w2, w3;\n  and g1(w1, a, b);\n  not g2(w2, w1);\n"
+             "  not g3(w3, w2);\n  and g4(y, w3, c);\nendmodule\n")
+# A three-gate mux.
 XOR_MUX2 = ("module mux2(input a, input b, input sel, output y);\n"
             "  wire w1, w2;\n  xor g1(w1, a, b);\n  and g2(w2, w1, sel);\n"
             "  xor g3(y, a, w2);\nendmodule\n")
@@ -204,12 +209,13 @@ def test_extraction_from_a_reopened_store_matches_the_eager_reference(
     root = tmp_path / "store"
     store = KnowledgeStore(root)
     store.seed_baseline()
-    for text in (WORSE_HALF_ADDER, XOR_MUX2):
+    for text in (WORSE_HALF_ADDER, SLOW_AND3,
+                 TASKS["and3"].reference_netlist):
         store.store(make_pattern_entry(parse(text).netlist))
     store = KnowledgeStore(root)
     archived = [e.name for e in store.entries(include_archived=True)
                 if e.status == "archived"]
-    assert archived == ["mux2", "ha"]
+    assert archived == ["ha", "and3_slow"]
     assert store._held_primaries() == knowledge._RetrievalBase._held_primaries(
         store)
 
